@@ -697,8 +697,8 @@ func genBufTable(calls []Call) ([]byte, error) {
 	p("// BorrowedResultCalls names the transport entry points whose returned")
 	p("// byte slices are borrowed from the transport: valid only until the next")
 	p("// call on the same caller. Retaining one past that point (a field, a")
-	p("// channel, a goroutine) races the next reply. ReadFrameReuse is absent")
-	p("// by design — its results are caller-owned.")
+	p("// channel, a goroutine) races the next reply. ReadFrame is absent by")
+	p("// design — its results are caller-owned.")
 	p("var BorrowedResultCalls = map[string]bool{")
 	p("\t\"Roundtrip\":        true,")
 	p("\t\"RoundtripTimeout\": true,")
@@ -709,8 +709,8 @@ func genBufTable(calls []Call) ([]byte, error) {
 	p("// byte-slice arguments they borrow only until they return; the callee")
 	p("// must not retain them.")
 	p("var BorrowedArgCalls = map[string][]int{")
-	p("\t\"RoundtripVec\":  {2}, // reqBulk")
-	p("\t\"WriteFrameVec\": {1, 2}, // payload, bulk")
+	p("\t\"RoundtripVec\": {2},    // reqBulk")
+	p("\t\"WriteFrame\":   {2, 3}, // meta, bulk")
 	p("}")
 	p("")
 	p("// SharedDecodeMethods names the wire.Decoder methods (and the generated")

@@ -59,11 +59,6 @@ type Config struct {
 	// export/import between the machine's API servers, peer copies across
 	// machines, and model broadcast (internal/dataplane).
 	Plane *dataplane.Plane
-
-	// ProtoMax caps the wire-protocol version this server negotiates in
-	// the hello exchange. Zero means remoting.MaxProtoVersion; set 1 to
-	// model a not-yet-upgraded server during a rolling upgrade.
-	ProtoMax int
 }
 
 // Stats is a snapshot of server activity for the monitor.
@@ -432,7 +427,7 @@ func (s *Server) handle(p *sim.Proc, req remoting.Request) ([]byte, int64, []byt
 		// not an API call, so it stays out of callCounts. A malformed
 		// hello falls through to Dispatch's unknown-call error, which is
 		// exactly what a pre-hello (v1) server would answer.
-		if reply, _, ok := remoting.HandleHello(payload, s.protoMax()); ok {
+		if reply, _, ok := remoting.HandleHello(payload, remoting.MaxProtoVersion); ok {
 			return reply, 0, nil
 		}
 	default:
@@ -440,14 +435,6 @@ func (s *Server) handle(p *sim.Proc, req remoting.Request) ([]byte, int64, []byt
 	}
 	s.stats.CallsHandled++
 	return gen.DispatchBulk(p, s, payload, req.Bulk, req.Proto >= remoting.ProtoV2)
-}
-
-// protoMax resolves the configured protocol-version cap.
-func (s *Server) protoMax() int {
-	if s.cfg.ProtoMax > 0 {
-		return s.cfg.ProtoMax
-	}
-	return remoting.MaxProtoVersion
 }
 
 // handleAsync executes a one-way submission: the wrapped message runs like

@@ -92,16 +92,11 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 		env.Download.Latency = 0
 		env.Download.JitterFrac = 0
 		// Wider than the default: the generator's partition windows must be
-		// survivable by retrying through them. The placement controller below
-		// must share the same budget — it is the side that marks a session
-		// Failed, so a smaller controller budget silently truncates the
-		// backend's (recovery gap found by seed 2, trial 3: the controller's
-		// default of 5 failed sessions the backend had 5 more attempts for).
-		const maxAttempts = 10
+		// survivable by retrying through them.
 		backend := faas.NewFleet(e, st, faas.FleetConfig{
 			Env:          env,
 			Registry:     reg,
-			MaxAttempts:  maxAttempts,
+			MaxAttempts:  10,
 			RetryBackoff: 75 * time.Millisecond,
 		})
 		var machines []*gpuserver.GPUServer
@@ -160,9 +155,8 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 				fuse := store.NewFuse(handle)
 				inj.BindControllerFuse(fuse)
 				active = faas.NewPlacementController(fuse, faas.PlacementConfig{
-					Resync:      100 * time.Millisecond,
-					Registry:    reg,
-					MaxAttempts: maxAttempts,
+					Resync:   100 * time.Millisecond,
+					Registry: reg,
 				})
 				return active
 			})

@@ -436,8 +436,6 @@ func (b *FleetBackend) Env() Env { return b.env }
 
 // PlacementConfig parameterizes the fleet placement controller.
 type PlacementConfig struct {
-	// MaxAttempts must match the backend's budget; 0 means 5.
-	MaxAttempts int
 	// Resync is the level-trigger period; 0 means 100ms.
 	Resync time.Duration
 	// Registry receives the controller's counters.
@@ -452,9 +450,6 @@ type PlacementConfig struct {
 // correct if it dies between them: the reservation is a load-smoothing hint,
 // recomputed from the authoritative session list on every pass.
 func NewPlacementController(st store.Interface, cfg PlacementConfig) *controller.Controller {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 5
-	}
 	if cfg.Resync <= 0 {
 		cfg.Resync = 100 * time.Millisecond
 	}
@@ -465,12 +460,15 @@ func NewPlacementController(st store.Interface, cfg PlacementConfig) *controller
 		Resync:   cfg.Resync,
 		Registry: cfg.Registry,
 	}, controller.Func(func(p *sim.Proc, key controller.Key) error {
-		return reconcilePlacement(p, st, key, cfg.MaxAttempts)
+		return reconcilePlacement(p, st, key)
 	}))
 }
 
-// reconcilePlacement places one Pending session.
-func reconcilePlacement(p *sim.Proc, st store.Interface, key controller.Key, maxAttempts int) error {
+// reconcilePlacement places one Pending session. The attempt budget is the
+// executor's alone (FleetConfig.MaxAttempts): endAttempt is the only writer
+// of Pending and turns a session Failed instead once the budget is spent, so
+// every Pending session seen here still has an attempt left.
+func reconcilePlacement(p *sim.Proc, st store.Interface, key controller.Key) error {
 	cur, err := st.Get(p, key.Kind, key.Name)
 	if err != nil {
 		if store.IsNotFound(err) {
@@ -481,13 +479,6 @@ func reconcilePlacement(p *sim.Proc, st store.Interface, key controller.Key, max
 	sess := cur.(*store.Session)
 	if sess.Status.Phase != "" && sess.Status.Phase != store.PhasePending {
 		return nil
-	}
-	if sess.Status.Attempts >= maxAttempts {
-		up := sess.DeepCopy().(*store.Session)
-		up.Status.Phase = store.PhaseFailed
-		up.Status.Reason = "placement attempts exhausted"
-		_, err := st.UpdateStatus(p, up)
-		return err
 	}
 
 	target, err := pickServer(p, st, sess)

@@ -358,10 +358,8 @@ func (in *Injector) WrapConn(p *sim.Proc, conn remoting.AsyncCaller) remoting.As
 		})
 	}
 	if in.plan.DowngradeRate > 0 && rng.Float64() < in.plan.DowngradeRate {
-		if d, ok := conn.(remoting.Downgrader); ok {
-			d.ForceVersion(remoting.ProtoV1)
-			in.Downgraded++
-		}
+		f.ForceVersion(remoting.ProtoV1)
+		in.Downgraded++
 	}
 	return conn
 }

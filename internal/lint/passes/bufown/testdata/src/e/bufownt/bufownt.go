@@ -98,10 +98,10 @@ func retainBorrowedVec(p *sim.Proc, c *remoting.Caller, h *holder, req, bulk []b
 
 var retainedBulk []byte
 
-// WriteFrameVec mirrors the transport entry point: argument positions 1
-// and 2 are borrowed from the caller until return.
-func WriteFrameVec(w *holder, payload, bulk []byte, data int64) error {
-	retainedBulk = bulk // want "borrowed from the caller only until WriteFrameVec returns"
+// WriteFrame mirrors the transport entry point: argument positions 2 and 3
+// are borrowed from the caller until return.
+func WriteFrame(w *holder, ver int, meta, bulk []byte, data int64) error {
+	retainedBulk = bulk // want "borrowed from the caller only until WriteFrame returns"
 	return nil
 }
 

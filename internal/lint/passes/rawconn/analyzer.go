@@ -36,14 +36,10 @@ var dialFuncs = map[string]bool{
 	"Dial": true, "DialTimeout": true, "DialTCP": true, "DialUDP": true, "DialUnix": true, "DialIP": true,
 }
 
-// frameFuncs are remoting's framing primitives (v1 and v2, coalescing and
-// vectored), reserved to the transport itself. A call site that framed its
-// own bytes would also bypass the version negotiation the transport runs on
-// connection establishment.
-var frameFuncs = map[string]bool{
-	"ReadFrame": true, "WriteFrame": true,
-	"ReadFrameReuse": true, "ReadFrameInto": true, "WriteFrameVec": true,
-}
+// frameFuncs are remoting's framing primitives, reserved to the transport
+// itself. A call site that framed its own bytes would also bypass the
+// version negotiation the transport runs on connection establishment.
+var frameFuncs = map[string]bool{"ReadFrame": true, "WriteFrame": true}
 
 func run(pass *lint.Pass) error {
 	path := pass.Pkg.Path()

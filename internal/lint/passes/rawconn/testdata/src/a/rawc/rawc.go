@@ -9,13 +9,10 @@ import (
 func bad() {
 	c, _ := net.Dial("tcp", "example:1") // want "net.Dial outside internal/remoting"
 	buf := make([]byte, 4)
-	_, _ = c.Read(buf)                            // want "direct Read on a net connection"
-	_, _ = c.Write(buf)                           // want "direct Write on a net connection"
-	_, _ = remoting.ReadFrame(c)                  // want "framing primitive"
-	_ = remoting.WriteFrame(c, buf)               // want "framing primitive"
-	_, _ = remoting.ReadFrameReuse(c, buf)        // want "framing primitive"
-	_, _, _ = remoting.ReadFrameInto(c, buf, buf) // want "framing primitive"
-	_ = remoting.WriteFrameVec(c, buf, buf)       // want "framing primitive"
+	_, _ = c.Read(buf)              // want "direct Read on a net connection"
+	_, _ = c.Write(buf)             // want "direct Write on a net connection"
+	_, _ = remoting.ReadFrame(c)    // want "framing primitive"
+	_ = remoting.WriteFrame(c, buf) // want "framing primitive"
 }
 
 func good() (net.Listener, error) {

@@ -16,24 +16,3 @@ func WriteFrame(c net.Conn, b []byte) error {
 	_, err := c.Write(b)
 	return err
 }
-
-// ReadFrameReuse reads one frame into a reusable buffer.
-func ReadFrameReuse(c net.Conn, buf []byte) ([]byte, error) {
-	_, err := c.Read(buf)
-	return buf, err
-}
-
-// ReadFrameInto scatter-reads a v2 frame's bulk region into dst.
-func ReadFrameInto(c net.Conn, buf, dst []byte) ([]byte, []byte, error) {
-	_, err := c.Read(buf)
-	return buf, dst, err
-}
-
-// WriteFrameVec writes a v2 frame as a vectored header+bulk write.
-func WriteFrameVec(c net.Conn, meta, bulk []byte) error {
-	_, err := c.Write(meta)
-	if err == nil {
-		_, err = c.Write(bulk)
-	}
-	return err
-}

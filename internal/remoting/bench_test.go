@@ -9,22 +9,22 @@ import (
 func BenchmarkWriteFrame(b *testing.B) {
 	payload := make([]byte, 256)
 	b.ReportAllocs()
-	b.SetBytes(int64(frameHeaderLen + len(payload)))
+	b.SetBytes(int64(frameHeaderLenV1 + len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteFrame(io.Discard, payload, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV1, payload, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkFrameRoundTrip measures the frame round trip as a serialized
-// caller runs it: the reply is read into a reused buffer (ReadFrameReuse),
+// caller runs it: the reply is read into a reused metadata buffer,
 // so the steady state allocates nothing.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	payload := make([]byte, 256)
 	var framed bytes.Buffer
-	if err := WriteFrame(&framed, payload, 7); err != nil {
+	if err := WriteFrame(&framed, ProtoV1, payload, nil, 7); err != nil {
 		b.Fatal(err)
 	}
 	wire := framed.Bytes()
@@ -35,7 +35,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		buf.Write(wire)
-		got, data, err := ReadFrameReuse(&buf, readBuf)
+		got, _, data, err := ReadFrame(&buf, ProtoV1, readBuf, nil)
 		if err != nil || data != 7 || len(got) != len(payload) {
 			b.Fatal("bad frame round trip")
 		}
@@ -47,7 +47,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 // sub-benchmarks) so cmd/benchjson and the CI perf gate track each size as
 // its own series.
 
-// benchFrameWriteV2 measures WriteFrameVec: header built in a pooled buffer,
+// benchFrameWriteV2 measures a v2 WriteFrame: header built in a pooled buffer,
 // bulk borrowed as the second writev vector — no copy proportional to size.
 func benchFrameWriteV2(b *testing.B, size int) {
 	meta := make([]byte, 64)
@@ -56,7 +56,7 @@ func benchFrameWriteV2(b *testing.B, size int) {
 	b.SetBytes(int64(frameHeaderLenV2 + len(meta) + size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteFrameVec(io.Discard, meta, bulk, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV2, meta, bulk, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,11 +70,11 @@ func benchFrameWriteCoalesce(b *testing.B, size int) {
 	bulk := make([]byte, size)
 	scratch := make([]byte, 0, len(meta)+size)
 	b.ReportAllocs()
-	b.SetBytes(int64(frameHeaderLen + len(meta) + size))
+	b.SetBytes(int64(frameHeaderLenV1 + len(meta) + size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload := append(append(scratch[:0], meta...), bulk...)
-		if err := WriteFrame(io.Discard, payload, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV1, payload, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkFrameRoundTripV2_1MiB(b *testing.B) {
 	meta := make([]byte, 64)
 	bulk := make([]byte, 1<<20)
 	var reply bytes.Buffer
-	if err := WriteFrameVec(&reply, meta, bulk, 0); err != nil {
+	if err := WriteFrame(&reply, ProtoV2, meta, bulk, 0); err != nil {
 		b.Fatal(err)
 	}
 	frame := reply.Bytes()
@@ -112,11 +112,11 @@ func BenchmarkFrameRoundTripV2_1MiB(b *testing.B) {
 	b.SetBytes(int64(frameHeaderLenV2 + len(meta) + len(bulk)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteFrameVec(io.Discard, meta, bulk, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV2, meta, bulk, 0); err != nil {
 			b.Fatal(err)
 		}
 		r.Reset(frame)
-		gotMeta, gotBulk, _, err := ReadFrameInto(r, readBuf, dst)
+		gotMeta, gotBulk, _, err := ReadFrame(r, ProtoV2, readBuf, dst)
 		if err != nil || len(gotMeta) != len(meta) || len(gotBulk) != len(bulk) {
 			b.Fatal("bad v2 round trip")
 		}
@@ -132,7 +132,7 @@ func BenchmarkFrameRoundTripCoalesce_1MiB(b *testing.B) {
 	bulk := make([]byte, 1<<20)
 	scratch := make([]byte, 0, len(meta)+len(bulk))
 	var reply bytes.Buffer
-	if err := WriteFrame(&reply, append(append(scratch[:0], meta...), bulk...), 0); err != nil {
+	if err := WriteFrame(&reply, ProtoV1, append(append(scratch[:0], meta...), bulk...), nil, 0); err != nil {
 		b.Fatal(err)
 	}
 	frame := reply.Bytes()
@@ -140,15 +140,15 @@ func BenchmarkFrameRoundTripCoalesce_1MiB(b *testing.B) {
 	dst := make([]byte, len(bulk))
 	readBuf := make([]byte, 0, len(meta)+len(bulk))
 	b.ReportAllocs()
-	b.SetBytes(int64(frameHeaderLen + len(meta) + len(bulk)))
+	b.SetBytes(int64(frameHeaderLenV1 + len(meta) + len(bulk)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload := append(append(scratch[:0], meta...), bulk...)
-		if err := WriteFrame(io.Discard, payload, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV1, payload, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 		r.Reset(frame)
-		got, _, err := ReadFrameReuse(r, readBuf)
+		got, _, _, err := ReadFrame(r, ProtoV1, readBuf, nil)
 		if err != nil || len(got) != len(payload) {
 			b.Fatal("bad v1 round trip")
 		}

@@ -217,21 +217,21 @@ func TestCompatTCPGarbledHelloReplyFallsBackToV1(t *testing.T) {
 		// deliberately speaks raw frames — it emulates a middlebox that no
 		// transport helper would produce.
 		//lint:allow rawconn hostile peer emulation must hand-craft frames
-		if _, _, err := remoting.ReadFrame(conn); err != nil {
+		if _, _, _, err := remoting.ReadFrame(conn, remoting.ProtoV1, nil, nil); err != nil {
 			return
 		}
 		//lint:allow rawconn garbled hello reply, bypassing HandleHello on purpose
-		if err := remoting.WriteFrame(conn, []byte{0, 0, 0, 0, 0x99, 0x77}, 0); err != nil {
+		if err := remoting.WriteFrame(conn, remoting.ProtoV1, []byte{0, 0, 0, 0, 0x99, 0x77}, nil, 0); err != nil {
 			return
 		}
 		for { // then speak plain v1 echo
 			//lint:allow rawconn raw v1 echo loop for the fallback assertion
-			payload, data, err := remoting.ReadFrame(conn)
+			payload, _, data, err := remoting.ReadFrame(conn, remoting.ProtoV1, nil, nil)
 			if err != nil {
 				return
 			}
 			//lint:allow rawconn raw v1 echo loop for the fallback assertion
-			if err := remoting.WriteFrame(conn, append([]byte("re:"), payload...), data); err != nil {
+			if err := remoting.WriteFrame(conn, remoting.ProtoV1, append([]byte("re:"), payload...), nil, data); err != nil {
 				return
 			}
 		}

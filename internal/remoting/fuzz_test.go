@@ -13,31 +13,31 @@ import (
 // bytes that were not on the wire.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	if err := WriteFrame(&good, []byte("hello dgsf"), 10); err != nil {
+	if err := WriteFrame(&good, ProtoV1, []byte("hello dgsf"), nil, 10); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good.Bytes())                    // well-formed frame
-	f.Add(good.Bytes()[:frameHeaderLen+3]) // mid-frame truncation
-	f.Add(good.Bytes()[:5])                // mid-header truncation
-	f.Add([]byte{})                        // empty stream
+	f.Add(good.Bytes())                      // well-formed frame
+	f.Add(good.Bytes()[:frameHeaderLenV1+3]) // mid-frame truncation
+	f.Add(good.Bytes()[:5])                  // mid-header truncation
+	f.Add([]byte{})                          // empty stream
 
-	hostile := make([]byte, frameHeaderLen)
+	hostile := make([]byte, frameHeaderLenV1)
 	binary.LittleEndian.PutUint32(hostile, 0xFFFF_FFFF) // over the frame cap
 	f.Add(hostile)
 
-	big := make([]byte, frameHeaderLen)
+	big := make([]byte, frameHeaderLenV1)
 	binary.LittleEndian.PutUint32(big, maxFrameLen) // at the cap, body missing
 	f.Add(append(big, bytes.Repeat([]byte{0xAB}, 1024)...))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		payload, _, err := ReadFrame(bytes.NewReader(in))
+		payload, _, _, err := ReadFrame(bytes.NewReader(in), ProtoV1, nil, nil)
 		if err != nil {
 			if !IsConnFault(err) {
 				t.Fatalf("ReadFrame error is not a typed conn fault: %v", err)
 			}
 			return
 		}
-		if len(in) < frameHeaderLen {
+		if len(in) < frameHeaderLenV1 {
 			t.Fatalf("ReadFrame succeeded on a %d-byte stream", len(in))
 		}
 		declared := binary.LittleEndian.Uint32(in[0:4])
@@ -47,10 +47,10 @@ func FuzzReadFrame(f *testing.F) {
 		if len(payload) > maxFrameLen {
 			t.Fatalf("payload %d exceeds maxFrameLen", len(payload))
 		}
-		if len(payload) > len(in)-frameHeaderLen {
-			t.Fatalf("payload %d longer than the %d body bytes on the wire", len(payload), len(in)-frameHeaderLen)
+		if len(payload) > len(in)-frameHeaderLenV1 {
+			t.Fatalf("payload %d longer than the %d body bytes on the wire", len(payload), len(in)-frameHeaderLenV1)
 		}
-		if !bytes.Equal(payload, in[frameHeaderLen:frameHeaderLen+len(payload)]) {
+		if !bytes.Equal(payload, in[frameHeaderLenV1:frameHeaderLenV1+len(payload)]) {
 			t.Fatal("payload does not match wire bytes")
 		}
 	})
@@ -61,13 +61,13 @@ func FuzzReadFrame(f *testing.F) {
 // version, bulk bytes without the bulk flag, hostile meta/bulk lengths.
 func FuzzReadFrameV2(f *testing.F) {
 	var noBulk, small, big bytes.Buffer
-	if err := WriteFrameVec(&noBulk, []byte("meta only"), nil, 3); err != nil {
+	if err := WriteFrame(&noBulk, ProtoV2, []byte("meta only"), nil, 3); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteFrameVec(&small, []byte("m"), bytes.Repeat([]byte{1}, 100), 0); err != nil {
+	if err := WriteFrame(&small, ProtoV2, []byte("m"), bytes.Repeat([]byte{1}, 100), 0); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteFrameVec(&big, []byte("m"), bytes.Repeat([]byte{2}, vecCoalesceMax+100), -1); err != nil {
+	if err := WriteFrame(&big, ProtoV2, []byte("m"), bytes.Repeat([]byte{2}, vecCoalesceMax+100), -1); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(noBulk.Bytes())
@@ -88,15 +88,15 @@ func FuzzReadFrameV2(f *testing.F) {
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		payload, bulk, _, err := ReadFrameInto(bytes.NewReader(in), nil, nil)
+		payload, bulk, _, err := ReadFrame(bytes.NewReader(in), ProtoV2, nil, nil)
 		if err != nil {
 			if !IsConnFault(err) {
-				t.Fatalf("ReadFrameInto error is not a typed conn fault: %v", err)
+				t.Fatalf("ReadFrame error is not a typed conn fault: %v", err)
 			}
 			return
 		}
 		if len(in) < frameHeaderLenV2 {
-			t.Fatalf("ReadFrameInto succeeded on a %d-byte stream", len(in))
+			t.Fatalf("ReadFrame succeeded on a %d-byte stream", len(in))
 		}
 		metaLen := binary.LittleEndian.Uint32(in[4:8])
 		bulkLen := binary.LittleEndian.Uint32(in[8:12])
@@ -113,7 +113,7 @@ func FuzzReadFrameV2(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundtripV2 checks WriteFrameVec|ReadFrameInto is the identity on
+// FuzzFrameRoundtripV2 checks WriteFrame|ReadFrame at v2 is the identity on
 // metadata, bulk and data, across the coalesced and vectored write paths and
 // both scatter destinations (pre-sized and absent).
 func FuzzFrameRoundtripV2(f *testing.F) {
@@ -122,14 +122,14 @@ func FuzzFrameRoundtripV2(f *testing.F) {
 	f.Add([]byte("m"), bytes.Repeat([]byte{0x5A}, vecCoalesceMax+17), int64(-1), true) // vectored path
 	f.Fuzz(func(t *testing.T, meta, bulk []byte, data int64, presize bool) {
 		var buf bytes.Buffer
-		if err := WriteFrameVec(&buf, meta, bulk, data); err != nil {
+		if err := WriteFrame(&buf, ProtoV2, meta, bulk, data); err != nil {
 			t.Fatal(err)
 		}
 		var dst []byte
 		if presize {
 			dst = make([]byte, len(bulk))
 		}
-		gotMeta, gotBulk, gotData, err := ReadFrameInto(&buf, nil, dst)
+		gotMeta, gotBulk, gotData, err := ReadFrame(&buf, ProtoV2, nil, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func FuzzHello(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundtrip checks WriteFrame|ReadFrame is the identity on
+// FuzzFrameRoundtrip checks WriteFrame|ReadFrame at v1 is the identity on
 // payload and data for arbitrary inputs.
 func FuzzFrameRoundtrip(f *testing.F) {
 	f.Add([]byte("payload"), int64(7))
@@ -176,10 +176,10 @@ func FuzzFrameRoundtrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x5A}, maxPooledFrame+17), int64(-1)) // beyond the pooled size class
 	f.Fuzz(func(t *testing.T, payload []byte, data int64) {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, payload, data); err != nil {
+		if err := WriteFrame(&buf, ProtoV1, payload, nil, data); err != nil {
 			t.Fatal(err)
 		}
-		got, gotData, err := ReadFrame(&buf)
+		got, _, gotData, err := ReadFrame(&buf, ProtoV1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

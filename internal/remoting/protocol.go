@@ -2,6 +2,7 @@ package remoting
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -42,19 +43,6 @@ const FrameMagic byte = 0xD6
 // connection; v1 servers answer it like any unknown call (an error status),
 // which is the downgrade signal.
 const CallProtoHello uint16 = 0xFFFC
-
-// frameHeaderLenV2 is the fixed v2 frame header size:
-//
-//	byte    magic (FrameMagic)
-//	byte    version (ProtoV2)
-//	uint16  flags (flagBulk)
-//	uint32  metadata length
-//	uint32  bulk length
-//	int64   logical data bytes accompanying the frame
-const frameHeaderLenV2 = 20
-
-// flagBulk marks a frame carrying a bulk region after the metadata.
-const flagBulk uint16 = 1 << 0
 
 // helloLen / helloReplyLen are the fixed hello message sizes.
 const (
@@ -117,28 +105,165 @@ func parseHelloReply(resp []byte) (version int, ok bool) {
 	return version, true
 }
 
-// --- v2 framing ---
-
-// appendFrameV2 builds a v2 frame header + metadata on top of buf. The bulk
-// region is not appended — it travels as the second vector of a writev (or is
-// absent).
-func appendFrameV2(buf, payload []byte, bulkLen int, data int64) []byte {
-	var flags uint16
-	if bulkLen > 0 {
-		flags |= flagBulk
+// negotiate runs the dialer's side of the version negotiation over
+// roundtrip, one request/reply exchange on a connection still speaking v1,
+// and returns the version the connection speaks from then on. A ceiling
+// below v2 suppresses the hello entirely, exactly like an old build; a peer
+// that refuses the hello (a v1 server's unknown-call error status) or
+// answers something unintelligible settles the connection on v1.
+func negotiate(maxVer int, roundtrip func(hello []byte) ([]byte, error)) (int, error) {
+	if maxVer < ProtoV2 {
+		return ProtoV1, nil
 	}
-	buf = append(buf, FrameMagic, byte(ProtoV2))
-	buf = binary.LittleEndian.AppendUint16(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(bulkLen))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(data))
-	return append(buf, payload...)
+	resp, err := roundtrip(helloRequest(maxVer))
+	if err != nil {
+		return 0, err
+	}
+	ver := ProtoV1
+	if v, ok := parseHelloReply(resp); ok && v <= maxVer {
+		ver = v
+	}
+	wireHello(ver)
+	return ver, nil
 }
 
-// vecCoalesceMax is the bulk size below which WriteFrameVec coalesces the
-// bulk into the (pooled) header buffer instead of paying a second vector:
-// for small payloads one contiguous write beats scatter bookkeeping.
+// --- the frame codec ---
+//
+// Frame layouts (little-endian). The header is the only thing that differs
+// between protocol versions:
+//
+//	v1 (12 bytes)                      v2 (20 bytes)
+//	uint32  payload length             byte    magic (FrameMagic)
+//	int64   logical data bytes         byte    version (ProtoV2)
+//	                                   uint16  flags (flagBulk)
+//	                                   uint32  metadata length
+//	                                   uint32  bulk length
+//	                                   int64   logical data bytes
+//
+// followed by the metadata payload and, on v2 only, the bulk region.
+const (
+	frameHeaderLenV1 = 12
+	frameHeaderLenV2 = 20
+)
+
+// flagBulk marks a frame carrying a bulk region after the metadata.
+const flagBulk uint16 = 1 << 0
+
+// maxFrameLen bounds incoming frames (a corrupted length prefix must not
+// cause a giant allocation).
+const maxFrameLen = 64 << 20
+
+// maxPooledFrame caps the frame buffers retained by the small pool.
+const maxPooledFrame = 64 << 10
+
+// vecCoalesceMax is the bulk size up to which a frame is one contiguous
+// write: for small payloads copying the bulk behind the header beats the
+// scatter bookkeeping of a second vector.
 const vecCoalesceMax = 4 << 10
+
+func headerLen(ver int) int {
+	if ver >= ProtoV2 {
+		return frameHeaderLenV2
+	}
+	return frameHeaderLenV1
+}
+
+// appendHeader encodes the frame header of protocol version ver onto buf.
+func appendHeader(buf []byte, ver, metaLen, bulkLen int, data int64) []byte {
+	if ver >= ProtoV2 {
+		var flags uint16
+		if bulkLen > 0 {
+			flags |= flagBulk
+		}
+		buf = append(buf, FrameMagic, byte(ProtoV2))
+		buf = binary.LittleEndian.AppendUint16(buf, flags)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(metaLen))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(bulkLen))
+	} else {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(metaLen))
+	}
+	return binary.LittleEndian.AppendUint64(buf, uint64(data))
+}
+
+// parseHeader decodes and validates a headerLen(ver)-byte frame header.
+// Every rejection wraps ErrFrameCorrupt: a stream that fails here cannot be
+// resynchronized.
+func parseHeader(hdr []byte, ver int) (metaLen, bulkLen int, data int64, err error) {
+	if ver < ProtoV2 {
+		n := binary.LittleEndian.Uint32(hdr[0:4])
+		if n > maxFrameLen {
+			return 0, 0, 0, fmt.Errorf("%w: frame of %d bytes exceeds %d-byte limit", ErrFrameCorrupt, n, maxFrameLen)
+		}
+		return int(n), 0, int64(binary.LittleEndian.Uint64(hdr[4:12])), nil
+	}
+	if hdr[0] != FrameMagic {
+		return 0, 0, 0, fmt.Errorf("%w: bad frame magic 0x%02x", ErrFrameCorrupt, hdr[0])
+	}
+	if hdr[1] != byte(ProtoV2) {
+		return 0, 0, 0, fmt.Errorf("%w: unsupported frame version %d", ErrFrameCorrupt, hdr[1])
+	}
+	flags := binary.LittleEndian.Uint16(hdr[2:4])
+	m := binary.LittleEndian.Uint32(hdr[4:8])
+	b := binary.LittleEndian.Uint32(hdr[8:12])
+	if m > maxFrameLen || b > maxFrameLen || m+b > maxFrameLen {
+		return 0, 0, 0, fmt.Errorf("%w: frame of %d+%d bytes exceeds %d-byte limit", ErrFrameCorrupt, m, b, maxFrameLen)
+	}
+	if b > 0 && flags&flagBulk == 0 {
+		return 0, 0, 0, fmt.Errorf("%w: bulk bytes without bulk flag", ErrFrameCorrupt)
+	}
+	return int(m), int(b), int64(binary.LittleEndian.Uint64(hdr[12:20])), nil
+}
+
+// frame is one encoded message on its way to a writer: a pooled buffer
+// holding header + metadata (and a bulk small enough to coalesce), plus —
+// above vecCoalesceMax — the caller's bulk slice, borrowed as the second
+// vector of one writev so large payloads leave with no user-space copy. The
+// borrow ends when writeTo or release returns. The TCP caller builds frames
+// on the calling goroutine and writes them on its writer goroutine;
+// everything else goes through WriteFrame.
+type frame struct {
+	ver  int
+	bp   *[]byte
+	bulk []byte
+}
+
+// newFrame encodes one message for protocol version ver.
+func newFrame(ver int, meta, bulk []byte, data int64) (frame, error) {
+	if len(bulk) > 0 && ver < ProtoV2 {
+		return frame{}, fmt.Errorf("remoting: a bulk region requires protocol v2 (connection speaks v%d)", ver)
+	}
+	n := headerLen(ver) + len(meta)
+	coalesce := len(bulk) <= vecCoalesceMax && n+len(bulk) <= maxPooledFrame
+	if coalesce {
+		n += len(bulk)
+	}
+	bp := getFrameBuf(n)
+	*bp = append(appendHeader((*bp)[:0], ver, len(meta), len(bulk), data), meta...)
+	if coalesce {
+		*bp = append(*bp, bulk...)
+		bulk = nil
+	}
+	return frame{ver: ver, bp: bp, bulk: bulk}, nil
+}
+
+// writeTo writes the frame with one Write — one writev when a bulk vector
+// rides along — so each frame is one syscall, then counts and releases it.
+func (f frame) writeTo(w io.Writer) error {
+	var err error
+	if len(f.bulk) > 0 {
+		err = writeVec(w, *f.bp, f.bulk)
+	} else {
+		_, err = w.Write(*f.bp)
+	}
+	if err == nil {
+		wireTx(f.ver, int64(len(*f.bp)+len(f.bulk)))
+	}
+	f.release()
+	return err
+}
+
+// release returns the frame's buffer to its pool.
+func (f frame) release() { putFrameBuf(f.bp, *f.bp) }
 
 // frameVec is the pooled scratch for a two-vector writev. bufs keeps the
 // full-capacity slice header so the backing array survives WriteTo (which
@@ -164,87 +289,106 @@ func writeVec(w io.Writer, hdr, bulk []byte) error {
 	return err
 }
 
-// WriteFrameVec writes one v2 frame: header + metadata coalesced from a
-// pooled buffer, bulk borrowed as the second vector of a single writev — no
-// copy of the bulk bytes, no allocation proportional to their size. The bulk
-// slice is owned by the caller again as soon as WriteFrameVec returns. A nil
-// or small bulk degenerates to one coalesced write.
-func WriteFrameVec(w io.Writer, payload, bulk []byte, data int64) error {
-	n := frameHeaderLenV2 + len(payload)
-	coalesce := len(bulk) <= vecCoalesceMax && n+len(bulk) <= maxPooledFrame
-	var bp *[]byte
-	if coalesce {
-		bp = getFrameBuf(n + len(bulk))
-	} else {
-		bp = getFrameBuf(n)
+// WriteFrame writes one frame of protocol version ver: metadata, an optional
+// bulk region (v2 only) and the logical data byte count that accompanies the
+// call. bulk is borrowed, never retained: it belongs to the caller again as
+// soon as WriteFrame returns. Buffers of every size are pooled, so framing
+// does not allocate.
+func WriteFrame(w io.Writer, ver int, meta, bulk []byte, data int64) error {
+	f, err := newFrame(ver, meta, bulk, data)
+	if err != nil {
+		return err
 	}
-	buf := appendFrameV2((*bp)[:0], payload, len(bulk), data)
-	var err error
-	if coalesce {
-		buf = append(buf, bulk...)
-		_, err = w.Write(buf)
-	} else {
-		err = writeVec(w, buf, bulk)
-	}
-	putFrameBuf(bp, buf)
-	if err == nil {
-		wireTx(ProtoV2, int64(frameHeaderLenV2+len(payload)+len(bulk)))
-	}
-	return err
+	return f.writeTo(w)
 }
 
-// ReadFrameInto reads one v2 frame. The metadata payload is read into buf
-// when it fits (the ReadFrameReuse contract: the result may alias buf, the
-// caller owns both); the bulk region is scatter-read directly into dst when
-// it fits, so a caller that pre-sizes dst receives large payloads with a
-// single copy off the socket and zero allocations. When dst is too small a
-// fresh buffer is grown progressively, exactly like an oversized v1 payload.
-// bulk is nil when the frame carries no bulk region.
-func ReadFrameInto(r io.Reader, buf, dst []byte) (payload, bulk []byte, data int64, err error) {
+// ReadFrame reads one frame of protocol version ver. meta is read into
+// metaBuf and bulk scatter-read into bulkDst when they fit — the result then
+// aliases the buffer, the caller owns both, and nothing is allocated; a
+// region that does not fit (or a nil buffer) gets a fresh slice the caller
+// may keep for the next frame. Pass reusable buffers only where one reader
+// owns the stream. bulk is nil when the frame carries no bulk region. Errors
+// are typed connection faults (ErrConnClosed, ErrCallTimeout,
+// ErrFrameCorrupt).
+func ReadFrame(r io.Reader, ver int, metaBuf, bulkDst []byte) (meta, bulk []byte, data int64, err error) {
+	// The header goes through a pooled buffer: a stack array would escape
+	// through the io.Reader interface.
 	bp := framePool.Get().(*[]byte)
 	defer framePool.Put(bp)
-	hdr := (*bp)[:frameHeaderLenV2]
+	hdr := (*bp)[:headerLen(ver)]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, nil, 0, wrapReadErr(err)
 	}
-	if hdr[0] != FrameMagic {
-		return nil, nil, 0, fmt.Errorf("%w: bad frame magic 0x%02x", ErrFrameCorrupt, hdr[0])
-	}
-	if hdr[1] != byte(ProtoV2) {
-		return nil, nil, 0, fmt.Errorf("%w: unsupported frame version %d", ErrFrameCorrupt, hdr[1])
-	}
-	flags := binary.LittleEndian.Uint16(hdr[2:4])
-	metaLen := binary.LittleEndian.Uint32(hdr[4:8])
-	bulkLen := binary.LittleEndian.Uint32(hdr[8:12])
-	data = int64(binary.LittleEndian.Uint64(hdr[12:20]))
-	if metaLen > maxFrameLen || bulkLen > maxFrameLen || metaLen+bulkLen > maxFrameLen {
-		return nil, nil, 0, fmt.Errorf("%w: frame of %d+%d bytes exceeds %d-byte limit", ErrFrameCorrupt, metaLen, bulkLen, maxFrameLen)
-	}
-	if bulkLen > 0 && flags&flagBulk == 0 {
-		return nil, nil, 0, fmt.Errorf("%w: bulk bytes without bulk flag", ErrFrameCorrupt)
-	}
-	payload, err = readPayload(r, buf, int(metaLen))
+	metaLen, bulkLen, data, err := parseHeader(hdr, ver)
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	if meta, err = readPayload(r, metaBuf, metaLen); err != nil {
+		return nil, nil, 0, err
+	}
 	if bulkLen > 0 {
-		if int(bulkLen) <= cap(dst) {
-			bulk = dst[:bulkLen]
-			if _, err := io.ReadFull(r, bulk); err != nil {
-				return nil, nil, 0, wrapReadErr(err)
-			}
-		} else {
-			bulk, err = readPayload(r, nil, int(bulkLen))
-			if err != nil {
-				return nil, nil, 0, err
-			}
+		if bulk, err = readPayload(r, bulkDst, bulkLen); err != nil {
+			return nil, nil, 0, err
 		}
 	}
-	wireRx(ProtoV2, int64(frameHeaderLenV2)+int64(metaLen)+int64(bulkLen))
-	return payload, bulk, data, nil
+	wireRx(int64(len(hdr) + metaLen + bulkLen))
+	return meta, bulk, data, nil
+}
+
+// readPayload reads n payload bytes, into buf when it fits. Frames up to
+// maxPooledFrame (the steady state) allocate at most once; larger claims
+// grow the buffer geometrically as bytes actually arrive, so a corrupted
+// length prefix just under maxFrameLen on a truncated stream cannot force
+// a 64 MiB up-front allocation.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if n > cap(buf) && n <= maxPooledFrame {
+		buf = make([]byte, n)
+	}
+	if n <= cap(buf) {
+		out := buf[:n]
+		if _, err := io.ReadFull(r, out); err != nil {
+			return nil, wrapReadErr(err)
+		}
+		return out, nil
+	}
+	buf = make([]byte, 0, maxPooledFrame)
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			newCap := cap(buf) * 2
+			if newCap > n {
+				newCap = n
+			}
+			grown := make([]byte, len(buf), newCap)
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, wrapReadErr(err)
+		}
+	}
+	return buf, nil
+}
+
+// wrapReadErr types a raw socket read error: a read deadline becomes
+// ErrCallTimeout, anything else — orderly or abrupt peer death — becomes
+// ErrConnClosed, so callers can distinguish connection faults from protocol
+// bugs without string matching.
+func wrapReadErr(err error) error {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return fmt.Errorf("%w: %v", ErrCallTimeout, err)
+	}
+	return fmt.Errorf("%w: %v", ErrConnClosed, err)
 }
 
 // --- size-classed frame pools ---
+
+// framePool recycles frame buffers up to maxPooledFrame so steady-state
+// framing does not allocate. Buffers are owned by the writer until the write
+// returns.
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // largeClassSizes are the capacity classes for frame buffers above
 // maxPooledFrame: without them every >64 KiB v1 frame allocated afresh (the
@@ -341,7 +485,7 @@ func wireTx(ver int, n int64) {
 	}
 }
 
-func wireRx(ver int, n int64) {
+func wireRx(n int64) {
 	wireStats.bytesRx.Add(n)
 }
 

@@ -51,7 +51,7 @@ func TestHandleHelloNegotiation(t *testing.T) {
 	}
 }
 
-func TestWriteFrameVecRoundTrip(t *testing.T) {
+func TestFrameV2RoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
 		bulk int
@@ -66,11 +66,11 @@ func TestWriteFrameVecRoundTrip(t *testing.T) {
 			meta := []byte("metadata-bytes")
 			bulk := bytes.Repeat([]byte{0x5A}, tc.bulk)
 			var w bytes.Buffer
-			if err := WriteFrameVec(&w, meta, bulk, 42); err != nil {
+			if err := WriteFrame(&w, ProtoV2, meta, bulk, 42); err != nil {
 				t.Fatal(err)
 			}
 			dst := make([]byte, tc.bulk)
-			gotMeta, gotBulk, data, err := ReadFrameInto(&w, nil, dst)
+			gotMeta, gotBulk, data, err := ReadFrame(&w, ProtoV2, nil, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,13 +95,13 @@ func TestWriteFrameVecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFrameIntoGrowsWhenDstTooSmall(t *testing.T) {
+func TestReadFrameGrowsWhenBulkDstTooSmall(t *testing.T) {
 	bulk := bytes.Repeat([]byte{7}, 8<<10)
 	var w bytes.Buffer
-	if err := WriteFrameVec(&w, []byte("m"), bulk, 0); err != nil {
+	if err := WriteFrame(&w, ProtoV2, []byte("m"), bulk, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, gotBulk, _, err := ReadFrameInto(&w, nil, make([]byte, 16))
+	_, gotBulk, _, err := ReadFrame(&w, ProtoV2, nil, make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestReadFrameIntoGrowsWhenDstTooSmall(t *testing.T) {
 	}
 }
 
-func TestReadFrameIntoRejectsCorruptHeaders(t *testing.T) {
+func TestReadFrameRejectsCorruptV2Headers(t *testing.T) {
 	good := func() []byte {
 		var w bytes.Buffer
-		if err := WriteFrameVec(&w, []byte("meta"), bytes.Repeat([]byte{1}, 8<<10), 0); err != nil {
+		if err := WriteFrame(&w, ProtoV2, []byte("meta"), bytes.Repeat([]byte{1}, 8<<10), 0); err != nil {
 			t.Fatal(err)
 		}
 		return w.Bytes()
@@ -132,7 +132,7 @@ func TestReadFrameIntoRejectsCorruptHeaders(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			frame := good()
 			tc.mutate(frame)
-			_, _, _, err := ReadFrameInto(bytes.NewReader(frame), nil, nil)
+			_, _, _, err := ReadFrame(bytes.NewReader(frame), ProtoV2, nil, nil)
 			if err == nil {
 				t.Fatal("corrupt frame accepted")
 			}
@@ -232,25 +232,25 @@ func TestSimSharedConnConcurrentCallers(t *testing.T) {
 	})
 }
 
-// TestWriteFrameVecZeroAllocs is the tentpole's allocation contract: a
+// TestWriteFrameVectoredZeroAllocs is the vectored lane's allocation contract: a
 // 1 MiB vectored frame write allocates nothing — no coalescing copy, no
 // size-proportional buffer.
-func TestWriteFrameVecZeroAllocs(t *testing.T) {
+func TestWriteFrameVectoredZeroAllocs(t *testing.T) {
 	if wire.RaceEnabled {
 		t.Skip("alloc counts are perturbed under the race detector")
 	}
 	meta := make([]byte, 64)
 	bulk := make([]byte, 1<<20)
 	// Warm the pools.
-	if err := WriteFrameVec(io.Discard, meta, bulk, 0); err != nil {
+	if err := WriteFrame(io.Discard, ProtoV2, meta, bulk, 0); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		if err := WriteFrameVec(io.Discard, meta, bulk, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV2, meta, bulk, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("WriteFrameVec(1MiB) allocates %.1f/op, want 0", avg)
+		t.Fatalf("WriteFrame(v2, 1MiB bulk) allocates %.1f/op, want 0", avg)
 	}
 }
 
@@ -261,11 +261,11 @@ func TestWriteFrameLargeZeroAllocs(t *testing.T) {
 		t.Skip("alloc counts are perturbed under the race detector")
 	}
 	payload := make([]byte, 1<<20)
-	if err := WriteFrame(io.Discard, payload, 0); err != nil {
+	if err := WriteFrame(io.Discard, ProtoV1, payload, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := WriteFrame(io.Discard, payload, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV1, payload, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -273,16 +273,16 @@ func TestWriteFrameLargeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReadFrameIntoZeroAllocs: reading a 1 MiB bulk frame into a pre-sized
+// TestReadFrameScatterZeroAllocs: reading a 1 MiB bulk frame into a pre-sized
 // caller buffer allocates nothing.
-func TestReadFrameIntoZeroAllocs(t *testing.T) {
+func TestReadFrameScatterZeroAllocs(t *testing.T) {
 	if wire.RaceEnabled {
 		t.Skip("alloc counts are perturbed under the race detector")
 	}
 	meta := make([]byte, 64)
 	bulk := make([]byte, 1<<20)
 	var w bytes.Buffer
-	if err := WriteFrameVec(&w, meta, bulk, 0); err != nil {
+	if err := WriteFrame(&w, ProtoV2, meta, bulk, 0); err != nil {
 		t.Fatal(err)
 	}
 	frame := w.Bytes()
@@ -291,32 +291,32 @@ func TestReadFrameIntoZeroAllocs(t *testing.T) {
 	r := bytes.NewReader(frame)
 	if avg := testing.AllocsPerRun(200, func() {
 		r.Reset(frame)
-		_, gotBulk, _, err := ReadFrameInto(r, readBuf, dst)
+		_, gotBulk, _, err := ReadFrame(r, ProtoV2, readBuf, dst)
 		if err != nil || len(gotBulk) != len(bulk) {
 			t.Fatal("bad frame")
 		}
 	}); avg != 0 {
-		t.Fatalf("ReadFrameInto(1MiB) allocates %.1f/op, want 0", avg)
+		t.Fatalf("ReadFrame(v2, 1MiB bulk) allocates %.1f/op, want 0", avg)
 	}
 }
 
 func TestWireStatsCountTraffic(t *testing.T) {
 	before := SnapshotWireStats()
 	var w bytes.Buffer
-	if err := WriteFrameVec(&w, []byte("meta"), make([]byte, 8<<10), 0); err != nil {
+	if err := WriteFrame(&w, ProtoV2, []byte("meta"), make([]byte, 8<<10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ReadFrameInto(&w, nil, nil); err != nil {
+	if _, _, _, err := ReadFrame(&w, ProtoV2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&w, []byte("v1"), 0); err != nil {
+	if err := WriteFrame(&w, ProtoV1, []byte("v1"), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	d := SnapshotWireStats().Sub(before)
 	if d.FramesV2 != 1 || d.FramesV1 != 1 {
 		t.Fatalf("frame counters = v1:%d v2:%d, want 1 and 1", d.FramesV1, d.FramesV2)
 	}
-	wantTx := int64(frameHeaderLenV2+4+(8<<10)) + int64(frameHeaderLen+2)
+	wantTx := int64(frameHeaderLenV2+4+(8<<10)) + int64(frameHeaderLenV1+2)
 	if d.BytesTx != wantTx {
 		t.Fatalf("BytesTx = %d, want %d", d.BytesTx, wantTx)
 	}

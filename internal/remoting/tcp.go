@@ -1,10 +1,8 @@
 package remoting
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -17,148 +15,9 @@ import (
 // guest↔API-server remoting across processes; experiments use the simulated
 // transport.
 //
-// Protocol v1 frame layout (little-endian):
-//
-//	uint32  payload length
-//	int64   logical data bytes accompanying the payload
-//	[]byte  payload
-//
-// Protocol v2 (see protocol.go) prefixes a magic/version/flags header and
-// splits the payload into metadata + an optional bulk region written as one
-// vectored writev. Connections negotiate the version with a hello round trip
-// at dial time; see DialTCPVersion / ServeConnVersion.
-//
-// frameHeaderLen is the fixed v1 frame header size.
-const frameHeaderLen = 12
-
-// maxFrameLen bounds incoming frames (a corrupted length prefix must not
-// cause a giant allocation).
-const maxFrameLen = 64 << 20
-
-// maxPooledFrame caps the frame buffers retained by the pool.
-const maxPooledFrame = 64 << 10
-
-// framePool recycles outbound frame buffers so steady-state framing does not
-// allocate. Buffers are owned by the writer until the write returns.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-
-// appendFrame builds one framed message (header + payload coalesced) on top
-// of buf and returns the extended slice.
-func appendFrame(buf, payload []byte, data int64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(data))
-	return append(buf, payload...)
-}
-
-// WriteFrame writes one framed message with a single Write call, so each
-// frame is one syscall (and, with TCP_NODELAY, at most one segment when it
-// fits). Frame buffers of every size are pooled: small ones in framePool,
-// larger ones in the size-classed large pools, so large v1 frames no longer
-// allocate per call.
-func WriteFrame(w io.Writer, payload []byte, data int64) error {
-	bp := getFrameBuf(frameHeaderLen + len(payload))
-	buf := appendFrame((*bp)[:0], payload, data)
-	_, err := w.Write(buf)
-	putFrameBuf(bp, buf)
-	if err == nil {
-		wireTx(ProtoV1, int64(frameHeaderLen+len(payload)))
-	}
-	return err
-}
-
-// ReadFrame reads one framed message. The header is read into a pooled
-// buffer (a stack array would escape through the io.Reader interface); the
-// returned payload is freshly allocated and owned by the caller — the only
-// steady-state allocation.
-func ReadFrame(r io.Reader) (payload []byte, data int64, err error) {
-	return ReadFrameReuse(r, nil)
-}
-
-// ReadFrameReuse is ReadFrame with a caller-supplied payload buffer: when
-// the frame fits in cap(buf) the payload is read into it and no allocation
-// happens; otherwise a larger buffer is allocated, which the caller can
-// keep for the next frame. The returned payload therefore may alias buf —
-// the caller owns both and must finish with the payload before reusing the
-// buffer. Use only where one reader owns the stream (e.g. a caller whose
-// round trips are serialized); concurrent readers must use ReadFrame.
-func ReadFrameReuse(r io.Reader, buf []byte) (payload []byte, data int64, err error) {
-	bp := framePool.Get().(*[]byte)
-	defer framePool.Put(bp)
-	hdr := (*bp)[:frameHeaderLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, wrapReadErr(err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrameLen {
-		return nil, 0, fmt.Errorf("%w: frame of %d bytes exceeds %d-byte limit", ErrFrameCorrupt, n, maxFrameLen)
-	}
-	data = int64(binary.LittleEndian.Uint64(hdr[4:12]))
-	payload, err = readPayload(r, buf, int(n))
-	if err != nil {
-		return nil, 0, err
-	}
-	wireRx(ProtoV1, int64(frameHeaderLen)+int64(n))
-	return payload, data, nil
-}
-
-// readPayload reads n payload bytes, into buf when it fits. Frames up to
-// maxPooledFrame (the steady state) allocate at most once; larger claims
-// grow the buffer geometrically as bytes actually arrive, so a corrupted
-// length prefix just under maxFrameLen on a truncated stream cannot force
-// a 64 MiB up-front allocation.
-func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if n <= cap(buf) {
-		out := buf[:n]
-		if _, err := io.ReadFull(r, out); err != nil {
-			return nil, wrapReadErr(err)
-		}
-		return out, nil
-	}
-	if n <= maxPooledFrame {
-		out := make([]byte, n)
-		if _, err := io.ReadFull(r, out); err != nil {
-			return nil, wrapReadErr(err)
-		}
-		return out, nil
-	}
-	buf = make([]byte, 0, maxPooledFrame)
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			newCap := cap(buf) * 2
-			if newCap > n {
-				newCap = n
-			}
-			grown := make([]byte, len(buf), newCap)
-			copy(grown, buf)
-			buf = grown
-		}
-		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return nil, wrapReadErr(err)
-		}
-	}
-	return buf, nil
-}
-
-// wrapReadErr types a raw socket read error: orderly or abrupt peer death
-// becomes ErrConnClosed, a read deadline becomes ErrCallTimeout, so callers
-// can distinguish connection faults from protocol bugs without string
-// matching.
-func wrapReadErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, net.ErrClosed):
-		return fmt.Errorf("%w: %v", ErrConnClosed, err)
-	default:
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return fmt.Errorf("%w: %v", ErrCallTimeout, err)
-		}
-		return fmt.Errorf("%w: %v", ErrConnClosed, err)
-	}
-}
+// Frames are built and parsed by the codec in protocol.go; connections
+// negotiate the protocol version with a hello round trip at dial time, see
+// DialTCPVersion / ServeConnVersion.
 
 // setNoDelay disables Nagle's algorithm explicitly on TCP connections: the
 // remoting protocol is latency-bound request/response traffic, and every
@@ -174,25 +33,18 @@ func setNoDelay(conn net.Conn) {
 // pipelined lane.
 const tcpWindow = 64
 
-// outFrame is one message queued to the writer goroutine: a pooled buffer
-// holding the (already framed) header + payload, plus an optional borrowed
-// bulk region written as the second vector of a writev. bulk is only ever
-// non-nil for synchronous vec calls, whose caller blocks until the reply —
-// which cannot arrive before the writer has finished with the slice.
-type outFrame struct {
-	bp   *[]byte
-	bulk []byte
-}
-
 // tcpCaller implements AsyncCaller (and VecCaller) over a TCP connection.
-// Synchronous calls are strictly request/response; Submit hands pre-framed
-// one-way messages to a writer goroutine, which preserves FIFO order between
-// the two kinds.
+// Synchronous calls are strictly request/response; every outbound frame,
+// one-way or not, is built on the calling goroutine and handed to a writer
+// goroutine, which preserves FIFO order between the two kinds. A frame's
+// borrowed bulk vector is only ever attached to a synchronous call, whose
+// caller blocks until the reply — which cannot arrive before the writer has
+// finished with the slice.
 type tcpCaller struct {
 	mu     sync.Mutex // serializes synchronous round trips
 	conn   net.Conn
 	ver    int // negotiated protocol version, fixed at dial time
-	sendCh chan outFrame
+	sendCh chan frame
 
 	// readBuf is the reply buffer reused across round trips (guarded by
 	// mu). Returned payloads alias it, per the Caller contract: a reply is
@@ -214,34 +66,31 @@ func DialTCP(addr string) (AsyncCaller, error) {
 // ProtoV1 skips the hello entirely and behaves exactly like an old build;
 // otherwise one hello round trip runs on the raw connection before the
 // writer goroutine starts, so by the time the caller sees the connection the
-// version is settled. A v1 server rejects the hello's unknown call ID, which
-// reads as "fall back to v1".
+// version is settled.
 func DialTCPVersion(addr string, maxVer int) (AsyncCaller, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	setNoDelay(conn)
-	ver := ProtoV1
-	if maxVer >= ProtoV2 {
-		if err := WriteFrame(conn, helloRequest(maxVer), 0); err != nil {
-			_ = conn.Close()
+	ver, err := negotiate(maxVer, func(hello []byte) ([]byte, error) {
+		if err := WriteFrame(conn, ProtoV1, hello, nil, 0); err != nil {
 			return nil, err
 		}
-		resp, _, err := ReadFrame(conn)
+		resp, _, _, err := ReadFrame(conn, ProtoV1, nil, nil)
 		if err != nil {
-			_ = conn.Close()
 			return nil, fmt.Errorf("protocol hello: %w", err)
 		}
-		if v, ok := parseHelloReply(resp); ok && v <= maxVer {
-			ver = v
-		}
-		wireHello(ver)
+		return resp, nil
+	})
+	if err != nil {
+		_ = conn.Close()
+		return nil, err
 	}
 	c := &tcpCaller{
 		conn:      conn,
 		ver:       ver,
-		sendCh:    make(chan outFrame, tcpWindow),
+		sendCh:    make(chan frame, tcpWindow),
 		writeDone: make(chan struct{}),
 	}
 	go c.writer()
@@ -251,112 +100,47 @@ func DialTCPVersion(addr string, maxVer int) (AsyncCaller, error) {
 // ProtoVersion implements VecCaller.
 func (c *tcpCaller) ProtoVersion() int { return c.ver }
 
-// writer drains the send queue onto the socket, one Write (or writev, for
-// frames with a bulk vector) per frame. On a write error it records the
-// error, tears the connection down and keeps draining so senders never block
-// forever.
+// writer drains the send queue onto the socket. On a write error it records
+// the error, tears the connection down and keeps draining so senders never
+// block forever.
 func (c *tcpCaller) writer() {
 	defer close(c.writeDone)
 	for f := range c.sendCh {
-		if c.writeErr == nil {
-			var err error
-			if f.bulk != nil {
-				err = writeVec(c.conn, *f.bp, f.bulk)
-			} else {
-				_, err = c.conn.Write(*f.bp)
-			}
-			if err != nil {
-				c.writeErr = err
-				_ = c.conn.Close()
-			} else {
-				wireTx(c.ver, int64(len(*f.bp)+len(f.bulk)))
-			}
+		if c.writeErr != nil {
+			f.release()
+			continue
 		}
-		putFrameBuf(f.bp, *f.bp)
+		if err := f.writeTo(c.conn); err != nil {
+			c.writeErr = err
+			_ = c.conn.Close()
+		}
 	}
 }
 
-// enqueue frames a message for the negotiated version and hands it to the
-// writer goroutine, blocking when the in-flight window is full.
-func (c *tcpCaller) enqueue(payload []byte, data int64) {
-	if c.ver >= ProtoV2 {
-		bp := getFrameBuf(frameHeaderLenV2 + len(payload))
-		*bp = appendFrameV2((*bp)[:0], payload, 0, data)
-		c.sendCh <- outFrame{bp: bp}
-		return
-	}
-	bp := getFrameBuf(frameHeaderLen + len(payload))
-	*bp = appendFrame((*bp)[:0], payload, data)
-	c.sendCh <- outFrame{bp: bp}
-}
-
-// enqueueVec frames a v2 bulk message: metadata coalesced into a pooled
-// buffer, the bulk slice borrowed and attached as the writev's second vector
-// (small bulks are coalesced too — one contiguous write beats scatter
-// bookkeeping below vecCoalesceMax).
-func (c *tcpCaller) enqueueVec(payload, bulk []byte) {
-	n := frameHeaderLenV2 + len(payload)
-	if len(bulk) <= vecCoalesceMax && n+len(bulk) <= maxPooledFrame {
-		bp := getFrameBuf(n + len(bulk))
-		*bp = append(appendFrameV2((*bp)[:0], payload, len(bulk), 0), bulk...)
-		c.sendCh <- outFrame{bp: bp}
-		return
-	}
-	bp := getFrameBuf(n)
-	*bp = appendFrameV2((*bp)[:0], payload, len(bulk), 0)
-	c.sendCh <- outFrame{bp: bp, bulk: bulk}
-}
-
-// Roundtrip sends one framed call and reads the framed reply. The sim
-// process identity is unused: real sockets pace themselves in wall time.
-// Because async submissions receive no reply, the next frame read off the
-// socket is always this call's response.
-func (c *tcpCaller) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, error) {
-	return c.RoundtripTimeout(p, req, reqData, 0)
-}
-
-// RoundtripTimeout is Roundtrip with a wall-clock reply deadline (d <= 0
-// means none). On timeout the socket is closed: a late reply cannot be
-// re-matched to its request.
-func (c *tcpCaller) RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d time.Duration) ([]byte, error) {
+// exchange sends one framed call — reqBulk, if any, borrowed into the
+// writer's writev — and reads the framed reply, its bulk region scatter-read
+// straight into respDst. The sim process identity is unused: real sockets
+// pace themselves in wall time. Because async submissions receive no reply,
+// the next frame read off the socket is always this call's response. d > 0
+// is a wall-clock reply deadline; on timeout the socket is closed, since a
+// late reply cannot be re-matched to its request.
+func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.enqueue(req, reqData)
+	f, err := newFrame(c.ver, req, reqBulk, reqData)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.sendCh <- f // blocks while the in-flight window is full
 	if d > 0 {
 		//lint:allow simdeterminism the TCP transport runs against the real network, so deadlines are real-clock by design
 		_ = c.conn.SetReadDeadline(time.Now().Add(d))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	payload, _, err := c.readReply(nil)
-	return payload, err
-}
-
-// RoundtripVec implements VecCaller over TCP: the bulk slice is borrowed into
-// the writer's writev (never copied), and the reply's bulk region is
-// scatter-read straight into respDst. The caller owns reqBulk again when this
-// returns — the reply cannot have arrived before the writer finished sending
-// the bulk.
-func (c *tcpCaller) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) ([]byte, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ver < ProtoV2 {
-		return nil, nil, fmt.Errorf("remoting: RoundtripVec requires protocol v2 (connection negotiated v%d)", c.ver)
-	}
-	c.enqueueVec(req, reqBulk)
-	return c.readReply(respDst)
-}
-
-// readReply reads one reply frame for the negotiated version, reusing the
-// connection's reply buffer and typing errors. Callers hold mu.
-func (c *tcpCaller) readReply(respDst []byte) (payload, bulk []byte, err error) {
-	if c.ver >= ProtoV2 {
-		payload, bulk, _, err = ReadFrameInto(c.conn, c.readBuf, respDst)
-	} else {
-		payload, _, err = ReadFrameReuse(c.conn, c.readBuf)
-	}
+	resp, respBulk, _, err = ReadFrame(c.conn, c.ver, c.readBuf, respDst)
 	// Keep a grown buffer for the next reply, but never pin a huge one.
-	if cap(payload) > cap(c.readBuf) && cap(payload) <= maxPooledFrame {
-		c.readBuf = payload[:0]
+	if cap(resp) > cap(c.readBuf) && cap(resp) <= maxPooledFrame {
+		c.readBuf = resp[:0]
 	}
 	if err != nil {
 		if c.writeErr != nil {
@@ -366,7 +150,25 @@ func (c *tcpCaller) readReply(respDst []byte) (payload, bulk []byte, err error) 
 			_ = c.conn.Close()
 		}
 	}
-	return payload, bulk, err
+	return resp, respBulk, err
+}
+
+// Roundtrip implements Caller.
+func (c *tcpCaller) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, error) {
+	resp, _, err := c.exchange(req, nil, reqData, 0, nil)
+	return resp, err
+}
+
+// RoundtripTimeout implements DeadlineCaller (d <= 0 means no deadline).
+func (c *tcpCaller) RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d time.Duration) ([]byte, error) {
+	resp, _, err := c.exchange(req, nil, reqData, d, nil)
+	return resp, err
+}
+
+// RoundtripVec implements VecCaller. The caller owns reqBulk again when this
+// returns.
+func (c *tcpCaller) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) ([]byte, []byte, error) {
+	return c.exchange(req, reqBulk, 0, 0, respDst)
 }
 
 // Submit queues one one-way framed message without waiting for any
@@ -378,7 +180,11 @@ func (c *tcpCaller) Submit(p *sim.Proc, req []byte, reqData int64) error {
 	if c.writeErr != nil {
 		return fmt.Errorf("%w: %v", ErrConnClosed, c.writeErr)
 	}
-	c.enqueue(req, reqData)
+	f, err := newFrame(c.ver, req, nil, reqData)
+	if err != nil {
+		return err
+	}
+	c.sendCh <- f
 	return nil
 }
 
@@ -416,15 +222,8 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 				return
 			}
 			// Frame per the version stamped on the response: the hello reply
-			// is pinned to v1 (both sides still speak v1 at that instant),
-			// everything after a v2 negotiation goes vectored.
-			var err error
-			if r.Proto >= ProtoV2 {
-				err = WriteFrameVec(conn, r.Payload, r.Bulk, r.RespData)
-			} else {
-				err = WriteFrame(conn, r.Payload, r.RespData)
-			}
-			if err != nil {
+			// is pinned to v1 (both sides still speak v1 at that instant).
+			if err := WriteFrame(conn, r.Proto, r.Payload, r.Bulk, r.RespData); err != nil {
 				_ = conn.Close()
 				return
 			}
@@ -440,19 +239,12 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 		// before the handler is done with the previous bulk region.
 		var bulkBuf []byte
 		for {
-			var payload, bulk []byte
-			var data int64
-			var err error
-			if ver >= ProtoV2 {
-				payload, bulk, data, err = ReadFrameInto(conn, nil, bulkBuf)
-				if cap(bulk) > cap(bulkBuf) {
-					bulkBuf = bulk[:0]
-				}
-			} else {
-				payload, data, err = ReadFrame(conn)
-			}
+			payload, bulk, data, err := ReadFrame(conn, ver, nil, bulkBuf)
 			if err != nil {
 				return
+			}
+			if cap(bulk) > cap(bulkBuf) {
+				bulkBuf = bulk[:0]
 			}
 			if first {
 				first = false

@@ -113,6 +113,11 @@ type Faultable interface {
 	// ErrFrameCorrupt, and the connection breaks (a corrupt stream cannot
 	// be resynchronized).
 	CorruptNext()
+	// ForceVersion caps the connection's protocol at v (normally ProtoV1,
+	// suppressing the hello entirely), modeling a peer stuck on an old build
+	// during a rolling upgrade. It must be called before the first round
+	// trip.
+	ForceVersion(v int)
 }
 
 // AsyncCaller is a Caller with a pipelined submission lane. Submit fires a
@@ -143,16 +148,6 @@ type VecCaller interface {
 	// the first call, so a fresh connection reports v1 until then).
 	ProtoVersion() int
 	RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp, respBulk []byte, err error)
-}
-
-// Downgrader is implemented by transports whose maximum protocol version can
-// be forced down before use. The faults framework uses it to model a peer
-// stuck on an old build during a rolling upgrade.
-type Downgrader interface {
-	// ForceVersion caps the connection's protocol at v (normally ProtoV1,
-	// suppressing the hello entirely). It must be called before the first
-	// round trip.
-	ForceVersion(v int)
 }
 
 // Request is one in-flight call as seen by an API server. Control messages
@@ -260,45 +255,36 @@ func Dial(e *sim.Engine, l *Listener, profile NetProfile) AsyncCaller {
 // interop tests and rolling-upgrade modeling (maxVer ProtoV1 suppresses the
 // hello entirely, behaving exactly like an old build).
 func DialVersion(e *sim.Engine, l *Listener, profile NetProfile, maxVer int) AsyncCaller {
-	if maxVer < ProtoV1 {
-		maxVer = ProtoV1
-	}
 	return &simConn{e: e, l: l, profile: profile, maxVer: maxVer, ver: ProtoV1}
 }
 
-// ForceVersion implements Downgrader: cap the connection at v before use.
+// ForceVersion implements Faultable: cap the connection at v before use.
 func (c *simConn) ForceVersion(v int) {
-	if v < ProtoV1 {
-		v = ProtoV1
-	}
 	if v < c.maxVer {
 		c.maxVer = v
-	}
-	if c.ver > c.maxVer {
-		c.ver = c.maxVer
 	}
 }
 
 // ProtoVersion implements VecCaller.
 func (c *simConn) ProtoVersion() int { return c.ver }
 
-// negotiate runs the one-RTT hello on the first call of a v2-capable
-// connection. An injected frame corruption (CorruptNext) lands on the hello
-// itself — exactly the corrupted-negotiation case — and surfaces as a typed
-// ErrFrameCorrupt with the connection broken, like any corrupt stream.
+// negotiate runs the one-RTT hello on the first call of the connection. An
+// injected frame corruption (CorruptNext) lands on the hello itself — exactly
+// the corrupted-negotiation case — and surfaces as a typed ErrFrameCorrupt
+// with the connection broken, like any corrupt stream.
 func (c *simConn) negotiate(p *sim.Proc) error {
-	if c.helloDone || c.maxVer < ProtoV2 {
+	if c.helloDone {
 		return nil
 	}
 	c.helloDone = true // the hello itself must not renegotiate
-	resp, err := c.roundtrip(p, helloRequest(c.maxVer), 0, -1)
+	ver, err := negotiate(c.maxVer, func(hello []byte) ([]byte, error) {
+		resp, _, err := c.exchange(p, hello, nil, 0, -1, nil)
+		return resp, err
+	})
 	if err != nil {
 		return err
 	}
-	if v, ok := parseHelloReply(resp); ok && v <= c.maxVer {
-		c.ver = v
-	}
-	wireHello(c.ver)
+	c.ver = ver
 	return nil
 }
 
@@ -383,46 +369,73 @@ func (c *simConn) checkSend(p *sim.Proc, n int64) error {
 // Roundtrip sends one encoded call and blocks until the reply arrives,
 // charging latency and bandwidth in virtual time.
 func (c *simConn) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, error) {
-	if err := c.negotiate(p); err != nil {
-		return nil, err
-	}
-	return c.roundtrip(p, req, reqData, -1)
+	resp, _, err := c.exchange(p, req, nil, reqData, -1, nil)
+	return resp, err
 }
 
 // RoundtripTimeout is Roundtrip with a virtual-time reply deadline. On
 // timeout the connection breaks: a late reply could otherwise be mismatched
 // to the next call.
 func (c *simConn) RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d time.Duration) ([]byte, error) {
-	if err := c.negotiate(p); err != nil {
-		return nil, err
-	}
-	return c.roundtrip(p, req, reqData, d)
+	resp, _, err := c.exchange(p, req, nil, reqData, d, nil)
+	return resp, err
 }
 
 // RoundtripVec implements VecCaller: the request's bulk bytes ride outside
 // the encoded payload (borrowed, never copied on the send side), and the
 // reply's bulk region is scatter-read into respDst when it fits — the same
-// ownership handoff the TCP transport performs with writev/ReadFrameInto.
+// ownership handoff the TCP transport performs with writev and ReadFrame.
 func (c *simConn) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp, respBulk []byte, err error) {
+	return c.exchange(p, req, reqBulk, 0, -1, respDst)
+}
+
+// exchange is the one send–wait–receive sequence of the simulated transport:
+// a request with an optional bulk region, an optional reply deadline
+// (deadline < 0 means none) and an optional destination for the reply's bulk.
+// The first exchange of a connection runs the hello ahead of itself.
+func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, deadline time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	if err := c.negotiate(p); err != nil {
 		return nil, nil, err
 	}
-	if err := c.checkSend(p, int64(len(req))+int64(len(reqBulk))); err != nil {
+	start := p.Now()
+	if err := c.checkSend(p, int64(len(req))+int64(len(reqBulk))+reqData); err != nil {
 		return nil, nil, err
 	}
 	replyQ := c.callQueue()
 	defer c.callDone(replyQ)
-	if !c.send(p, Request{Payload: req, Bulk: reqBulk, ReplyTo: replyQ, Profile: c.profile}) {
+	if !c.send(p, Request{Payload: req, Bulk: reqBulk, ReqData: reqData, ReplyTo: replyQ, Profile: c.profile}) {
 		return nil, nil, ErrConnClosed
 	}
-	r, ok := replyQ.Recv(p)
+	var r Response
+	var ok bool
+	if deadline < 0 {
+		r, ok = replyQ.Recv(p)
+	} else {
+		// The deadline covers the whole call, the way a socket timeout
+		// does: send-side time (including an injected stall) eats into the
+		// reply budget, and a send that alone overruns it is a timeout.
+		remaining := deadline - (p.Now() - start)
+		if remaining < 0 {
+			remaining = 0
+		}
+		var timedOut bool
+		r, ok, timedOut = replyQ.RecvTimeout(p, remaining)
+		if timedOut {
+			c.Break()
+			return nil, nil, fmt.Errorf("%w: no reply within %v", ErrCallTimeout, deadline)
+		}
+	}
 	if !ok {
+		// The peer closed our reply queue: the connection is unusable in
+		// both directions, so latch the death — later one-way submissions
+		// must fail fast too, not vanish into a dead pipe.
 		c.Break()
 		return nil, nil, ErrConnClosed
 	}
-	wireRx(c.ver, int64(len(r.Payload))+int64(len(r.Bulk))+r.RespData)
-	recv := c.profile.RTT/2 + c.profile.transferTime(p.Rand(), int64(len(r.Payload))+int64(len(r.Bulk))+r.RespData)
-	if recv > 0 {
+	n := int64(len(r.Payload)) + int64(len(r.Bulk)) + r.RespData
+	wireRx(n)
+	// Inbound: the other half of the RTT plus the response transfer.
+	if recv := c.profile.RTT/2 + c.profile.transferTime(p.Rand(), n); recv > 0 {
 		p.Sleep(recv)
 	}
 	if r.Bulk != nil {
@@ -437,51 +450,6 @@ func (c *simConn) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp,
 		copy(respBulk, r.Bulk)
 	}
 	return r.Payload, respBulk, nil
-}
-
-func (c *simConn) roundtrip(p *sim.Proc, req []byte, reqData int64, deadline time.Duration) ([]byte, error) {
-	start := p.Now()
-	if err := c.checkSend(p, int64(len(req))+reqData); err != nil {
-		return nil, err
-	}
-	replyQ := c.callQueue()
-	defer c.callDone(replyQ)
-	if !c.send(p, Request{Payload: req, ReqData: reqData, ReplyTo: replyQ, Profile: c.profile}) {
-		return nil, ErrConnClosed
-	}
-	var resp Response
-	var ok bool
-	if deadline < 0 {
-		resp, ok = replyQ.Recv(p)
-	} else {
-		// The deadline covers the whole call, the way a socket timeout
-		// does: send-side time (including an injected stall) eats into the
-		// reply budget, and a send that alone overruns it is a timeout.
-		remaining := deadline - (p.Now() - start)
-		if remaining < 0 {
-			remaining = 0
-		}
-		var timedOut bool
-		resp, ok, timedOut = replyQ.RecvTimeout(p, remaining)
-		if timedOut {
-			c.Break()
-			return nil, fmt.Errorf("%w: no reply within %v", ErrCallTimeout, deadline)
-		}
-	}
-	if !ok {
-		// The peer closed our reply queue: the connection is unusable in
-		// both directions, so latch the death — later one-way submissions
-		// must fail fast too, not vanish into a dead pipe.
-		c.Break()
-		return nil, ErrConnClosed
-	}
-	wireRx(c.ver, int64(len(resp.Payload))+resp.RespData)
-	// Inbound: the other half of the RTT plus the response transfer.
-	recv := c.profile.RTT/2 + c.profile.transferTime(p.Rand(), int64(len(resp.Payload))+resp.RespData)
-	if recv > 0 {
-		p.Sleep(recv)
-	}
-	return resp.Payload, nil
 }
 
 // Submit fires one one-way message down the pipelined lane: the caller pays

@@ -135,10 +135,10 @@ func TestServerClosePendingRoundtripFails(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello dgsf")
-	if err := WriteFrame(&buf, payload, 12345); err != nil {
+	if err := WriteFrame(&buf, ProtoV1, payload, nil, 12345); err != nil {
 		t.Fatal(err)
 	}
-	got, data, err := ReadFrame(&buf)
+	got, _, data, err := ReadFrame(&buf, ProtoV1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
-	if _, _, err := ReadFrame(&buf); err == nil {
+	if _, _, _, err := ReadFrame(&buf, ProtoV1, nil, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -353,7 +353,7 @@ func TestWriteFrameZeroAllocs(t *testing.T) {
 	}
 	payload := make([]byte, 256)
 	if avg := testing.AllocsPerRun(200, func() {
-		if err := WriteFrame(io.Discard, payload, 0); err != nil {
+		if err := WriteFrame(io.Discard, ProtoV1, payload, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -367,7 +367,7 @@ func TestFrameRoundTripBoundedAllocs(t *testing.T) {
 	}
 	payload := make([]byte, 256)
 	var framed bytes.Buffer
-	if err := WriteFrame(&framed, payload, 7); err != nil {
+	if err := WriteFrame(&framed, ProtoV1, payload, nil, 7); err != nil {
 		t.Fatal(err)
 	}
 	raw := framed.Bytes()
@@ -376,7 +376,7 @@ func TestFrameRoundTripBoundedAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		buf.Reset()
 		buf.Write(raw)
-		if _, _, err := ReadFrame(&buf); err != nil {
+		if _, _, _, err := ReadFrame(&buf, ProtoV1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
@@ -384,7 +384,7 @@ func TestFrameRoundTripBoundedAllocs(t *testing.T) {
 	}
 }
 
-// TestReadFrameReuse checks the reused-buffer read path: a fitting buffer
+// TestReadFrameReuse checks the reused-buffer read path (metaBuf): a fitting buffer
 // is filled in place, an undersized one is replaced by a grown allocation,
 // and the warm path allocates nothing.
 func TestReadFrameReuse(t *testing.T) {
@@ -396,11 +396,11 @@ func TestReadFrameReuse(t *testing.T) {
 	}
 
 	// Fits: payload aliases the supplied buffer.
-	if err := WriteFrame(&framed, small, 1); err != nil {
+	if err := WriteFrame(&framed, ProtoV1, small, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 0, 512)
-	got, data, err := ReadFrameReuse(&framed, buf)
+	got, _, data, err := ReadFrame(&framed, ProtoV1, buf, nil)
 	if err != nil || data != 1 || !bytes.Equal(got, small) {
 		t.Fatalf("reuse read = (%q, %d, %v)", got, data, err)
 	}
@@ -410,25 +410,29 @@ func TestReadFrameReuse(t *testing.T) {
 
 	// Does not fit: a grown buffer comes back, contents intact.
 	framed.Reset()
-	if err := WriteFrame(&framed, big, 2); err != nil {
+	if err := WriteFrame(&framed, ProtoV1, big, nil, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, data, err = ReadFrameReuse(&framed, make([]byte, 0, 16))
+	got, _, data, err = ReadFrame(&framed, ProtoV1, make([]byte, 0, 16), nil)
 	if err != nil || data != 2 || !bytes.Equal(got, big) {
 		t.Fatalf("grown reuse read failed: len=%d data=%d err=%v", len(got), data, err)
 	}
 
 	if !wire.RaceEnabled {
-		raw := appendFrame(nil, big, 7)
+		framed.Reset()
+		if err := WriteFrame(&framed, ProtoV1, big, nil, 7); err != nil {
+			t.Fatal(err)
+		}
+		raw := framed.Bytes()
 		var stream bytes.Buffer
 		if avg := testing.AllocsPerRun(200, func() {
 			stream.Reset()
 			stream.Write(raw)
-			if _, _, err := ReadFrameReuse(&stream, buf); err != nil {
+			if _, _, _, err := ReadFrame(&stream, ProtoV1, buf, nil); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {
-			t.Fatalf("warm ReadFrameReuse allocates %.1f times, want 0", avg)
+			t.Fatalf("warm ReadFrame into a reused buffer allocates %.1f times, want 0", avg)
 		}
 	}
 }

@@ -4,16 +4,18 @@
 // servers, the GPU server monitor, the serverless backend, and the simulated
 // GPUs themselves — runs as a simulated process (Proc) on a virtual clock.
 // The engine executes exactly one process at a time: when the running process
-// blocks (Sleep, Queue.Recv, Cond.Wait, Semaphore.Acquire, ...) the engine
+// blocks (Sleep, Queue.Recv, Cond.Wait, ...) the engine
 // picks the next ready process, and when no process is ready it advances the
 // virtual clock to the earliest pending timer. Given a fixed seed, a
 // simulation is fully deterministic and independent of wall-clock speed.
 //
 // The engine supports two modes:
 //
-//   - Run mode (Engine.Run): the usual mode for experiments. Run returns when
-//     every non-daemon process has finished. If all processes are blocked with
-//     no pending timers, the engine panics with a process dump (deadlock).
+//   - Run mode (Engine.Run): the usual mode for experiments. The simulation
+//     ends when every non-daemon process has finished: daemons take no further
+//     step, and Run returns once their goroutines have exited. If all
+//     processes are blocked with no pending timers, the engine panics with a
+//     process dump (deadlock).
 //
 //   - Open mode (NewOpenEngine + Engine.Inject): used when simulated
 //     components serve requests arriving from outside the simulation, e.g. a
@@ -53,9 +55,10 @@ type Engine struct {
 
 	nlive   int              // live non-daemon processes
 	started bool             // Run was called
-	done    chan struct{}    // closed when nlive reaches 0 (Run mode)
+	done    chan struct{}    // closed when the simulation is over (Run mode)
 	open    bool             // open mode: idle is not a deadlock
-	stopped bool             // Stop was called
+	stopped bool             // the simulation is over: no process takes another step
+	dying   []*Proc          // processes still to be killed, in pid order
 	blocked map[*Proc]string // blocked processes and why, for deadlock dumps
 
 	seed      int64
@@ -150,8 +153,11 @@ func (p *Proc) Rand() *rand.Rand {
 }
 
 // Run spawns a root process executing root and blocks until that process and
-// every non-daemon process transitively spawned from it have finished.
-// Run may be called at most once per engine.
+// every non-daemon process transitively spawned from it have finished. That
+// instant ends the simulation: daemons are killed where they are parked, and
+// Run returns once every process goroutine has exited, so nothing the
+// simulation spawned is still running — or still mutating state the caller
+// is about to read. Run may be called at most once per engine.
 func (e *Engine) Run(name string, root func(p *Proc)) {
 	e.mu.Lock()
 	if e.started {
@@ -163,9 +169,7 @@ func (e *Engine) Run(name string, root func(p *Proc)) {
 	done := e.done
 	p := e.newProcLocked(name, false)
 	e.startLocked(p, root)
-	if e.running == nil {
-		e.dispatchLocked()
-	}
+	e.maybeDispatchLocked()
 	e.mu.Unlock()
 	<-done
 	e.mu.Lock()
@@ -184,9 +188,7 @@ func (e *Engine) Inject(name string, fn func(p *Proc)) <-chan struct{} {
 	p := e.newProcLocked(name, false)
 	p.doneCh = make(chan struct{})
 	e.startLocked(p, fn)
-	if e.running == nil && !e.inDispatch {
-		e.dispatchLocked()
-	}
+	e.maybeDispatchLocked()
 	return p.doneCh
 }
 
@@ -196,34 +198,59 @@ func (e *Engine) InjectDaemon(name string, fn func(p *Proc)) {
 	defer e.mu.Unlock()
 	p := e.newProcLocked(name, true)
 	e.startLocked(p, fn)
-	if e.running == nil && !e.inDispatch {
-		e.dispatchLocked()
-	}
+	e.maybeDispatchLocked()
 }
 
-// Stop kills every blocked and ready process. The currently running process,
-// if any, is killed at its next blocking call. Stop is best-effort and
-// intended for tearing down open-mode engines.
+// Stop ends the simulation from outside (the teardown of an open-mode
+// engine): every blocked and ready process is killed, and the currently
+// running one, if any, at its next blocking call. Stop does not wait for the
+// process goroutines to exit.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.stopLocked()
+	e.maybeDispatchLocked()
+}
+
+// stopLocked ends the simulation: from here on, dispatching means killing.
+// Each live process is woken with killed set, so its park() unwinds the
+// goroutine. They die one at a time, in pid order, each after the previous
+// one has exited: a process's deferred cleanup then runs as serialized as
+// the simulation was, never racing another process's.
+func (e *Engine) stopLocked() {
+	if e.stopped {
+		return
+	}
 	e.stopped = true
 	for p := range e.blocked {
-		p.killed = true
-		delete(e.blocked, p)
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
+		e.dying = append(e.dying, p)
 	}
-	for _, p := range e.runq {
-		p.killed = true
-		select {
-		case p.wake <- struct{}{}:
-		default:
-		}
-	}
+	e.dying = append(e.dying, e.runq...)
+	sort.Slice(e.dying, func(i, j int) bool { return e.dying[i].id < e.dying[j].id })
+	clear(e.blocked)
 	e.runq = nil
+}
+
+// killNextLocked kills the next dying process, which unwinds as the running
+// process; after the last one, the Run caller (if any) is released.
+func (e *Engine) killNextLocked() {
+	if len(e.dying) == 0 {
+		if e.done != nil {
+			close(e.done)
+			e.done = nil
+		}
+		return
+	}
+	p := e.dying[0]
+	e.dying = e.dying[1:]
+	e.running = p
+	e.killLocked(p)
+}
+
+// killLocked makes p's next (or current) park() raise errKilled.
+func (e *Engine) killLocked(p *Proc) {
+	p.killed = true
+	p.wake <- struct{}{}
 }
 
 // Spawn starts a new non-daemon process. Run-mode simulations do not finish
@@ -233,7 +260,7 @@ func (p *Proc) Spawn(name string, fn func(*Proc)) *Proc {
 }
 
 // SpawnDaemon starts a daemon process. Daemons do not keep the simulation
-// alive: Run returns even if daemons are still blocked.
+// alive: when the last non-daemon process finishes, they are killed.
 func (p *Proc) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 	return p.spawn(name, fn, true)
 }
@@ -269,13 +296,17 @@ func (p *Proc) Yield() {
 	e := p.e
 	e.mu.Lock()
 	e.checkRunningLocked(p, "Yield")
-	if len(e.runq) == 0 && e.timers.Len() == 0 {
+	switch {
+	case e.stopped:
+		e.killLocked(p)
+	case len(e.runq) == 0 && e.timers.Len() == 0:
 		e.mu.Unlock()
 		return
+	default:
+		e.runq = append(e.runq, p)
+		e.running = nil
+		e.dispatchLocked()
 	}
-	e.runq = append(e.runq, p)
-	e.running = nil
-	e.dispatchLocked()
 	e.mu.Unlock()
 	p.park()
 }
@@ -294,18 +325,22 @@ func (e *Engine) newProcLocked(name string, daemon bool) *Proc {
 }
 
 // startLocked queues p for its first dispatch and launches its goroutine.
+// On a stopped engine the process is stillborn: fn never runs.
 func (e *Engine) startLocked(p *Proc, fn func(*Proc)) {
+	if e.stopped {
+		if p.doneCh != nil {
+			close(p.doneCh)
+		}
+		return
+	}
 	if !p.daemon {
 		e.nlive++
-	}
-	if e.stopped {
-		p.killed = true
 	}
 	e.runq = append(e.runq, p)
 	e.traceLocked(p, "spawn")
 	go func() {
+		defer e.procExit(p) // before the first park: a process can be killed unstarted
 		p.park()
-		defer e.procExit(p)
 		fn(p)
 	}()
 }
@@ -321,18 +356,23 @@ func (e *Engine) procExit(p *Proc) {
 	}
 	e.mu.Lock()
 	e.traceLocked(p, "exit")
-	if !p.daemon {
-		e.nlive--
-		if e.nlive == 0 && e.done != nil {
-			close(e.done)
-			e.done = nil
-		}
-	}
 	if p.doneCh != nil {
 		close(p.doneCh)
 	}
 	if e.running == p {
 		e.running = nil
+	}
+	if !p.daemon {
+		e.nlive--
+		if e.nlive == 0 && e.started {
+			// The last non-daemon is gone: the simulation is over. Daemons
+			// stop where they are — a ready one takes no further step, and
+			// pending timers never fire, or periodic daemons (samplers,
+			// monitor ticks) would advance virtual time forever.
+			e.stopLocked()
+		}
+	}
+	if e.running == nil {
 		e.dispatchLocked()
 	}
 	e.mu.Unlock()
@@ -358,12 +398,9 @@ func (e *Engine) checkRunningLocked(p *Proc, op string) {
 // one. The caller must subsequently release the lock and park.
 func (e *Engine) blockLocked(p *Proc, why string) {
 	if e.stopped {
-		// The engine is shutting down: the process wakes immediately and its
+		// The simulation is over: the process wakes immediately and its
 		// park() call raises errKilled.
-		p.killed = true
-		e.running = nil
-		e.runq = append(e.runq, p)
-		e.dispatchLocked()
+		e.killLocked(p)
 		return
 	}
 	e.blocked[p] = why
@@ -389,6 +426,10 @@ func (e *Engine) maybeDispatchLocked() {
 // dispatchLocked picks the next process to run, advancing the virtual clock
 // through pending timers as needed. Called with e.running == nil.
 func (e *Engine) dispatchLocked() {
+	if e.stopped {
+		e.killNextLocked()
+		return
+	}
 	e.inDispatch = true
 	defer func() { e.inDispatch = false }()
 	for {
@@ -398,17 +439,6 @@ func (e *Engine) dispatchLocked() {
 			e.running = p
 			e.traceLocked(p, "run")
 			p.wake <- struct{}{}
-			return
-		}
-		if e.nlive == 0 && e.started && !e.open {
-			// The simulation is over: every non-daemon process finished.
-			// Daemons stay parked and their pending timers never fire —
-			// otherwise periodic daemons (samplers, monitor ticks) would
-			// advance virtual time forever in the background.
-			if e.done != nil {
-				close(e.done)
-				e.done = nil
-			}
 			return
 		}
 		if e.timers.Len() > 0 {
@@ -432,7 +462,7 @@ func (e *Engine) dispatchLocked() {
 			t.fn()
 			continue
 		}
-		if e.open || e.done == nil || e.stopped {
+		if e.open || e.done == nil {
 			return // idle until external activity (or already finished)
 		}
 		// Deadlock: every non-daemon process is blocked with nothing to wake

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,63 @@ func TestDaemonDoesNotBlockRun(t *testing.T) {
 	})
 	if got := e.Now(); got != time.Second {
 		t.Fatalf("Now = %v, want 1s", got)
+	}
+}
+
+// TestRunOwnsItsProcesses pins the end of a Run-mode simulation: the last
+// non-daemon's exit stops the engine, so a daemon made ready by that
+// process's final act takes no further step; the daemons are then killed one
+// at a time in pid order (their deferred cleanup needs no locking); and Run
+// returns only once their goroutines are gone, with no call to Stop.
+func TestRunOwnsItsProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(1)
+	steps := 0
+	var unwound []string
+	e.Run("root", func(p *Proc) {
+		q := NewQueue[int](e)
+		for _, name := range []string{"parked-a", "parked-b"} {
+			p.SpawnDaemon(name, func(p *Proc) {
+				defer func() { unwound = append(unwound, p.Name()) }()
+				for {
+					if _, ok := q.Recv(p); !ok {
+						return
+					}
+					steps++
+				}
+			})
+		}
+		p.SpawnDaemon("ticker", func(p *Proc) {
+			defer func() { unwound = append(unwound, p.Name()) }()
+			for {
+				p.Sleep(time.Millisecond)
+			}
+		})
+		p.Sleep(10 * time.Millisecond)
+		q.Send(1)
+		q.Send(2)
+		p.Yield() // both receivers run: the engine is still live
+		// Final acts: parked-a is ready when root exits, and a daemon is
+		// spawned that never gets to run.
+		q.Send(3)
+		p.SpawnDaemon("unstarted", func(p *Proc) { steps += 100 })
+	})
+	if steps != 2 {
+		t.Fatalf("daemons took %d steps, want 2: one ran after the last non-daemon exited", steps)
+	}
+	if got, want := strings.Join(unwound, " "), "parked-a parked-b ticker"; got != want {
+		t.Fatalf("daemons unwound as %q, want %q", got, want)
+	}
+	if got := e.Now(); got != 10*time.Millisecond {
+		t.Fatalf("Now = %v, want 10ms: a timer fired after the simulation ended", got)
+	}
+	// A goroutine is still counted for an instant after its last statement.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Run, %d before: process goroutines leaked", n, before)
 	}
 }
 

@@ -273,76 +273,6 @@ func (q *Queue[T]) Len() int {
 	return len(q.items)
 }
 
-// Semaphore is a counting semaphore with FIFO wakeup.
-type Semaphore struct {
-	e       *Engine
-	avail   int
-	waiters []*semWaiter
-}
-
-type semWaiter struct {
-	p *Proc
-	n int
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(e *Engine, n int) *Semaphore {
-	if n < 0 {
-		panic("sim: negative semaphore count")
-	}
-	return &Semaphore{e: e, avail: n}
-}
-
-// Acquire blocks p until n permits are available, then takes them. Waiters
-// are served strictly in arrival order.
-func (s *Semaphore) Acquire(p *Proc, n int) {
-	e := s.e
-	e.mu.Lock()
-	e.checkRunningLocked(p, "Semaphore.Acquire")
-	if len(s.waiters) == 0 && s.avail >= n {
-		s.avail -= n
-		e.mu.Unlock()
-		return
-	}
-	s.waiters = append(s.waiters, &semWaiter{p: p, n: n})
-	e.blockLocked(p, "semaphore")
-	e.mu.Unlock()
-	p.park()
-}
-
-// TryAcquire takes n permits if available without blocking.
-func (s *Semaphore) TryAcquire(n int) bool {
-	s.e.mu.Lock()
-	defer s.e.mu.Unlock()
-	if len(s.waiters) == 0 && s.avail >= n {
-		s.avail -= n
-		return true
-	}
-	return false
-}
-
-// Release returns n permits and wakes waiters whose requests now fit.
-func (s *Semaphore) Release(n int) {
-	e := s.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s.avail += n
-	for len(s.waiters) > 0 && s.avail >= s.waiters[0].n {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.avail -= w.n
-		e.readyLocked(w.p)
-	}
-	e.maybeDispatchLocked()
-}
-
-// Available returns the current permit count.
-func (s *Semaphore) Available() int {
-	s.e.mu.Lock()
-	defer s.e.mu.Unlock()
-	return s.avail
-}
-
 // WaitGroup waits for a collection of simulated activities to finish.
 type WaitGroup struct {
 	e    *Engine

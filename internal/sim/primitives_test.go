@@ -113,80 +113,6 @@ func TestQueueCloseWakesBlockedReceivers(t *testing.T) {
 	})
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	e := NewEngine(1)
-	var maxInside, inside int
-	e.Run("root", func(p *Proc) {
-		s := NewSemaphore(e, 2)
-		wg := NewWaitGroup(e)
-		for i := 0; i < 6; i++ {
-			wg.Add(1)
-			p.Spawn("w", func(p *Proc) {
-				s.Acquire(p, 1)
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				p.Sleep(time.Second)
-				inside--
-				s.Release(1)
-				wg.Done()
-			})
-		}
-		wg.Wait(p)
-	})
-	if maxInside != 2 {
-		t.Fatalf("max concurrent holders = %d, want 2", maxInside)
-	}
-	// 6 workers, 2 at a time, 1s each => 3s.
-	if got := e.Now(); got != 3*time.Second {
-		t.Fatalf("total time = %v, want 3s", got)
-	}
-}
-
-func TestSemaphoreFIFOOrdering(t *testing.T) {
-	e := NewEngine(1)
-	var order []int
-	e.Run("root", func(p *Proc) {
-		s := NewSemaphore(e, 0)
-		wg := NewWaitGroup(e)
-		for i := 0; i < 5; i++ {
-			i := i
-			wg.Add(1)
-			p.Spawn("w", func(p *Proc) {
-				s.Acquire(p, 1)
-				order = append(order, i)
-				wg.Done()
-			})
-		}
-		p.Sleep(time.Millisecond)
-		s.Release(5)
-		wg.Wait(p)
-	})
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("wakeup order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEngine(1)
-	e.Run("root", func(p *Proc) {
-		s := NewSemaphore(e, 1)
-		if !s.TryAcquire(1) {
-			t.Fatal("TryAcquire(1) with 1 available failed")
-		}
-		if s.TryAcquire(1) {
-			t.Fatal("TryAcquire(1) with 0 available succeeded")
-		}
-		s.Release(1)
-		if got := s.Available(); got != 1 {
-			t.Fatalf("Available = %d, want 1", got)
-		}
-	})
-}
-
 func TestCondWaitTimeout(t *testing.T) {
 	e := NewEngine(1)
 	e.Run("root", func(p *Proc) {
@@ -329,36 +255,6 @@ func TestQueueDeliveryProperty(t *testing.T) {
 	}
 }
 
-// Property: semaphore permit accounting never goes negative and all waiters
-// eventually complete for any workload shape.
-func TestSemaphoreAccountingProperty(t *testing.T) {
-	f := func(nWorkers uint8, permits uint8, seed int64) bool {
-		w := int(nWorkers%20) + 1
-		n := int(permits%4) + 1
-		e := NewEngine(seed)
-		completed := 0
-		e.Run("root", func(p *Proc) {
-			s := NewSemaphore(e, n)
-			wg := NewWaitGroup(e)
-			for i := 0; i < w; i++ {
-				wg.Add(1)
-				p.Spawn("w", func(p *Proc) {
-					s.Acquire(p, 1)
-					p.Sleep(time.Duration(p.Rand().Intn(1000)) * time.Microsecond)
-					s.Release(1)
-					completed++
-					wg.Done()
-				})
-			}
-			wg.Wait(p)
-		})
-		return completed == w
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Determinism: two runs of an identical randomized workload produce an
 // identical event trace.
 func TestDeterministicTraceProperty(t *testing.T) {
@@ -370,16 +266,18 @@ func TestDeterministicTraceProperty(t *testing.T) {
 		})
 		e.Run("root", func(p *Proc) {
 			q := NewQueue[int](e)
-			s := NewSemaphore(e, 2)
+			slots := NewQueue[struct{}](e) // two workers inside at a time
+			slots.Send(struct{}{})
+			slots.Send(struct{}{})
 			wg := NewWaitGroup(e)
 			for i := 0; i < 8; i++ {
 				wg.Add(1)
 				p.Spawn("w", func(p *Proc) {
 					defer wg.Done()
-					s.Acquire(p, 1)
+					slots.Recv(p)
 					p.Sleep(time.Duration(p.Rand().Intn(5000)) * time.Microsecond)
 					q.Send(1)
-					s.Release(1)
+					slots.Send(struct{}{})
 				})
 			}
 			wg.Wait(p)
