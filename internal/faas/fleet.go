@@ -443,48 +443,64 @@ type PlacementConfig struct {
 }
 
 // NewPlacementController builds the reconciler that binds Pending sessions
-// to healthy GPU servers. It reads and writes ONLY the store: machine state
-// arrives via the agents' published status, never from the monitors. The
-// reconcile performs two writes — the session's Placed status, then the
+// to healthy GPU servers. It decides from the controller's watch-fed cache of
+// the store alone: machine state arrives via the agents' published status,
+// never from the monitors, and the store itself is touched only to write.
+// The reconcile performs two writes — the session's Placed status, then the
 // chosen server's reservation bookkeeping — and the control plane stays
-// correct if it dies between them: the reservation is a load-smoothing hint,
-// recomputed from the authoritative session list on every pass.
+// correct if it dies between them: the reservation is a load-smoothing hint;
+// the load that placement acts on is derived from the sessions themselves.
 func NewPlacementController(st store.Interface, cfg PlacementConfig) *controller.Controller {
 	if cfg.Resync <= 0 {
 		cfg.Resync = 100 * time.Millisecond
 	}
+	load := make(serverLoad)
 	return controller.New(controller.Options{
 		Name:     "placement",
 		Store:    st,
 		Kinds:    []store.Kind{store.KindSession},
+		Observe:  []store.Kind{store.KindGPUServer, store.KindTensorHandle},
+		OnChange: load.track,
 		Resync:   cfg.Resync,
 		Registry: cfg.Registry,
-	}, controller.Func(func(p *sim.Proc, key controller.Key) error {
-		return reconcilePlacement(p, st, key)
+	}, controller.Func(func(p *sim.Proc, c *controller.Cache, key controller.Key) error {
+		return reconcilePlacement(p, c, load, key)
 	}))
+}
+
+// serverLoad counts, per GPU server, the sessions bound to it and not yet
+// terminal — the authoritative load, so a lost reservation hint cannot skew
+// routing. It is kept current as the cache changes (every session event, and
+// the controller's own binds as they are folded back), so placing a session
+// never iterates the Session keyspace.
+type serverLoad map[string]int
+
+// track is the placement cache's OnChange hook.
+func (l serverLoad) track(old, cur store.Resource) {
+	if s, ok := old.(*store.Session); ok && s.Status.Server != "" && !s.Terminal() {
+		l[s.Status.Server]--
+	}
+	if s, ok := cur.(*store.Session); ok && s.Status.Server != "" && !s.Terminal() {
+		l[s.Status.Server]++
+	}
 }
 
 // reconcilePlacement places one Pending session. The attempt budget is the
 // executor's alone (FleetConfig.MaxAttempts): endAttempt is the only writer
 // of Pending and turns a session Failed instead once the budget is spent, so
-// every Pending session seen here still has an attempt left.
-func reconcilePlacement(p *sim.Proc, st store.Interface, key controller.Key) error {
-	cur, err := st.Get(p, key.Kind, key.Name)
-	if err != nil {
-		if store.IsNotFound(err) {
-			return nil
-		}
-		return err
+// every Pending session seen here still has an attempt left. A cached view
+// that lags the store (already bound by a predecessor, or bounced again by
+// the executor) fails the bind with a conflict and the key is retried.
+func reconcilePlacement(p *sim.Proc, c *controller.Cache, load serverLoad, key controller.Key) error {
+	sess, _ := c.Get(key.Kind, key.Name).(*store.Session)
+	if sess == nil {
+		return nil
 	}
-	sess := cur.(*store.Session)
 	if sess.Status.Phase != "" && sess.Status.Phase != store.PhasePending {
 		return nil
 	}
 
-	target, err := pickServer(p, st, sess)
-	if err != nil {
-		return err
-	}
+	target := pickServer(c, load, sess)
 	if target == nil {
 		return fmt.Errorf("no healthy GPU server fits session %s (%d bytes)", key.Name, sess.Spec.MemBytes)
 	}
@@ -497,102 +513,69 @@ func reconcilePlacement(p *sim.Proc, st store.Interface, key controller.Key) err
 	up.Status.Attempts++
 	up.Status.PlacedAt = p.Now()
 	up.Status.Reason = ""
-	if _, err := st.UpdateStatus(p, up); err != nil {
+	if _, err := c.UpdateStatus(p, up); err != nil {
 		return err
 	}
 
 	// Write 2: reservation bookkeeping on the machine. A crash between the
-	// two writes loses only this hint; the next reconcile pass recomputes it
-	// from the session list.
+	// two writes, or a view the agent's heartbeat has overtaken, loses only
+	// this hint.
 	gup := target.DeepCopy().(*store.GPUServer)
 	gup.Status.ReservedSessions++
 	gup.Status.ReservedMem += sess.Spec.MemBytes
-	if _, err := st.UpdateStatus(p, gup); err != nil && !store.IsConflict(err) {
+	if _, err := c.UpdateStatus(p, gup); err != nil && !store.IsConflict(err) {
 		return err
 	}
 	return nil
 }
 
-// pickServer chooses the machine for a session using only stored state. A
+// pickServer chooses the machine for a session using only cached state. A
 // session consuming a data-plane tensor (Spec.InputTensor) is bound to the
 // server holding it whenever that server is healthy and fits — landing the
 // consumer next to its input turns the handoff into a same-server zero-copy
 // import instead of a fabric peer copy. Otherwise the least-loaded healthy
-// machine that fits the memory demand wins; load is derived from the
-// authoritative session list (bound, non-terminal sessions per server), so a
-// lost reservation hint cannot skew routing.
-func pickServer(p *sim.Proc, st store.Interface, sess *store.Session) (*store.GPUServer, error) {
+// machine that fits the memory demand wins, first in name order among equals.
+func pickServer(c *controller.Cache, load serverLoad, sess *store.Session) *store.GPUServer {
 	if sess.Spec.InputTensor != "" {
-		if gs, err := tensorAffinityServer(p, st, sess); err != nil {
-			return nil, err
-		} else if gs != nil {
-			return gs, nil
+		if gs := tensorAffinityServer(c, sess); gs != nil {
+			return gs
 		}
 		// Tensor gone, consumed, or its server unusable: fall through to the
 		// normal scan — the consumer will bounce or peer-copy instead.
 	}
-	servers, _, err := st.List(p, store.KindGPUServer)
-	if err != nil {
-		return nil, err
-	}
-	sessions, _, err := st.List(p, store.KindSession)
-	if err != nil {
-		return nil, err
-	}
-	load := make(map[string]int)
-	for _, r := range sessions {
-		s := r.(*store.Session)
-		if s.Status.Server != "" && !s.Terminal() {
-			load[s.Status.Server]++
-		}
-	}
 	var best *store.GPUServer
 	bestLoad := 0
-	for _, r := range servers {
-		gs := r.(*store.GPUServer)
-		if !gs.Status.Healthy || gs.Spec.Unschedulable || gs.Status.Capacity == 0 {
+	for _, name := range c.Names(store.KindGPUServer) {
+		gs := c.Get(store.KindGPUServer, name).(*store.GPUServer)
+		if !canHost(gs, sess) {
 			continue
 		}
-		if sess.Spec.MemBytes > gs.Spec.MemBytesPerGPU {
-			continue
-		}
-		if l := load[gs.Meta().Name]; best == nil || l < bestLoad {
+		if l := load[name]; best == nil || l < bestLoad {
 			best, bestLoad = gs, l
 		}
 	}
-	return best, nil
+	return best
 }
 
 // tensorAffinityServer resolves the session's InputTensor to the GPU server
 // holding the live export, if that server can take the session. Returns nil
-// (no error) when the handle or server is unusable.
-func tensorAffinityServer(p *sim.Proc, st store.Interface, sess *store.Session) (*store.GPUServer, error) {
-	r, err := st.Get(p, store.KindTensorHandle, sess.Spec.InputTensor)
-	if err != nil {
-		if store.IsNotFound(err) {
-			return nil, nil
-		}
-		return nil, err
+// when the handle or server is unusable.
+func tensorAffinityServer(c *controller.Cache, sess *store.Session) *store.GPUServer {
+	th, _ := c.Get(store.KindTensorHandle, sess.Spec.InputTensor).(*store.TensorHandle)
+	if th == nil || (th.Status.Phase != "" && th.Status.Phase != store.TensorLive) {
+		return nil
 	}
-	th := r.(*store.TensorHandle)
-	if th.Status.Phase != "" && th.Status.Phase != store.TensorLive {
-		return nil, nil
+	gs, _ := c.Get(store.KindGPUServer, th.Spec.Server).(*store.GPUServer)
+	if gs == nil || !canHost(gs, sess) {
+		return nil
 	}
-	sr, err := st.Get(p, store.KindGPUServer, th.Spec.Server)
-	if err != nil {
-		if store.IsNotFound(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	gs := sr.(*store.GPUServer)
-	if !gs.Status.Healthy || gs.Spec.Unschedulable || gs.Status.Capacity == 0 {
-		return nil, nil
-	}
-	if sess.Spec.MemBytes > gs.Spec.MemBytesPerGPU {
-		return nil, nil
-	}
-	return gs, nil
+	return gs
+}
+
+// canHost reports whether a server is schedulable and fits the session.
+func canHost(gs *store.GPUServer, sess *store.Session) bool {
+	return gs.Status.Healthy && !gs.Spec.Unschedulable && gs.Status.Capacity != 0 &&
+		sess.Spec.MemBytes <= gs.Spec.MemBytesPerGPU
 }
 
 // --- reclaim controller ---
@@ -622,7 +605,7 @@ func NewReclaimController(st store.Interface, cfg ReclaimConfig) *controller.Con
 		Kinds:    []store.Kind{store.KindGPUServer, store.KindStagedModel},
 		Resync:   cfg.Resync,
 		Registry: cfg.Registry,
-	}, controller.Func(func(p *sim.Proc, key controller.Key) error {
+	}, controller.Func(func(p *sim.Proc, c *controller.Cache, key controller.Key) error {
 		server := key.Name
 		if key.Kind == store.KindStagedModel {
 			// StagedModel names are "<server>/<object>".
@@ -632,35 +615,33 @@ func NewReclaimController(st store.Interface, cfg ReclaimConfig) *controller.Con
 				return nil
 			}
 		}
-		return reconcileReclaim(p, st, server)
+		return reconcileReclaim(p, c, server)
 	}))
 }
 
 // reconcileReclaim trims one server's staged set under its budget.
-func reconcileReclaim(p *sim.Proc, st store.Interface, server string) error {
-	cur, err := st.Get(p, store.KindGPUServer, server)
-	if err != nil {
-		if store.IsNotFound(err) {
-			return nil
-		}
-		return err
-	}
-	budget := cur.(*store.GPUServer).Spec.StageBudget
-	if budget <= 0 {
+func reconcileReclaim(p *sim.Proc, c *controller.Cache, server string) error {
+	gs, _ := c.Get(store.KindGPUServer, server).(*store.GPUServer)
+	if gs == nil || gs.Spec.StageBudget <= 0 {
 		return nil
 	}
-	rs, _, err := st.List(p, store.KindStagedModel)
-	if err != nil {
-		return err
-	}
-	var staged []*store.StagedModel
+	// The server's models are the names under its prefix, adjacent in the
+	// cache's sorted order.
+	names := c.Names(store.KindStagedModel)
+	prefix := store.StagedModelName(server, "")
+	names = names[sort.SearchStrings(names, prefix):]
 	var sum int64
-	for _, r := range rs {
-		sm := r.(*store.StagedModel)
-		if sm.Spec.Server == server {
-			staged = append(staged, sm)
-			sum += sm.Spec.Bytes
-		}
+	n := 0
+	for n < len(names) && strings.HasPrefix(names[n], prefix) {
+		sum += c.Get(store.KindStagedModel, names[n]).(*store.StagedModel).Spec.Bytes
+		n++
+	}
+	if sum <= gs.Spec.StageBudget {
+		return nil
+	}
+	staged := make([]*store.StagedModel, n)
+	for i, name := range names[:n] {
+		staged[i] = c.Get(store.KindStagedModel, name).(*store.StagedModel)
 	}
 	// Oldest first: ascending recency sequence, name as deterministic tie-break.
 	sort.Slice(staged, func(i, j int) bool {
@@ -670,10 +651,10 @@ func reconcileReclaim(p *sim.Proc, st store.Interface, server string) error {
 		return staged[i].Meta().Name < staged[j].Meta().Name
 	})
 	for _, sm := range staged {
-		if sum <= budget {
+		if sum <= gs.Spec.StageBudget {
 			break
 		}
-		err := st.Delete(p, store.KindStagedModel, sm.Meta().Name, 0)
+		err := c.Delete(p, store.KindStagedModel, sm.Meta().Name, 0)
 		if err != nil && !store.IsNotFound(err) {
 			return err
 		}

@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -142,8 +143,9 @@ func TestFleetRoutesAroundDeadServer(t *testing.T) {
 // TestFleetControllerCrashConvergence is the fault-plan test: the placement
 // controller is killed between its session-status write and the machine
 // reservation status update (a store fuse blows mid-reconcile), a
-// replacement takes over, and every session still completes — zero lost —
-// across seeds 1, 2, 3, 7.
+// replacement takes over — its cache rebuilt from its own initial list, the
+// dead replica's dying with it — and every session still completes — zero
+// lost — across seeds 1, 2, 3, 7.
 func TestFleetControllerCrashConvergence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 7} {
 		seed := seed
@@ -282,4 +284,121 @@ func TestFleetReclaimEnforcesStageBudget(t *testing.T) {
 			t.Error("newest entry m4 was evicted; reclaim should take oldest first")
 		}
 	})
+}
+
+// countingStore counts the calls a component makes on its store handle:
+// the reads by kind of cost (Gets, and objects returned by Lists) and every
+// call of any sort.
+type countingStore struct {
+	store.Interface
+	gets, listed, calls int
+}
+
+func (s *countingStore) Get(p *sim.Proc, kind store.Kind, name string) (store.Resource, error) {
+	s.gets++
+	s.calls++
+	return s.Interface.Get(p, kind, name)
+}
+
+func (s *countingStore) List(p *sim.Proc, kind store.Kind) ([]store.Resource, uint64, error) {
+	rs, rv, err := s.Interface.List(p, kind)
+	s.listed += len(rs)
+	s.calls++
+	return rs, rv, err
+}
+
+func (s *countingStore) UpdateStatus(p *sim.Proc, r store.Resource) (store.Resource, error) {
+	s.calls++
+	return s.Interface.UpdateStatus(p, r)
+}
+
+func (s *countingStore) Watch(p *sim.Proc, kind store.Kind, fromRV uint64) (*store.Watch, error) {
+	s.calls++
+	return s.Interface.Watch(p, kind, fromRV)
+}
+
+// TestControlPlaneReadsFlatInN runs the fleet rig at N and at 4N invocations
+// with the placement controller behind a counting handle. What the
+// controller reads from the store per invocation, once it is up, must not
+// depend on how many sessions the store has accumulated; and with nothing
+// Pending, ten resync periods — each redelivering every session ever made —
+// must not touch the store at all.
+func TestControlPlaneReadsFlatInN(t *testing.T) {
+	readsPerInvocation := func(n int) float64 {
+		e := sim.NewEngine(5)
+		e.SetTimeLimit(10 * time.Minute)
+		st := store.New(e, nil)
+		handle := &countingStore{Interface: st}
+		var reads float64
+		e.Run("root", func(p *sim.Proc) {
+			rig := startFleet(t, e, p, st, handle, 3)
+			p.Spawn("placement", rig.ctrl.Run)
+			p.Sleep(time.Millisecond) // the controller's start-up lists
+			gets, listed := handle.gets, handle.listed
+			for i := 0; i < n; i++ {
+				rig.b.Submit(p, sleepFn("f", 1<<30, 10e6, 100*time.Millisecond))
+				p.Sleep(20 * time.Millisecond)
+			}
+			rig.b.Drain(p)
+			reads = float64(handle.gets-gets+handle.listed-listed) / float64(n)
+
+			idle := handle.calls
+			resyncs := rig.reg.Get("ctrl_placement_resyncs_total")
+			p.Sleep(10 * 25 * time.Millisecond)
+			if got := rig.reg.Get("ctrl_placement_resyncs_total") - resyncs; got < 10 {
+				t.Errorf("n=%d: %d resyncs in ten periods", n, got)
+			}
+			if handle.calls != idle {
+				t.Errorf("n=%d: %d store calls across ten idle resync periods, want 0", n, handle.calls-idle)
+			}
+			rig.ctrl.Stop()
+			if done := rig.reg.Get("fleet_sessions_done"); done != int64(n) {
+				t.Errorf("n=%d: %d sessions done", n, done)
+			}
+		})
+		return reads
+	}
+	small, large := readsPerInvocation(12), readsPerInvocation(48)
+	t.Logf("placement store reads per invocation: %.2f at N=12, %.2f at N=48", small, large)
+	if diff, max := math.Abs(large-small), math.Max(large, small); diff > 0.1*max {
+		t.Errorf("store reads per invocation are not flat in N: %.2f at N=12, %.2f at N=48", small, large)
+	}
+}
+
+// TestServerLoadTracksSessions checks the count placement decides by: a
+// session weighs on its server from bind to terminal phase, and a deleted
+// session stops weighing whatever phase it was in.
+func TestServerLoadTracksSessions(t *testing.T) {
+	sess := func(phase, server string) *store.Session {
+		s := &store.Session{}
+		s.Status.Phase, s.Status.Server = phase, server
+		return s
+	}
+	load := make(serverLoad)
+	pending := sess(store.PhasePending, "")
+	placed := sess(store.PhasePlaced, "a")
+	running := sess(store.PhaseRunning, "a")
+	done := sess(store.PhaseDone, "a")
+	other := sess(store.PhasePlaced, "a")
+	bounced := sess(store.PhasePending, "")
+	steps := []struct {
+		old, cur store.Resource
+		want     int
+	}{
+		{nil, pending, 0},
+		{pending, placed, 1},
+		{placed, running, 1},
+		{nil, other, 2},
+		{running, done, 1},
+		{other, nil, 0}, // Deleted while bound
+		{nil, placed, 1},
+		{placed, bounced, 0}, // executor handed it back
+		{nil, &store.GPUServer{}, 0},
+	}
+	for i, s := range steps {
+		load.track(s.old, s.cur)
+		if load["a"] != s.want {
+			t.Fatalf("step %d: load = %d, want %d", i, load["a"], s.want)
+		}
+	}
 }

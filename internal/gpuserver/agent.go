@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"dgsf/internal/modelcache"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 )
@@ -27,8 +26,13 @@ type Agent struct {
 	name string
 	cfg  AgentConfig
 
-	watch   *store.Watch
-	stopped bool
+	watch *store.Watch
+	// published is the agent's view of its own StagedModel objects in the
+	// store, by host-tier key name: seeded by the one List at start-up, then
+	// kept by the watch stream and the agent's own writes, so a sync tick
+	// diffs the host tier against it without listing the fleet's models.
+	published map[string]*store.StagedModel
+	stopped   bool
 }
 
 // AgentConfig parameterizes an Agent.
@@ -58,8 +62,10 @@ func (a *Agent) Run(p *sim.Proc) {
 	if err := a.register(p); err != nil {
 		return
 	}
-	// Watch staged-model evictions from the RV the registration observed.
-	_, rv, err := a.st.List(p, store.KindStagedModel)
+	// List-then-watch the staged models: the list seeds the published view
+	// (what a predecessor left behind, after an agent restart), the watch
+	// from its RV carries evictions and keeps the view current.
+	rv, err := a.relistStaged(p)
 	if err != nil {
 		return
 	}
@@ -70,7 +76,9 @@ func (a *Agent) Run(p *sim.Proc) {
 	a.watch = w
 	defer w.Stop()
 	for !a.stopped {
-		a.applyEvictions()
+		if err := a.applyEvents(p); err != nil {
+			return
+		}
 		if err := a.publishStatus(p); err != nil {
 			return
 		}
@@ -174,64 +182,100 @@ func (a *Agent) publishStatus(p *sim.Proc) error {
 	return nil
 }
 
-// applyEvictions drains pending StagedModel deletion events and evicts the
-// matching host-tier entries. Running this before syncStaged in the same
-// tick keeps the two from fighting: an evicted entry is gone from the LRU
-// before the diff would re-publish it.
-func (a *Agent) applyEvictions() {
-	c := a.gs.Cache()
-	if a.watch == nil || c == nil {
-		return
+// relistStaged replaces the published view with the store's current
+// StagedModel objects of this server and returns the list's RV. Whatever the
+// view held that the store no longer has was deleted unseen — after a watch
+// gap, by the reclaim controller for all the agent can tell — so it is
+// evicted like an observed deletion.
+func (a *Agent) relistStaged(p *sim.Proc) (uint64, error) {
+	rs, rv, err := a.st.List(p, store.KindStagedModel)
+	if err != nil {
+		return 0, err
 	}
+	was := a.published
+	a.published = make(map[string]*store.StagedModel)
+	for _, r := range rs {
+		if sm := r.(*store.StagedModel); sm.Spec.Server == a.name {
+			a.published[sm.Spec.Object] = sm
+		}
+	}
+	gone := make([]string, 0, len(was))
+	for object := range was {
+		if _, ok := a.published[object]; !ok {
+			gone = append(gone, object)
+		}
+	}
+	sort.Strings(gone)
+	for _, object := range gone {
+		a.evict(object)
+	}
+	return rv, nil
+}
+
+// applyEvents drains the pending StagedModel events of this server into the
+// published view and evicts the host-tier entry of every deleted object.
+// Running this before syncStaged in the same tick keeps the two from
+// fighting: an evicted entry is gone from the LRU before the diff would
+// re-publish it.
+func (a *Agent) applyEvents(p *sim.Proc) error {
 	for {
 		ev, ok := a.watch.Events.TryRecv()
 		if !ok {
-			return
+			return nil
 		}
-		if ev.Type != store.Deleted {
+		if ev.Type == store.Gap {
+			if _, err := a.relistStaged(p); err != nil {
+				return err
+			}
 			continue
 		}
 		sm, ok := ev.Object.(*store.StagedModel)
 		if !ok || sm.Spec.Server != a.name {
 			continue
 		}
-		for _, e := range c.Host().Entries() {
-			if e.Key.Name == sm.Spec.Object {
-				c.Host().Remove(e.Key)
-				break
+		cur := a.published[sm.Spec.Object]
+		if ev.Type != store.Deleted {
+			if cur == nil || cur.Meta().ResourceVersion < sm.Meta().ResourceVersion {
+				a.published[sm.Spec.Object] = sm
 			}
+			continue
+		}
+		if cur != nil && cur.Meta().ResourceVersion < ev.RV {
+			delete(a.published, sm.Spec.Object)
+		}
+		a.evict(sm.Spec.Object)
+	}
+}
+
+// evict removes the named object's host-tier entry, if resident.
+func (a *Agent) evict(object string) {
+	c := a.gs.Cache()
+	if c == nil {
+		return
+	}
+	for _, e := range c.Host().Entries() {
+		if e.Key.Name == object {
+			c.Host().Remove(e.Key)
+			return
 		}
 	}
 }
 
-// syncStaged diffs the host tier against the store's StagedModel objects for
-// this server: new entries are created, departed entries deleted, recency
-// changes pushed on the async lane (the reclaim controller deletes
-// lowest-sequence objects first).
+// syncStaged diffs the host tier against the published view: new entries are
+// created, departed entries deleted, recency changes pushed on the async lane
+// (the reclaim controller deletes lowest-sequence objects first; the view
+// takes the new sequence when the write's Modified event comes back).
 func (a *Agent) syncStaged(p *sim.Proc) error {
 	c := a.gs.Cache()
 	if c == nil {
 		return nil
 	}
-	rs, _, err := a.st.List(p, store.KindStagedModel)
-	if err != nil {
-		return err
-	}
-	stored := make(map[string]*store.StagedModel)
-	for _, r := range rs {
-		sm := r.(*store.StagedModel)
-		if sm.Spec.Server == a.name {
-			stored[sm.Spec.Object] = sm
-		}
-	}
 	entries := c.Host().Entries()
-	resident := make(map[string]modelcache.Entry, len(entries))
+	resident := make(map[string]bool, len(entries))
 	for _, e := range entries {
-		resident[e.Key.Name] = e
-	}
-	for _, e := range entries {
+		resident[e.Key.Name] = true
 		seq := c.Host().Seq(e.Key)
-		sm, ok := stored[e.Key.Name]
+		sm, ok := a.published[e.Key.Name]
 		if !ok {
 			obj := &store.StagedModel{}
 			obj.ObjectMeta.Name = store.StagedModelName(a.name, e.Key.Name)
@@ -239,31 +283,38 @@ func (a *Agent) syncStaged(p *sim.Proc) error {
 			obj.Spec.Object = e.Key.Name
 			obj.Spec.Bytes = e.Bytes
 			obj.Status.Seq = seq
-			if _, err := a.st.Create(p, obj); err != nil && !store.IsExists(err) {
+			stored, err := a.st.Create(p, obj)
+			if err != nil {
+				if store.IsExists(err) {
+					continue // its Added event is on the way
+				}
 				return err
 			}
+			a.published[e.Key.Name] = stored.(*store.StagedModel)
 			continue
 		}
 		if sm.Status.Seq != seq {
 			up := sm.DeepCopy().(*store.StagedModel)
 			up.Status.Seq = seq
-			if err := a.st.UpdateStatusAsync(p, up); err != nil {
+			// NotFound: deleted since the view last heard; its event is due.
+			if err := a.st.UpdateStatusAsync(p, up); err != nil && !store.IsNotFound(err) {
 				return err
 			}
 		}
 	}
-	departed := make([]string, 0, len(stored))
-	for name := range stored {
-		if _, ok := resident[name]; !ok {
-			departed = append(departed, name)
+	departed := make([]string, 0, len(a.published))
+	for object := range a.published {
+		if !resident[object] {
+			departed = append(departed, object)
 		}
 	}
 	sort.Strings(departed)
-	for _, name := range departed {
-		err := a.st.Delete(p, store.KindStagedModel, stored[name].Meta().Name, 0)
+	for _, object := range departed {
+		err := a.st.Delete(p, store.KindStagedModel, a.published[object].Meta().Name, 0)
 		if err != nil && !store.IsNotFound(err) {
 			return err
 		}
+		delete(a.published, object)
 	}
 	return nil
 }

@@ -95,7 +95,11 @@ func (a apiAdapter) StoreWatchPull(p *sim.Proc, kind string, fromRV uint64, max 
 	}
 	out := make([]storewire.Event, 0, len(evs))
 	for _, ev := range evs {
-		out = append(out, storewire.Event{Type: byte(ev.Type), RV: ev.RV, Obj: ToWire(ev.Object)})
+		wev := storewire.Event{Type: byte(ev.Type), RV: ev.RV}
+		if ev.Object != nil { // a Gap marker carries none
+			wev.Obj = ToWire(ev.Object)
+		}
+		out = append(out, wev)
 	}
 	return out, nextRV, nil
 }
@@ -231,8 +235,9 @@ func (r *Remote) Delete(p *sim.Proc, kind Kind, name string, rv uint64) error {
 }
 
 // Watch implements Interface by pumping long-poll pulls into a local event
-// queue. Transient transport errors retry after a short pause; Stop ends
-// the pump.
+// queue. Transient transport errors retry after a short pause; a connection
+// fault closes the queue, which is how the consumer learns its stream died;
+// Stop ends the pump.
 func (r *Remote) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
 	w := &Watch{Events: sim.NewQueue[Event](r.e), kind: kind}
 	w.stop = func() { w.Events.Close() }
@@ -251,11 +256,15 @@ func (r *Remote) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
 				continue
 			}
 			for _, wev := range evs {
-				res, err := FromWire(wev.Obj)
-				if err != nil {
-					continue
+				ev := Event{Type: EventType(wev.Type), RV: wev.RV}
+				if ev.Type != Gap {
+					res, err := FromWire(wev.Obj)
+					if err != nil {
+						continue
+					}
+					ev.Object = res
 				}
-				if !w.Events.TrySend(Event{Type: EventType(wev.Type), RV: wev.RV, Object: res}) {
+				if !w.Events.TrySend(ev) {
 					return
 				}
 			}

@@ -177,6 +177,28 @@ func TestRemoteWatchPumpsEvents(t *testing.T) {
 	})
 }
 
+// TestRemoteWatchReportsGap is the wire twin of
+// TestWatchFallsBackToRelistWhenLogTruncated: the long-poll carries the Gap
+// marker ahead of the synthesized state, and the stream goes on from there.
+func TestRemoteWatchReportsGap(t *testing.T) {
+	runRemote(t, 5, func(p *sim.Proc, r *Remote, conn remoting.AsyncCaller, s *Store) {
+		fromRV := truncateLogPastDelete(p, s)
+		w, err := r.Watch(p, KindSession, fromRV)
+		if err != nil {
+			t.Fatalf("Watch: %v", err)
+		}
+		checkGapThenKeep(t, s, w, p)
+		if _, err := s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "later"}}); err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		ev, ok := w.Events.Recv(p)
+		if !ok || ev.Type != Added || ev.Object.Meta().Name != "later" {
+			t.Fatalf("after the gap: got %+v ok=%v, want Added later", ev, ok)
+		}
+		w.Stop()
+	})
+}
+
 func TestRemoteWatchPumpExitsOnConnFault(t *testing.T) {
 	runRemote(t, 7, func(p *sim.Proc, r *Remote, conn remoting.AsyncCaller, s *Store) {
 		w, err := r.Watch(p, KindGPUServer, 0)

@@ -16,9 +16,11 @@
 //     expected to re-read and retry (optimistic concurrency).
 //   - Watch delivers an ordered stream of Added/Modified/Deleted events per
 //     kind. A watch from an old ResourceVersion replays from a bounded event
-//     log; if the log no longer reaches back that far the store synthesizes
-//     Added events for the current state instead — level-triggered consumers
-//     (reconcilers) are correct either way.
+//     log; if the log no longer reaches back that far the stream says so with
+//     a Gap event and then carries synthesized Added events for the current
+//     state. Deletions inside the gap are not reported: a consumer that keeps
+//     state per object must replace it on Gap (the controller cache re-lists
+//     the kind); a stateless level-triggered consumer may ignore the marker.
 //
 // The store is deterministic under internal/sim: iteration is over sorted
 // keys, watch delivery follows registration order, and no wall-clock or
@@ -99,6 +101,11 @@ const (
 	Added    = EventType(storewire.EventAdded)
 	Modified = EventType(storewire.EventModified)
 	Deleted  = EventType(storewire.EventDeleted)
+	// Gap marks a break in continuity: the replay log no longer reaches the
+	// consumer's position, so events were lost — deletions among them. It
+	// carries no Object; RV is the store version of the synthesized relist
+	// (Added events for current state) that follows it on the stream.
+	Gap = EventType(storewire.EventGap)
 )
 
 // String returns the event type name.
@@ -110,12 +117,14 @@ func (t EventType) String() string {
 		return "MODIFIED"
 	case Deleted:
 		return "DELETED"
+	case Gap:
+		return "GAP"
 	}
 	return "?"
 }
 
 // Event is one watch notification. Object is a private copy of the state
-// after the change; for Deleted it is the last stored state.
+// after the change; for Deleted it is the last stored state, for Gap nil.
 type Event struct {
 	Type   EventType
 	RV     uint64
@@ -424,10 +433,10 @@ func (w *Watch) Stop() {
 }
 
 // Watch registers an event stream for one kind. Events with RV > fromRV are
-// replayed first (from the bounded log, or as synthesized Added events for
-// the current state if the log has been truncated past fromRV), then live
-// events follow in write order. fromRV 0 with no prior writes yields a
-// stream of everything that ever happens to the kind.
+// replayed first (from the bounded log, or as a Gap marker plus synthesized
+// Added events for the current state if the log has been truncated past
+// fromRV), then live events follow in write order. fromRV 0 with no prior
+// writes yields a stream of everything that ever happens to the kind.
 func (s *Store) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
 	if s.keyspace(kind) == nil {
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
@@ -443,7 +452,13 @@ func (s *Store) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
 		s.watchGauge.Add(-1)
 		w.Events.Close()
 	}
-	for _, ev := range s.backlog(kind, fromRV) {
+	var backlog []Event
+	if fromRV < s.truncatedAtRV {
+		backlog = s.relist(kind)
+	} else {
+		backlog, _ = s.replay(kind, fromRV, 0)
+	}
+	for _, ev := range backlog {
 		s.watchSends.Inc()
 		w.Events.Send(ev)
 	}
@@ -452,29 +467,37 @@ func (s *Store) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
 	return w, nil
 }
 
-// backlog returns the events a new consumer at fromRV must see first:
-// a log replay when the log still reaches back to fromRV, else a
-// synthesized relist of current state.
-func (s *Store) backlog(kind Kind, fromRV uint64) []Event {
-	if fromRV >= s.truncatedAtRV {
-		var out []Event
-		for _, ev := range s.log {
-			if ev.RV > fromRV && ev.Object.Kind() == kind {
-				out = append(out, Event{Type: ev.Type, RV: ev.RV, Object: ev.Object.DeepCopy()})
-			}
+// replay returns private copies of the kind's logged events after fromRV,
+// at most max of them when max > 0; more reports that the log holds further
+// matching events beyond those returned. The log is ascending in RV, so the
+// start is found by binary search. Only valid while fromRV >= truncatedAtRV.
+func (s *Store) replay(kind Kind, fromRV uint64, max int) (out []Event, more bool) {
+	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].RV > fromRV })
+	for ; i < len(s.log); i++ {
+		ev := s.log[i]
+		if ev.Object.Kind() != kind {
+			continue
 		}
-		return out
+		if max > 0 && len(out) == max {
+			return out, true
+		}
+		out = append(out, Event{Type: ev.Type, RV: ev.RV, Object: ev.Object.DeepCopy()})
 	}
-	// The log no longer reaches back to fromRV: the consumer's position is
-	// unreliable, so synthesize the full current state (it may re-see
-	// objects it already knows; level-triggered consumers are idempotent).
+	return out, false
+}
+
+// relist is what a consumer whose position the log no longer reaches gets
+// instead of a replay: a Gap marker, then the full current state as Added
+// events in name order (it may re-see objects it already knows).
+func (s *Store) relist(kind Kind) []Event {
 	ks := s.keyspace(kind)
 	names := make([]string, 0, len(ks))
 	for name := range ks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var out []Event
+	out := make([]Event, 0, len(names)+1)
+	out = append(out, Event{Type: Gap, RV: s.rv})
 	for _, name := range names {
 		obj := ks[name]
 		out = append(out, Event{Type: Added, RV: obj.Meta().ResourceVersion, Object: obj.DeepCopy()})
@@ -494,18 +517,22 @@ func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait 
 	}
 	deadline := p.Now() + wait
 	for {
-		evs := s.backlog(kind, fromRV)
+		if fromRV < s.truncatedAtRV {
+			// A relist goes out whole — a trimmed one could never deliver
+			// its tail, the consumer's next position being past all of it.
+			return s.relist(kind), s.rv, nil
+		}
+		evs, more := s.replay(kind, fromRV, max)
+		if more {
+			// A trimmed replay resumes cleanly from the last delivered RV.
+			return evs, evs[len(evs)-1].RV, nil
+		}
 		if len(evs) > 0 {
-			// Trim to max only when replaying the log: a replay resumes
-			// cleanly from the last delivered RV. A synthesized relist
-			// (truncated log) must go out whole — a trimmed one could
-			// never deliver its tail.
-			if len(evs) > max && fromRV >= s.truncatedAtRV {
-				evs = evs[:max]
-				return evs, evs[len(evs)-1].RV, nil
-			}
 			return evs, s.rv, nil
 		}
+		// Nothing of this kind up to s.rv: the next wake-up scans only what
+		// was logged since.
+		fromRV = s.rv
 		remaining := deadline - p.Now()
 		if wait <= 0 || remaining <= 0 {
 			return nil, s.rv, nil

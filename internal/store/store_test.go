@@ -217,22 +217,63 @@ func TestWatchFromRVReplaysBacklog(t *testing.T) {
 	})
 }
 
+// truncateLogPastDelete leaves the store with Session "keep" live, Session
+// "gone" created and deleted, and the replay log overflowed so that neither
+// "gone"'s deletion nor anything older is replayable. It returns the RV just
+// after both creates: a consumer positioned there knows "gone" and has lost
+// its deletion.
+func truncateLogPastDelete(p *sim.Proc, s *Store) (fromRV uint64) {
+	_, _ = s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "keep"}})
+	_, _ = s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "gone"}})
+	fromRV = s.RV()
+	_ = s.Delete(p, KindSession, "gone", 0)
+	for i := 0; i < logWindow+10; i++ {
+		name := fmt.Sprintf("churn-%05d", i)
+		obj, _ := s.Create(p, &StagedModel{ObjectMeta: ObjectMeta{Name: name}})
+		_ = s.Delete(p, KindStagedModel, name, obj.Meta().ResourceVersion)
+	}
+	return fromRV
+}
+
+// checkGapThenKeep asserts the head of a stream opened at
+// truncateLogPastDelete's position: the Gap marker first — the only thing
+// that tells the consumer "gone" may be gone — then current state, which is
+// "keep" alone.
+func checkGapThenKeep(t *testing.T, s *Store, w *Watch, p *sim.Proc) {
+	t.Helper()
+	ev, ok := w.Events.Recv(p)
+	if !ok || ev.Type != Gap || ev.Object != nil || ev.RV != s.RV() {
+		t.Fatalf("first event after a truncated log: got %+v ok=%v, want Gap at RV %d", ev, ok, s.RV())
+	}
+	ev, ok = w.Events.Recv(p)
+	if !ok || ev.Type != Added || ev.Object.Meta().Name != "keep" {
+		t.Fatalf("relist fallback: got %+v ok=%v, want Added keep", ev, ok)
+	}
+}
+
 func TestWatchFallsBackToRelistWhenLogTruncated(t *testing.T) {
 	run(t, func(p *sim.Proc, s *Store) {
-		_, _ = s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "keep"}})
-		// Overflow the replay log so RV 1 is no longer reachable.
-		for i := 0; i < logWindow+10; i++ {
-			name := fmt.Sprintf("churn-%05d", i)
-			obj, _ := s.Create(p, &StagedModel{ObjectMeta: ObjectMeta{Name: name}})
-			_ = s.Delete(p, KindStagedModel, name, obj.Meta().ResourceVersion)
-		}
-		w, err := s.Watch(p, KindSession, 1)
+		fromRV := truncateLogPastDelete(p, s)
+		w, err := s.Watch(p, KindSession, fromRV)
 		if err != nil {
 			t.Fatalf("watch: %v", err)
 		}
-		ev, ok := w.Events.Recv(p)
-		if !ok || ev.Type != Added || ev.Object.Meta().Name != "keep" {
-			t.Fatalf("relist fallback: got %+v ok=%v", ev, ok)
+		checkGapThenKeep(t, s, w, p)
+		// The deletion inside the gap is never reported as an event.
+		if ev, ok := w.Events.TryRecv(); ok {
+			t.Fatalf("unexpected event after the relist: %+v", ev)
+		}
+		w.Stop()
+
+		// A position the log still reaches replays without a marker.
+		w, err = s.Watch(p, KindStagedModel, s.RV()-2)
+		if err != nil {
+			t.Fatalf("watch: %v", err)
+		}
+		for _, want := range []EventType{Added, Deleted} {
+			if ev, ok := w.Events.TryRecv(); !ok || ev.Type != want {
+				t.Fatalf("replay: got %+v ok=%v, want %v", ev, ok, want)
+			}
 		}
 		w.Stop()
 	})
@@ -287,6 +328,127 @@ func TestPullEventsLongPoll(t *testing.T) {
 			t.Errorf("empty poll: evs=%v err=%v", evs, err)
 		}
 	})
+}
+
+// linearPull is the reference PullEvents answers are compared against: the
+// scan of the whole log the store used before replay binary-searched it.
+func linearPull(s *Store, kind Kind, fromRV uint64, max int) (evs []Event, next uint64) {
+	if fromRV < s.truncatedAtRV {
+		return s.relist(kind), s.rv
+	}
+	for _, ev := range s.log {
+		if ev.RV > fromRV && ev.Object.Kind() == kind {
+			evs = append(evs, ev)
+		}
+	}
+	if len(evs) > max {
+		evs = evs[:max]
+		return evs, evs[len(evs)-1].RV
+	}
+	return evs, s.rv
+}
+
+// TestPullEventsMatchesLinearScan drives a randomized write history over
+// three kinds — short enough to keep the whole log, and long enough to
+// truncate it — and checks every (kind, position, max) pull against the
+// linear reference: same events, same next position, trimming and the
+// truncated fallback included.
+func TestPullEventsMatchesLinearScan(t *testing.T) {
+	kinds := []Kind{KindSession, KindStagedModel, KindGPUServer}
+	for _, writes := range []int{300, logWindow + 700} {
+		run(t, func(p *sim.Proc, s *Store) {
+			rng := p.Rand()
+			for i := 0; i < writes; i++ {
+				kind := kinds[rng.Intn(len(kinds))]
+				name := fmt.Sprintf("o%d", rng.Intn(12))
+				cur, err := s.Get(p, kind, name)
+				switch {
+				case IsNotFound(err):
+					obj, _ := NewOfKind(kind)
+					obj.Meta().Name = name
+					_, _ = s.Create(p, obj)
+				case rng.Intn(4) == 0:
+					_ = s.Delete(p, kind, name, 0)
+				default:
+					_, _ = s.UpdateStatus(p, cur)
+				}
+			}
+			positions := []uint64{0, s.truncatedAtRV, s.rv - 1, s.rv}
+			if s.truncatedAtRV > 0 {
+				positions = append(positions, s.truncatedAtRV-1)
+			}
+			for i := 0; i < 40; i++ {
+				positions = append(positions, uint64(rng.Int63n(int64(s.rv)+1)))
+			}
+			for _, kind := range kinds {
+				for _, from := range positions {
+					for _, max := range []int{1, 7, 256} {
+						want, wantNext := linearPull(s, kind, from, max)
+						got, gotNext, err := s.PullEvents(p, kind, from, max, 0)
+						if err != nil {
+							t.Fatalf("pull: %v", err)
+						}
+						if gotNext != wantNext || len(got) != len(want) {
+							t.Fatalf("%s from %d max %d (log from %d, %d writes): got %d events next %d, want %d next %d",
+								kind, from, max, s.truncatedAtRV, writes, len(got), gotNext, len(want), wantNext)
+						}
+						for j := range got {
+							g, w := got[j], want[j]
+							if g.Type != w.Type || g.RV != w.RV ||
+								(g.Object == nil) != (w.Object == nil) ||
+								(g.Object != nil && g.Object.Meta().Name != w.Object.Meta().Name) {
+								t.Fatalf("%s from %d max %d: event %d is %+v, want %+v", kind, from, max, j, g, w)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPullEventsBlockedAcrossForeignWrites parks a long-poll on one kind
+// while another kind is written. Every wake-up resumes scanning where the
+// last one stopped, so the poll returns exactly the one event of its kind —
+// even when the log rolls over its original position meanwhile, because it
+// has seen everything that was dropped. Only writes that roll the log over
+// between two wake-ups cost it continuity, and then it says so.
+func TestPullEventsBlockedAcrossForeignWrites(t *testing.T) {
+	for _, tc := range []struct {
+		foreign, perWake int
+		wantGap          bool
+	}{
+		{foreign: 50, perWake: 1},
+		{foreign: logWindow + 50, perWake: 100},
+		{foreign: logWindow + 50, perWake: logWindow + 50, wantGap: true},
+	} {
+		e := sim.NewEngine(3)
+		s := New(e, nil)
+		e.Run("poller", func(p *sim.Proc) {
+			p.Spawn("writer", func(p *sim.Proc) {
+				for i := 0; i < tc.foreign; i++ {
+					if i%tc.perWake == 0 {
+						p.Sleep(time.Millisecond)
+					}
+					_, _ = s.Create(p, &StagedModel{ObjectMeta: ObjectMeta{Name: fmt.Sprintf("m%05d", i)}})
+				}
+				p.Sleep(time.Millisecond)
+				_, _ = s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "late"}})
+			})
+			evs, nextRV, err := s.PullEvents(p, KindSession, 0, 16, time.Second)
+			if err != nil || nextRV != s.RV() {
+				t.Fatalf("pull: err=%v nextRV=%d, store at %d", err, nextRV, s.RV())
+			}
+			switch {
+			case tc.wantGap:
+				if len(evs) != 1 || evs[0].Type != Gap {
+					t.Errorf("%+v: got %+v, want the Gap marker over an empty kind", tc, evs)
+				}
+			case len(evs) != 1 || evs[0].Type != Added || evs[0].Object.Meta().Name != "late":
+				t.Errorf("%+v: got %+v, want Added late", tc, evs)
+			}
+		})
+	}
 }
 
 func TestStoreMetrics(t *testing.T) {

@@ -159,6 +159,10 @@ const (
 	EventAdded    = byte(1)
 	EventModified = byte(2)
 	EventDeleted  = byte(3)
+	// EventGap reports that the stream lost continuity before this point.
+	// Its Obj is empty; a client that predates it fails to decode that and
+	// skips the event, which is the old (silent) behaviour.
+	EventGap = byte(4)
 )
 
 // Event is one watch notification: the object state after the change (for
