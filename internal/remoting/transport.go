@@ -214,6 +214,11 @@ type simConn struct {
 	// Break/Close fail every outstanding call by closing them all — a
 	// slice, not a map, so the wake order stays deterministic.
 	inflight []*sim.Queue[Response]
+	// idleReply is the reply queue of the last round trip that ran to
+	// completion, kept for the next one: a connection used by one process
+	// at a time allocates its reply queue once. It is empty and open — a
+	// queue that was failed, or whose reply was never taken, is not kept.
+	idleReply *sim.Queue[Response]
 
 	// Protocol version state. maxVer is what this side is willing to speak;
 	// ver is what the hello negotiated (v1 until it runs). The hello fires
@@ -469,18 +474,28 @@ func (c *simConn) Submit(p *sim.Proc, req []byte, reqData int64) error {
 	return nil
 }
 
-// callQueue opens the per-call reply queue of one round trip.
+// callQueue opens the per-call reply queue of one round trip: the idle one
+// if no other round trip holds it, a fresh one otherwise.
 func (c *simConn) callQueue() *sim.Queue[Response] {
-	q := sim.NewQueue[Response](c.e)
+	q := c.idleReply
+	c.idleReply = nil
+	if q == nil {
+		q = sim.NewQueue[Response](c.e)
+	}
 	c.inflight = append(c.inflight, q)
 	return q
 }
 
-// callDone retires a round trip's reply queue.
+// callDone retires a round trip's reply queue. A queue still in flight was
+// not closed by failInflight, and its one reply has been received (a wait
+// that ends any other way breaks the connection first), so it is empty and
+// can serve the next call; a failed queue is dropped, so a reply that arrives
+// after a timeout lands in a queue no later call will ever read.
 func (c *simConn) callDone(q *sim.Queue[Response]) {
 	for i, cand := range c.inflight {
 		if cand == q {
 			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
+			c.idleReply = q
 			return
 		}
 	}

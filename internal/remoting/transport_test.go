@@ -568,3 +568,134 @@ func TestConnFaultClassification(t *testing.T) {
 		t.Error("IsConnFault claims unrelated errors")
 	}
 }
+
+// echoServer replies to every request with its own payload after delay and
+// records the reply queue each request named.
+func echoServer(p *sim.Proc, l *Listener, delay time.Duration, seen *[]*sim.Queue[Response]) {
+	p.SpawnDaemon("server", func(p *sim.Proc) {
+		for {
+			req, ok := l.Incoming.Recv(p)
+			if !ok {
+				return
+			}
+			*seen = append(*seen, req.ReplyTo)
+			p.Spawn("reply", func(p *sim.Proc) {
+				p.Sleep(delay)
+				req.ReplyTo.TrySend(Response{Payload: req.Payload})
+			})
+		}
+	})
+}
+
+// TestSimReplyQueueReuse: a connection used by one process at a time names
+// the same reply queue on every call, so a steady-state round trip through
+// the simulated transport allocates nothing beyond what the server does (here
+// a process per reply); an exchange that overlaps another gets a queue of its
+// own, and each caller still receives its own reply.
+func TestSimReplyQueueReuse(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		l := NewListener(e)
+		var seen []*sim.Queue[Response]
+		echoServer(p, l, time.Millisecond, &seen)
+		conn := DialVersion(e, l, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1)
+		for i := 0; i < 3; i++ {
+			if resp, err := conn.Roundtrip(p, []byte{byte(i)}, 0); err != nil || resp[0] != byte(i) {
+				t.Fatalf("call %d = %v, %v", i, resp, err)
+			}
+		}
+		if seen[0] != seen[1] || seen[1] != seen[2] {
+			t.Fatalf("sequential calls named reply queues %p %p %p, want one reused queue", seen[0], seen[1], seen[2])
+		}
+		inline := NewListener(e)
+		p.SpawnDaemon("inline-echo", func(p *sim.Proc) {
+			for {
+				req, ok := inline.Incoming.Recv(p)
+				if !ok {
+					return
+				}
+				req.ReplyTo.Send(Response{Payload: req.Payload})
+			}
+		})
+		quiet := DialVersion(e, inline, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1)
+		msg := []byte("ping")
+		if allocs := testing.AllocsPerRun(100, func() { quiet.Roundtrip(p, msg, 0) }); allocs != 0 {
+			t.Errorf("steady-state simulated round trip: %v allocs, want 0", allocs)
+		}
+
+		// A long call and a short one overlap on the same connection.
+		seen = seen[:0]
+		done := sim.NewQueue[byte](e)
+		p.Spawn("overlap", func(p *sim.Proc) {
+			resp, err := conn.Roundtrip(p, []byte{'b'}, 0)
+			if err != nil {
+				t.Errorf("overlapping call: %v", err)
+			}
+			done.Send(resp[0])
+		})
+		resp, err := conn.Roundtrip(p, []byte{'a'}, 0)
+		if err != nil || resp[0] != 'a' {
+			t.Fatalf("first of two overlapping calls = %q, %v", resp, err)
+		}
+		if b, _ := done.Recv(p); b != 'b' {
+			t.Fatalf("second of two overlapping calls got %q", b)
+		}
+		if len(seen) != 2 || seen[0] == seen[1] {
+			t.Fatalf("overlapping calls shared a reply queue: %v", seen)
+		}
+	})
+}
+
+// TestSimLateReplyNeverMatchesLaterCall: a call that times out on a reused
+// reply queue closes and drops it, so the reply that arrives afterwards is
+// refused and no later call — there can be none on the broken connection,
+// but a redial is a fresh conn with a fresh queue — can ever read it.
+func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		l := NewListener(e)
+		late := sim.NewQueue[bool](e)
+		p.SpawnDaemon("server", func(p *sim.Proc) {
+			for n := 0; ; n++ {
+				req, ok := l.Incoming.Recv(p)
+				if !ok {
+					return
+				}
+				if n == 1 { // the second call's reply misses its deadline
+					p.Sleep(time.Second)
+					late.Send(req.ReplyTo.TrySend(Response{Payload: []byte("late")}))
+					continue
+				}
+				req.ReplyTo.Send(Response{Payload: req.Payload})
+			}
+		})
+		conn := DialVersion(e, l, NetProfile{}, ProtoV1).(*simConn)
+		if _, err := conn.RoundtripTimeout(p, []byte("one"), 0, time.Millisecond); err != nil {
+			t.Fatalf("first call: %v", err)
+		}
+		reused := conn.idleReply
+		if reused == nil {
+			t.Fatal("a completed call left no idle reply queue")
+		}
+		if _, err := conn.RoundtripTimeout(p, []byte("two"), 0, time.Millisecond); !errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("second call = %v, want ErrCallTimeout", err)
+		}
+		if conn.idleReply != nil || !reused.Closed() {
+			t.Fatalf("timed-out reply queue kept for reuse (idle=%p closed=%v)", conn.idleReply, reused.Closed())
+		}
+		if delivered, _ := late.Recv(p); delivered {
+			t.Fatal("late reply was accepted by a reply queue")
+		}
+		if _, err := conn.Roundtrip(p, []byte("three"), 0); !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("call after timeout = %v, want ErrConnClosed", err)
+		}
+		redial := DialVersion(e, l, NetProfile{}, ProtoV1).(*simConn)
+		resp, err := redial.Roundtrip(p, []byte("four"), 0)
+		if err != nil || string(resp) != "four" {
+			t.Fatalf("call on the redialed conn = %q, %v", resp, err)
+		}
+		if redial.idleReply == reused {
+			t.Fatal("redialed conn reuses the failed conn's reply queue")
+		}
+	})
+}

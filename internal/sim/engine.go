@@ -25,12 +25,10 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -46,20 +44,21 @@ type Engine struct {
 	mu sync.Mutex
 
 	now    time.Duration // current virtual time
-	timers timerHeap     // pending timer events, earliest first
-	seq    uint64        // tie-break sequence for timers and procs
+	timers timerHeap     // processes with a deadline armed, earliest (at, seq) first
+	seq    uint64        // deadlines armed so far: the tie-break between equal instants
 
-	running    *Proc   // the process currently executing, or nil
-	runq       []*Proc // processes ready to execute, FIFO
-	inDispatch bool    // true while dispatchLocked is advancing the clock
+	running *Proc       // the process currently executing, or nil
+	runq    ring[*Proc] // processes ready to execute, FIFO
 
-	nlive   int              // live non-daemon processes
-	started bool             // Run was called
-	done    chan struct{}    // closed when the simulation is over (Run mode)
-	open    bool             // open mode: idle is not a deadlock
-	stopped bool             // the simulation is over: no process takes another step
-	dying   []*Proc          // processes still to be killed, in pid order
-	blocked map[*Proc]string // blocked processes and why, for deadlock dumps
+	nlive   int           // live non-daemon processes
+	started bool          // Run was called
+	done    chan struct{} // closed when the simulation is over (Run mode)
+	open    bool          // open mode: idle is not a deadlock
+	stopped bool          // the simulation is over: no process takes another step
+
+	// Every started, unexited process, linked through Proc.prev/next in pid
+	// order; only the end of the simulation and the deadlock dump walk it.
+	liveHead, liveTail *Proc
 
 	seed      int64
 	nextPID   int
@@ -72,10 +71,7 @@ type Engine struct {
 // drawn through Proc.Rand derives from this seed, so a simulation replays
 // identically for identical seeds.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		seed:    seed,
-		blocked: make(map[*Proc]string),
-	}
+	return &Engine{seed: seed}
 }
 
 // NewOpenEngine returns an engine in open mode: the engine idles instead of
@@ -120,6 +116,42 @@ type Proc struct {
 	killed bool
 	doneCh chan struct{} // closed on exit, if requested via Inject
 	rng    *rand.Rand    // lazily created by Rand
+
+	prev, next *Proc // neighbours in the engine's live list
+	w          wait
+}
+
+// wait is the one thing a process is blocked on. A process blocks on at most
+// one primitive at a time, so the record is part of the Proc and every park
+// reuses it: blocking allocates nothing. It is written under the engine lock,
+// by the process as it blocks and by whoever wakes it; once woken, the process
+// reads the outcome flags unlocked, ordered after the writes by its wake.
+type wait struct {
+	kind waitKind      // the primitive parked in; waitNone while ready or running
+	in   *ring[*Proc]  // waiter set to leave if the deadline fires first, or nil
+	at   time.Duration // the deadline, while one is armed
+	seq  uint64        // arming order, the tie-break between equal deadlines
+	idx  int           // position in the timer heap; -1 while no deadline is armed
+
+	timedOut bool // woken by the deadline
+	handed   bool // Queue: woken by a Send, whose item waits in the queue's handoff ring
+}
+
+type waitKind uint8
+
+const (
+	waitNone waitKind = iota
+	waitSleep
+	waitCond
+	waitQueue
+)
+
+// blockEvent is the trace event of a park, by kind. Trace events are always
+// constants, so tracing builds no strings, with or without a hook.
+var blockEvent = [...]string{
+	waitSleep: "block:sleep",
+	waitCond:  "block:cond",
+	waitQueue: "block:queue",
 }
 
 // Name returns the process name given at spawn time.
@@ -208,43 +240,32 @@ func (e *Engine) InjectDaemon(name string, fn func(p *Proc)) {
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.stopLocked()
+	e.stopped = true
 	e.maybeDispatchLocked()
 }
 
-// stopLocked ends the simulation: from here on, dispatching means killing.
-// Each live process is woken with killed set, so its park() unwinds the
-// goroutine. They die one at a time, in pid order, each after the previous
-// one has exited: a process's deferred cleanup then runs as serialized as
-// the simulation was, never racing another process's.
-func (e *Engine) stopLocked() {
-	if e.stopped {
-		return
-	}
-	e.stopped = true
-	for p := range e.blocked {
-		e.dying = append(e.dying, p)
-	}
-	e.dying = append(e.dying, e.runq...)
-	sort.Slice(e.dying, func(i, j int) bool { return e.dying[i].id < e.dying[j].id })
-	clear(e.blocked)
-	e.runq = nil
-}
-
-// killNextLocked kills the next dying process, which unwinds as the running
-// process; after the last one, the Run caller (if any) is released.
+// killNextLocked is dispatching once the simulation is over: the first live
+// process is woken with killed set, so its park() unwinds the goroutine, and
+// leaves the list as it exits. Processes so die one at a time, in pid order,
+// each after the previous one has exited: a process's deferred cleanup runs
+// as serialized as the simulation was, never racing another's. After the
+// last one the Run caller (if any) is released. Called with e.running == nil.
 func (e *Engine) killNextLocked() {
-	if len(e.dying) == 0 {
-		if e.done != nil {
-			close(e.done)
-			e.done = nil
-		}
+	p := e.liveHead
+	if p == nil {
+		e.finishLocked()
 		return
 	}
-	p := e.dying[0]
-	e.dying = e.dying[1:]
 	e.running = p
 	e.killLocked(p)
+}
+
+// finishLocked releases the Run caller, once.
+func (e *Engine) finishLocked() {
+	if e.done != nil {
+		close(e.done)
+		e.done = nil
+	}
 }
 
 // killLocked makes p's next (or current) park() raise errKilled.
@@ -284,10 +305,30 @@ func (p *Proc) Sleep(d time.Duration) {
 	e := p.e
 	e.mu.Lock()
 	e.checkRunningLocked(p, "Sleep")
-	e.afterLocked(d, func() { e.readyLocked(p) })
-	e.blockLocked(p, "sleep")
+	if at := e.deadlineLocked(d); e.sleeperRunsNextLocked(at) {
+		// Parking would pop this deadline first and dispatch p straight
+		// back: take its sequence number, advance the clock and trace what
+		// the dispatcher would have, without the goroutine hand-off.
+		e.seq++
+		e.traceLocked(p, blockEvent[waitSleep])
+		e.now = at
+		e.traceLocked(p, "run")
+		e.mu.Unlock()
+		return
+	}
+	e.blockLocked(p, waitSleep, nil, d)
 	e.mu.Unlock()
 	p.park()
+}
+
+// sleeperRunsNextLocked reports whether the running process, were it to park
+// until at, would be the very next one dispatched: nobody is ready, no armed
+// deadline is at or before at (an equal one was armed earlier and fires
+// first), and at is inside the time limit, which only the dispatcher reports.
+func (e *Engine) sleeperRunsNextLocked(at time.Duration) bool {
+	return !e.stopped && e.runq.len() == 0 &&
+		(len(e.timers) == 0 || e.timers[0].w.at > at) &&
+		!e.pastLimitLocked(at)
 }
 
 // Yield moves the process to the back of the ready queue, letting other
@@ -299,11 +340,17 @@ func (p *Proc) Yield() {
 	switch {
 	case e.stopped:
 		e.killLocked(p)
-	case len(e.runq) == 0 && e.timers.Len() == 0:
+	case e.runq.len() == 0:
+		// Nobody else is ready: p would be dispatched straight back. The
+		// dispatcher is consulted (and traces the switch) only while a
+		// deadline is armed somewhere.
+		if len(e.timers) > 0 {
+			e.traceLocked(p, "run")
+		}
 		e.mu.Unlock()
 		return
 	default:
-		e.runq = append(e.runq, p)
+		e.runq.push(p)
 		e.running = nil
 		e.dispatchLocked()
 	}
@@ -321,6 +368,7 @@ func (e *Engine) newProcLocked(name string, daemon bool) *Proc {
 		name:   name,
 		daemon: daemon,
 		wake:   make(chan struct{}, 1),
+		w:      wait{idx: -1},
 	}
 }
 
@@ -336,7 +384,15 @@ func (e *Engine) startLocked(p *Proc, fn func(*Proc)) {
 	if !p.daemon {
 		e.nlive++
 	}
-	e.runq = append(e.runq, p)
+	// Pids only grow, so appending keeps the live list in pid order.
+	p.prev = e.liveTail
+	if e.liveTail != nil {
+		e.liveTail.next = p
+	} else {
+		e.liveHead = p
+	}
+	e.liveTail = p
+	e.runq.push(p)
 	e.traceLocked(p, "spawn")
 	go func() {
 		defer e.procExit(p) // before the first park: a process can be killed unstarted
@@ -359,6 +415,17 @@ func (e *Engine) procExit(p *Proc) {
 	if p.doneCh != nil {
 		close(p.doneCh)
 	}
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.liveHead = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.liveTail = p.prev
+	}
+	p.prev, p.next = nil, nil
 	if e.running == p {
 		e.running = nil
 	}
@@ -367,9 +434,9 @@ func (e *Engine) procExit(p *Proc) {
 		if e.nlive == 0 && e.started {
 			// The last non-daemon is gone: the simulation is over. Daemons
 			// stop where they are — a ready one takes no further step, and
-			// pending timers never fire, or periodic daemons (samplers,
+			// armed deadlines never fire, or periodic daemons (samplers,
 			// monitor ticks) would advance virtual time forever.
-			e.stopLocked()
+			e.stopped = true
 		}
 	}
 	if e.running == nil {
@@ -394,72 +461,102 @@ func (e *Engine) checkRunningLocked(p *Proc, op string) {
 	}
 }
 
-// blockLocked marks the running process as blocked and schedules the next
-// one. The caller must subsequently release the lock and park.
-func (e *Engine) blockLocked(p *Proc, why string) {
+// blockLocked parks the running process p in a primitive of the given kind
+// and schedules the next one: p joins the waiter set in (if any) and, with
+// d >= 0, arms a deadline d from now. The caller must subsequently release
+// the lock and park; p.w then tells how the wait ended.
+func (e *Engine) blockLocked(p *Proc, kind waitKind, in *ring[*Proc], d time.Duration) {
 	if e.stopped {
 		// The simulation is over: the process wakes immediately and its
 		// park() call raises errKilled.
 		e.killLocked(p)
 		return
 	}
-	e.blocked[p] = why
-	e.traceLocked(p, "block:"+why)
+	p.w = wait{kind: kind, in: in, idx: -1}
+	if d >= 0 {
+		e.seq++
+		p.w.at, p.w.seq = e.deadlineLocked(d), e.seq
+		e.timers.push(p)
+	}
+	if in != nil {
+		in.push(p)
+	}
+	e.traceLocked(p, blockEvent[kind])
 	e.running = nil
 	e.dispatchLocked()
 }
 
+// wakeLocked makes the blocked process p ready ahead of its deadline, which
+// is disarmed on the spot: a cancelled deadline leaves nothing in the heap.
+// The caller has already taken p out of its waiter set.
+func (e *Engine) wakeLocked(p *Proc) {
+	if p.w.idx >= 0 {
+		e.timers.remove(p.w.idx)
+	}
+	e.readyLocked(p)
+}
+
 // readyLocked moves a blocked process to the ready queue.
 func (e *Engine) readyLocked(p *Proc) {
-	delete(e.blocked, p)
-	e.runq = append(e.runq, p)
+	p.w.kind, p.w.in = waitNone, nil
+	e.runq.push(p)
+}
+
+// deadlineLocked returns the instant d from now.
+func (e *Engine) deadlineLocked(d time.Duration) time.Duration {
+	at := e.now + d
+	if at < e.now {
+		// Overflow (an absurd duration, e.g. decoded from hostile input):
+		// clamp to the far future instead of corrupting the timer heap.
+		at = math.MaxInt64
+	}
+	return at
+}
+
+// pastLimitLocked reports whether a clock at t trips the time limit.
+func (e *Engine) pastLimitLocked(t time.Duration) bool {
+	return e.timeLimit > 0 && t > e.timeLimit && !e.open
 }
 
 // maybeDispatchLocked starts the scheduler if no process is running, which
 // happens when an external goroutine (open mode) makes a process ready.
 func (e *Engine) maybeDispatchLocked() {
-	if e.running == nil && !e.inDispatch {
+	if e.running == nil {
 		e.dispatchLocked()
 	}
 }
 
 // dispatchLocked picks the next process to run, advancing the virtual clock
-// through pending timers as needed. Called with e.running == nil.
+// through armed deadlines as needed. Called with e.running == nil.
 func (e *Engine) dispatchLocked() {
 	if e.stopped {
 		e.killNextLocked()
 		return
 	}
-	e.inDispatch = true
-	defer func() { e.inDispatch = false }()
 	for {
-		if len(e.runq) > 0 {
-			p := e.runq[0]
-			e.runq = e.runq[1:]
+		if p, ok := e.runq.pop(); ok {
 			e.running = p
 			e.traceLocked(p, "run")
 			p.wake <- struct{}{}
 			return
 		}
-		if e.timers.Len() > 0 {
-			t := heap.Pop(&e.timers).(*timer)
-			if t.cancelled {
-				continue
-			}
-			if t.at < e.now {
+		if len(e.timers) > 0 {
+			p := e.timers.remove(0)
+			if p.w.at < e.now {
 				panic("sim: timer in the past")
 			}
-			e.now = t.at
-			if e.timeLimit > 0 && e.now > e.timeLimit && !e.open {
+			e.now = p.w.at
+			if e.pastLimitLocked(e.now) {
 				e.deadlock = "sim: virtual time limit exceeded at " + e.now.String() + "\n" + e.deadlockDumpLocked()
-				if e.done != nil {
-					close(e.done)
-					e.done = nil
-				}
+				e.finishLocked()
 				return
 			}
-			t.fired = true
-			t.fn()
+			// The deadline fired first: p leaves the waiters and wakes timed out.
+			if p.w.in != nil {
+				removeProc(p.w.in, p)
+			}
+			p.w.timedOut = true
+			e.readyLocked(p)
 			continue
 		}
 		if e.open || e.done == nil {
@@ -469,8 +566,7 @@ func (e *Engine) dispatchLocked() {
 		// it. Report to the Run caller, which panics with the dump; blocked
 		// process goroutines are intentionally left parked.
 		e.deadlock = e.deadlockDumpLocked()
-		close(e.done)
-		e.done = nil
+		e.finishLocked()
 		return
 	}
 }
@@ -478,21 +574,15 @@ func (e *Engine) dispatchLocked() {
 func (e *Engine) deadlockDumpLocked() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: deadlock at t=%v: %d non-daemon process(es) blocked with no pending timers\n", e.now, e.nlive)
-	type entry struct {
-		id   int
-		desc string
-	}
-	var entries []entry
-	for p, why := range e.blocked {
+	for p := e.liveHead; p != nil; p = p.next {
+		if p.w.kind == waitNone {
+			continue
+		}
 		kind := ""
 		if p.daemon {
 			kind = " (daemon)"
 		}
-		entries = append(entries, entry{p.id, fmt.Sprintf("  proc %d %q%s blocked on %s\n", p.id, p.name, kind, why)})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	for _, en := range entries {
-		b.WriteString(en.desc)
+		fmt.Fprintf(&b, "  proc %d %q%s blocked on %s\n", p.id, p.name, kind, blockEvent[p.w.kind][len("block:"):])
 	}
 	return b.String()
 }
@@ -505,62 +595,71 @@ func (e *Engine) traceLocked(p *Proc, event string) {
 
 // --- timers ---
 
-type timer struct {
-	at        time.Duration
-	seq       uint64
-	fn        func() // runs inside dispatchLocked with the engine lock held
-	idx       int
-	fired     bool
-	cancelled bool
-}
+// timerHeap is a binary min-heap of the processes that have a deadline
+// armed, ordered by (w.at, w.seq); seq is unique, so the order is total and
+// equal deadlines fire in the order they were armed. Each process records
+// its position in w.idx, which lets a wake-up remove its deadline directly.
+type timerHeap []*Proc
 
-// afterLocked schedules fn to run at now+d. fn runs with the engine lock held
-// inside the dispatch loop and must only perform scheduler bookkeeping
-// (typically readyLocked).
-func (e *Engine) afterLocked(d time.Duration, fn func()) *timer {
-	e.seq++
-	at := e.now + d
-	if at < e.now {
-		// Overflow (a caller slept for an absurd duration, e.g. decoded
-		// from hostile input): clamp to the far future instead of
-		// corrupting the timer heap.
-		at = math.MaxInt64
+func (h timerHeap) less(i, j int) bool {
+	if h[i].w.at != h[j].w.at {
+		return h[i].w.at < h[j].w.at
 	}
-	t := &timer{at: at, seq: e.seq, fn: fn}
-	heap.Push(&e.timers, t)
-	return t
+	return h[i].w.seq < h[j].w.seq
 }
 
-func (t *timer) cancelLocked() {
-	if !t.fired {
-		t.cancelled = true
-	}
-}
-
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
+func (h timerHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	h[i].w.idx = i
+	h[j].w.idx = j
 }
-func (h *timerHeap) Push(x any) {
-	t := x.(*timer)
-	t.idx = len(*h)
-	*h = append(*h, t)
+
+func (h timerHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
 }
-func (h *timerHeap) Pop() any {
+
+// down sifts h[i] towards the leaves and reports whether it moved.
+func (h timerHeap) down(i int) bool {
+	start := i
+	for child := 2*i + 1; child < len(h); child = 2*i + 1 {
+		if r := child + 1; r < len(h) && h.less(r, child) {
+			child = r
+		}
+		if !h.less(child, i) {
+			break
+		}
+		h.swap(i, child)
+		i = child
+	}
+	return i > start
+}
+
+func (h *timerHeap) push(p *Proc) {
+	p.w.idx = len(*h)
+	*h = append(*h, p)
+	h.up(p.w.idx)
+}
+
+// remove takes h[i] out of the heap; remove(0) pops the earliest deadline.
+func (h *timerHeap) remove(i int) *Proc {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+	last := len(old) - 1
+	p := old[i]
+	if i != last {
+		old.swap(i, last)
+		if rest := old[:last]; !rest.down(i) {
+			rest.up(i)
+		}
+	}
+	old[last] = nil
+	*h = old[:last]
+	p.w.idx = -1
+	return p
 }

@@ -7,14 +7,7 @@ import "time"
 // and waiters re-check their predicate after waking, as usual.
 type Cond struct {
 	e       *Engine
-	waiters []*condWaiter
-}
-
-type condWaiter struct {
-	p        *Proc
-	t        *timer
-	timedOut bool
-	signaled bool
+	waiters ring[*Proc] // longest-waiting first
 }
 
 // NewCond returns a condition variable bound to e.
@@ -36,31 +29,10 @@ func (c *Cond) wait(p *Proc, d time.Duration) bool {
 	e := c.e
 	e.mu.Lock()
 	e.checkRunningLocked(p, "Cond.Wait")
-	w := &condWaiter{p: p}
-	if d >= 0 {
-		w.t = e.afterLocked(d, func() {
-			if w.signaled {
-				return
-			}
-			w.timedOut = true
-			c.remove(w)
-			e.readyLocked(p)
-		})
-	}
-	c.waiters = append(c.waiters, w)
-	e.blockLocked(p, "cond")
+	e.blockLocked(p, waitCond, &c.waiters, d)
 	e.mu.Unlock()
 	p.park()
-	return w.timedOut
-}
-
-func (c *Cond) remove(w *condWaiter) {
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
+	return p.w.timedOut
 }
 
 // Broadcast wakes every waiter. Safe to call from simulated processes and,
@@ -68,14 +40,9 @@ func (c *Cond) remove(w *condWaiter) {
 func (c *Cond) Broadcast() {
 	e := c.e
 	e.mu.Lock()
-	for _, w := range c.waiters {
-		w.signaled = true
-		if w.t != nil {
-			w.t.cancelLocked()
-		}
-		e.readyLocked(w.p)
+	for p, ok := c.waiters.pop(); ok; p, ok = c.waiters.pop() {
+		e.wakeLocked(p)
 	}
-	c.waiters = nil
 	e.maybeDispatchLocked()
 	e.mu.Unlock()
 }
@@ -84,14 +51,8 @@ func (c *Cond) Broadcast() {
 func (c *Cond) Signal() {
 	e := c.e
 	e.mu.Lock()
-	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		w.signaled = true
-		if w.t != nil {
-			w.t.cancelLocked()
-		}
-		e.readyLocked(w.p)
+	if p, ok := c.waiters.pop(); ok {
+		e.wakeLocked(p)
 	}
 	e.maybeDispatchLocked()
 	e.mu.Unlock()
@@ -102,18 +63,15 @@ func (c *Cond) Signal() {
 // blocks the calling process until an item or Close arrives.
 type Queue[T any] struct {
 	e       *Engine
-	items   []T
-	waiters []*queueWaiter[T]
+	items   ring[T]
+	waiters ring[*Proc] // blocked receivers, longest-waiting first; empty unless items is
 	closed  bool
-}
 
-type queueWaiter[T any] struct {
-	p        *Proc
-	v        T
-	ok       bool
-	timedOut bool
-	t        *timer
-	handed   bool
+	// handoff holds the items of woken receivers that have not run yet: a
+	// Send that finds a waiter readies it and puts the item here, where no
+	// other receiver can take it. The ready queue is FIFO, so the receivers
+	// run, and each pop the head, in the order they were handed.
+	handoff ring[T]
 }
 
 // NewQueue returns an empty queue bound to e.
@@ -121,28 +79,9 @@ func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{e: e} }
 
 // Send enqueues v, waking the longest-blocked receiver if one exists.
 func (q *Queue[T]) Send(v T) {
-	e := q.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if q.closed {
+	if !q.TrySend(v) {
 		panic("sim: send on closed Queue")
 	}
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.handed {
-			continue
-		}
-		w.v, w.ok, w.handed = v, true, true
-		if w.t != nil {
-			w.t.cancelLocked()
-		}
-		e.readyLocked(w.p)
-		e.maybeDispatchLocked()
-		return
-	}
-	q.items = append(q.items, v)
-	e.maybeDispatchLocked()
 }
 
 // TrySend enqueues v like Send but reports false instead of panicking when
@@ -155,21 +94,13 @@ func (q *Queue[T]) TrySend(v T) bool {
 	if q.closed {
 		return false
 	}
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.handed {
-			continue
-		}
-		w.v, w.ok, w.handed = v, true, true
-		if w.t != nil {
-			w.t.cancelLocked()
-		}
-		e.readyLocked(w.p)
-		e.maybeDispatchLocked()
-		return true
+	if p, ok := q.waiters.pop(); ok {
+		q.handoff.push(v)
+		p.w.handed = true
+		e.wakeLocked(p)
+	} else {
+		q.items.push(v)
 	}
-	q.items = append(q.items, v)
 	e.maybeDispatchLocked()
 	return true
 }
@@ -191,17 +122,9 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.waiters {
-		if w.handed {
-			continue
-		}
-		w.handed = true
-		if w.t != nil {
-			w.t.cancelLocked()
-		}
-		e.readyLocked(w.p)
+	for p, ok := q.waiters.pop(); ok; p, ok = q.waiters.pop() {
+		e.wakeLocked(p)
 	}
-	q.waiters = nil
 	e.maybeDispatchLocked()
 }
 
@@ -219,58 +142,35 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut
 
 // TryRecv dequeues the next item without blocking.
 func (q *Queue[T]) TryRecv() (v T, ok bool) {
-	e := q.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(q.items) > 0 {
-		v = q.items[0]
-		q.items = q.items[1:]
-		return v, true
-	}
-	return v, false
+	q.e.mu.Lock()
+	defer q.e.mu.Unlock()
+	return q.items.pop()
 }
 
 func (q *Queue[T]) recv(p *Proc, d time.Duration) (v T, ok bool, timedOut bool) {
 	e := q.e
 	e.mu.Lock()
 	e.checkRunningLocked(p, "Queue.Recv")
-	if len(q.items) > 0 {
-		v = q.items[0]
-		q.items = q.items[1:]
+	if v, ok = q.items.pop(); ok || q.closed || d == 0 {
 		e.mu.Unlock()
-		return v, true, false
+		return v, ok, !ok && !q.closed // empty and open: d == 0 has timed out
 	}
-	if q.closed {
-		e.mu.Unlock()
-		return v, false, false
-	}
-	if d == 0 {
-		e.mu.Unlock()
-		return v, false, true
-	}
-	w := &queueWaiter[T]{p: p}
-	if d > 0 {
-		w.t = e.afterLocked(d, func() {
-			if w.handed {
-				return
-			}
-			w.handed = true
-			w.timedOut = true
-			e.readyLocked(p)
-		})
-	}
-	q.waiters = append(q.waiters, w)
-	e.blockLocked(p, "queue")
+	e.blockLocked(p, waitQueue, &q.waiters, d)
 	e.mu.Unlock()
 	p.park()
-	return w.v, w.ok, w.timedOut
+	if p.w.handed {
+		e.mu.Lock()
+		v, ok = q.handoff.pop()
+		e.mu.Unlock()
+	}
+	return v, ok, p.w.timedOut
 }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int {
 	q.e.mu.Lock()
 	defer q.e.mu.Unlock()
-	return len(q.items)
+	return q.items.len()
 }
 
 // WaitGroup waits for a collection of simulated activities to finish.
