@@ -155,7 +155,7 @@ var spec = []Call{
 	// --- execution ---
 	{Name: "PushCallConfiguration", Doc: "mirrors __cudaPushCallConfiguration; piggybacked onto the launch when optimized", Req: []Field{{"Grid", "vec3"}, {"Block", "vec3"}, {"Stream", "stream"}}, Class: "local"},
 	{Name: "PopCallConfiguration", Doc: "mirrors __cudaPopCallConfiguration", Class: "local"},
-	{Name: "LaunchKernel", Doc: "mirrors cudaLaunchKernel; asynchronous, so batchable", Req: []Field{{"LP", "launch"}}, Class: "batchable", Async: true},
+	{Name: "LaunchKernel", Doc: "mirrors cudaLaunchKernel; asynchronous, so batchable — a guest library that defers the launch borrows LP.Mutates until its next flush or fence", Req: []Field{{"LP", "launch"}}, Class: "batchable", Async: true},
 	{Name: "StreamCreate", Doc: "mirrors cudaStreamCreate; the server pre-replicates the stream in every context it holds (§V-D)", Resp: []Field{{"H", "stream"}}, Class: "remote", Establishes: true},
 	{Name: "StreamDestroy", Doc: "mirrors cudaStreamDestroy", Req: []Field{{"H", "stream"}}, Class: "batchable", Async: true},
 	{Name: "StreamSynchronize", Doc: "mirrors cudaStreamSynchronize", Req: []Field{{"H", "stream"}}, Class: "remote"},
@@ -342,6 +342,11 @@ func validate(calls []Call) error {
 				return fmt.Errorf("call %s: Async but classed local", c.Name)
 			}
 		}
+		// A batchable call may sit in a batch, whose reply is one status for
+		// all of it: the guest reads nothing else from such a call, on any lane.
+		if c.Class == "batchable" && len(c.Resp) > 0 {
+			return fmt.Errorf("call %s: batchable but has response fields", c.Name)
+		}
 		// Shared decoding reuses per-decoder scratch, so a second field of
 		// the same shared kind in one message would clobber the first.
 		perKind := map[string]int{}
@@ -482,7 +487,7 @@ func genAPI(calls []Call) ([]byte, error) {
 	p("\tClassBatchable")
 	p(")")
 	p("")
-	p("var callClasses = map[uint16]Class{")
+	p("var callClasses = [NumCalls + 2]Class{")
 	for _, c := range calls {
 		cl := map[string]string{"remote": "ClassRemote", "local": "ClassLocal", "batchable": "ClassBatchable"}[c.Class]
 		if cl == "" {
@@ -492,8 +497,8 @@ func genAPI(calls []Call) ([]byte, error) {
 	}
 	p("}")
 	p("")
-	p("// CallClass returns the class of a call ID.")
-	p("func CallClass(id uint16) Class { return callClasses[id] }")
+	p("// CallClass returns the class of a call ID. An unknown ID reads the table's spare last slot: ClassRemote.")
+	p("func CallClass(id uint16) Class { return callClasses[min(id, NumCalls+1)] }")
 	p("")
 
 	// Interface.
@@ -604,7 +609,7 @@ func genTable(calls []Call) ([]byte, error) {
 	}
 	p("}")
 	p("")
-	p("var deferrableByID = map[uint16]bool{")
+	p("var deferrableByID = [NumCalls + 2]bool{")
 	for _, c := range calls {
 		if c.Async {
 			p("\tCall%s: true,", c.Name)
@@ -612,7 +617,7 @@ func genTable(calls []Call) ([]byte, error) {
 	}
 	p("}")
 	p("")
-	p("var establishesByID = map[uint16]bool{")
+	p("var establishesByID = [NumCalls + 2]bool{")
 	for _, c := range calls {
 		if c.Establishes {
 			p("\tCall%s: true,", c.Name)
@@ -621,12 +626,12 @@ func genTable(calls []Call) ([]byte, error) {
 	p("}")
 	p("")
 	p("// CallIsDeferrable reports whether a call ID may be wrapped in a")
-	p("// remoting.CallAsync envelope.")
-	p("func CallIsDeferrable(id uint16) bool { return deferrableByID[id] }")
+	p("// remoting.CallAsync envelope (never, for an ID past the table: the spare slot).")
+	p("func CallIsDeferrable(id uint16) bool { return deferrableByID[min(id, NumCalls+1)] }")
 	p("")
 	p("// CallEstablishesState reports whether a call ID creates server-side")
 	p("// session state that a recovered session must re-establish.")
-	p("func CallEstablishesState(id uint16) bool { return establishesByID[id] }")
+	p("func CallEstablishesState(id uint16) bool { return establishesByID[min(id, NumCalls+1)] }")
 
 	src, err := format.Source(b.Bytes())
 	if err != nil {

@@ -115,27 +115,14 @@ type ServerPick int
 // GPU-server selection policies.
 const (
 	PickFixed ServerPick = iota // always the first server (paper's prototype)
-	PickRoundRobin
 	PickLeastLoaded
 )
 
 // Backend dispatches function invocations onto one or more GPU servers.
 type Backend struct {
-	e       *sim.Engine
+	executor
 	servers []*gpuserver.GPUServer
 	pick    ServerPick
-	rr      int
-	env     Env
-
-	// DialHook, when set, wraps every guest transport at dial time. The
-	// fault injection framework uses it to interpose connection faults.
-	DialHook func(p *sim.Proc, conn remoting.AsyncCaller) remoting.AsyncCaller
-
-	// DialServerHook is DialHook with the target machine attached: faults
-	// that depend on where a connection lands (asymmetric network
-	// partitions between machine groups) interpose here. Runs after
-	// DialHook when both are set.
-	DialServerHook func(p *sim.Proc, gs *gpuserver.GPUServer, conn remoting.AsyncCaller) remoting.AsyncCaller
 
 	// Recovery, when set, runs guests in recoverable mode: per-call
 	// deadlines, an idempotent replay journal, and redial onto a healthy GPU
@@ -143,12 +130,7 @@ type Backend struct {
 	// the backend.
 	Recovery *guest.RecoveryConfig
 
-	nextSeq     int
-	invocations []*Invocation
-	inflight    *sim.WaitGroup
-	history     map[string]time.Duration // learned exec time per function (EWMA)
-	outstanding []int                    // backend-side in-flight count per server
-	store       *objstore.Store          // model objects, for cache-aware downloads
+	outstanding []int // backend-side in-flight count per server
 }
 
 // NewBackend returns a backend over one GPU server. The paper's prototype
@@ -164,14 +146,10 @@ func NewMultiBackend(e *sim.Engine, servers []*gpuserver.GPUServer, pick ServerP
 		panic("faas: backend needs at least one GPU server")
 	}
 	return &Backend{
-		e:           e,
+		executor:    newExecutor(e, env),
 		servers:     servers,
 		pick:        pick,
-		env:         env,
-		inflight:    sim.NewWaitGroup(e),
-		history:     make(map[string]time.Duration),
 		outstanding: make([]int, len(servers)),
-		store:       objstore.New(),
 	}
 }
 
@@ -186,25 +164,13 @@ func (b *Backend) cacheAware() bool {
 	return false
 }
 
-// modelObject registers (idempotently — Put derives deterministic content
-// from name and size) the function's model blob and returns its name.
-func (b *Backend) modelObject(fn *Function) string {
-	name := fn.Name + "/model"
-	b.store.Put(name, fn.ModelDLBytes)
-	return name
-}
-
 // selectServer applies the GPU-server selection policy, returning the
 // chosen server's index. The backend keeps its own in-flight counters so
 // that simultaneous selections do not herd onto one server before the GPU
 // servers' monitors observe the load.
 func (b *Backend) selectServer() int {
 	si := 0
-	switch b.pick {
-	case PickRoundRobin:
-		si = b.rr % len(b.servers)
-		b.rr++
-	case PickLeastLoaded:
+	if b.pick == PickLeastLoaded {
 		bestLoad := b.load(0)
 		for i := 1; i < len(b.servers); i++ {
 			if l := b.load(i); l < bestLoad {
@@ -251,19 +217,6 @@ func (b *Backend) load(i int) int {
 	return active + 2*queued + b.outstanding[i]
 }
 
-// recordExec folds an observed execution time into the per-function EWMA
-// that seeds SJF hints.
-func (b *Backend) recordExec(name string, d time.Duration) {
-	if prev, ok := b.history[name]; ok {
-		b.history[name] = (prev*3 + d) / 4
-	} else {
-		b.history[name] = d
-	}
-}
-
-// Env returns the backend's environment profile.
-func (b *Backend) Env() Env { return b.env }
-
 // Submit launches one invocation asynchronously and returns its record.
 func (b *Backend) Submit(p *sim.Proc, fn *Function) *Invocation {
 	inv := b.newInvocation(p, fn)
@@ -294,13 +247,6 @@ func (b *Backend) InvokeOn(p *sim.Proc, fn *Function, server int) *Invocation {
 	return inv
 }
 
-func (b *Backend) newInvocation(p *sim.Proc, fn *Function) *Invocation {
-	b.nextSeq++
-	inv := &Invocation{Fn: fn, Seq: b.nextSeq, SubmittedAt: p.Now(), Server: -1}
-	b.invocations = append(b.invocations, inv)
-	return inv
-}
-
 // execute runs one invocation: download, acquire a GPU, run, release.
 func (b *Backend) execute(p *sim.Proc, inv *Invocation) {
 	fn := inv.Fn
@@ -323,23 +269,11 @@ func (b *Backend) execute(p *sim.Proc, inv *Invocation) {
 	// before the GPU is requested, which is why slow-downloading functions
 	// reach the GPU later (§VIII-E). A cache-aware download splits off the
 	// model blob, which the chosen GPU server may already stage on its host.
+	var host *modelcache.LRU
 	if cacheAware {
-		var host *modelcache.LRU
-		if c := b.servers[si].Cache(); c != nil {
-			host = c.Host()
-		}
-		_, hit, err := b.store.DownloadCached(p, b.env.Download, b.modelObject(fn), host)
-		if err != nil {
-			panic(err) // the object was registered just above
-		}
-		inv.ModelCached = hit
-		if rest := fn.DownloadBytes - fn.ModelDLBytes; rest > 0 {
-			p.Sleep(b.env.Download.TransferTime(p, rest))
-		}
-	} else if fn.DownloadBytes > 0 {
-		p.Sleep(b.env.Download.TransferTime(p, fn.DownloadBytes))
+		host = hostCache(b.servers[si])
 	}
-	inv.DownloadDone = p.Now()
+	b.download(p, inv, cacheAware, host)
 
 	// Phase 2: request a virtual GPU from the serverless backend's chosen
 	// GPU server; queueing happens inside its monitor. The expected-GPU-time
@@ -378,46 +312,22 @@ func (b *Backend) execute(p *sim.Proc, inv *Invocation) {
 	// recovery policy the guest redials through the backend: the old lease is
 	// dropped (the monitor usually revoked it already) and a fresh one is
 	// acquired on a healthy GPU server.
-	conn := b.dial(p, gs, lease)
-	var lib *guest.Lib
-	if b.Recovery != nil {
-		rc := *b.Recovery
-		rc.Redial = func(p *sim.Proc) (remoting.Caller, error) {
-			_ = gs.Release(lease) // best effort; revoked leases error, which is fine
-			nsi := b.selectHealthy()
-			if nsi < 0 {
-				return nil, fmt.Errorf("%w: no healthy GPU server to recover onto", ErrNoCapacity)
-			}
-			nl, err := b.servers[nsi].AcquireHint(p, fn.Name, fn.GPUMem, b.history[fn.Name])
-			if err != nil {
-				return nil, err
-			}
-			b.outstanding[si]--
-			b.outstanding[nsi]++
-			si, gs, lease = nsi, b.servers[nsi], nl
-			nc := b.dial(p, gs, nl)
-			conn = nc
-			return nc, nil
+	relocate := func(p *sim.Proc, old *gpuserver.GPUServer, lost *gpuserver.Lease) (*gpuserver.GPUServer, *gpuserver.Lease, error) {
+		_ = old.Release(lost) // best effort; revoked leases error, which is fine
+		nsi := b.selectHealthy()
+		if nsi < 0 {
+			return nil, nil, fmt.Errorf("%w: no healthy GPU server to recover onto", ErrNoCapacity)
 		}
-		lib = guest.NewRecoverable(conn, b.env.GuestOpt, rc)
-	} else {
-		lib = guest.New(conn, b.env.GuestOpt)
-	}
-	err := lib.Hello(p, fn.Name, fn.GPUMem)
-	if err == nil {
-		err = fn.Run(p, lib)
-		lib.FlushBatch(p)
-		if byeErr := lib.Bye(p); err == nil {
-			err = byeErr
+		nl, err := b.servers[nsi].AcquireHint(p, fn.Name, fn.GPUMem, b.history[fn.Name])
+		if err != nil {
+			return nil, nil, err
 		}
+		b.outstanding[si]--
+		b.outstanding[nsi]++
+		si = nsi
+		return b.servers[nsi], nl, nil
 	}
-	conn.Close()
-	_ = gs.Release(lease)
-	st := lib.Stats()
-	inv.Recoveries = st.Recoveries
-	inv.Redials = st.Redials
-	inv.Replayed = st.Replayed
-	inv.Journaled = st.Journaled
+	err := b.runGuest(p, inv, gs, lease, b.Recovery, relocate)
 	b.outstanding[si]--
 	inv.Server = si
 	inv.Err = err
@@ -425,18 +335,6 @@ func (b *Backend) execute(p *sim.Proc, inv *Invocation) {
 	if err == nil {
 		b.recordExec(fn.Name, inv.Done-inv.Granted)
 	}
-}
-
-// dial connects a guest to a leased API server, applying the dial hooks.
-func (b *Backend) dial(p *sim.Proc, gs *gpuserver.GPUServer, lease *gpuserver.Lease) remoting.AsyncCaller {
-	conn := remoting.Dial(b.e, lease.Listener(), b.env.Net)
-	if b.DialHook != nil {
-		conn = b.DialHook(p, conn)
-	}
-	if b.DialServerHook != nil {
-		conn = b.DialServerHook(p, gs, conn)
-	}
-	return conn
 }
 
 // selectHealthy returns the least-loaded GPU server still able to grant
@@ -457,12 +355,6 @@ func (b *Backend) selectHealthyExcept(skip int) int {
 	}
 	return best
 }
-
-// Drain blocks until every submitted invocation has finished.
-func (b *Backend) Drain(p *sim.Proc) { b.inflight.Wait(p) }
-
-// Invocations returns all records, in submission order.
-func (b *Backend) Invocations() []*Invocation { return b.invocations }
 
 // E2ESum returns the sum of all invocations' end-to-end times — the
 // "Function E2E Sum" column of Tables III and IV.

@@ -9,11 +9,7 @@ import (
 
 	"dgsf/internal/controller"
 	"dgsf/internal/gpuserver"
-	"dgsf/internal/guest"
 	"dgsf/internal/metrics"
-	"dgsf/internal/modelcache"
-	"dgsf/internal/objstore"
-	"dgsf/internal/remoting"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 )
@@ -46,35 +42,19 @@ type FleetConfig struct {
 // and occupancy arrive via the GPU servers' agents, never by calling into
 // the monitor.
 type FleetBackend struct {
-	e   *sim.Engine
+	executor
 	st  store.Interface
-	env Env
 	cfg FleetConfig
 
 	// Data-plane handles: leases and guest connections still need the real
 	// machine. Placement decisions never read these.
 	servers map[string]*gpuserver.GPUServer
 
-	nextSeq     int
-	invocations []*Invocation
-	inflight    *sim.WaitGroup
-	history     map[string]time.Duration
-	objects     *objstore.Store
-	waiters     map[string]*sim.Queue[*store.Session]
+	waiters map[string]*sim.Queue[*store.Session]
 
 	sessionsDone   *metrics.Counter
 	sessionsFailed *metrics.Counter
 	runRetries     *metrics.Counter
-
-	// DialHook, when set, wraps every guest transport at dial time (fault
-	// injection interposes here, as with Backend).
-	DialHook func(p *sim.Proc, conn remoting.AsyncCaller) remoting.AsyncCaller
-
-	// DialServerHook is DialHook with the target machine attached: faults
-	// that depend on where a connection lands (asymmetric network
-	// partitions between machine groups) interpose here. Runs after
-	// DialHook when both are set.
-	DialServerHook func(p *sim.Proc, gs *gpuserver.GPUServer, conn remoting.AsyncCaller) remoting.AsyncCaller
 }
 
 // NewFleet returns a fleet backend over the given store handle.
@@ -90,14 +70,10 @@ func NewFleet(e *sim.Engine, st store.Interface, cfg FleetConfig) *FleetBackend 
 		reg = metrics.NewRegistry()
 	}
 	return &FleetBackend{
-		e:              e,
+		executor:       newExecutor(e, cfg.Env),
 		st:             st,
-		env:            cfg.Env,
 		cfg:            cfg,
 		servers:        make(map[string]*gpuserver.GPUServer),
-		inflight:       sim.NewWaitGroup(e),
-		history:        make(map[string]time.Duration),
-		objects:        objstore.New(),
 		waiters:        make(map[string]*sim.Queue[*store.Session]),
 		sessionsDone:   reg.Counter("fleet_sessions_done"),
 		sessionsFailed: reg.Counter("fleet_sessions_failed"),
@@ -150,9 +126,8 @@ func (b *FleetBackend) Submit(p *sim.Proc, fn *Function) *Invocation {
 // zero-copy import. After the session completes, the handle is marked
 // Consumed so later placements stop chasing it.
 func (b *FleetBackend) SubmitChained(p *sim.Proc, fn *Function, inputTensor string) *Invocation {
-	b.nextSeq++
-	inv := &Invocation{Fn: fn, Seq: b.nextSeq, SubmittedAt: p.Now(), Server: -1, inputTensor: inputTensor}
-	b.invocations = append(b.invocations, inv)
+	inv := b.newInvocation(p, fn)
+	inv.inputTensor = inputTensor
 	name := fmt.Sprintf("%s-%d", fn.Name, inv.Seq)
 	b.waiters[name] = sim.NewQueue[*store.Session](b.e)
 	b.inflight.Add(1)
@@ -176,8 +151,7 @@ func (b *FleetBackend) executeSession(p *sim.Proc, inv *Invocation, name string)
 	sess.Spec.MemBytes = fn.GPUMem
 	sess.Spec.InputTensor = inv.inputTensor
 	if fn.ModelDLBytes > 0 {
-		sess.Spec.ModelObject = fn.Name + "/model"
-		b.objects.Put(sess.Spec.ModelObject, fn.ModelDLBytes)
+		sess.Spec.ModelObject = b.modelObject(fn)
 	}
 	if _, err := b.st.Create(p, sess); err != nil {
 		inv.Err = err
@@ -204,7 +178,10 @@ func (b *FleetBackend) executeSession(p *sim.Proc, inv *Invocation, name string)
 				continue
 			}
 			if !downloaded {
-				b.download(p, inv, gs)
+				// The model portion is served from the placed machine's
+				// host cache when it has one.
+				host := hostCache(gs)
+				b.download(p, inv, host != nil, host)
 				downloaded = true
 			}
 			err := b.runOnce(p, inv, cur, gs)
@@ -232,28 +209,6 @@ func (b *FleetBackend) executeSession(p *sim.Proc, inv *Invocation, name string)
 	b.finalizeFailed(p, name)
 }
 
-// download charges the object-store fetch, serving the model portion from
-// the placed machine's host cache when one exists.
-func (b *FleetBackend) download(p *sim.Proc, inv *Invocation, gs *gpuserver.GPUServer) {
-	fn := inv.Fn
-	var host *modelcache.LRU
-	if c := gs.Cache(); c != nil {
-		host = c.Host()
-	}
-	if fn.ModelDLBytes > 0 && fn.ModelDLBytes <= fn.DownloadBytes && host != nil {
-		_, hit, err := b.objects.DownloadCached(p, b.env.Download, fn.Name+"/model", host)
-		if err == nil {
-			inv.ModelCached = hit
-		}
-		if rest := fn.DownloadBytes - fn.ModelDLBytes; rest > 0 {
-			p.Sleep(b.env.Download.TransferTime(p, rest))
-		}
-	} else if fn.DownloadBytes > 0 {
-		p.Sleep(b.env.Download.TransferTime(p, fn.DownloadBytes))
-	}
-	inv.DownloadDone = p.Now()
-}
-
 // runOnce performs one placed attempt: lease, attach, run, release.
 func (b *FleetBackend) runOnce(p *sim.Proc, inv *Invocation, sess *store.Session, gs *gpuserver.GPUServer) error {
 	fn := inv.Fn
@@ -269,30 +224,7 @@ func (b *FleetBackend) runOnce(p *sim.Proc, inv *Invocation, sess *store.Session
 	// Async lane: purely observability; a dropped conflict is harmless.
 	_ = b.st.UpdateStatusAsync(p, up)
 
-	conn := remoting.Dial(b.e, lease.Listener(), b.env.Net)
-	if b.DialHook != nil {
-		conn = b.DialHook(p, conn)
-	}
-	if b.DialServerHook != nil {
-		conn = b.DialServerHook(p, gs, conn)
-	}
-	lib := guest.New(conn, b.env.GuestOpt)
-	err = lib.Hello(p, fn.Name, fn.GPUMem)
-	if err == nil {
-		err = fn.Run(p, lib)
-		lib.FlushBatch(p)
-		if byeErr := lib.Bye(p); err == nil {
-			err = byeErr
-		}
-	}
-	conn.Close()
-	_ = gs.Release(lease)
-	st := lib.Stats()
-	inv.Recoveries += st.Recoveries
-	inv.Redials += st.Redials
-	inv.Replayed += st.Replayed
-	inv.Journaled += st.Journaled
-	return err
+	return b.runGuest(p, inv, gs, lease, nil, nil)
 }
 
 // endAttempt hands a session back to Pending after a failed attempt (the
@@ -413,24 +345,6 @@ func RecordTensorHandle(p *sim.Proc, st store.Interface, name string, spec store
 		}
 	}
 }
-
-// recordExec folds an observed execution time into the per-function EWMA.
-func (b *FleetBackend) recordExec(name string, d time.Duration) {
-	if prev, ok := b.history[name]; ok {
-		b.history[name] = (prev*3 + d) / 4
-	} else {
-		b.history[name] = d
-	}
-}
-
-// Drain blocks until every submitted invocation has finished.
-func (b *FleetBackend) Drain(p *sim.Proc) { b.inflight.Wait(p) }
-
-// Invocations returns all records, in submission order.
-func (b *FleetBackend) Invocations() []*Invocation { return b.invocations }
-
-// Env returns the backend's environment profile.
-func (b *FleetBackend) Env() Env { return b.env }
 
 // --- placement controller ---
 

@@ -53,27 +53,6 @@ func TestMultiBackendFixedUsesFirstServer(t *testing.T) {
 	}
 }
 
-func TestMultiBackendRoundRobin(t *testing.T) {
-	e := sim.NewEngine(1)
-	var placements [2]int
-	e.Run("root", func(p *sim.Proc) {
-		a := testGS(e, p, 2, 1)
-		bsrv := testGS(e, p, 2, 1)
-		backend := NewMultiBackend(e, []*gpuserver.GPUServer{a, bsrv}, PickRoundRobin, fastEnv())
-		fn := sleepFn("f", 1<<30, 0, 100*time.Millisecond)
-		for i := 0; i < 4; i++ {
-			backend.Submit(p, fn)
-			p.Sleep(10 * time.Millisecond)
-		}
-		backend.Drain(p)
-		placements[0] = len(a.Placements())
-		placements[1] = len(bsrv.Placements())
-	})
-	if placements[0] != 2 || placements[1] != 2 {
-		t.Fatalf("placements = %v, want [2 2]", placements)
-	}
-}
-
 func TestMultiBackendScalesThroughput(t *testing.T) {
 	// Doubling the GPU servers should substantially cut the makespan of a
 	// saturating stream ("Scaling up GPU servers in DGSF is simple", §IV).

@@ -2,13 +2,12 @@ package guest
 
 // Guest-side wrappers for the GPU data plane (internal/dataplane): tensor
 // export/import between chained functions and model broadcast. The import
-// family establishes server-side state, so recoverable libraries journal a
-// replay entry per call; exports, like ModelPersist, *remove* session state
-// and instead retire the exported pointer's journal entries.
+// family establishes server-side state and goes through attach (recovery.go),
+// which journals it; exports, like ModelPersist, *remove* session state and
+// instead retire the exported pointer's journal entries.
 
 import (
 	"dgsf/internal/cuda"
-	"dgsf/internal/remoting"
 	"dgsf/internal/sim"
 )
 
@@ -16,165 +15,51 @@ import (
 // returns its fabric-wide export ID. Ownership leaves the session: the
 // pointer is dropped from local tracking and its journal entries are retired
 // — a recovered session must not rebuild a tensor it no longer owns.
-func (l *Lib) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (uint64, int64, error) {
-	l.remote(p)
-	var (
-		export uint64
-		size   int64
-	)
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
+func (l *Lib) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (export uint64, size int64, err error) {
+	err = l.sync(p, func(p *sim.Proc) (err error) {
 		export, size, err = l.cl.MemExport(p, l.xp(ptr), tag)
-		return err
+		return
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	sz := l.ptrSizes[ptr]
+	tracked := l.ptrSizes[ptr]
 	delete(l.ptrSizes, ptr)
-	l.dropPtrEntries(ptr, sz)
+	l.dropPtrEntries(ptr, tracked)
 	return export, size, nil
 }
 
 // MemImport maps an export published on the session's own GPU server into
 // the session (zero-copy on the same device, an NVLink clone across sibling
-// devices). On replay after a failover the export is usually gone — the
-// journal degrades to a plain allocation of the same size so the pointer
-// stays valid, exactly like a ModelAttach miss.
+// devices). On replay after a failover the export is usually gone and the
+// pointer degrades to a plain allocation of the same size.
 func (l *Lib) MemImport(p *sim.Proc, export uint64) (cuda.DevPtr, int64, error) {
-	l.remote(p)
-	var (
-		ptr  cuda.DevPtr
-		size int64
-	)
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		ptr, size, err = l.cl.MemImport(p, export)
-		return err
+	a, err := l.attach(p, func(p *sim.Proc) (a attached, err error) {
+		a.ptr, a.size, err = l.cl.MemImport(p, export)
+		return
 	})
-	if err != nil || ptr == 0 {
-		return ptr, size, err
-	}
-	if l.rec != nil {
-		v := l.newVirtPtr(size)
-		l.ptrMap[v] = ptr
-		sz := size
-		l.journalPutPtr(ptrKey(v), v, func(p *sim.Proc) error {
-			rp, rsz, err := l.cl.MemImport(p, export)
-			if err == nil && rp != 0 && rsz == sz {
-				l.ptrMap[v] = rp
-				return nil
-			}
-			if err != nil && !remoting.IsConnFault(err) {
-				err = nil // export gone or unreachable: fall back to Malloc
-			}
-			if err != nil {
-				return err
-			}
-			np, err := l.cl.Malloc(p, sz)
-			if err != nil {
-				return err
-			}
-			l.ptrMap[v] = np
-			return nil
-		})
-		ptr = v
-	}
-	l.ptrSizes[ptr] = size
-	return ptr, size, nil
+	return a.ptr, a.size, err
 }
 
 // PeerCopy pulls an export from another GPU server across the data-plane
-// fabric into a fresh session allocation. Journaled like MemImport, with the
-// same Malloc degradation on replay.
+// fabric into a fresh session allocation. On replay the export is consumed
+// or its source dead, and the pointer degrades like MemImport's.
 func (l *Lib) PeerCopy(p *sim.Proc, export uint64) (cuda.DevPtr, int64, error) {
-	l.remote(p)
-	var (
-		ptr  cuda.DevPtr
-		size int64
-	)
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		ptr, size, err = l.cl.PeerCopy(p, export)
-		return err
+	a, err := l.attach(p, func(p *sim.Proc) (a attached, err error) {
+		a.ptr, a.size, err = l.cl.PeerCopy(p, export)
+		return
 	})
-	if err != nil || ptr == 0 {
-		return ptr, size, err
-	}
-	if l.rec != nil {
-		v := l.newVirtPtr(size)
-		l.ptrMap[v] = ptr
-		sz := size
-		l.journalPutPtr(ptrKey(v), v, func(p *sim.Proc) error {
-			rp, rsz, err := l.cl.PeerCopy(p, export)
-			if err == nil && rp != 0 && rsz == sz {
-				l.ptrMap[v] = rp
-				return nil
-			}
-			if err != nil && !remoting.IsConnFault(err) {
-				err = nil // export consumed or source dead: fall back to Malloc
-			}
-			if err != nil {
-				return err
-			}
-			np, err := l.cl.Malloc(p, sz)
-			if err != nil {
-				return err
-			}
-			l.ptrMap[v] = np
-			return nil
-		})
-		ptr = v
-	}
-	l.ptrSizes[ptr] = size
-	return ptr, size, nil
+	return a.ptr, a.size, err
 }
 
 // ModelBroadcast asks the API server for a fan-out copy of the function's
 // model: a single host-staged read for the first session on the GPU server,
 // a device-to-device clone for the rest. Tracked and journaled exactly like
-// ModelAttach — on replay a miss degrades to a plain allocation restored by
-// the journaled uploads that follow.
+// ModelAttach.
 func (l *Lib) ModelBroadcast(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
-	l.remote(p)
-	var (
-		ptr  cuda.DevPtr
-		size int64
-		src  int
-	)
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		ptr, size, src, err = l.cl.ModelBroadcast(p)
-		return err
+	a, err := l.attach(p, func(p *sim.Proc) (a attached, err error) {
+		a.ptr, a.size, a.aux, err = l.cl.ModelBroadcast(p)
+		return
 	})
-	if err != nil || ptr == 0 {
-		return ptr, size, src, err
-	}
-	if l.rec != nil {
-		v := l.newVirtPtr(size)
-		l.ptrMap[v] = ptr
-		sz := size
-		l.journalPutPtr(ptrKey(v), v, func(p *sim.Proc) error {
-			rp, rsz, _, err := l.cl.ModelBroadcast(p)
-			if err == nil && rp != 0 && rsz == sz {
-				l.ptrMap[v] = rp
-				return nil
-			}
-			if err != nil && !remoting.IsConnFault(err) {
-				err = nil // semantic broadcast miss: fall back to Malloc
-			}
-			if err != nil {
-				return err
-			}
-			np, err := l.cl.Malloc(p, sz)
-			if err != nil {
-				return err
-			}
-			l.ptrMap[v] = np
-			return nil
-		})
-		ptr = v
-	}
-	l.ptrSizes[ptr] = size
-	return ptr, size, src, nil
+	return a.ptr, a.size, a.aux, err
 }

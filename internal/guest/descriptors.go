@@ -3,6 +3,7 @@ package guest
 import (
 	"dgsf/internal/cuda"
 	"dgsf/internal/cudalibs"
+	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 )
 
@@ -11,11 +12,18 @@ import (
 // trip when remoted naively. With OptLocalDescriptors the guest pools them
 // entirely on its side: these APIs "simply allocate memory on the host side
 // to hold the opaque structure" (§V-C), so no server state is needed.
+//
+// The fifteen wrappers below name their remoted form as a method expression
+// of the generated client — a constant, where a bound method value would be a
+// heap object per call, built before the locally answered path can skip it.
+
+// descriptorCall is the remoted form of a descriptor set or destroy.
+type descriptorCall func(*gen.Client, *sim.Proc, cudalibs.Descriptor) error
 
 // createDescriptor implements the cudnnCreate*Descriptor family. On the
 // remoted path a recoverable library virtualizes and journals the
 // descriptor, like every other server-issued handle.
-func (l *Lib) createDescriptor(p *sim.Proc, remoteCreate func(*sim.Proc) (cudalibs.Descriptor, error)) (cudalibs.Descriptor, error) {
+func (l *Lib) createDescriptor(p *sim.Proc, remote func(*gen.Client, *sim.Proc) (cudalibs.Descriptor, error)) (cudalibs.Descriptor, error) {
 	if l.localizing() {
 		l.local(p)
 		l.nextDesc++
@@ -23,33 +31,13 @@ func (l *Lib) createDescriptor(p *sim.Proc, remoteCreate func(*sim.Proc) (cudali
 		l.localDescs[d] = true
 		return d, nil
 	}
-	l.remote(p)
-	var d cudalibs.Descriptor
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		d, err = remoteCreate(p)
-		return err
-	})
-	if err == nil && l.rec != nil {
-		v := cudalibs.Descriptor(virtDescBase + l.newVirt())
-		l.descMap[v] = d
-		l.journalPut(descKey(v), func(p *sim.Proc) error {
-			nd, err := remoteCreate(p)
-			if err != nil {
-				return err
-			}
-			l.descMap[v] = nd
-			return nil
-		})
-		d = v
-	}
-	return d, err
+	return create(l, p, virtDescBase, remote)
 }
 
 // setDescriptor implements the cudnnSet*Descriptor family. The remoted set
 // is journaled per descriptor (last set wins) so recovered descriptors are
 // reconfigured.
-func (l *Lib) setDescriptor(p *sim.Proc, d cudalibs.Descriptor, remoteSet func(*sim.Proc, cudalibs.Descriptor) error) error {
+func (l *Lib) setDescriptor(p *sim.Proc, d cudalibs.Descriptor, remote descriptorCall) error {
 	if l.localizing() {
 		l.local(p)
 		if !l.localDescs[d] {
@@ -57,18 +45,15 @@ func (l *Lib) setDescriptor(p *sim.Proc, d cudalibs.Descriptor, remoteSet func(*
 		}
 		return nil
 	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return remoteSet(p, l.xdc(d)) })
+	err := l.sync(p, func(p *sim.Proc) error { return remote(l.cl, p, xh(l, d)) })
 	if err == nil && l.rec != nil {
-		l.journalPut(descKey(d)+":set", func(p *sim.Proc) error {
-			return remoteSet(p, l.xdc(d))
-		})
+		l.journalPut(jkey{kind: jDescSet, id: uint64(d)}, func(p *sim.Proc) error { return remote(l.cl, p, xh(l, d)) })
 	}
 	return err
 }
 
 // destroyDescriptor implements the cudnnDestroy*Descriptor family.
-func (l *Lib) destroyDescriptor(p *sim.Proc, d cudalibs.Descriptor, remoteDestroy func(*sim.Proc, cudalibs.Descriptor) error) error {
+func (l *Lib) destroyDescriptor(p *sim.Proc, d cudalibs.Descriptor, remote descriptorCall) error {
 	if l.localizing() {
 		l.local(p)
 		if !l.localDescs[d] {
@@ -77,87 +62,84 @@ func (l *Lib) destroyDescriptor(p *sim.Proc, d cudalibs.Descriptor, remoteDestro
 		delete(l.localDescs, d)
 		return nil
 	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return remoteDestroy(p, l.xdc(d)) })
-	if err == nil && l.rec != nil {
-		l.journalDrop(descKey(d))
-		l.journalDrop(descKey(d) + ":set")
-		delete(l.descMap, d)
+	err := l.sync(p, func(p *sim.Proc) error { return remote(l.cl, p, xh(l, d)) })
+	if err == nil {
+		l.forget(uint64(d))
 	}
 	return err
 }
 
 // DnnCreateTensorDescriptor mirrors cudnnCreateTensorDescriptor.
 func (l *Lib) DnnCreateTensorDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return l.createDescriptor(p, l.cl.DnnCreateTensorDescriptor)
+	return l.createDescriptor(p, (*gen.Client).DnnCreateTensorDescriptor)
 }
 
 // DnnSetTensorDescriptor mirrors cudnnSetTensorNdDescriptor.
 func (l *Lib) DnnSetTensorDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.setDescriptor(p, d, l.cl.DnnSetTensorDescriptor)
+	return l.setDescriptor(p, d, (*gen.Client).DnnSetTensorDescriptor)
 }
 
 // DnnDestroyTensorDescriptor mirrors cudnnDestroyTensorDescriptor.
 func (l *Lib) DnnDestroyTensorDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.destroyDescriptor(p, d, l.cl.DnnDestroyTensorDescriptor)
+	return l.destroyDescriptor(p, d, (*gen.Client).DnnDestroyTensorDescriptor)
 }
 
 // DnnCreateFilterDescriptor mirrors cudnnCreateFilterDescriptor.
 func (l *Lib) DnnCreateFilterDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return l.createDescriptor(p, l.cl.DnnCreateFilterDescriptor)
+	return l.createDescriptor(p, (*gen.Client).DnnCreateFilterDescriptor)
 }
 
 // DnnSetFilterDescriptor mirrors cudnnSetFilterNdDescriptor.
 func (l *Lib) DnnSetFilterDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.setDescriptor(p, d, l.cl.DnnSetFilterDescriptor)
+	return l.setDescriptor(p, d, (*gen.Client).DnnSetFilterDescriptor)
 }
 
 // DnnDestroyFilterDescriptor mirrors cudnnDestroyFilterDescriptor.
 func (l *Lib) DnnDestroyFilterDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.destroyDescriptor(p, d, l.cl.DnnDestroyFilterDescriptor)
+	return l.destroyDescriptor(p, d, (*gen.Client).DnnDestroyFilterDescriptor)
 }
 
 // DnnCreateConvolutionDescriptor mirrors cudnnCreateConvolutionDescriptor.
 func (l *Lib) DnnCreateConvolutionDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return l.createDescriptor(p, l.cl.DnnCreateConvolutionDescriptor)
+	return l.createDescriptor(p, (*gen.Client).DnnCreateConvolutionDescriptor)
 }
 
 // DnnSetConvolutionDescriptor mirrors cudnnSetConvolutionNdDescriptor.
 func (l *Lib) DnnSetConvolutionDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.setDescriptor(p, d, l.cl.DnnSetConvolutionDescriptor)
+	return l.setDescriptor(p, d, (*gen.Client).DnnSetConvolutionDescriptor)
 }
 
 // DnnDestroyConvolutionDescriptor mirrors cudnnDestroyConvolutionDescriptor.
 func (l *Lib) DnnDestroyConvolutionDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.destroyDescriptor(p, d, l.cl.DnnDestroyConvolutionDescriptor)
+	return l.destroyDescriptor(p, d, (*gen.Client).DnnDestroyConvolutionDescriptor)
 }
 
 // DnnCreateActivationDescriptor mirrors cudnnCreateActivationDescriptor.
 func (l *Lib) DnnCreateActivationDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return l.createDescriptor(p, l.cl.DnnCreateActivationDescriptor)
+	return l.createDescriptor(p, (*gen.Client).DnnCreateActivationDescriptor)
 }
 
 // DnnSetActivationDescriptor mirrors cudnnSetActivationDescriptor.
 func (l *Lib) DnnSetActivationDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.setDescriptor(p, d, l.cl.DnnSetActivationDescriptor)
+	return l.setDescriptor(p, d, (*gen.Client).DnnSetActivationDescriptor)
 }
 
 // DnnDestroyActivationDescriptor mirrors cudnnDestroyActivationDescriptor.
 func (l *Lib) DnnDestroyActivationDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.destroyDescriptor(p, d, l.cl.DnnDestroyActivationDescriptor)
+	return l.destroyDescriptor(p, d, (*gen.Client).DnnDestroyActivationDescriptor)
 }
 
 // DnnCreatePoolingDescriptor mirrors cudnnCreatePoolingDescriptor.
 func (l *Lib) DnnCreatePoolingDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return l.createDescriptor(p, l.cl.DnnCreatePoolingDescriptor)
+	return l.createDescriptor(p, (*gen.Client).DnnCreatePoolingDescriptor)
 }
 
 // DnnSetPoolingDescriptor mirrors cudnnSetPoolingNdDescriptor.
 func (l *Lib) DnnSetPoolingDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.setDescriptor(p, d, l.cl.DnnSetPoolingDescriptor)
+	return l.setDescriptor(p, d, (*gen.Client).DnnSetPoolingDescriptor)
 }
 
 // DnnDestroyPoolingDescriptor mirrors cudnnDestroyPoolingDescriptor.
 func (l *Lib) DnnDestroyPoolingDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return l.destroyDescriptor(p, d, l.cl.DnnDestroyPoolingDescriptor)
+	return l.destroyDescriptor(p, d, (*gen.Client).DnnDestroyPoolingDescriptor)
 }

@@ -2,7 +2,7 @@
 // an application's CUDA/cuDNN/cuBLAS calls (§V-A). Every call the
 // application makes lands here; the library decides, per call and per
 // optimization tier, whether to answer it locally, defer it into a batch,
-// or remote it to the API server.
+// submit it one-way, or remote it to the API server.
 //
 // Optimization tiers follow the paper's ablation (§V-C, Fig. 4):
 //
@@ -17,13 +17,18 @@
 //     shipped as one batch message before the next synchronous call; launch
 //     configurations are piggybacked onto launches; pointer-attribute
 //     queries are answered from tracked allocations.
+//   - OptAsync: the same calls (except Free, which fences) leave at once as
+//     one-way submissions on the transport's pipelined lane.
+//
+// Which calls may be deferred is not decided here: cmd/apigen's spec marks
+// them, the generated tables (gen.CallClass, gen.CallIsDeferrable) carry the
+// marks, and laneOf is the one place that reads them (lane.go).
 //
 // Server-side handle pooling (OptHandlePool in the experiments) lives in
 // internal/apiserver; the guest is oblivious to it, exactly as in DGSF.
 package guest
 
 import (
-	"fmt"
 	"time"
 
 	"dgsf/internal/cuda"
@@ -76,13 +81,6 @@ func (s Stats) Forwarded() int { return s.Remoted + s.Batched + s.Async }
 // collide with server-side handles.
 const localDescBit = 1 << 62
 
-// maxAsyncWindow bounds the guest-tracked in-flight depth of the pipelined
-// lane; hitting it forces a fence so an unbounded burst of one-way
-// submissions cannot run arbitrarily far ahead of the server. It is sized
-// above the launch bursts real inference loops produce (hundreds per batch):
-// a mid-burst fence would reintroduce exactly the round trip the lane hides.
-const maxAsyncWindow = 512
-
 // Lib is a guest library instance: one per function execution.
 type Lib struct {
 	cl  *gen.Client
@@ -106,34 +104,27 @@ type Lib struct {
 	cfgStack   []gen.PushCallConfigurationReq
 	localCost  time.Duration // CPU cost of a locally-answered call
 
-	// Pending batch (OptBatching).
-	batch      wire.Encoder
-	batchBody  wire.Encoder
-	batchCount int
+	// The pending batch (OptBatching): calls deferred since the last flush,
+	// encoded when it ships. scratch holds one encoded call at a time.
+	pending []op
+	scratch wire.Encoder
 
 	// Crash recovery (NewRecoverable only; nil rec disables everything).
 	rec        *RecoveryConfig
-	conn       remoting.Caller // raw transport, pre deadline wrapping
-	recovering bool            // inside recoverSession: no nested recovery
-	lost       bool            // recovery exhausted; session unrecoverable
+	recovering bool // inside recoverSession: no nested recovery
+	lost       bool // recovery exhausted; session unrecoverable
 
-	// Guest-virtual handle spaces: app-visible IDs -> current session's.
-	ptrMap    map[cuda.DevPtr]cuda.DevPtr
-	streamMap map[cuda.StreamHandle]cuda.StreamHandle
-	eventMap  map[cuda.EventHandle]cuda.EventHandle
-	dnnMap    map[cudalibs.DNNHandle]cudalibs.DNNHandle
-	blasMap   map[cudalibs.BLASHandle]cudalibs.BLASHandle
-	fnMap     map[cuda.FnPtr]cuda.FnPtr
-	descMap   map[cudalibs.Descriptor]cudalibs.Descriptor
-	hostMap   map[uint64]uint64
-	nextVirt  uint64
-	nextVA    int64
+	// The virtual-handle table: application-visible IDs of every kind
+	// (pointers, streams, events, library handles, descriptors, kernel
+	// function pointers, host allocations) to the current session's.
+	virt     map[uint64]uint64
+	nextVirt uint64
+	nextVA   int64
 
-	// Idempotent replay journal and the unflushed/unfenced call windows.
+	// Idempotent replay journal and the unfenced one-way window.
 	journal        []*journalEntry
-	journalKeys    map[string]*journalEntry
-	batchOps       []batchOp
-	unfenced       []asyncOp
+	journalKeys    map[jkey]*journalEntry
+	unfenced       []op
 	oldestUnfenced time.Duration
 }
 
@@ -142,18 +133,26 @@ var _ gen.API = (*Lib)(nil)
 // New returns a guest library speaking to the API server over t.
 func New(t remoting.Caller, opt Opt) *Lib {
 	l := &Lib{
-		cl:         &gen.Client{T: t},
+		cl:         &gen.Client{},
 		opt:        opt,
 		ptrSizes:   make(map[cuda.DevPtr]int64),
 		hostAllocs: make(map[uint64]int64),
 		localDescs: make(map[cudalibs.Descriptor]bool),
 		localCost:  300 * time.Nanosecond,
-		conn:       t,
 	}
-	if ac, ok := t.(remoting.AsyncCaller); ok {
-		l.async = ac
-	}
+	l.adoptTransport(t)
 	return l
+}
+
+// adoptTransport points the library at a (re)dialed transport. A recoverable
+// library's per-call deadline becomes the connection's: it then bounds every
+// round trip the connection makes, vectored ones included.
+func (l *Lib) adoptTransport(t remoting.Caller) {
+	l.cl.T = t
+	l.async, _ = t.(remoting.AsyncCaller)
+	if dc, ok := t.(remoting.DeadlineCaller); ok && l.rec != nil && l.rec.CallDeadline > 0 {
+		dc.SetCallDeadline(l.rec.CallDeadline)
+	}
 }
 
 // Stats returns the call-disposition counters.
@@ -171,241 +170,8 @@ func (l *Lib) local(p *sim.Proc) {
 	}
 }
 
-// remoteCall wraps an individual round trip: any pending batch is flushed
-// and the pipelined lane is drained first, so the server observes calls in
-// program order and latched asynchronous errors surface before the
-// synchronous call runs.
-func (l *Lib) remote(p *sim.Proc) {
-	l.FlushBatch(p)
-	l.fence(p)
-	l.stats.Total++
-	l.stats.Remoted++
-}
-
-// deferCall length-prefixes one encoded call into the pending batch body.
-// The scratch encoder is reused across calls: BytesField copies its bytes.
-// Recoverable libraries defer the closure instead: encoding (and handle
-// translation) runs at flush time against the session then current.
-func (l *Lib) deferCall(appendFn func(e *wire.Encoder)) {
-	l.deferCallDone(appendFn, nil)
-}
-
-func (l *Lib) deferCallDone(appendFn func(e *wire.Encoder), onDone func()) {
-	l.stats.Total++
-	l.stats.Batched++
-	if l.rec != nil {
-		l.batchOps = append(l.batchOps, batchOp{app: appendFn, onDone: onDone})
-		return
-	}
-	l.batch.Reset()
-	appendFn(&l.batch)
-	l.batchBody.BytesField(l.batch.Bytes())
-	l.batchCount++
-}
-
-// submitAsync fires one call down the transport's pipelined lane without
-// waiting for an acknowledgement. The encoder buffer is freshly allocated —
-// never pooled — because the transport may hold it until delivery. Errors
-// latch server-side and surface at the next fence.
-func (l *Lib) submitAsync(p *sim.Proc, reqData int64, appendFn func(e *wire.Encoder)) error {
-	return l.submitAsyncDone(p, reqData, appendFn, nil)
-}
-
-func (l *Lib) submitAsyncDone(p *sim.Proc, reqData int64, appendFn func(e *wire.Encoder), onDone func()) error {
-	if l.asyncInFlight >= maxAsyncWindow {
-		l.fence(p)
-	}
-	if l.rec != nil {
-		if l.lost {
-			return cuda.ErrDevicesUnavailable
-		}
-		// Bounded staleness: the lane must not run blind past FenceLag, or
-		// a dead server would be discovered arbitrarily late.
-		if l.rec.FenceLag > 0 && len(l.unfenced) > 0 && p.Now()-l.oldestUnfenced > l.rec.FenceLag {
-			l.fence(p)
-		}
-	}
-	l.stats.Total++
-	l.stats.Async++
-	var e wire.Encoder
-	e.U16(remoting.CallAsync)
-	appendFn(&e)
-	// Only table-deferrable calls may ride the one-way lane; a result-bearing
-	// call submitted here would lose its result. The asyncsafe analyzer
-	// enforces this statically — this guard catches dynamically-built
-	// submissions that slip past it.
-	if id := wire.NewDecoder(e.Bytes()[2:]).U16(); !gen.CallIsDeferrable(id) {
-		panic(fmt.Sprintf("guest: %s (call %d) submitted async but not in gen.DeferrableCalls", gen.CallName(id), id))
-	}
-	err := l.async.Submit(p, e.Bytes(), reqData)
-	if err != nil && l.rec != nil && !l.recovering && remoting.IsConnFault(err) {
-		if rerr := l.recoverSession(p); rerr == nil {
-			var e2 wire.Encoder
-			e2.U16(remoting.CallAsync)
-			appendFn(&e2)
-			err = l.async.Submit(p, e2.Bytes(), reqData)
-		}
-	}
-	if err != nil {
-		if l.rec != nil {
-			l.lastError = int(cuda.ErrDevicesUnavailable)
-			return cuda.ErrDevicesUnavailable
-		}
-		l.lastError = -1
-		return err
-	}
-	l.asyncInFlight++
-	if l.rec != nil {
-		if len(l.unfenced) == 0 {
-			l.oldestUnfenced = p.Now()
-		}
-		l.unfenced = append(l.unfenced, asyncOp{app: appendFn, reqData: reqData, onDone: onDone})
-	}
-	return nil
-}
-
-// fence drains the pipelined lane: a CallFence round trip whose FIFO
-// position guarantees every prior submission has executed, and whose reply
-// carries the first latched asynchronous error. A no-op with nothing in
-// flight, so tiers without OptAsync are unaffected. On a recoverable
-// library a transport fault triggers session recovery (which re-sends the
-// unfenced window) and the fence is retried.
-func (l *Lib) fence(p *sim.Proc) {
-	if l.asyncInFlight == 0 {
-		return
-	}
-	l.stats.Fences++
-	var code int
-	var err error
-	for tries := 0; ; tries++ {
-		code, err = l.fenceOnce(p)
-		if err == nil || l.rec == nil || l.recovering || l.lost ||
-			!remoting.IsConnFault(err) || tries >= maxCallRecoveries {
-			break
-		}
-		if rerr := l.recoverSession(p); rerr != nil {
-			break
-		}
-	}
-	l.asyncInFlight = 0
-	if err != nil {
-		l.clearUnfenced(false)
-		if l.rec != nil {
-			l.lastError = int(cuda.ErrDevicesUnavailable)
-		} else {
-			l.lastError = -1
-		}
-		return
-	}
-	l.clearUnfenced(true)
-	if code != 0 && l.lastError == 0 {
-		l.lastError = code
-	}
-}
-
-// fenceOnce performs a single CallFence round trip.
-func (l *Lib) fenceOnce(p *sim.Proc) (int, error) {
-	enc := wire.GetEncoder()
-	enc.U16(remoting.CallFence)
-	resp, err := l.cl.T.Roundtrip(p, enc.Bytes(), 0)
-	if err != nil {
-		return 0, err
-	}
-	wire.PutEncoder(enc)
-	d := wire.GetDecoder(resp)
-	code := int(d.I32())
-	wire.PutDecoder(d)
-	return code, nil
-}
-
-// FlushBatch ships the pending batch, if any, as one round trip. Errors from
-// batched calls surface through GetLastError, like asynchronous CUDA errors.
-func (l *Lib) FlushBatch(p *sim.Proc) {
-	if l.rec != nil {
-		l.flushBatchRec(p)
-		return
-	}
-	if l.batchCount == 0 {
-		return
-	}
-	l.batch.Reset()
-	l.batch.U16(remoting.CallBatch)
-	l.batch.U32(uint32(l.batchCount))
-	l.batch.Raw(l.batchBody.Bytes())
-	l.batchBody.Reset()
-	l.batchCount = 0
-	l.stats.Batches++
-	resp, err := l.cl.T.Roundtrip(p, l.batch.Bytes(), 0)
-	if err != nil {
-		l.lastError = -1
-		return
-	}
-	d := wire.GetDecoder(resp)
-	if code := int(d.I32()); code != 0 {
-		l.lastError = code
-	}
-	wire.PutDecoder(d)
-}
-
-// flushBatchRec is the recoverable flush: deferred closures are encoded
-// fresh per attempt so translation matches the current session, and the
-// whole batch is retried after recovery (batched calls are the
-// state-establishing and idempotent kind).
-func (l *Lib) flushBatchRec(p *sim.Proc) {
-	if len(l.batchOps) == 0 {
-		return
-	}
-	l.stats.Batches++
-	var code int
-	var err error
-	for tries := 0; ; tries++ {
-		l.batchBody.Reset()
-		for _, op := range l.batchOps {
-			l.batch.Reset()
-			op.app(&l.batch)
-			l.batchBody.BytesField(l.batch.Bytes())
-		}
-		l.batch.Reset()
-		l.batch.U16(remoting.CallBatch)
-		l.batch.U32(uint32(len(l.batchOps)))
-		l.batch.Raw(l.batchBody.Bytes())
-		var resp []byte
-		resp, err = l.cl.T.Roundtrip(p, l.batch.Bytes(), 0)
-		if err == nil {
-			d := wire.GetDecoder(resp)
-			code = int(d.I32())
-			wire.PutDecoder(d)
-			break
-		}
-		if l.recovering || l.lost || !remoting.IsConnFault(err) || tries >= maxCallRecoveries {
-			break
-		}
-		if rerr := l.recoverSession(p); rerr != nil {
-			break
-		}
-	}
-	if err != nil {
-		l.batchOps = l.batchOps[:0]
-		l.lastError = int(cuda.ErrDevicesUnavailable)
-		return
-	}
-	for _, op := range l.batchOps {
-		if op.onDone != nil {
-			op.onDone()
-		}
-	}
-	l.batchOps = l.batchOps[:0]
-	if code != 0 {
-		l.lastError = code
-	}
-}
-
-// batching reports whether batching is enabled.
+// batching reports whether the batching tier is on.
 func (l *Lib) batching() bool { return l.opt&OptBatching != 0 }
-
-// asyncing reports whether the pipelined lane is active: the OptAsync tier
-// is enabled and the transport supports one-way submissions.
-func (l *Lib) asyncing() bool { return l.opt&OptAsync != 0 && l.async != nil }
 
 // localizing reports whether guest-side localization is enabled.
 func (l *Lib) localizing() bool { return l.opt&OptLocalDescriptors != 0 }
@@ -415,21 +181,19 @@ func (l *Lib) localizing() bool { return l.opt&OptLocalDescriptors != 0 }
 // Hello opens the function session. On a recoverable library it is the
 // journal's first entry: every recovered session re-opens before replay.
 func (l *Lib) Hello(p *sim.Proc, fnID string, memLimit int64) error {
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.Hello(p, fnID, memLimit) })
-	if err == nil {
-		l.journalPut("hello", func(p *sim.Proc) error { return l.cl.Hello(p, fnID, memLimit) })
+	err := l.sync(p, func(p *sim.Proc) error { return l.cl.Hello(p, fnID, memLimit) })
+	if err == nil && l.rec != nil {
+		l.journalPut(jkey{kind: jSession}, func(p *sim.Proc) error { return l.cl.Hello(p, fnID, memLimit) })
 	}
 	return err
 }
 
 // Bye ends the function session and retires the replay journal.
 func (l *Lib) Bye(p *sim.Proc) error {
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.Bye(p) })
+	err := l.sync(p, func(p *sim.Proc) error { return l.cl.Bye(p) })
 	if err == nil && l.rec != nil {
 		l.journal = nil
-		l.journalKeys = make(map[string]*journalEntry)
+		clear(l.journalKeys)
 		l.clearUnfenced(false)
 	}
 	return err
@@ -437,86 +201,42 @@ func (l *Lib) Bye(p *sim.Proc) error {
 
 // RegisterKernels ships the function's kernel symbols to the API server.
 // Recoverable libraries hand out virtual function pointers: the context that
-// re-registers after a failover mints different real ones.
+// re-registers after a failover mints different real ones. The one journal
+// entry re-maps all of the call's pointers.
 func (l *Lib) RegisterKernels(p *sim.Proc, names []string) ([]cuda.FnPtr, error) {
-	l.remote(p)
-	var ptrs []cuda.FnPtr
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		ptrs, err = l.cl.RegisterKernels(p, names)
-		return err
-	})
+	ptrs, err := call(l, p, func(p *sim.Proc) ([]cuda.FnPtr, error) { return l.cl.RegisterKernels(p, names) })
 	if err != nil || l.rec == nil {
 		return ptrs, err
 	}
 	virts := make([]cuda.FnPtr, len(ptrs))
 	for i, fp := range ptrs {
-		v := cuda.FnPtr(virtFnBase + l.newVirt())
-		l.fnMap[v] = fp
-		virts[i] = v
+		virts[i] = cuda.FnPtr(virtFnBase + l.newVirt())
+		l.virt[uint64(virts[i])] = uint64(fp)
 	}
-	l.journalPut(fmt.Sprintf("kernels:%d", len(l.journal)), func(p *sim.Proc) error {
+	l.journalPut(jkey{kind: jKernels, id: uint64(len(l.journal))}, func(p *sim.Proc) error {
 		nps, err := l.cl.RegisterKernels(p, names)
 		if err != nil {
 			return err
 		}
 		for i, v := range virts {
 			if i < len(nps) {
-				l.fnMap[v] = nps[i]
+				l.virt[uint64(v)] = uint64(nps[i])
 			}
 		}
 		return nil
 	})
-	return virts, err
+	return virts, nil
 }
 
 // ModelAttach asks the API server for a cached copy of the function's model
 // working set; the returned pointer is tracked like a Malloc so localized
-// pointer-attribute queries keep working. On replay a cache miss on the
-// recovered server degrades to a plain allocation whose contents are
-// restored by the journaled uploads that follow it.
+// pointer-attribute queries keep working.
 func (l *Lib) ModelAttach(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
-	l.remote(p)
-	var (
-		ptr  cuda.DevPtr
-		size int64
-		tier int
-	)
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		ptr, size, tier, err = l.cl.ModelAttach(p)
-		return err
+	a, err := l.attach(p, func(p *sim.Proc) (a attached, err error) {
+		a.ptr, a.size, a.aux, err = l.cl.ModelAttach(p)
+		return
 	})
-	if err != nil || ptr == 0 {
-		return ptr, size, tier, err
-	}
-	if l.rec != nil {
-		v := l.newVirtPtr(size)
-		l.ptrMap[v] = ptr
-		sz := size
-		l.journalPutPtr(ptrKey(v), v, func(p *sim.Proc) error {
-			rp, rsz, _, err := l.cl.ModelAttach(p)
-			if err == nil && rp != 0 && rsz == sz {
-				l.ptrMap[v] = rp
-				return nil
-			}
-			if err != nil && !remoting.IsConnFault(err) {
-				err = nil // semantic attach failure: fall back to Malloc
-			}
-			if err != nil {
-				return err
-			}
-			np, err := l.cl.Malloc(p, sz)
-			if err != nil {
-				return err
-			}
-			l.ptrMap[v] = np
-			return nil
-		})
-		ptr = v
-	}
-	l.ptrSizes[ptr] = size
-	return ptr, size, tier, err
+	return a.ptr, a.size, a.aux, err
 }
 
 // ModelPersist offers an allocation to the API server's model cache. The
@@ -525,8 +245,7 @@ func (l *Lib) ModelAttach(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 func (l *Lib) ModelPersist(p *sim.Proc, ptr cuda.DevPtr) error {
 	size := l.ptrSizes[ptr]
 	delete(l.ptrSizes, ptr)
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.ModelPersist(p, l.xp(ptr)) })
+	err := l.sync(p, func(p *sim.Proc) error { return l.cl.ModelPersist(p, l.xp(ptr)) })
 	l.dropPtrEntries(ptr, size)
 	return err
 }
@@ -535,32 +254,17 @@ func (l *Lib) ModelPersist(p *sim.Proc, ptr cuda.DevPtr) error {
 
 // GetDeviceCount mirrors cudaGetDeviceCount.
 func (l *Lib) GetDeviceCount(p *sim.Proc) (int, error) {
-	l.remote(p)
-	var n int
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		n, err = l.cl.GetDeviceCount(p)
-		return err
-	})
-	return n, err
+	return call(l, p, l.cl.GetDeviceCount)
 }
 
 // GetDeviceProperties mirrors cudaGetDeviceProperties.
 func (l *Lib) GetDeviceProperties(p *sim.Proc, dev int) (cuda.DeviceProp, error) {
-	l.remote(p)
-	var prop cuda.DeviceProp
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		prop, err = l.cl.GetDeviceProperties(p, dev)
-		return err
-	})
-	return prop, err
+	return call(l, p, func(p *sim.Proc) (cuda.DeviceProp, error) { return l.cl.GetDeviceProperties(p, dev) })
 }
 
 // SetDevice mirrors cudaSetDevice.
 func (l *Lib) SetDevice(p *sim.Proc, dev int) error {
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.SetDevice(p, dev) })
+	return l.sync(p, func(p *sim.Proc) error { return l.cl.SetDevice(p, dev) })
 }
 
 // GetDevice mirrors cudaGetDevice; the virtual device is always 0, so the
@@ -570,32 +274,21 @@ func (l *Lib) GetDevice(p *sim.Proc) (int, error) {
 		l.local(p)
 		return 0, nil
 	}
-	l.remote(p)
-	var dev int
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		dev, err = l.cl.GetDevice(p)
-		return err
-	})
-	return dev, err
+	return call(l, p, l.cl.GetDevice)
 }
 
 // MemGetInfo mirrors cudaMemGetInfo.
-func (l *Lib) MemGetInfo(p *sim.Proc) (int64, int64, error) {
-	l.remote(p)
-	var free, total int64
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
+func (l *Lib) MemGetInfo(p *sim.Proc) (free, total int64, err error) {
+	err = l.sync(p, func(p *sim.Proc) (err error) {
 		free, total, err = l.cl.MemGetInfo(p)
-		return err
+		return
 	})
-	return free, total, err
+	return
 }
 
 // DeviceSynchronize mirrors cudaDeviceSynchronize.
 func (l *Lib) DeviceSynchronize(p *sim.Proc) error {
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.DeviceSynchronize(p) })
+	return l.sync(p, l.cl.DeviceSynchronize)
 }
 
 // GetLastError mirrors cudaGetLastError.
@@ -606,14 +299,7 @@ func (l *Lib) GetLastError(p *sim.Proc) (int, error) {
 		l.lastError = 0
 		return code, nil
 	}
-	l.remote(p)
-	var code int
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		code, err = l.cl.GetLastError(p)
-		return err
-	})
-	return code, err
+	return call(l, p, l.cl.GetLastError)
 }
 
 // DriverGetVersion mirrors cuDriverGetVersion.
@@ -622,14 +308,7 @@ func (l *Lib) DriverGetVersion(p *sim.Proc) (int, error) {
 		l.local(p)
 		return 10020, nil
 	}
-	l.remote(p)
-	var v int
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		v, err = l.cl.DriverGetVersion(p)
-		return err
-	})
-	return v, err
+	return call(l, p, l.cl.DriverGetVersion)
 }
 
 // RuntimeGetVersion mirrors cudaRuntimeGetVersion.
@@ -638,14 +317,7 @@ func (l *Lib) RuntimeGetVersion(p *sim.Proc) (int, error) {
 		l.local(p)
 		return 10010, nil
 	}
-	l.remote(p)
-	var v int
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		v, err = l.cl.RuntimeGetVersion(p)
-		return err
-	})
-	return v, err
+	return call(l, p, l.cl.RuntimeGetVersion)
 }
 
 // --- memory management ---
@@ -654,68 +326,33 @@ func (l *Lib) RuntimeGetVersion(p *sim.Proc) (int, error) {
 // pointer-attribute queries. Recoverable libraries return a guest-virtual
 // address and journal the allocation.
 func (l *Lib) Malloc(p *sim.Proc, size int64) (cuda.DevPtr, error) {
-	l.remote(p)
-	var ptr cuda.DevPtr
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		ptr, err = l.cl.Malloc(p, size)
-		return err
-	})
+	ptr, err := call(l, p, func(p *sim.Proc) (cuda.DevPtr, error) { return l.cl.Malloc(p, size) })
 	if err != nil {
 		return 0, err
 	}
 	if l.rec != nil {
-		v := l.newVirtPtr(size)
-		l.ptrMap[v] = ptr
-		l.journalPutPtr(ptrKey(v), v, func(p *sim.Proc) error {
-			np, err := l.cl.Malloc(p, size)
-			if err != nil {
-				return err
-			}
-			l.ptrMap[v] = np
-			return nil
-		})
-		ptr = v
+		ptr = virtualize(l, l.newVirtPtr(size), ptr, func(p *sim.Proc) (cuda.DevPtr, error) { return l.cl.Malloc(p, size) })
 	}
 	l.ptrSizes[ptr] = size
 	return ptr, nil
 }
 
-// Free mirrors cudaFree. It is a synchronizing call in the pipelined tier:
+// Free mirrors cudaFree. It is batchable but not deferrable in apigen's spec:
 // releasing memory while one-way work may still reference it must drain the
-// lane first, so it takes the remote path, which fences. Journal entries for
-// the allocation are retired only once the free is confirmed: an unflushed
-// free must still find the allocation replayed after a recovery.
+// pipelined lane first, so there it is a synchronous call, which fences.
+// Journal entries for the allocation are retired only once the free is
+// confirmed: an unflushed free must still find the allocation replayed after
+// a recovery.
 func (l *Lib) Free(p *sim.Proc, ptr cuda.DevPtr) error {
 	size := l.ptrSizes[ptr]
 	delete(l.ptrSizes, ptr)
-	if !l.asyncing() && l.batching() {
-		l.deferCallDone(
-			func(e *wire.Encoder) { gen.AppendFreeCall(e, l.xp(ptr)) },
-			func() { l.dropPtrEntries(ptr, size) },
-		)
-		return nil
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.Free(p, l.xp(ptr)) })
-	if err == nil {
-		l.dropPtrEntries(ptr, size)
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallFree, ptr: ptr, size: size})
 }
 
 // Memset mirrors cudaMemset. Not journaled: memset output is intermediate
 // state the function rebuilds, like kernel results.
 func (l *Lib) Memset(p *sim.Proc, ptr cuda.DevPtr, value byte, size int64) error {
-	if l.asyncing() {
-		return l.submitAsync(p, 0, func(e *wire.Encoder) { gen.AppendMemsetCall(e, l.xp(ptr), value, size) })
-	}
-	if l.batching() {
-		l.deferCall(func(e *wire.Encoder) { gen.AppendMemsetCall(e, l.xp(ptr), value, size) })
-		return nil
-	}
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.Memset(p, l.xp(ptr), value, size) })
+	return l.submit(p, &op{id: gen.CallMemset, ptr: ptr, value: value, size: size})
 }
 
 // MemcpyH2D mirrors cudaMemcpy(HostToDevice). Host-to-device copies need no
@@ -724,34 +361,12 @@ func (l *Lib) Memset(p *sim.Proc, ptr cuda.DevPtr, value byte, size int64) error
 // the guest, so the upload is journaled once confirmed: recovered sessions
 // re-establish device contents from it.
 func (l *Lib) MemcpyH2D(p *sim.Proc, dst cuda.DevPtr, src gpu.HostBuffer, size int64) error {
-	journal := func() {
-		l.journalPutPtr(h2dKey(dst, size), dst, func(p *sim.Proc) error {
-			return l.cl.MemcpyH2D(p, l.xp(dst), src, size)
-		})
-	}
-	if l.asyncing() {
-		return l.submitAsyncDone(p, size,
-			func(e *wire.Encoder) { gen.AppendMemcpyH2DCall(e, l.xp(dst), src, size) },
-			journal)
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.MemcpyH2D(p, l.xp(dst), src, size) })
-	if err == nil && l.rec != nil {
-		journal()
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallMemcpyH2D, ptr: dst, src: src, size: size, reqData: size})
 }
 
 // MemcpyD2H mirrors cudaMemcpy(DeviceToHost).
 func (l *Lib) MemcpyD2H(p *sim.Proc, src cuda.DevPtr, size int64) (gpu.HostBuffer, error) {
-	l.remote(p)
-	var buf gpu.HostBuffer
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		buf, err = l.cl.MemcpyD2H(p, l.xp(src), size)
-		return err
-	})
-	return buf, err
+	return call(l, p, func(p *sim.Proc) (gpu.HostBuffer, error) { return l.cl.MemcpyD2H(p, l.xp(src), size) })
 }
 
 // MemWrite uploads caller-provided bytes to device memory: the vectored twin
@@ -760,11 +375,10 @@ func (l *Lib) MemcpyD2H(p *sim.Proc, src cuda.DevPtr, size int64) (gpu.HostBuffe
 // MemcpyH2D so recovered sessions re-establish device contents — the journal
 // retains its own copy, because the caller keeps ownership of data.
 func (l *Lib) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.MemWrite(p, l.xp(dst), data) })
+	err := l.sync(p, func(p *sim.Proc) error { return l.cl.MemWrite(p, l.xp(dst), data) })
 	if err == nil && l.rec != nil {
 		kept := append([]byte(nil), data...)
-		l.journalPutPtr(h2dKey(dst, int64(len(kept))), dst, func(p *sim.Proc) error {
+		l.journalPut(jkey{kind: jUpload, id: uint64(dst), size: int64(len(kept))}, func(p *sim.Proc) error {
 			return l.cl.MemWrite(p, l.xp(dst), kept)
 		})
 	}
@@ -781,21 +395,13 @@ func (l *Lib) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) ([]byte, error) 
 // protocol-v2 connection a pre-sized dst makes the download allocation-free.
 // The returned slice may alias dst.
 func (l *Lib) MemReadInto(p *sim.Proc, src cuda.DevPtr, size int64, dst []byte) ([]byte, error) {
-	l.remote(p)
-	var out []byte
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		out, err = l.cl.MemReadInto(p, l.xp(src), size, dst)
-		return err
-	})
-	return out, err
+	return call(l, p, func(p *sim.Proc) ([]byte, error) { return l.cl.MemReadInto(p, l.xp(src), size, dst) })
 }
 
 // MemcpyD2D mirrors cudaMemcpy(DeviceToDevice). Not journaled: the copied
 // contents are derived device state.
 func (l *Lib) MemcpyD2D(p *sim.Proc, dst, src cuda.DevPtr, size int64) error {
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.MemcpyD2D(p, l.xp(dst), l.xp(src), size) })
+	return l.sync(p, func(p *sim.Proc) error { return l.cl.MemcpyD2D(p, l.xp(dst), l.xp(src), size) })
 }
 
 // MallocHost mirrors cudaMallocHost: host-only state, so the optimized guest
@@ -808,25 +414,9 @@ func (l *Lib) MallocHost(p *sim.Proc, size int64) (uint64, error) {
 		l.hostAllocs[ptr] = size
 		return ptr, nil
 	}
-	l.remote(p)
-	var ptr uint64
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		ptr, err = l.cl.MallocHost(p, size)
-		return err
-	})
+	ptr, err := call(l, p, func(p *sim.Proc) (uint64, error) { return l.cl.MallocHost(p, size) })
 	if err == nil && l.rec != nil {
-		v := virtHostBase + l.newVirt()<<12
-		l.hostMap[v] = ptr
-		l.journalPut(hostKey(v), func(p *sim.Proc) error {
-			np, err := l.cl.MallocHost(p, size)
-			if err != nil {
-				return err
-			}
-			l.hostMap[v] = np
-			return nil
-		})
-		ptr = v
+		ptr = virtualize(l, virtHostBase+l.newVirt()<<12, ptr, func(p *sim.Proc) (uint64, error) { return l.cl.MallocHost(p, size) })
 	}
 	return ptr, err
 }
@@ -841,11 +431,9 @@ func (l *Lib) FreeHost(p *sim.Proc, ptr uint64) error {
 		delete(l.hostAllocs, ptr)
 		return nil
 	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.FreeHost(p, l.xhost(ptr)) })
-	if err == nil && l.rec != nil {
-		l.journalDrop(hostKey(ptr))
-		delete(l.hostMap, ptr)
+	err := l.sync(p, func(p *sim.Proc) error { return l.cl.FreeHost(p, xh(l, ptr)) })
+	if err == nil {
+		l.forget(ptr)
 	}
 	return err
 }
@@ -863,14 +451,7 @@ func (l *Lib) PointerGetAttributes(p *sim.Proc, ptr cuda.DevPtr) (cuda.PtrAttrib
 		}
 		return cuda.PtrAttributes{}, cuda.ErrInvalidValue
 	}
-	l.remote(p)
-	var attrs cuda.PtrAttributes
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		attrs, err = l.cl.PointerGetAttributes(p, l.xp(ptr))
-		return err
-	})
-	return attrs, err
+	return call(l, p, func(p *sim.Proc) (cuda.PtrAttributes, error) { return l.cl.PointerGetAttributes(p, l.xp(ptr)) })
 }
 
 // --- execution ---
@@ -883,9 +464,8 @@ func (l *Lib) PushCallConfiguration(p *sim.Proc, grid, block [3]int, stream cuda
 		l.cfgStack = append(l.cfgStack, gen.PushCallConfigurationReq{Grid: grid, Block: block, Stream: stream})
 		return nil
 	}
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error {
-		return l.cl.PushCallConfiguration(p, grid, block, l.xs(stream))
+	return l.sync(p, func(p *sim.Proc) error {
+		return l.cl.PushCallConfiguration(p, grid, block, xh(l, stream))
 	})
 }
 
@@ -898,26 +478,21 @@ func (l *Lib) PopCallConfiguration(p *sim.Proc) error {
 		}
 		return nil
 	}
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.PopCallConfiguration(p) })
+	return l.sync(p, l.cl.PopCallConfiguration)
 }
 
-// LaunchKernel mirrors cudaLaunchKernel. The unoptimized guest reproduces
-// the native call pattern — push configuration, launch, pop configuration —
-// as three forwarded calls; the optimized guest ships one batched launch.
+// LaunchKernel mirrors cudaLaunchKernel. A guest whose launch is a forwarded
+// call of its own reproduces the native call pattern — push configuration,
+// launch, pop configuration — as three forwarded calls; on a deferring lane
+// the configuration rides inside the one launch message.
 func (l *Lib) LaunchKernel(p *sim.Proc, lp cuda.LaunchParams) error {
-	if l.asyncing() {
-		return l.submitAsync(p, 0, func(e *wire.Encoder) { gen.AppendLaunchKernelCall(e, l.xlp(lp)) })
+	forwarded := l.laneOf(gen.CallLaunchKernel) == laneSync
+	if forwarded {
+		if err := l.PushCallConfiguration(p, lp.Grid, lp.Block, lp.Stream); err != nil {
+			return err
+		}
 	}
-	if l.batching() {
-		l.deferCall(func(e *wire.Encoder) { gen.AppendLaunchKernelCall(e, l.xlp(lp)) })
-		return nil
-	}
-	if err := l.PushCallConfiguration(p, lp.Grid, lp.Block, lp.Stream); err != nil {
-		return err
-	}
-	l.remote(p)
-	if err := l.reliably(p, func(p *sim.Proc) error { return l.cl.LaunchKernel(p, l.xlp(lp)) }); err != nil {
+	if err := l.submit(p, &op{id: gen.CallLaunchKernel, lp: lp}); err != nil || !forwarded {
 		return err
 	}
 	return l.PopCallConfiguration(p)
@@ -925,204 +500,64 @@ func (l *Lib) LaunchKernel(p *sim.Proc, lp cuda.LaunchParams) error {
 
 // StreamCreate mirrors cudaStreamCreate.
 func (l *Lib) StreamCreate(p *sim.Proc) (cuda.StreamHandle, error) {
-	l.remote(p)
-	var h cuda.StreamHandle
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		h, err = l.cl.StreamCreate(p)
-		return err
-	})
-	if err == nil && l.rec != nil {
-		v := cuda.StreamHandle(virtStreamBase + l.newVirt())
-		l.streamMap[v] = h
-		l.journalPut(streamKey(v), func(p *sim.Proc) error {
-			nh, err := l.cl.StreamCreate(p)
-			if err != nil {
-				return err
-			}
-			l.streamMap[v] = nh
-			return nil
-		})
-		h = v
-	}
-	return h, err
+	return create(l, p, virtStreamBase, (*gen.Client).StreamCreate)
 }
 
 // StreamDestroy mirrors cudaStreamDestroy.
 func (l *Lib) StreamDestroy(p *sim.Proc, h cuda.StreamHandle) error {
-	drop := func() {
-		l.journalDrop(streamKey(h))
-		delete(l.streamMap, h)
-	}
-	if l.asyncing() {
-		return l.submitAsyncDone(p, 0, func(e *wire.Encoder) { gen.AppendStreamDestroyCall(e, l.xs(h)) }, drop)
-	}
-	if l.batching() {
-		l.deferCallDone(func(e *wire.Encoder) { gen.AppendStreamDestroyCall(e, l.xs(h)) }, drop)
-		return nil
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.StreamDestroy(p, l.xs(h)) })
-	if err == nil && l.rec != nil {
-		drop()
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallStreamDestroy, handle: uint64(h)})
 }
 
 // StreamSynchronize mirrors cudaStreamSynchronize.
 func (l *Lib) StreamSynchronize(p *sim.Proc, h cuda.StreamHandle) error {
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.StreamSynchronize(p, l.xs(h)) })
+	return l.sync(p, func(p *sim.Proc) error { return l.cl.StreamSynchronize(p, xh(l, h)) })
 }
 
 // EventCreate mirrors cudaEventCreate.
 func (l *Lib) EventCreate(p *sim.Proc) (cuda.EventHandle, error) {
-	l.remote(p)
-	var h cuda.EventHandle
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		h, err = l.cl.EventCreate(p)
-		return err
-	})
-	if err == nil && l.rec != nil {
-		v := cuda.EventHandle(virtEventBase + l.newVirt())
-		l.eventMap[v] = h
-		l.journalPut(eventKey(v), func(p *sim.Proc) error {
-			nh, err := l.cl.EventCreate(p)
-			if err != nil {
-				return err
-			}
-			l.eventMap[v] = nh
-			return nil
-		})
-		h = v
-	}
-	return h, err
+	return create(l, p, virtEventBase, (*gen.Client).EventCreate)
 }
 
 // EventDestroy mirrors cudaEventDestroy.
 func (l *Lib) EventDestroy(p *sim.Proc, h cuda.EventHandle) error {
-	drop := func() {
-		l.journalDrop(eventKey(h))
-		delete(l.eventMap, h)
-	}
-	if l.asyncing() {
-		return l.submitAsyncDone(p, 0, func(e *wire.Encoder) { gen.AppendEventDestroyCall(e, l.xe(h)) }, drop)
-	}
-	if l.batching() {
-		l.deferCallDone(func(e *wire.Encoder) { gen.AppendEventDestroyCall(e, l.xe(h)) }, drop)
-		return nil
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.EventDestroy(p, l.xe(h)) })
-	if err == nil && l.rec != nil {
-		drop()
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallEventDestroy, handle: uint64(h)})
 }
 
 // EventRecord mirrors cudaEventRecord. Not journaled: a recorded timestamp
 // is transient timing state, re-sent with the unfenced window if pending.
 func (l *Lib) EventRecord(p *sim.Proc, h cuda.EventHandle, stream cuda.StreamHandle) error {
-	if l.asyncing() {
-		return l.submitAsync(p, 0, func(e *wire.Encoder) { gen.AppendEventRecordCall(e, l.xe(h), l.xs(stream)) })
-	}
-	if l.batching() {
-		l.deferCall(func(e *wire.Encoder) { gen.AppendEventRecordCall(e, l.xe(h), l.xs(stream)) })
-		return nil
-	}
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.EventRecord(p, l.xe(h), l.xs(stream)) })
+	return l.submit(p, &op{id: gen.CallEventRecord, handle: uint64(h), stream: stream})
 }
 
 // EventSynchronize mirrors cudaEventSynchronize.
 func (l *Lib) EventSynchronize(p *sim.Proc, h cuda.EventHandle) error {
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error { return l.cl.EventSynchronize(p, l.xe(h)) })
+	return l.sync(p, func(p *sim.Proc) error { return l.cl.EventSynchronize(p, xh(l, h)) })
 }
 
 // EventElapsed mirrors cudaEventElapsedTime.
 func (l *Lib) EventElapsed(p *sim.Proc, start, end cuda.EventHandle) (time.Duration, error) {
-	l.remote(p)
-	var d time.Duration
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		d, err = l.cl.EventElapsed(p, l.xe(start), l.xe(end))
-		return err
+	return call(l, p, func(p *sim.Proc) (time.Duration, error) {
+		return l.cl.EventElapsed(p, xh(l, start), xh(l, end))
 	})
-	return d, err
 }
 
 // --- cuDNN ---
 
 // DnnCreate mirrors cudnnCreate.
 func (l *Lib) DnnCreate(p *sim.Proc) (cudalibs.DNNHandle, error) {
-	l.remote(p)
-	var h cudalibs.DNNHandle
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		h, err = l.cl.DnnCreate(p)
-		return err
-	})
-	if err == nil && l.rec != nil {
-		v := cudalibs.DNNHandle(virtDnnBase + l.newVirt())
-		l.dnnMap[v] = h
-		l.journalPut(dnnKey(v), func(p *sim.Proc) error {
-			nh, err := l.cl.DnnCreate(p)
-			if err != nil {
-				return err
-			}
-			l.dnnMap[v] = nh
-			return nil
-		})
-		h = v
-	}
-	return h, err
+	return create(l, p, virtDnnBase, (*gen.Client).DnnCreate)
 }
 
 // DnnDestroy mirrors cudnnDestroy.
 func (l *Lib) DnnDestroy(p *sim.Proc, h cudalibs.DNNHandle) error {
-	drop := func() {
-		l.journalDrop(dnnKey(h))
-		l.journalDrop(dnnKey(h) + ":stream")
-		delete(l.dnnMap, h)
-	}
-	if l.asyncing() {
-		return l.submitAsyncDone(p, 0, func(e *wire.Encoder) { gen.AppendDnnDestroyCall(e, l.xdn(h)) }, drop)
-	}
-	if l.batching() {
-		l.deferCallDone(func(e *wire.Encoder) { gen.AppendDnnDestroyCall(e, l.xdn(h)) }, drop)
-		return nil
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.DnnDestroy(p, l.xdn(h)) })
-	if err == nil && l.rec != nil {
-		drop()
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallDnnDestroy, handle: uint64(h)})
 }
 
-// DnnSetStream mirrors cudnnSetStream. The binding is journaled (keyed per
-// handle, last set wins) so a recovered handle is re-bound to its stream.
+// DnnSetStream mirrors cudnnSetStream. The binding is journaled once
+// confirmed (keyed per handle, last set wins) so a recovered handle is
+// re-bound to its stream.
 func (l *Lib) DnnSetStream(p *sim.Proc, h cudalibs.DNNHandle, stream cuda.StreamHandle) error {
-	journal := func() {
-		l.journalPut(dnnKey(h)+":stream", func(p *sim.Proc) error {
-			return l.cl.DnnSetStream(p, l.xdn(h), l.xs(stream))
-		})
-	}
-	if l.asyncing() {
-		return l.submitAsyncDone(p, 0, func(e *wire.Encoder) { gen.AppendDnnSetStreamCall(e, l.xdn(h), l.xs(stream)) }, journal)
-	}
-	if l.batching() {
-		l.deferCallDone(func(e *wire.Encoder) { gen.AppendDnnSetStreamCall(e, l.xdn(h), l.xs(stream)) }, journal)
-		return nil
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.DnnSetStream(p, l.xdn(h), l.xs(stream)) })
-	if err == nil && l.rec != nil {
-		journal()
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallDnnSetStream, handle: uint64(h), stream: stream})
 }
 
 // DnnGetConvolutionWorkspaceSize mirrors its cuDNN namesake.
@@ -1132,14 +567,7 @@ func (l *Lib) DnnGetConvolutionWorkspaceSize(p *sim.Proc, d cudalibs.Descriptor)
 		l.local(p)
 		return 64 << 20, nil
 	}
-	l.remote(p)
-	var size int64
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		size, err = l.cl.DnnGetConvolutionWorkspaceSize(p, l.xdc(d))
-		return err
-	})
-	return size, err
+	return call(l, p, func(p *sim.Proc) (int64, error) { return l.cl.DnnGetConvolutionWorkspaceSize(p, xh(l, d)) })
 }
 
 // DnnForward runs a cuDNN compute primitive on the API server. Descriptor
@@ -1149,9 +577,8 @@ func (l *Lib) DnnForward(p *sim.Proc, h cudalibs.DNNHandle, op string, dur time.
 	if l.localizing() {
 		descs = nil // guest-held descriptors are meaningless to the server
 	}
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error {
-		return l.cl.DnnForward(p, l.xdn(h), op, dur, l.xptrs(bufs), l.xdescs(descs))
+	return l.sync(p, func(p *sim.Proc) error {
+		return l.cl.DnnForward(p, xh(l, h), op, dur, l.xptrs(bufs), l.xdescs(descs))
 	})
 }
 
@@ -1159,77 +586,22 @@ func (l *Lib) DnnForward(p *sim.Proc, h cudalibs.DNNHandle, op string, dur time.
 
 // BlasCreate mirrors cublasCreate.
 func (l *Lib) BlasCreate(p *sim.Proc) (cudalibs.BLASHandle, error) {
-	l.remote(p)
-	var h cudalibs.BLASHandle
-	err := l.reliably(p, func(p *sim.Proc) error {
-		var err error
-		h, err = l.cl.BlasCreate(p)
-		return err
-	})
-	if err == nil && l.rec != nil {
-		v := cudalibs.BLASHandle(virtBlasBase + l.newVirt())
-		l.blasMap[v] = h
-		l.journalPut(blasKey(v), func(p *sim.Proc) error {
-			nh, err := l.cl.BlasCreate(p)
-			if err != nil {
-				return err
-			}
-			l.blasMap[v] = nh
-			return nil
-		})
-		h = v
-	}
-	return h, err
+	return create(l, p, virtBlasBase, (*gen.Client).BlasCreate)
 }
 
 // BlasDestroy mirrors cublasDestroy.
 func (l *Lib) BlasDestroy(p *sim.Proc, h cudalibs.BLASHandle) error {
-	drop := func() {
-		l.journalDrop(blasKey(h))
-		l.journalDrop(blasKey(h) + ":stream")
-		delete(l.blasMap, h)
-	}
-	if l.asyncing() {
-		return l.submitAsyncDone(p, 0, func(e *wire.Encoder) { gen.AppendBlasDestroyCall(e, l.xbl(h)) }, drop)
-	}
-	if l.batching() {
-		l.deferCallDone(func(e *wire.Encoder) { gen.AppendBlasDestroyCall(e, l.xbl(h)) }, drop)
-		return nil
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.BlasDestroy(p, l.xbl(h)) })
-	if err == nil && l.rec != nil {
-		drop()
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallBlasDestroy, handle: uint64(h)})
 }
 
 // BlasSetStream mirrors cublasSetStream; journaled like DnnSetStream.
 func (l *Lib) BlasSetStream(p *sim.Proc, h cudalibs.BLASHandle, stream cuda.StreamHandle) error {
-	journal := func() {
-		l.journalPut(blasKey(h)+":stream", func(p *sim.Proc) error {
-			return l.cl.BlasSetStream(p, l.xbl(h), l.xs(stream))
-		})
-	}
-	if l.asyncing() {
-		return l.submitAsyncDone(p, 0, func(e *wire.Encoder) { gen.AppendBlasSetStreamCall(e, l.xbl(h), l.xs(stream)) }, journal)
-	}
-	if l.batching() {
-		l.deferCallDone(func(e *wire.Encoder) { gen.AppendBlasSetStreamCall(e, l.xbl(h), l.xs(stream)) }, journal)
-		return nil
-	}
-	l.remote(p)
-	err := l.reliably(p, func(p *sim.Proc) error { return l.cl.BlasSetStream(p, l.xbl(h), l.xs(stream)) })
-	if err == nil && l.rec != nil {
-		journal()
-	}
-	return err
+	return l.submit(p, &op{id: gen.CallBlasSetStream, handle: uint64(h), stream: stream})
 }
 
 // BlasGemm mirrors cublasSgemm.
 func (l *Lib) BlasGemm(p *sim.Proc, h cudalibs.BLASHandle, dur time.Duration, bufs []cuda.DevPtr) error {
-	l.remote(p)
-	return l.reliably(p, func(p *sim.Proc) error {
-		return l.cl.BlasGemm(p, l.xbl(h), dur, l.xptrs(bufs))
+	return l.sync(p, func(p *sim.Proc) error {
+		return l.cl.BlasGemm(p, xh(l, h), dur, l.xptrs(bufs))
 	})
 }

@@ -284,6 +284,75 @@ func TestPushPopConfigurationLocalizedWhenBatching(t *testing.T) {
 	})
 }
 
+// TestLocalCallsAllocateNothing: a call the optimized guest answers from its
+// own state costs no heap allocation, inside a running simulation.
+func TestLocalCallsAllocateNothing(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		lib, lb := rig(e, p, OptAll)
+		_ = lib.Hello(p, "fn", 1<<30)
+		ptr, _ := lib.Malloc(p, 1<<20)
+		before := lb.n
+		ops := []struct {
+			name string
+			op   func()
+		}{
+			{"tensor descriptor", func() {
+				d, _ := lib.DnnCreateTensorDescriptor(p)
+				_ = lib.DnnSetTensorDescriptor(p, d)
+				_ = lib.DnnDestroyTensorDescriptor(p, d)
+			}},
+			{"filter descriptor", func() {
+				d, _ := lib.DnnCreateFilterDescriptor(p)
+				_ = lib.DnnSetFilterDescriptor(p, d)
+				_ = lib.DnnDestroyFilterDescriptor(p, d)
+			}},
+			{"convolution descriptor", func() {
+				d, _ := lib.DnnCreateConvolutionDescriptor(p)
+				_ = lib.DnnSetConvolutionDescriptor(p, d)
+				_, _ = lib.DnnGetConvolutionWorkspaceSize(p, d)
+				_ = lib.DnnDestroyConvolutionDescriptor(p, d)
+			}},
+			{"activation descriptor", func() {
+				d, _ := lib.DnnCreateActivationDescriptor(p)
+				_ = lib.DnnSetActivationDescriptor(p, d)
+				_ = lib.DnnDestroyActivationDescriptor(p, d)
+			}},
+			{"pooling descriptor", func() {
+				d, _ := lib.DnnCreatePoolingDescriptor(p)
+				_ = lib.DnnSetPoolingDescriptor(p, d)
+				_ = lib.DnnDestroyPoolingDescriptor(p, d)
+			}},
+			{"GetLastError", func() { _, _ = lib.GetLastError(p) }},
+			{"GetDevice", func() { _, _ = lib.GetDevice(p) }},
+			{"version queries", func() {
+				_, _ = lib.DriverGetVersion(p)
+				_, _ = lib.RuntimeGetVersion(p)
+			}},
+			{"MallocHost/FreeHost", func() {
+				h, _ := lib.MallocHost(p, 4096)
+				_ = lib.FreeHost(p, h)
+			}},
+			{"push/pop configuration", func() {
+				_ = lib.PushCallConfiguration(p, [3]int{1, 1, 1}, [3]int{256, 1, 1}, 0)
+				_ = lib.PopCallConfiguration(p)
+			}},
+			{"PointerGetAttributes", func() { _, _ = lib.PointerGetAttributes(p, ptr+4096) }},
+		}
+		for _, tc := range ops {
+			for i := 0; i < 100; i++ {
+				tc.op()
+			}
+			if allocs := testing.AllocsPerRun(200, tc.op); allocs != 0 {
+				t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
+			}
+		}
+		if lb.n != before {
+			t.Fatalf("locally answered calls crossed the wire %d times", lb.n-before)
+		}
+	})
+}
+
 // asyncLoopback extends the counting loopback with the pipelined lane:
 // Submit executes CallAsync-wrapped messages immediately (a loopback has no
 // latency to hide) and latches the first error; a CallFence round trip

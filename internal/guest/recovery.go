@@ -6,9 +6,8 @@ import (
 	"time"
 
 	"dgsf/internal/cuda"
-	"dgsf/internal/cudalibs"
 	"dgsf/internal/remoting"
-	"dgsf/internal/remoting/wire"
+	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 )
 
@@ -45,10 +44,10 @@ type RecoveryConfig struct {
 	BackoffBase time.Duration
 	// BackoffCap caps the exponential backoff (default 100ms).
 	BackoffCap time.Duration
-	// CallDeadline bounds every synchronous round trip; a reply that does
-	// not arrive in time is treated as a connection fault. Zero disables
-	// per-call deadlines (faults are then detected only on closed
-	// transports).
+	// CallDeadline bounds every round trip, on every lane that has one; a
+	// reply that does not arrive in time is treated as a connection fault.
+	// Zero disables per-call deadlines (faults are then detected only on
+	// closed transports).
 	CallDeadline time.Duration
 	// FenceLag bounds how stale the pipelined lane may run: if the oldest
 	// unfenced submission is older than FenceLag when the next one is
@@ -61,51 +60,9 @@ type RecoveryConfig struct {
 // interposed call may trigger before giving up.
 const maxCallRecoveries = 3
 
-// Virtual handle namespaces. A recoverable guest never exposes server-issued
-// handles to the application: recovered sessions mint different ones (and a
-// different server has a different VA allocator), so the guest hands out
-// stable virtual IDs and translates at encode time.
-const (
-	virtPtrBase    = 0x7e00_0000_0000 // device pointers, bump-allocated
-	virtFnBase     = 0x5e00_0000_0000 // kernel function pointers
-	virtHostBase   = 0x6b00_0000_0000 // host (pinned) allocations
-	virtStreamBase = 0x6600_0000      // streams
-	virtEventBase  = 0x6700_0000      // events
-	virtDnnBase    = 0x6800_0000      // cuDNN handles
-	virtBlasBase   = 0x6900_0000      // cuBLAS handles
-	virtDescBase   = 0x6a00_0000      // cuDNN descriptors (remoted mode)
-)
-
-// journalEntry is one state-establishing call in the replay journal. Entries
-// are replayed in original order; superseded or released entries are marked
-// dead in place so replacement cannot reorder a call before state it uses.
-type journalEntry struct {
-	key    string
-	base   cuda.DevPtr // owning allocation for content uploads, 0 otherwise
-	dead   bool
-	replay func(p *sim.Proc) error
-}
-
-// batchOp is a deferred batched call in closure form: the encode runs at
-// flush time so handle translation reflects the current session, and onDone
-// runs once the batch round trip confirms execution.
-type batchOp struct {
-	app    func(e *wire.Encoder)
-	onDone func()
-}
-
-// asyncOp mirrors one in-flight pipelined submission so it can be re-sent
-// against a recovered session; onDone runs at the first successful fence.
-type asyncOp struct {
-	app     func(e *wire.Encoder)
-	reqData int64
-	onDone  func()
-}
-
 // NewRecoverable returns a guest library that recovers from API server
 // failures according to rc. Handle virtualization, journaling and per-call
-// deadlines are active only on libraries built through this constructor; New
-// keeps the exact non-recoverable fast paths.
+// deadlines are active only on libraries built through this constructor.
 func NewRecoverable(t remoting.Caller, opt Opt, rc RecoveryConfig) *Lib {
 	l := New(t, opt)
 	if rc.MaxAttempts <= 0 {
@@ -118,51 +75,29 @@ func NewRecoverable(t remoting.Caller, opt Opt, rc RecoveryConfig) *Lib {
 		rc.BackoffCap = 100 * time.Millisecond
 	}
 	l.rec = &rc
-	l.ptrMap = make(map[cuda.DevPtr]cuda.DevPtr)
-	l.streamMap = make(map[cuda.StreamHandle]cuda.StreamHandle)
-	l.eventMap = make(map[cuda.EventHandle]cuda.EventHandle)
-	l.dnnMap = make(map[cudalibs.DNNHandle]cudalibs.DNNHandle)
-	l.blasMap = make(map[cudalibs.BLASHandle]cudalibs.BLASHandle)
-	l.fnMap = make(map[cuda.FnPtr]cuda.FnPtr)
-	l.descMap = make(map[cudalibs.Descriptor]cudalibs.Descriptor)
-	l.hostMap = make(map[uint64]uint64)
-	l.journalKeys = make(map[string]*journalEntry)
+	l.virt = make(map[uint64]uint64)
+	l.journalKeys = make(map[jkey]*journalEntry)
 	l.adoptTransport(t)
 	return l
 }
 
-// adoptTransport points the library at a (re)dialed transport, wrapping the
-// synchronous lane with the per-call deadline when one is configured.
-func (l *Lib) adoptTransport(t remoting.Caller) {
-	l.conn = t
-	l.cl.T = t
-	if l.rec != nil && l.rec.CallDeadline > 0 {
-		if _, ok := t.(remoting.DeadlineCaller); ok {
-			l.cl.T = &deadlineWrap{inner: t, d: l.rec.CallDeadline}
-		}
-	}
-	if ac, ok := t.(remoting.AsyncCaller); ok {
-		l.async = ac
-	} else {
-		l.async = nil
-	}
-}
+// --- the virtual-handle table ---
 
-// deadlineWrap bounds every synchronous round trip on transports that
-// support reply deadlines, converting a silently-dead server into a typed
-// fault the recovery path can act on.
-type deadlineWrap struct {
-	inner remoting.Caller
-	d     time.Duration
-}
-
-func (w *deadlineWrap) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, error) {
-	return w.inner.(remoting.DeadlineCaller).RoundtripTimeout(p, req, reqData, w.d)
-}
-
-func (w *deadlineWrap) Close() { w.inner.Close() }
-
-// --- virtual handle minting and translation ---
+// Virtual handle namespaces. A recoverable guest never exposes server-issued
+// handles to the application: recovered sessions mint different ones (and a
+// different server has a different VA allocator), so the guest hands out
+// stable virtual IDs and translates at encode time. The namespaces are
+// disjoint, which is what lets one table hold every kind.
+const (
+	virtPtrBase    = 0x7e00_0000_0000 // device pointers, bump-allocated
+	virtFnBase     = 0x5e00_0000_0000 // kernel function pointers
+	virtHostBase   = 0x6b00_0000_0000 // host (pinned) allocations
+	virtStreamBase = 0x6600_0000      // streams
+	virtEventBase  = 0x6700_0000      // events
+	virtDnnBase    = 0x6800_0000      // cuDNN handles
+	virtBlasBase   = 0x6900_0000      // cuBLAS handles
+	virtDescBase   = 0x6a00_0000      // cuDNN descriptors (remoted mode)
+)
 
 func (l *Lib) newVirt() uint64 {
 	l.nextVirt++
@@ -181,195 +116,206 @@ func (l *Lib) newVirtPtr(size int64) cuda.DevPtr {
 	return v
 }
 
-// xp translates a guest-virtual device pointer (base or interior) to the
-// current session's real pointer. Identity on non-recoverable libraries.
+// virtualize enters a server-issued handle into the table under the
+// guest-virtual ID v and journals how to get another: on replay remake's
+// result takes over the mapping. It returns v, which is what the application
+// sees from then on.
+func virtualize[H ~uint64](l *Lib, v, issued H, remake func(p *sim.Proc) (H, error)) H {
+	l.virt[uint64(v)] = uint64(issued)
+	l.journalPut(jkey{kind: jHandle, id: uint64(v)}, func(p *sim.Proc) error {
+		h, err := remake(p)
+		if err == nil {
+			l.virt[uint64(v)] = uint64(h)
+		}
+		return err
+	})
+	return v
+}
+
+// create runs a call that takes no argument and returns a fresh server-side
+// handle — streams, events, library handles, remoted descriptors — and
+// virtualizes the handle in the namespace at base. mk is a method expression:
+// it is the call and, journaled, the way to repeat it.
+func create[H ~uint64](l *Lib, p *sim.Proc, base uint64, mk func(*gen.Client, *sim.Proc) (H, error)) (H, error) {
+	h, err := call(l, p, func(p *sim.Proc) (H, error) { return mk(l.cl, p) })
+	if err == nil && l.rec != nil {
+		h = virtualize(l, H(base+l.newVirt()), h, func(p *sim.Proc) (H, error) { return mk(l.cl, p) })
+	}
+	return h, err
+}
+
+// attached is what the attach family — ModelAttach, ModelBroadcast,
+// MemImport, PeerCopy — returns: a device allocation the server made for the
+// session out of state held elsewhere, plus one call-specific datum (cache
+// tier, broadcast source).
+type attached struct {
+	ptr  cuda.DevPtr
+	size int64
+	aux  int
+}
+
+// attach runs one call of the attach family and tracks its allocation like a
+// Malloc's. The state it attached to rarely survives a failover — the cache
+// is another server's, the export is consumed — so on replay anything but
+// the same-sized allocation degrades to a plain Malloc of that size, whose
+// contents the journaled uploads that follow restore; the application's
+// pointer stays valid either way.
+func (l *Lib) attach(p *sim.Proc, fn func(p *sim.Proc) (attached, error)) (attached, error) {
+	a, err := call(l, p, fn)
+	if err != nil || a.ptr == 0 {
+		return a, err
+	}
+	if l.rec != nil {
+		size := a.size
+		a.ptr = virtualize(l, l.newVirtPtr(size), a.ptr, func(p *sim.Proc) (cuda.DevPtr, error) {
+			r, err := fn(p)
+			if err == nil && r.ptr != 0 && r.size == size {
+				return r.ptr, nil
+			}
+			if err != nil && remoting.IsConnFault(err) {
+				return 0, err
+			}
+			return l.cl.Malloc(p, size)
+		})
+	}
+	l.ptrSizes[a.ptr] = a.size
+	return a, nil
+}
+
+// xh translates a guest-virtual handle of any kind to the current session's
+// real one. Handles the table does not know — every handle of a
+// non-recoverable library, whose table is nil — pass through.
+func xh[H ~uint64](l *Lib, v H) H {
+	if r, ok := l.virt[uint64(v)]; ok {
+		return H(r)
+	}
+	return v
+}
+
+// xp is xh for device pointers, which may also point into an allocation.
 func (l *Lib) xp(v cuda.DevPtr) cuda.DevPtr {
 	if l.rec == nil || v == 0 {
 		return v
 	}
-	if r, ok := l.ptrMap[v]; ok {
-		return r
+	if r, ok := l.virt[uint64(v)]; ok {
+		return cuda.DevPtr(r)
 	}
 	for base, size := range l.ptrSizes {
 		if v > base && uint64(v) < uint64(base)+uint64(size) {
-			if r, ok := l.ptrMap[base]; ok {
-				return r + (v - base)
+			if r, ok := l.virt[uint64(base)]; ok {
+				return cuda.DevPtr(r) + (v - base)
 			}
 		}
 	}
 	return v
 }
 
-func (l *Lib) xs(v cuda.StreamHandle) cuda.StreamHandle {
-	if l.rec == nil || v == 0 {
-		return v
+// translated returns in with every element run through x. The result is a
+// copy: the caller's slice must not observe real handles.
+func translated[H any](l *Lib, in []H, x func(H) H) []H {
+	if l.rec == nil || len(in) == 0 {
+		return in
 	}
-	if r, ok := l.streamMap[v]; ok {
-		return r
+	out := make([]H, len(in))
+	for i, v := range in {
+		out[i] = x(v)
 	}
-	return v
+	return out
 }
 
-func (l *Lib) xe(v cuda.EventHandle) cuda.EventHandle {
-	if l.rec == nil || v == 0 {
-		return v
-	}
-	if r, ok := l.eventMap[v]; ok {
-		return r
-	}
-	return v
+func (l *Lib) xptrs(bufs []cuda.DevPtr) []cuda.DevPtr { return translated(l, bufs, l.xp) }
+
+func (l *Lib) xdescs(descs []uint64) []uint64 {
+	return translated(l, descs, func(d uint64) uint64 { return xh(l, d) })
 }
 
-func (l *Lib) xdn(v cudalibs.DNNHandle) cudalibs.DNNHandle {
-	if l.rec == nil {
-		return v
-	}
-	if r, ok := l.dnnMap[v]; ok {
-		return r
-	}
-	return v
-}
-
-func (l *Lib) xbl(v cudalibs.BLASHandle) cudalibs.BLASHandle {
-	if l.rec == nil {
-		return v
-	}
-	if r, ok := l.blasMap[v]; ok {
-		return r
-	}
-	return v
-}
-
-func (l *Lib) xf(v cuda.FnPtr) cuda.FnPtr {
-	if l.rec == nil {
-		return v
-	}
-	if r, ok := l.fnMap[v]; ok {
-		return r
-	}
-	return v
-}
-
-func (l *Lib) xdc(v cudalibs.Descriptor) cudalibs.Descriptor {
-	if l.rec == nil {
-		return v
-	}
-	if r, ok := l.descMap[v]; ok {
-		return r
-	}
-	return v
-}
-
-func (l *Lib) xhost(v uint64) uint64 {
-	if l.rec == nil {
-		return v
-	}
-	if r, ok := l.hostMap[v]; ok {
-		return r
-	}
-	return v
-}
-
-// xlp translates a LaunchParams for the wire. The Mutates slice is copied:
-// the caller's slice must not observe translated pointers.
+// xlp translates a LaunchParams for the wire.
 func (l *Lib) xlp(lp cuda.LaunchParams) cuda.LaunchParams {
 	if l.rec == nil {
 		return lp
 	}
-	lp.Fn = l.xf(lp.Fn)
-	lp.Stream = l.xs(lp.Stream)
-	if len(lp.Mutates) > 0 {
-		m := make([]cuda.DevPtr, len(lp.Mutates))
-		for i, v := range lp.Mutates {
-			m[i] = l.xp(v)
-		}
-		lp.Mutates = m
-	}
+	lp.Fn = xh(l, lp.Fn)
+	lp.Stream = xh(l, lp.Stream)
+	lp.Mutates = l.xptrs(lp.Mutates)
 	return lp
 }
 
-func (l *Lib) xptrs(bufs []cuda.DevPtr) []cuda.DevPtr {
-	if l.rec == nil || len(bufs) == 0 {
-		return bufs
+// forget retires a released handle: whatever the journal holds about it
+// dies, and its mapping goes. (Nothing to find on a non-recoverable library.)
+func (l *Lib) forget(h uint64) {
+	for _, kind := range [...]jkind{jHandle, jStream, jDescSet} {
+		l.journalDrop(jkey{kind: kind, id: h})
 	}
-	out := make([]cuda.DevPtr, len(bufs))
-	for i, v := range bufs {
-		out[i] = l.xp(v)
-	}
-	return out
+	delete(l.virt, h)
 }
 
-func (l *Lib) xdescs(descs []uint64) []uint64 {
-	if l.rec == nil || len(descs) == 0 {
-		return descs
+// dropPtrEntries retires a device allocation that left the session (Free,
+// ModelPersist, MemExport): forget, plus every content upload into it.
+func (l *Lib) dropPtrEntries(ptr cuda.DevPtr, size int64) {
+	for _, en := range l.journal {
+		if k := en.key; !en.dead && k.kind == jUpload && k.id >= uint64(ptr) && k.id < uint64(ptr)+uint64(size) {
+			en.dead = true
+			delete(l.journalKeys, k)
+		}
 	}
-	out := make([]uint64, len(descs))
-	for i, v := range descs {
-		out[i] = uint64(l.xdc(cudalibs.Descriptor(v)))
-	}
-	return out
+	l.forget(uint64(ptr))
 }
 
 // --- journal ---
 
-func ptrKey(v cuda.DevPtr) string          { return fmt.Sprintf("ptr:%x", uint64(v)) }
-func streamKey(v cuda.StreamHandle) string { return fmt.Sprintf("stream:%x", uint64(v)) }
-func eventKey(v cuda.EventHandle) string   { return fmt.Sprintf("event:%x", uint64(v)) }
-func dnnKey(v cudalibs.DNNHandle) string   { return fmt.Sprintf("dnn:%x", uint64(v)) }
-func blasKey(v cudalibs.BLASHandle) string { return fmt.Sprintf("blas:%x", uint64(v)) }
-func descKey(v cudalibs.Descriptor) string { return fmt.Sprintf("desc:%x", uint64(v)) }
-func hostKey(v uint64) string              { return fmt.Sprintf("host:%x", v) }
-func h2dKey(dst cuda.DevPtr, size int64) string {
-	return fmt.Sprintf("h2d:%x:%x", uint64(dst), size)
+// jkind says what of the session a journal entry establishes. (A full word,
+// so that jkey has no padding and hashes as plain memory.)
+type jkind uint64
+
+const (
+	jSession jkind = iota // the session itself: Hello
+	jKernels              // one RegisterKernels call; id is its journal position
+	jHandle               // the handle id exists (any namespace)
+	jStream               // library handle id is bound to a stream
+	jDescSet              // descriptor id is configured
+	jUpload               // size bytes were uploaded to device address id
+)
+
+// jkey identifies what a journal entry establishes: journaling the same key
+// again supersedes the entry, releasing the handle retires it.
+type jkey struct {
+	kind jkind
+	id   uint64
+	size int64
+}
+
+// journalEntry is one state-establishing call in the replay journal. Entries
+// are replayed in original order; superseded or released entries are marked
+// dead in place so replacement cannot reorder a call before state it uses.
+type journalEntry struct {
+	key    jkey
+	dead   bool
+	replay func(p *sim.Proc) error
 }
 
 // journalPut records (or replaces) a state-establishing call. Replacement
 // appends and kills the old entry rather than updating in place: the new
 // call may reference state created after the original (a re-bound stream,
 // say), and replay order must respect that.
-func (l *Lib) journalPut(key string, replay func(p *sim.Proc) error) {
-	l.journalPutPtr(key, 0, replay)
-}
-
-func (l *Lib) journalPutPtr(key string, base cuda.DevPtr, replay func(p *sim.Proc) error) {
+func (l *Lib) journalPut(key jkey, replay func(p *sim.Proc) error) {
 	if l.rec == nil {
 		return
 	}
 	if old, ok := l.journalKeys[key]; ok {
 		old.dead = true
 	}
-	en := &journalEntry{key: key, base: base, replay: replay}
+	en := &journalEntry{key: key, replay: replay}
 	l.journal = append(l.journal, en)
 	l.journalKeys[key] = en
 	l.stats.Journaled++
 }
 
 // journalDrop kills the entry for a released resource.
-func (l *Lib) journalDrop(key string) {
-	if l.rec == nil {
-		return
-	}
+func (l *Lib) journalDrop(key jkey) {
 	if en, ok := l.journalKeys[key]; ok {
 		en.dead = true
 		delete(l.journalKeys, key)
 	}
-}
-
-// dropPtrEntries kills the allocation entry for ptr and every content upload
-// targeting it. Called when the allocation leaves the session (Free,
-// ModelPersist).
-func (l *Lib) dropPtrEntries(ptr cuda.DevPtr, size int64) {
-	if l.rec == nil {
-		return
-	}
-	l.journalDrop(ptrKey(ptr))
-	for _, en := range l.journal {
-		if !en.dead && en.base != 0 && en.base >= ptr && uint64(en.base) < uint64(ptr)+uint64(size) {
-			en.dead = true
-			delete(l.journalKeys, en.key)
-		}
-	}
-	delete(l.ptrMap, ptr)
 }
 
 // replayJournal re-establishes session state on a fresh connection.
@@ -387,8 +333,8 @@ func (l *Lib) replayJournal(p *sim.Proc) error {
 }
 
 // resendUnfenced re-submits the pipelined calls issued after the last
-// successful fence. Encoding runs fresh so translation picks up the
-// recovered session's handles.
+// successful fence, encoded afresh so translation picks up the recovered
+// session's handles.
 func (l *Lib) resendUnfenced(p *sim.Proc) error {
 	l.asyncInFlight = 0
 	if len(l.unfenced) == 0 {
@@ -397,11 +343,8 @@ func (l *Lib) resendUnfenced(p *sim.Proc) error {
 	if l.async == nil {
 		return errors.New("guest: recovered transport lacks the pipelined lane")
 	}
-	for _, op := range l.unfenced {
-		var e wire.Encoder
-		e.U16(remoting.CallAsync)
-		op.app(&e)
-		if err := l.async.Submit(p, e.Bytes(), op.reqData); err != nil {
+	for i := range l.unfenced {
+		if err := l.send(p, &l.unfenced[i]); err != nil {
 			return err
 		}
 		l.asyncInFlight++
@@ -409,55 +352,20 @@ func (l *Lib) resendUnfenced(p *sim.Proc) error {
 	return nil
 }
 
-// clearUnfenced retires the tracked pipelined window. On success the
-// deferred completion hooks (journal retirements, handle-map cleanup) run in
-// submission order.
+// clearUnfenced retires the tracked pipelined window, confirming its calls in
+// submission order when the fence that covered them succeeded.
 func (l *Lib) clearUnfenced(success bool) {
-	if l.rec == nil {
-		return
-	}
 	if success {
-		for _, op := range l.unfenced {
-			if op.onDone != nil {
-				op.onDone()
-			}
+		for i := range l.unfenced {
+			l.confirmed(&l.unfenced[i])
 		}
 	}
+	clear(l.unfenced)
 	l.unfenced = l.unfenced[:0]
 	l.oldestUnfenced = 0
 }
 
 // --- recovery driver ---
-
-// reliably runs one synchronous remoted call, recovering the session and
-// retrying when the transport faults. Non-fault errors (CUDA status codes)
-// pass through untouched. On a non-recoverable library, or when recovery is
-// exhausted, a transport fault surfaces as cudaErrorDevicesUnavailable —
-// what a native runtime reports when its device disappears.
-func (l *Lib) reliably(p *sim.Proc, fn func(p *sim.Proc) error) error {
-	if l.rec != nil && l.lost {
-		return cuda.ErrDevicesUnavailable
-	}
-	err := fn(p)
-	if err == nil || !remoting.IsConnFault(err) {
-		return err
-	}
-	if l.rec == nil || l.recovering {
-		l.lastError = int(cuda.ErrDevicesUnavailable)
-		return cuda.ErrDevicesUnavailable
-	}
-	for tries := 0; tries < maxCallRecoveries; tries++ {
-		if rerr := l.recoverSession(p); rerr != nil {
-			break
-		}
-		err = fn(p)
-		if err == nil || !remoting.IsConnFault(err) {
-			return err
-		}
-	}
-	l.lastError = int(cuda.ErrDevicesUnavailable)
-	return cuda.ErrDevicesUnavailable
-}
 
 // recoverSession redials, replays the journal and re-sends unfenced work,
 // with capped exponential backoff and deterministic jitter between attempts.
@@ -469,9 +377,7 @@ func (l *Lib) recoverSession(p *sim.Proc) error {
 	sticky := l.lastError
 	l.recovering = true
 	defer func() { l.recovering = false }()
-	if l.conn != nil {
-		l.conn.Close()
-	}
+	l.cl.T.Close()
 	for attempt := 0; attempt < rec.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			d := rec.BackoffBase << (attempt - 1)
@@ -488,24 +394,19 @@ func (l *Lib) recoverSession(p *sim.Proc) error {
 			continue
 		}
 		l.adoptTransport(nc)
-		if err := l.replayJournal(p); err != nil {
-			if remoting.IsConnFault(err) {
-				l.conn.Close()
-				continue
-			}
-			l.lost = true
-			return fmt.Errorf("%w: journal replay: %v", ErrSessionLost, err)
+		step, err := "journal replay", l.replayJournal(p)
+		if err == nil {
+			step, err = "resend", l.resendUnfenced(p)
 		}
-		if err := l.resendUnfenced(p); err != nil {
-			if remoting.IsConnFault(err) {
-				l.conn.Close()
-				continue
-			}
-			l.lost = true
-			return fmt.Errorf("%w: resend: %v", ErrSessionLost, err)
+		if err == nil {
+			l.lastError = sticky
+			return nil
 		}
-		l.lastError = sticky
-		return nil
+		if !remoting.IsConnFault(err) {
+			l.lost = true
+			return fmt.Errorf("%w: %s: %v", ErrSessionLost, step, err)
+		}
+		nc.Close()
 	}
 	l.lost = true
 	return ErrSessionLost

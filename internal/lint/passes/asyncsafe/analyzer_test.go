@@ -9,26 +9,27 @@ import (
 )
 
 func TestAsyncsafe(t *testing.T) {
-	old := asyncsafe.Deferrable
-	asyncsafe.Deferrable = map[string]bool{"Good": true}
-	defer func() { asyncsafe.Deferrable = old }()
+	old := asyncsafe.ResultFree
+	asyncsafe.ResultFree = map[string]bool{"Good": true, "Other": true}
+	defer func() { asyncsafe.ResultFree = old }()
 	linttest.Run(t, "testdata", asyncsafe.Analyzer, "a/async")
 }
 
 // TestDefaultTableIsGenerated pins the analyzer to apigen's single source
-// of truth: the default table must be the generated one, not a copy.
+// of truth: the default table is exactly the generated deferrable set plus
+// the batchable class — Free is the one call only the class admits.
 func TestDefaultTableIsGenerated(t *testing.T) {
-	if len(asyncsafe.Deferrable) == 0 {
-		t.Fatal("default Deferrable table is empty")
-	}
-	for name := range asyncsafe.Deferrable {
-		if !gen.DeferrableCalls[name] {
-			t.Errorf("analyzer table has %s but gen.DeferrableCalls does not", name)
-		}
-	}
 	for name := range gen.DeferrableCalls {
-		if !asyncsafe.Deferrable[name] {
-			t.Errorf("gen.DeferrableCalls has %s but analyzer table does not", name)
+		if !asyncsafe.ResultFree[name] {
+			t.Errorf("gen.DeferrableCalls has %s but the analyzer table does not", name)
 		}
+	}
+	for name := range asyncsafe.ResultFree {
+		if !gen.DeferrableCalls[name] && name != "Free" {
+			t.Errorf("analyzer table has %s, which is neither deferrable nor Free", name)
+		}
+	}
+	if !asyncsafe.ResultFree["Free"] || asyncsafe.ResultFree["Malloc"] {
+		t.Errorf("analyzer table: Free %v (want true), Malloc %v (want false)", asyncsafe.ResultFree["Free"], asyncsafe.ResultFree["Malloc"])
 	}
 }

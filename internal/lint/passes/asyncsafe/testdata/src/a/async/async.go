@@ -2,24 +2,45 @@ package async
 
 type enc struct{}
 
-// AppendGoodCall stands in for a generated deferrable call's encoder.
-func AppendGoodCall(e *enc) {}
+// AppendGoodCall and AppendOtherCall stand in for generated result-free
+// calls' encoders.
+func AppendGoodCall(e *enc)  {}
+func AppendOtherCall(e *enc) {}
 
 // AppendBadCall stands in for a generated result-bearing call's encoder.
 func AppendBadCall(e *enc) {}
 
+const (
+	CallGood = iota + 1
+	CallOther
+	CallBad
+)
+
+type op struct{ id int }
+
 type lib struct{}
 
-func (l *lib) submitAsync(fn func(e *enc)) error     { return nil }
-func (l *lib) submitAsyncDone(fn func(e *enc)) error { return nil }
+// encodeOp is the lane encoder: what it emits rides whatever lane the op's
+// ID selects.
+func (l *lib) encodeOp(e *enc, o *op) {
+	switch o.id {
+	case CallGood:
+		AppendGoodCall(e)
+	case CallBad:
+		AppendBadCall(e) // want "not result-free"
+	case CallOther:
+		AppendGoodCall(e) // want "does not name CallGood"
+	case CallOther + 10:
+		// No call named: nothing to match against, the table still applies.
+		if o.id > 10 {
+			AppendOtherCall(e)
+		}
+	}
+}
 
-func use(l *lib) {
-	_ = l.submitAsync(func(e *enc) { AppendGoodCall(e) })
-	_ = l.submitAsyncDone(func(e *enc) { AppendGoodCall(e) })
-	_ = l.submitAsync(func(e *enc) { AppendBadCall(e) })     // want "not in gen.DeferrableCalls"
-	_ = l.submitAsyncDone(func(e *enc) { AppendBadCall(e) }) // want "not in gen.DeferrableCalls"
-
-	// Outside a submit closure, any Append*Call is fine (batching path).
+// Outside the lane encoder any Append*Call is fine (the generated client's
+// synchronous stubs).
+func use() {
 	var e enc
 	AppendBadCall(&e)
 }

@@ -14,6 +14,8 @@ func TestJournalcover(t *testing.T) {
 		"Malloc":       true,
 		"StreamCreate": true,
 		"MemcpyH2D":    true,
+		"DnnSetStream": true,
+		"MemWrite":     true,
 	}
 	defer func() { journalcover.Required = old }()
 	linttest.Run(t, "testdata", journalcover.Analyzer, "c/internal/guest")

@@ -18,8 +18,10 @@
 //
 // The wire package itself is exempt (it implements the scratch), as are the
 // generated DecodeShared bodies (storing the alias into the request is the
-// mechanism) and the generated Client methods (their parameters come from
-// the application caller, not a shared decode). The engine's sanitizers
+// mechanism) and the guest side's methods — the generated Client and the
+// guest library on top of it — whose parameters come from the application
+// caller, not a shared decode (what the library borrows from the application,
+// and for how long, is the gen.API contract's business). The engine's sanitizers
 // apply: string([]byte) conversions, appends of shallow-safe elements, and
 // strings.Clone all produce owned values.
 package sharedretain
@@ -96,7 +98,8 @@ func run(pass *lint.Pass) error {
 	if lint.PkgPathHasSuffix(pass.Pkg.Path(), "remoting/wire") {
 		return nil
 	}
-	inGen := lint.PkgPathHasSuffix(pass.Pkg.Path(), "remoting/gen")
+	guestSide := lint.PkgPathHasSuffix(pass.Pkg.Path(), "remoting/gen") ||
+		lint.PkgPathHasSuffix(pass.Pkg.Path(), "internal/guest")
 	pkg := dataflow.Analyze(pass.Files, pass.Info, dataflow.Config{})
 	for _, fn := range pkg.Funcs {
 		fd, ok := fn.Decl.(*ast.FuncDecl)
@@ -109,7 +112,7 @@ func run(pass *lint.Pass) error {
 			continue
 		}
 		checkSharedCalls(pass, pkg, fn)
-		if !inGen {
+		if !guestSide {
 			checkSharedParams(pass, pkg, fn, fd)
 		}
 	}

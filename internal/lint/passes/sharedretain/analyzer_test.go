@@ -12,6 +12,12 @@ func TestSharedretain(t *testing.T) {
 	linttest.Run(t, "testdata", sharedretain.Analyzer, "f/sharedt")
 }
 
+// TestGuestSideParamsAreTheApplications: the guest library's API parameters
+// are not shared-decoded, whatever their names; shared decodes inside it are.
+func TestGuestSideParamsAreTheApplications(t *testing.T) {
+	linttest.Run(t, "testdata", sharedretain.Analyzer, "f/internal/guest")
+}
+
 // TestDefaultTablesAreGenerated pins the analyzer to apigen's generated
 // shared-decode contract tables, not a hand-maintained copy.
 func TestDefaultTablesAreGenerated(t *testing.T) {

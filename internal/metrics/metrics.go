@@ -1,16 +1,13 @@
 // Package metrics provides the statistics helpers the experiment harness
 // uses to report results the way the paper does: means with standard
 // deviations (§VIII-D reports "the average, standard deviation and the sum"
-// of queueing and execution delays), percentiles for latency distributions,
-// fixed-bucket histograms, and plain-text table rendering for
-// cmd/dgsf-bench.
+// of queueing and execution delays) and percentiles for latency
+// distributions.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -22,27 +19,19 @@ type Series struct {
 // Add appends one observation.
 func (s *Series) Add(d time.Duration) { s.vals = append(s.vals, d) }
 
-// AddAll appends many observations.
-func (s *Series) AddAll(ds []time.Duration) { s.vals = append(s.vals, ds...) }
-
 // N returns the number of observations.
 func (s *Series) N() int { return len(s.vals) }
-
-// Sum returns the total of all observations.
-func (s *Series) Sum() time.Duration {
-	var t time.Duration
-	for _, v := range s.vals {
-		t += v
-	}
-	return t
-}
 
 // Mean returns the arithmetic mean (0 for an empty series).
 func (s *Series) Mean() time.Duration {
 	if len(s.vals) == 0 {
 		return 0
 	}
-	return s.Sum() / time.Duration(len(s.vals))
+	var sum time.Duration
+	for _, v := range s.vals {
+		sum += v
+	}
+	return sum / time.Duration(len(s.vals))
 }
 
 // Std returns the population standard deviation.
@@ -58,20 +47,6 @@ func (s *Series) Std() time.Duration {
 		acc += d * d
 	}
 	return time.Duration(math.Sqrt(acc / float64(n)))
-}
-
-// Min returns the smallest observation (0 for an empty series).
-func (s *Series) Min() time.Duration {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	min := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
 }
 
 // Max returns the largest observation.
@@ -106,125 +81,4 @@ func (s *Series) Percentile(p float64) time.Duration {
 		rank = 1
 	}
 	return sorted[rank-1]
-}
-
-// Summary renders "mean ± std (n=N)" the way the harness prints it.
-func (s *Series) Summary() string {
-	return fmt.Sprintf("%.1fs ± %.1fs (n=%d)", s.Mean().Seconds(), s.Std().Seconds(), s.N())
-}
-
-// Histogram counts observations into fixed-width buckets.
-type Histogram struct {
-	Width   time.Duration
-	buckets map[int]int
-	n       int
-}
-
-// NewHistogram returns a histogram with the given bucket width.
-func NewHistogram(width time.Duration) *Histogram {
-	if width <= 0 {
-		panic("metrics: non-positive histogram bucket width")
-	}
-	return &Histogram{Width: width, buckets: make(map[int]int)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.buckets[int(d/h.Width)]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count of the i-th bucket.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// Render draws the histogram as ASCII rows, one per non-empty bucket.
-func (h *Histogram) Render(maxWidth int) string {
-	if h.n == 0 {
-		return "(empty)\n"
-	}
-	var idxs []int
-	peak := 0
-	for i, c := range h.buckets {
-		idxs = append(idxs, i)
-		if c > peak {
-			peak = c
-		}
-	}
-	sort.Ints(idxs)
-	var b strings.Builder
-	for _, i := range idxs {
-		c := h.buckets[i]
-		bar := c * maxWidth / peak
-		if bar == 0 && c > 0 {
-			bar = 1
-		}
-		fmt.Fprintf(&b, "%8v-%8v │%s %d\n",
-			time.Duration(i)*h.Width, time.Duration(i+1)*h.Width,
-			strings.Repeat("█", bar), c)
-	}
-	return b.String()
-}
-
-// Table renders aligned plain-text tables for cmd/dgsf-bench.
-type Table struct {
-	headers []string
-	rows    [][]string
-}
-
-// NewTable returns a table with the given column headers.
-func NewTable(headers ...string) *Table { return &Table{headers: headers} }
-
-// Row appends one row; cells are formatted with %v.
-func (t *Table) Row(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case time.Duration:
-			row[i] = fmt.Sprintf("%.1fs", v.Seconds())
-		case float64:
-			row[i] = fmt.Sprintf("%.1f", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	widths := make([]int, len(t.headers))
-	for i, h := range t.headers {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	for i, h := range t.headers {
-		fmt.Fprintf(&b, "%-*s  ", widths[i], h)
-	}
-	b.WriteString("\n")
-	for i := range t.headers {
-		b.WriteString(strings.Repeat("-", widths[i]) + "  ")
-	}
-	b.WriteString("\n")
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) {
-				fmt.Fprintf(&b, "%-*s  ", widths[i], c)
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

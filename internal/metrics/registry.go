@@ -118,15 +118,3 @@ func (r *Registry) String() string {
 	}
 	return b.String()
 }
-
-// Table renders the registry as an aligned two-column table.
-func (r *Registry) Table() *Table {
-	t := NewTable("metric", "value")
-	for _, c := range r.counters {
-		t.Row(c.name, c.n)
-	}
-	for _, g := range r.gauges {
-		t.Row(g.name, g.v)
-	}
-	return t
-}

@@ -34,6 +34,14 @@ func TestCallTableComplete(t *testing.T) {
 	if gen.CallName(9999) != "?" {
 		t.Error("unknown id did not map to ?")
 	}
+	// IDs outside the tables — 0, the one past the last call, the reserved
+	// envelope IDs — classify as nothing in particular.
+	for _, id := range []uint16{0, gen.NumCalls + 1, gen.NumCalls + 2, remoting.CallFence, remoting.CallAsync, remoting.CallBatch} {
+		if gen.CallClass(id) != gen.ClassRemote || gen.CallIsDeferrable(id) || gen.CallEstablishesState(id) {
+			t.Errorf("unknown call %d: class %v deferrable %v establishes %v", id,
+				gen.CallClass(id), gen.CallIsDeferrable(id), gen.CallEstablishesState(id))
+		}
+	}
 	// Spot-check classes against the spec's intent.
 	if gen.CallClass(gen.CallMalloc) != gen.ClassRemote {
 		t.Error("Malloc must be remote")

@@ -46,6 +46,10 @@ type tcpCaller struct {
 	ver    int // negotiated protocol version, fixed at dial time
 	sendCh chan frame
 
+	// callDeadline bounds every round trip that does not bring its own
+	// (SetCallDeadline, guarded by mu); 0 means none.
+	callDeadline time.Duration
+
 	// readBuf is the reply buffer reused across round trips (guarded by
 	// mu). Returned payloads alias it, per the Caller contract: a reply is
 	// valid only until the next call on the same caller.
@@ -122,8 +126,9 @@ func (c *tcpCaller) writer() {
 // straight into respDst. The sim process identity is unused: real sockets
 // pace themselves in wall time. Because async submissions receive no reply,
 // the next frame read off the socket is always this call's response. d > 0
-// is a wall-clock reply deadline; on timeout the socket is closed, since a
-// late reply cannot be re-matched to its request.
+// is a wall-clock reply deadline for this call, in whose absence the
+// connection's own (SetCallDeadline) applies; on timeout the socket is
+// closed, since a late reply cannot be re-matched to its request.
 func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,6 +137,9 @@ func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration
 		return nil, nil, err
 	}
 	c.sendCh <- f // blocks while the in-flight window is full
+	if d <= 0 {
+		d = c.callDeadline
+	}
 	if d > 0 {
 		//lint:allow simdeterminism the TCP transport runs against the real network, so deadlines are real-clock by design
 		_ = c.conn.SetReadDeadline(time.Now().Add(d))
@@ -159,7 +167,15 @@ func (c *tcpCaller) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, e
 	return resp, err
 }
 
-// RoundtripTimeout implements DeadlineCaller (d <= 0 means no deadline).
+// SetCallDeadline implements DeadlineCaller.
+func (c *tcpCaller) SetCallDeadline(d time.Duration) {
+	c.mu.Lock()
+	c.callDeadline = d
+	c.mu.Unlock()
+}
+
+// RoundtripTimeout implements DeadlineCaller (d <= 0 falls back to the
+// connection's deadline, if any).
 func (c *tcpCaller) RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d time.Duration) ([]byte, error) {
 	resp, _, err := c.exchange(req, nil, reqData, d, nil)
 	return resp, err

@@ -86,15 +86,20 @@ type Caller interface {
 	Close()
 }
 
-// DeadlineCaller is a Caller that can bound an individual round trip: if no
-// reply arrives within d of (virtual or wall) time, the call fails with
+// DeadlineCaller is a Caller that can bound its round trips: if no reply
+// arrives within d of (virtual or wall) time, the call fails with
 // ErrCallTimeout and the connection is torn down — a late reply can no
 // longer be matched to its request, so the transport must not be reused.
-// Both built-in transports implement it; the guest's failure detector uses
-// it for per-call deadlines on the sync lane.
+// Both built-in transports implement it; the guest's failure detector sets
+// its per-call deadline on every connection it adopts.
 type DeadlineCaller interface {
 	Caller
+	// RoundtripTimeout is Roundtrip bounded by d for this one call.
 	RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d time.Duration) (resp []byte, err error)
+	// SetCallDeadline bounds every later Roundtrip and RoundtripVec on the
+	// connection by d (0 lifts the bound). The negotiation hello a lazily
+	// negotiating transport sends ahead of its first call is not covered.
+	SetCallDeadline(d time.Duration)
 }
 
 // Faultable is the fault-injection surface of the simulated transport. The
@@ -227,6 +232,10 @@ type simConn struct {
 	maxVer    int
 	ver       int
 	helloDone bool
+
+	// callDeadline bounds every round trip that does not bring its own
+	// (SetCallDeadline); 0 means none.
+	callDeadline time.Duration
 
 	// Fault-injection state (Faultable). All mutation happens from
 	// simulated processes, serialized by the engine.
@@ -374,14 +383,21 @@ func (c *simConn) checkSend(p *sim.Proc, n int64) error {
 // Roundtrip sends one encoded call and blocks until the reply arrives,
 // charging latency and bandwidth in virtual time.
 func (c *simConn) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, error) {
-	resp, _, err := c.exchange(p, req, nil, reqData, -1, nil)
+	resp, _, err := c.exchange(p, req, nil, reqData, c.callDeadline, nil)
 	return resp, err
 }
 
-// RoundtripTimeout is Roundtrip with a virtual-time reply deadline. On
-// timeout the connection breaks: a late reply could otherwise be mismatched
-// to the next call.
+// SetCallDeadline implements DeadlineCaller.
+func (c *simConn) SetCallDeadline(d time.Duration) { c.callDeadline = d }
+
+// RoundtripTimeout is Roundtrip with a virtual-time reply deadline of its
+// own (d <= 0 falls back to the connection's, if any). On timeout the
+// connection breaks: a late reply could otherwise be mismatched to the next
+// call.
 func (c *simConn) RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d time.Duration) ([]byte, error) {
+	if d <= 0 {
+		d = c.callDeadline
+	}
 	resp, _, err := c.exchange(p, req, nil, reqData, d, nil)
 	return resp, err
 }
@@ -391,12 +407,12 @@ func (c *simConn) RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d tim
 // reply's bulk region is scatter-read into respDst when it fits — the same
 // ownership handoff the TCP transport performs with writev and ReadFrame.
 func (c *simConn) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp, respBulk []byte, err error) {
-	return c.exchange(p, req, reqBulk, 0, -1, respDst)
+	return c.exchange(p, req, reqBulk, 0, c.callDeadline, respDst)
 }
 
 // exchange is the one send–wait–receive sequence of the simulated transport:
 // a request with an optional bulk region, an optional reply deadline
-// (deadline < 0 means none) and an optional destination for the reply's bulk.
+// (deadline <= 0 means none) and an optional destination for the reply's bulk.
 // The first exchange of a connection runs the hello ahead of itself.
 func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, deadline time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	if err := c.negotiate(p); err != nil {
@@ -413,7 +429,7 @@ func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, dead
 	}
 	var r Response
 	var ok bool
-	if deadline < 0 {
+	if deadline <= 0 {
 		r, ok = replyQ.Recv(p)
 	} else {
 		// The deadline covers the whole call, the way a socket timeout

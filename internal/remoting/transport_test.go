@@ -699,3 +699,85 @@ func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
 		}
 	})
 }
+
+// TestSetCallDeadlineBoundsEveryLane: a connection's own deadline applies to
+// the calls that cannot bring one — Roundtrip and the vectored RoundtripVec —
+// on both transports, and not to the negotiation hello that a lazily
+// negotiating connection sends ahead of its first call.
+func TestSetCallDeadlineBoundsEveryLane(t *testing.T) {
+	const deadline = 5 * time.Millisecond
+	t.Run("sim", func(t *testing.T) {
+		e := sim.NewEngine(1)
+		e.Run("root", func(p *sim.Proc) {
+			l := NewListener(e)
+			p.SpawnDaemon("server", func(p *sim.Proc) {
+				for {
+					req, ok := l.Incoming.Recv(p)
+					if !ok {
+						return
+					}
+					// Answer hellos — slowly — and nothing else.
+					if reply, _, ok := HandleHello(req.Payload, MaxProtoVersion); ok {
+						p.Sleep(4 * deadline)
+						req.ReplyTo.Send(Response{Payload: reply, Proto: ProtoV1})
+					}
+				}
+			})
+			for _, vectored := range []bool{false, true} {
+				conn := Dial(e, l, NetProfile{}).(*simConn)
+				conn.SetCallDeadline(deadline)
+				start := p.Now()
+				var err error
+				if vectored {
+					_, _, err = conn.RoundtripVec(p, []byte("call"), make([]byte, 1<<10), nil)
+				} else {
+					_, err = conn.Roundtrip(p, []byte("call"), 0)
+				}
+				if !errors.Is(err, ErrCallTimeout) {
+					t.Fatalf("vectored=%v: silent server = %v, want ErrCallTimeout", vectored, err)
+				}
+				if took := p.Now() - start; took != 4*deadline+deadline {
+					t.Fatalf("vectored=%v: timed out after %v, want the %v hello plus one %v deadline", vectored, took, 4*deadline, deadline)
+				}
+				if conn.ProtoVersion() != ProtoV2 {
+					t.Fatalf("vectored=%v: slow hello did not negotiate v2", vectored)
+				}
+			}
+		})
+	})
+	t.Run("tcp", func(t *testing.T) {
+		e := sim.NewOpenEngine(1)
+		defer e.Stop()
+		inbox := sim.NewQueue[Request](e) // nobody serves it: every call hangs
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				ServeConn(e, conn, inbox)
+			}
+		}()
+		for _, vectored := range []bool{false, true} {
+			caller, err := DialTCP(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			caller.(DeadlineCaller).SetCallDeadline(20 * time.Millisecond)
+			if vectored {
+				_, _, err = caller.(VecCaller).RoundtripVec(nil, []byte("call"), make([]byte, 1<<10), nil)
+			} else {
+				_, err = caller.Roundtrip(nil, []byte("call"), 0)
+			}
+			if !errors.Is(err, ErrCallTimeout) {
+				t.Fatalf("vectored=%v: silent server = %v, want ErrCallTimeout", vectored, err)
+			}
+			caller.Close()
+		}
+	})
+}
