@@ -189,8 +189,8 @@ var spec = []Call{
 	{Name: "ModelBroadcast", Doc: "one-to-many model fan-out: the first caller per GPU server pays a single host-staged read and becomes the broadcast source, later callers clone it device-to-device; Src reports the path (0 miss, 1 host seed, 2 device clone) and Ptr/Size are zero on a miss", Resp: []Field{{"Ptr", "devptr"}, {"Size", "i64"}, {"Src", "int"}}, Class: "remote", Establishes: true},
 
 	// --- vectored bulk transfers (wire protocol v2) ---
-	{Name: "MemWrite", Doc: "writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — on a protocol-v2 connection the bytes travel borrowed as the frame's bulk region (single writev, zero copies), on v1 they are inlined (capped at 1 MiB)", Req: []Field{{"Dst", "devptr"}, {"Data", "bulk"}}, Class: "remote", Establishes: true},
-	{Name: "MemRead", Doc: "reads device memory back to the caller: the vectored twin of MemcpyD2H — on a protocol-v2 connection the bytes return as a bulk region scatter-read into a caller-owned buffer, on v1 they are inlined (capped at 1 MiB)", Req: []Field{{"Src", "devptr"}, {"Size", "i64"}}, Resp: []Field{{"Data", "bulk"}}, Class: "remote"},
+	{Name: "MemWrite", Doc: "writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — on a protocol-v2 connection the bytes travel borrowed as the frame's bulk region (single writev, zero copies), on v1 they are inlined (capped at 1 MiB); data stays the caller's, the range must lie inside the allocation that contains dst", Req: []Field{{"Dst", "devptr"}, {"Data", "bulk"}}, Class: "remote", Establishes: true},
+	{Name: "MemRead", Doc: "reads device memory back to the caller: the vectored twin of MemcpyD2H — on a protocol-v2 connection the bytes return as a bulk region scatter-read into a caller-owned buffer, on v1 they are inlined (capped at 1 MiB); bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src", Req: []Field{{"Src", "devptr"}, {"Size", "i64"}}, Resp: []Field{{"Data", "bulk"}}, Class: "remote"},
 }
 
 // descriptorSpecies expands into Create/Set/Destroy triples, mirroring the
@@ -361,9 +361,9 @@ func validate(calls []Call) error {
 		}
 		// Bulk fields ride the v2 vectored lane: exactly one per call, on one
 		// side only, trailing (the wire bulk region follows the metadata), and
-		// restricted to synchronous remote calls — the server-side bulk buffer
-		// is reused per connection, which is only safe when the guest blocks
-		// on the reply before sending the next frame.
+		// restricted to synchronous remote calls: the guest's slice is borrowed
+		// into the transport's write until the reply arrives, and a one-way
+		// submission has no reply to wait for.
 		if err := validateBulk(c); err != nil {
 			return err
 		}
@@ -401,7 +401,7 @@ func validateBulk(c Call) error {
 		return fmt.Errorf("call %s: bulk fields require class remote, got %q", c.Name, c.Class)
 	}
 	if c.Async {
-		return fmt.Errorf("call %s: bulk calls may not be Async (the per-connection bulk buffer needs sync reuse)", c.Name)
+		return fmt.Errorf("call %s: bulk calls may not be Async (the borrowed request bulk needs a reply to end the borrow)", c.Name)
 	}
 	if reqB != nil && c.ReqData != "" {
 		return fmt.Errorf("call %s: ReqData would double-count the request bulk bytes", c.Name)
@@ -543,12 +543,15 @@ func genAPI(calls []Call) ([]byte, error) {
 	p("")
 	p("// DispatchBulk is Dispatch for transports with the protocol-v2 vectored")
 	p("// bulk lane. reqBulk is the request frame's bulk region (nil when the")
-	p("// call inlined its bytes, which is how the decode variant is chosen);")
-	p("// it is borrowed — the backend must copy what it retains. wantBulk")
+	p("// call inlined its bytes, which is how the decode variant is chosen).")
+	p("// The backend receives it as a borrowed argument and copies what it")
+	p("// retains, unless the transport gave the buffer away and the backend")
+	p("// learns so out of band (OwnedBulkParams in buftable.go). wantBulk")
 	p("// reports whether the reply frame may carry a bulk region: when a")
 	p("// bulk-response call asked for a vectored reply, respBulk returns the")
 	p("// bytes and the encoded response holds only status + metadata. respBulk")
-	p("// must stay immutable until the reply frame is written.")
+	p("// may be a view of the backend's storage, lent to the reply (LentBulk in")
+	p("// buftable.go): it stays as it is until the reply frame is written.")
 	p("func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte, wantBulk bool) (resp []byte, respData int64, respBulk []byte) {")
 	p("\tdec := wire.GetDecoder(payload)")
 	p("\tdefer wire.PutDecoder(dec)")
@@ -644,9 +647,10 @@ func genTable(calls []Call) ([]byte, error) {
 // genBufTable emits the buffer-ownership contract table consumed by the
 // dgsfvet bufown and sharedretain analyzers: which request fields decode
 // through a scratch-aliasing Shared variant (and at what server-method
-// argument position), which wire pool functions pair with which releases,
-// and which transport entry points hand out borrowed results or borrow
-// their byte-slice arguments. Keeping it generated means a spec edit that
+// argument position), which bulk request parameter a transport may hand
+// over as owned and which bulk result is lent session storage, which wire
+// pool functions pair with which releases, and which transport entry points
+// hand out borrowed results or borrow their byte-slice arguments. Keeping it generated means a spec edit that
 // adds a shared-decodable field extends the analyzers automatically.
 func genBufTable(calls []Call) ([]byte, error) {
 	var b bytes.Buffer
@@ -683,6 +687,53 @@ func genBufTable(calls []Call) ([]byte, error) {
 			p("\t%q: {%s},", c.Name, strings.Join(params, ", "))
 		}
 	}
+	p("}")
+	p("")
+	p("// OwnedBulkParams maps call name to the bulk request parameter whose")
+	p("// buffer a transport may give away with the request (Request.BulkOwned).")
+	p("// The parameter itself stays borrowed — SharedDecodeParams lists it, and a")
+	p("// handler that stores it is wrong on every transport that only lends. What")
+	p("// a handler may keep is the result of OwnedBulkClaim applied to that")
+	p("// parameter, non-nil only when the transport did give the buffer away;")
+	p("// applied to anything else, the claim's result is as borrowed as its")
+	p("// argument.")
+	p("var OwnedBulkParams = map[string]SharedParam{")
+	for _, c := range calls {
+		for i, f := range c.Req {
+			if f.Kind == "bulk" {
+				p("\t%q: {Field: %q, Arg: %d, Kind: %q},", c.Name, f.Name, i, f.Kind)
+			}
+		}
+	}
+	p("}")
+	p("")
+	p("// OwnedBulkClaim names the remoting.BulkLease method that tells a handler")
+	p("// whether a bulk argument is its own to keep.")
+	p("const OwnedBulkClaim = \"Claim\"")
+	p("")
+	p("// LentBulk describes the one place bytes leave a backend while it still")
+	p("// owns them. The bulk result of each call in Results is a view of the")
+	p("// backend's storage, not a copy; it travels to the transport in the named")
+	p("// field of remoting's Type and stays lent until the transport calls Type's")
+	p("// Release method — once, after the reply frame is written or when the")
+	p("// reply is dropped. The transport reads the field before that and keeps no")
+	p("// reference to it after.")
+	p("var LentBulk = struct {")
+	p("\tResults map[string]string // call name -> lent bulk response field")
+	p("\tType    string            // remoting type carrying the view")
+	p("\tField   string            // its field holding the view")
+	p("\tRelease string            // its method ending the lend")
+	p("}{")
+	p("\tResults: map[string]string{")
+	for _, c := range calls {
+		if f := bulkField(c.Resp); f != nil {
+			p("\t\t%q: %q,", c.Name, f.Name)
+		}
+	}
+	p("\t},")
+	p("\tType:    \"Response\",")
+	p("\tField:   \"Bulk\",")
+	p("\tRelease: \"Release\",")
 	p("}")
 	p("")
 	p("// PoolAcquire maps wire pool acquire functions to the release that must")

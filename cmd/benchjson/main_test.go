@@ -48,6 +48,7 @@ func TestGateVerdicts(t *testing.T) {
 	committed := []Bench{
 		{Name: "Slow", Pkg: "p", NsOp: 100_000, AllocsOp: 0},
 		{Name: "Tiny", Pkg: "p", NsOp: 50, AllocsOp: 1},
+		{Name: "Bulk", Pkg: "p", NsOp: 100_000, BOp: 84, AllocsOp: 5},
 	}
 	cases := []struct {
 		name  string
@@ -63,6 +64,15 @@ func TestGateVerdicts(t *testing.T) {
 		// 50 ns benchmark must not flake CI, an extra alloc still fails it.
 		{"tiny_noise_forgiven", []Bench{{Name: "Tiny", Pkg: "p", NsOp: 90, AllocsOp: 1}}, true},
 		{"tiny_alloc_caught", []Bench{{Name: "Tiny", Pkg: "p", NsOp: 50, AllocsOp: 3}}, false},
+		// B/op is an average over pool misses too: it is judged where every
+		// iteration allocates, beyond the tolerance plus a few misses' worth.
+		// An allocation that keeps its count and grows past that fails, timing
+		// and count unmoved.
+		{"bytes_within_tolerance", []Bench{{Name: "Bulk", Pkg: "p", NsOp: 100_000, BOp: 97, AllocsOp: 5}}, true},
+		{"bytes_pool_misses_forgiven", []Bench{{Name: "Bulk", Pkg: "p", NsOp: 100_000, BOp: 3267, AllocsOp: 5}}, true},
+		{"bytes_regression", []Bench{{Name: "Bulk", Pkg: "p", NsOp: 100_000, BOp: 1 << 20, AllocsOp: 5}}, false},
+		{"bytes_at_zero_allocs_not_gated", []Bench{{Name: "Slow", Pkg: "p", NsOp: 100_000, BOp: 38062}}, true},
+		{"bytes_improvement", []Bench{{Name: "Bulk", Pkg: "p", NsOp: 100_000, BOp: 0, AllocsOp: 2}}, true},
 		// A brand-new benchmark is reported but never fails the gate.
 		{"new_bench_not_gated", []Bench{{Name: "Slow", Pkg: "p", NsOp: 100_000}, {Name: "Fresh", Pkg: "p", NsOp: 1}}, true},
 		// Same name in a different package is a different series.

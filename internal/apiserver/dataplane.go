@@ -15,6 +15,7 @@ import (
 	"dgsf/internal/dataplane"
 	"dgsf/internal/gpu"
 	"dgsf/internal/modelcache"
+	"dgsf/internal/remoting"
 	"dgsf/internal/sim"
 )
 
@@ -56,6 +57,7 @@ func (s *Server) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (uint64, in
 	}
 	delete(sess.allocs, ptr)
 	sess.used -= size
+	remoting.RecycleBulk(sess.mem.Drop(ptr))
 	if sess.persistPtr == ptr {
 		sess.persistPtr = 0
 	}
@@ -250,8 +252,10 @@ func (s *Server) ModelBroadcast(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 // re-seed from the host tier); a zero-copy import is detached — the mapping
 // goes, the fabric decides whether the shared backing memory dies with it;
 // everything else is a plain VMM free. Bye, scavenge and Free all funnel
-// through here so no path can double-free fabric-owned memory.
+// through here so no path can double-free fabric-owned memory, and so the
+// allocation's uploaded bytes go with it on every one of them.
 func (s *Server) releaseSessionPtr(p *sim.Proc, ctx *cuda.Context, sess *session, ptr cuda.DevPtr) {
+	remoting.RecycleBulk(sess.mem.Drop(ptr))
 	if pl := s.cfg.Plane; pl != nil && ptr == sess.bcastPtr && sess.bcastPtr != 0 {
 		pl.DropBroadcastSource(sess.bcastKey)
 		sess.bcastPtr, sess.bcastKey = 0, ""

@@ -28,6 +28,7 @@ import (
 	"dgsf/internal/cudalibs"
 	"dgsf/internal/dataplane"
 	"dgsf/internal/gpu"
+	"dgsf/internal/membytes"
 	"dgsf/internal/modelcache"
 	"dgsf/internal/remoting"
 	"dgsf/internal/remoting/gen"
@@ -103,6 +104,10 @@ type Server struct {
 	// error semantics CUDA gives asynchronous work.
 	asyncErr int32
 
+	// lease holds the bulk buffer the transport gave away with the request
+	// being handled, until MemWrite claims it or the request is done.
+	lease remoting.BulkLease
+
 	// pinned is the GPU-resident cached model this server holds while idle
 	// (or before the owning function adopts it via ModelAttach). Its VMM
 	// reservations stay mapped, so it migrates with the server's address
@@ -142,10 +147,10 @@ type session struct {
 	hostAllocs map[uint64]int64
 	nextHost   uint64
 
-	// written holds the bytes last uploaded to each base pointer via
-	// MemWrite (copied from the borrowed bulk region), so MemRead can
-	// return real contents.
-	written map[cuda.DevPtr][]byte
+	// mem holds the bytes uploaded with MemWrite, per allocation, so MemRead
+	// can return real contents. Free, MemExport and the end of the session
+	// drop them with the allocation.
+	mem membytes.Store
 
 	persistPtr cuda.DevPtr // allocation to offer to the model cache at Bye
 
@@ -258,15 +263,25 @@ func (s *Server) Run(p *sim.Proc) {
 			s.handleCtrl(p, req)
 			continue
 		}
+		s.lease = remoting.LeaseBulk(&req)
 		resp, data, bulk := s.handle(p, req)
+		s.lease.Recycle()
 		if resp == nil || req.ReplyTo == nil {
 			continue // one-way submission: no acknowledgement
 		}
+		// Proto echoes the request so a TCP bridge frames the reply in the
+		// version the guest negotiated.
+		r := remoting.Response{Payload: resp, RespData: data, Bulk: bulk, Proto: req.Proto}
+		if bulk != nil && s.sess != nil {
+			// A vectored reply's bulk is MemRead's view of the session's
+			// bytes: lent until the transport is done with the frame.
+			r.Lend = s.sess.mem.Lend()
+		}
 		// TrySend: the guest's connection may have been severed (fault
 		// injection) while the call executed, closing the reply queue.
-		// Proto echoes the request so a TCP bridge frames the reply in
-		// the version the guest negotiated.
-		req.ReplyTo.TrySend(remoting.Response{Payload: resp, RespData: data, Bulk: bulk, Proto: req.Proto})
+		if !req.ReplyTo.TrySend(r) {
+			r.Release()
+		}
 	}
 }
 
@@ -925,10 +940,42 @@ func (s *Server) MemcpyD2H(p *sim.Proc, src cuda.DevPtr, size int64) (gpu.HostBu
 	return ctx.MemcpyD2H(p, src, size)
 }
 
+// allocOf returns the session allocation that contains ptr, base or
+// interior.
+func (sess *session) allocOf(ptr cuda.DevPtr) (base cuda.DevPtr, size int64, ok bool) {
+	if size, ok := sess.allocs[ptr]; ok {
+		return ptr, size, true
+	}
+	// Allocations do not overlap, so at most one matches whatever the order.
+	for base, size := range sess.allocs {
+		if ptr > base && uint64(ptr-base) < uint64(size) {
+			return base, size, true
+		}
+	}
+	return 0, 0, false
+}
+
+// memRange resolves the n bytes at ptr to a session allocation and an offset
+// in it, before anything is charged or stored. A pointer outside the
+// session's allocations is an address-space error, a range that leaves its
+// allocation an invalid value — which is what keeps the host bytes behind a
+// session within what it allocated under its declared limit.
+func (sess *session) memRange(ptr cuda.DevPtr, n int64) (base cuda.DevPtr, off int64, err error) {
+	base, size, ok := sess.allocOf(ptr)
+	if !ok {
+		return 0, 0, cuda.ErrInvalidAddressSpace
+	}
+	off, err = membytes.Offset(base, size, ptr, n)
+	return base, off, err
+}
+
 // MemWrite is the vectored twin of MemcpyH2D: the payload bytes arrive with
-// the call (borrowed, on v2 as the frame's bulk region), so the server both
-// charges the PCIe upload and retains a copy in the session's byte store for
-// read-back through MemRead.
+// the call, so the server both charges the PCIe upload and keeps them in the
+// session's byte store for read-back through MemRead. data is borrowed and
+// copied in — the simulated transport's guest-owned slice, a v1 inline
+// decode, a direct caller's argument — unless it is the bulk buffer the
+// transport gave away with this request, which becomes the allocation's
+// storage as it is; the storage it displaces goes back to the transport.
 func (s *Server) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
 	sess := s.sess
 	if sess == nil {
@@ -939,20 +986,26 @@ func (s *Server) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
 		return err
 	}
 	size := int64(len(data))
+	base, off, err := sess.memRange(dst, size)
+	if err != nil {
+		return err
+	}
 	if err := ctx.MemcpyH2D(p, dst, gpu.HostBuffer{Size: size}, size); err != nil {
 		return err
 	}
-	if sess.written == nil {
-		sess.written = make(map[cuda.DevPtr][]byte)
+	if owned := s.lease.Claim(data); owned != nil {
+		remoting.RecycleBulk(sess.mem.Adopt(base, off, owned))
+	} else {
+		sess.mem.CopyIn(base, off, data)
 	}
-	// Copy: data is borrowed from the transport's frame buffer.
-	sess.written[dst] = append([]byte(nil), data...)
 	return nil
 }
 
 // MemRead is the vectored twin of MemcpyD2H: it charges the PCIe download
-// and returns the bytes last written to src via MemWrite, zero-filled past
-// them. On a protocol-v2 connection the reply travels as a bulk region.
+// and returns the allocation's bytes at src, zeros where nothing was
+// uploaded. The result is a view of the session's byte store, not a copy: a
+// direct caller may read it until the next call that writes or frees src,
+// and the request loop lends it to a vectored reply (see Run).
 func (s *Server) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) ([]byte, error) {
 	sess := s.sess
 	if sess == nil {
@@ -962,12 +1015,14 @@ func (s *Server) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
+	base, off, err := sess.memRange(src, size)
+	if err != nil {
+		return nil, err
+	}
 	if _, err := ctx.MemcpyD2H(p, src, size); err != nil {
 		return nil, err
 	}
-	out := make([]byte, size)
-	copy(out, sess.written[src])
-	return out, nil
+	return sess.mem.View(base, off, size), nil
 }
 
 // MemcpyD2D mirrors cudaMemcpy(DeviceToDevice).
@@ -1011,10 +1066,8 @@ func (s *Server) PointerGetAttributes(p *sim.Proc, ptr cuda.DevPtr) (cuda.PtrAtt
 	if sess == nil {
 		return cuda.PtrAttributes{}, cuda.ErrNotInitialized
 	}
-	for base, size := range sess.allocs {
-		if ptr >= base && uint64(ptr) < uint64(base)+uint64(size) {
-			return cuda.PtrAttributes{Device: 0, Size: size, IsDevice: true}, nil
-		}
+	if _, size, ok := sess.allocOf(ptr); ok {
+		return cuda.PtrAttributes{Device: 0, Size: size, IsDevice: true}, nil
 	}
 	return cuda.PtrAttributes{}, cuda.ErrInvalidValue
 }

@@ -337,6 +337,16 @@ func (c *Context) Backing(ptr DevPtr) (*gpu.PhysAlloc, error) {
 	return c.resolve(ptr)
 }
 
+// Extent returns the base and size of the reservation that contains ptr: the
+// allocation a device pointer, base or interior, belongs to.
+func (c *Context) Extent(ptr DevPtr) (base DevPtr, size int64, ok bool) {
+	i := c.findReservation(uint64(ptr))
+	if i < 0 {
+		return 0, 0, false
+	}
+	return DevPtr(c.reserved[i].Addr), c.reserved[i].Size, true
+}
+
 // UsedBytes returns device memory charged to this context's allocations,
 // excluding the fixed context footprint.
 func (c *Context) UsedBytes() int64 {

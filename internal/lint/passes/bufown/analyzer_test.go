@@ -28,6 +28,12 @@ func TestDefaultTablesAreGenerated(t *testing.T) {
 			t.Errorf("analyzer borrows results of %s but gen.BorrowedResultCalls does not", name)
 		}
 	}
+	if bufown.Lent.Type != gen.LentBulk.Type || bufown.Lent.Field != gen.LentBulk.Field || bufown.Lent.Release != gen.LentBulk.Release {
+		t.Errorf("analyzer's lent-bulk contract %+v diverges from gen.LentBulk", bufown.Lent)
+	}
+	if gen.LentBulk.Results["MemRead"] != "Data" {
+		t.Error("gen.LentBulk does not list MemRead's result as lent")
+	}
 	for name := range gen.BorrowedArgCalls {
 		if len(bufown.BorrowedArgs[name]) == 0 {
 			t.Errorf("gen.BorrowedArgCalls has %s but the analyzer table does not", name)

@@ -1,6 +1,7 @@
 // Package bufownt exercises the bufown analyzer: pooled codec lifecycle
 // (double release, use after release, escape past a local release),
-// borrowed transport results, and borrowed byte arguments.
+// borrowed transport results, borrowed byte arguments, and the lent bulk
+// region of a reply.
 package bufownt
 
 import (
@@ -105,7 +106,60 @@ func WriteFrame(w *holder, ver int, meta, bulk []byte, data int64) error {
 	return nil
 }
 
+// A transport that keeps the lent reply bulk: the view dies at Release.
+func keepLentBulk(h *holder, r remoting.Response) {
+	h.buf = r.Bulk // want "Response.Bulk may be a view of session storage lent until Release and must not be retained (store to field)"
+	r.Release()
+}
+
+func sendLentBulkOn(ch chan []byte, r remoting.Response) {
+	view := r.Bulk
+	ch <- view // want "Response.Bulk may be a view of session storage lent until Release and must not be retained (channel send)"
+	r.Release()
+}
+
+// A transport that writes the frame after ending the lend.
+func writeAfterRelease(h *holder, r remoting.Response) error {
+	r.Release()
+	return WriteFrame(h, 2, r.Payload, r.Bulk, 0) // want "Response.Bulk read after its Release at line"
+}
+
 // --- negatives ---
+
+// The writer's order: frame out (or dropped), then the release; the payload
+// is the response's own and outlives it.
+func writeThenRelease(h *holder, r remoting.Response, failed bool) []byte {
+	if !failed {
+		_ = WriteFrame(h, 2, r.Payload, r.Bulk, 0)
+	}
+	r.Release()
+	return r.Payload
+}
+
+// The simulated transport's order: copy into the caller's buffer, release.
+func copyThenRelease(dst []byte, r remoting.Response) []byte {
+	out := dst[:len(r.Bulk)]
+	copy(out, r.Bulk)
+	r.Release()
+	return out
+}
+
+// Each iteration releases the response it received; the next one reads a new
+// value of the same variable.
+func releasePerIteration(h *holder, in chan remoting.Response) {
+	for r := range in {
+		_ = WriteFrame(h, 2, r.Payload, r.Bulk, 0)
+		r.Release()
+	}
+}
+
+// Building a response is not reading one.
+func produce(view []byte, lend interface{ Release() }) remoting.Response {
+	var r remoting.Response
+	r.Bulk = view
+	r.Lend = lend
+	return r
+}
 
 func straightLine() uint64 {
 	d := wire.GetDecoder(nil)

@@ -22,3 +22,18 @@ func (c *Caller) RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d int6
 func (c *Caller) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) ([]byte, []byte, error) {
 	return nil, nil, nil
 }
+
+// Response mirrors the reply a server hands the transport: Bulk may be a
+// view of session storage, lent until Release.
+type Response struct {
+	Payload []byte
+	Bulk    []byte
+	Lend    interface{ Release() }
+}
+
+// Release ends the lend of r.Bulk.
+func (r Response) Release() {
+	if r.Lend != nil {
+		r.Lend.Release()
+	}
+}

@@ -16,6 +16,16 @@
 //     through, so every implementation of RegisterKernels / LaunchKernel /
 //     MemWrite receives aliases it must not retain.
 //
+// One of those parameters can change hands. The bulk parameters listed in
+// gen.OwnedBulkParams (MemWrite's data) arrive in a buffer the transport may
+// have given away with the request; a handler finds out by passing the
+// parameter to the claim method gen.OwnedBulkClaim names, whose non-nil
+// result is the handler's own to keep. The analyzer models the claim as what
+// it is — a function that returns its argument, so its result is exactly as
+// borrowed as what went in — and the table as the one exemption: the claim
+// applied to an OwnedBulkParams parameter, inside the method the table names,
+// yields an owned value. Storing the parameter itself stays an error.
+//
 // The wire package itself is exempt (it implements the scratch), as are the
 // generated DecodeShared bodies (storing the alias into the request is the
 // mechanism) and the guest side's methods — the generated Client and the
@@ -52,6 +62,11 @@ var (
 	SharedMethods = gen.SharedDecodeMethods
 	// SharedParams maps backend call names to their shared parameters.
 	SharedParams = gen.SharedDecodeParams
+	// OwnedParams maps backend call names to the bulk parameter a transport
+	// may hand over as owned; OwnedClaim names the remoting method that
+	// tells a handler whether it did.
+	OwnedParams = gen.OwnedBulkParams
+	OwnedClaim  = gen.OwnedBulkClaim
 )
 
 func calleeInPkg(info *types.Info, call *ast.CallExpr, suffix string) bool {
@@ -100,7 +115,7 @@ func run(pass *lint.Pass) error {
 	}
 	guestSide := lint.PkgPathHasSuffix(pass.Pkg.Path(), "remoting/gen") ||
 		lint.PkgPathHasSuffix(pass.Pkg.Path(), "internal/guest")
-	pkg := dataflow.Analyze(pass.Files, pass.Info, dataflow.Config{})
+	pkg := dataflow.Analyze(pass.Files, pass.Info, claimConfig(pass))
 	for _, fn := range pkg.Funcs {
 		fd, ok := fn.Decl.(*ast.FuncDecl)
 		if !ok {
@@ -117,6 +132,41 @@ func run(pass *lint.Pass) error {
 		}
 	}
 	return nil
+}
+
+// claimConfig teaches the engine the ownership claim: its result aliases its
+// argument, except where the generated table says the argument may have been
+// handed over — the OwnedParams parameter of the backend method it belongs to.
+func claimConfig(pass *lint.Pass) dataflow.Config {
+	owned := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			op, ok := OwnedParams[fd.Name.Name]
+			if !ok {
+				continue
+			}
+			var params []*ast.Ident
+			for _, field := range fd.Type.Params.List {
+				params = append(params, field.Names...)
+			}
+			if idx := op.Arg + 1; idx < len(params) { // positions are relative to the *sim.Proc parameter
+				owned[pass.Info.ObjectOf(params[idx])] = true
+			}
+		}
+	}
+	return dataflow.Config{
+		AliasResult: func(call *ast.CallExpr, info *types.Info) bool {
+			if dataflow.CalleeName(call) != OwnedClaim || !calleeInPkg(info, call, "internal/remoting") || len(call.Args) != 1 {
+				return false
+			}
+			id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+			return !ok || !owned[info.ObjectOf(id)]
+		},
+	}
 }
 
 // checkSharedCalls tracks the result of every shared-decode call and every

@@ -34,4 +34,18 @@ func TestDefaultTablesAreGenerated(t *testing.T) {
 			t.Errorf("SharedParams[%s] diverges from gen.SharedDecodeParams", call)
 		}
 	}
+	// The one parameter a transport may hand over is a shared one: owned is
+	// an exemption from the borrowed default, never a second list.
+	if sharedretain.OwnedClaim != gen.OwnedBulkClaim || len(sharedretain.OwnedParams) != len(gen.OwnedBulkParams) {
+		t.Error("the owned-bulk tables diverge from the generated ones")
+	}
+	for call, op := range sharedretain.OwnedParams {
+		found := false
+		for _, sp := range sharedretain.SharedParams[call] {
+			found = found || sp == op
+		}
+		if !found {
+			t.Errorf("OwnedParams[%s] = %+v is not among the call's shared parameters", call, op)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"f/internal/cuda"
+	"f/internal/remoting"
 	"f/internal/remoting/gen"
 	"f/internal/remoting/wire"
 	"f/internal/sim"
@@ -99,7 +100,47 @@ func helperEscape(d *wire.Decoder) {
 	keep(names) // want "keep retains its argument"
 }
 
+// The ownership claim returns its argument. Only for the parameter the
+// generated table names (MemWrite's data, inside MemWrite) can that argument
+// have been handed over; a shared decode pushed through it is still the
+// decoder's.
+func claimSharedDecode(s *srv, l *remoting.BulkLease, d *wire.Decoder) {
+	b := d.BytesShared()
+	s.buf = l.Claim(b) // want "result of BytesShared aliases the decoder's scratch (dead once the decoder is released or reused) and must not be retained (store to field)"
+}
+
+type claimSrv struct {
+	lease remoting.BulkLease
+	buf   []byte
+}
+
+// Claiming does not launder the parameter itself: the borrowed arm still
+// may not store it.
+func (s *claimSrv) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
+	if owned := s.lease.Claim(data); owned == nil {
+		s.buf = data // want "parameter data of MemWrite (shared-decoded request field Data) aliases the decoder's scratch"
+	}
+	return nil
+}
+
 // --- negatives ---
+
+type adoptSrv struct {
+	lease remoting.BulkLease
+	buf   []byte
+}
+
+// The adopt path: what the claim returns for MemWrite's data is the buffer
+// the transport gave away, the handler's own to install; a borrowed one is
+// copied.
+func (s *adoptSrv) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
+	if owned := s.lease.Claim(data); owned != nil {
+		s.buf = owned
+	} else {
+		s.buf = append(s.buf[:0], data...)
+	}
+	return nil
+}
 
 type okSrv struct {
 	names []string

@@ -13,6 +13,7 @@ import (
 	"dgsf/internal/cuda"
 	"dgsf/internal/cudalibs"
 	"dgsf/internal/gpu"
+	"dgsf/internal/membytes"
 	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 )
@@ -27,7 +28,7 @@ type Backend struct {
 	cfgDepth   int
 	lastError  int
 
-	written map[cuda.DevPtr][]byte
+	mem membytes.Store // bytes uploaded with MemWrite, per allocation
 }
 
 var _ gen.API = (*Backend)(nil)
@@ -205,7 +206,11 @@ func (b *Backend) Free(p *sim.Proc, ptr cuda.DevPtr) error {
 	if err != nil {
 		return err
 	}
-	return ctx.Free(p, ptr)
+	if err := ctx.Free(p, ptr); err != nil {
+		return err
+	}
+	b.mem.Drop(ptr)
+	return nil
 }
 
 // Memset mirrors cudaMemset.
@@ -235,38 +240,55 @@ func (b *Backend) MemcpyD2H(p *sim.Proc, src cuda.DevPtr, size int64) (gpu.HostB
 	return ctx.MemcpyD2H(p, src, size)
 }
 
+// memRange resolves the n bytes at ptr to an allocation of the context and
+// an offset in it. An unknown pointer is an address-space error, a range that
+// leaves the allocation an invalid value.
+func memRange(ctx *cuda.Context, ptr cuda.DevPtr, n int64) (base cuda.DevPtr, off int64, err error) {
+	base, size, ok := ctx.Extent(ptr)
+	if !ok {
+		return 0, 0, cuda.ErrInvalidAddressSpace
+	}
+	off, err = membytes.Offset(base, size, ptr, n)
+	return base, off, err
+}
+
 // MemWrite is the vectored twin of MemcpyH2D: the payload bytes arrive with
-// the call, so beyond charging the PCIe copy the backend retains them for
-// read-back through MemRead.
+// the call, so beyond charging the PCIe copy the backend copies them into its
+// byte store for read-back through MemRead. data stays the caller's.
 func (b *Backend) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
 	ctx, err := b.ensure(p)
 	if err != nil {
 		return err
 	}
 	size := int64(len(data))
+	base, off, err := memRange(ctx, dst, size)
+	if err != nil {
+		return err
+	}
 	if err := ctx.MemcpyH2D(p, dst, gpu.HostBuffer{Size: size}, size); err != nil {
 		return err
 	}
-	if b.written == nil {
-		b.written = make(map[cuda.DevPtr][]byte)
-	}
-	b.written[dst] = append([]byte(nil), data...)
+	b.mem.CopyIn(base, off, data)
 	return nil
 }
 
 // MemRead is the vectored twin of MemcpyD2H: it charges the PCIe copy and
-// returns the bytes last written to src via MemWrite (zero-filled past them).
+// returns the allocation's bytes at src, zeros where nothing was uploaded.
+// The result is a view of the byte store, valid until the next call that
+// writes or frees src.
 func (b *Backend) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) ([]byte, error) {
 	ctx, err := b.ensure(p)
+	if err != nil {
+		return nil, err
+	}
+	base, off, err := memRange(ctx, src, size)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := ctx.MemcpyD2H(p, src, size); err != nil {
 		return nil, err
 	}
-	out := make([]byte, size)
-	copy(out, b.written[src])
-	return out, nil
+	return b.mem.View(base, off, size), nil
 }
 
 // MemcpyD2D mirrors cudaMemcpy(DeviceToDevice).
@@ -304,11 +326,9 @@ func (b *Backend) PointerGetAttributes(p *sim.Proc, ptr cuda.DevPtr) (cuda.PtrAt
 	if err != nil {
 		return cuda.PtrAttributes{}, err
 	}
-	for _, r := range ctx.Reservations() {
-		if uint64(ptr) >= r.Addr && uint64(ptr) < r.Addr+uint64(r.Size) {
-			dev, _ := b.rt.GetDevice(p)
-			return cuda.PtrAttributes{Device: dev, Size: r.Size, IsDevice: true}, nil
-		}
+	if _, size, ok := ctx.Extent(ptr); ok {
+		dev, _ := b.rt.GetDevice(p)
+		return cuda.PtrAttributes{Device: dev, Size: size, IsDevice: true}, nil
 	}
 	return cuda.PtrAttributes{}, cuda.ErrInvalidValue
 }

@@ -1,6 +1,8 @@
 package native
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -158,6 +160,63 @@ func TestKernelAndLibraryPath(t *testing.T) {
 		}
 		if err := b.DeviceSynchronize(p); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// TestBulkBoundsAndLifetime: the native backend keeps uploaded bytes in the
+// same store as the API server, under the same rules — ranges stay inside the
+// allocation that contains the pointer, and Free drops the bytes.
+func TestBulkBoundsAndLifetime(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		b := newBackend(e)
+		ptr, err := b.Malloc(p, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte{0xA5}, 96)
+		for _, c := range []struct {
+			name string
+			err  error
+			want error
+		}{
+			{"write past the end", b.MemWrite(p, ptr+4000, make([]byte, 97)), cuda.ErrInvalidValue},
+			{"write larger than the allocation", b.MemWrite(p, ptr, make([]byte, 8192)), cuda.ErrInvalidValue},
+			{"write stray pointer", b.MemWrite(p, 0x1234, data), cuda.ErrInvalidAddressSpace},
+			{"write interior to the end", b.MemWrite(p, ptr+4000, data), nil},
+		} {
+			if !errors.Is(c.err, c.want) {
+				t.Errorf("%s = %v, want %v", c.name, c.err, c.want)
+			}
+		}
+		for _, c := range []struct {
+			name string
+			off  cuda.DevPtr
+			n    int64
+			want error
+		}{
+			{"read size -1", 0, -1, cuda.ErrInvalidValue},
+			{"read size 1<<40", 0, 1 << 40, cuda.ErrInvalidValue},
+			{"read extent+1", 0, 4097, cuda.ErrInvalidValue},
+			{"read interior past the end", 4000, 97, cuda.ErrInvalidValue},
+		} {
+			if _, err := b.MemRead(p, ptr+c.off, c.n); !errors.Is(err, c.want) {
+				t.Errorf("%s = %v, want %v", c.name, err, c.want)
+			}
+		}
+		got, err := b.MemRead(p, ptr+3990, 106)
+		if want := append(make([]byte, 10), data...); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read across the upload's start: err %v, got %v", err, got)
+		}
+		if err := b.Free(p, ptr); err != nil {
+			t.Fatal(err)
+		}
+		if n, _, held := b.mem.Held(); n != 0 || held != 0 {
+			t.Fatalf("store holds %d bytes in %d allocations after Free", held, n)
+		}
+		if _, err := b.MemRead(p, ptr, 16); !errors.Is(err, cuda.ErrInvalidAddressSpace) {
+			t.Fatalf("read of a freed pointer = %v, want ErrInvalidAddressSpace", err)
 		}
 	})
 }

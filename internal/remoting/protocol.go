@@ -311,6 +311,16 @@ func WriteFrame(w io.Writer, ver int, meta, bulk []byte, data int64) error {
 // are typed connection faults (ErrConnClosed, ErrCallTimeout,
 // ErrFrameCorrupt).
 func ReadFrame(r io.Reader, ver int, metaBuf, bulkDst []byte) (meta, bulk []byte, data int64, err error) {
+	return readFrame(r, ver, metaBuf, bulkDst, false)
+}
+
+// readFrame is ReadFrame with a choice of where a bulk region that does not
+// fit bulkDst lands: pooled draws the buffer from the large frame pools, for
+// a reader that gives its bulk buffers away and gets them back through
+// RecycleBulk. The pool is only ever asked for a buffer it already has, so
+// on a miss — as for every caller of ReadFrame — the region grows as its
+// bytes arrive.
+func readFrame(r io.Reader, ver int, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []byte, data int64, err error) {
 	// The header goes through a pooled buffer: a stack array would escape
 	// through the io.Reader interface.
 	bp := framePool.Get().(*[]byte)
@@ -327,6 +337,9 @@ func ReadFrame(r io.Reader, ver int, metaBuf, bulkDst []byte) (meta, bulk []byte
 		return nil, nil, 0, err
 	}
 	if bulkLen > 0 {
+		if pooled && cap(bulkDst) < bulkLen {
+			bulkDst = takeFrameBuf(bulkLen)
+		}
 		if bulk, err = readPayload(r, bulkDst, bulkLen); err != nil {
 			return nil, nil, 0, err
 		}
@@ -403,6 +416,17 @@ var largeClassSizes = [...]int{
 
 var largeFramePools [len(largeClassSizes)]sync.Pool
 
+// largeClass returns the pool and the capacity of the smallest class that
+// holds n bytes; nil beyond the largest.
+func largeClass(n int) (*sync.Pool, int) {
+	for i, size := range largeClassSizes {
+		if n <= size {
+			return &largeFramePools[i], size
+		}
+	}
+	return nil, 0
+}
+
 // getFrameBuf returns a pooled buffer with at least n bytes of capacity:
 // the small frame pool up to maxPooledFrame, a size-classed large pool up to
 // 16 MiB, a fresh allocation beyond (bounded by maxFrameLen).
@@ -410,37 +434,65 @@ func getFrameBuf(n int) *[]byte {
 	if n <= maxPooledFrame {
 		return framePool.Get().(*[]byte)
 	}
-	for i, size := range largeClassSizes {
-		if n <= size {
-			if v := largeFramePools[i].Get(); v != nil {
-				return v.(*[]byte)
-			}
-			b := make([]byte, 0, size)
-			return &b
+	if pool, size := largeClass(n); pool != nil {
+		if v := pool.Get(); v != nil {
+			return v.(*[]byte)
 		}
+		n = size
 	}
 	b := make([]byte, 0, n)
 	return &b
+}
+
+// takeFrameBuf is getFrameBuf for a reader that has only been told a length
+// and will give the buffer away: it returns a buffer of n's large class with
+// room for n bytes, or nil, and never allocates on the strength of n. A
+// region of up to maxPooledFrame gets nil — read into a fresh slice of
+// exactly its length, it is left to the collector — so what the reader gives
+// away has a capacity of its length below that and under four times its
+// length (plus a header's headroom) above: the ratio between two classes.
+func takeFrameBuf(n int) []byte {
+	if n <= maxPooledFrame {
+		return nil
+	}
+	pool, _ := largeClass(n)
+	if pool == nil {
+		return nil
+	}
+	bp, _ := pool.Get().(*[]byte)
+	if bp == nil || cap(*bp) < n {
+		// A buffer from the low end of its class is dropped, not put back: the
+		// next take would only find it again, and the one grown in its place
+		// serves every length of the class.
+		return nil
+	}
+	return (*bp)[:0]
 }
 
 // putFrameBuf returns a frame buffer to the pool matching its capacity. buf
 // is the (possibly grown) slice built on *bp; the grown backing array is
 // what gets pooled.
 func putFrameBuf(bp *[]byte, buf []byte) {
-	c := cap(buf)
-	if c <= maxPooledFrame {
-		*bp = buf[:0]
+	*bp = buf[:0]
+	if cap(buf) <= maxPooledFrame {
 		framePool.Put(bp)
-		return
-	}
-	for i, size := range largeClassSizes {
-		if c <= size {
-			*bp = buf[:0]
-			largeFramePools[i].Put(bp)
-			return
-		}
+	} else if pool, _ := largeClass(cap(buf)); pool != nil {
+		pool.Put(bp)
 	}
 	// Beyond the largest class: drop it, a 64 MiB buffer must not be pinned.
+}
+
+// RecycleBulk returns a bulk buffer its owner is done with — a request's
+// owned bulk region (Request.BulkOwned), or storage one displaced — to the
+// large frame pools, where a bridge's reader draws its next one. The caller
+// must hold the only reference. A buffer of up to maxPooledFrame is left to
+// the collector: the small pool is the framing code's own, and every buffer
+// in it has room for a frame header.
+func RecycleBulk(buf []byte) {
+	if cap(buf) > maxPooledFrame {
+		bp := new([]byte) // the pools hold pointers; allocated on this path only
+		putFrameBuf(bp, buf)
+	}
 }
 
 // --- wire statistics ---

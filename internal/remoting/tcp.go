@@ -231,6 +231,7 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 	done := make(chan struct{})
 	replies := sim.NewQueue[Response](e)
 	e.InjectDaemon("tcp-writer", func(p *sim.Proc) {
+		failed := false
 		for {
 			r, ok := replies.Recv(p)
 			if !ok {
@@ -238,11 +239,17 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 				return
 			}
 			// Frame per the version stamped on the response: the hello reply
-			// is pinned to v1 (both sides still speak v1 at that instant).
-			if err := WriteFrame(conn, r.Proto, r.Payload, r.Bulk, r.RespData); err != nil {
-				_ = conn.Close()
-				return
+			// is pinned to v1 (both sides still speak v1 at that instant). A
+			// lent bulk region goes out as the frame's second vector. After a
+			// failed write the replies still queued are dropped one by one:
+			// written or dropped, a lend ends here.
+			if !failed {
+				if err := WriteFrame(conn, r.Proto, r.Payload, r.Bulk, r.RespData); err != nil {
+					_ = conn.Close()
+					failed = true
+				}
 			}
+			r.Release()
 		}
 	})
 	go func() {
@@ -250,17 +257,14 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 		defer replies.Close()
 		ver := ProtoV1
 		first := true
-		// bulkBuf is reused across bulk frames: only synchronous calls carry
-		// bulk (apigen enforces it), so the guest cannot send the next frame
-		// before the handler is done with the previous bulk region.
-		var bulkBuf []byte
 		for {
-			payload, bulk, data, err := ReadFrame(conn, ver, nil, bulkBuf)
+			// A bulk region lands in a buffer from the large frame pools —
+			// up to maxPooledFrame, in a fresh one of its length — that
+			// travels with the request as the handler's property; what the
+			// handler does not keep comes back to the pools (RecycleBulk).
+			payload, bulk, data, err := readFrame(conn, ver, nil, nil, true)
 			if err != nil {
 				return
-			}
-			if cap(bulk) > cap(bulkBuf) {
-				bulkBuf = bulk[:0]
 			}
 			if first {
 				first = false
@@ -275,7 +279,8 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 			}
 			// The hosted API server may have crashed (closed its inbox);
 			// drop the bridge rather than panic.
-			if !inbox.TrySend(Request{Payload: payload, ReqData: data, Bulk: bulk, Proto: ver, ReplyTo: replies}) {
+			if !inbox.TrySend(Request{Payload: payload, ReqData: data, Bulk: bulk, BulkOwned: bulk != nil, Proto: ver, ReplyTo: replies}) {
+				RecycleBulk(bulk)
 				return
 			}
 		}

@@ -168,10 +168,19 @@ type Request struct {
 
 	// Bulk is the request's vectored bulk region (protocol v2): the raw
 	// bytes of a trailing bulk argument, delivered outside the encoded
-	// payload. It is owned by the transport until the reply is sent —
-	// handlers must copy what they retain. nil when the call carries no
-	// bulk (or inlined it on a v1 connection).
+	// payload. nil when the call carries no bulk (or inlined it on a v1
+	// connection). BulkOwned says whose it is.
 	Bulk []byte
+	// BulkOwned reports that Bulk is the handler's property: the transport
+	// read it off the socket into a buffer of its own and gave that away
+	// with the request (the TCP bridge does). The handler may keep it —
+	// install it as storage, copying nothing — and gives every buffer it
+	// does not keep, Bulk itself or one Bulk displaced, back through
+	// RecycleBulk once the request is handled; LeaseBulk does the
+	// bookkeeping. When false, Bulk is borrowed from the sender for the
+	// duration of the call (the simulated transport passes the guest's own
+	// slice through) and a handler copies what it retains.
+	BulkOwned bool
 	// Proto is the protocol version of the connection that delivered the
 	// request (0 is treated as v1). Servers echo it into the Response so
 	// reply framing matches what the guest reads.
@@ -184,14 +193,65 @@ type Response struct {
 	Payload  []byte
 	RespData int64
 
-	// Bulk is the reply's vectored bulk region (protocol v2). It must stay
-	// immutable until the reply frame is written; handlers return quiescent
-	// session storage or a copy.
+	// Bulk is the reply's vectored bulk region (protocol v2). With Lend set
+	// it is a read-only view of storage the producer keeps — a session's
+	// bytes, returned by MemRead without a copy — lent to the transport
+	// until it calls Release: once, after the reply frame is written or
+	// when the reply is dropped, and it keeps no reference to Bulk past
+	// that. With Lend nil the bytes are the response's own.
 	Bulk []byte
+	// Lend ends the lend of Bulk; nil when Bulk is not lent.
+	Lend Lend
 	// Proto selects the reply framing: servers copy Request.Proto. The
 	// negotiation hello reply is the one response pinned to v1 — both sides
 	// still speak v1 at that instant.
 	Proto int
+}
+
+// Lend is the producer's handle on a lent Response.Bulk. While a lend is
+// outstanding the producer neither changes the bytes nor reuses their
+// buffer, so a transport that never releases costs memory, not safety.
+type Lend interface{ Release() }
+
+// Release ends the lend of r.Bulk, if there is one. Whoever takes a Response
+// off a reply queue, or fails to put it on one, calls it exactly once.
+func (r Response) Release() {
+	if r.Lend != nil {
+		r.Lend.Release()
+	}
+}
+
+// BulkLease is a handler's hold on the bulk buffer a transport gave it with
+// a request (Request.BulkOwned). The handler opens it before dispatching,
+// lets the call that can use the buffer Claim it, and Recycles afterwards —
+// which returns an unclaimed buffer to the transport's pool.
+type BulkLease struct{ buf []byte }
+
+// LeaseBulk opens the lease on req's bulk region; it is empty when the
+// region is borrowed or absent.
+func LeaseBulk(req *Request) BulkLease {
+	if !req.BulkOwned {
+		return BulkLease{}
+	}
+	return BulkLease{buf: req.Bulk}
+}
+
+// Claim tells a call handler whether data — the bulk argument the dispatcher
+// passed it — is the leased buffer. If so the lease ends and the buffer comes
+// back as the handler's own, to keep or to RecycleBulk; if not, data is
+// borrowed and Claim returns nil.
+func (l *BulkLease) Claim(data []byte) []byte {
+	if len(data) == 0 || len(l.buf) == 0 || &data[0] != &l.buf[0] {
+		return nil
+	}
+	l.buf = nil
+	return data
+}
+
+// Recycle ends the lease, returning a buffer nobody claimed to the pool.
+func (l *BulkLease) Recycle() {
+	RecycleBulk(l.buf)
+	l.buf = nil
 }
 
 // Listener is the server-side endpoint of the simulated transport.
@@ -461,8 +521,9 @@ func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, dead
 	}
 	if r.Bulk != nil {
 		// Model the scatter read: the bytes land in the caller's buffer. The
-		// server side may hand us storage it will reuse, so the copy is also
-		// what makes the sim's ownership semantics match TCP's.
+		// server side may have lent us storage it keeps, so the copy is also
+		// what makes the sim's ownership semantics match TCP's: the lend ends
+		// here, where TCP's ends after the frame write.
 		if cap(respDst) >= len(r.Bulk) {
 			respBulk = respDst[:len(r.Bulk)]
 		} else {
@@ -470,6 +531,7 @@ func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, dead
 		}
 		copy(respBulk, r.Bulk)
 	}
+	r.Release()
 	return r.Payload, respBulk, nil
 }
 
@@ -518,10 +580,15 @@ func (c *simConn) callDone(q *sim.Queue[Response]) {
 }
 
 // failInflight closes every outstanding round trip's reply queue, failing
-// its blocked caller with ErrConnClosed.
+// its blocked caller with ErrConnClosed. A reply already in a queue whose
+// caller has stopped waiting is dropped with it, which ends its lend; one
+// that comes later finds the queue closed and is released by its sender.
 func (c *simConn) failInflight() {
 	for _, q := range c.inflight {
 		q.Close()
+		for r, ok := q.TryRecv(); ok; r, ok = q.TryRecv() {
+			r.Release()
+		}
 	}
 	c.inflight = nil
 }
