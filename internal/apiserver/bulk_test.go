@@ -18,7 +18,7 @@ import (
 // simRig starts a fast server as a daemon of p's engine and connects the
 // generated client to it over the simulated transport.
 func simRig(e *sim.Engine, p *sim.Proc) (*Server, *gen.Client) {
-	srv := newFastServer(e, func(name string, fn func(*sim.Proc)) { p.SpawnDaemon(name, fn) })
+	srv := newFastServer(e, Config{}, func(name string, fn func(*sim.Proc)) { p.SpawnDaemon(name, fn) })
 	return srv, &gen.Client{T: remoting.Dial(e, &remoting.Listener{Incoming: srv.Inbox}, remoting.NetProfile{})}
 }
 
@@ -260,7 +260,7 @@ func newTCPServer(t *testing.T) *tcpServer {
 	t.Helper()
 	e := sim.NewOpenEngine(1)
 	ts := &tcpServer{t: t, e: e, done: make(chan (<-chan struct{}), 4)}
-	ts.srv = newFastServer(e, e.InjectDaemon)
+	ts.srv = newFastServer(e, Config{}, e.InjectDaemon)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

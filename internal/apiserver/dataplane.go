@@ -25,9 +25,9 @@ import (
 // session limit — but the tensor stays resident on the device awaiting a
 // consumer, which is the whole point: the handoff never touches the host.
 func (s *Server) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (uint64, int64, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, 0, cuda.ErrNotInitialized
+	sess, ctx, err := s.open(p)
+	if err != nil {
+		return 0, 0, err
 	}
 	pl := s.cfg.Plane
 	if pl == nil {
@@ -42,10 +42,6 @@ func (s *Server) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (uint64, in
 		// backing memory; consumers that need to forward a tensor copy it
 		// into an owned allocation first.
 		return 0, 0, cuda.ErrInvalidValue
-	}
-	ctx, err := s.ctx(p)
-	if err != nil {
-		return 0, 0, err
 	}
 	if ptr == sess.bcastPtr {
 		pl.DropBroadcastSource(sess.bcastKey)
@@ -71,9 +67,9 @@ func (s *Server) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (uint64, in
 // tensor is cloned at NVLink bandwidth. Exports living on other GPU servers
 // are refused with ErrInvalidDevice; PeerCopy is the cross-server path.
 func (s *Server) MemImport(p *sim.Proc, export uint64) (cuda.DevPtr, int64, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, 0, cuda.ErrNotInitialized
+	sess, ctx, err := s.open(p)
+	if err != nil {
+		return 0, 0, err
 	}
 	pl := s.cfg.Plane
 	if pl == nil {
@@ -95,10 +91,6 @@ func (s *Server) MemImport(p *sim.Proc, export uint64) (cuda.DevPtr, int64, erro
 	size := x.Size()
 	if sess.used+size > sess.memLimit {
 		return 0, 0, cuda.ErrMemoryAllocation
-	}
-	ctx, err := s.ctx(p)
-	if err != nil {
-		return 0, 0, err
 	}
 	if x.Phys().Device() == ctx.Device() {
 		ptr, err := ctx.AdoptMapped(p, x.Phys())
@@ -134,9 +126,9 @@ func (s *Server) MemImport(p *sim.Proc, export uint64) (cuda.DevPtr, int64, erro
 // D2H + objstore + H2D bounce, which is the comparison `-exp pipeline`
 // measures. A local export degrades to MemImport semantics.
 func (s *Server) PeerCopy(p *sim.Proc, export uint64) (cuda.DevPtr, int64, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, 0, cuda.ErrNotInitialized
+	_, ctx, err := s.open(p)
+	if err != nil {
+		return 0, 0, err
 	}
 	pl := s.cfg.Plane
 	if pl == nil {
@@ -154,10 +146,6 @@ func (s *Server) PeerCopy(p *sim.Proc, export uint64) (cuda.DevPtr, int64, error
 	}
 	size := x.Size()
 	ptr, err := s.Malloc(p, size)
-	if err != nil {
-		return 0, 0, err
-	}
-	ctx, err := s.ctx(p)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -185,17 +173,13 @@ func (s *Server) PeerCopy(p *sim.Proc, export uint64) (cuda.DevPtr, int64, error
 // while the source lives. N sessions cost one traversal of the host link
 // instead of N.
 func (s *Server) ModelBroadcast(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, 0, 0, cuda.ErrNotInitialized
+	sess, ctx, err := s.open(p)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	pl, c := s.cfg.Plane, s.cfg.Cache
 	if pl == nil || c == nil {
 		return 0, 0, dataplane.SrcMiss, nil
-	}
-	ctx, err := s.ctx(p)
-	if err != nil {
-		return 0, 0, 0, err
 	}
 	key := modelcache.StateKey(sess.fnID)
 	for {
@@ -251,9 +235,9 @@ func (s *Server) ModelBroadcast(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 // bookkeeping: a broadcast source is deregistered first (later broadcasts
 // re-seed from the host tier); a zero-copy import is detached — the mapping
 // goes, the fabric decides whether the shared backing memory dies with it;
-// everything else is a plain VMM free. Bye, scavenge and Free all funnel
-// through here so no path can double-free fabric-owned memory, and so the
-// allocation's uploaded bytes go with it on every one of them.
+// everything else is a plain VMM free. Free and the end of the session both
+// come through here, so no path can double-free fabric-owned memory and the
+// allocation's uploaded bytes go with it on each.
 func (s *Server) releaseSessionPtr(p *sim.Proc, ctx *cuda.Context, sess *session, ptr cuda.DevPtr) {
 	remoting.RecycleBulk(sess.mem.Drop(ptr))
 	if pl := s.cfg.Plane; pl != nil && ptr == sess.bcastPtr && sess.bcastPtr != 0 {

@@ -8,221 +8,88 @@ import (
 	"dgsf/internal/sim"
 )
 
-// cuDNN / cuBLAS backend. Handle-creating calls are served from the
-// pre-created pool when the PoolHandles optimization is on, "simply
-// returning one of them when the API is called" (§V-A); otherwise the full
-// creation cost lands on the function's critical path.
+// cuDNN / cuBLAS backend: the API methods over the session's resource table
+// (resources.go), where a library handle is one more kind.
+
+// setStream serves cudnnSetStream/cublasSetStream; stream binding is implicit
+// in this model, so only handle validity is checked.
+func (s *Server) setStream(p *sim.Proc, k kind, h uint64, stream cuda.StreamHandle) error {
+	if _, err := s.real(k, h); err != nil {
+		return err
+	}
+	_, err := s.stream(stream)
+	return err
+}
+
+// launch translates a virtual library handle and runs one of its primitives.
+func (s *Server) launch(p *sim.Proc, k kind, h uint64, op string, dur time.Duration, bufs []cuda.DevPtr) error {
+	real, err := s.real(k, h)
+	if err != nil {
+		return err
+	}
+	return s.libs.Launch(p, k.lib(), real, op, dur, bufs)
+}
 
 // DnnCreate mirrors cudnnCreate.
 func (s *Server) DnnCreate(p *sim.Proc) (cudalibs.DNNHandle, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
-	}
-	var real cudalibs.DNNHandle
-	if n := len(s.pooledDNN); n > 0 {
-		real = s.pooledDNN[n-1]
-		s.pooledDNN = s.pooledDNN[:n-1]
-		// A pooled handle may have been created on the home context; make
-		// sure it is bound to the device we currently execute on.
-		if ctx, ok := s.libs.DNNContext(real); ok && ctx.Device().ID() != s.curDev {
-			cur, err := s.rt.Context(p, s.curDev)
-			if err != nil {
-				return 0, err
-			}
-			if err := s.libs.RebindDNN(p, real, cur); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		ctx, err := s.ctx(p)
-		if err != nil {
-			return 0, err
-		}
-		h, err := s.libs.DNNCreate(p, ctx)
-		if err != nil {
-			return 0, err
-		}
-		real = h
-	}
-	sess.nextVirt++
-	virt := cudalibs.DNNHandle(0x7200_0000 + sess.nextVirt)
-	sess.dnns[virt] = real
-	return virt, nil
+	return create[cudalibs.DNNHandle](s, p, kDNN, 0)
 }
 
-// DnnDestroy returns the handle to the pool (or destroys it when pooling is
-// off).
+// DnnDestroy returns the handle to the pool (or destroys it).
 func (s *Server) DnnDestroy(p *sim.Proc, h cudalibs.DNNHandle) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	real, ok := sess.dnns[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	delete(sess.dnns, h)
-	s.releaseDNN(p, real)
-	return nil
+	return s.drop(p, kDNN, uint64(h))
 }
 
-// DnnSetStream mirrors cudnnSetStream; stream binding is implicit in this
-// model, so only handle validity is checked.
+// DnnSetStream mirrors cudnnSetStream.
 func (s *Server) DnnSetStream(p *sim.Proc, h cudalibs.DNNHandle, stream cuda.StreamHandle) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	if _, ok := sess.dnns[h]; !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	if stream != 0 {
-		if _, err := s.translateStream(stream); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.setStream(p, kDNN, uint64(h), stream)
 }
 
 // DnnGetConvolutionWorkspaceSize mirrors its cuDNN namesake.
 func (s *Server) DnnGetConvolutionWorkspaceSize(p *sim.Proc, d cudalibs.Descriptor) (int64, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
-	}
-	if !sess.descs[d] {
-		return 0, cuda.ErrInvalidResourceHandle
+	if _, err := s.real(kDesc, uint64(d)); err != nil {
+		return 0, err
 	}
 	return 64 << 20, nil
 }
 
 // DnnForward translates the virtual handle and runs the primitive.
 func (s *Server) DnnForward(p *sim.Proc, h cudalibs.DNNHandle, op string, dur time.Duration, bufs []cuda.DevPtr, descs []uint64) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	real, ok := sess.dnns[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	return s.libs.DNNForward(p, real, op, dur, bufs)
+	return s.launch(p, kDNN, uint64(h), op, dur, bufs)
 }
 
 // BlasCreate mirrors cublasCreate, pool-backed like DnnCreate.
 func (s *Server) BlasCreate(p *sim.Proc) (cudalibs.BLASHandle, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
-	}
-	var real cudalibs.BLASHandle
-	if n := len(s.pooledBLAS); n > 0 {
-		real = s.pooledBLAS[n-1]
-		s.pooledBLAS = s.pooledBLAS[:n-1]
-	} else {
-		ctx, err := s.ctx(p)
-		if err != nil {
-			return 0, err
-		}
-		h, err := s.libs.BLASCreate(p, ctx)
-		if err != nil {
-			return 0, err
-		}
-		real = h
-	}
-	sess.nextVirt++
-	virt := cudalibs.BLASHandle(0x7300_0000 + sess.nextVirt)
-	sess.blass[virt] = real
-	return virt, nil
+	return create[cudalibs.BLASHandle](s, p, kBLAS, 0)
 }
 
 // BlasDestroy returns the handle to the pool (or destroys it).
 func (s *Server) BlasDestroy(p *sim.Proc, h cudalibs.BLASHandle) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	real, ok := sess.blass[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	delete(sess.blass, h)
-	s.releaseBLAS(p, real)
-	return nil
+	return s.drop(p, kBLAS, uint64(h))
 }
 
 // BlasSetStream mirrors cublasSetStream.
 func (s *Server) BlasSetStream(p *sim.Proc, h cudalibs.BLASHandle, stream cuda.StreamHandle) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	if _, ok := sess.blass[h]; !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	if stream != 0 {
-		if _, err := s.translateStream(stream); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.setStream(p, kBLAS, uint64(h), stream)
 }
 
 // BlasGemm translates the virtual handle and runs the GEMM.
 func (s *Server) BlasGemm(p *sim.Proc, h cudalibs.BLASHandle, dur time.Duration, bufs []cuda.DevPtr) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	real, ok := sess.blass[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	return s.libs.GEMM(p, real, dur, bufs)
+	return s.launch(p, kBLAS, uint64(h), "", dur, bufs)
 }
 
 // --- descriptor backend (for unoptimized guests that remote them) ---
 
-func (s *Server) createDesc(p *sim.Proc, kind cudalibs.DescriptorKind) (cudalibs.Descriptor, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
-	}
-	d, err := s.libs.CreateDescriptor(p, kind)
-	if err != nil {
-		return 0, err
-	}
-	sess.descs[d] = true
-	return d, nil
-}
-
 func (s *Server) setDesc(p *sim.Proc, d cudalibs.Descriptor) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	if !sess.descs[d] {
-		return cuda.ErrInvalidResourceHandle
+	if _, err := s.real(kDesc, uint64(d)); err != nil {
+		return err
 	}
 	return s.libs.SetDescriptor(p, d)
 }
 
-func (s *Server) destroyDesc(p *sim.Proc, d cudalibs.Descriptor) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	if !sess.descs[d] {
-		return cuda.ErrInvalidResourceHandle
-	}
-	delete(sess.descs, d)
-	return s.libs.DestroyDescriptor(p, d)
-}
-
 // DnnCreateTensorDescriptor mirrors cudnnCreateTensorDescriptor.
 func (s *Server) DnnCreateTensorDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return s.createDesc(p, cudalibs.TensorDescriptor)
+	return create[cudalibs.Descriptor](s, p, kDesc, cudalibs.TensorDescriptor)
 }
 
 // DnnSetTensorDescriptor mirrors cudnnSetTensorNdDescriptor.
@@ -232,12 +99,12 @@ func (s *Server) DnnSetTensorDescriptor(p *sim.Proc, d cudalibs.Descriptor) erro
 
 // DnnDestroyTensorDescriptor mirrors cudnnDestroyTensorDescriptor.
 func (s *Server) DnnDestroyTensorDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return s.destroyDesc(p, d)
+	return s.drop(p, kDesc, uint64(d))
 }
 
 // DnnCreateFilterDescriptor mirrors cudnnCreateFilterDescriptor.
 func (s *Server) DnnCreateFilterDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return s.createDesc(p, cudalibs.FilterDescriptor)
+	return create[cudalibs.Descriptor](s, p, kDesc, cudalibs.FilterDescriptor)
 }
 
 // DnnSetFilterDescriptor mirrors cudnnSetFilterNdDescriptor.
@@ -247,12 +114,12 @@ func (s *Server) DnnSetFilterDescriptor(p *sim.Proc, d cudalibs.Descriptor) erro
 
 // DnnDestroyFilterDescriptor mirrors cudnnDestroyFilterDescriptor.
 func (s *Server) DnnDestroyFilterDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return s.destroyDesc(p, d)
+	return s.drop(p, kDesc, uint64(d))
 }
 
 // DnnCreateConvolutionDescriptor mirrors cudnnCreateConvolutionDescriptor.
 func (s *Server) DnnCreateConvolutionDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return s.createDesc(p, cudalibs.ConvolutionDescriptor)
+	return create[cudalibs.Descriptor](s, p, kDesc, cudalibs.ConvolutionDescriptor)
 }
 
 // DnnSetConvolutionDescriptor mirrors cudnnSetConvolutionNdDescriptor.
@@ -262,12 +129,12 @@ func (s *Server) DnnSetConvolutionDescriptor(p *sim.Proc, d cudalibs.Descriptor)
 
 // DnnDestroyConvolutionDescriptor mirrors cudnnDestroyConvolutionDescriptor.
 func (s *Server) DnnDestroyConvolutionDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return s.destroyDesc(p, d)
+	return s.drop(p, kDesc, uint64(d))
 }
 
 // DnnCreateActivationDescriptor mirrors cudnnCreateActivationDescriptor.
 func (s *Server) DnnCreateActivationDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return s.createDesc(p, cudalibs.ActivationDescriptor)
+	return create[cudalibs.Descriptor](s, p, kDesc, cudalibs.ActivationDescriptor)
 }
 
 // DnnSetActivationDescriptor mirrors cudnnSetActivationDescriptor.
@@ -277,12 +144,12 @@ func (s *Server) DnnSetActivationDescriptor(p *sim.Proc, d cudalibs.Descriptor) 
 
 // DnnDestroyActivationDescriptor mirrors cudnnDestroyActivationDescriptor.
 func (s *Server) DnnDestroyActivationDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return s.destroyDesc(p, d)
+	return s.drop(p, kDesc, uint64(d))
 }
 
 // DnnCreatePoolingDescriptor mirrors cudnnCreatePoolingDescriptor.
 func (s *Server) DnnCreatePoolingDescriptor(p *sim.Proc) (cudalibs.Descriptor, error) {
-	return s.createDesc(p, cudalibs.PoolingDescriptor)
+	return create[cudalibs.Descriptor](s, p, kDesc, cudalibs.PoolingDescriptor)
 }
 
 // DnnSetPoolingDescriptor mirrors cudnnSetPoolingNdDescriptor.
@@ -292,5 +159,5 @@ func (s *Server) DnnSetPoolingDescriptor(p *sim.Proc, d cudalibs.Descriptor) err
 
 // DnnDestroyPoolingDescriptor mirrors cudnnDestroyPoolingDescriptor.
 func (s *Server) DnnDestroyPoolingDescriptor(p *sim.Proc, d cudalibs.Descriptor) error {
-	return s.destroyDesc(p, d)
+	return s.drop(p, kDesc, uint64(d))
 }

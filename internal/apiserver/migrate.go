@@ -19,8 +19,8 @@ import (
 //     copying device-to-device and mapping with MemMap — so every pointer
 //     the application holds, including indirect device pointers stored in
 //     device memory, remains valid;
-//  4. rebinds cuDNN/cuBLAS handles and re-creates streams, events and kernel
-//     registrations in the target context, extending the translation maps.
+//  4. re-creates kernel registrations in the target context and replicates
+//     the session's resource table there (replicateTo).
 //
 // It returns the migration duration.
 func (s *Server) Migrate(p *sim.Proc, target int) (time.Duration, error) {
@@ -51,6 +51,7 @@ func (s *Server) Migrate(p *sim.Proc, target int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	s.visited[target] = target != s.cfg.HomeDev
 
 	// 3. Move every mapped reservation, preserving virtual addresses.
 	for _, r := range oldCtx.Reservations() {
@@ -86,59 +87,17 @@ func (s *Server) Migrate(p *sim.Proc, target int) (time.Duration, error) {
 		}
 	}
 
+	// 4. Re-register kernels so launches can translate to valid per-context
+	// function pointers, then bring the resource table and the idle pool over.
 	if sess := s.sess; sess != nil {
-		// 4a. Re-register kernels so launches can translate to valid
-		// per-context function pointers.
 		for _, name := range sess.kernelNames {
 			if _, err := newCtx.RegisterFunction(p, name); err != nil {
 				return 0, err
 			}
 		}
-		// 4b. Replicate streams and events into the new context.
-		for _, virt := range sortedKeys(sess.streams) {
-			perDev := sess.streams[virt]
-			if _, ok := perDev[target]; ok {
-				continue
-			}
-			real, err := newCtx.StreamCreate(p)
-			if err != nil {
-				return 0, err
-			}
-			perDev[target] = real
-		}
-		for _, virt := range sortedKeys(sess.events) {
-			perDev := sess.events[virt]
-			if _, ok := perDev[target]; ok {
-				continue
-			}
-			real, err := newCtx.EventCreate(p)
-			if err != nil {
-				return 0, err
-			}
-			perDev[target] = real
-		}
-		// 4c. Rebind library handles (their workspaces move devices).
-		for _, virt := range sortedKeys(sess.dnns) {
-			if err := s.libs.RebindDNN(p, sess.dnns[virt], newCtx); err != nil {
-				return 0, err
-			}
-		}
-		for _, virt := range sortedKeys(sess.blass) {
-			if err := s.libs.RebindBLAS(p, sess.blass[virt], newCtx); err != nil {
-				return 0, err
-			}
-		}
 	}
-	// Pooled (idle) handles follow the server so the pool stays usable.
-	for _, h := range s.pooledDNN {
-		if err := s.libs.RebindDNN(p, h, newCtx); err != nil {
-			return 0, err
-		}
-	}
-	for _, h := range s.pooledBLAS {
-		if err := s.libs.RebindBLAS(p, h, newCtx); err != nil {
-			return 0, err
-		}
+	if err := s.replicateTo(p, target, newCtx); err != nil {
+		return 0, err
 	}
 
 	s.curDev = target

@@ -42,11 +42,9 @@ type Config struct {
 	HomeDev int // initially assigned GPU
 
 	// PoolHandles enables the startup optimization: the CUDA runtime is
-	// initialized and DNNPool/BLASPool handles are created when the server
-	// starts, not when a function first needs them.
+	// initialized and poolSize handles of each library are created when the
+	// server starts, not when a function first needs them.
 	PoolHandles bool
-	DNNPool     int
-	BLASPool    int
 
 	CUDACosts cuda.Costs
 	LibCosts  cudalibs.Costs
@@ -79,7 +77,6 @@ type Stats struct {
 // Server is one API server.
 type Server struct {
 	cfg  Config
-	e    *sim.Engine
 	rt   *cuda.Runtime
 	libs *cudalibs.Libs
 
@@ -91,8 +88,12 @@ type Server struct {
 	curDev  int
 	prewarm bool // pools are ready
 
-	pooledDNN  []cudalibs.DNNHandle
-	pooledBLAS []cudalibs.BLASHandle
+	// visited marks the devices other than home the server has moved to: each
+	// holds a context of its own, destroyed when the session ends.
+	visited []bool
+	// idle is the pool: pre-created library handles no session is using, per
+	// cudalibs.Kind, always bound to the context on curDev.
+	idle [2][]uint64
 
 	sess       *session
 	stats      Stats
@@ -135,14 +136,9 @@ type session struct {
 	virtFn      map[cuda.FnPtr]string
 	nextVirt    uint64
 
-	// Virtual handle -> per-device concrete handle translation maps. The
-	// server pre-replicates streams in new contexts on migration (§V-D).
-	streams map[cuda.StreamHandle]map[int]cuda.StreamHandle
-	events  map[cuda.EventHandle]map[int]cuda.EventHandle
-
-	dnns  map[cudalibs.DNNHandle]cudalibs.DNNHandle   // virtual -> real
-	blass map[cudalibs.BLASHandle]cudalibs.BLASHandle // virtual -> real
-	descs map[cudalibs.Descriptor]bool                // server-held descriptors
+	// res is the session's resource table: every virtual handle it was
+	// handed, of every kind (resources.go).
+	res map[uint64]resource
 
 	hostAllocs map[uint64]int64
 	nextHost   uint64
@@ -168,19 +164,13 @@ var _ gen.API = (*Server)(nil)
 
 // NewServer creates an API server over the GPU server's devices.
 func NewServer(e *sim.Engine, rt *cuda.Runtime, cfg Config) *Server {
-	if cfg.DNNPool == 0 {
-		cfg.DNNPool = 1
-	}
-	if cfg.BLASPool == 0 {
-		cfg.BLASPool = 1
-	}
 	return &Server{
 		cfg:        cfg,
-		e:          e,
 		rt:         rt,
 		libs:       cudalibs.New(cfg.LibCosts),
 		Inbox:      sim.NewQueue[remoting.Request](e),
 		curDev:     cfg.HomeDev,
+		visited:    make([]bool, len(rt.Devices())),
 		callCounts: make(map[uint16]int),
 	}
 }
@@ -225,19 +215,14 @@ func (s *Server) Prewarm(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < s.cfg.DNNPool; i++ {
-		h, err := s.libs.DNNCreate(p, ctx)
-		if err != nil {
-			return err
+	for k := range s.idle {
+		for len(s.idle[k]) < poolSize {
+			h, err := s.libs.Create(p, cudalibs.Kind(k), ctx)
+			if err != nil {
+				return err
+			}
+			s.idle[k] = append(s.idle[k], h)
 		}
-		s.pooledDNN = append(s.pooledDNN, h)
-	}
-	for i := 0; i < s.cfg.BLASPool; i++ {
-		h, err := s.libs.BLASCreate(p, ctx)
-		if err != nil {
-			return err
-		}
-		s.pooledBLAS = append(s.pooledBLAS, h)
 	}
 	s.prewarm = true
 	return nil
@@ -255,7 +240,7 @@ func (s *Server) Run(p *sim.Proc) {
 		req, ok := s.Inbox.Recv(p)
 		if !ok {
 			if s.crashed {
-				s.scavenge(p)
+				_ = s.release(p, true) // scavenge: device accounting must end accurate
 			}
 			return
 		}
@@ -287,9 +272,8 @@ func (s *Server) Run(p *sim.Proc) {
 
 // Crash kills the API server abruptly, as a process crash would: the inbox
 // closes (in-flight guests never get replies; the GPU server's heartbeat
-// detects the death), and the run loop scavenges the dead session's device
-// state on the way out — the cleanup the driver performs when a process
-// holding a context dies.
+// detects the death), and the run loop releases what the process held on its
+// way out — the cleanup the driver performs when a process dies.
 func (s *Server) Crash() {
 	if s.crashed {
 		return
@@ -300,62 +284,6 @@ func (s *Server) Crash() {
 
 // Crashed reports whether fault injection killed this server.
 func (s *Server) Crashed() bool { return s.crashed }
-
-// scavenge releases everything the dead server held: session allocations,
-// stream/event replicas, library handles, descriptors, and any pinned cached
-// model (dropped without staging out — the process that owned the host copy
-// path is gone). Device accounting must end accurate so the survivors'
-// placement decisions stay sound.
-func (s *Server) scavenge(p *sim.Proc) {
-	sess := s.sess
-	s.sess = nil
-	s.asyncErr = 0
-	if sess != nil {
-		if ctx, err := s.rt.Context(p, s.curDev); err == nil {
-			for _, ptr := range sortedKeys(sess.allocs) {
-				s.releaseSessionPtr(p, ctx, sess, ptr)
-			}
-		}
-		for _, virt := range sortedKeys(sess.streams) {
-			perDev := sess.streams[virt]
-			for _, dev := range sortedKeys(perDev) {
-				if c, err := s.rt.Context(p, dev); err == nil {
-					_ = c.StreamDestroy(p, perDev[dev])
-				}
-			}
-		}
-		for _, virt := range sortedKeys(sess.events) {
-			perDev := sess.events[virt]
-			for _, dev := range sortedKeys(perDev) {
-				if c, err := s.rt.Context(p, dev); err == nil {
-					_ = c.EventDestroy(p, perDev[dev])
-				}
-			}
-		}
-		for _, virt := range sortedKeys(sess.dnns) {
-			_ = s.libs.DNNDestroy(p, sess.dnns[virt])
-		}
-		for _, virt := range sortedKeys(sess.blass) {
-			_ = s.libs.BLASDestroy(p, sess.blass[virt])
-		}
-		for _, d := range sortedKeys(sess.descs) {
-			_ = s.libs.DestroyDescriptor(p, d)
-		}
-	}
-	if pin := s.pinned; pin != nil {
-		s.pinned = nil
-		s.cfg.Cache.Unpin(s.cfg.ID)
-		if ctx, err := s.rt.Context(p, s.curDev); err == nil {
-			_ = ctx.Free(p, pin.ptr)
-		}
-	}
-	if s.curDev != s.cfg.HomeDev {
-		if awayCtx, err := s.rt.Context(p, s.curDev); err == nil {
-			awayCtx.Destroy()
-		}
-		s.curDev = s.cfg.HomeDev
-	}
-}
 
 // MigrateRequest asks the server to move to another GPU. The monitor sends
 // it through the inbox so it executes at an API call boundary. Done, if
@@ -389,17 +317,12 @@ type PingRequest struct {
 func (s *Server) handleCtrl(p *sim.Proc, req remoting.Request) {
 	switch c := req.Ctrl.(type) {
 	case MigrateRequest:
-		d, err := s.Migrate(p, c.TargetDev)
-		if err != nil {
-			d = 0
-		}
+		d, _ := s.Migrate(p, c.TargetDev) // 0 on failure
 		if c.Done != nil {
 			c.Done.Send(d)
 		}
 	case ResetRequest:
-		if s.sess != nil {
-			_ = s.Bye(p)
-		}
+		_ = s.Bye(p)
 		if c.Done != nil {
 			c.Done.Send(struct{}{})
 		}
@@ -519,12 +442,14 @@ func (s *Server) handleBatch(p *sim.Proc, d *wire.Decoder) []byte {
 	return e.Bytes()
 }
 
-// ctx returns the context on the server's current device.
-func (s *Server) ctx(p *sim.Proc) (*cuda.Context, error) {
+// open is every API method's prologue: the session being served and the
+// context on the device the server currently executes on.
+func (s *Server) open(p *sim.Proc) (*session, *cuda.Context, error) {
 	if s.sess == nil {
-		return nil, cuda.ErrNotInitialized
+		return nil, nil, cuda.ErrNotInitialized
 	}
-	return s.rt.Context(p, s.curDev)
+	ctx, err := s.rt.Context(p, s.curDev)
+	return s.sess, ctx, err
 }
 
 // --- session control ---
@@ -557,32 +482,26 @@ func (s *Server) Hello(p *sim.Proc, fnID string, memLimit int64) error {
 		memLimit:   memLimit,
 		allocs:     make(map[cuda.DevPtr]int64),
 		virtFn:     make(map[cuda.FnPtr]string),
-		streams:    make(map[cuda.StreamHandle]map[int]cuda.StreamHandle),
-		events:     make(map[cuda.EventHandle]map[int]cuda.EventHandle),
-		dnns:       make(map[cudalibs.DNNHandle]cudalibs.DNNHandle),
-		blass:      make(map[cudalibs.BLASHandle]cudalibs.BLASHandle),
-		descs:      make(map[cudalibs.Descriptor]bool),
+		res:        make(map[uint64]resource),
 		hostAllocs: make(map[uint64]int64),
 		imported:   make(map[cuda.DevPtr]uint64),
 	}
 	return nil
 }
 
-// Bye tears down the session: all function-owned resources are released,
-// pooled handles are returned, and the server migrates back to its home GPU
-// if the monitor had moved it (§V-A).
+// Bye ends the session the orderly way: pending work drains, everything the
+// function owned is released with pooled handles going back to the pool, the
+// server returns to its home GPU if the monitor had moved it (§V-A), and the
+// model working set the function marked is kept for its next invocation.
 func (s *Server) Bye(p *sim.Proc) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	ctx, err := s.rt.Context(p, s.curDev)
+	sess, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
 	_ = ctx.DeviceSynchronize(p)
-	// The allocation marked by ModelPersist is withheld from the free loop:
-	// it stays mapped as a retention candidate for the model cache.
+	// The allocation marked by ModelPersist is withheld from the release
+	// walk: it stays mapped as a retention candidate for the model cache, and
+	// rides home in the reservation walk of the move.
 	var keep *pinnedModel
 	if sess.persistPtr != 0 && s.cfg.Cache != nil {
 		if size, ok := sess.allocs[sess.persistPtr]; ok {
@@ -591,51 +510,8 @@ func (s *Server) Bye(p *sim.Proc) error {
 			sess.used -= size
 		}
 	}
-	for _, ptr := range sortedKeys(sess.allocs) {
-		s.releaseSessionPtr(p, ctx, sess, ptr)
-	}
-	for _, virt := range sortedKeys(sess.streams) {
-		perDev := sess.streams[virt]
-		for _, dev := range sortedKeys(perDev) {
-			c, err := s.rt.Context(p, dev)
-			if err == nil {
-				_ = c.StreamDestroy(p, perDev[dev])
-			}
-		}
-	}
-	for _, virt := range sortedKeys(sess.events) {
-		perDev := sess.events[virt]
-		for _, dev := range sortedKeys(perDev) {
-			c, err := s.rt.Context(p, dev)
-			if err == nil {
-				_ = c.EventDestroy(p, perDev[dev])
-			}
-		}
-	}
-	// Non-pooled handles created for this session are destroyed; pooled
-	// ones were already returned by DnnDestroy/BlasDestroy or are returned
-	// now.
-	for _, virt := range sortedKeys(sess.dnns) {
-		s.releaseDNN(p, sess.dnns[virt])
-	}
-	for _, virt := range sortedKeys(sess.blass) {
-		s.releaseBLAS(p, sess.blass[virt])
-	}
-	for _, d := range sortedKeys(sess.descs) {
-		_ = s.libs.DestroyDescriptor(p, d)
-	}
-	s.sess = nil
-	// Return home. Only a retained model (if any) remains mapped, so the
-	// move copies at most that; the extra context created at the destination
-	// is torn down to release its footprint.
-	if s.curDev != s.cfg.HomeDev {
-		away := s.curDev
-		if _, err := s.Migrate(p, s.cfg.HomeDev); err != nil {
-			return err
-		}
-		if awayCtx, err := s.rt.Context(p, away); err == nil {
-			awayCtx.Destroy()
-		}
+	if err := s.release(p, false); err != nil {
+		return err
 	}
 	if keep != nil {
 		// A pin the function never adopted this session (it skipped
@@ -649,6 +525,63 @@ func (s *Server) Bye(p *sim.Proc) error {
 			// Device budget exhausted: swap the working set to the host tier
 			// at copy-engine bandwidth instead of keeping it on the GPU.
 			s.stageOut(p, keep)
+		}
+	}
+	return nil
+}
+
+// release is the one way a session ends: Bye, a reset and a crash (the run
+// loop scavenging on its way out) differ only in what they do around it. It
+// walks what the session holds in a fixed order — allocations, then the
+// resource table, replicas by ascending device — because every step may
+// charge virtual time other processes observe. Then the server goes home and
+// every context it created on the way is destroyed, not only the one it
+// stands on: a context left on a GPU it merely visited holds memory the GPU
+// server's placement arithmetic never sees. After a crash nothing survives
+// the process: library handles are destroyed instead of pooled, the idle pool
+// and the pinned model go too, and the server ends where it is.
+func (s *Server) release(p *sim.Proc, crash bool) error {
+	home := s.cfg.HomeDev
+	if sess := s.sess; sess != nil {
+		s.sess = nil
+		if ctx, err := s.rt.Context(p, s.curDev); err == nil {
+			for _, ptr := range sortedKeys(sess.allocs) {
+				s.releaseSessionPtr(p, ctx, sess, ptr)
+			}
+		}
+		for _, virt := range sess.ordered() {
+			s.destroy(p, sess.res[virt], !crash)
+		}
+	}
+	if crash {
+		if pin := s.pinned; pin != nil {
+			s.pinned = nil
+			s.cfg.Cache.Unpin(s.cfg.ID)
+			if ctx, err := s.rt.Context(p, s.curDev); err == nil {
+				_ = ctx.Free(p, pin.ptr)
+			}
+		}
+		for k := range s.idle {
+			for _, h := range s.idle[k] {
+				_ = s.libs.Destroy(p, cudalibs.Kind(k), h)
+			}
+			s.idle[k] = nil
+		}
+		s.curDev = home
+	} else if s.curDev != home {
+		// Only a retained model (if any) remains mapped, so the move copies
+		// at most that.
+		if _, err := s.Migrate(p, home); err != nil {
+			return err
+		}
+	}
+	for dev, seen := range s.visited {
+		if !seen {
+			continue
+		}
+		s.visited[dev] = false
+		if ctx, err := s.rt.Context(p, dev); err == nil {
+			ctx.Destroy()
 		}
 	}
 	return nil
@@ -687,9 +620,9 @@ func (s *Server) stageOut(p *sim.Proc, pin *pinnedModel) {
 // bytes count against the session's declared memory limit like any other
 // allocation.
 func (s *Server) ModelAttach(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, 0, 0, cuda.ErrNotInitialized
+	sess, ctx, err := s.open(p)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	c := s.cfg.Cache
 	if c == nil {
@@ -710,14 +643,10 @@ func (s *Server) ModelAttach(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 	}
 	key := modelcache.StateKey(sess.fnID)
 	if bytes, ok := c.Host().Get(key); ok {
-		ptr, err := s.Malloc(p, bytes)
-		if err == nil {
-			if ctx, cerr := s.ctx(p); cerr == nil {
-				_ = ctx.MemcpyH2D(p, ptr, gpu.HostBuffer{FP: key.FP, Size: bytes}, bytes)
-				c.NoteAttach(modelcache.TierHost)
-				return ptr, bytes, modelcache.TierHost, nil
-			}
-			_ = s.Free(p, ptr)
+		if ptr, err := s.Malloc(p, bytes); err == nil {
+			_ = ctx.MemcpyH2D(p, ptr, gpu.HostBuffer{FP: key.FP, Size: bytes}, bytes)
+			c.NoteAttach(modelcache.TierHost)
+			return ptr, bytes, modelcache.TierHost, nil
 		}
 	}
 	c.NoteAttach(modelcache.TierMiss)
@@ -729,9 +658,9 @@ func (s *Server) ModelAttach(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 // instead of freeing it. Without a cache it degenerates to Free, so
 // cache-oblivious deployments behave exactly as before.
 func (s *Server) ModelPersist(p *sim.Proc, ptr cuda.DevPtr) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
+	sess, _, err := s.open(p)
+	if err != nil {
+		return err
 	}
 	if _, ok := sess.allocs[ptr]; !ok {
 		return cuda.ErrInvalidValue
@@ -748,31 +677,11 @@ func (s *Server) ModelPersist(p *sim.Proc, ptr cuda.DevPtr) error {
 	return nil
 }
 
-func (s *Server) releaseDNN(p *sim.Proc, real cudalibs.DNNHandle) {
-	if len(s.pooledDNN) < s.cfg.DNNPool && s.cfg.PoolHandles {
-		s.pooledDNN = append(s.pooledDNN, real)
-		return
-	}
-	_ = s.libs.DNNDestroy(p, real)
-}
-
-func (s *Server) releaseBLAS(p *sim.Proc, real cudalibs.BLASHandle) {
-	if len(s.pooledBLAS) < s.cfg.BLASPool && s.cfg.PoolHandles {
-		s.pooledBLAS = append(s.pooledBLAS, real)
-		return
-	}
-	_ = s.libs.BLASDestroy(p, real)
-}
-
 // RegisterKernels registers the function's kernels in the current context
 // and hands back stable virtual handles; launches translate them to the
 // context-local pointers, which migration re-creates on the target GPU.
 func (s *Server) RegisterKernels(p *sim.Proc, names []string) ([]cuda.FnPtr, error) {
-	sess := s.sess
-	if sess == nil {
-		return nil, cuda.ErrNotInitialized
-	}
-	ctx, err := s.ctx(p)
+	sess, ctx, err := s.open(p)
 	if err != nil {
 		return nil, err
 	}
@@ -798,7 +707,7 @@ func (s *Server) RegisterKernels(p *sim.Proc, names []string) ([]cuda.FnPtr, err
 
 // GetDeviceCount always answers 1 (§V-B, "Device management functions").
 func (s *Server) GetDeviceCount(p *sim.Proc) (int, error) {
-	if _, err := s.ctx(p); err != nil {
+	if _, _, err := s.open(p); err != nil {
 		return 0, err
 	}
 	return 1, nil
@@ -806,7 +715,7 @@ func (s *Server) GetDeviceCount(p *sim.Proc) (int, error) {
 
 // GetDeviceProperties reports the currently assigned GPU as device 0.
 func (s *Server) GetDeviceProperties(p *sim.Proc, dev int) (cuda.DeviceProp, error) {
-	if _, err := s.ctx(p); err != nil {
+	if _, _, err := s.open(p); err != nil {
 		return cuda.DeviceProp{}, err
 	}
 	if dev != 0 {
@@ -817,7 +726,7 @@ func (s *Server) GetDeviceProperties(p *sim.Proc, dev int) (cuda.DeviceProp, err
 
 // SetDevice accepts only the virtual device 0.
 func (s *Server) SetDevice(p *sim.Proc, dev int) error {
-	if _, err := s.ctx(p); err != nil {
+	if _, _, err := s.open(p); err != nil {
 		return err
 	}
 	if dev != 0 {
@@ -828,24 +737,22 @@ func (s *Server) SetDevice(p *sim.Proc, dev int) error {
 
 // GetDevice always answers 0.
 func (s *Server) GetDevice(p *sim.Proc) (int, error) {
-	if _, err := s.ctx(p); err != nil {
-		return 0, err
-	}
-	return 0, nil
+	_, _, err := s.open(p)
+	return 0, err
 }
 
 // MemGetInfo is scoped to the function's declared memory limit.
 func (s *Server) MemGetInfo(p *sim.Proc) (int64, int64, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, 0, cuda.ErrNotInitialized
+	sess, _, err := s.open(p)
+	if err != nil {
+		return 0, 0, err
 	}
 	return sess.memLimit - sess.used, sess.memLimit, nil
 }
 
 // DeviceSynchronize drains all streams in the current context.
 func (s *Server) DeviceSynchronize(p *sim.Proc) error {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
@@ -868,19 +775,15 @@ func (s *Server) RuntimeGetVersion(p *sim.Proc) (int, error) { return 10010, nil
 // the function's declared limit: DGSF "knows exactly how much memory an
 // application is using and ensures it is not violating its limits" (§V-B).
 func (s *Server) Malloc(p *sim.Proc, size int64) (cuda.DevPtr, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
+	sess, ctx, err := s.open(p)
+	if err != nil {
+		return 0, err
 	}
 	if size <= 0 {
 		return 0, cuda.ErrInvalidValue
 	}
 	if sess.used+size > sess.memLimit {
 		return 0, cuda.ErrMemoryAllocation
-	}
-	ctx, err := s.ctx(p)
-	if err != nil {
-		return 0, err
 	}
 	ptr, err := ctx.Malloc(p, size)
 	if err != nil {
@@ -895,17 +798,13 @@ func (s *Server) Malloc(p *sim.Proc, size int64) (cuda.DevPtr, error) {
 // plane (zero-copy imports, broadcast sources) carry extra bookkeeping, so
 // the release goes through the shared helper.
 func (s *Server) Free(p *sim.Proc, ptr cuda.DevPtr) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
+	sess, ctx, err := s.open(p)
+	if err != nil {
+		return err
 	}
 	size, ok := sess.allocs[ptr]
 	if !ok {
 		return cuda.ErrInvalidValue
-	}
-	ctx, err := s.ctx(p)
-	if err != nil {
-		return err
 	}
 	s.releaseSessionPtr(p, ctx, sess, ptr)
 	delete(sess.allocs, ptr)
@@ -915,7 +814,7 @@ func (s *Server) Free(p *sim.Proc, ptr cuda.DevPtr) error {
 
 // Memset mirrors cudaMemset.
 func (s *Server) Memset(p *sim.Proc, ptr cuda.DevPtr, value byte, size int64) error {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
@@ -924,7 +823,7 @@ func (s *Server) Memset(p *sim.Proc, ptr cuda.DevPtr, value byte, size int64) er
 
 // MemcpyH2D mirrors cudaMemcpy(HostToDevice).
 func (s *Server) MemcpyH2D(p *sim.Proc, dst cuda.DevPtr, src gpu.HostBuffer, size int64) error {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
@@ -933,7 +832,7 @@ func (s *Server) MemcpyH2D(p *sim.Proc, dst cuda.DevPtr, src gpu.HostBuffer, siz
 
 // MemcpyD2H mirrors cudaMemcpy(DeviceToHost).
 func (s *Server) MemcpyD2H(p *sim.Proc, src cuda.DevPtr, size int64) (gpu.HostBuffer, error) {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return gpu.HostBuffer{}, err
 	}
@@ -977,11 +876,7 @@ func (sess *session) memRange(ptr cuda.DevPtr, n int64) (base cuda.DevPtr, off i
 // transport gave away with this request, which becomes the allocation's
 // storage as it is; the storage it displaces goes back to the transport.
 func (s *Server) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	ctx, err := s.ctx(p)
+	sess, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
@@ -1007,11 +902,7 @@ func (s *Server) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
 // direct caller may read it until the next call that writes or frees src,
 // and the request loop lends it to a vectored reply (see Run).
 func (s *Server) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) ([]byte, error) {
-	sess := s.sess
-	if sess == nil {
-		return nil, cuda.ErrNotInitialized
-	}
-	ctx, err := s.ctx(p)
+	sess, ctx, err := s.open(p)
 	if err != nil {
 		return nil, err
 	}
@@ -1027,7 +918,7 @@ func (s *Server) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) ([]byte, erro
 
 // MemcpyD2D mirrors cudaMemcpy(DeviceToDevice).
 func (s *Server) MemcpyD2D(p *sim.Proc, dst, src cuda.DevPtr, size int64) error {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
@@ -1037,9 +928,9 @@ func (s *Server) MemcpyD2D(p *sim.Proc, dst, src cuda.DevPtr, size int64) error 
 // MallocHost emulates pinned host allocation server-side (the optimized
 // guest never forwards it).
 func (s *Server) MallocHost(p *sim.Proc, size int64) (uint64, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
+	sess, _, err := s.open(p)
+	if err != nil {
+		return 0, err
 	}
 	sess.nextHost++
 	ptr := 0x6100_0000_0000 + sess.nextHost<<12
@@ -1049,9 +940,9 @@ func (s *Server) MallocHost(p *sim.Proc, size int64) (uint64, error) {
 
 // FreeHost mirrors cudaFreeHost.
 func (s *Server) FreeHost(p *sim.Proc, ptr uint64) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
+	sess, _, err := s.open(p)
+	if err != nil {
+		return err
 	}
 	if _, ok := sess.hostAllocs[ptr]; !ok {
 		return cuda.ErrInvalidValue
@@ -1062,9 +953,9 @@ func (s *Server) FreeHost(p *sim.Proc, ptr uint64) error {
 
 // PointerGetAttributes answers from the session allocation table.
 func (s *Server) PointerGetAttributes(p *sim.Proc, ptr cuda.DevPtr) (cuda.PtrAttributes, error) {
-	sess := s.sess
-	if sess == nil {
-		return cuda.PtrAttributes{}, cuda.ErrNotInitialized
+	sess, _, err := s.open(p)
+	if err != nil {
+		return cuda.PtrAttributes{}, err
 	}
 	if _, size, ok := sess.allocOf(ptr); ok {
 		return cuda.PtrAttributes{Device: 0, Size: size, IsDevice: true}, nil
@@ -1077,28 +968,20 @@ func (s *Server) PointerGetAttributes(p *sim.Proc, ptr cuda.DevPtr) (cuda.PtrAtt
 // PushCallConfiguration is accepted for unoptimized guests; the
 // configuration is implicit in the subsequent launch.
 func (s *Server) PushCallConfiguration(p *sim.Proc, grid, block [3]int, stream cuda.StreamHandle) error {
-	if _, err := s.ctx(p); err != nil {
-		return err
-	}
-	return nil
+	_, _, err := s.open(p)
+	return err
 }
 
 // PopCallConfiguration matches PushCallConfiguration.
 func (s *Server) PopCallConfiguration(p *sim.Proc) error {
-	if _, err := s.ctx(p); err != nil {
-		return err
-	}
-	return nil
+	_, _, err := s.open(p)
+	return err
 }
 
 // LaunchKernel translates the virtual function pointer and stream handle to
 // the current context's and enqueues the kernel.
 func (s *Server) LaunchKernel(p *sim.Proc, lp cuda.LaunchParams) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	ctx, err := s.ctx(p)
+	sess, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
@@ -1106,98 +989,33 @@ func (s *Server) LaunchKernel(p *sim.Proc, lp cuda.LaunchParams) error {
 	if !ok {
 		return cuda.ErrInvalidFunction
 	}
-	real, err := ctx.FunctionPtr(name)
-	if err != nil {
+	if lp.Fn, err = ctx.FunctionPtr(name); err != nil {
 		return err
 	}
-	lp.Fn = real
-	if lp.Stream != 0 {
-		realStream, err := s.translateStream(lp.Stream)
-		if err != nil {
-			return err
-		}
-		lp.Stream = realStream
+	if lp.Stream, err = s.stream(lp.Stream); err != nil {
+		return err
 	}
 	s.stats.Kernels++
 	return ctx.LaunchKernel(p, lp)
 }
 
-func (s *Server) translateStream(virt cuda.StreamHandle) (cuda.StreamHandle, error) {
-	perDev, ok := s.sess.streams[virt]
-	if !ok {
-		return 0, cuda.ErrInvalidResourceHandle
-	}
-	real, ok := perDev[s.curDev]
-	if !ok {
-		return 0, cuda.ErrInvalidResourceHandle
-	}
-	return real, nil
-}
-
-func (s *Server) translateEvent(virt cuda.EventHandle) (cuda.EventHandle, error) {
-	perDev, ok := s.sess.events[virt]
-	if !ok {
-		return 0, cuda.ErrInvalidResourceHandle
-	}
-	real, ok := perDev[s.curDev]
-	if !ok {
-		return 0, cuda.ErrInvalidResourceHandle
-	}
-	return real, nil
-}
-
-// StreamCreate creates a stream and returns a stable virtual handle; the
-// per-context concrete handle lives in the translation map.
+// StreamCreate creates a stream and returns a stable virtual handle.
 func (s *Server) StreamCreate(p *sim.Proc) (cuda.StreamHandle, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
-	}
-	ctx, err := s.ctx(p)
-	if err != nil {
-		return 0, err
-	}
-	real, err := ctx.StreamCreate(p)
-	if err != nil {
-		return 0, err
-	}
-	sess.nextVirt++
-	virt := cuda.StreamHandle(0x7000_0000 + sess.nextVirt)
-	sess.streams[virt] = map[int]cuda.StreamHandle{s.curDev: real}
-	return virt, nil
+	return create[cuda.StreamHandle](s, p, kStream, 0)
 }
 
 // StreamDestroy destroys the stream in every context holding a replica.
 func (s *Server) StreamDestroy(p *sim.Proc, h cuda.StreamHandle) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	perDev, ok := sess.streams[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	for _, dev := range sortedKeys(perDev) {
-		c, err := s.rt.Context(p, dev)
-		if err != nil {
-			continue
-		}
-		_ = c.StreamDestroy(p, perDev[dev])
-	}
-	delete(sess.streams, h)
-	return nil
+	return s.drop(p, kStream, uint64(h))
 }
 
 // StreamSynchronize synchronizes the stream in the current context.
 func (s *Server) StreamSynchronize(p *sim.Proc, h cuda.StreamHandle) error {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
-	if h == 0 {
-		return ctx.StreamSynchronize(p, 0)
-	}
-	real, err := s.translateStream(h)
+	real, err := s.stream(h)
 	if err != nil {
 		return err
 	}
@@ -1206,91 +1024,57 @@ func (s *Server) StreamSynchronize(p *sim.Proc, h cuda.StreamHandle) error {
 
 // EventCreate creates an event behind a stable virtual handle.
 func (s *Server) EventCreate(p *sim.Proc) (cuda.EventHandle, error) {
-	sess := s.sess
-	if sess == nil {
-		return 0, cuda.ErrNotInitialized
-	}
-	ctx, err := s.ctx(p)
-	if err != nil {
-		return 0, err
-	}
-	real, err := ctx.EventCreate(p)
-	if err != nil {
-		return 0, err
-	}
-	sess.nextVirt++
-	virt := cuda.EventHandle(0x7100_0000 + sess.nextVirt)
-	sess.events[virt] = map[int]cuda.EventHandle{s.curDev: real}
-	return virt, nil
+	return create[cuda.EventHandle](s, p, kEvent, 0)
 }
 
 // EventDestroy destroys the event in every context holding a replica.
 func (s *Server) EventDestroy(p *sim.Proc, h cuda.EventHandle) error {
-	sess := s.sess
-	if sess == nil {
-		return cuda.ErrNotInitialized
-	}
-	perDev, ok := sess.events[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	for _, dev := range sortedKeys(perDev) {
-		c, err := s.rt.Context(p, dev)
-		if err != nil {
-			continue
-		}
-		_ = c.EventDestroy(p, perDev[dev])
-	}
-	delete(sess.events, h)
-	return nil
+	return s.drop(p, kEvent, uint64(h))
 }
 
 // EventRecord records the event on the translated stream.
 func (s *Server) EventRecord(p *sim.Proc, h cuda.EventHandle, stream cuda.StreamHandle) error {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
-	real, err := s.translateEvent(h)
+	real, err := s.real(kEvent, uint64(h))
 	if err != nil {
 		return err
 	}
-	realStream := cuda.StreamHandle(0)
-	if stream != 0 {
-		realStream, err = s.translateStream(stream)
-		if err != nil {
-			return err
-		}
+	realStream, err := s.stream(stream)
+	if err != nil {
+		return err
 	}
-	return ctx.EventRecord(p, real, realStream)
+	return ctx.EventRecord(p, cuda.EventHandle(real), realStream)
 }
 
 // EventSynchronize waits for the translated event.
 func (s *Server) EventSynchronize(p *sim.Proc, h cuda.EventHandle) error {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return err
 	}
-	real, err := s.translateEvent(h)
+	real, err := s.real(kEvent, uint64(h))
 	if err != nil {
 		return err
 	}
-	return ctx.EventSynchronize(p, real)
+	return ctx.EventSynchronize(p, cuda.EventHandle(real))
 }
 
 // EventElapsed reports time between two translated events.
 func (s *Server) EventElapsed(p *sim.Proc, start, end cuda.EventHandle) (time.Duration, error) {
-	ctx, err := s.ctx(p)
+	_, ctx, err := s.open(p)
 	if err != nil {
 		return 0, err
 	}
-	rs, err := s.translateEvent(start)
+	rs, err := s.real(kEvent, uint64(start))
 	if err != nil {
 		return 0, err
 	}
-	re, err := s.translateEvent(end)
+	re, err := s.real(kEvent, uint64(end))
 	if err != nil {
 		return 0, err
 	}
-	return ctx.EventElapsed(p, rs, re)
+	return ctx.EventElapsed(p, cuda.EventHandle(rs), cuda.EventHandle(re))
 }

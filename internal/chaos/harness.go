@@ -109,7 +109,6 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 			// invocation queued behind it waits past the virtual time limit.
 			// Detection + shedding turn the kill into a retryable fault.
 			cfg.HeartbeatPeriod = 50 * time.Millisecond
-			cfg.HeartbeatMisses = 3
 			cfg.QueueDeadline = 5 * time.Minute
 			cfg.PoolHandles = false
 			cfg.CUDACosts = cuda.Costs{}
@@ -273,7 +272,6 @@ func runPipelineSchedule(seed int64, s Schedule) Result {
 			gcfg.GPUs = 1
 			gcfg.ServersPerGPU = 2
 			gcfg.HeartbeatPeriod = 50 * time.Millisecond
-			gcfg.HeartbeatMisses = 3
 			gcfg.QueueDeadline = 5 * time.Minute
 			pl := fab.NewPlane(fmt.Sprintf("gpu-%d", i))
 			gcfg.Plane = pl

@@ -210,9 +210,6 @@ func (r *Runtime) MemGetInfo(p *sim.Proc) (free, total int64, err error) {
 // Devices exposes the underlying simulated devices (for monitors and tests).
 func (r *Runtime) Devices() []*gpu.Device { return r.devs }
 
-// Costs returns the runtime's cost model.
-func (r *Runtime) Costs() Costs { return r.costs }
-
 func (r *Runtime) apiCost(p *sim.Proc) {
 	if r.costs.APITime > 0 {
 		p.Sleep(r.costs.APITime)

@@ -132,9 +132,6 @@ func (c *Context) DeviceSynchronize(p *sim.Proc) error {
 	return nil
 }
 
-// StreamCount returns the number of explicitly created live streams.
-func (c *Context) StreamCount() int { return len(c.streams) }
-
 func (c *Context) stream(h StreamHandle) (*Stream, error) {
 	if h == 0 {
 		return c.defStream, nil
@@ -195,25 +192,6 @@ func (c *Context) LaunchKernel(p *sim.Proc, lp LaunchParams) error {
 			gpu.MutateKernel(a, name)
 		}
 	}})
-	return nil
-}
-
-// MemcpyH2DAsync enqueues a host-to-device copy on a stream.
-func (c *Context) MemcpyH2DAsync(p *sim.Proc, dst DevPtr, src gpu.HostBuffer, size int64, h StreamHandle) error {
-	c.rt.apiCost(p)
-	if err := c.check(); err != nil {
-		return err
-	}
-	a, err := c.resolve(dst)
-	if err != nil {
-		return err
-	}
-	s, err := c.stream(h)
-	if err != nil {
-		return err
-	}
-	dev := c.dev
-	s.enqueue(streamOp{run: func(p *sim.Proc) { dev.CopyH2D(p, a, src, size) }})
 	return nil
 }
 

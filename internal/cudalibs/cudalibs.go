@@ -64,22 +64,38 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Libs is the per-context library state: live handles and descriptors.
+// Kind selects one of the two libraries. To this model a handle of either is
+// the same thing — a creation delay, a workspace pinned on its context's
+// device, kernels launched on that context — so one implementation serves
+// both and the kind picks the numbers. The typed DNNHandle/BLASHandle exist
+// for the wire; here a handle is its uint64.
+type Kind uint8
+
+// Library kinds.
+const (
+	DNN Kind = iota
+	BLAS
+)
+
+// handleCosts returns what creating a handle of kind k costs and pins.
+func (c Costs) handleCosts(k Kind) (time.Duration, int64) {
+	if k == BLAS {
+		return c.BLASCreateTime, c.BLASBytes
+	}
+	return c.DNNCreateTime, c.DNNBytes
+}
+
+// Libs is the per-process library state: live handles and descriptors.
 type Libs struct {
 	costs Costs
 
-	nextID uint64
-	dnn    map[DNNHandle]*dnnState
-	blas   map[BLASHandle]*blasState
-	descs  map[Descriptor]DescriptorKind
+	nextID  uint64
+	handles map[uint64]*handle
+	descs   map[Descriptor]DescriptorKind
 }
 
-type dnnState struct {
-	ctx       *cuda.Context
-	workspace *gpu.PhysAlloc
-}
-
-type blasState struct {
+type handle struct {
+	kind      Kind
 	ctx       *cuda.Context
 	workspace *gpu.PhysAlloc
 }
@@ -87,71 +103,64 @@ type blasState struct {
 // New returns empty library state with the given cost model.
 func New(costs Costs) *Libs {
 	return &Libs{
-		costs: costs,
-		dnn:   make(map[DNNHandle]*dnnState),
-		blas:  make(map[BLASHandle]*blasState),
-		descs: make(map[Descriptor]DescriptorKind),
+		costs:   costs,
+		handles: make(map[uint64]*handle),
+		descs:   make(map[Descriptor]DescriptorKind),
 	}
 }
-
-// Costs returns the cost model.
-func (l *Libs) Costs() Costs { return l.costs }
 
 func (l *Libs) id() uint64 {
 	l.nextID++
 	return l.nextID
 }
 
-// --- cuDNN ---
+func (l *Libs) lookup(k Kind, h uint64) (*handle, error) {
+	s, ok := l.handles[h]
+	if !ok || s.kind != k {
+		return nil, cuda.ErrInvalidResourceHandle
+	}
+	return s, nil
+}
 
-// DNNCreate mirrors cudnnCreate: expensive, and pins workspace memory on the
-// context's device.
-func (l *Libs) DNNCreate(p *sim.Proc, ctx *cuda.Context) (DNNHandle, error) {
-	if l.costs.DNNCreateTime > 0 {
-		p.Sleep(l.costs.DNNCreateTime)
+// Create mirrors cudnnCreate/cublasCreate: expensive, and pins workspace
+// memory on the context's device.
+func (l *Libs) Create(p *sim.Proc, k Kind, ctx *cuda.Context) (uint64, error) {
+	d, bytes := l.costs.handleCosts(k)
+	if d > 0 {
+		p.Sleep(d)
 	}
 	var ws *gpu.PhysAlloc
-	if l.costs.DNNBytes > 0 {
-		a, err := ctx.Device().AllocPhys(l.costs.DNNBytes)
+	if bytes > 0 {
+		a, err := ctx.Device().AllocPhys(bytes)
 		if err != nil {
 			return 0, cuda.ErrMemoryAllocation
 		}
 		ws = a
 	}
-	h := DNNHandle(l.id())
-	l.dnn[h] = &dnnState{ctx: ctx, workspace: ws}
+	h := l.id()
+	l.handles[h] = &handle{kind: k, ctx: ctx, workspace: ws}
 	return h, nil
 }
 
-// DNNDestroy mirrors cudnnDestroy.
-func (l *Libs) DNNDestroy(p *sim.Proc, h DNNHandle) error {
-	s, ok := l.dnn[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
+// Destroy mirrors cudnnDestroy/cublasDestroy.
+func (l *Libs) Destroy(p *sim.Proc, k Kind, h uint64) error {
+	s, err := l.lookup(k, h)
+	if err != nil {
+		return err
 	}
 	if s.workspace != nil {
 		s.workspace.Free()
 	}
-	delete(l.dnn, h)
+	delete(l.handles, h)
 	return nil
 }
 
-// DNNContext returns the context a handle is bound to (the migration engine
-// needs this to rebind handles after a context switch).
-func (l *Libs) DNNContext(h DNNHandle) (*cuda.Context, bool) {
-	s, ok := l.dnn[h]
-	if !ok {
-		return nil, false
-	}
-	return s.ctx, true
-}
-
-// RebindDNN points an existing handle at a new context, moving its workspace
+// Rebind points an existing handle at a new context, moving its workspace
 // allocation to the new device. Used on migration.
-func (l *Libs) RebindDNN(p *sim.Proc, h DNNHandle, ctx *cuda.Context) error {
-	s, ok := l.dnn[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
+func (l *Libs) Rebind(p *sim.Proc, k Kind, h uint64, ctx *cuda.Context) error {
+	s, err := l.lookup(k, h)
+	if err != nil {
+		return err
 	}
 	if s.workspace != nil {
 		ws, err := ctx.Device().AllocPhys(s.workspace.Size())
@@ -163,6 +172,28 @@ func (l *Libs) RebindDNN(p *sim.Proc, h DNNHandle, ctx *cuda.Context) error {
 	}
 	s.ctx = ctx
 	return nil
+}
+
+// Launch mirrors a compute call — cudnnConvolutionForward and friends, named
+// by op, or cublasSgemm: one kernel of the given nominal duration on the
+// handle's context.
+func (l *Libs) Launch(p *sim.Proc, k Kind, h uint64, op string, dur time.Duration, bufs []cuda.DevPtr) error {
+	s, err := l.lookup(k, h)
+	if err != nil {
+		return err
+	}
+	name := "cublas::gemm"
+	if k == DNN {
+		name = "cudnn::" + op
+	}
+	fn, err := s.ctx.RegisterFunction(p, name)
+	if err != nil {
+		return err
+	}
+	if err := s.ctx.LaunchKernel(p, cuda.LaunchParams{Fn: fn, Duration: dur, Mutates: bufs}); err != nil {
+		return err
+	}
+	return s.ctx.StreamSynchronize(p, 0)
 }
 
 // CreateDescriptor mirrors cudnnCreate*Descriptor: a host-side allocation.
@@ -200,92 +231,3 @@ func (l *Libs) DestroyDescriptor(p *sim.Proc, d Descriptor) error {
 
 // DescriptorCount returns the number of live descriptors (tests).
 func (l *Libs) DescriptorCount() int { return len(l.descs) }
-
-// DNNForward mirrors a cuDNN compute call (cudnnConvolutionForward and
-// friends): it launches a kernel of the given nominal duration on the
-// handle's context.
-func (l *Libs) DNNForward(p *sim.Proc, h DNNHandle, op string, dur time.Duration, bufs []cuda.DevPtr) error {
-	s, ok := l.dnn[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	fn, err := s.ctx.RegisterFunction(p, "cudnn::"+op)
-	if err != nil {
-		return err
-	}
-	if err := s.ctx.LaunchKernel(p, cuda.LaunchParams{Fn: fn, Duration: dur, Mutates: bufs}); err != nil {
-		return err
-	}
-	return s.ctx.StreamSynchronize(p, 0)
-}
-
-// --- cuBLAS ---
-
-// BLASCreate mirrors cublasCreate.
-func (l *Libs) BLASCreate(p *sim.Proc, ctx *cuda.Context) (BLASHandle, error) {
-	if l.costs.BLASCreateTime > 0 {
-		p.Sleep(l.costs.BLASCreateTime)
-	}
-	var ws *gpu.PhysAlloc
-	if l.costs.BLASBytes > 0 {
-		a, err := ctx.Device().AllocPhys(l.costs.BLASBytes)
-		if err != nil {
-			return 0, cuda.ErrMemoryAllocation
-		}
-		ws = a
-	}
-	h := BLASHandle(l.id())
-	l.blas[h] = &blasState{ctx: ctx, workspace: ws}
-	return h, nil
-}
-
-// BLASDestroy mirrors cublasDestroy.
-func (l *Libs) BLASDestroy(p *sim.Proc, h BLASHandle) error {
-	s, ok := l.blas[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	if s.workspace != nil {
-		s.workspace.Free()
-	}
-	delete(l.blas, h)
-	return nil
-}
-
-// RebindBLAS points an existing handle at a new context on migration.
-func (l *Libs) RebindBLAS(p *sim.Proc, h BLASHandle, ctx *cuda.Context) error {
-	s, ok := l.blas[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	if s.workspace != nil {
-		ws, err := ctx.Device().AllocPhys(s.workspace.Size())
-		if err != nil {
-			return cuda.ErrMemoryAllocation
-		}
-		s.workspace.Free()
-		s.workspace = ws
-	}
-	s.ctx = ctx
-	return nil
-}
-
-// GEMM mirrors cublasSgemm: one kernel on the handle's context.
-func (l *Libs) GEMM(p *sim.Proc, h BLASHandle, dur time.Duration, bufs []cuda.DevPtr) error {
-	s, ok := l.blas[h]
-	if !ok {
-		return cuda.ErrInvalidResourceHandle
-	}
-	fn, err := s.ctx.RegisterFunction(p, "cublas::gemm")
-	if err != nil {
-		return err
-	}
-	if err := s.ctx.LaunchKernel(p, cuda.LaunchParams{Fn: fn, Duration: dur, Mutates: bufs}); err != nil {
-		return err
-	}
-	return s.ctx.StreamSynchronize(p, 0)
-}
-
-// DNNCount and BLASCount return live handle counts (tests, monitor).
-func (l *Libs) DNNCount() int  { return len(l.dnn) }
-func (l *Libs) BLASCount() int { return len(l.blas) }

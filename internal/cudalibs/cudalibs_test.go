@@ -31,7 +31,7 @@ func TestDNNHandleCostAndFootprint(t *testing.T) {
 		ctx, _ := rt.CurrentContext(p)
 		l := New(DefaultCosts())
 		start := p.Now()
-		h, err := l.DNNCreate(p, ctx)
+		h, err := l.Create(p, DNN, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestDNNHandleCostAndFootprint(t *testing.T) {
 		if got := devs[0].UsedBytes(); got != 386<<20 {
 			t.Fatalf("cuDNN footprint = %d, want 386MB", got)
 		}
-		if err := l.DNNDestroy(p, h); err != nil {
+		if err := l.Destroy(p, DNN, h); err != nil {
 			t.Fatal(err)
 		}
 		if got := devs[0].UsedBytes(); got != 0 {
@@ -57,7 +57,7 @@ func TestBLASHandleCostAndFootprint(t *testing.T) {
 		ctx, _ := rt.CurrentContext(p)
 		l := New(DefaultCosts())
 		start := p.Now()
-		h, err := l.BLASCreate(p, ctx)
+		h, err := l.Create(p, BLAS, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestBLASHandleCostAndFootprint(t *testing.T) {
 		if got := devs[0].UsedBytes(); got != 70<<20 {
 			t.Fatalf("cuBLAS footprint = %d, want 70MB", got)
 		}
-		_ = l.BLASDestroy(p, h)
+		_ = l.Destroy(p, BLAS, h)
 	})
 }
 
@@ -100,10 +100,10 @@ func TestDNNForwardLaunchesOnContext(t *testing.T) {
 		rt, _ := rig(e, p, 1)
 		ctx, _ := rt.CurrentContext(p)
 		l := New(Costs{}) // zero costs: isolate kernel time
-		h, _ := l.DNNCreate(p, ctx)
+		h, _ := l.Create(p, DNN, ctx)
 		buf, _ := ctx.Malloc(p, 4096)
 		start := p.Now()
-		if err := l.DNNForward(p, h, "conv", 50*time.Millisecond, []cuda.DevPtr{buf}); err != nil {
+		if err := l.Launch(p, DNN, h, "conv", 50*time.Millisecond, []cuda.DevPtr{buf}); err != nil {
 			t.Fatal(err)
 		}
 		if got := p.Now() - start; got != 50*time.Millisecond {
@@ -116,8 +116,20 @@ func TestGEMMInvalidHandle(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
 		l := New(Costs{})
-		if err := l.GEMM(p, BLASHandle(5), time.Millisecond, nil); !errors.Is(err, cuda.ErrInvalidResourceHandle) {
+		if err := l.Launch(p, BLAS, 5, "", time.Millisecond, nil); !errors.Is(err, cuda.ErrInvalidResourceHandle) {
 			t.Fatalf("GEMM with bad handle = %v", err)
+		}
+		// The two kinds share one table; a handle of one is none of the other.
+		rt, _ := rig(e, p, 1)
+		ctx, _ := rt.CurrentContext(p)
+		h, _ := l.Create(p, DNN, ctx)
+		for _, err := range []error{l.Launch(p, BLAS, h, "", time.Millisecond, nil), l.Rebind(p, BLAS, h, ctx), l.Destroy(p, BLAS, h)} {
+			if !errors.Is(err, cuda.ErrInvalidResourceHandle) {
+				t.Fatalf("cuDNN handle used as a cuBLAS handle = %v", err)
+			}
+		}
+		if err := l.Destroy(p, DNN, h); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -129,11 +141,11 @@ func TestRebindMovesWorkspace(t *testing.T) {
 		ctx0, _ := rt.Context(p, 0)
 		ctx1, _ := rt.Context(p, 1)
 		l := New(DefaultCosts())
-		h, _ := l.DNNCreate(p, ctx0)
+		h, _ := l.Create(p, DNN, ctx0)
 		if got := devs[0].UsedBytes(); got != 386<<20 {
 			t.Fatalf("workspace on dev0 = %d", got)
 		}
-		if err := l.RebindDNN(p, h, ctx1); err != nil {
+		if err := l.Rebind(p, DNN, h, ctx1); err != nil {
 			t.Fatal(err)
 		}
 		if got := devs[0].UsedBytes(); got != 0 {
@@ -143,7 +155,7 @@ func TestRebindMovesWorkspace(t *testing.T) {
 			t.Fatalf("dev1 usage after rebind = %d, want 386MB", got)
 		}
 		// Forward now runs on the new context without error.
-		if err := l.DNNForward(p, h, "conv", time.Millisecond, nil); err != nil {
+		if err := l.Launch(p, DNN, h, "conv", time.Millisecond, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -161,8 +173,8 @@ func TestIdleAPIServerFootprint(t *testing.T) {
 		_ = rt.Init(p)
 		ctx, _ := rt.CurrentContext(p)
 		l := New(DefaultCosts())
-		_, _ = l.DNNCreate(p, ctx)
-		_, _ = l.BLASCreate(p, ctx)
+		_, _ = l.Create(p, DNN, ctx)
+		_, _ = l.Create(p, BLAS, ctx)
 		want := int64(303+386+70) << 20
 		if got := dev.UsedBytes(); got != want {
 			t.Fatalf("idle API server footprint = %d MB, want 759 MB (paper: ~755)", got>>20)

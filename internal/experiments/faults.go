@@ -145,7 +145,6 @@ func runFaultScenario(seed int64, sc faultScenario) FaultsResult {
 			gcfg.GPUs = 2
 			gcfg.ServersPerGPU = 2
 			gcfg.HeartbeatPeriod = 50 * time.Millisecond
-			gcfg.HeartbeatMisses = 3
 			gcfg.QueueDeadline = 5 * time.Minute
 			gs := gpuserver.New(e, gcfg)
 			gs.Start(p)
@@ -212,7 +211,6 @@ func runPipelineFaultScenario(seed int64, sc faultScenario) FaultsResult {
 			gcfg.GPUs = 1
 			gcfg.ServersPerGPU = 2
 			gcfg.HeartbeatPeriod = 50 * time.Millisecond
-			gcfg.HeartbeatMisses = 3
 			gcfg.QueueDeadline = 5 * time.Minute
 			gcfg.Plane = fab.NewPlane(fmt.Sprintf("gpu-%d", i))
 			gs := gpuserver.New(e, gcfg)

@@ -18,7 +18,6 @@ func startServer(e *sim.Engine, p *sim.Proc) *gpuserver.GPUServer {
 	cfg.GPUs = 1
 	cfg.ServersPerGPU = 2
 	cfg.HeartbeatPeriod = 10 * time.Millisecond
-	cfg.HeartbeatMisses = 3
 	gs := gpuserver.New(e, cfg)
 	gs.Start(p)
 	return gs

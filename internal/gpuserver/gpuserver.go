@@ -85,8 +85,6 @@ type Config struct {
 	Policy        Policy
 	Queue         QueuePolicy // FCFS (paper default) or SJF (future work)
 	PoolHandles   bool        // pre-initialize runtimes and handle pools
-	DNNPool       int
-	BLASPool      int
 	CUDACosts     cuda.Costs
 	LibCosts      cudalibs.Costs
 
@@ -96,9 +94,7 @@ type Config struct {
 	// (transient idleness — e.g. a function still downloading its inputs —
 	// must not trigger a move).
 	EnableMigration   bool
-	MinImbalanceTicks int           // default 5
-	MonitorPeriod     time.Duration // statistics/migration tick; default 200 ms
-	SamplePeriod      time.Duration // NVML-style utilization sampling; default 200 ms
+	MinImbalanceTicks int // default 5
 
 	// Cache configures the model cache (internal/modelcache). Disabled by
 	// default: with Cache.Enable false the GPU server behaves exactly as it
@@ -115,19 +111,25 @@ type Config struct {
 
 	// Failure detection (fault-tolerance layer). HeartbeatPeriod > 0 makes
 	// the monitor probe every API server through its FIFO inbox; a probe
-	// unanswered within one period is a miss, and HeartbeatMisses consecutive
+	// unanswered within one period is a miss, and heartbeatMisses consecutive
 	// misses declare the server dead — its lease is force-released, its
 	// placement slot leaves the rotation, and the server is fenced (crashed)
 	// so a slow-but-alive process cannot resurface with stale state. Zero
 	// disables detection, preserving pre-fault-tolerance behavior exactly.
 	HeartbeatPeriod time.Duration
-	HeartbeatMisses int // consecutive misses before declaring death; default 3
 
 	// QueueDeadline > 0 sheds GPU requests that have waited longer than this
 	// at the next monitor tick, failing them with ErrCapacity instead of
 	// letting them queue forever on a degraded server.
 	QueueDeadline time.Duration
 }
+
+// Fixed periods and thresholds: nothing ever set them to anything else.
+const (
+	monitorPeriod   = 200 * time.Millisecond // statistics/migration tick
+	samplePeriod    = 200 * time.Millisecond // NVML-style utilization sampling
+	heartbeatMisses = 3                      // consecutive missed probes that declare an API server dead
+)
 
 // ErrCapacity is the typed error for GPU requests the server cannot satisfy:
 // never-placeable memory demands, requests shed past the queue deadline, and
@@ -155,8 +157,6 @@ func DefaultConfig() Config {
 		PoolHandles:   true,
 		CUDACosts:     cuda.DefaultCosts(),
 		LibCosts:      cudalibs.DefaultCosts(),
-		MonitorPeriod: 200 * time.Millisecond,
-		SamplePeriod:  200 * time.Millisecond,
 	}
 }
 
@@ -211,15 +211,13 @@ type GPUServer struct {
 	cache    *modelcache.Manager // nil when the model cache is disabled
 
 	// Monitor state.
-	requests  *sim.Queue[monitorMsg]
-	waiting   []*acquireReq
-	leased    map[int]*Lease // server ID -> active lease
-	commit    []int64        // declared memory committed per GPU
-	baseline  []int64        // device bytes in use after pre-warm
-	dead      map[int]bool   // server ID -> declared dead (out of rotation)
-	failed    bool           // whole-machine failure injected
-	ready     bool
-	readyCond *sim.Cond
+	requests *sim.Queue[monitorMsg]
+	waiting  []*acquireReq
+	leased   map[int]*Lease // server ID -> active lease
+	commit   []int64        // declared memory committed per GPU
+	baseline []int64        // device bytes in use after pre-warm
+	dead     map[int]bool   // server ID -> declared dead (out of rotation)
+	failed   bool           // whole-machine failure injected
 
 	placements     []PlacementRecord
 	migrations     int
@@ -245,27 +243,17 @@ func New(e *sim.Engine, cfg Config) *GPUServer {
 	if cfg.ServersPerGPU <= 0 {
 		cfg.ServersPerGPU = 1
 	}
-	if cfg.MonitorPeriod <= 0 {
-		cfg.MonitorPeriod = 200 * time.Millisecond
-	}
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = 200 * time.Millisecond
-	}
 	if cfg.MinImbalanceTicks <= 0 {
 		cfg.MinImbalanceTicks = 5
 	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
 	gs := &GPUServer{
-		cfg:       cfg,
-		e:         e,
-		requests:  sim.NewQueue[monitorMsg](e),
-		leased:    make(map[int]*Lease),
-		commit:    make([]int64, cfg.GPUs),
-		baseline:  make([]int64, cfg.GPUs),
-		dead:      make(map[int]bool),
-		readyCond: sim.NewCond(e),
+		cfg:      cfg,
+		e:        e,
+		requests: sim.NewQueue[monitorMsg](e),
+		leased:   make(map[int]*Lease),
+		commit:   make([]int64, cfg.GPUs),
+		baseline: make([]int64, cfg.GPUs),
+		dead:     make(map[int]bool),
 	}
 	if cfg.Cache.Enable {
 		gs.cache = modelcache.NewManager(cfg.Cache)
@@ -309,8 +297,6 @@ func (gs *GPUServer) Start(p *sim.Proc) {
 				ID:          id,
 				HomeDev:     g,
 				PoolHandles: gs.cfg.PoolHandles,
-				DNNPool:     gs.cfg.DNNPool,
-				BLASPool:    gs.cfg.BLASPool,
 				CUDACosts:   gs.cfg.CUDACosts,
 				LibCosts:    gs.cfg.LibCosts,
 				Cache:       gs.cache,
@@ -336,7 +322,7 @@ func (gs *GPUServer) Start(p *sim.Proc) {
 	}
 	for i, d := range gs.devs {
 		gs.baseline[i] = d.UsedBytes()
-		s := gpu.NewSampler(d, gs.cfg.SamplePeriod)
+		s := gpu.NewSampler(d, samplePeriod)
 		gs.samplers = append(gs.samplers, s)
 		p.SpawnDaemon(fmt.Sprintf("sampler-%d", i), s.Run)
 	}
@@ -345,7 +331,7 @@ func (gs *GPUServer) Start(p *sim.Proc) {
 	p.SpawnDaemon("monitor", gs.monitor)
 	p.SpawnDaemon("monitor-tick", func(p *sim.Proc) {
 		for {
-			p.Sleep(gs.cfg.MonitorPeriod)
+			p.Sleep(monitorPeriod)
 			gs.requests.Send(monitorMsg{tick: true})
 		}
 	})
@@ -357,12 +343,10 @@ func (gs *GPUServer) Start(p *sim.Proc) {
 			})
 		}
 	}
-	gs.ready = true
-	gs.readyCond.Broadcast()
 }
 
 // heartbeat probes one API server through its inbox. A ping unanswered
-// within one period is a miss; HeartbeatMisses consecutive misses (or a
+// within one period is a miss; heartbeatMisses consecutive misses (or a
 // definitively closed inbox) report the server dead to the monitor, and the
 // prober exits. The miss threshold tolerates servers busy in a long API
 // call — the inbox is FIFO, so a ping behind a long kernel answers late,
@@ -382,20 +366,13 @@ func (gs *GPUServer) heartbeat(p *sim.Proc, sid int) {
 		}
 		if _, ok, timedOut := done.RecvTimeout(p, gs.cfg.HeartbeatPeriod); !ok || timedOut {
 			misses++
-			if misses >= gs.cfg.HeartbeatMisses {
+			if misses >= heartbeatMisses {
 				gs.requests.Send(monitorMsg{dead: &sid})
 				return
 			}
 		} else {
 			misses = 0
 		}
-	}
-}
-
-// WaitReady blocks until Start has completed (for callers racing boot).
-func (gs *GPUServer) WaitReady(p *sim.Proc) {
-	for !gs.ready {
-		gs.readyCond.Wait(p)
 	}
 }
 
@@ -778,11 +755,15 @@ func (gs *GPUServer) maybeMigrate(p *sim.Proc) {
 	if p.Now() < gs.migCooldown {
 		return
 	}
+	// Leases in API-server-ID order: the victim below breaks ties by position,
+	// so the order must be a function of the seed, not of the map.
 	busyPerGPU := make([]int, gs.cfg.GPUs)
 	var active []*Lease
-	for _, lease := range gs.leased {
-		busyPerGPU[lease.Server.CurrentDev()]++
-		active = append(active, lease)
+	for _, srv := range gs.servers {
+		if lease, ok := gs.leased[srv.ID()]; ok {
+			busyPerGPU[srv.CurrentDev()]++
+			active = append(active, lease)
+		}
 	}
 	// Find the most contended and a fully idle GPU.
 	src, dst := -1, -1
@@ -822,7 +803,7 @@ func (gs *GPUServer) maybeMigrate(p *sim.Proc) {
 	}
 	gs.migrations++
 	gs.imbalanceTicks = 0
-	gs.migCooldown = p.Now() + 2*gs.cfg.MonitorPeriod
+	gs.migCooldown = p.Now() + 2*monitorPeriod
 	// TrySend: the picked server may have crashed since the last heartbeat.
 	pick.Server.Inbox.TrySend(remoting.Request{Ctrl: apiserver.MigrateRequest{TargetDev: dst}})
 }

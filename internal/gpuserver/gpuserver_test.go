@@ -235,25 +235,22 @@ func TestNoSharingLimitsConcurrency(t *testing.T) {
 	}
 }
 
-func TestMonitorMigratesOffContendedGPU(t *testing.T) {
-	// Two functions forced onto GPU 0 (best fit), GPU 1 idle: the monitor
-	// must move one. This is the §VIII-E scenario in miniature.
+// contendedPair is the §VIII-E scenario in miniature: two equal functions
+// forced onto GPU 0 (best fit) while GPU 1 idles. It returns the GPU each ran
+// on after the monitor had time to act, and how many moves it made.
+func contendedPair(t *testing.T) (devs [2]int, migrations int) {
 	e := sim.NewEngine(1)
-	var devs [2]int
-	var migrations int
 	e.Run("root", func(p *sim.Proc) {
 		cfg := fastConfig(2, 2, BestFit)
 		cfg.EnableMigration = true
 		gs := New(e, cfg)
 		gs.Start(p)
 		wg := sim.NewWaitGroup(e)
-		leases := make([]*Lease, 2)
 		for i := 0; i < 2; i++ {
 			i := i
 			wg.Add(1)
 			p.Spawn("f", func(p *sim.Proc) {
 				lease, _ := gs.Acquire(p, fmt.Sprintf("f%d", i), 2<<30)
-				leases[i] = lease
 				// Open a session so the server is genuinely busy, then give
 				// the monitor time to notice the imbalance.
 				conn := remoting.Dial(e, lease.Listener(), remoting.NetProfile{})
@@ -274,11 +271,29 @@ func TestMonitorMigratesOffContendedGPU(t *testing.T) {
 		wg.Wait(p)
 		migrations = gs.Migrations()
 	})
+	return devs, migrations
+}
+
+func TestMonitorMigratesOffContendedGPU(t *testing.T) {
+	devs, migrations := contendedPair(t)
 	if migrations == 0 {
 		t.Fatal("monitor never migrated despite imbalance")
 	}
 	if devs[0] == devs[1] {
 		t.Fatalf("both functions still on GPU %d after migration", devs[0])
+	}
+}
+
+// TestMigrationVictimIsDeterministic: the two sessions hold the same memory,
+// so which one moves is decided by the order the monitor looks at its leases
+// — which must be the API servers' order, not a map's. At a6d90cb 40 runs of
+// the one seed split 33/7.
+func TestMigrationVictimIsDeterministic(t *testing.T) {
+	first, _ := contendedPair(t)
+	for i := 1; i < 40; i++ {
+		if devs, _ := contendedPair(t); devs != first {
+			t.Fatalf("run %d placed the pair on GPUs %v, run 0 on %v: the victim follows map order", i, devs, first)
+		}
 	}
 }
 

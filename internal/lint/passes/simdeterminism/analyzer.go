@@ -1,6 +1,7 @@
 // Package simdeterminism forbids nondeterminism sources in simulation-driven
 // code: wall-clock reads, the global math/rand generator, and unordered map
-// iteration that feeds simulated events. The simulator's reproducibility
+// iteration that feeds simulated events or leaks into a slice's order. The
+// simulator's reproducibility
 // guarantee (same seed, same trace) holds only if every event's timing and
 // payload derive from the engine seed; see internal/sim's per-Proc RNG.
 package simdeterminism
@@ -8,6 +9,7 @@ package simdeterminism
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"dgsf/internal/lint"
 )
@@ -16,7 +18,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "simdeterminism",
 	Doc: "forbid time.Now, global math/rand and unordered map iteration feeding " +
-		"sim events; use p.Now()/p.Rand() so runs replay deterministically " +
+		"sim events or an unsorted slice; use p.Now()/p.Rand() so runs replay deterministically " +
 		"(//lint:allow simdeterminism for real-clock paths like the TCP transport)",
 	Run: run,
 }
@@ -45,6 +47,10 @@ func run(pass *lint.Pass) error {
 				checkSelector(pass, n)
 			case *ast.RangeStmt:
 				checkRange(pass, n)
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					checkOrderLeak(pass, n.Body)
+				}
 			}
 			return true
 		})
@@ -85,11 +91,7 @@ func checkSelector(pass *lint.Pass, sel *ast.SelectorExpr) {
 // a pure function of (seed, trial), which randomized draw order breaks
 // silently.
 func checkRange(pass *lint.Pass, rng *ast.RangeStmt) {
-	t := pass.TypeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
+	if !isMap(pass.TypeOf(rng.X)) {
 		return
 	}
 	var badSim, badRand ast.Node
@@ -117,6 +119,95 @@ func checkRange(pass *lint.Pass, rng *ast.RangeStmt) {
 	if badRand != nil {
 		pass.Reportf(rng.Pos(), "map iteration order is randomized but this loop draws from an RNG (%s), so the draw sequence differs per run; collect and sort the keys first", exprString(pass, badRand))
 	}
+}
+
+// checkOrderLeak flags the quiet form of the same bug: a `range` over a map
+// whose body appends to a slice that outlives the loop, in a function that
+// never sorts that slice. Nothing in the loop touches the simulator, but the
+// slice now carries map order to whoever walks it next — the GPU server's
+// monitor once picked its migration victim that way. Handing the slice to any
+// sort.* function or slices.Sort* anywhere in the function clears it.
+func checkOrderLeak(pass *lint.Pass, body *ast.BlockStmt) {
+	sorted := map[types.Object]bool{}
+	var ranges []*ast.RangeStmt
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			if isMap(pass.TypeOf(n.X)) {
+				ranges = append(ranges, n)
+			}
+		case *ast.CallExpr:
+			if !isSortCall(pass, n) {
+				break
+			}
+			for _, arg := range n.Args {
+				ast.Inspect(arg, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						sorted[pass.ObjectOf(id)] = true
+					}
+					return true
+				})
+			}
+		}
+		return true
+	})
+	for _, rng := range ranges {
+		ast.Inspect(rng.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || !isAppend(pass, as.Rhs[0]) {
+				return true
+			}
+			id, _ := as.Lhs[0].(*ast.Ident)
+			if sel, ok := as.Lhs[0].(*ast.SelectorExpr); ok {
+				id = sel.Sel // a field: declared outside any loop
+			}
+			if id == nil {
+				return true
+			}
+			obj := pass.ObjectOf(id)
+			if obj == nil || sorted[obj] || (obj.Pos() >= rng.Pos() && obj.Pos() < rng.End()) {
+				return true
+			}
+			pass.Reportf(as.Pos(), "map iteration order is randomized and this loop appends to %s, which the function never sorts; hand it to sort.* or slices.Sort* before anything can observe its order", id.Name)
+			return true
+		})
+	}
+}
+
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+func isAppend(pass *lint.Pass, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := pass.ObjectOf(id).(*types.Builtin)
+	return ok && b.Name() == "append"
+}
+
+// isSortCall reports whether call is a package-level function of sort, or one
+// of slices' Sort family.
+func isSortCall(pass *lint.Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := pass.ObjectOf(sel.Sel).(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return false
+	}
+	path := fn.Pkg().Path()
+	return path == "sort" || path == "slices" && strings.HasPrefix(fn.Name(), "Sort")
 }
 
 func callTouchesSim(pass *lint.Pass, call *ast.CallExpr) bool {

@@ -2,6 +2,7 @@ package simdet
 
 import (
 	"math/rand"
+	"sort"
 	"time"
 
 	"a/internal/sim"
@@ -41,10 +42,53 @@ func good(p *sim.Proc, m map[int]string) {
 	for k := range m { // collecting keys for sorting is exactly the fix
 		keys = append(keys, k)
 	}
+	sort.Ints(keys)
 	for _, k := range keys {
 		emit(p, k)
 	}
 
 	//lint:allow simdeterminism exercising the escape hatch
 	_ = time.Now()
+}
+
+type holder struct{ picked []int }
+
+// The order leak: nothing in these loops touches the simulator, but the slice
+// carries map order out of them.
+func leaks(m map[int]string, h *holder) []int {
+	var out []int
+	for k := range m {
+		out = append(out, k) // want "appends to out, which the function never sorts"
+	}
+	for k := range m {
+		if k > 0 {
+			h.picked = append(h.picked, k) // want "appends to picked, which the function never sorts"
+		}
+	}
+	return out
+}
+
+func sortedAfterwards(m map[int]string, h *holder) []string {
+	var names []string
+	for _, v := range m {
+		names = append(names, v)
+	}
+	for k := range m {
+		h.picked = append(h.picked, k)
+	}
+	sort.Slice(h.picked, func(i, j int) bool { return h.picked[i] < h.picked[j] })
+	sort.Strings(names)
+	return names
+}
+
+func localToTheLoop(m map[int][]int) int {
+	n := 0
+	for _, vs := range m {
+		var doubled []int // dies with the iteration: its order reaches nobody
+		for _, v := range vs {
+			doubled = append(doubled, 2*v)
+		}
+		n += len(doubled)
+	}
+	return n
 }

@@ -429,18 +429,24 @@ func (b *Backend) EventElapsed(p *sim.Proc, start, end cuda.EventHandle) (time.D
 	return ctx.EventElapsed(p, start, end)
 }
 
-// DnnCreate mirrors cudnnCreate at full cost.
-func (b *Backend) DnnCreate(p *sim.Proc) (cudalibs.DNNHandle, error) {
+// libCreate creates a cuDNN or cuBLAS handle at full cost.
+func (b *Backend) libCreate(p *sim.Proc, k cudalibs.Kind) (uint64, error) {
 	ctx, err := b.ensure(p)
 	if err != nil {
 		return 0, err
 	}
-	return b.libs.DNNCreate(p, ctx)
+	return b.libs.Create(p, k, ctx)
+}
+
+// DnnCreate mirrors cudnnCreate at full cost.
+func (b *Backend) DnnCreate(p *sim.Proc) (cudalibs.DNNHandle, error) {
+	h, err := b.libCreate(p, cudalibs.DNN)
+	return cudalibs.DNNHandle(h), err
 }
 
 // DnnDestroy mirrors cudnnDestroy.
 func (b *Backend) DnnDestroy(p *sim.Proc, h cudalibs.DNNHandle) error {
-	return b.libs.DNNDestroy(p, h)
+	return b.libs.Destroy(p, cudalibs.DNN, uint64(h))
 }
 
 // DnnSetStream mirrors cudnnSetStream.
@@ -455,21 +461,18 @@ func (b *Backend) DnnGetConvolutionWorkspaceSize(p *sim.Proc, d cudalibs.Descrip
 
 // DnnForward runs a cuDNN primitive.
 func (b *Backend) DnnForward(p *sim.Proc, h cudalibs.DNNHandle, op string, dur time.Duration, bufs []cuda.DevPtr, descs []uint64) error {
-	return b.libs.DNNForward(p, h, op, dur, bufs)
+	return b.libs.Launch(p, cudalibs.DNN, uint64(h), op, dur, bufs)
 }
 
 // BlasCreate mirrors cublasCreate at full cost.
 func (b *Backend) BlasCreate(p *sim.Proc) (cudalibs.BLASHandle, error) {
-	ctx, err := b.ensure(p)
-	if err != nil {
-		return 0, err
-	}
-	return b.libs.BLASCreate(p, ctx)
+	h, err := b.libCreate(p, cudalibs.BLAS)
+	return cudalibs.BLASHandle(h), err
 }
 
 // BlasDestroy mirrors cublasDestroy.
 func (b *Backend) BlasDestroy(p *sim.Proc, h cudalibs.BLASHandle) error {
-	return b.libs.BLASDestroy(p, h)
+	return b.libs.Destroy(p, cudalibs.BLAS, uint64(h))
 }
 
 // BlasSetStream mirrors cublasSetStream.
@@ -479,7 +482,7 @@ func (b *Backend) BlasSetStream(p *sim.Proc, h cudalibs.BLASHandle, stream cuda.
 
 // BlasGemm mirrors cublasSgemm.
 func (b *Backend) BlasGemm(p *sim.Proc, h cudalibs.BLASHandle, dur time.Duration, bufs []cuda.DevPtr) error {
-	return b.libs.GEMM(p, h, dur, bufs)
+	return b.libs.Launch(p, cudalibs.BLAS, uint64(h), "", dur, bufs)
 }
 
 // DnnCreateTensorDescriptor mirrors cudnnCreateTensorDescriptor.

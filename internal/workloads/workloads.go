@@ -338,7 +338,7 @@ func (s *Spec) RunBody(p *sim.Proc, api gen.API, phases *Phases) error {
 	}
 
 	// --- model load phase ---
-	var dnn dnnState
+	var dnn optDNN
 	if s.UsesDNN {
 		h, err := api.DnnCreate(p)
 		if err != nil {
@@ -347,7 +347,7 @@ func (s *Spec) RunBody(p *sim.Proc, api gen.API, phases *Phases) error {
 		dnn.h = h
 		dnn.ok = true
 	}
-	var blas blasState
+	var blas optBLAS
 	if s.UsesBLAS {
 		h, err := api.BlasCreate(p)
 		if err != nil {
@@ -482,11 +482,11 @@ func (s *Spec) RunBody(p *sim.Proc, api gen.API, phases *Phases) error {
 	return nil
 }
 
-type dnnState struct {
+type optDNN struct {
 	h  cudalibs.DNNHandle
 	ok bool
 }
-type blasState struct {
+type optBLAS struct {
 	h  cudalibs.BLASHandle
 	ok bool
 }
