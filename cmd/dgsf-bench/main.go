@@ -5,9 +5,7 @@
 // Usage:
 //
 //	dgsf-bench                  # every experiment
-//	dgsf-bench -exp table2      # one experiment: table2, fig3, fig4,
-//	                            # table3, fig5, table4, fig6, fig7,
-//	                            # table5, fig8
+//	dgsf-bench -exp table2      # one experiment; -h lists the names
 //	dgsf-bench -seed 7          # change the simulation seed
 package main
 
@@ -15,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,72 +22,77 @@ import (
 	"dgsf/internal/guest"
 )
 
+// Flags the experiments read.
+var (
+	seed      = flag.Int64("seed", 1, "simulation seed")
+	runs      = flag.Int("runs", 3, "runs to average for table2/table5")
+	csvOut    = flag.String("csv", "", "directory to write figure time-series as CSV (fig7, fig8)")
+	schedules = flag.Int("schedules", 50, "randomized fault schedules per seed for -exp chaos")
+	reproDir  = flag.String("repro", ".", "directory for shrunken chaos reproducer files")
+)
+
+// experimentTable lists every experiment once, in the order a full run prints
+// them: the -exp help text, its validation and the run loop all read it.
+var experimentTable = []struct {
+	name string
+	run  func()
+}{
+	{"table2", func() { table2(*seed, *runs) }},
+	{"fig3", func() { fig3(*seed) }},
+	{"fig4", func() { fig4(*seed) }},
+	{"table3", func() { table3(*seed) }},
+	{"fig5", func() { fig5(*seed) }},
+	{"table4", func() { table4(*seed) }},
+	{"fig6", func() { fig6(*seed) }},
+	{"fig7", func() { fig7(*seed) }},
+	{"table5", func() { table5(*seed, *runs) }},
+	{"fig8", func() { fig8(*seed) }},
+	{"sched", func() { sched(*seed) }},
+	{"sweep", func() { sweep(*seed) }},
+	{"rtt", func() { rtt(*seed) }},
+	{"scale", func() { scale(*seed) }},
+	{"cache", func() { cache(*seed) }},
+	{"faults", func() { faultsExp(*seed) }},
+	{"fleet", func() { fleetExp(*seed) }},
+	{"pipeline", func() { pipelineExp(*seed) }},
+	{"chaos", func() { chaosExp(*seed, *schedules, *reproDir) }},
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table2, fig3, fig4, table3, fig5, table4, fig6, fig7, table5, fig8, sched, sweep, rtt, scale, cache, faults, fleet, pipeline, chaos)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	runs := flag.Int("runs", 3, "runs to average for table2/table5")
-	csvDir := flag.String("csv", "", "directory to write figure time-series as CSV (fig7, fig8)")
-	schedules := flag.Int("schedules", 50, "randomized fault schedules per seed for -exp chaos")
-	reproDir := flag.String("repro", ".", "directory for shrunken chaos reproducer files")
+	names := make([]string, len(experimentTable))
+	for i, x := range experimentTable {
+		names[i] = x.name
+	}
+	exp := flag.String("exp", "all", "experiment to run (all, "+strings.Join(names, ", ")+")")
 	flag.Parse()
-	csvOut = *csvDir
-	if csvOut != "" {
-		if err := os.MkdirAll(csvOut, 0o755); err != nil {
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
+	if *csvOut != "" {
+		if err := os.MkdirAll(*csvOut, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 
-	run := func(name string, fn func()) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, x := range experimentTable {
+		if *exp != "all" && *exp != x.name {
+			continue
 		}
 		//lint:allow simdeterminism reporting wall time of the benchmark harness itself, outside the simulation
 		start := time.Now()
-		fn()
+		x.run()
 		//lint:allow simdeterminism wall-time report, not simulation state
-		fmt.Printf("  [%s regenerated in %.1fs wall time]\n\n", name, time.Since(start).Seconds())
-	}
-
-	run("table2", func() { table2(*seed, *runs) })
-	run("fig3", func() { fig3(*seed) })
-	run("fig4", func() { fig4(*seed) })
-	run("table3", func() { table3(*seed) })
-	run("fig5", func() { fig5(*seed) })
-	run("table4", func() { table4(*seed) })
-	run("fig6", func() { fig6(*seed) })
-	run("fig7", func() { fig7(*seed) })
-	run("table5", func() { table5(*seed, *runs) })
-	run("fig8", func() { fig8(*seed) })
-	run("sched", func() { sched(*seed) })
-	run("sweep", func() { sweep(*seed) })
-	run("rtt", func() { rtt(*seed) })
-	run("scale", func() { scale(*seed) })
-	run("cache", func() { cache(*seed) })
-	run("faults", func() { faultsExp(*seed) })
-	run("fleet", func() { fleetExp(*seed) })
-	run("pipeline", func() { pipelineExp(*seed) })
-	run("chaos", func() { chaosExp(*seed, *schedules, *reproDir) })
-
-	if *exp != "all" {
-		switch *exp {
-		case "table2", "fig3", "fig4", "table3", "fig5", "table4", "fig6", "fig7", "table5", "fig8",
-			"sched", "sweep", "rtt", "scale", "cache", "faults", "fleet", "pipeline", "chaos":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			os.Exit(2)
-		}
+		fmt.Printf("  [%s regenerated in %.1fs wall time]\n\n", x.name, time.Since(start).Seconds())
 	}
 }
 
 func s(d time.Duration) string { return fmt.Sprintf("%.1fs", d.Seconds()) }
 
-// csvOut, when set, receives per-figure time series for external plotting.
-var csvOut string
-
 // writeSeriesCSV dumps utilization series (one column per GPU) to a CSV.
 func writeSeriesCSV(name string, series [][]gpu.Sample) {
-	if csvOut == "" || len(series) == 0 {
+	if *csvOut == "" || len(series) == 0 {
 		return
 	}
 	var b strings.Builder
@@ -108,7 +112,7 @@ func writeSeriesCSV(name string, series [][]gpu.Sample) {
 		}
 		b.WriteString("\n")
 	}
-	path := csvOut + "/" + name + ".csv"
+	path := *csvOut + "/" + name + ".csv"
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return

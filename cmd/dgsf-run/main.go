@@ -64,7 +64,6 @@ func main() {
 		if err := spec.RunBody(p, lib, &phases); err != nil {
 			log.Fatalf("run: %v", err)
 		}
-		lib.FlushBatch(p)
 		if err := lib.Bye(p); err != nil {
 			log.Fatalf("bye: %v", err)
 		}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/sim"
@@ -102,26 +103,21 @@ func NewCluster(cfg Config) *Cluster {
 func (c *Cluster) Simulate(body func(s *Session)) {
 	e := sim.NewEngine(c.cfg.Seed)
 	e.Run("dgsf", func(p *sim.Proc) {
-		gcfg := gpuserver.DefaultConfig()
-		gcfg.GPUs = c.cfg.GPUs
-		gcfg.ServersPerGPU = c.cfg.APIServersPerGPU
-		gcfg.EnableMigration = c.cfg.Migration
-		gcfg.PoolHandles = !c.cfg.NoPrewarm
-		switch c.cfg.Placement {
-		case WorstFit:
-			gcfg.Policy = gpuserver.WorstFit
-		case FirstFit:
-			gcfg.Policy = gpuserver.FirstFit
-		case Locality:
-			gcfg.Policy = gpuserver.PolicyLocality
-		default:
-			gcfg.Policy = gpuserver.BestFit
-		}
-		if c.cfg.ModelCache || c.cfg.Placement == Locality {
-			gcfg.Cache.Enable = true
-		}
-		gs := gpuserver.New(e, gcfg)
-		gs.Start(p)
+		gs := deploy.GPUServer(p, func(gcfg *gpuserver.Config) {
+			gcfg.GPUs = c.cfg.GPUs
+			gcfg.ServersPerGPU = c.cfg.APIServersPerGPU
+			gcfg.EnableMigration = c.cfg.Migration
+			gcfg.PoolHandles = !c.cfg.NoPrewarm
+			switch c.cfg.Placement {
+			case WorstFit:
+				gcfg.Policy = gpuserver.WorstFit
+			case FirstFit:
+				gcfg.Policy = gpuserver.FirstFit
+			case Locality:
+				gcfg.Policy = gpuserver.PolicyLocality
+			}
+			gcfg.Cache.Enable = c.cfg.ModelCache || c.cfg.Placement == Locality
+		})
 		env := faas.OpenFaaSEnv()
 		if c.cfg.Environment == Lambda {
 			env = faas.LambdaEnv()

@@ -70,7 +70,6 @@ func main() {
 		if err := spec.RunBody(p, lib, &phases); err != nil {
 			log.Fatal(err)
 		}
-		lib.FlushBatch(p)
 		if err := lib.Bye(p); err != nil {
 			log.Fatal(err)
 		}

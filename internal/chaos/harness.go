@@ -4,17 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"dgsf/internal/controller"
-	"dgsf/internal/cuda"
 	"dgsf/internal/dataplane"
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/faults"
-	"dgsf/internal/gpu"
 	"dgsf/internal/gpuserver"
-	"dgsf/internal/guest"
 	"dgsf/internal/metrics"
 	"dgsf/internal/remoting"
-	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 	"dgsf/internal/workloads"
@@ -42,28 +38,6 @@ func RunSchedule(seed int64, s Schedule) (res Result) {
 	}
 }
 
-// chaosFleetFn builds the fleet workload's function profile: a model
-// download that is host-cacheable plus one kernel, like the fleet
-// experiment's, so the staged-model reclaim loop has real work.
-func chaosFleetFn(name string, kernel time.Duration) *faas.Function {
-	return &faas.Function{
-		Name:          name,
-		GPUMem:        1 << 30,
-		DownloadBytes: 10e6,
-		ModelDLBytes:  8e6,
-		Run: func(p *sim.Proc, api gen.API) error {
-			fns, err := api.RegisterKernels(p, []string{"work"})
-			if err != nil {
-				return err
-			}
-			if err := api.LaunchKernel(p, cuda.LaunchParams{Fn: fns[0], Duration: kernel}); err != nil {
-				return err
-			}
-			return api.DeviceSynchronize(p)
-		},
-	}
-}
-
 // runFleetSchedule drives the schedule's submissions through the full
 // control plane — watched store, remote placement controller under a
 // supervisor, reclaim controller, one agent per machine — with the fault
@@ -88,104 +62,19 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 			panic(err)
 		}
 
-		env := faas.OpenFaaSEnv()
-		env.Download.Latency = 0
-		env.Download.JitterFrac = 0
-		// Wider than the default: the generator's partition windows must be
-		// survivable by retrying through them.
-		backend := faas.NewFleet(e, st, faas.FleetConfig{
-			Env:          env,
+		// Attempts and backoff wider than the default: the generator's
+		// partition windows must be survivable by retrying through them.
+		fleet := deploy.BootFleet(p, st, faas.FleetConfig{
 			Registry:     reg,
 			MaxAttempts:  10,
 			RetryBackoff: 75 * time.Millisecond,
-		})
-		var machines []*gpuserver.GPUServer
-		for i := 0; i < s.Servers; i++ {
-			cfg := gpuserver.DefaultConfig()
-			cfg.GPUs, cfg.ServersPerGPU = 1, 1
-			// Recovery gap found by this engine (seed 1, trial 29): with
-			// DefaultConfig's zero HeartbeatPeriod and QueueDeadline, a
-			// KillAPIServer event is never detected and never shed, so the
-			// invocation queued behind it waits past the virtual time limit.
-			// Detection + shedding turn the kill into a retryable fault.
-			cfg.HeartbeatPeriod = 50 * time.Millisecond
-			cfg.QueueDeadline = 5 * time.Minute
-			cfg.PoolHandles = false
-			cfg.CUDACosts = cuda.Costs{}
-			cfg.LibCosts.DNNCreateTime = 0
-			cfg.LibCosts.BLASCreateTime = 0
-			cfg.GPUConfig = func(i int) gpu.Config {
-				c := gpu.V100Config(i)
-				c.CopyLat, c.KernelLat = 0, 0
-				return c
-			}
-			cfg.Cache.Enable = true
-			cfg.Cache.HostBudget = 1 << 30
-			cfg.Cache.DeviceBudget = -1
-			gs := gpuserver.New(e, cfg)
-			gs.Start(p)
-			machines = append(machines, gs)
-			name := fmt.Sprintf("gpu-%03d", i)
-			backend.AddServer(name, gs)
-			agent := gpuserver.NewAgent(gs, st, name, gpuserver.AgentConfig{
-				SyncPeriod:  200 * time.Millisecond,
-				StageBudget: 20e6,
-			})
-			p.SpawnDaemon("agent-"+name, agent.Run)
-		}
-		p.Sleep(250 * time.Millisecond) // first agent sync: fleet visible in store
-
-		l := remoting.NewListener(e)
-		p.SpawnDaemon("store-serve", func(p *sim.Proc) { store.Serve(p, st, l) })
-		remoteHandle := func() store.Interface {
-			return store.NewRemote(e, remoting.Dial(e, l, remoting.NetProfile{RTT: 100 * time.Microsecond}))
-		}
-
-		inj := faults.NewInjector(e, s.Plan, machines)
-		inj.BindStore(st)
-		inj.Arm(p)
-		backend.DialHook = inj.WrapConn
-		backend.DialServerHook = inj.WrapTargetConn
-
-		var active *controller.Controller
-		p.Spawn("placement-supervisor", func(p *sim.Proc) {
-			faas.RunSupervised(p, 10*time.Millisecond, 5, func() *controller.Controller {
-				handle := remoteHandle()
-				fuse := store.NewFuse(handle)
-				inj.BindControllerFuse(fuse)
-				active = faas.NewPlacementController(fuse, faas.PlacementConfig{
-					Resync:   100 * time.Millisecond,
-					Registry: reg,
-				})
-				return active
-			})
-		})
-		reclaim := faas.NewReclaimController(st, faas.ReclaimConfig{Resync: 200 * time.Millisecond, Registry: reg})
-		p.Spawn("reclaim", reclaim.Run)
-
-		if err := backend.Run(p); err != nil {
-			panic(err)
-		}
-		fns := []*faas.Function{
-			chaosFleetFn("detect", 150*time.Millisecond),
-			chaosFleetFn("classify", 100*time.Millisecond),
-			chaosFleetFn("embed", 250*time.Millisecond),
-			chaosFleetFn("rank", 80*time.Millisecond),
-		}
-		for i := 0; i < s.Invocations; i++ {
-			backend.Submit(p, fns[i%len(fns)])
-			p.Sleep(time.Duration(p.Rand().ExpFloat64() * float64(30*time.Millisecond)))
-		}
-		backend.Drain(p)
-		if active != nil {
-			active.Stop()
-		}
-		reclaim.Stop()
+		}, s.Servers, deploy.DetectFailures, s.Plan)
+		fleet.Flood(p, s.Invocations, 30*time.Millisecond)
 
 		// Invariant: session conservation. Every submission completes, every
 		// session object converges to Done, and the store's and the
 		// backend's accounting agree.
-		invs := backend.Invocations()
+		invs := fleet.Backend.Invocations()
 		res.Invocations = len(invs)
 		for _, inv := range invs {
 			if inv.Err != nil {
@@ -240,19 +129,6 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 	return res
 }
 
-// chaosRecovery is the pipeline guests' recovery policy: attempts sized to
-// outlast the generator's partition windows, a call deadline below the
-// injected stall length so stalls are detected, not waited out.
-func chaosRecovery() guest.RecoveryConfig {
-	return guest.RecoveryConfig{
-		MaxAttempts:  10,
-		BackoffBase:  5 * time.Millisecond,
-		BackoffCap:   500 * time.Millisecond,
-		CallDeadline: 60 * time.Second,
-		FenceLag:     time.Second,
-	}
-}
-
 // runPipelineSchedule drives the schedule's detect→identify chains over the
 // GPU-side data plane with the fault plan armed, then runs the export,
 // device-memory, guest, and wire invariants.
@@ -265,21 +141,14 @@ func runPipelineSchedule(seed int64, s Schedule) Result {
 	wireStart := remoting.SnapshotWireStats()
 
 	e.Run("chaos-pipeline", func(p *sim.Proc) {
-		var servers []*gpuserver.GPUServer
-		var planes []*dataplane.Plane
-		for i := 0; i < s.Servers; i++ {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 1
-			gcfg.ServersPerGPU = 2
-			gcfg.HeartbeatPeriod = 50 * time.Millisecond
-			gcfg.QueueDeadline = 5 * time.Minute
-			pl := fab.NewPlane(fmt.Sprintf("gpu-%d", i))
-			gcfg.Plane = pl
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
-			servers = append(servers, gs)
-			planes = append(planes, pl)
-		}
+		planes := make([]*dataplane.Plane, s.Servers)
+		servers := deploy.GPUServers(p, s.Servers, func(i int, cfg *gpuserver.Config) {
+			cfg.GPUs = 1
+			cfg.ServersPerGPU = 2
+			deploy.DetectFailures(cfg)
+			planes[i] = fab.NewPlane(fmt.Sprintf("gpu-%d", i))
+			cfg.Plane = planes[i]
+		})
 		// Device-memory baseline: the hosted API servers' own contexts and
 		// handle pools, created by Prewarm before Start returned and alive
 		// for the machine's lifetime. The pools are bounded at their
@@ -299,8 +168,8 @@ func runPipelineSchedule(seed int64, s Schedule) Result {
 		backend := faas.NewMultiBackend(e, servers, faas.PickFixed, faas.OpenFaaSEnv())
 		backend.DialHook = inj.WrapConn
 		backend.DialServerHook = inj.WrapTargetConn
-		rc := chaosRecovery()
-		backend.Recovery = &rc
+		// Attempts sized to outlast the generator's partition windows.
+		backend.Recovery = deploy.Recovery(10)
 
 		h := &dataplane.Handoff{}
 		spec := faas.ChainSpec{

@@ -73,10 +73,6 @@ type Options struct {
 	// again; 0 disables it. It reads the cache only, so a key whose object
 	// needs nothing costs its reconcile and no store call.
 	Resync time.Duration
-	// BaseBackoff and MaxBackoff bound the per-key retry delay. Zero values
-	// take the defaults (1ms, 250ms).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Registry receives the controller's counters; nil means a private one.
 	Registry *metrics.Registry
 }
@@ -89,8 +85,6 @@ type Controller struct {
 	cached   []store.Kind // kinds, then the observed-only ones
 	cache    *Cache
 	resync   time.Duration
-	baseBO   time.Duration
-	maxBO    time.Duration
 	rec      Reconciler
 	queue    *workqueue
 	failures map[Key]int
@@ -109,12 +103,6 @@ func New(opts Options, rec Reconciler) *Controller {
 	if opts.Name == "" {
 		opts.Name = "controller"
 	}
-	if opts.BaseBackoff <= 0 {
-		opts.BaseBackoff = time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 250 * time.Millisecond
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -127,8 +115,6 @@ func New(opts Options, rec Reconciler) *Controller {
 		cached:     cached,
 		cache:      newCache(opts.Store, cached, opts.OnChange),
 		resync:     opts.Resync,
-		baseBO:     opts.BaseBackoff,
-		maxBO:      opts.MaxBackoff,
 		rec:        rec,
 		failures:   make(map[Key]int),
 		reconciles: reg.Counter(fmt.Sprintf("ctrl_%s_reconciles_total", opts.Name)),
@@ -229,7 +215,7 @@ func (c *Controller) Run(p *sim.Proc) {
 		default:
 			c.failures[key]++
 			c.requeues.Inc()
-			d := c.backoff(c.failures[key])
+			d := backoff(c.failures[key])
 			p.Spawn(c.name+"-requeue", func(p *sim.Proc) {
 				p.Sleep(d)
 				if !c.stopped {
@@ -290,14 +276,20 @@ func (c *Controller) enqueueAll(kind store.Kind) {
 	}
 }
 
+// The per-key retry delay doubles from baseBackoff up to maxBackoff.
+const (
+	baseBackoff = time.Millisecond
+	maxBackoff  = 250 * time.Millisecond
+)
+
 // backoff returns the delay before the n-th consecutive retry of a key.
-func (c *Controller) backoff(n int) time.Duration {
-	d := c.baseBO
-	for i := 1; i < n && d < c.maxBO; i++ {
+func backoff(n int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.maxBO {
-		d = c.maxBO
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	return d
 }

@@ -71,12 +71,10 @@ func TestRequeueWithBackoffOnError(t *testing.T) {
 	var times []time.Duration
 	var ctrl *Controller
 	ctrl = New(Options{
-		Name:        "retry",
-		Store:       st,
-		Kinds:       []store.Kind{store.KindSession},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  8 * time.Millisecond,
-		Registry:    reg,
+		Name:     "retry",
+		Store:    st,
+		Kinds:    []store.Kind{store.KindSession},
+		Registry: reg,
 	}, Func(func(p *sim.Proc, c *Cache, key Key) error {
 		attempts++
 		times = append(times, p.Now())

@@ -3,15 +3,12 @@ package experiments
 import (
 	"time"
 
-	"dgsf/internal/apiserver"
-	"dgsf/internal/cuda"
-	"dgsf/internal/cudalibs"
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
-	"dgsf/internal/gpu"
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/guest"
 	"dgsf/internal/metrics"
-	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 	"dgsf/internal/workloads"
 )
@@ -41,27 +38,19 @@ func SchedulingAblation(seed int64) []SchedResult {
 		r := SchedResult{Policy: q.String()}
 		e := sim.NewEngine(seed)
 		e.Run("sched", func(p *sim.Proc) {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 4
-			gcfg.ServersPerGPU = 2
-			gcfg.Queue = q
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
+			gs := deploy.GPUServer(p, func(g *gpuserver.Config) {
+				g.ServersPerGPU = 2
+				g.Queue = q
+			})
 			backend := faas.NewBackend(e, gs, faas.OpenFaaSEnv())
 			// Warm the backend's learned-duration history with one round,
 			// then measure a shuffled heavy-load stream.
-			var fns []*faas.Function
 			for _, spec := range workloads.All() {
-				f := spec.Function()
-				backend.Submit(p, f)
-				for i := 0; i < 10; i++ {
-					fns = append(fns, f)
-				}
+				backend.Submit(p, spec.Function())
 			}
 			backend.Drain(p)
 			warmup := len(workloads.All())
-			p.Rand().Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
-			backend.SubmitSequence(p, fns, faas.ExponentialArrivals(p, 2*time.Second))
+			backend.SubmitSequence(p, deploy.Stream(p, workloads.All(), 10), faas.ExponentialArrivals(p, 2*time.Second))
 			backend.Drain(p)
 
 			var queue metrics.Series
@@ -103,32 +92,13 @@ type SharingResult struct {
 func SharingSweep(seed int64) []SharingResult {
 	var out []SharingResult
 	for per := 1; per <= 4; per++ {
-		r := SharingResult{ServersPerGPU: per}
-		e := sim.NewEngine(seed)
-		e.Run("sweep", func(p *sim.Proc) {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 4
-			gcfg.ServersPerGPU = per
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
-			backend := faas.NewBackend(e, gs, faas.OpenFaaSEnv())
-			var fns []*faas.Function
-			for _, spec := range workloads.Smaller() {
-				fns = append(fns, spec.Function())
-			}
-			start := p.Now()
-			backend.SubmitBursts(p, fns, 10, 2*time.Second)
-			backend.Drain(p)
-			end := p.Now()
-			r.ProviderE2E = backend.ProviderEndToEnd()
-			r.E2ESum = backend.E2ESum()
-			var util float64
-			for _, s := range gs.Samplers() {
-				util += s.MeanUtil(start, end)
-			}
-			r.MeanUtil = util / float64(len(gs.Samplers()))
+		backend, _, util := runBursts(seed, "sweep", per, workloads.Smaller())
+		out = append(out, SharingResult{
+			ServersPerGPU: per,
+			ProviderE2E:   backend.ProviderEndToEnd(),
+			E2ESum:        backend.E2ESum(),
+			MeanUtil:      util,
 		})
-		out = append(out, r)
 	}
 	return out
 }
@@ -188,34 +158,12 @@ func rttRun(seed int64, spec *workloads.Spec, rtt time.Duration, opt guest.Opt) 
 		env := faas.OpenFaaSEnv()
 		env.Net.RTT = rtt
 
-		// Pre-warm the API server off the function's critical path,
-		// as the GPU server manager does at boot.
-		dev := gpu.New(e, gpu.V100Config(0))
-		rt := cuda.NewRuntime(e, []*gpu.Device{dev}, cuda.DefaultCosts())
-		srv := apiserver.NewServer(e, rt, apiserver.Config{
-			PoolHandles: true,
-			CUDACosts:   cuda.DefaultCosts(),
-			LibCosts:    cudalibs.DefaultCosts(),
-		})
-		if err := srv.Prewarm(p); err != nil {
-			panic(err)
-		}
-		p.SpawnDaemon("apiserver", srv.Run)
-
+		srv := deploy.APIServer(p, 1, true)
 		start := p.Now()
 		p.Sleep(env.Download.TransferTime(p, spec.DownloadBytes))
-		conn := remoting.Dial(e, &remoting.Listener{Incoming: srv.Inbox}, env.Net)
-		lib := guest.New(conn, opt)
-		if err := lib.Hello(p, spec.Name, spec.MemLimit); err != nil {
-			panic(err)
-		}
-		if err := spec.RunBody(p, lib, nil); err != nil {
-			panic(err)
-		}
-		lib.FlushBatch(p)
-		if err := lib.Bye(p); err != nil {
-			panic(err)
-		}
+		deploy.Session(p, srv, env.Net, opt, spec.Name, spec.MemLimit, func(api gen.API) error {
+			return spec.RunBody(p, api, nil)
+		})
 		total = p.Now() - start
 	})
 	return total
@@ -248,24 +196,9 @@ func ScaleOut(seed int64) []ScaleResult {
 		r := ScaleResult{Servers: c.n, Pick: c.name}
 		e := sim.NewEngine(seed)
 		e.Run("scale", func(p *sim.Proc) {
-			var servers []*gpuserver.GPUServer
-			for i := 0; i < c.n; i++ {
-				gcfg := gpuserver.DefaultConfig()
-				gcfg.GPUs = 2
-				gs := gpuserver.New(e, gcfg)
-				gs.Start(p)
-				servers = append(servers, gs)
-			}
+			servers := deploy.GPUServers(p, c.n, func(_ int, g *gpuserver.Config) { g.GPUs = 2 })
 			backend := faas.NewMultiBackend(e, servers, c.pick, faas.OpenFaaSEnv())
-			var fns []*faas.Function
-			for _, spec := range workloads.Smaller() {
-				f := spec.Function()
-				for i := 0; i < 6; i++ {
-					fns = append(fns, f)
-				}
-			}
-			p.Rand().Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
-			backend.SubmitSequence(p, fns, faas.ExponentialArrivals(p, 2*time.Second))
+			backend.SubmitSequence(p, deploy.Stream(p, workloads.Smaller(), 6), faas.ExponentialArrivals(p, 2*time.Second))
 			backend.Drain(p)
 			r.ProviderE2E = backend.ProviderEndToEnd()
 			r.E2ESum = backend.E2ESum()

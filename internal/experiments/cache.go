@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/modelcache"
@@ -56,12 +56,10 @@ func CacheColdWarm(seed int64) []CacheRow {
 func coldWarmPair(seed int64, spec *workloads.Spec, deviceBudget int64) (first, second CachePoint) {
 	e := sim.NewEngine(seed)
 	e.Run("cache-"+spec.Name, func(p *sim.Proc) {
-		gcfg := gpuserver.DefaultConfig()
-		gcfg.GPUs = 1
-		gcfg.ServersPerGPU = 1
-		gcfg.Cache = modelcache.Config{Enable: true, DeviceBudget: deviceBudget}
-		gs := gpuserver.New(e, gcfg)
-		gs.Start(p)
+		gs := deploy.GPUServer(p, func(g *gpuserver.Config) {
+			g.GPUs = 1
+			g.Cache = modelcache.Config{Enable: true, DeviceBudget: deviceBudget}
+		})
 		backend := faas.NewBackend(e, gs, faas.OpenFaaSEnv())
 		for _, pt := range []*CachePoint{&first, &second} {
 			var ph workloads.Phases
@@ -71,13 +69,11 @@ func coldWarmPair(seed int64, spec *workloads.Spec, deviceBudget int64) (first, 
 			}
 			inv := backend.Submit(p, f)
 			backend.Drain(p)
-			if inv.Err != nil {
-				panic(fmt.Sprintf("cache experiment: %s failed: %v", spec.Name, inv.Err))
-			}
 			pt.E2E = inv.E2E()
 			pt.Download = inv.DownloadDone - inv.SubmittedAt
 			pt.Load = ph.Load
 		}
+		deploy.MustSucceed("cache", backend.Invocations())
 	})
 	return first, second
 }
@@ -105,28 +101,16 @@ func CacheUnderLoad(seed int64) []CacheLoadResult {
 		r := CacheLoadResult{Policy: pol.String()}
 		e := sim.NewEngine(seed)
 		e.Run("cache-load", func(p *sim.Proc) {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 4
-			gcfg.ServersPerGPU = 2
-			gcfg.Policy = pol
-			gcfg.Cache = modelcache.Config{Enable: true}
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
+			gs := deploy.GPUServer(p, func(g *gpuserver.Config) {
+				g.ServersPerGPU = 2
+				g.Policy = pol
+				g.Cache = modelcache.Config{Enable: true}
+			})
 			backend := faas.NewBackend(e, gs, faas.OpenFaaSEnv())
-			var fns []*faas.Function
-			for _, spec := range workloads.Smaller() {
-				f := spec.Function()
-				for i := 0; i < 10; i++ {
-					fns = append(fns, f)
-				}
-			}
-			p.Rand().Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
-			backend.SubmitSequence(p, fns, faas.ExponentialArrivals(p, 5*time.Second))
+			backend.SubmitSequence(p, deploy.Stream(p, workloads.Smaller(), 10), faas.ExponentialArrivals(p, 5*time.Second))
 			backend.Drain(p)
+			deploy.MustSucceed("cache load", backend.Invocations())
 			for _, inv := range backend.Invocations() {
-				if inv.Err != nil {
-					panic("cache load invocation failed: " + inv.Err.Error())
-				}
 				if inv.ModelCached {
 					r.DownloadHits++
 				}

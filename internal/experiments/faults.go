@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"dgsf/internal/dataplane"
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/faults"
 	"dgsf/internal/gpuserver"
-	"dgsf/internal/guest"
 	"dgsf/internal/sim"
 	"dgsf/internal/workloads"
 )
@@ -139,35 +139,20 @@ func runFaultScenario(seed int64, sc faultScenario) FaultsResult {
 	// run that stalls past the limit panics instead of wedging the suite.
 	e.SetTimeLimit(2 * time.Hour)
 	e.Run("faults", func(p *sim.Proc) {
-		var servers []*gpuserver.GPUServer
-		for i := 0; i < sc.servers; i++ {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 2
-			gcfg.ServersPerGPU = 2
-			gcfg.HeartbeatPeriod = 50 * time.Millisecond
-			gcfg.QueueDeadline = 5 * time.Minute
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
-			servers = append(servers, gs)
-		}
+		servers := deploy.GPUServers(p, sc.servers, func(_ int, cfg *gpuserver.Config) {
+			cfg.GPUs = 2
+			cfg.ServersPerGPU = 2
+			deploy.DetectFailures(cfg)
+		})
 
 		inj := faults.NewInjector(e, sc.plan, servers)
 		inj.Arm(p)
 
 		backend := faas.NewMultiBackend(e, servers, faas.PickLeastLoaded, faas.OpenFaaSEnv())
 		backend.DialHook = inj.WrapConn
-		rc := guestRecoveryDefaults()
-		backend.Recovery = &rc
+		backend.Recovery = deploy.Recovery(6)
 
-		var fns []*faas.Function
-		for _, spec := range workloads.Smaller() {
-			f := spec.Function()
-			for i := 0; i < 4; i++ {
-				fns = append(fns, f)
-			}
-		}
-		p.Rand().Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
-		backend.SubmitSequence(p, fns, faas.ExponentialArrivals(p, 2*time.Second))
+		backend.SubmitSequence(p, deploy.Stream(p, workloads.Smaller(), 4), faas.ExponentialArrivals(p, 2*time.Second))
 		backend.Drain(p)
 
 		for _, inv := range backend.Invocations() {
@@ -205,26 +190,19 @@ func runPipelineFaultScenario(seed int64, sc faultScenario) FaultsResult {
 	e.SetTimeLimit(2 * time.Hour)
 	fab := dataplane.NewFabric(dataplane.DefaultConfig(), nil)
 	e.Run("faults-pipeline", func(p *sim.Proc) {
-		var servers []*gpuserver.GPUServer
-		for i := 0; i < sc.servers; i++ {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 1
-			gcfg.ServersPerGPU = 2
-			gcfg.HeartbeatPeriod = 50 * time.Millisecond
-			gcfg.QueueDeadline = 5 * time.Minute
-			gcfg.Plane = fab.NewPlane(fmt.Sprintf("gpu-%d", i))
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
-			servers = append(servers, gs)
-		}
+		servers := deploy.GPUServers(p, sc.servers, func(i int, cfg *gpuserver.Config) {
+			cfg.GPUs = 1
+			cfg.ServersPerGPU = 2
+			deploy.DetectFailures(cfg)
+			cfg.Plane = fab.NewPlane(fmt.Sprintf("gpu-%d", i))
+		})
 
 		inj := faults.NewInjector(e, sc.plan, servers)
 		inj.Arm(p)
 
 		backend := faas.NewMultiBackend(e, servers, faas.PickFixed, faas.OpenFaaSEnv())
 		backend.DialHook = inj.WrapConn
-		rc := guestRecoveryDefaults()
-		backend.Recovery = &rc
+		backend.Recovery = deploy.Recovery(6)
 
 		h := &dataplane.Handoff{}
 		spec := faas.ChainSpec{
@@ -265,20 +243,6 @@ func runPipelineFaultScenario(seed int64, sc faultScenario) FaultsResult {
 		res.Corrupted = inj.Corrupted
 	})
 	return res
-}
-
-// guestRecoveryDefaults is the recovery policy the experiment runs under.
-// The call deadline is sized far above any legitimate synchronous call
-// (fences included) so it only ever fires on dead or stalled servers, and
-// the fence lag keeps the pipelined lane from running blind for long.
-func guestRecoveryDefaults() guest.RecoveryConfig {
-	return guest.RecoveryConfig{
-		MaxAttempts:  6,
-		BackoffBase:  5 * time.Millisecond,
-		BackoffCap:   500 * time.Millisecond,
-		CallDeadline: 60 * time.Second,
-		FenceLag:     time.Second,
-	}
 }
 
 func isCapacityErr(err error) bool {

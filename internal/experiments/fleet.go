@@ -1,18 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"dgsf/internal/controller"
-	"dgsf/internal/cuda"
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/faults"
-	"dgsf/internal/gpu"
-	"dgsf/internal/gpuserver"
 	"dgsf/internal/metrics"
 	"dgsf/internal/remoting"
-	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 )
@@ -47,28 +42,6 @@ type FleetResult struct {
 	MetricsTable string
 }
 
-// fleetFn builds one function profile for the fleet workload; the model
-// portion of the download is host-cacheable, which is what feeds the
-// staged-model reclaim loop.
-func fleetFn(name string, kernel time.Duration) *faas.Function {
-	return &faas.Function{
-		Name:          name,
-		GPUMem:        1 << 30,
-		DownloadBytes: 10e6,
-		ModelDLBytes:  8e6,
-		Run: func(p *sim.Proc, api gen.API) error {
-			fns, err := api.RegisterKernels(p, []string{"work"})
-			if err != nil {
-				return err
-			}
-			if err := api.LaunchKernel(p, cuda.LaunchParams{Fn: fns[0], Duration: kernel}); err != nil {
-				return err
-			}
-			return api.DeviceSynchronize(p)
-		},
-	}
-}
-
 // RunFleet drives nServers machines and nInvocations invocations through
 // the control plane under failures and a controller kill.
 func RunFleet(seed int64, nServers, nInvocations int) FleetResult {
@@ -77,102 +50,23 @@ func RunFleet(seed int64, nServers, nInvocations int) FleetResult {
 	e.SetTimeLimit(2 * time.Hour)
 	reg := metrics.NewRegistry()
 	st := store.New(e, reg)
-	var inj *faults.Injector
 	wireStart := remoting.SnapshotWireStats()
+	// Fault plan: two machines fail mid-run; the placement controller is
+	// killed mid-reconcile 3 writes after the kill fires.
+	plan := faults.Plan{
+		Events: []faults.Event{
+			{At: 2 * time.Second, Kind: faults.FailGPUServer, Server: 0},
+			{At: 4 * time.Second, Kind: faults.FailGPUServer, Server: 1},
+		},
+		ControllerKills: []faults.ControllerKill{{At: time.Second, AfterWrites: 3}},
+	}
+	var fleet *deploy.Fleet
 
 	e.Run("fleet", func(p *sim.Proc) {
-		// Machines: cheap data plane (the experiment measures the control
-		// plane), host-tier cache on, stage budget tight enough that the
-		// reclaim controller has real work.
-		env := faas.OpenFaaSEnv()
-		env.Download.Latency = 0
-		env.Download.JitterFrac = 0
-		backend := faas.NewFleet(e, st, faas.FleetConfig{Env: env, Registry: reg})
-		var machines []*gpuserver.GPUServer
-		for i := 0; i < nServers; i++ {
-			cfg := gpuserver.DefaultConfig()
-			cfg.GPUs, cfg.ServersPerGPU = 1, 1
-			cfg.PoolHandles = false
-			cfg.CUDACosts = cuda.Costs{}
-			cfg.LibCosts.DNNCreateTime = 0
-			cfg.LibCosts.BLASCreateTime = 0
-			cfg.GPUConfig = func(i int) gpu.Config {
-				c := gpu.V100Config(i)
-				c.CopyLat, c.KernelLat = 0, 0
-				return c
-			}
-			cfg.Cache.Enable = true
-			cfg.Cache.HostBudget = 1 << 30
-			cfg.Cache.DeviceBudget = -1
-			gs := gpuserver.New(e, cfg)
-			gs.Start(p)
-			machines = append(machines, gs)
-			name := fmt.Sprintf("gpu-%03d", i)
-			backend.AddServer(name, gs)
-			agent := gpuserver.NewAgent(gs, st, name, gpuserver.AgentConfig{
-				SyncPeriod:  200 * time.Millisecond,
-				StageBudget: 20e6, // ~2 staged models before reclaim bites
-			})
-			p.SpawnDaemon("agent-"+name, agent.Run)
-		}
-		p.Sleep(250 * time.Millisecond) // first agent sync: fleet visible in store
+		fleet = deploy.BootFleet(p, st, faas.FleetConfig{Registry: reg}, nServers, nil, plan)
+		fleet.Flood(p, nInvocations, 25*time.Millisecond)
 
-		// The store, served over the simulated transport: the placement
-		// controller speaks only the generated wire protocol.
-		l := remoting.NewListener(e)
-		p.SpawnDaemon("store-serve", func(p *sim.Proc) { store.Serve(p, st, l) })
-		remoteHandle := func() store.Interface {
-			return store.NewRemote(e, remoting.Dial(e, l, remoting.NetProfile{RTT: 100 * time.Microsecond}))
-		}
-
-		// Fault plan: two machines fail mid-run; the placement controller is
-		// killed mid-reconcile 3 writes after the kill fires.
-		plan := faults.Plan{
-			Events: []faults.Event{
-				{At: 2 * time.Second, Kind: faults.FailGPUServer, Server: 0},
-				{At: 4 * time.Second, Kind: faults.FailGPUServer, Server: 1},
-			},
-			ControllerKills: []faults.ControllerKill{{At: time.Second, AfterWrites: 3}},
-		}
-		inj = faults.NewInjector(e, plan, machines)
-		inj.Arm(p)
-
-		var active *controller.Controller
-		p.Spawn("placement-supervisor", func(p *sim.Proc) {
-			res.CtrlRestarts = faas.RunSupervised(p, 10*time.Millisecond, 5, func() *controller.Controller {
-				handle := remoteHandle()
-				fuse := store.NewFuse(handle)
-				inj.BindControllerFuse(fuse)
-				active = faas.NewPlacementController(fuse, faas.PlacementConfig{
-					Resync:   100 * time.Millisecond,
-					Registry: reg,
-				})
-				return active
-			})
-		})
-		reclaim := faas.NewReclaimController(st, faas.ReclaimConfig{Resync: 200 * time.Millisecond, Registry: reg})
-		p.Spawn("reclaim", reclaim.Run)
-
-		if err := backend.Run(p); err != nil {
-			panic(err)
-		}
-		fns := []*faas.Function{
-			fleetFn("detect", 150*time.Millisecond),
-			fleetFn("classify", 100*time.Millisecond),
-			fleetFn("embed", 250*time.Millisecond),
-			fleetFn("rank", 80*time.Millisecond),
-		}
-		for i := 0; i < nInvocations; i++ {
-			backend.Submit(p, fns[i%len(fns)])
-			p.Sleep(time.Duration(p.Rand().ExpFloat64() * float64(25*time.Millisecond)))
-		}
-		backend.Drain(p)
-		if active != nil {
-			active.Stop()
-		}
-		reclaim.Stop()
-
-		for _, inv := range backend.Invocations() {
+		for _, inv := range fleet.Backend.Invocations() {
 			if inv.Err != nil {
 				res.Failed++
 			}
@@ -203,7 +97,8 @@ func RunFleet(seed int64, nServers, nInvocations int) FleetResult {
 			res.StagedBytes += r.(*store.StagedModel).Spec.Bytes
 		}
 	})
-	res.FailedGS = inj.Failed
+	res.CtrlRestarts = fleet.CtrlRestarts
+	res.FailedGS = fleet.Injector.Failed
 	// The wire-stat delta over the run reports the remoting_* counters
 	// (bytes on the wire, v1/v2 frame mix, hello outcomes) in the summary.
 	remoting.PublishWireStats(reg, remoting.SnapshotWireStats().Sub(wireStart))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/gpu"
 	"dgsf/internal/gpuserver"
@@ -45,11 +46,7 @@ type MixConfig struct {
 	Instances int // invocations per workload
 	GPUs      int
 	Variant   Variant
-	// Arrival process: exponential inter-arrival with MeanGap, or a burst
-	// pattern when Bursts > 0.
-	MeanGap  time.Duration
-	Bursts   int
-	BurstGap time.Duration
+	MeanGap   time.Duration // mean of the exponential inter-arrival gaps
 }
 
 // RunMix executes one mixed-workload experiment: `Instances` invocations of
@@ -62,58 +59,25 @@ func RunMix(seed int64, cfg MixConfig) MixResult {
 	}
 	e := sim.NewEngine(seed)
 	e.Run("mix", func(p *sim.Proc) {
-		gcfg := gpuserver.DefaultConfig()
-		gcfg.GPUs = cfg.GPUs
-		gcfg.ServersPerGPU = cfg.Variant.ServersPerGPU
-		gcfg.Policy = cfg.Variant.Policy
-		gcfg.EnableMigration = cfg.Variant.Migration
-		gs := gpuserver.New(e, gcfg)
-		gs.Start(p)
-
+		gs := deploy.GPUServer(p, func(g *gpuserver.Config) {
+			g.GPUs = cfg.GPUs
+			g.ServersPerGPU = cfg.Variant.ServersPerGPU
+			g.Policy = cfg.Variant.Policy
+			g.EnableMigration = cfg.Variant.Migration
+		})
 		backend := faas.NewBackend(e, gs, faas.OpenFaaSEnv())
-
-		// Build the invocation list: Instances copies of each workload,
-		// shuffled deterministically.
-		var fns []*faas.Function
-		for _, spec := range cfg.Specs {
-			f := spec.Function()
-			for i := 0; i < cfg.Instances; i++ {
-				fns = append(fns, f)
-			}
-		}
-		p.Rand().Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
+		fns := deploy.Stream(p, cfg.Specs, cfg.Instances)
 
 		start := p.Now()
-		if cfg.Bursts > 0 {
-			per := len(fns) / cfg.Bursts
-			for r := 0; r < cfg.Bursts; r++ {
-				if r > 0 {
-					p.Sleep(cfg.BurstGap)
-				}
-				for _, fn := range fns[r*per : (r+1)*per] {
-					backend.Submit(p, fn)
-				}
-			}
-		} else {
-			backend.SubmitSequence(p, fns, faas.ExponentialArrivals(p, cfg.MeanGap))
-		}
+		backend.SubmitSequence(p, fns, faas.ExponentialArrivals(p, cfg.MeanGap))
 		backend.Drain(p)
-		end := p.Now()
 
-		for _, inv := range backend.Invocations() {
-			if inv.Err != nil {
-				panic("mix invocation failed: " + inv.Err.Error())
-			}
-		}
+		deploy.MustSucceed("mix", backend.Invocations())
 		res.ProviderE2E = backend.ProviderEndToEnd()
 		res.E2ESum = backend.E2ESum()
 		res.PerFn = backend.PerFunction()
 		res.Migrations = gs.Migrations()
-		var util float64
-		for _, s := range gs.Samplers() {
-			util += s.MeanUtil(start, end)
-		}
-		res.MeanUtil = util / float64(len(gs.Samplers()))
+		res.MeanUtil = deploy.MeanUtil(gs, start, p.Now())
 	})
 	return res
 }
@@ -263,33 +227,33 @@ type Fig7Result struct {
 func Figure7(seed int64) []Fig7Result {
 	var out []Fig7Result
 	for _, v := range []Variant{Variants()[0], Variants()[1]} {
-		r := Fig7Result{Variant: v.Name}
-		e := sim.NewEngine(seed)
-		e.Run("burst", func(p *sim.Proc) {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 4
-			gcfg.ServersPerGPU = v.ServersPerGPU
-			gcfg.Policy = v.Policy
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
-			backend := faas.NewBackend(e, gs, faas.OpenFaaSEnv())
-			var fns []*faas.Function
-			for _, spec := range workloads.All() {
-				fns = append(fns, spec.Function())
-			}
-			start := p.Now()
-			backend.SubmitBursts(p, fns, 10, 2*time.Second)
-			backend.Drain(p)
-			end := p.Now()
-			r.ProviderE2E = backend.ProviderEndToEnd()
-			var util float64
-			for _, s := range gs.Samplers() {
-				util += s.MeanUtil(start, end)
-				r.Series = append(r.Series, s.MovingAverage(5))
-			}
-			r.MeanUtil = util / float64(len(gs.Samplers()))
-		})
+		backend, gs, util := runBursts(seed, "burst", v.ServersPerGPU, workloads.All())
+		r := Fig7Result{Variant: v.Name, ProviderE2E: backend.ProviderEndToEnd(), MeanUtil: util}
+		for _, s := range gs.Samplers() {
+			r.Series = append(r.Series, s.MovingAverage(5))
+		}
 		out = append(out, r)
 	}
 	return out
+}
+
+// runBursts runs §VIII-D's burst pattern — ten bursts of one invocation per
+// spec, two seconds apart — on the testbed's four GPUs with perGPU API
+// servers each, under the root process name root. It returns the drained
+// backend, the GPU server and the mean GPU utilization over the run.
+func runBursts(seed int64, root string, perGPU int, specs []*workloads.Spec) (backend *faas.Backend, gs *gpuserver.GPUServer, util float64) {
+	e := sim.NewEngine(seed)
+	e.Run(root, func(p *sim.Proc) {
+		gs = deploy.GPUServer(p, func(g *gpuserver.Config) { g.ServersPerGPU = perGPU })
+		backend = faas.NewBackend(e, gs, faas.OpenFaaSEnv())
+		var fns []*faas.Function
+		for _, spec := range specs {
+			fns = append(fns, spec.Function())
+		}
+		start := p.Now()
+		backend.SubmitBursts(p, fns, 10, 2*time.Second)
+		backend.Drain(p)
+		util = deploy.MeanUtil(gs, start, p.Now())
+	})
+	return backend, gs, util
 }

@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"dgsf/internal/apiserver"
 	"dgsf/internal/cuda"
-	"dgsf/internal/cudalibs"
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/gpu"
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/guest"
-	"dgsf/internal/native"
 	"dgsf/internal/remoting"
 	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
@@ -94,60 +91,28 @@ func Table5(seed int64, runs int) []Table5Row {
 
 // runMicro measures the three Table V configurations at one array size.
 func runMicro(seed int64, bytes int64) (nativeE2E, dgsfE2E, migratedE2E, migDur time.Duration) {
+	const name, mem = "micro", 15 << 30
 	// Native: CUDA initialization dominates (~3 s, §VIII-E).
-	e := sim.NewEngine(seed)
-	e.Run("native", func(p *sim.Proc) {
-		dev := gpu.New(e, gpu.V100Config(0))
-		rt := cuda.NewRuntime(e, []*gpu.Device{dev}, cuda.DefaultCosts())
-		api := nativeBackend(rt)
+	sim.NewEngine(seed).Run("native", func(p *sim.Proc) {
 		start := p.Now()
-		if err := api.Hello(p, "micro", 15<<30); err != nil {
-			panic(err)
-		}
-		if err := syntheticApp(p, api, bytes, nil); err != nil {
-			panic(err)
-		}
+		deploy.Native(p, name, mem, func(api gen.API) error { return syntheticApp(p, api, bytes, nil) })
 		nativeE2E = p.Now() - start
 	})
 
 	// DGSF with and without a forced migration right before the second
 	// kernel.
-	for _, migrate := range []bool{false, true} {
-		e := sim.NewEngine(seed)
-		e.Run("dgsf", func(p *sim.Proc) {
-			devs := []*gpu.Device{gpu.New(e, gpu.V100Config(0)), gpu.New(e, gpu.V100Config(1))}
-			rt := cuda.NewRuntime(e, devs, cuda.DefaultCosts())
-			srv := apiserver.NewServer(e, rt, apiserver.Config{
-				PoolHandles: true,
-				CUDACosts:   cuda.DefaultCosts(),
-				LibCosts:    cudalibs.DefaultCosts(),
-			})
-			if err := srv.Prewarm(p); err != nil {
-				panic(err)
+	for _, forced := range []bool{false, true} {
+		sim.NewEngine(seed).Run("dgsf", func(p *sim.Proc) {
+			srv := deploy.APIServer(p, 2, true)
+			var between func(p *sim.Proc)
+			if forced {
+				between = func(p *sim.Proc) { migDur = migrate(p, srv, 1) }
 			}
-			p.SpawnDaemon("apiserver", srv.Run)
-			conn := remoting.Dial(e, &remoting.Listener{Incoming: srv.Inbox}, remoting.OpenFaaSNet())
-			lib := guest.New(conn, guest.OptAll)
 			start := p.Now()
-			if err := lib.Hello(p, "micro", 15<<30); err != nil {
-				panic(err)
-			}
-			between := func(p *sim.Proc) {}
-			if migrate {
-				between = func(p *sim.Proc) {
-					done := sim.NewQueue[time.Duration](e)
-					srv.Inbox.Send(remoting.Request{Ctrl: apiserver.MigrateRequest{TargetDev: 1, Done: done}})
-					migDur, _ = done.Recv(p)
-				}
-			}
-			if err := syntheticApp(p, lib, bytes, between); err != nil {
-				panic(err)
-			}
-			lib.FlushBatch(p)
-			if err := lib.Bye(p); err != nil {
-				panic(err)
-			}
-			if migrate {
+			deploy.Session(p, srv, remoting.OpenFaaSNet(), guest.OptAll, name, mem, func(api gen.API) error {
+				return syntheticApp(p, api, bytes, between)
+			})
+			if forced {
 				migratedE2E = p.Now() - start
 			} else {
 				dgsfE2E = p.Now() - start
@@ -190,14 +155,13 @@ func Figure8(seed int64) []Fig8Result {
 		r := Fig8Result{Config: c.name, PerWorkload: map[string]time.Duration{}}
 		e := sim.NewEngine(seed)
 		e.Run("fig8", func(p *sim.Proc) {
-			gcfg := gpuserver.DefaultConfig()
-			gcfg.GPUs = 2
-			gcfg.ServersPerGPU = c.perGPU
-			gcfg.Policy = c.policy
-			gcfg.EnableMigration = c.migration
-			gcfg.MinImbalanceTicks = 3
-			gs := gpuserver.New(e, gcfg)
-			gs.Start(p)
+			gs := deploy.GPUServer(p, func(g *gpuserver.Config) {
+				g.GPUs = 2
+				g.ServersPerGPU = c.perGPU
+				g.Policy = c.policy
+				g.EnableMigration = c.migration
+				g.MinImbalanceTicks = 3
+			})
 			// Deterministic downloads: the scenario depends on the NLP
 			// functions (1262 MB) reaching the GPUs just before the image
 			// classifications (1297 MB), as in the paper's run.
@@ -219,11 +183,7 @@ func Figure8(seed int64) []Fig8Result {
 			for name, s := range backend.PerFunction() {
 				r.PerWorkload[name] = s.MeanE2E()
 			}
-			for _, inv := range backend.Invocations() {
-				if inv.Err != nil {
-					panic(fmt.Sprintf("fig8 %s: %v", c.name, inv.Err))
-				}
-			}
+			deploy.MustSucceed("fig8 "+c.name, backend.Invocations())
 			for _, s := range gs.Samplers() {
 				r.UtilSeries = append(r.UtilSeries, s.MovingAverage(5))
 			}
@@ -231,10 +191,4 @@ func Figure8(seed int64) []Fig8Result {
 		out = append(out, r)
 	}
 	return out
-}
-
-// nativeBackend adapts a runtime to the generated API for the micro
-// benchmark's native arm.
-func nativeBackend(rt *cuda.Runtime) gen.API {
-	return native.New(rt, cudalibs.DefaultCosts())
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dgsf/internal/dataplane"
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/metrics"
@@ -123,24 +124,17 @@ func runPipelineChain(seed int64, opts pipelineChainOpts) (time.Duration, *metri
 	var e2e time.Duration
 
 	e.Run("pipeline-chain", func(p *sim.Proc) {
-		nServers := 1
+		// Same server: producer and consumer share the one GPU. Cross: one
+		// API server on each of two machines.
+		nServers, perGPU := 1, 2
 		if opts.cross {
-			nServers = 2
+			nServers, perGPU = 2, 1
 		}
-		var servers []*gpuserver.GPUServer
-		for i := 0; i < nServers; i++ {
-			cfg := gpuserver.DefaultConfig()
+		servers := deploy.GPUServers(p, nServers, func(i int, cfg *gpuserver.Config) {
 			cfg.GPUs = 1
-			if opts.cross {
-				cfg.ServersPerGPU = 1
-			} else {
-				cfg.ServersPerGPU = 2 // producer and consumer share the GPU
-			}
+			cfg.ServersPerGPU = perGPU
 			cfg.Plane = fab.NewPlane(fmt.Sprintf("gpu-%d", i))
-			gs := gpuserver.New(e, cfg)
-			gs.Start(p)
-			servers = append(servers, gs)
-		}
+		})
 
 		env := faas.OpenFaaSEnv()
 		env.Download.JitterFrac = 0 // measured deltas are pure data-plane effects
@@ -182,16 +176,15 @@ func runPipelineBroadcast(seed int64, fanOut int, withPlane bool) (time.Duration
 	var e2e time.Duration
 
 	e.Run("pipeline-broadcast", func(p *sim.Proc) {
-		cfg := gpuserver.DefaultConfig()
-		cfg.GPUs = 1
-		cfg.ServersPerGPU = fanOut
-		cfg.Cache.Enable = true
-		cfg.Cache.DeviceBudget = -1 // host tier only: pins stage out at Bye
-		if withPlane {
-			cfg.Plane = fab.NewPlane("bcast-plane")
-		}
-		gs := gpuserver.New(e, cfg)
-		gs.Start(p)
+		gs := deploy.GPUServer(p, func(cfg *gpuserver.Config) {
+			cfg.GPUs = 1
+			cfg.ServersPerGPU = fanOut
+			cfg.Cache.Enable = true
+			cfg.Cache.DeviceBudget = -1 // host tier only: pins stage out at Bye
+			if withPlane {
+				cfg.Plane = fab.NewPlane("bcast-plane")
+			}
+		})
 
 		env := faas.OpenFaaSEnv()
 		env.Download.JitterFrac = 0
@@ -199,20 +192,14 @@ func runPipelineBroadcast(seed int64, fanOut int, withPlane bool) (time.Duration
 
 		// Warm-up: one run persists the model; its Bye stages the working
 		// set into the host tier, which is what ModelBroadcast seeds from.
-		if inv := backend.Invoke(p, workloads.SeedEnsembleModel(modelBytes)); inv.Err != nil {
-			panic(inv.Err)
-		}
+		backend.Invoke(p, workloads.SeedEnsembleModel(modelBytes))
 
 		start := p.Now()
 		for i := 0; i < fanOut; i++ {
 			backend.Submit(p, workloads.EnsembleMember(modelBytes))
 		}
 		backend.Drain(p)
-		for _, inv := range backend.Invocations() {
-			if inv.Err != nil {
-				panic(inv.Err)
-			}
-		}
+		deploy.MustSucceed("broadcast", backend.Invocations())
 		e2e = p.Now() - start
 	})
 	return e2e, reg

@@ -5,17 +5,14 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"dgsf/internal/apiserver"
-	"dgsf/internal/cuda"
-	"dgsf/internal/cudalibs"
+	"dgsf/internal/deploy"
 	"dgsf/internal/faas"
-	"dgsf/internal/gpu"
 	"dgsf/internal/guest"
-	"dgsf/internal/native"
 	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 	"dgsf/internal/workloads"
 )
@@ -56,100 +53,57 @@ func RunSingle(seed int64, spec *workloads.Spec, mode Mode, forceMigration bool)
 	if mode == ModeLambda {
 		env = faas.LambdaEnv()
 	}
+	res.run(seed, spec, env, mode, forceMigration)
+	return res
+}
 
+// run executes the workload on a fresh engine: the download every mode
+// shares, then the native arm — CUDA initialization on the critical path at
+// first API use — or, by default, one session against a lone API server,
+// pre-warmed unless mode is ModeDGSFNoOpt.
+func (res *SingleResult) run(seed int64, spec *workloads.Spec, env faas.Env, mode Mode, forceMigration bool) {
 	e := sim.NewEngine(seed)
 	e.Run("exp", func(p *sim.Proc) {
-		// Download phase is common to all modes.
 		t0 := p.Now()
 		p.Sleep(env.Download.TransferTime(p, spec.DownloadBytes))
 		res.Phases.Download = p.Now() - t0
 
-		switch mode {
-		case ModeNative:
-			res.runNative(e, p, spec)
-		default:
-			res.runDGSF(e, p, spec, env, mode == ModeDGSFNoOpt, forceMigration)
+		body := func(api gen.API) error { return spec.RunBody(p, api, &res.Phases) }
+		if mode == ModeNative {
+			res.Phases.Init = deploy.Native(p, spec.Name, spec.MemLimit, body)
+			return
 		}
+		nDevs, opt := 1, env.GuestOpt
+		if forceMigration {
+			nDevs = 2
+		}
+		if mode == ModeDGSFNoOpt {
+			opt = guest.OptNone
+		}
+		srv := deploy.APIServer(p, nDevs, mode != ModeDGSFNoOpt)
+		res.Phases.Init, res.Stats = deploy.Session(p, srv, env.Net, opt, spec.Name, spec.MemLimit, func(api gen.API) error {
+			if forceMigration {
+				// Trigger the migration mid-processing: the control message
+				// lands in the server's FIFO behind roughly half the
+				// workload's calls.
+				p.Spawn("migrator", func(p *sim.Proc) {
+					p.Sleep(2 * time.Second) // the processing phase is underway
+					res.Migration = migrate(p, srv, 1)
+				})
+			}
+			return body(api)
+		})
 	})
 	res.Total = res.Phases.Total()
-	return res
 }
 
-// runNative executes the workload on a local GPU: CUDA initialization lands
-// on the critical path at first API use.
-func (res *SingleResult) runNative(e *sim.Engine, p *sim.Proc, spec *workloads.Spec) {
-	dev := gpu.New(e, gpu.V100Config(0))
-	rt := cuda.NewRuntime(e, []*gpu.Device{dev}, cuda.DefaultCosts())
-	api := native.New(rt, cudalibs.DefaultCosts())
-	t0 := p.Now()
-	if err := api.Hello(p, spec.Name, spec.MemLimit); err != nil {
-		panic(fmt.Sprintf("%s native: %v", spec.Name, err))
-	}
-	res.Phases.Init = p.Now() - t0
-	if err := spec.RunBody(p, api, &res.Phases); err != nil {
-		panic(fmt.Sprintf("%s native: %v", spec.Name, err))
-	}
-}
-
-// runDGSF executes the workload against a pre-warmed (or cold, for no-opt)
-// API server over the simulated network.
-func (res *SingleResult) runDGSF(e *sim.Engine, p *sim.Proc, spec *workloads.Spec, env faas.Env, noOpt bool, forceMigration bool) {
-	nDevs := 1
-	if forceMigration {
-		nDevs = 2
-	}
-	devs := make([]*gpu.Device, nDevs)
-	for i := range devs {
-		devs[i] = gpu.New(e, gpu.V100Config(i))
-	}
-	rt := cuda.NewRuntime(e, devs, cuda.DefaultCosts())
-	srvCfg := apiserver.Config{
-		PoolHandles: !noOpt,
-		CUDACosts:   cuda.DefaultCosts(),
-		LibCosts:    cudalibs.DefaultCosts(),
-	}
-	srv := apiserver.NewServer(e, rt, srvCfg)
-	if !noOpt {
-		// Pre-warm off the critical path, as the GPU server manager does.
-		if err := srv.Prewarm(p); err != nil {
-			panic(err)
-		}
-	}
-	p.SpawnDaemon("apiserver", srv.Run)
-
-	opt := env.GuestOpt
-	if noOpt {
-		opt = guest.OptNone
-	}
-	conn := remoting.Dial(e, &remoting.Listener{Incoming: srv.Inbox}, env.Net)
-	lib := guest.New(conn, opt)
-
-	t0 := p.Now()
-	if err := lib.Hello(p, spec.Name, spec.MemLimit); err != nil {
-		panic(fmt.Sprintf("%s dgsf: %v", spec.Name, err))
-	}
-	res.Phases.Init = p.Now() - t0
-
-	if forceMigration {
-		// Trigger the migration mid-processing: the control message lands
-		// in the server's FIFO behind roughly half the workload's calls.
-		p.Spawn("migrator", func(p *sim.Proc) {
-			// Wait until the processing phase is underway.
-			p.Sleep(2 * time.Second)
-			done := sim.NewQueue[time.Duration](e)
-			srv.Inbox.Send(remoting.Request{Ctrl: apiserver.MigrateRequest{TargetDev: 1, Done: done}})
-			d, _ := done.Recv(p)
-			res.Migration = d
-		})
-	}
-	if err := spec.RunBody(p, lib, &res.Phases); err != nil {
-		panic(fmt.Sprintf("%s dgsf: %v", spec.Name, err))
-	}
-	lib.FlushBatch(p)
-	if err := lib.Bye(p); err != nil {
-		panic(fmt.Sprintf("%s dgsf bye: %v", spec.Name, err))
-	}
-	res.Stats = lib.Stats()
+// migrate asks srv to move its session to GPU dev and returns how long the
+// move took.
+func migrate(p *sim.Proc, srv *apiserver.Server, dev int) time.Duration {
+	done := sim.NewQueue[time.Duration](p.Engine())
+	srv.Inbox.Send(remoting.Request{Ctrl: apiserver.MigrateRequest{TargetDev: dev, Done: done}})
+	d, _ := done.Recv(p)
+	return d
 }
 
 // Table2Row is one column of Table II (the table is printed transposed).
@@ -281,13 +235,6 @@ func runTier(seed int64, spec *workloads.Spec, tier Tier) SingleResult {
 	case TierAsync:
 		env.GuestOpt = guest.OptAll | guest.OptAsync
 	}
-	e := sim.NewEngine(seed)
-	e.Run("exp", func(p *sim.Proc) {
-		t0 := p.Now()
-		p.Sleep(env.Download.TransferTime(p, spec.DownloadBytes))
-		res.Phases.Download = p.Now() - t0
-		res.runDGSF(e, p, spec, env, false, false)
-	})
-	res.Total = res.Phases.Total()
+	res.run(seed, spec, env, res.Mode, false)
 	return res
 }

@@ -140,7 +140,6 @@ func (x *executor) runGuest(p *sim.Proc, inv *Invocation, gs *gpuserver.GPUServe
 	err := lib.Hello(p, fn.Name, fn.GPUMem)
 	if err == nil {
 		err = fn.Run(p, lib)
-		lib.FlushBatch(p)
 		if byeErr := lib.Bye(p); err == nil {
 			err = byeErr
 		}

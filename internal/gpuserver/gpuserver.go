@@ -214,7 +214,6 @@ type GPUServer struct {
 	requests *sim.Queue[monitorMsg]
 	waiting  []*acquireReq
 	leased   map[int]*Lease // server ID -> active lease
-	commit   []int64        // declared memory committed per GPU
 	baseline []int64        // device bytes in use after pre-warm
 	dead     map[int]bool   // server ID -> declared dead (out of rotation)
 	failed   bool           // whole-machine failure injected
@@ -251,7 +250,6 @@ func New(e *sim.Engine, cfg Config) *GPUServer {
 		e:        e,
 		requests: sim.NewQueue[monitorMsg](e),
 		leased:   make(map[int]*Lease),
-		commit:   make([]int64, cfg.GPUs),
 		baseline: make([]int64, cfg.GPUs),
 		dead:     make(map[int]bool),
 	}
@@ -507,7 +505,7 @@ func (gs *GPUServer) monitor(p *sim.Proc) {
 
 // markDead takes one API server out of rotation: the server is fenced
 // (crashed, so a slow-but-alive process cannot resurface with stale state),
-// its active lease — if any — is revoked and its memory commitment unwound.
+// its active lease — if any — is revoked, which ends its memory commitment.
 // The holder of a revoked lease discovers the death through its broken
 // connection; a later Release of it reports ErrNotLeased.
 func (gs *GPUServer) markDead(sid int) {
@@ -522,7 +520,6 @@ func (gs *GPUServer) markDead(sid int) {
 	if lease, ok := gs.leased[sid]; ok {
 		lease.released = true
 		delete(gs.leased, sid)
-		gs.commit[srv.HomeDev()] -= lease.Mem
 	}
 }
 
@@ -576,7 +573,6 @@ func (gs *GPUServer) drainQueue(p *sim.Proc) {
 			grantedAt:  p.Now(),
 		}
 		gs.leased[srv.ID()] = lease
-		gs.commit[srv.HomeDev()] += req.mem
 		gs.placements = append(gs.placements, PlacementRecord{
 			FnID:       req.fnID,
 			Mem:        req.mem,
@@ -659,7 +655,7 @@ func (gs *GPUServer) place(fnID string, mem int64) *apiserver.Server {
 			continue
 		}
 		g := srv.HomeDev()
-		free := gs.devs[g].Cfg.MemBytes - gs.baseline[g] - gs.commit[g]
+		free := gs.devs[g].Cfg.MemBytes - gs.baseline[g] - gs.committed(g)
 		local := false
 		if gs.cache != nil {
 			free -= gs.cache.PinnedBytes(g)
@@ -704,6 +700,19 @@ func (gs *GPUServer) place(fnID string, mem int64) *apiserver.Server {
 	return best.srv
 }
 
+// committed returns the memory declared by the functions now running on GPU
+// g. A lease counts where its API server currently is, not where it is homed:
+// a migrated session weighs on the GPU it moved to.
+func (gs *GPUServer) committed(g int) int64 {
+	var sum int64
+	for _, srv := range gs.servers {
+		if lease, ok := gs.leased[srv.ID()]; ok && srv.CurrentDev() == g {
+			sum += lease.Mem
+		}
+	}
+	return sum
+}
+
 // reclaimAndPlace frees GPU-resident cached models under memory pressure:
 // the oldest pin on an idle server is demoted to the host tier (D2H at
 // copy-engine bandwidth, performed by the API server itself), then
@@ -731,16 +740,13 @@ func (gs *GPUServer) reclaimAndPlace(p *sim.Proc, req *acquireReq) *apiserver.Se
 	}
 }
 
-// releaseLocked returns a server to the pool and unwinds its commitment.
+// releaseLocked returns a server to the pool.
 func (gs *GPUServer) releaseLocked(lease *Lease) {
 	id := lease.Server.ID()
 	if cur, ok := gs.leased[id]; !ok || cur != lease {
 		return // stale release
 	}
 	delete(gs.leased, id)
-	// The server has migrated back home by now (Bye does that), so the
-	// commitment unwinds on its home GPU.
-	gs.commit[lease.Server.HomeDev()] -= lease.Mem
 	// If the tenant's connection died before its Bye arrived, the session is
 	// still open server-side and would refuse the next tenant's Hello. A
 	// reset through the FIFO inbox scavenges it after any still-queued

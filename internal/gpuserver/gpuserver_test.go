@@ -297,6 +297,50 @@ func TestMigrationVictimIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlacementCountsMigratedSession: a session the monitor moved weighs on
+// the GPU it moved to. a and b (7 GiB each) pack onto GPU 0 and one of them is
+// migrated to GPU 1; c (13 GiB) then fits on neither GPU and must queue until
+// one of them ends. With commitments kept by home GPU (e92d817) GPU 1 looked
+// empty: c was granted there at once and its allocation failed.
+func TestPlacementCountsMigratedSession(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		cfg := fastConfig(2, 2, BestFit)
+		cfg.EnableMigration = true
+		gs := New(e, cfg)
+		gs.Start(p)
+		run := func(name string, mem int64, hold time.Duration) func(p *sim.Proc) {
+			return func(p *sim.Proc) {
+				lease, err := gs.Acquire(p, name, mem)
+				if err != nil {
+					t.Errorf("%s: acquire: %v", name, err)
+					return
+				}
+				lib := guest.New(remoting.Dial(e, lease.Listener(), remoting.NetProfile{}), guest.OptNone)
+				if err := lib.Hello(p, name, mem); err != nil {
+					t.Errorf("%s: hello: %v", name, err)
+				}
+				if _, err := lib.Malloc(p, mem-1<<30); err != nil {
+					t.Errorf("%s on GPU %d after queueing %v: malloc: %v", name, lease.Server.CurrentDev(), lease.QueueDelay, err)
+				}
+				if name == "c" && lease.QueueDelay < 10*time.Second {
+					t.Errorf("c was granted after %v: it fits on no GPU until a or b ends at t=20s", lease.QueueDelay)
+				}
+				p.Sleep(hold)
+				_ = lib.Bye(p)
+				gs.Release(lease)
+			}
+		}
+		p.Spawn("a", run("a", 7<<30, 20*time.Second))
+		p.Spawn("b", run("b", 7<<30, 20*time.Second))
+		p.Sleep(5 * time.Second)
+		if gs.Migrations() == 0 {
+			t.Fatal("monitor never migrated despite imbalance")
+		}
+		run("c", 13<<30, 0)(p)
+	})
+}
+
 func TestMigrationDisabledByDefault(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {

@@ -23,9 +23,8 @@ func (l *Lib) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (export uint64
 	if err != nil {
 		return 0, 0, err
 	}
-	tracked := l.ptrSizes[ptr]
 	delete(l.ptrSizes, ptr)
-	l.dropPtrEntries(ptr, tracked)
+	l.dropPtrEntries(ptr)
 	return export, size, nil
 }
 

@@ -118,6 +118,7 @@ type Lib struct {
 	// (pointers, streams, events, library handles, descriptors, kernel
 	// function pointers, host allocations) to the current session's.
 	virt     map[uint64]uint64
+	extents  map[cuda.DevPtr]int64 // virtual base -> size, until the release is confirmed
 	nextVirt uint64
 	nextVA   int64
 
@@ -243,10 +244,9 @@ func (l *Lib) ModelAttach(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 // allocation is gone from the session either way, like a Free, so its
 // journal entries are retired: a recovered session does not re-persist.
 func (l *Lib) ModelPersist(p *sim.Proc, ptr cuda.DevPtr) error {
-	size := l.ptrSizes[ptr]
 	delete(l.ptrSizes, ptr)
 	err := l.sync(p, func(p *sim.Proc) error { return l.cl.ModelPersist(p, l.xp(ptr)) })
-	l.dropPtrEntries(ptr, size)
+	l.dropPtrEntries(ptr)
 	return err
 }
 
@@ -333,8 +333,20 @@ func (l *Lib) Malloc(p *sim.Proc, size int64) (cuda.DevPtr, error) {
 	if l.rec != nil {
 		ptr = virtualize(l, l.newVirtPtr(size), ptr, func(p *sim.Proc) (cuda.DevPtr, error) { return l.cl.Malloc(p, size) })
 	}
-	l.ptrSizes[ptr] = size
+	l.track(ptr, size)
 	return ptr, nil
+}
+
+// track records a fresh device allocation: in ptrSizes, which answers the
+// application's pointer queries until it releases the allocation, and — on a
+// recoverable library — in extents, which translates pointers into it until
+// the server has confirmed the release (dropPtrEntries): calls deferred
+// before a Free are encoded, and journaled uploads replayed, after it.
+func (l *Lib) track(ptr cuda.DevPtr, size int64) {
+	l.ptrSizes[ptr] = size
+	if l.rec != nil {
+		l.extents[ptr] = size
+	}
 }
 
 // Free mirrors cudaFree. It is batchable but not deferrable in apigen's spec:
@@ -344,9 +356,8 @@ func (l *Lib) Malloc(p *sim.Proc, size int64) (cuda.DevPtr, error) {
 // confirmed: an unflushed free must still find the allocation replayed after
 // a recovery.
 func (l *Lib) Free(p *sim.Proc, ptr cuda.DevPtr) error {
-	size := l.ptrSizes[ptr]
 	delete(l.ptrSizes, ptr)
-	return l.submit(p, &op{id: gen.CallFree, ptr: ptr, size: size})
+	return l.submit(p, &op{id: gen.CallFree, ptr: ptr})
 }
 
 // Memset mirrors cudaMemset. Not journaled: memset output is intermediate

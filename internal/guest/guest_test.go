@@ -652,6 +652,57 @@ func TestRecoveryRedialsAndReplaysJournal(t *testing.T) {
 	})
 }
 
+// TestInteriorPointerSurvivesPendingFree: calls deferred before Free(a) are
+// encoded after it, so on a recoverable library a pointer into a — a Memset's
+// target, a launch's Mutates, a journaled upload replayed by a recovery inside
+// the flush — must translate until the release is confirmed, while the
+// application's own view of a ends with the Free call. At e92d817 Free dropped
+// the extent at call time and the flush left cudaErrorInvalidAddressSpace.
+func TestInteriorPointerSurvivesPendingFree(t *testing.T) {
+	for _, fault := range []bool{false, true} {
+		e := sim.NewEngine(1)
+		e.Run("root", func(p *sim.Proc) {
+			lib, r := rigRecoverable(e, OptAll)
+			if err := lib.Hello(p, "fn", 1<<30); err != nil {
+				t.Fatal(err)
+			}
+			fns, err := lib.RegisterKernels(p, []string{"k"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := lib.Malloc(p, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lib.MemcpyH2D(p, a+4096, gpu.HostBuffer{FP: 1, Size: 4096}, 4096); err != nil {
+				t.Fatal(err)
+			}
+			before := lib.Stats().Roundtrips()
+			_ = lib.Memset(p, a+8192, 0, 4096)
+			_ = lib.LaunchKernel(p, cuda.LaunchParams{Fn: fns[0], Duration: time.Millisecond, Mutates: []cuda.DevPtr{a + 12288}})
+			_ = lib.Free(p, a)
+			if got := lib.Stats().Roundtrips(); got != before {
+				t.Fatalf("fault=%v: the three calls took %d round trips, want all batched", fault, got-before)
+			}
+			if _, err := lib.PointerGetAttributes(p, a); !errors.Is(err, cuda.ErrInvalidValue) {
+				t.Errorf("fault=%v: PointerGetAttributes of the freed pointer = %v, want ErrInvalidValue", fault, err)
+			}
+			if fault {
+				r.conns[0].broken = true
+			}
+			if err := lib.DeviceSynchronize(p); err != nil {
+				t.Fatalf("fault=%v: flush: %v", fault, err)
+			}
+			if code, _ := lib.GetLastError(p); code != 0 {
+				t.Errorf("fault=%v: batch with interior pointers before Free left error %d", fault, code)
+			}
+			if fault && lib.Stats().Recoveries != 1 {
+				t.Errorf("recoveries = %d, want 1", lib.Stats().Recoveries)
+			}
+		})
+	}
+}
+
 func TestFenceAfterConnLossRecoversUnfencedWindow(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {

@@ -68,7 +68,7 @@ type op struct {
 	handle  uint64            // the stream, event, cuDNN or cuBLAS handle the call is about
 	stream  cuda.StreamHandle // EventRecord and the SetStream pair: the stream bound
 	value   byte              // Memset
-	size    int64             // Memset, MemcpyH2D: bytes; Free: the allocation's tracked size
+	size    int64             // Memset, MemcpyH2D: bytes
 	src     gpu.HostBuffer    // MemcpyH2D
 	reqData int64             // logical payload riding with the request
 	lp      cuda.LaunchParams // LaunchKernel
@@ -116,7 +116,7 @@ func (l *Lib) confirmed(o *op) {
 	}
 	switch o.id {
 	case gen.CallFree:
-		l.dropPtrEntries(o.ptr, o.size)
+		l.dropPtrEntries(o.ptr)
 	case gen.CallStreamDestroy, gen.CallEventDestroy, gen.CallDnnDestroy, gen.CallBlasDestroy:
 		l.forget(o.handle)
 	case gen.CallMemcpyH2D:

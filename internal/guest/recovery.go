@@ -76,6 +76,7 @@ func NewRecoverable(t remoting.Caller, opt Opt, rc RecoveryConfig) *Lib {
 	}
 	l.rec = &rc
 	l.virt = make(map[uint64]uint64)
+	l.extents = make(map[cuda.DevPtr]int64)
 	l.journalKeys = make(map[jkey]*journalEntry)
 	l.adoptTransport(t)
 	return l
@@ -178,7 +179,7 @@ func (l *Lib) attach(p *sim.Proc, fn func(p *sim.Proc) (attached, error)) (attac
 			return l.cl.Malloc(p, size)
 		})
 	}
-	l.ptrSizes[a.ptr] = a.size
+	l.track(a.ptr, a.size)
 	return a, nil
 }
 
@@ -200,7 +201,7 @@ func (l *Lib) xp(v cuda.DevPtr) cuda.DevPtr {
 	if r, ok := l.virt[uint64(v)]; ok {
 		return cuda.DevPtr(r)
 	}
-	for base, size := range l.ptrSizes {
+	for base, size := range l.extents {
 		if v > base && uint64(v) < uint64(base)+uint64(size) {
 			if r, ok := l.virt[uint64(base)]; ok {
 				return cuda.DevPtr(r) + (v - base)
@@ -250,8 +251,11 @@ func (l *Lib) forget(h uint64) {
 }
 
 // dropPtrEntries retires a device allocation that left the session (Free,
-// ModelPersist, MemExport): forget, plus every content upload into it.
-func (l *Lib) dropPtrEntries(ptr cuda.DevPtr, size int64) {
+// ModelPersist, MemExport): forget, plus its extent and every content upload
+// into it.
+func (l *Lib) dropPtrEntries(ptr cuda.DevPtr) {
+	size := l.extents[ptr]
+	delete(l.extents, ptr)
 	for _, en := range l.journal {
 		if k := en.key; !en.dead && k.kind == jUpload && k.id >= uint64(ptr) && k.id < uint64(ptr)+uint64(size) {
 			en.dead = true
