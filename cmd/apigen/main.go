@@ -1,13 +1,17 @@
-// Command apigen generates the DGSF remoting layer from a single list of
-// API calls, mirroring the paper's implementation strategy: "we list all
-// APIs and generate code for both sides of the API remoting system" (§VI).
+// Command apigen generates the DGSF remoting layer from lists of API calls,
+// mirroring the paper's implementation strategy: "we list all APIs and
+// generate code for both sides of the API remoting system" (§VI). It knows
+// two surfaces — the CUDA API a function's guest library remotes to an API
+// server (internal/remoting/gen) and the cluster store's API a controller
+// remotes to the store (internal/store) — and one set of emitters serves
+// both.
 //
 // For every call it emits request/response structs with binary
 // Encode/Decode, an Append*Call helper (used by the guest library's batching
-// queue), a Client method (guest side), and a Dispatch case (API server
-// side), plus the API interface both sides implement.
+// queue), a Client method (calling side), and a Dispatch case (serving
+// side), plus the interface both sides implement.
 //
-// Usage: go run ./cmd/apigen -out internal/remoting/gen/gen.go
+// Usage: go run ./cmd/apigen
 package main
 
 import (
@@ -92,6 +96,11 @@ var kinds = map[string]struct {
 	"dnn":     {GoType: "cudalibs.DNNHandle", Enc: "e.U64(uint64(%s))", Dec: "cudalibs.DNNHandle(d.U64())"},
 	"blas":    {GoType: "cudalibs.BLASHandle", Enc: "e.U64(uint64(%s))", Dec: "cudalibs.BLASHandle(d.U64())"},
 	"desc":    {GoType: "cudalibs.Descriptor", Enc: "e.U64(uint64(%s))", Dec: "cudalibs.Descriptor(d.U64())"},
+	// The store surface's kinds; their types and codecs live in package store.
+	"kind":   {GoType: "Kind", Enc: "e.Str(string(%s))", Dec: "Kind(d.Str())"},
+	"obj":    {GoType: "Resource", Enc: "encodeResource(e, %s)", Dec: "decodeResource(d)"},
+	"objs":   {GoType: "[]Resource", Enc: "encodeResources(e, %s)", Dec: "decodeResources(d)"},
+	"events": {GoType: "[]Event", Enc: "encodeEvents(e, %s)", Dec: "decodeEvents(d)"},
 }
 
 // hasShared reports whether any field of a message decodes through a
@@ -113,6 +122,50 @@ func bulkField(fields []Field) *Field {
 		}
 	}
 	return nil
+}
+
+// surface describes one remoted API: where its stubs are emitted and the few
+// places their text differs from the other surface's.
+type surface struct {
+	Header    string // package comment, package clause and imports
+	APIDoc    string // comment of API, the interface both sides implement
+	ClientDoc string // the Client type's comment
+	BadReq    string // error answering a request that does not decode
+	// Lanes marks the CUDA surface: a batch container, a call-class table
+	// and DispatchBulk, with Async calls left to the guest library's lanes.
+	// A surface without them submits its Async calls one-way from the Client.
+	Lanes bool
+}
+
+var cudaSurface = surface{
+	Header: `// Package gen contains the generated DGSF remoting layer: call IDs,
+// request/response message types with binary encoding, the guest-side
+// Client, and the server-side Dispatch function. Regenerate with:
+//
+//	go run ./cmd/apigen -out internal/remoting/gen/gen.go
+package gen
+
+import (
+	"time"
+
+	"dgsf/internal/cuda"
+	"dgsf/internal/cudalibs"
+	"dgsf/internal/gpu"
+	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/wire"
+	"dgsf/internal/sim"
+)
+
+var _ time.Duration // some specs may not use every import
+var _ gpu.HostBuffer
+var _ cudalibs.Descriptor
+`,
+	APIDoc: `// API is the remoted DGSF API surface. The guest library, the API
+// server backend and the native (non-remoted) baseline all implement it.`,
+	ClientDoc: `// Client implements API by remoting every call over a transport.
+// Higher layers (the guest library) add localization and batching.`,
+	BadReq: "cuda.ErrInvalidValue",
+	Lanes:  true,
 }
 
 // spec is the remoted API surface: the CUDA runtime calls DGSF interposes,
@@ -257,44 +310,30 @@ func main() {
 	out := flag.String("out", "internal/remoting/gen/gen.go", "output file")
 	table := flag.String("table", "internal/remoting/gen/calltable.go", "call-classification table output file")
 	bufTable := flag.String("buftable", "internal/remoting/gen/buftable.go", "buffer-ownership contract table output file")
-	storeOut := flag.String("storeout", "internal/store/storegen/storegen.go", "store protocol stubs output file")
+	storeOut := flag.String("storeout", "internal/store/remote_gen.go", "store protocol stubs output file")
 	flag.Parse()
-	calls := buildSpec()
-	if err := validate(calls); err != nil {
-		log.Fatal(err)
+	calls, storeCalls := buildSpec(), buildStoreSpec()
+	for _, cs := range [][]Call{calls, storeCalls} {
+		if err := validate(cs); err != nil {
+			log.Fatal(err)
+		}
 	}
-
-	src, err := genAPI(calls)
-	if err != nil {
-		log.Fatalf("gen api: %v", err)
-	}
-	if err := os.WriteFile(*out, src, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	tsrc, err := genTable(calls)
-	if err != nil {
-		log.Fatalf("gen table: %v", err)
-	}
-	if err := os.WriteFile(*table, tsrc, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	bsrc, err := genBufTable(calls)
-	if err != nil {
-		log.Fatalf("gen buftable: %v", err)
-	}
-	if err := os.WriteFile(*bufTable, bsrc, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	storeCalls := buildStoreSpec()
-	if err := validateStore(storeCalls); err != nil {
-		log.Fatal(err)
-	}
-	ssrc, err := genStoreAPI(storeCalls)
-	if err != nil {
-		log.Fatalf("gen store: %v", err)
-	}
-	if err := os.WriteFile(*storeOut, ssrc, 0o644); err != nil {
-		log.Fatal(err)
+	for _, g := range []struct {
+		path string
+		gen  func() ([]byte, error)
+	}{
+		{*out, func() ([]byte, error) { return genAPI(cudaSurface, calls) }},
+		{*table, func() ([]byte, error) { return genTable(calls) }},
+		{*bufTable, func() ([]byte, error) { return genBufTable(calls) }},
+		{*storeOut, func() ([]byte, error) { return genAPI(storeSurface, storeCalls) }},
+	} {
+		src, err := g.gen()
+		if err != nil {
+			log.Fatalf("gen %s: %v", g.path, err)
+		}
+		if err := os.WriteFile(g.path, src, 0o644); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Report surface size for the curious.
@@ -412,40 +451,22 @@ func validateBulk(c Call) error {
 	return nil
 }
 
-// genAPI renders the main generated file (gen.go): IDs, messages, Client,
-// Dispatch.
-func genAPI(calls []Call) ([]byte, error) {
+// genAPI renders one surface's stubs: IDs, messages, Client, Dispatch.
+func genAPI(s surface, calls []Call) ([]byte, error) {
 	var b bytes.Buffer
 	p := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
 
 	p("// Code generated by cmd/apigen. DO NOT EDIT.")
 	p("")
-	p("// Package gen contains the generated DGSF remoting layer: call IDs,")
-	p("// request/response message types with binary encoding, the guest-side")
-	p("// Client, and the server-side Dispatch function. Regenerate with:")
-	p("//")
-	p("//\tgo run ./cmd/apigen -out internal/remoting/gen/gen.go")
-	p("package gen")
-	p("")
-	p("import (")
-	p("\t\"time\"")
-	p("")
-	p("\t\"dgsf/internal/cuda\"")
-	p("\t\"dgsf/internal/cudalibs\"")
-	p("\t\"dgsf/internal/gpu\"")
-	p("\t\"dgsf/internal/remoting\"")
-	p("\t\"dgsf/internal/remoting/wire\"")
-	p("\t\"dgsf/internal/sim\"")
-	p(")")
-	p("")
-	p("var _ time.Duration // some specs may not use every import")
-	p("var _ gpu.HostBuffer")
-	p("var _ cudalibs.Descriptor")
-	p("")
+	p("%s", s.Header)
 
 	// Call IDs.
-	p("// Call identifiers. ID 0 is reserved; remoting.CallBatch (0xFFFF) is the")
-	p("// batch container.")
+	if s.Lanes {
+		p("// Call identifiers. ID 0 is reserved; remoting.CallBatch (0xFFFF) is the")
+		p("// batch container.")
+	} else {
+		p("// Call identifiers. ID 0 is reserved.")
+	}
 	p("const (")
 	for _, c := range calls {
 		p("\tCall%s uint16 = %d", c.Name, c.ID)
@@ -466,15 +487,111 @@ func genAPI(calls []Call) ([]byte, error) {
 	p("")
 	p("// CallName returns the API name for a call ID.")
 	p("func CallName(id uint16) string {")
-	p("\tif id == remoting.CallBatch {")
-	p("\t\treturn \"Batch\"")
-	p("\t}")
+	if s.Lanes {
+		p("\tif id == remoting.CallBatch {")
+		p("\t\treturn \"Batch\"")
+		p("\t}")
+	}
 	p("\tif n, ok := callNames[id]; ok {")
 	p("\t\treturn n")
 	p("\t}")
 	p("\treturn \"?\"")
 	p("}")
 	p("")
+	if s.Lanes {
+		emitClasses(p, calls)
+	}
+
+	// Interface.
+	p("%s", s.APIDoc)
+	p("type API interface {")
+	for _, c := range calls {
+		p("\t// %s %s.", c.Name, c.Doc)
+		p("\t%s(p *sim.Proc%s) %s", c.Name, params(c), results(c))
+		p("")
+	}
+	p("}")
+	p("")
+
+	// Messages, Append helpers, Client methods.
+	p("%s", s.ClientDoc)
+	p("type Client struct {")
+	p("\tT remoting.Caller")
+	p("}")
+	p("")
+	for _, c := range calls {
+		emitCall(p, s, c)
+	}
+
+	// Dispatch.
+	p("// errResp encodes an error-only response.")
+	p("func errResp(err error) []byte {")
+	p("\tvar e wire.Encoder")
+	p("\te.I32(int32(cuda.Code(err)))")
+	p("\treturn e.Bytes()")
+	p("}")
+	p("")
+	if s.Lanes {
+		p("// Dispatch decodes one call from payload and executes it against the")
+		p("// backend, returning the encoded response and the logical payload bytes")
+		p("// that flow back with it (for bandwidth accounting). Calls whose bulk")
+		p("// bytes arrived out-of-band need DispatchBulk.")
+		p("func Dispatch(p *sim.Proc, b API, payload []byte) (resp []byte, respData int64) {")
+		p("\tresp, respData, _ = DispatchBulk(p, b, payload, nil, false)")
+		p("\treturn resp, respData")
+		p("}")
+		p("")
+		p("// DispatchBulk is Dispatch for transports with the protocol-v2 vectored")
+		p("// bulk lane. reqBulk is the request frame's bulk region (nil when the")
+		p("// call inlined its bytes, which is how the decode variant is chosen).")
+		p("// The backend receives it as a borrowed argument and copies what it")
+		p("// retains, unless the transport gave the buffer away and the backend")
+		p("// learns so out of band (OwnedBulkParams in buftable.go). wantBulk")
+		p("// reports whether the reply frame may carry a bulk region: when a")
+		p("// bulk-response call asked for a vectored reply, respBulk returns the")
+		p("// bytes and the encoded response holds only status + metadata. respBulk")
+		p("// may be a view of the backend's storage, lent to the reply (LentBulk in")
+		p("// buftable.go): it stays as it is until the reply frame is written.")
+		p("func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte, wantBulk bool) (resp []byte, respData int64, respBulk []byte) {")
+	} else {
+		p("// Dispatch decodes one call from payload and executes it against the")
+		p("// backend, returning the encoded response.")
+		p("func Dispatch(p *sim.Proc, b API, payload []byte) []byte {")
+	}
+	p("\tdec := wire.GetDecoder(payload)")
+	p("\tdefer wire.PutDecoder(dec)")
+	p("\tid := dec.U16()")
+	p("\tif dec.Err() != nil {")
+	p("\t\t%s", s.ret("errResp("+s.BadReq+")"))
+	p("\t}")
+	p("\tswitch id {")
+	for _, c := range calls {
+		emitDispatchCase(p, s, c)
+	}
+	p("\t}")
+	p("\t%s", s.ret("errResp("+s.BadReq+")"))
+	p("}")
+
+	src, err := format.Source(b.Bytes())
+	if err != nil {
+		// Dump the unformatted source to ease generator debugging.
+		_ = os.WriteFile("gen.go.bad", b.Bytes(), 0o644)
+		return nil, fmt.Errorf("format: %w (unformatted source in gen.go.bad)", err)
+	}
+	return src, nil
+}
+
+// ret renders Dispatch's return of an encoded response: a surface with the
+// lanes also returns the response's logical payload bytes and bulk region.
+func (s surface) ret(resp string) string {
+	if s.Lanes {
+		return "return " + resp + ", 0, nil"
+	}
+	return "return " + resp
+}
+
+// emitClasses writes the call-class table of the surface with lanes.
+func emitClasses(p func(string, ...any), calls []Call) {
 	p("// Class constants classify calls per §V-B: Remote calls need the API")
 	p("// server; Local calls are answerable by the guest library; Batchable")
 	p("// calls have no immediately-needed result and may be deferred.")
@@ -500,80 +617,6 @@ func genAPI(calls []Call) ([]byte, error) {
 	p("// CallClass returns the class of a call ID. An unknown ID reads the table's spare last slot: ClassRemote.")
 	p("func CallClass(id uint16) Class { return callClasses[min(id, NumCalls+1)] }")
 	p("")
-
-	// Interface.
-	p("// API is the remoted DGSF API surface. The guest library, the API")
-	p("// server backend and the native (non-remoted) baseline all implement it.")
-	p("type API interface {")
-	for _, c := range calls {
-		p("\t// %s %s.", c.Name, c.Doc)
-		p("\t%s(p *sim.Proc%s) %s", c.Name, params(c), results(c))
-		p("")
-	}
-	p("}")
-	p("")
-
-	// Messages, Append helpers, Client methods.
-	p("// Client implements API by remoting every call over a transport.")
-	p("// Higher layers (the guest library) add localization and batching.")
-	p("type Client struct {")
-	p("\tT remoting.Caller")
-	p("}")
-	p("")
-	for _, c := range calls {
-		emitCall(p, c)
-	}
-
-	// Dispatch.
-	p("// errResp encodes an error-only response.")
-	p("func errResp(err error) []byte {")
-	p("\tvar e wire.Encoder")
-	p("\te.I32(int32(cuda.Code(err)))")
-	p("\treturn e.Bytes()")
-	p("}")
-	p("")
-	p("// Dispatch decodes one call from payload and executes it against the")
-	p("// backend, returning the encoded response and the logical payload bytes")
-	p("// that flow back with it (for bandwidth accounting). Calls whose bulk")
-	p("// bytes arrived out-of-band need DispatchBulk.")
-	p("func Dispatch(p *sim.Proc, b API, payload []byte) (resp []byte, respData int64) {")
-	p("\tresp, respData, _ = DispatchBulk(p, b, payload, nil, false)")
-	p("\treturn resp, respData")
-	p("}")
-	p("")
-	p("// DispatchBulk is Dispatch for transports with the protocol-v2 vectored")
-	p("// bulk lane. reqBulk is the request frame's bulk region (nil when the")
-	p("// call inlined its bytes, which is how the decode variant is chosen).")
-	p("// The backend receives it as a borrowed argument and copies what it")
-	p("// retains, unless the transport gave the buffer away and the backend")
-	p("// learns so out of band (OwnedBulkParams in buftable.go). wantBulk")
-	p("// reports whether the reply frame may carry a bulk region: when a")
-	p("// bulk-response call asked for a vectored reply, respBulk returns the")
-	p("// bytes and the encoded response holds only status + metadata. respBulk")
-	p("// may be a view of the backend's storage, lent to the reply (LentBulk in")
-	p("// buftable.go): it stays as it is until the reply frame is written.")
-	p("func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte, wantBulk bool) (resp []byte, respData int64, respBulk []byte) {")
-	p("\tdec := wire.GetDecoder(payload)")
-	p("\tdefer wire.PutDecoder(dec)")
-	p("\tid := dec.U16()")
-	p("\tif dec.Err() != nil {")
-	p("\t\treturn errResp(cuda.ErrInvalidValue), 0, nil")
-	p("\t}")
-	p("\tswitch id {")
-	for _, c := range calls {
-		emitDispatchCase(p, c)
-	}
-	p("\t}")
-	p("\treturn errResp(cuda.ErrInvalidValue), 0, nil")
-	p("}")
-
-	src, err := format.Source(b.Bytes())
-	if err != nil {
-		// Dump the unformatted source to ease generator debugging.
-		_ = os.WriteFile("gen.go.bad", b.Bytes(), 0o644)
-		return nil, fmt.Errorf("format: %w (unformatted source in gen.go.bad)", err)
-	}
-	return src, nil
 }
 
 // genTable renders calltable.go: the machine-readable call-classification
@@ -788,7 +831,7 @@ func genBufTable(calls []Call) ([]byte, error) {
 }
 
 // emitCall writes the message types, Append helper and Client method.
-func emitCall(p func(string, ...any), c Call) {
+func emitCall(p func(string, ...any), s surface, c Call) {
 	p("// --- %s ---", c.Name)
 	p("")
 
@@ -873,8 +916,12 @@ func emitCall(p func(string, ...any), c Call) {
 	}
 
 	// Append helper.
-	p("// Append%sCall appends an encoded %s call (ID + request) to e,", c.Name, c.Name)
-	p("// for direct sends and for batch assembly.")
+	if s.Lanes {
+		p("// Append%sCall appends an encoded %s call (ID + request) to e,", c.Name, c.Name)
+		p("// for direct sends and for batch assembly.")
+	} else {
+		p("// Append%sCall appends an encoded %s call (ID + request) to e.", c.Name, c.Name)
+	}
 	p("func Append%sCall(e *wire.Encoder%s) {", c.Name, params(c))
 	var lits []string
 	for _, f := range c.Req {
@@ -890,14 +937,14 @@ func emitCall(p func(string, ...any), c Call) {
 	p("}")
 	p("")
 
-	emitClientMethods(p, c)
+	emitClientMethods(p, s, c)
 }
 
 // emitClientMethods writes the Client method(s) for one call: the plain
 // API-conformant method, a vectored fast path when the call carries a bulk
 // field, and a *Into variant (caller-owned destination buffer) for calls
 // whose response carries the bulk.
-func emitClientMethods(p func(string, ...any), c Call) {
+func emitClientMethods(p func(string, ...any), s surface, c Call) {
 	reqB, respB := bulkField(c.Req), bulkField(c.Resp)
 
 	if respB != nil {
@@ -936,7 +983,7 @@ func emitClientMethods(p func(string, ...any), c Call) {
 		p("\t}")
 	}
 
-	emitClientInlineBody(p, c, respB)
+	emitClientInlineBody(p, c, !s.Lanes && c.Async)
 	p("}")
 	p("")
 
@@ -1033,13 +1080,20 @@ func emitClientVecMethod(p func(string, ...any), c Call, reqB, respB *Field) {
 }
 
 // emitClientInlineBody writes the classic request/response body shared by
-// plain calls and the v1 fallback of bulk calls.
-func emitClientInlineBody(p func(string, ...any), c Call, respB *Field) {
+// plain calls and the v1 fallback of bulk calls. A oneWay call is submitted
+// on the transport's async lane instead, when it has one.
+func emitClientInlineBody(p func(string, ...any), c Call, oneWay bool) {
 	reqData := "0"
 	if c.ReqData != "" {
 		reqData = lower(c.ReqData)
 	}
-	p("\tenc := wire.GetEncoder()")
+	if oneWay {
+		p("\t// One-way lane: the buffer rides with an asynchronous consumer, so")
+		p("\t// it must be fresh, never pooled.")
+		p("\tenc := new(wire.Encoder)")
+	} else {
+		p("\tenc := wire.GetEncoder()")
+	}
 	var args []string
 	for _, f := range c.Req {
 		args = append(args, lower(f.Name))
@@ -1049,6 +1103,12 @@ func emitClientInlineBody(p func(string, ...any), c Call, respB *Field) {
 		callArgs = ", " + strings.Join(args, ", ")
 	}
 	p("\tAppend%sCall(enc%s)", c.Name, callArgs)
+	if oneWay {
+		p("\tif a, ok := c.T.(remoting.AsyncCaller); ok {")
+		p("\t\treturn a.Submit(p, enc.Bytes(), int64(%s))", reqData)
+		p("\t}")
+		p("\t// Transport without an async lane: degrade to a round trip.")
+	}
 	p("\trespB, rerr := c.T.Roundtrip(p, enc.Bytes(), int64(%s))", reqData)
 	p("\tif rerr != nil {")
 	p("\t\t// The transport may still hold the request; drop the encoder.")
@@ -1079,7 +1139,7 @@ func emitClientInlineBody(p func(string, ...any), c Call, respB *Field) {
 }
 
 // emitDispatchCase writes the server-side switch case for one call.
-func emitDispatchCase(p func(string, ...any), c Call) {
+func emitDispatchCase(p func(string, ...any), s surface, c Call) {
 	reqB := bulkField(c.Req)
 	respB := bulkField(c.Resp)
 	p("\tcase Call%s:", c.Name)
@@ -1106,7 +1166,7 @@ func emitDispatchCase(p func(string, ...any), c Call) {
 		p("\t\treq.Decode(dec)")
 	}
 	p("\t\tif dec.Err() != nil {")
-	p("\t\t\treturn errResp(cuda.ErrInvalidValue), 0, nil")
+	p("\t\t\t%s", s.ret("errResp("+s.BadReq+")"))
 	p("\t\t}")
 	var args []string
 	for _, f := range c.Req {
@@ -1156,7 +1216,7 @@ func emitDispatchCase(p func(string, ...any), c Call) {
 		p("\t\t}")
 		p("\t\treturn enc.Bytes(), respBytes, nil")
 	} else {
-		p("\t\treturn enc.Bytes(), 0, nil")
+		p("\t\t%s", s.ret("enc.Bytes()"))
 	}
 }
 

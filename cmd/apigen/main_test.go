@@ -10,54 +10,46 @@ import (
 	"testing"
 )
 
-// TestGeneratedFilesInSync regenerates both outputs from the spec and
-// compares them byte-for-byte with the checked-in files, so spec edits that
-// skip `go run ./cmd/apigen` break the build here rather than at runtime.
-func TestGeneratedFilesInSync(t *testing.T) {
-	calls := buildSpec()
-	if err := validate(calls); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		path string
-		gen  func([]Call) ([]byte, error)
-	}{
-		{"../../internal/remoting/gen/gen.go", genAPI},
-		{"../../internal/remoting/gen/calltable.go", genTable},
-		{"../../internal/remoting/gen/buftable.go", genBufTable},
-	} {
-		want, err := tc.gen(calls)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.FromSlash(tc.path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s is stale; rerun: go run ./cmd/apigen", tc.path)
-		}
-	}
-}
-
-// TestStoreGeneratedFileInSync does the same for the store API stubs.
-func TestStoreGeneratedFileInSync(t *testing.T) {
-	calls := buildStoreSpec()
-	if err := validateStore(calls); err != nil {
-		t.Fatal(err)
-	}
-	want, err := genStoreAPI(calls)
+// checkInSync compares one generated output byte-for-byte with the
+// checked-in file, so spec edits that skip `go run ./cmd/apigen` break the
+// build here rather than at runtime.
+func checkInSync(t *testing.T, path string, want []byte, err error) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.FromSlash("../../internal/store/storegen/storegen.go")
-	got, err := os.ReadFile(path)
+	got, err := os.ReadFile(filepath.FromSlash(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s is stale; rerun: go run ./cmd/apigen", path)
 	}
+}
+
+// TestGeneratedFilesInSync regenerates the CUDA surface's outputs from the
+// spec and compares them with the checked-in files.
+func TestGeneratedFilesInSync(t *testing.T) {
+	calls := buildSpec()
+	if err := validate(calls); err != nil {
+		t.Fatal(err)
+	}
+	src, err := genAPI(cudaSurface, calls)
+	checkInSync(t, "../../internal/remoting/gen/gen.go", src, err)
+	src, err = genTable(calls)
+	checkInSync(t, "../../internal/remoting/gen/calltable.go", src, err)
+	src, err = genBufTable(calls)
+	checkInSync(t, "../../internal/remoting/gen/buftable.go", src, err)
+}
+
+// TestStoreGeneratedFileInSync does the same for the store surface.
+func TestStoreGeneratedFileInSync(t *testing.T) {
+	calls := buildStoreSpec()
+	if err := validate(calls); err != nil {
+		t.Fatal(err)
+	}
+	src, err := genAPI(storeSurface, calls)
+	checkInSync(t, "../../internal/store/remote_gen.go", src, err)
 }
 
 // classificationText renders the call-classification sets in a stable
@@ -106,6 +98,9 @@ func TestCallTableGolden(t *testing.T) {
 func TestSpecInvariants(t *testing.T) {
 	calls := buildSpec()
 	if err := validate(calls); err != nil {
+		t.Fatal(err)
+	}
+	if err := validate(buildStoreSpec()); err != nil {
 		t.Fatal(err)
 	}
 	handleKinds := map[string]bool{"stream": true, "event": true, "dnn": true, "blas": true}

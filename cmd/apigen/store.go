@@ -1,49 +1,51 @@
 package main
 
-// Store-protocol generation. The cluster control plane's resource store
-// (internal/store) is remotable over the same wire layer as the CUDA API:
-// this file generates its stubs — call IDs, request/response messages, the
-// client, and the server-side dispatch — from the spec below, into
-// internal/store/storegen. The store protocol has its own call-ID space
-// because it is served from its own listener, never multiplexed with the
-// CUDA surface.
+// The store surface. The cluster control plane's resource store
+// (internal/store) is remotable over the same wire layer as the CUDA API,
+// and its stubs come out of the same emitters, into package store itself:
+// the in-process Store is Dispatch's backend and the Client is the remote
+// handle. The store protocol has its own call-ID space because it is served
+// from its own listener, never multiplexed with the CUDA surface.
+
+var storeSurface = surface{
+	Header: `// The store's wire protocol: call IDs, request/response message types, the
+// Client a remote handle is built on, and the Dispatch function that serves
+// a Store. Regenerate with:
+//
+//	go run ./cmd/apigen
+
+package store
 
 import (
-	"bytes"
-	"fmt"
-	"go/format"
-	"os"
-	"strings"
-)
+	"time"
 
-// storeKinds maps store-spec field kinds to Go types and wire expressions.
-var storeKinds = map[string]struct {
-	GoType string
-	Enc    string // statement template; %s is the value expression
-	Dec    string // expression on wire.Decoder
-}{
-	"str":    {"string", "e.Str(%s)", "d.Str()"},
-	"u64":    {"uint64", "e.U64(%s)", "d.U64()"},
-	"int":    {"int", "e.Int(%s)", "d.Int()"},
-	"dur":    {"time.Duration", "e.Dur(%s)", "d.Dur()"},
-	"obj":    {"storewire.Object", "%s.Encode(e)", "storewire.DecodeObject(d)"},
-	"objs":   {"[]storewire.Object", "storewire.EncodeObjects(e, %s)", "storewire.DecodeObjects(d)"},
-	"events": {"[]storewire.Event", "storewire.EncodeEvents(e, %s)", "storewire.DecodeEvents(d)"},
+	"dgsf/internal/cuda"
+	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/wire"
+	"dgsf/internal/sim"
+)
+`,
+	APIDoc: `// API is the remoted store surface, implemented by the in-process Store
+// (which Dispatch calls directly) and by Client.`,
+	ClientDoc: `// Client implements API by remoting every call over a transport.
+// One-way calls use the async submission lane when the transport
+// supports it and degrade to synchronous round trips otherwise.`,
+	BadReq: "ErrBadRequest",
 }
 
-// storeSpec is the remoted store surface: CRUD plus the long-poll watch
-// pull, with one one-way call (StoreUpdateStatusAsync) demonstrating the
-// pipelined async lane — status publishes are fire-and-forget, and
-// level-triggered resync heals any dropped conflict.
+// storeSpec is the remoted store surface, named as the Store's own methods:
+// CRUD plus the long-poll watch pull, with one one-way call
+// (UpdateStatusAsync) on the pipelined async lane — status publishes are
+// fire-and-forget, and level-triggered resync heals any dropped conflict.
 var storeSpec = []Call{
-	{Name: "StoreGet", Doc: "fetches one resource by kind and name", Req: []Field{{"Kind", "str"}, {"Name", "str"}}, Resp: []Field{{"Obj", "obj"}}},
-	{Name: "StoreList", Doc: "lists a kind's resources in name order, with the store's current resource version", Req: []Field{{"Kind", "str"}}, Resp: []Field{{"Objs", "objs"}, {"RV", "u64"}}},
-	{Name: "StoreCreate", Doc: "inserts a new resource, returning the stored form (fresh UID, RV, generation)", Req: []Field{{"Obj", "obj"}}, Resp: []Field{{"Stored", "obj"}}},
-	{Name: "StoreUpdate", Doc: "replaces a resource's spec and status under optimistic concurrency", Req: []Field{{"Obj", "obj"}}, Resp: []Field{{"Stored", "obj"}}},
-	{Name: "StoreUpdateStatus", Doc: "replaces only a resource's status under optimistic concurrency", Req: []Field{{"Obj", "obj"}}, Resp: []Field{{"Stored", "obj"}}},
-	{Name: "StoreUpdateStatusAsync", Doc: "fire-and-forget status write on the one-way lane; conflicts are dropped, resync heals", Req: []Field{{"Obj", "obj"}}, Async: true},
-	{Name: "StoreDelete", Doc: "removes a resource; rv 0 deletes unconditionally, any other value must match", Req: []Field{{"Kind", "str"}, {"Name", "str"}, {"RV", "u64"}}},
-	{Name: "StoreWatchPull", Doc: "long-poll watch: returns up to max events after fromRV, waiting up to wait for the first", Req: []Field{{"Kind", "str"}, {"FromRV", "u64"}, {"Max", "int"}, {"Wait", "dur"}}, Resp: []Field{{"Events", "events"}, {"NextRV", "u64"}}},
+	{Name: "Get", Doc: "fetches one resource by kind and name", Req: []Field{{"Kind", "kind"}, {"Name", "str"}}, Resp: []Field{{"Obj", "obj"}}},
+	{Name: "List", Doc: "lists a kind's resources in name order, with the store's current resource version", Req: []Field{{"Kind", "kind"}}, Resp: []Field{{"Objs", "objs"}, {"RV", "u64"}}},
+	{Name: "Create", Doc: "inserts a new resource, returning the stored form (fresh UID, RV, generation)", Req: []Field{{"Obj", "obj"}}, Resp: []Field{{"Stored", "obj"}}},
+	{Name: "Update", Doc: "replaces a resource's spec and status under optimistic concurrency", Req: []Field{{"Obj", "obj"}}, Resp: []Field{{"Stored", "obj"}}},
+	{Name: "UpdateStatus", Doc: "replaces only a resource's status under optimistic concurrency", Req: []Field{{"Obj", "obj"}}, Resp: []Field{{"Stored", "obj"}}},
+	{Name: "UpdateStatusAsync", Doc: "is the fire-and-forget status write on the one-way lane; conflicts are dropped, resync heals", Req: []Field{{"Obj", "obj"}}, Async: true},
+	{Name: "Delete", Doc: "removes a resource; rv 0 deletes unconditionally, any other value must match", Req: []Field{{"Kind", "kind"}, {"Name", "str"}, {"RV", "u64"}}},
+	{Name: "PullEvents", Doc: "is the long-poll watch: returns up to max events after fromRV, waiting up to wait for the first", Req: []Field{{"Kind", "kind"}, {"FromRV", "u64"}, {"Max", "int"}, {"Wait", "dur"}}, Resp: []Field{{"Events", "events"}, {"NextRV", "u64"}}},
 }
 
 func buildStoreSpec() []Call {
@@ -53,335 +55,4 @@ func buildStoreSpec() []Call {
 		calls[i].ID = i + 1
 	}
 	return calls
-}
-
-func validateStore(calls []Call) error {
-	seen := map[string]bool{}
-	for _, c := range calls {
-		if seen[c.Name] {
-			return fmt.Errorf("duplicate store call %s", c.Name)
-		}
-		seen[c.Name] = true
-		if c.Async && len(c.Resp) > 0 {
-			return fmt.Errorf("store call %s: Async but has response fields", c.Name)
-		}
-	}
-	return nil
-}
-
-func storeGoType(kind string) string {
-	k, ok := storeKinds[kind]
-	if !ok {
-		panic(fmt.Sprintf("unknown store kind %q", kind))
-	}
-	return k.GoType
-}
-
-// storeParams renders a parameter list for the request fields.
-func storeParams(c Call) string {
-	var b strings.Builder
-	for _, f := range c.Req {
-		fmt.Fprintf(&b, ", %s %s", lower(f.Name), storeGoType(f.Kind))
-	}
-	return b.String()
-}
-
-// storeResults renders the named result list (response fields + error).
-func storeResults(c Call) string {
-	var b strings.Builder
-	b.WriteString("(")
-	for _, f := range c.Resp {
-		fmt.Fprintf(&b, "%s %s, ", lower(f.Name), storeGoType(f.Kind))
-	}
-	b.WriteString("err error)")
-	return b.String()
-}
-
-// genStoreAPI renders storegen.go.
-func genStoreAPI(calls []Call) ([]byte, error) {
-	var b bytes.Buffer
-	p := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-
-	p("// Code generated by cmd/apigen. DO NOT EDIT.")
-	p("")
-	p("// Package storegen contains the generated wire stubs of the resource")
-	p("// store protocol: call IDs, request/response message types, the")
-	p("// client, and the server-side Dispatch function. Regenerate with:")
-	p("//")
-	p("//\tgo run ./cmd/apigen")
-	p("package storegen")
-	p("")
-	p("import (")
-	p("\t\"time\"")
-	p("")
-	p("\t\"dgsf/internal/remoting\"")
-	p("\t\"dgsf/internal/remoting/wire\"")
-	p("\t\"dgsf/internal/sim\"")
-	p("\t\"dgsf/internal/store/storewire\"")
-	p(")")
-	p("")
-	p("var _ time.Duration // not every spec uses every import")
-	p("")
-	p("// Call identifiers. ID 0 is reserved.")
-	p("const (")
-	for _, c := range calls {
-		p("\tCall%s uint16 = %d", c.Name, c.ID)
-	}
-	p(")")
-	p("")
-	p("// NumCalls is the number of generated store calls.")
-	p("const NumCalls = %d", len(calls))
-	p("")
-	p("// callNames maps IDs to call names for diagnostics.")
-	p("var callNames = map[uint16]string{")
-	for _, c := range calls {
-		p("\tCall%s: %q,", c.Name, c.Name)
-	}
-	p("}")
-	p("")
-	p("// CallName returns the name of a store call ID.")
-	p("func CallName(id uint16) string {")
-	p("\tif n, ok := callNames[id]; ok {")
-	p("\t\treturn n")
-	p("\t}")
-	p("\treturn \"?\"")
-	p("}")
-	p("")
-	p("// OneWayCalls names the calls submitted on the pipelined async lane.")
-	p("var OneWayCalls = map[string]bool{")
-	for _, c := range calls {
-		if c.Async {
-			p("\t%q: true,", c.Name)
-		}
-	}
-	p("}")
-	p("")
-
-	// Interface.
-	p("// StoreAPI is the remoted store surface. The server-side adapter in")
-	p("// internal/store implements it over the in-process Store.")
-	p("type StoreAPI interface {")
-	for _, c := range calls {
-		p("\t// %s %s.", c.Name, c.Doc)
-		p("\t%s(p *sim.Proc%s) %s", c.Name, storeParams(c), storeResults(c))
-		p("")
-	}
-	p("}")
-	p("")
-
-	p("// Client implements StoreAPI by remoting every call over a transport.")
-	p("// One-way calls use the async submission lane when the transport")
-	p("// supports it and degrade to synchronous round trips otherwise.")
-	p("type Client struct {")
-	p("\tT remoting.Caller")
-	p("}")
-	p("")
-	for _, c := range calls {
-		emitStoreCall(p, c)
-	}
-
-	// Dispatch.
-	p("// errResp encodes an error-only response.")
-	p("func errResp(err error) []byte {")
-	p("\tvar e wire.Encoder")
-	p("\te.I32(storewire.Code(err))")
-	p("\treturn e.Bytes()")
-	p("}")
-	p("")
-	p("// Dispatch decodes one store call from payload and executes it against")
-	p("// the backend, returning the encoded response.")
-	p("func Dispatch(p *sim.Proc, b StoreAPI, payload []byte) []byte {")
-	p("\tdec := wire.GetDecoder(payload)")
-	p("\tdefer wire.PutDecoder(dec)")
-	p("\tid := dec.U16()")
-	p("\tif dec.Err() != nil {")
-	p("\t\treturn errResp(storewire.ErrBadRequest)")
-	p("\t}")
-	p("\tswitch id {")
-	for _, c := range calls {
-		emitStoreDispatchCase(p, c)
-	}
-	p("\t}")
-	p("\treturn errResp(storewire.ErrBadRequest)")
-	p("}")
-
-	src, err := format.Source(b.Bytes())
-	if err != nil {
-		_ = os.WriteFile("storegen.go.bad", b.Bytes(), 0o644)
-		return nil, fmt.Errorf("format: %w (unformatted source in storegen.go.bad)", err)
-	}
-	return src, nil
-}
-
-// emitStoreCall writes the message types, Append helper and Client method.
-func emitStoreCall(p func(string, ...any), c Call) {
-	p("// --- %s ---", c.Name)
-	p("")
-	p("// %sReq is the request message of %s.", c.Name, c.Name)
-	p("type %sReq struct {", c.Name)
-	for _, f := range c.Req {
-		p("\t%s %s", f.Name, storeGoType(f.Kind))
-	}
-	p("}")
-	p("")
-	p("// Encode serializes the request.")
-	p("func (m *%sReq) Encode(e *wire.Encoder) {", c.Name)
-	for _, f := range c.Req {
-		p("\t"+storeKinds[f.Kind].Enc, "m."+f.Name)
-	}
-	if len(c.Req) == 0 {
-		p("\t_ = e")
-	}
-	p("}")
-	p("")
-	p("// Decode deserializes the request.")
-	p("func (m *%sReq) Decode(d *wire.Decoder) {", c.Name)
-	for _, f := range c.Req {
-		p("\tm.%s = %s", f.Name, storeKinds[f.Kind].Dec)
-	}
-	if len(c.Req) == 0 {
-		p("\t_ = d")
-	}
-	p("}")
-	p("")
-	p("// %sResp is the response message of %s.", c.Name, c.Name)
-	p("type %sResp struct {", c.Name)
-	for _, f := range c.Resp {
-		p("\t%s %s", f.Name, storeGoType(f.Kind))
-	}
-	p("}")
-	p("")
-	p("// Encode serializes the response.")
-	p("func (m *%sResp) Encode(e *wire.Encoder) {", c.Name)
-	for _, f := range c.Resp {
-		p("\t"+storeKinds[f.Kind].Enc, "m."+f.Name)
-	}
-	if len(c.Resp) == 0 {
-		p("\t_ = e")
-	}
-	p("}")
-	p("")
-	p("// Decode deserializes the response.")
-	p("func (m *%sResp) Decode(d *wire.Decoder) {", c.Name)
-	for _, f := range c.Resp {
-		p("\tm.%s = %s", f.Name, storeKinds[f.Kind].Dec)
-	}
-	if len(c.Resp) == 0 {
-		p("\t_ = d")
-	}
-	p("}")
-	p("")
-	p("// Append%sCall appends an encoded %s call (ID + request) to e.", c.Name, c.Name)
-	p("func Append%sCall(e *wire.Encoder%s) {", c.Name, storeParams(c))
-	var lits []string
-	for _, f := range c.Req {
-		lits = append(lits, fmt.Sprintf("%s: %s", f.Name, lower(f.Name)))
-	}
-	p("\te.U16(Call%s)", c.Name)
-	p("\t(&%sReq{%s}).Encode(e)", c.Name, strings.Join(lits, ", "))
-	p("}")
-	p("")
-
-	var args []string
-	for _, f := range c.Req {
-		args = append(args, lower(f.Name))
-	}
-	callArgs := ""
-	if len(args) > 0 {
-		callArgs = ", " + strings.Join(args, ", ")
-	}
-	p("// %s %s.", c.Name, c.Doc)
-	p("func (c *Client) %s(p *sim.Proc%s) %s {", c.Name, storeParams(c), storeResults(c))
-	if c.Async {
-		// One-way lane: the buffer rides with an asynchronous consumer, so
-		// it must be fresh, never pooled.
-		p("\tvar enc wire.Encoder")
-		p("\tAppend%sCall(&enc%s)", c.Name, callArgs)
-		p("\tif a, ok := c.T.(remoting.AsyncCaller); ok {")
-		p("\t\treturn a.Submit(p, enc.Bytes(), 0)")
-		p("\t}")
-		p("\t// Transport without an async lane: degrade to a round trip.")
-		p("\trespB, rerr := c.T.Roundtrip(p, enc.Bytes(), 0)")
-		p("\tif rerr != nil {")
-		p("\t\treturn rerr")
-		p("\t}")
-		p("\tdec := wire.GetDecoder(respB)")
-		p("\tdefer wire.PutDecoder(dec)")
-		p("\tif code := dec.I32(); code != 0 {")
-		p("\t\treturn storewire.FromCode(code)")
-		p("\t}")
-		p("\treturn dec.Err()")
-		p("}")
-		p("")
-		return
-	}
-	p("\tenc := wire.GetEncoder()")
-	p("\tAppend%sCall(enc%s)", c.Name, callArgs)
-	p("\trespB, rerr := c.T.Roundtrip(p, enc.Bytes(), 0)")
-	p("\tif rerr != nil {")
-	p("\t\t// The transport may still hold the request; drop the encoder.")
-	p("\t\terr = rerr")
-	p("\t\treturn")
-	p("\t}")
-	p("\twire.PutEncoder(enc)")
-	p("\tdec := wire.GetDecoder(respB)")
-	p("\tdefer wire.PutDecoder(dec)")
-	p("\tif code := dec.I32(); code != 0 {")
-	p("\t\terr = storewire.FromCode(code)")
-	p("\t\treturn")
-	p("\t}")
-	if len(c.Resp) > 0 {
-		p("\tvar resp %sResp", c.Name)
-		p("\tresp.Decode(dec)")
-		p("\tif err = dec.Err(); err != nil {")
-		p("\t\treturn")
-		p("\t}")
-		for _, f := range c.Resp {
-			p("\t%s = resp.%s", lower(f.Name), f.Name)
-		}
-	} else {
-		p("\terr = dec.Err()")
-	}
-	p("\treturn")
-	p("}")
-	p("")
-}
-
-// emitStoreDispatchCase writes the server-side switch case for one call.
-func emitStoreDispatchCase(p func(string, ...any), c Call) {
-	p("\tcase Call%s:", c.Name)
-	p("\t\tvar req %sReq", c.Name)
-	p("\t\treq.Decode(dec)")
-	p("\t\tif dec.Err() != nil {")
-	p("\t\t\treturn errResp(storewire.ErrBadRequest)")
-	p("\t\t}")
-	var args []string
-	for _, f := range c.Req {
-		args = append(args, "req."+f.Name)
-	}
-	callArgs := ""
-	if len(args) > 0 {
-		callArgs = ", " + strings.Join(args, ", ")
-	}
-	var outs []string
-	for _, f := range c.Resp {
-		outs = append(outs, lower(f.Name))
-	}
-	if len(outs) > 0 {
-		p("\t\t%s, err := b.%s(p%s)", strings.Join(outs, ", "), c.Name, callArgs)
-	} else {
-		p("\t\terr := b.%s(p%s)", c.Name, callArgs)
-	}
-	p("\t\tvar enc wire.Encoder")
-	p("\t\tenc.I32(storewire.Code(err))")
-	if len(c.Resp) > 0 {
-		var lits []string
-		for _, f := range c.Resp {
-			lits = append(lits, fmt.Sprintf("%s: %s", f.Name, lower(f.Name)))
-		}
-		p("\t\tif err == nil {")
-		p("\t\t\t(&%sResp{%s}).Encode(&enc)", c.Name, strings.Join(lits, ", "))
-		p("\t\t}")
-	}
-	p("\t\treturn enc.Bytes()")
 }

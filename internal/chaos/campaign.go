@@ -31,9 +31,6 @@ type CampaignConfig struct {
 	// ReproDir receives shrunken reproducer files for failing trials; empty
 	// disables both shrinking and serialization (violations still count).
 	ReproDir string
-	// ShrinkRuns bounds the schedule executions spent minimizing one
-	// failing trial (default 64).
-	ShrinkRuns int
 	// Log, when set, receives one line per failing trial.
 	Log func(format string, args ...any)
 }
@@ -72,7 +69,7 @@ func RunCampaign(seed int64, n int, cfg CampaignConfig) CampaignResult {
 		if cfg.ReproDir != "" {
 			min, stats := Shrink(s, func(c Schedule) bool {
 				return len(RunSchedule(seed, c).Violations) > 0
-			}, cfg.ShrinkRuns)
+			}, 0) // 0: Shrink's default budget of runs
 			repro := Repro{
 				Seed:       seed,
 				Trial:      trial,

@@ -9,7 +9,7 @@ import (
 	"dgsf/internal/dataplane"
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/remoting"
-	"dgsf/internal/store/storewire"
+	"dgsf/internal/store"
 )
 
 // The generated remoting stubs carry errors as numeric status codes:
@@ -54,6 +54,11 @@ func TestWireSentinelAssignments(t *testing.T) {
 		{9004, remoting.ErrFabricFault},
 		{9010, dataplane.ErrHandoffLost},
 		{9020, gpuserver.ErrCapacity},
+		{9030, store.ErrConflict},
+		{9031, store.ErrNotFound},
+		{9032, store.ErrExists},
+		{9033, store.ErrBadRequest},
+		{9034, store.ErrHalted},
 	} {
 		if got := cuda.Code(tc.err); got != tc.code {
 			t.Errorf("Code(%v) = %d, want %d", tc.err, got, tc.code)
@@ -82,24 +87,5 @@ func TestCUDAStatusRoundTrip(t *testing.T) {
 	}
 	if cuda.Code(errors.New("untyped")) != -1 {
 		t.Error("unclassifiable errors must encode as -1")
-	}
-}
-
-// TestStoreSentinelRoundTrip covers the store's own wire encoding, which
-// predates the cuda registry: conflict, not-found, and halt must survive
-// storewire.Code/FromCode so fleet CAS loops and fenced-handle checks work
-// against a remote store.
-func TestStoreSentinelRoundTrip(t *testing.T) {
-	for _, want := range []error{storewire.ErrConflict, storewire.ErrNotFound, storewire.ErrHalted} {
-		c := storewire.Code(want)
-		if c == 0 {
-			t.Errorf("store sentinel %v encodes as OK", want)
-		}
-		if got := storewire.FromCode(c); !errors.Is(got, want) {
-			t.Errorf("errors.Is broken across the store wire for %v (code %d, decoded %v)", want, c, got)
-		}
-		if wc := storewire.Code(fmt.Errorf("apiserver: %w", want)); wc != c {
-			t.Errorf("wrapped %v encodes as %d, bare as %d", want, wc, c)
-		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/guest"
-	"dgsf/internal/metrics"
 	"dgsf/internal/modelcache"
 	"dgsf/internal/objstore"
 	"dgsf/internal/remoting"
@@ -383,25 +382,6 @@ func (b *Backend) ProviderEndToEnd() time.Duration {
 		}
 	}
 	return last - first
-}
-
-// QueueSeries returns every invocation's queueing delay as a statistics
-// series (Table III reports "the average, standard deviation and the sum").
-func (b *Backend) QueueSeries() *metrics.Series {
-	var s metrics.Series
-	for _, inv := range b.invocations {
-		s.Add(inv.QueueDelay)
-	}
-	return &s
-}
-
-// E2ESeries returns every invocation's end-to-end latency as a series.
-func (b *Backend) E2ESeries() *metrics.Series {
-	var s metrics.Series
-	for _, inv := range b.invocations {
-		s.Add(inv.E2E())
-	}
-	return &s
 }
 
 // PerFunction aggregates mean queue delay and mean E2E per function name.

@@ -230,14 +230,11 @@ func (b *FleetBackend) runOnce(p *sim.Proc, inv *Invocation, sess *store.Session
 // endAttempt hands a session back to Pending after a failed attempt (the
 // placement controller decides the next machine), or marks it Failed once
 // the attempt budget is exhausted. Conflicts retry: the executor owns the
-// session's phase transitions at this point.
+// session's phase transitions at this point. Any other failure is dropped,
+// here and in the three writers below: the object is gone, or the handle
+// halted and recovery takes over.
 func (b *FleetBackend) endAttempt(p *sim.Proc, name, reason string) {
-	for {
-		cur, err := b.st.Get(p, store.KindSession, name)
-		if err != nil {
-			return
-		}
-		up := cur.DeepCopy().(*store.Session)
+	_ = store.ModifyStatus(p, b.st, store.KindSession, name, func(up *store.Session) bool {
 		if up.Status.Attempts >= b.cfg.MaxAttempts {
 			up.Status.Phase = store.PhaseFailed
 		} else {
@@ -245,45 +242,29 @@ func (b *FleetBackend) endAttempt(p *sim.Proc, name, reason string) {
 			up.Status.Server = ""
 		}
 		up.Status.Reason = reason
-		if _, err := b.st.UpdateStatus(p, up); err == nil || !store.IsConflict(err) {
-			return
-		}
-	}
+		return true
+	})
 }
 
 // finishSession marks a session Done.
 func (b *FleetBackend) finishSession(p *sim.Proc, name string) {
-	for {
-		cur, err := b.st.Get(p, store.KindSession, name)
-		if err != nil {
-			return
-		}
-		up := cur.DeepCopy().(*store.Session)
+	_ = store.ModifyStatus(p, b.st, store.KindSession, name, func(up *store.Session) bool {
 		up.Status.Phase = store.PhaseDone
 		up.Status.DoneAt = p.Now()
-		if _, err := b.st.UpdateStatus(p, up); err == nil || !store.IsConflict(err) {
-			return
-		}
-	}
+		return true
+	})
 }
 
 // finalizeFailed pins the terminal Failed phase in the store (the router may
 // have reported it already; this is idempotent).
 func (b *FleetBackend) finalizeFailed(p *sim.Proc, name string) {
-	for {
-		cur, err := b.st.Get(p, store.KindSession, name)
-		if err != nil {
-			return
+	_ = store.ModifyStatus(p, b.st, store.KindSession, name, func(up *store.Session) bool {
+		if up.Terminal() {
+			return false
 		}
-		if cur.(*store.Session).Terminal() {
-			return
-		}
-		up := cur.DeepCopy().(*store.Session)
 		up.Status.Phase = store.PhaseFailed
-		if _, err := b.st.UpdateStatus(p, up); err == nil || !store.IsConflict(err) {
-			return
-		}
-	}
+		return true
+	})
 }
 
 // consumeTensorHandle marks the session's input handle Consumed, so later
@@ -291,22 +272,14 @@ func (b *FleetBackend) finalizeFailed(p *sim.Proc, name string) {
 // Best-effort: a vanished handle (reclaimed, or its server failed and the
 // record was marked Lost) is not an error — the session itself completed.
 func (b *FleetBackend) consumeTensorHandle(p *sim.Proc, handle, by string) {
-	for {
-		cur, err := b.st.Get(p, store.KindTensorHandle, handle)
-		if err != nil {
-			return
-		}
-		th := cur.(*store.TensorHandle)
+	_ = store.ModifyStatus(p, b.st, store.KindTensorHandle, handle, func(th *store.TensorHandle) bool {
 		if th.Status.Phase != "" && th.Status.Phase != store.TensorLive {
-			return
+			return false
 		}
-		up := th.DeepCopy().(*store.TensorHandle)
-		up.Status.Phase = store.TensorConsumed
-		up.Status.ConsumedBy = by
-		if _, err := b.st.UpdateStatus(p, up); err == nil || !store.IsConflict(err) {
-			return
-		}
-	}
+		th.Status.Phase = store.TensorConsumed
+		th.Status.ConsumedBy = by
+		return true
+	})
 }
 
 // RecordTensorHandle publishes the control-plane record of a data-plane
@@ -328,22 +301,19 @@ func RecordTensorHandle(p *sim.Proc, st store.Interface, name string, spec store
 		if err != nil {
 			return err
 		}
-		up := cur.DeepCopy().(*store.TensorHandle)
-		up.Spec = spec
-		fresh, err := st.Update(p, up)
-		if err != nil {
-			if store.IsConflict(err) {
-				continue
+		cur.(*store.TensorHandle).Spec = spec
+		if _, err := st.Update(p, cur); !store.IsConflict(err) {
+			if err != nil {
+				return err
 			}
-			return err
-		}
-		up = fresh.DeepCopy().(*store.TensorHandle)
-		up.Status.Phase = store.TensorLive
-		up.Status.ConsumedBy = ""
-		if _, err := st.UpdateStatus(p, up); err == nil || !store.IsConflict(err) {
-			return err
+			break
 		}
 	}
+	return store.ModifyStatus(p, st, store.KindTensorHandle, name, func(th *store.TensorHandle) bool {
+		th.Status.Phase = store.TensorLive
+		th.Status.ConsumedBy = ""
+		return true
+	})
 }
 
 // --- placement controller ---

@@ -113,8 +113,10 @@ func TestQueueAndE2ESeries(t *testing.T) {
 			b.Submit(p, fn)
 		}
 		b.Drain(p)
-		queueN = b.QueueSeries().N()
-		meanE2E = b.E2ESeries().Mean()
+		queueN = len(b.Invocations())
+		for _, inv := range b.Invocations() {
+			meanE2E += inv.E2E() / 3
+		}
 	})
 	if queueN != 3 {
 		t.Fatalf("queue series has %d entries, want 3", queueN)

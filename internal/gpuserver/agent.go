@@ -131,12 +131,7 @@ func (a *Agent) stageBudget() int64 {
 // current occupancy, preserving the fields other writers own (the placement
 // controller's reservation hints). Conflicts retry against fresh state.
 func (a *Agent) publishStatus(p *sim.Proc) error {
-	for {
-		cur, err := a.st.Get(p, store.KindGPUServer, a.name)
-		if err != nil {
-			return err
-		}
-		obj := cur.DeepCopy().(*store.GPUServer)
+	err := store.ModifyStatus(p, a.st, store.KindGPUServer, a.name, func(obj *store.GPUServer) bool {
 		active, queued := a.gs.Load()
 		obj.Status.Healthy = a.gs.Healthy()
 		obj.Status.Capacity = a.gs.Capacity()
@@ -146,13 +141,10 @@ func (a *Agent) publishStatus(p *sim.Proc) error {
 		if c := a.gs.Cache(); c != nil {
 			obj.Status.StagedBytes = c.Host().Used()
 		}
-		_, err = a.st.UpdateStatus(p, obj)
-		if err == nil || !store.IsConflict(err) {
-			if err != nil {
-				return err
-			}
-			break
-		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	for _, srv := range a.gs.servers {
 		name := fmt.Sprintf("%s/%d", a.name, srv.ID())

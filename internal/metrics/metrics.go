@@ -1,13 +1,11 @@
 // Package metrics provides the statistics helpers the experiment harness
 // uses to report results the way the paper does: means with standard
 // deviations (§VIII-D reports "the average, standard deviation and the sum"
-// of queueing and execution delays) and percentiles for latency
-// distributions.
+// of queueing and execution delays).
 package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -58,27 +56,4 @@ func (s *Series) Max() time.Duration {
 		}
 	}
 	return max
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on the sorted observations.
-func (s *Series) Percentile(p float64) time.Duration {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, s.vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[n-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }

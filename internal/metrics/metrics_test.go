@@ -25,51 +25,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	var s Series
-	for i := 1; i <= 100; i++ {
-		s.Add(time.Duration(i) * time.Millisecond)
-	}
-	cases := map[float64]time.Duration{
-		0: 1 * time.Millisecond, 50: 50 * time.Millisecond,
-		99: 99 * time.Millisecond, 100: 100 * time.Millisecond,
-	}
-	for p, want := range cases {
-		if got := s.Percentile(p); got != want {
-			t.Errorf("P%v = %v, want %v", p, got, want)
-		}
-	}
-}
-
-// Property: percentile is monotone in p and bounded by the extremes.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Series
-		min := time.Duration(raw[0])
-		for _, v := range raw {
-			s.Add(time.Duration(v))
-			if time.Duration(v) < min {
-				min = time.Duration(v)
-			}
-		}
-		prev := time.Duration(-1)
-		for p := 0.0; p <= 100; p += 7 {
-			v := s.Percentile(p)
-			if v < prev || v < min || v > s.Max() {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: mean lies within [min, max] and mean*n = sum within rounding.
 func TestMeanBoundsProperty(t *testing.T) {
 	f := func(raw []uint16) bool {

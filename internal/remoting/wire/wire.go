@@ -260,6 +260,14 @@ func (d *Decoder) Reset(buf []byte) {
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
+// Fail sets the sticky error, unless one is already set. It lets a codec
+// layered on the decoder reject a value whose bytes it read intact.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dgsf/internal/remoting"
 	"dgsf/internal/sim"
 )
 
@@ -95,7 +96,7 @@ func BenchmarkWatchFanout_100(b *testing.B) { benchWatchFanout(b, 100) }
 
 // BenchmarkPullEventsFullLog is the long-poll of a caught-up consumer against
 // a full replay log: its position is eight events back, one of which is of
-// its kind — what every wake-up of a blocked StoreWatchPull does.
+// its kind — what every wake-up of a blocked remote pull does.
 func BenchmarkPullEventsFullLog(b *testing.B) {
 	benchStore(b, 1, func(p *sim.Proc, s *Store) {
 		fill := func(n int) {
@@ -126,6 +127,65 @@ func BenchmarkPullEventsFullLog(b *testing.B) {
 				b.Errorf("pull: %d events, err %v", len(evs), err)
 				return
 			}
+		}
+	})
+}
+
+// benchRemote is benchStore with the store served behind a zero-latency sim
+// connection: fn gets the remote handle and, for writing past it, the store.
+func benchRemote(b *testing.B, fn func(p *sim.Proc, r Interface, s *Store)) {
+	benchStore(b, 1, func(p *sim.Proc, s *Store) {
+		e := p.Engine()
+		l := remoting.NewListener(e)
+		p.SpawnDaemon("store-serve", func(p *sim.Proc) { Serve(p, s, l) })
+		fn(p, NewRemote(e, remoting.Dial(e, l, remoting.NetProfile{})), s)
+	})
+}
+
+// BenchmarkRemoteUpdateStatus is BenchmarkUpdateStatusCAS through the wire:
+// encode, Serve's dispatch, the store's write, and the stored object back.
+func BenchmarkRemoteUpdateStatus(b *testing.B) {
+	benchRemote(b, func(p *sim.Proc, r Interface, _ *Store) {
+		cur, err := r.Get(p, KindSession, "s0000")
+		b.ResetTimer()
+		for i := 0; i < b.N && err == nil; i++ {
+			cur, err = r.UpdateStatus(p, cur)
+		}
+		if err != nil {
+			b.Error(err)
+		}
+	})
+}
+
+// BenchmarkRemotePull64 is one watch pull that carries 64 session events,
+// from the blocked long-poll's wake-up to the last event off the watch
+// queue. The 64 writes that feed it are made in-process with the clock
+// stopped.
+func BenchmarkRemotePull64(b *testing.B) {
+	benchRemote(b, func(p *sim.Proc, r Interface, s *Store) {
+		w, err := r.Watch(p, KindSession, s.RV())
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer w.Stop()
+		cur, err := s.Get(p, KindSession, "s0000")
+		b.ResetTimer()
+		for i := 0; i < b.N && err == nil; i++ {
+			b.StopTimer()
+			for n := 0; n < 64 && err == nil; n++ {
+				cur, err = s.UpdateStatus(p, cur)
+			}
+			b.StartTimer()
+			for n := 0; n < 64; n++ {
+				if _, ok := w.Events.Recv(p); !ok {
+					b.Error("watch stream ended")
+					return
+				}
+			}
+		}
+		if err != nil {
+			b.Error(err)
 		}
 	})
 }

@@ -1,11 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"dgsf/internal/remoting/wire"
-	"dgsf/internal/store/storewire"
 )
 
 // Session phases. A session is born Pending, is bound to a server by the
@@ -385,45 +385,128 @@ func NewOfKind(kind Kind) (Resource, error) {
 	return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 }
 
-// ToWire flattens a resource into its wire Object form.
-func ToWire(r Resource) storewire.Object {
-	m := r.Meta()
-	var spec, status wire.Encoder
-	r.EncodeSpec(&spec)
-	r.EncodeStatus(&status)
-	return storewire.Object{
-		Kind:            string(r.Kind()),
-		Name:            m.Name,
-		UID:             m.UID,
-		ResourceVersion: m.ResourceVersion,
-		Generation:      m.Generation,
-		CreatedAt:       m.CreatedAt,
-		Spec:            spec.Bytes(),
-		Status:          status.Bytes(),
+// encodeResource appends r's wire form: kind and metadata, then the Spec and
+// the Status section, each behind a length prefix patched in once the section
+// is written. nil — a Gap event's object — encodes as the all-zero resource.
+func encodeResource(e *wire.Encoder, r Resource) {
+	var kind Kind
+	var m ObjectMeta
+	if r != nil {
+		kind, m = r.Kind(), *r.Meta()
+	}
+	e.Str(string(kind))
+	e.Str(m.Name)
+	e.U64(m.UID)
+	e.U64(m.ResourceVersion)
+	e.U64(m.Generation)
+	e.Dur(m.CreatedAt)
+	for _, section := range []func(Resource, *wire.Encoder){Resource.EncodeSpec, Resource.EncodeStatus} {
+		at := e.Len()
+		e.U32(0)
+		if r != nil {
+			section(r, e)
+		}
+		binary.LittleEndian.PutUint32(e.Bytes()[at:], uint32(e.Len()-at-4))
 	}
 }
 
-// FromWire rebuilds a typed resource from its wire Object form.
-func FromWire(o storewire.Object) (Resource, error) {
-	r, err := NewOfKind(Kind(o.Kind))
+// readResource reads one resource's wire form off d and rebuilds the typed
+// resource. An unknown kind or a section that does not decode is reported
+// with d itself left sound, standing at the next value, so the caller
+// chooses between skipping the resource and failing the message.
+func readResource(d *wire.Decoder) (Resource, error) {
+	kind := Kind(d.Str())
+	m := ObjectMeta{Name: d.Str(), UID: d.U64(), ResourceVersion: d.U64(), Generation: d.U64(), CreatedAt: d.Dur()}
+	// The sections are views of d's buffer: every DecodeSpec and DecodeStatus
+	// copies what it keeps, so the resource still owns its strings.
+	spec, status := d.BytesShared(), d.BytesShared()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	r, err := NewOfKind(kind)
 	if err != nil {
 		return nil, err
 	}
-	m := r.Meta()
-	m.Name = o.Name
-	m.UID = o.UID
-	m.ResourceVersion = o.ResourceVersion
-	m.Generation = o.Generation
-	m.CreatedAt = o.CreatedAt
-	d := wire.NewDecoder(o.Spec)
-	r.DecodeSpec(d)
-	if err := d.Err(); err != nil {
+	*r.Meta() = m
+	sd := wire.GetDecoder(spec)
+	defer wire.PutDecoder(sd)
+	r.DecodeSpec(sd)
+	if err := sd.Err(); err != nil {
 		return nil, fmt.Errorf("%w: bad spec encoding: %w", ErrBadRequest, err)
 	}
-	d.Reset(o.Status)
-	r.DecodeStatus(d)
-	if err := d.Err(); err != nil {
+	sd.Reset(status)
+	r.DecodeStatus(sd)
+	if err := sd.Err(); err != nil {
 		return nil, fmt.Errorf("%w: bad status encoding: %w", ErrBadRequest, err)
 	}
 	return r, nil
+}
+
+// decodeResource reads one resource; one that does not decode fails d.
+func decodeResource(d *wire.Decoder) Resource {
+	r, err := readResource(d)
+	if err != nil {
+		d.Fail(err)
+		return nil
+	}
+	return r
+}
+
+// minResourceLen is the wire length of the all-zero resource; it bounds what
+// a decoded element count may pre-allocate.
+const minResourceLen = 4 + 4 + 8 + 8 + 8 + 8 + 4 + 4
+
+// encodeResources appends a length-prefixed resource slice.
+func encodeResources(e *wire.Encoder, rs []Resource) {
+	e.U32(uint32(len(rs)))
+	for _, r := range rs {
+		encodeResource(e, r)
+	}
+}
+
+// decodeResources reads a length-prefixed resource slice; an entry that does
+// not decode fails d.
+func decodeResources(d *wire.Decoder) []Resource {
+	n := int(d.U32())
+	out := make([]Resource, 0, min(n, d.Remaining()/minResourceLen))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, decodeResource(d))
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	return out
+}
+
+// encodeEvents appends a length-prefixed event slice.
+func encodeEvents(e *wire.Encoder, evs []Event) {
+	e.U32(uint32(len(evs)))
+	for _, ev := range evs {
+		e.U8(byte(ev.Type))
+		e.U64(ev.RV)
+		encodeResource(e, ev.Object)
+	}
+}
+
+// decodeEvents reads a length-prefixed event slice. An event whose object
+// does not decode (a kind this build does not know) is skipped rather than
+// failing the pull: the stream stays alive and resync heals what was missed.
+func decodeEvents(d *wire.Decoder) []Event {
+	n := int(d.U32())
+	out := make([]Event, 0, min(n, d.Remaining()/(1+8+minResourceLen)))
+	for i := 0; i < n; i++ {
+		ev := Event{Type: EventType(d.U8()), RV: d.U64()}
+		r, err := readResource(d)
+		if d.Err() != nil {
+			return nil
+		}
+		if ev.Type != Gap { // a Gap carries no object
+			if err != nil {
+				continue
+			}
+			ev.Object = r
+		}
+		out = append(out, ev)
+	}
+	return out
 }

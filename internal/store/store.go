@@ -34,20 +34,41 @@ import (
 	"sort"
 	"time"
 
+	"dgsf/internal/cuda"
 	"dgsf/internal/metrics"
 	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
-	"dgsf/internal/store/storewire"
 )
 
-// Typed store errors, shared with the wire layer (see storewire).
+// Typed store errors.
 var (
-	ErrConflict   = storewire.ErrConflict
-	ErrNotFound   = storewire.ErrNotFound
-	ErrExists     = storewire.ErrExists
-	ErrBadRequest = storewire.ErrBadRequest
-	ErrHalted     = storewire.ErrHalted
+	// ErrConflict reports an Update/UpdateStatus/Delete whose
+	// ResourceVersion no longer matches the stored object: someone else
+	// wrote first. Callers re-read and retry.
+	ErrConflict = errors.New("store: resource version conflict")
+	// ErrNotFound reports an operation on a name that is not in the store.
+	ErrNotFound = errors.New("store: resource not found")
+	// ErrExists reports a Create for a name that is already present.
+	ErrExists = errors.New("store: resource already exists")
+	// ErrBadRequest reports a malformed operation: empty name, unknown
+	// kind, an undecodable request, or an attempt to change immutable
+	// metadata (name, UID).
+	ErrBadRequest = errors.New("store: bad request")
+	// ErrHalted reports an operation through a halted store handle — the
+	// fault framework's way of crashing a controller mid-reconcile.
+	ErrHalted = errors.New("store: handle halted")
 )
+
+// The generated stubs carry errors as cuda.Code status values; registering
+// the sentinels keeps errors.Is working on the far side of a Remote. Any
+// other store error crosses as a status that matches none of them.
+func init() {
+	cuda.RegisterWireSentinel(9030, ErrConflict)
+	cuda.RegisterWireSentinel(9031, ErrNotFound)
+	cuda.RegisterWireSentinel(9032, ErrExists)
+	cuda.RegisterWireSentinel(9033, ErrBadRequest)
+	cuda.RegisterWireSentinel(9034, ErrHalted)
+}
 
 // Kind names a resource keyspace.
 type Kind string
@@ -96,16 +117,16 @@ type Resource interface {
 // EventType classifies a watch notification.
 type EventType byte
 
-// Watch event types.
+// Watch event types; the values travel on the wire.
 const (
-	Added    = EventType(storewire.EventAdded)
-	Modified = EventType(storewire.EventModified)
-	Deleted  = EventType(storewire.EventDeleted)
+	Added    EventType = 1
+	Modified EventType = 2
+	Deleted  EventType = 3
 	// Gap marks a break in continuity: the replay log no longer reaches the
 	// consumer's position, so events were lost — deletions among them. It
 	// carries no Object; RV is the store version of the synthesized relist
 	// (Added events for current state) that follows it on the stream.
-	Gap = EventType(storewire.EventGap)
+	Gap EventType = 4
 )
 
 // String returns the event type name.
@@ -132,7 +153,7 @@ type Event struct {
 }
 
 // Interface is the store API shared by the in-process Store and the remote
-// client (remote.go), so controllers are indifferent to where the store
+// handle (remote.go), so controllers are indifferent to where the store
 // lives. All writes copy their argument; all reads return private copies.
 type Interface interface {
 	Get(p *sim.Proc, kind Kind, name string) (Resource, error)
@@ -539,6 +560,26 @@ func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait 
 		}
 		if s.writeBroadcast.WaitTimeout(p, remaining) {
 			return nil, s.rv, nil
+		}
+	}
+}
+
+// ModifyStatus is the read-modify-write of one object's status: Get it, let
+// edit change the private copy Get returned, UpdateStatus that, and start
+// over from the Get when another writer got in first. edit returns false to
+// decline the write. The first error that is not a conflict is returned. T
+// is kind's resource type.
+func ModifyStatus[T Resource](p *sim.Proc, st Interface, kind Kind, name string, edit func(T) bool) error {
+	for {
+		cur, err := st.Get(p, kind, name)
+		if err != nil {
+			return err
+		}
+		if !edit(cur.(T)) {
+			return nil
+		}
+		if _, err := st.UpdateStatus(p, cur); !IsConflict(err) {
+			return err
 		}
 	}
 }
