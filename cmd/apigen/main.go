@@ -60,12 +60,15 @@ type Call struct {
 // dispatch path prefers it, since the dispatch decoder outlives the backend
 // call. At most one field per shared kind may appear in a message — the
 // scratch is per-decoder, so a second use would clobber the first
-// (validate enforces this).
+// (validate enforces this). Size, when set, estimates the value's encoded
+// length: Dispatch grows the reply encoder by it before encoding a response
+// that carries such a field, so a large reply is one allocation.
 var kinds = map[string]struct {
 	GoType    string
 	Enc       string // method on wire.Encoder; %s is the value
 	Dec       string // expression on wire.Decoder
 	DecShared string // alloc-free variant aliasing the decoder, if any
+	Size      string // encoded-length estimate; %s is the value
 }{
 	"bool":    {GoType: "bool", Enc: "e.Bool(%s)", Dec: "d.Bool()"},
 	"byte":    {GoType: "byte", Enc: "e.U8(%s)", Dec: "d.U8()"},
@@ -98,9 +101,27 @@ var kinds = map[string]struct {
 	"desc":    {GoType: "cudalibs.Descriptor", Enc: "e.U64(uint64(%s))", Dec: "cudalibs.Descriptor(d.U64())"},
 	// The store surface's kinds; their types and codecs live in package store.
 	"kind":   {GoType: "Kind", Enc: "e.Str(string(%s))", Dec: "Kind(d.Str())"},
-	"obj":    {GoType: "Resource", Enc: "encodeResource(e, %s)", Dec: "decodeResource(d)"},
-	"objs":   {GoType: "[]Resource", Enc: "encodeResources(e, %s)", Dec: "decodeResources(d)"},
-	"events": {GoType: "[]Event", Enc: "encodeEvents(e, %s)", Dec: "decodeEvents(d)"},
+	"obj":    {GoType: "Resource", Enc: "encodeResource(e, %s)", Dec: "decodeResource(d)", Size: "resourceSizeHint(%s)"},
+	"objs":   {GoType: "[]Resource", Enc: "encodeResources(e, %s)", Dec: "decodeResources(d)", Size: "resourcesSizeHint(%s)"},
+	"events": {GoType: "[]Event", Enc: "encodeEvents(e, %s)", Dec: "decodeEvents(d)", Size: "eventsSizeHint(%s)"},
+}
+
+// sizeHint renders the estimated encoded length of a response — the status
+// word, eight bytes for every field without an estimate of its own, and the
+// estimates — or "" when no field has one.
+func sizeHint(fields []Field) string {
+	fixed, sized := 4, ""
+	for _, f := range fields {
+		if k := kinds[f.Kind]; k.Size != "" {
+			sized += " + " + fmt.Sprintf(k.Size, lower(f.Name))
+		} else {
+			fixed += 8
+		}
+	}
+	if sized == "" {
+		return ""
+	}
+	return fmt.Sprint(fixed) + sized
 }
 
 // hasShared reports whether any field of a message decodes through a
@@ -1186,6 +1207,11 @@ func emitDispatchCase(p func(string, ...any), s surface, c Call) {
 		p("\t\terr := b.%s(p%s)", c.Name, callArgs)
 	}
 	p("\t\tvar enc wire.Encoder")
+	if hint := sizeHint(c.Resp); hint != "" {
+		p("\t\tif err == nil {")
+		p("\t\t\tenc.Grow(%s)", hint)
+		p("\t\t}")
+	}
 	p("\t\tenc.I32(int32(cuda.Code(err)))")
 	if respB != nil {
 		var metaLits []string

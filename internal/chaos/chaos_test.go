@@ -3,10 +3,13 @@ package chaos
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"dgsf/internal/faults"
+	"dgsf/internal/sim"
+	"dgsf/internal/store"
 )
 
 func TestTrialSeedDeterministic(t *testing.T) {
@@ -186,5 +189,63 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, r) {
 		t.Fatalf("repro round trip mismatch:\n%+v\n%+v", got, r)
+	}
+}
+
+// TestOracleCatchesWriteThroughSharedObject: a watcher that edits the object
+// on an event instead of a DeepCopy of it — the store's own, shared with the
+// oracle's stream — is reported with the object's kind, name and RV; the
+// same consumer copying first is not.
+func TestOracleCatchesWriteThroughSharedObject(t *testing.T) {
+	for _, copyFirst := range []bool{false, true} {
+		var res Result
+		e := sim.NewEngine(1)
+		st := store.New(e, nil)
+		e.Run("test", func(p *sim.Proc) {
+			obs, err := observe(p, st, store.KindSession, &res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _ := st.Watch(p, store.KindSession, 0)
+			p.SpawnDaemon("consumer", func(p *sim.Proc) {
+				for {
+					ev, ok := w.Events.Recv(p)
+					if !ok {
+						return
+					}
+					sess := ev.Object
+					if copyFirst {
+						sess = sess.DeepCopy()
+					}
+					sess.(*store.Session).Status.Reason = "scribbled"
+				}
+			})
+			stored, _ := st.Create(p, &store.Session{ObjectMeta: store.ObjectMeta{Name: "s1"}})
+			stored.(*store.Session).Status.Phase = store.PhasePlaced
+			if _, err := st.UpdateStatus(p, stored); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(time.Millisecond)
+			sessions, _, _ := st.List(p, store.KindSession)
+			obs.mark()
+			obs.settle(p, sessions)
+		})
+		var frozen []string
+		for _, v := range res.Violations {
+			if v.Check != "store-object-frozen" {
+				t.Errorf("copyFirst=%v: unexpected violation %+v", copyFirst, v)
+			}
+			frozen = append(frozen, v.Detail)
+		}
+		if copyFirst {
+			if len(frozen) != 0 {
+				t.Errorf("a consumer that copies first was reported: %v", frozen)
+			}
+			continue
+		}
+		if len(frozen) != 2 || !strings.Contains(frozen[0], `Session "s1" handed out ADDED at RV 1`) ||
+			!strings.Contains(frozen[1], `Session "s1" handed out MODIFIED at RV 2`) {
+			t.Errorf("write-through not reported per event: %v", frozen)
+		}
 	}
 }

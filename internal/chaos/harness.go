@@ -53,11 +53,11 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 	e.Run("chaos-fleet", func(p *sim.Proc) {
 		// Oracle watches first: opened at RV 0 before the cluster's first
 		// write, they see the complete history of both kinds.
-		sessObs, err := observe(p, st, store.KindSession)
+		sessObs, err := observe(p, st, store.KindSession, &res)
 		if err != nil {
 			panic(err)
 		}
-		gsObs, err := observe(p, st, store.KindGPUServer)
+		gsObs, err := observe(p, st, store.KindGPUServer, &res)
 		if err != nil {
 			panic(err)
 		}
@@ -88,11 +88,9 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 			res.violate("session-conservation", "submitted %d invocations, backend tracked %d", s.Invocations, len(invs))
 		}
 
-		// Drain the oracle watches and snapshot current state back-to-back:
-		// no sleep separates them, so the fold and the List are one atomic
-		// observation of the store.
-		sessObs.drain(&res)
-		gsObs.drain(&res)
+		// Snapshot current state and mark the end of the oracle streams
+		// back-to-back: nothing yields in between, so each fold, cut at its
+		// mark, and the Lists are one atomic observation of the store.
 		sessions, _, err := st.List(p, store.KindSession)
 		if err != nil {
 			panic(err)
@@ -101,9 +99,11 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 		if err != nil {
 			panic(err)
 		}
-		sessObs.checkComplete(&res, sessions)
-		gsObs.checkComplete(&res, gss)
+		sessObs.mark()
+		gsObs.mark()
 		checkStoreCounters(&res, st, reg)
+		sessObs.settle(p, sessions)
+		gsObs.settle(p, gss)
 
 		if len(sessions) != s.Invocations {
 			res.violate("session-conservation", "store holds %d sessions for %d submissions", len(sessions), s.Invocations)

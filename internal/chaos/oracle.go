@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"dgsf/internal/dataplane"
 	"dgsf/internal/faas"
 	"dgsf/internal/metrics"
 	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 )
@@ -35,80 +37,137 @@ func (r *Result) violate(check, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{Check: check, Detail: fmt.Sprintf(format, args...)})
 }
 
-// --- store oracle: RV monotonicity + watch completeness ---
+// --- store oracle: RV monotonicity + watch completeness + frozen objects ---
 
 // observer is a watch opened at RV 0 before the cluster's first write, so
 // its stream is a pure log replay: every event that ever happens to the
-// kind, in write order, with strictly increasing ResourceVersions.
+// kind, in write order, with strictly increasing ResourceVersions. Its
+// process takes each event off the stream as it is sent — registered first,
+// it is the first consumer to run — and fingerprints the object, which is
+// the store's own and shared with every other consumer (store.Event): one
+// that writes through it instead of a DeepCopy shows at quiesce.
 type observer struct {
 	kind   store.Kind
+	res    *Result
 	w      *store.Watch
 	lastRV uint64
 	events int
 	fold   map[string]store.Event // name → last event seen
+	seen   []receipt
+	// marked is sent to when the process reaches the mark that ends the run.
+	marked *sim.Queue[struct{}]
 }
 
-// observe opens an oracle watch on one kind. Must run before any write of
-// that kind lands, or the stream is not a full history.
-func observe(p *sim.Proc, st *store.Store, kind store.Kind) (*observer, error) {
+// receipt is one event and the fingerprint its object had on receipt.
+type receipt struct {
+	ev  store.Event
+	sum uint64
+}
+
+// endMark is the in-band end of an oracle stream: the zero event, which no
+// store sends.
+var endMark = store.Event{}
+
+// observe opens an oracle watch on one kind and starts its process. Must
+// run before any write of that kind lands, or the stream is not a full
+// history.
+func observe(p *sim.Proc, st *store.Store, kind store.Kind, res *Result) (*observer, error) {
 	w, err := st.Watch(p, kind, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &observer{kind: kind, w: w, fold: map[string]store.Event{}}, nil
+	o := &observer{kind: kind, res: res, w: w, fold: map[string]store.Event{}, marked: sim.NewQueue[struct{}](p.Engine())}
+	p.SpawnDaemon("chaos-observer", o.run)
+	return o, nil
 }
 
-// drain consumes everything buffered on the watch without yielding to the
-// scheduler, checking RV monotonicity as it goes. Because the store enqueues
-// events synchronously at write time, a non-blocking drain at quiesce sees
-// the complete history.
-func (o *observer) drain(res *Result) {
+// run folds the stream, checking RV monotonicity as it goes, until the mark.
+func (o *observer) run(p *sim.Proc) {
 	for {
-		ev, ok := o.w.Events.TryRecv()
-		if !ok {
+		ev, ok := o.w.Events.Recv(p)
+		if !ok || ev == endMark {
+			o.marked.Send(struct{}{})
 			return
 		}
 		o.events++
 		if ev.RV <= o.lastRV {
-			res.violate("store-rv-monotonic", "%s watch: event %d has RV %d after RV %d",
+			o.res.violate("store-rv-monotonic", "%s watch: event %d has RV %d after RV %d",
 				o.kind, o.events, ev.RV, o.lastRV)
 		}
 		o.lastRV = ev.RV
 		if ev.Object != nil {
 			o.fold[ev.Object.Meta().Name] = ev
+			o.seen = append(o.seen, receipt{ev, fingerprint(ev.Object)})
 		}
 	}
+}
+
+// mark ends the stream here. The store enqueues events synchronously at
+// write time, so the events ahead of the mark are the complete history up to
+// this instant: a List taken with no yield in between is the same
+// observation of the store as the fold cut at the mark.
+func (o *observer) mark() { o.w.Events.Send(endMark) }
+
+// settle waits for the process to reach the mark, then compares the fold
+// with the List snapshot rs taken at the mark, and every object's
+// fingerprint with the one taken on receipt.
+func (o *observer) settle(p *sim.Proc, rs []store.Resource) {
+	o.marked.Recv(p)
+	o.checkComplete(rs)
+	for _, r := range o.seen {
+		if fingerprint(r.ev.Object) != r.sum {
+			o.res.violate("store-object-frozen", "%s %q handed out %s at RV %d was written through afterwards: now %+v",
+				o.kind, r.ev.Object.Meta().Name, r.ev.Type, r.ev.RV, r.ev.Object)
+		}
+	}
+}
+
+// fingerprint hashes everything a resource holds.
+func fingerprint(r store.Resource) uint64 {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	m := r.Meta()
+	e.Str(string(r.Kind()))
+	e.Str(m.Name)
+	e.U64(m.UID)
+	e.U64(m.ResourceVersion)
+	e.U64(m.Generation)
+	e.Dur(m.CreatedAt)
+	r.EncodeSpec(e)
+	r.EncodeStatus(e)
+	h := fnv.New64a()
+	h.Write(e.Bytes())
+	return h.Sum64()
 }
 
 // checkComplete compares the folded watch history with a List snapshot of
 // current state: every live object must be the last thing the watch saw for
 // its name, at the same ResourceVersion, and nothing the watch believes
-// live may be missing from the snapshot. drain must have run immediately
-// before the List, with no yield in between.
-func (o *observer) checkComplete(res *Result, rs []store.Resource) {
+// live may be missing from the snapshot.
+func (o *observer) checkComplete(rs []store.Resource) {
 	live := map[string]bool{}
 	for _, r := range rs {
 		m := r.Meta()
 		live[m.Name] = true
 		ev, ok := o.fold[m.Name]
 		if !ok {
-			res.violate("store-watch-complete", "%s %q at RV %d never appeared on the watch",
+			o.res.violate("store-watch-complete", "%s %q at RV %d never appeared on the watch",
 				o.kind, m.Name, m.ResourceVersion)
 			continue
 		}
 		if ev.Type == store.Deleted {
-			res.violate("store-watch-complete", "%s %q is live at RV %d but the watch last saw it Deleted at RV %d",
+			o.res.violate("store-watch-complete", "%s %q is live at RV %d but the watch last saw it Deleted at RV %d",
 				o.kind, m.Name, m.ResourceVersion, ev.RV)
 			continue
 		}
 		if ev.RV != m.ResourceVersion {
-			res.violate("store-watch-complete", "%s %q is at RV %d but the watch last saw RV %d",
+			o.res.violate("store-watch-complete", "%s %q is at RV %d but the watch last saw RV %d",
 				o.kind, m.Name, m.ResourceVersion, ev.RV)
 		}
 	}
 	for name, ev := range o.fold {
 		if ev.Type != store.Deleted && !live[name] {
-			res.violate("store-watch-complete", "%s %q last seen %s at RV %d but absent from the snapshot",
+			o.res.violate("store-watch-complete", "%s %q last seen %s at RV %d but absent from the snapshot",
 				o.kind, name, ev.Type, ev.RV)
 		}
 	}

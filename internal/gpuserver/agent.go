@@ -26,7 +26,9 @@ type Agent struct {
 	name string
 	cfg  AgentConfig
 
-	watch *store.Watch
+	// apiNames are the APIServer object names, in a.gs.servers order.
+	apiNames []string
+	watch    *store.Watch
 	// published is the agent's view of its own StagedModel objects in the
 	// store, by host-tier key name: seeded by the one List at start-up, then
 	// kept by the watch stream and the agent's own writes, so a sync tick
@@ -103,9 +105,11 @@ func (a *Agent) register(p *sim.Proc) error {
 	if _, err := a.st.Create(p, obj); err != nil && !store.IsExists(err) {
 		return err
 	}
+	a.apiNames = a.apiNames[:0]
 	for _, srv := range a.gs.servers {
 		as := &store.APIServer{}
 		as.ObjectMeta.Name = fmt.Sprintf("%s/%d", a.name, srv.ID())
+		a.apiNames = append(a.apiNames, as.ObjectMeta.Name)
 		as.Spec.Server = a.name
 		as.Spec.GPU = srv.HomeDev()
 		as.Spec.Slot = srv.ID()
@@ -146,16 +150,15 @@ func (a *Agent) publishStatus(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	for _, srv := range a.gs.servers {
-		name := fmt.Sprintf("%s/%d", a.name, srv.ID())
-		cur, err := a.st.Get(p, store.KindAPIServer, name)
+	for i, srv := range a.gs.servers {
+		cur, err := a.st.Get(p, store.KindAPIServer, a.apiNames[i])
 		if err != nil {
 			if store.IsNotFound(err) {
 				continue
 			}
 			return err
 		}
-		obj := cur.DeepCopy().(*store.APIServer)
+		obj := cur.(*store.APIServer) // Get's result is ours to edit
 		ready := !srv.Crashed() && !a.gs.dead[srv.ID()] && !a.gs.failed
 		fnID := ""
 		if lease, ok := a.gs.leased[srv.ID()]; ok {
@@ -241,15 +244,8 @@ func (a *Agent) applyEvents(p *sim.Proc) error {
 
 // evict removes the named object's host-tier entry, if resident.
 func (a *Agent) evict(object string) {
-	c := a.gs.Cache()
-	if c == nil {
-		return
-	}
-	for _, e := range c.Host().Entries() {
-		if e.Key.Name == object {
-			c.Host().Remove(e.Key)
-			return
-		}
+	if c := a.gs.Cache(); c != nil {
+		c.Host().RemoveName(object)
 	}
 }
 

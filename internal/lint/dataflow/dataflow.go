@@ -1,5 +1,5 @@
 // Package dataflow is the flow-sensitive layer under dgsfvet's ownership
-// analyzers (bufown, sharedretain, lockorder). It builds per-function
+// analyzers (bufown, sharedretain, frozenwrite, lockorder). It builds per-function
 // def-use chains directly on the AST plus types.Info — no SSA, no
 // golang.org/x/tools — and tracks how a value produced at an origin
 // (a pool acquire, a shared decode, a borrowed parameter) flows through
@@ -61,6 +61,10 @@ const (
 	// FlowCallArg passes the value to a call. Analyzers classify the callee
 	// (release function, known borrower, unknown).
 	FlowCallArg
+	// FlowWrite assigns to a location reached through the value: a field of
+	// what it points to, an element, the pointee itself. These events are
+	// kept apart from the others, in Value.Writes.
+	FlowWrite
 )
 
 func (k FlowKind) String() string {
@@ -83,6 +87,8 @@ func (k FlowKind) String() string {
 		return "return"
 	case FlowCallArg:
 		return "call argument"
+	case FlowWrite:
+		return "write through"
 	}
 	return "?"
 }
@@ -135,6 +141,12 @@ type Value struct {
 	OriginSite Site
 	// Flows are the events, ordered by position.
 	Flows []Flow
+	// Writes are the FlowWrite events, ordered by position: the assignments
+	// (and ++/--) whose destination is reached from the value through a
+	// pointer, slice or map — x.f = v, *x = v, x[i] = v, x.M().f = v when M's
+	// result aliases x — so that they change what every other holder of the
+	// value sees. An assignment to a field of a local struct copy is not one.
+	Writes []Flow
 }
 
 // A Summary describes what one function body does with its parameters;
@@ -148,6 +160,8 @@ type Summary struct {
 	Releases []bool
 	// ReturnsAlias[i]: some result of the function may alias parameter i.
 	ReturnsAlias []bool
+	// Writes[i]: the function assigns through parameter i (Value.Writes).
+	Writes []bool
 }
 
 // Config parameterizes the engine with analyzer-specific knowledge.
@@ -305,12 +319,14 @@ func (p *Package) summaryOf(fn *Func) *Summary {
 		Escapes:      make([]bool, len(fn.Params)),
 		Releases:     make([]bool, len(fn.Params)),
 		ReturnsAlias: make([]bool, len(fn.Params)),
+		Writes:       make([]bool, len(fn.Params)),
 	}
 	for i, pv := range fn.Params {
 		if pv == nil || ShallowSafe(pv.Type()) {
 			continue // a scalar parameter cannot carry an aliasing contract
 		}
 		v := fn.track(Origin{Param: pv}, false)
+		s.Writes[i] = len(v.Writes) > 0
 		for _, fl := range v.Flows {
 			switch fl.Kind {
 			case FlowFieldStore, FlowGlobalStore, FlowIndexStore, FlowChanSend, FlowGoCapture:

@@ -500,3 +500,78 @@ func deferredPut() {
 		t.Error("want a non-deferred use of e")
 	}
 }
+
+const writeSrc = `package p
+
+type meta struct{ name string }
+
+type obj struct {
+	meta
+	status struct{ n int }
+	tags   [2]string
+}
+
+func (o *obj) Bytes() *meta { return &o.meta } // testCfg: result aliases the receiver
+
+func get() *obj { return &obj{} }
+
+func through() {
+	o := get()
+	o.status.n = 1
+	o.status.n++
+	o.tags[0] += "x"
+	*o = obj{}
+	o.Bytes().name = "m"
+	m := o.Bytes()
+	m.name = "n"
+}
+
+func notThrough() {
+	o := get()
+	st := o.status
+	st.n = 2
+	tags := o.tags
+	tags[1] = "y"
+	o = nil
+	var other obj
+	other.status.n = 3
+}
+
+func writesParam(o *obj, n int) { o.status.n = n }
+
+func readsParam(o *obj) int { return o.status.n }
+
+func copiesParam(o *obj) int {
+	c := *o
+	c.status.n++
+	return c.status.n
+}
+`
+
+func TestWritesThroughValue(t *testing.T) {
+	pkg, fset := analyzeSrc(t, writeSrc)
+
+	fn := findFunc(t, pkg, "through")
+	v := fn.Track(Origin{Expr: originCall(t, pkg, fn, "get")})
+	want := []string{"write through@17", "write through@18", "write through@19", "write through@20", "write through@21", "write through@23"}
+	if got := flowSummary(fset, v.Writes); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("through: writes %v, want %v", got, want)
+	}
+	if got := flowSummary(fset, v.Flows, FlowWrite); len(got) != 0 {
+		t.Errorf("through: FlowWrite events among Flows: %v", got)
+	}
+
+	fn = findFunc(t, pkg, "notThrough")
+	v = fn.Track(Origin{Expr: originCall(t, pkg, fn, "get")})
+	if got := flowSummary(fset, v.Writes); len(got) != 0 {
+		t.Errorf("notThrough: writes to local copies reported: %v", got)
+	}
+
+	for name, want := range map[string]bool{"writesParam": true, "readsParam": false, "copiesParam": false} {
+		fn := findFunc(t, pkg, name)
+		obj := pkg.Info.Defs[fn.Decl.(*ast.FuncDecl).Name].(*types.Func)
+		if s := pkg.Summary(obj); s == nil || s.Writes[0] != want || (len(s.Writes) > 1 && s.Writes[1]) {
+			t.Errorf("%s: Writes = %+v, want [0] = %v", name, s, want)
+		}
+	}
+}

@@ -15,6 +15,7 @@ type flowWalker struct {
 	stack      []ast.Node
 	deferDepth int
 	flows      []Flow
+	writes     []Flow // the FlowWrite events, in source order
 }
 
 func (w *flowWalker) site(n ast.Node) Site {
@@ -55,6 +56,8 @@ func (w *flowWalker) walk(root ast.Node) {
 			return false
 		case *ast.AssignStmt:
 			w.assign(n)
+		case *ast.IncDecStmt:
+			w.write(n, n.X)
 		case *ast.SendStmt:
 			if w.carries(n.Value) {
 				w.emit(Flow{Site: w.site(n), Kind: FlowChanSend, Expr: n.Value})
@@ -83,6 +86,7 @@ func (w *flowWalker) walk(root ast.Node) {
 func (w *flowWalker) assign(n *ast.AssignStmt) {
 	info := w.t.fn.pkg.Info
 	for i, lhs := range n.Lhs {
+		w.write(n, lhs)
 		var rhs ast.Expr
 		if len(n.Rhs) == len(n.Lhs) {
 			rhs = n.Rhs[i]
@@ -112,6 +116,51 @@ func (w *flowWalker) assign(n *ast.AssignStmt) {
 		case *ast.StarExpr:
 			// Store through a pointer: the pointee may outlive the frame.
 			w.emit(Flow{Site: w.site(n), Kind: FlowFieldStore, Expr: rhs, Dest: dst})
+		}
+	}
+}
+
+// write records a FlowWrite event when dst, the destination of the assignment
+// n, is storage reached through the tracked value.
+func (w *flowWalker) write(n ast.Node, dst ast.Expr) {
+	root, indirect := lvalueRoot(dst, w.t.fn.pkg.Info)
+	if indirect && w.carries(root) {
+		w.writes = append(w.writes, Flow{Site: w.site(n), Kind: FlowWrite, Expr: root, Dest: dst, Deferred: w.deferDepth > 0})
+	}
+}
+
+// lvalueRoot walks an assignable expression down to the value it starts
+// from — x for x.f.g, x[i].f and *x; the call for x.M().f — and reports
+// whether the walk crossed an indirection: a field of a pointer's target, an
+// element of a slice or map, a dereference. Without one, the assignment
+// changes only the root variable's own storage.
+func lvalueRoot(e ast.Expr, info *types.Info) (root ast.Expr, indirect bool) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if _, isPkg := info.ObjectOf(id).(*types.PkgName); isPkg {
+					return x, indirect
+				}
+			}
+			if t := info.TypeOf(x.X); t != nil {
+				if _, ptr := t.Underlying().(*types.Pointer); ptr {
+					indirect = true
+				}
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			if t := info.TypeOf(x.X); t != nil {
+				if _, array := t.Underlying().(*types.Array); !array {
+					indirect = true
+				}
+			}
+			e = x.X
+		case *ast.StarExpr:
+			indirect = true
+			e = x.X
+		default:
+			return x, indirect
 		}
 	}
 }

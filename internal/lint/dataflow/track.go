@@ -75,7 +75,7 @@ func (fn *Func) track(origin Origin, useSummaries bool) *Value {
 	v := &Value{Origin: origin, OriginSite: t.originSite}
 	fw := &flowWalker{t: t}
 	fw.walk(fn.Body)
-	v.Flows = fw.flows
+	v.Flows, v.Writes = fw.flows, fw.writes
 	sort.SliceStable(v.Flows, func(i, j int) bool { return v.Flows[i].Pos < v.Flows[j].Pos })
 	if v.OriginSite.Pos == token.NoPos {
 		if origin.Expr != nil {

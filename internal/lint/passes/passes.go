@@ -6,6 +6,7 @@ import (
 	"dgsf/internal/lint/passes/asyncsafe"
 	"dgsf/internal/lint/passes/bufown"
 	"dgsf/internal/lint/passes/errsentinel"
+	"dgsf/internal/lint/passes/frozenwrite"
 	"dgsf/internal/lint/passes/goroutineleak"
 	"dgsf/internal/lint/passes/journalcover"
 	"dgsf/internal/lint/passes/lockorder"
@@ -25,6 +26,7 @@ func All() []*lint.Analyzer {
 		goroutineleak.Analyzer,
 		bufown.Analyzer,
 		sharedretain.Analyzer,
+		frozenwrite.Analyzer,
 		lockorder.Analyzer,
 	}
 }

@@ -21,7 +21,10 @@
 // cache behavior is deterministic under a fixed seed by construction.
 package modelcache
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Key identifies a host-tier entry: an object-store name plus a content
 // fingerprint, so a re-uploaded object with different content misses.
@@ -163,7 +166,7 @@ func (l *LRU) Entries() []Entry {
 	for _, e := range l.entries {
 		out = append(out, *e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
@@ -185,6 +188,18 @@ func (l *LRU) Remove(k Key) bool {
 	l.used -= e.Bytes
 	delete(l.entries, k)
 	return true
+}
+
+// RemoveName drops the oldest entry with the given name, whatever its
+// fingerprint, reporting whether one was resident.
+func (l *LRU) RemoveName(name string) bool {
+	var victim *Entry
+	for _, e := range l.entries {
+		if e.Key.Name == name && (victim == nil || e.seq < victim.seq) {
+			victim = e
+		}
+	}
+	return victim != nil && l.Remove(victim.Key)
 }
 
 // Used returns the resident byte total.
@@ -370,7 +385,7 @@ func (m *Manager) OldestPin(eligible func(serverID int) bool) (int, bool) {
 	for id := range m.pins {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	var victim *Pin
 	for _, id := range ids {
 		if eligible != nil && !eligible(id) {

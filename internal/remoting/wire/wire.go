@@ -12,6 +12,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -97,6 +98,11 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset clears the buffer for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Grow makes room for n more bytes. A caller that knows roughly what it is
+// about to encode into a fresh encoder allocates once, instead of doubling
+// its way up from nothing.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U8 appends a byte.
 func (e *Encoder) U8(v byte) { e.buf = append(e.buf, v) }

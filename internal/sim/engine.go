@@ -50,7 +50,7 @@ type Engine struct {
 	running *Proc       // the process currently executing, or nil
 	runq    ring[*Proc] // processes ready to execute, FIFO
 
-	nlive   int           // live non-daemon processes
+	nlive   int           // live non-daemon processes, plus Holds
 	started bool          // Run was called
 	done    chan struct{} // closed when the simulation is over (Run mode)
 	open    bool          // open mode: idle is not a deadlock
@@ -231,6 +231,39 @@ func (e *Engine) InjectDaemon(name string, fn func(p *Proc)) {
 	p := e.newProcLocked(name, true)
 	e.startLocked(p, fn)
 	e.maybeDispatchLocked()
+}
+
+// Hold keeps the simulation from ending, as one more live non-daemon process
+// would, until the matching Release. It is for daemons that take on work the
+// simulation must not end under: a server loop parks its workers as daemons
+// and holds the engine from handing one a request until the reply is out, so
+// the simulation ends when it would have with a process per request.
+func (e *Engine) Hold() {
+	e.mu.Lock()
+	e.nlive++
+	e.mu.Unlock()
+}
+
+// Release ends one Hold. If nothing else keeps the simulation alive it is
+// over, as at the exit of the last non-daemon process: a calling process runs
+// on to its next blocking call, and no other takes a further step.
+func (e *Engine) Release() {
+	e.mu.Lock()
+	e.endLiveLocked()
+	e.maybeDispatchLocked()
+	e.mu.Unlock()
+}
+
+// endLiveLocked takes away one of the things keeping the simulation alive —
+// a non-daemon process or a Hold. After the last one the simulation is over:
+// daemons stop where they are — a ready one takes no further step, and armed
+// deadlines never fire, or periodic daemons (samplers, monitor ticks) would
+// advance virtual time forever.
+func (e *Engine) endLiveLocked() {
+	e.nlive--
+	if e.nlive == 0 && e.started {
+		e.stopped = true
+	}
 }
 
 // Stop ends the simulation from outside (the teardown of an open-mode
@@ -430,14 +463,7 @@ func (e *Engine) procExit(p *Proc) {
 		e.running = nil
 	}
 	if !p.daemon {
-		e.nlive--
-		if e.nlive == 0 && e.started {
-			// The last non-daemon is gone: the simulation is over. Daemons
-			// stop where they are — a ready one takes no further step, and
-			// armed deadlines never fire, or periodic daemons (samplers,
-			// monitor ticks) would advance virtual time forever.
-			e.stopped = true
-		}
+		e.endLiveLocked()
 	}
 	if e.running == nil {
 		e.dispatchLocked()

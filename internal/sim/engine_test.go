@@ -121,6 +121,32 @@ func TestDaemonDoesNotBlockRun(t *testing.T) {
 	}
 }
 
+// TestHoldKeepsRunAliveUntilRelease: a daemon holding the engine is waited
+// for like a non-daemon, and its Release ends the simulation on the spot —
+// the ticker beside it takes no step past that instant.
+func TestHoldKeepsRunAliveUntilRelease(t *testing.T) {
+	e := NewEngine(1)
+	ticks, after := 0, false
+	e.Run("root", func(p *Proc) {
+		p.SpawnDaemon("ticker", func(p *Proc) {
+			for {
+				p.Sleep(time.Second)
+				ticks++
+			}
+		})
+		e.Hold()
+		p.SpawnDaemon("worker", func(p *Proc) {
+			p.Sleep(2500 * time.Millisecond)
+			e.Release()
+			p.Yield()
+			after = true
+		})
+	})
+	if got := e.Now(); got != 2500*time.Millisecond || ticks != 2 || after {
+		t.Fatalf("ended at %v after %d ticks (worker ran on: %v), want 2.5s, 2 ticks, false", got, ticks, after)
+	}
+}
+
 // TestRunOwnsItsProcesses pins the end of a Run-mode simulation: the last
 // non-daemon's exit stops the engine, so a daemon made ready by that
 // process's final act takes no further step; the daemons are then killed one

@@ -230,7 +230,7 @@ func (s *Session) EncodeStatus(e *wire.Encoder) {
 
 // DecodeStatus implements Resource.
 func (s *Session) DecodeStatus(d *wire.Decoder) {
-	s.Status.Phase = d.Str()
+	s.Status.Phase = phaseOf(d.BytesShared())
 	s.Status.Server = d.Str()
 	s.Status.Attempts = d.Int()
 	s.Status.Reason = d.Str()
@@ -363,7 +363,7 @@ func (t *TensorHandle) EncodeStatus(e *wire.Encoder) {
 
 // DecodeStatus implements Resource.
 func (t *TensorHandle) DecodeStatus(d *wire.Decoder) {
-	t.Status.Phase = d.Str()
+	t.Status.Phase = phaseOf(d.BytesShared())
 	t.Status.ConsumedBy = d.Str()
 }
 
@@ -410,12 +410,55 @@ func encodeResource(e *wire.Encoder, r Resource) {
 	}
 }
 
+// kindOf maps a kind name as read off the wire onto the package's constant,
+// so that decoding a resource allocates no string for it. A name this build
+// does not know comes back as a string of its own, for NewOfKind to refuse.
+func kindOf(name []byte) Kind {
+	switch Kind(name) {
+	case KindGPUServer:
+		return KindGPUServer
+	case KindAPIServer:
+		return KindAPIServer
+	case KindSession:
+		return KindSession
+	case KindStagedModel:
+		return KindStagedModel
+	case KindTensorHandle:
+		return KindTensorHandle
+	}
+	return Kind(name)
+}
+
+// phaseOf does the same for a Session's or TensorHandle's phase, a status
+// field every event of those kinds carries.
+func phaseOf(name []byte) string {
+	switch string(name) {
+	case PhasePending:
+		return PhasePending
+	case PhasePlaced:
+		return PhasePlaced
+	case PhaseRunning:
+		return PhaseRunning
+	case PhaseDone:
+		return PhaseDone
+	case PhaseFailed:
+		return PhaseFailed
+	case TensorLive:
+		return TensorLive
+	case TensorConsumed:
+		return TensorConsumed
+	case TensorLost:
+		return TensorLost
+	}
+	return string(name)
+}
+
 // readResource reads one resource's wire form off d and rebuilds the typed
 // resource. An unknown kind or a section that does not decode is reported
 // with d itself left sound, standing at the next value, so the caller
 // chooses between skipping the resource and failing the message.
 func readResource(d *wire.Decoder) (Resource, error) {
-	kind := Kind(d.Str())
+	kind := kindOf(d.BytesShared())
 	m := ObjectMeta{Name: d.Str(), UID: d.U64(), ResourceVersion: d.U64(), Generation: d.U64(), CreatedAt: d.Dur()}
 	// The sections are views of d's buffer: every DecodeSpec and DecodeStatus
 	// copies what it keeps, so the resource still owns its strings.
@@ -455,6 +498,36 @@ func decodeResource(d *wire.Decoder) Resource {
 // minResourceLen is the wire length of the all-zero resource; it bounds what
 // a decoded element count may pre-allocate.
 const minResourceLen = 4 + 4 + 8 + 8 + 8 + 8 + 4 + 4
+
+// The size hints estimate a value's wire length for the reply encoder the
+// generated Dispatch grows before encoding: the fixed part, the two strings
+// every resource has, and sectionsSizeHint for Spec and Status, which covers
+// every kind with the names the fleet gives its objects. A low estimate
+// costs the reply a second allocation, nothing else.
+const sectionsSizeHint = 128
+
+func resourceSizeHint(r Resource) int {
+	if r == nil {
+		return minResourceLen
+	}
+	return minResourceLen + len(r.Kind()) + len(r.Meta().Name) + sectionsSizeHint
+}
+
+func resourcesSizeHint(rs []Resource) int {
+	n := 4
+	for _, r := range rs {
+		n += resourceSizeHint(r)
+	}
+	return n
+}
+
+func eventsSizeHint(evs []Event) int {
+	n := 4
+	for _, ev := range evs {
+		n += 1 + 8 + resourceSizeHint(ev.Object)
+	}
+	return n
+}
 
 // encodeResources appends a length-prefixed resource slice.
 func encodeResources(e *wire.Encoder, rs []Resource) {

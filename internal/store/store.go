@@ -16,11 +16,17 @@
 //     expected to re-read and retry (optimistic concurrency).
 //   - Watch delivers an ordered stream of Added/Modified/Deleted events per
 //     kind. A watch from an old ResourceVersion replays from a bounded event
-//     log; if the log no longer reaches back that far the stream says so with
-//     a Gap event and then carries synthesized Added events for the current
-//     state. Deletions inside the gap are not reported: a consumer that keeps
-//     state per object must replace it on Gap (the controller cache re-lists
-//     the kind); a stateless level-triggered consumer may ignore the marker.
+//     log; if the log has dropped an event of the kind newer than that
+//     version the stream says so with a Gap event and then carries
+//     synthesized Added events for the current state. Deletions inside the
+//     gap are not reported: a consumer that keeps state per object must
+//     replace it on Gap (the controller cache re-lists the kind); a stateless
+//     level-triggered consumer may ignore the marker.
+//   - A stored object is frozen: a write replaces it, nothing ever changes
+//     it. The store therefore hands that one object to the replay log, to
+//     every watcher and to every pull (Event.Object is shared and read-only),
+//     and copies only what callers edit: the argument of a write, and the
+//     results of Get, List, Create, Update and UpdateStatus.
 //
 // The store is deterministic under internal/sim: iteration is over sorted
 // keys, watch delivery follows registration order, and no wall-clock or
@@ -28,9 +34,9 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -144,8 +150,11 @@ func (t EventType) String() string {
 	return "?"
 }
 
-// Event is one watch notification. Object is a private copy of the state
-// after the change; for Deleted it is the last stored state, for Gap nil.
+// Event is one watch notification. Object is the state after the change; for
+// Deleted it is the last stored state, for Gap nil. It is the store's own
+// frozen object, shared with the replay log and every other consumer of the
+// event: read it, keep it, but DeepCopy before changing a field — the same
+// contract as controller.Cache.Get.
 type Event struct {
 	Type   EventType
 	RV     uint64
@@ -154,7 +163,9 @@ type Event struct {
 
 // Interface is the store API shared by the in-process Store and the remote
 // handle (remote.go), so controllers are indifferent to where the store
-// lives. All writes copy their argument; all reads return private copies.
+// lives. All writes copy their argument. What Get, List, Create, Update and
+// UpdateStatus return is the caller's private copy, free to edit and write
+// back; the objects on a Watch's events are shared and read-only (see Event).
 type Interface interface {
 	Get(p *sim.Proc, kind Kind, name string) (Resource, error)
 	List(p *sim.Proc, kind Kind) ([]Resource, uint64, error)
@@ -169,22 +180,44 @@ type Interface interface {
 	Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error)
 }
 
-// logWindow bounds the replayable event log. Older events are dropped; a
-// watch from before the window falls back to a synthesized relist.
+// logWindow bounds the replayable event log (a power of two: the log is a
+// ring). Older events are dropped; a watch from before a dropped event of its
+// kind falls back to a synthesized relist.
 const logWindow = 4096
+
+// keyspace is one kind's share of the store.
+type keyspace struct {
+	objs map[string]Resource // by name; each frozen from the write that stored it
+	// watchers are the kind's registered watches, in registration order.
+	watchers []*Watch
+	// pulls wakes the PullEvents long-polls blocked on this kind, which
+	// therefore sleep through every other kind's writes.
+	pulls *sim.Cond
+	// truncatedAtRV is the RV of the newest event of this kind the replay log
+	// has dropped (0: none). Per kind, because a consumer loses continuity
+	// only to dropped events it would have been sent.
+	truncatedAtRV uint64
+}
+
+// logEntry is one replay-log slot: the event as every watcher got it, and
+// the keyspace it belongs to.
+type logEntry struct {
+	ev Event
+	ks *keyspace
+}
 
 // Store is the in-process resource store.
 type Store struct {
 	e     *sim.Engine
 	rv    uint64
 	uid   uint64
-	kinds map[Kind]map[string]Resource
+	kinds map[Kind]*keyspace
 
-	log            []Event // bounded replay log, ascending RV
-	truncatedAtRV  uint64  // RV of the newest dropped log event (0: none)
-	watchers       []*Watch
-	nextWatch      int
-	writeBroadcast *sim.Cond // wakes blocked PullEvents long-polls
+	// log is the bounded replay log, a ring in ascending RV: the event with
+	// logical index i (the i-th ever logged) is in slot i%logWindow until
+	// event i+logWindow overwrites it. logged counts the events ever logged.
+	log    [logWindow]logEntry
+	logged uint64
 
 	writes     *metrics.Counter
 	deletes    *metrics.Counter
@@ -210,25 +243,24 @@ func New(e *sim.Engine, reg *metrics.Registry) *Store {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	kinds := make(map[Kind]map[string]Resource, len(Kinds()))
+	kinds := make(map[Kind]*keyspace, len(Kinds()))
 	for _, k := range Kinds() {
-		kinds[k] = make(map[string]Resource)
+		kinds[k] = &keyspace{objs: make(map[string]Resource), pulls: sim.NewCond(e)}
 	}
 	return &Store{
-		e:              e,
-		kinds:          kinds,
-		writeBroadcast: sim.NewCond(e),
-		writes:         reg.Counter("store_writes_total"),
-		deletes:        reg.Counter("store_deletes_total"),
-		conflicts:      reg.Counter("store_conflicts_total"),
-		watchSends:     reg.Counter("store_watch_events_total"),
-		objects:        reg.Gauge("store_objects"),
-		watchGauge:     reg.Gauge("store_watchers"),
+		e:          e,
+		kinds:      kinds,
+		writes:     reg.Counter("store_writes_total"),
+		deletes:    reg.Counter("store_deletes_total"),
+		conflicts:  reg.Counter("store_conflicts_total"),
+		watchSends: reg.Counter("store_watch_events_total"),
+		objects:    reg.Gauge("store_objects"),
+		watchGauge: reg.Gauge("store_watchers"),
 	}
 }
 
-// keyspace returns the kind's object map or nil for an unknown kind.
-func (s *Store) keyspace(kind Kind) map[string]Resource { return s.kinds[kind] }
+// keyspace returns the kind's keyspace or nil for an unknown kind.
+func (s *Store) keyspace(kind Kind) *keyspace { return s.kinds[kind] }
 
 // Get returns a private copy of the named object.
 func (s *Store) Get(p *sim.Proc, kind Kind, name string) (Resource, error) {
@@ -236,11 +268,21 @@ func (s *Store) Get(p *sim.Proc, kind Kind, name string) (Resource, error) {
 	if ks == nil {
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 	}
-	obj, ok := ks[name]
+	obj, ok := ks.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, kind, name)
 	}
 	return obj.DeepCopy(), nil
+}
+
+// sortedNames returns the keyspace's object names in name order.
+func (ks *keyspace) sortedNames() []string {
+	names := make([]string, 0, len(ks.objs))
+	for name := range ks.objs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // List returns private copies of every object of the kind in name order,
@@ -250,14 +292,10 @@ func (s *Store) List(p *sim.Proc, kind Kind) ([]Resource, uint64, error) {
 	if ks == nil {
 		return nil, 0, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 	}
-	names := make([]string, 0, len(ks))
-	for name := range ks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := ks.sortedNames()
 	out := make([]Resource, 0, len(names))
 	for _, name := range names {
-		out = append(out, ks[name].DeepCopy())
+		out = append(out, ks.objs[name].DeepCopy())
 	}
 	return out, s.rv, nil
 }
@@ -274,7 +312,7 @@ func (s *Store) Create(p *sim.Proc, r Resource) (Resource, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty name", ErrBadRequest)
 	}
-	if _, ok := ks[name]; ok {
+	if _, ok := ks.objs[name]; ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrExists, r.Kind(), name)
 	}
 	obj := r.DeepCopy()
@@ -285,24 +323,24 @@ func (s *Store) Create(p *sim.Proc, r Resource) (Resource, error) {
 	m.ResourceVersion = s.rv
 	m.Generation = 1
 	m.CreatedAt = p.Now()
-	ks[name] = obj
+	ks.objs[name] = obj
 	s.objects.Add(1)
 	s.writes.Inc()
-	s.notify(Event{Type: Added, RV: s.rv, Object: obj}, obj.Kind())
+	s.notify(ks, Event{Type: Added, RV: s.rv, Object: obj})
 	return obj.DeepCopy(), nil
 }
 
 // Update replaces an object's spec and status, requiring the presented
-// ResourceVersion to match. Generation increments only if the encoded Spec
-// changed. Name and UID are immutable.
+// ResourceVersion to match. Generation increments only if the Spec changed.
+// Name and UID are immutable.
 func (s *Store) Update(p *sim.Proc, r Resource) (Resource, error) {
-	return s.update(p, r, true)
+	return copyOut(s.update(p, r, true))
 }
 
 // UpdateStatus replaces only the Status section, requiring the presented
 // ResourceVersion to match. Generation never changes.
 func (s *Store) UpdateStatus(p *sim.Proc, r Resource) (Resource, error) {
-	return s.update(p, r, false)
+	return copyOut(s.update(p, r, false))
 }
 
 // UpdateStatusAsync applies a status write without reporting conflicts: a
@@ -316,13 +354,24 @@ func (s *Store) UpdateStatusAsync(p *sim.Proc, r Resource) error {
 	return nil
 }
 
+// copyOut turns what update stored into the private copy a write returns.
+func copyOut(stored Resource, err error) (Resource, error) {
+	if err != nil {
+		return nil, err
+	}
+	return stored.DeepCopy(), nil
+}
+
+// update applies one compare-and-swap write and returns the object it
+// stored, which is frozen from here on: copyOut before handing it to anyone
+// who may edit it.
 func (s *Store) update(p *sim.Proc, r Resource, withSpec bool) (Resource, error) {
 	ks := s.keyspace(r.Kind())
 	if ks == nil {
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, r.Kind())
 	}
 	name := r.Meta().Name
-	cur, ok := ks[name]
+	cur, ok := ks.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, r.Kind(), name)
 	}
@@ -358,10 +407,10 @@ func (s *Store) update(p *sim.Proc, r Resource, withSpec bool) (Resource, error)
 	}
 	s.rv++
 	m.ResourceVersion = s.rv
-	ks[name] = obj
+	ks.objs[name] = obj
 	s.writes.Inc()
-	s.notify(Event{Type: Modified, RV: s.rv, Object: obj}, obj.Kind())
-	return obj.DeepCopy(), nil
+	s.notify(ks, Event{Type: Modified, RV: s.rv, Object: obj})
+	return obj, nil
 }
 
 // Delete removes an object. rv 0 skips the version check (unconditional
@@ -371,7 +420,7 @@ func (s *Store) Delete(p *sim.Proc, kind Kind, name string, rv uint64) error {
 	if ks == nil {
 		return fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 	}
-	cur, ok := ks[name]
+	cur, ok := ks.objs[name]
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, kind, name)
 	}
@@ -388,52 +437,83 @@ func (s *Store) Delete(p *sim.Proc, kind Kind, name string, rv uint64) error {
 			return err
 		}
 	}
-	delete(ks, name)
+	delete(ks.objs, name)
 	s.rv++
 	s.objects.Add(-1)
 	s.deletes.Inc()
 	s.writes.Inc()
-	s.notify(Event{Type: Deleted, RV: s.rv, Object: cur}, kind)
+	s.notify(ks, Event{Type: Deleted, RV: s.rv, Object: cur})
 	return nil
 }
 
 // RV returns the store's current resource version.
 func (s *Store) RV() uint64 { return s.rv }
 
-// specEqual reports whether two resources encode identical Spec sections.
+// specEqual reports whether two resources of one kind have equal Spec
+// sections. Every Spec is a flat comparable struct.
 func specEqual(a, b Resource) bool {
-	var ea, eb wire.Encoder
-	a.EncodeSpec(&ea)
-	b.EncodeSpec(&eb)
-	return bytes.Equal(ea.Bytes(), eb.Bytes())
+	switch a := a.(type) {
+	case *GPUServer:
+		return a.Spec == b.(*GPUServer).Spec
+	case *APIServer:
+		return a.Spec == b.(*APIServer).Spec
+	case *Session:
+		return a.Spec == b.(*Session).Spec
+	case *StagedModel:
+		return a.Spec == b.(*StagedModel).Spec
+	case *TensorHandle:
+		return a.Spec == b.(*TensorHandle).Spec
+	}
+	panic(fmt.Sprintf("store: specEqual: kind %q has no typed Spec comparison", a.Kind()))
 }
 
-// copySpec overwrites dst's spec with src's, via the wire encoding (the
-// only spec accessor the Resource interface exposes).
+// copySpec overwrites dst's spec with src's, a resource of the same kind.
 func copySpec(src, dst Resource) {
-	var e wire.Encoder
-	src.EncodeSpec(&e)
-	d := wire.NewDecoder(e.Bytes())
-	dst.DecodeSpec(d)
+	switch dst := dst.(type) {
+	case *GPUServer:
+		dst.Spec = src.(*GPUServer).Spec
+	case *APIServer:
+		dst.Spec = src.(*APIServer).Spec
+	case *Session:
+		dst.Spec = src.(*Session).Spec
+	case *StagedModel:
+		dst.Spec = src.(*StagedModel).Spec
+	case *TensorHandle:
+		dst.Spec = src.(*TensorHandle).Spec
+	default:
+		panic(fmt.Sprintf("store: copySpec: kind %q has no typed Spec copy", dst.Kind()))
+	}
 }
 
-// notify appends the event to the replay log and fans it out to matching
-// watchers in registration order.
-func (s *Store) notify(ev Event, kind Kind) {
-	s.log = append(s.log, ev)
-	if len(s.log) > logWindow {
-		drop := len(s.log) - logWindow
-		s.truncatedAtRV = s.log[drop-1].RV
-		s.log = append(s.log[:0], s.log[drop:]...)
+// logAt returns the replay log's slot for logical index i.
+func (s *Store) logAt(i uint64) *logEntry { return &s.log[i&(logWindow-1)] }
+
+// logOldest returns the logical index of the oldest event the log still
+// holds; the newest is s.logged-1.
+func (s *Store) logOldest() uint64 {
+	if s.logged > logWindow {
+		return s.logged - logWindow
 	}
-	for _, w := range s.watchers {
-		if w.kind != kind || w.stopped {
-			continue
-		}
+	return 0
+}
+
+// notify appends the event to the replay log, fans it out to the kind's
+// watchers in registration order and wakes the kind's blocked pulls. All of
+// them get ev as it is: its Object is the frozen stored object.
+func (s *Store) notify(ks *keyspace, ev Event) {
+	slot := s.logAt(s.logged)
+	if s.logged >= logWindow {
+		// The ring is full: the oldest event makes room, and consumers of its
+		// kind positioned before it can no longer be replayed to.
+		slot.ks.truncatedAtRV = slot.ev.RV
+	}
+	*slot = logEntry{ev: ev, ks: ks}
+	s.logged++
+	for _, w := range ks.watchers {
 		s.watchSends.Inc()
-		w.Events.Send(Event{Type: ev.Type, RV: ev.RV, Object: ev.Object.DeepCopy()})
+		w.Events.Send(ev)
 	}
-	s.writeBroadcast.Broadcast()
+	ks.pulls.Broadcast()
 }
 
 // Watch is one registered event stream. Events is closed by Stop.
@@ -441,7 +521,6 @@ type Watch struct {
 	// Events delivers the stream in RV order.
 	Events  *sim.Queue[Event]
 	stop    func()
-	kind    Kind
 	stopped bool
 }
 
@@ -455,82 +534,94 @@ func (w *Watch) Stop() {
 
 // Watch registers an event stream for one kind. Events with RV > fromRV are
 // replayed first (from the bounded log, or as a Gap marker plus synthesized
-// Added events for the current state if the log has been truncated past
-// fromRV), then live events follow in write order. fromRV 0 with no prior
-// writes yields a stream of everything that ever happens to the kind.
+// Added events for the current state if the log has dropped an event of the
+// kind after fromRV), then live events follow in write order. fromRV 0 with
+// no prior writes yields a stream of everything that ever happens to the
+// kind.
 func (s *Store) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
-	if s.keyspace(kind) == nil {
+	ks := s.keyspace(kind)
+	if ks == nil {
 		return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 	}
-	w := &Watch{Events: sim.NewQueue[Event](s.e), kind: kind}
+	w := &Watch{Events: sim.NewQueue[Event](s.e)}
 	w.stop = func() {
-		for i, x := range s.watchers {
-			if x == w {
-				s.watchers = append(s.watchers[:i], s.watchers[i+1:]...)
-				break
-			}
+		if i := slices.Index(ks.watchers, w); i >= 0 {
+			ks.watchers = slices.Delete(ks.watchers, i, i+1)
 		}
 		s.watchGauge.Add(-1)
 		w.Events.Close()
 	}
 	var backlog []Event
-	if fromRV < s.truncatedAtRV {
-		backlog = s.relist(kind)
+	if fromRV < ks.truncatedAtRV {
+		backlog = s.relist(ks)
 	} else {
-		backlog, _ = s.replay(kind, fromRV, 0)
+		backlog, _ = s.replay(ks, fromRV, 0)
 	}
 	for _, ev := range backlog {
 		s.watchSends.Inc()
 		w.Events.Send(ev)
 	}
-	s.watchers = append(s.watchers, w)
+	ks.watchers = append(ks.watchers, w)
 	s.watchGauge.Add(1)
 	return w, nil
 }
 
-// replay returns private copies of the kind's logged events after fromRV,
+// replay returns the kind's logged events after fromRV as they were logged,
 // at most max of them when max > 0; more reports that the log holds further
 // matching events beyond those returned. The log is ascending in RV, so the
-// start is found by binary search. Only valid while fromRV >= truncatedAtRV.
-func (s *Store) replay(kind Kind, fromRV uint64, max int) (out []Event, more bool) {
-	i := sort.Search(len(s.log), func(i int) bool { return s.log[i].RV > fromRV })
-	for ; i < len(s.log); i++ {
-		ev := s.log[i]
-		if ev.Object.Kind() != kind {
+// start is found by binary search over its logical indexes. Only valid while
+// fromRV >= ks.truncatedAtRV.
+func (s *Store) replay(ks *keyspace, fromRV uint64, max int) (out []Event, more bool) {
+	oldest := s.logOldest()
+	i := oldest + uint64(sort.Search(int(s.logged-oldest), func(i int) bool {
+		return s.logAt(oldest+uint64(i)).ev.RV > fromRV
+	}))
+	// Count first: the range may be mostly other kinds' events, and out is
+	// allocated once at the size it ends up with.
+	n := 0
+	for j := i; j < s.logged; j++ {
+		if s.logAt(j).ks != ks {
 			continue
 		}
-		if max > 0 && len(out) == max {
-			return out, true
+		if max > 0 && n == max {
+			more = true
+			break
 		}
-		out = append(out, Event{Type: ev.Type, RV: ev.RV, Object: ev.Object.DeepCopy()})
+		n++
 	}
-	return out, false
+	if n == 0 {
+		return nil, false
+	}
+	out = make([]Event, 0, n)
+	for ; len(out) < n; i++ {
+		if e := s.logAt(i); e.ks == ks {
+			out = append(out, e.ev)
+		}
+	}
+	return out, more
 }
 
 // relist is what a consumer whose position the log no longer reaches gets
 // instead of a replay: a Gap marker, then the full current state as Added
 // events in name order (it may re-see objects it already knows).
-func (s *Store) relist(kind Kind) []Event {
-	ks := s.keyspace(kind)
-	names := make([]string, 0, len(ks))
-	for name := range ks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+func (s *Store) relist(ks *keyspace) []Event {
+	names := ks.sortedNames()
 	out := make([]Event, 0, len(names)+1)
 	out = append(out, Event{Type: Gap, RV: s.rv})
 	for _, name := range names {
-		obj := ks[name]
-		out = append(out, Event{Type: Added, RV: obj.Meta().ResourceVersion, Object: obj.DeepCopy()})
+		obj := ks.objs[name]
+		out = append(out, Event{Type: Added, RV: obj.Meta().ResourceVersion, Object: obj})
 	}
 	return out
 }
 
 // PullEvents is the long-poll form of Watch used by the remote protocol:
 // it returns up to max events after fromRV, blocking up to wait for the
-// first one, plus the store's current RV as the next poll position.
+// first one, plus the store's current RV as the next poll position. The
+// events are shared like a Watch's.
 func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait time.Duration) ([]Event, uint64, error) {
-	if s.keyspace(kind) == nil {
+	ks := s.keyspace(kind)
+	if ks == nil {
 		return nil, 0, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 	}
 	if max <= 0 {
@@ -538,12 +629,12 @@ func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait 
 	}
 	deadline := p.Now() + wait
 	for {
-		if fromRV < s.truncatedAtRV {
+		if fromRV < ks.truncatedAtRV {
 			// A relist goes out whole — a trimmed one could never deliver
 			// its tail, the consumer's next position being past all of it.
-			return s.relist(kind), s.rv, nil
+			return s.relist(ks), s.rv, nil
 		}
-		evs, more := s.replay(kind, fromRV, max)
+		evs, more := s.replay(ks, fromRV, max)
 		if more {
 			// A trimmed replay resumes cleanly from the last delivered RV.
 			return evs, evs[len(evs)-1].RV, nil
@@ -551,14 +642,15 @@ func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait 
 		if len(evs) > 0 {
 			return evs, s.rv, nil
 		}
-		// Nothing of this kind up to s.rv: the next wake-up scans only what
-		// was logged since.
+		// Nothing of this kind up to s.rv, and only a write of this kind ends
+		// the wait: while blocked the pull is sent everything it could lose,
+		// so the log rolling over its position costs it nothing.
 		fromRV = s.rv
 		remaining := deadline - p.Now()
 		if wait <= 0 || remaining <= 0 {
 			return nil, s.rv, nil
 		}
-		if s.writeBroadcast.WaitTimeout(p, remaining) {
+		if ks.pulls.WaitTimeout(p, remaining) {
 			return nil, s.rv, nil
 		}
 	}

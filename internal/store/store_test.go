@@ -330,22 +330,79 @@ func TestPullEventsLongPoll(t *testing.T) {
 	})
 }
 
-// linearPull is the reference PullEvents answers are compared against: the
-// scan of the whole log the store used before replay binary-searched it.
-func linearPull(s *Store, kind Kind, fromRV uint64, max int) (evs []Event, next uint64) {
-	if fromRV < s.truncatedAtRV {
-		return s.relist(kind), s.rv
+// logModel is the replay log as the plain slice it used to be: every event
+// appended, the oldest dropped past logWindow, and the newest dropped RV kept
+// per kind. It is fed by from-zero watches, which the store serves live and
+// never from the ring, so the ring has to be indistinguishable from it.
+type logModel struct {
+	s         *Store
+	feeds     []*Watch
+	log       []Event
+	truncated map[Kind]uint64
+}
+
+func newLogModel(t *testing.T, p *sim.Proc, s *Store) *logModel {
+	t.Helper()
+	m := &logModel{s: s, truncated: map[Kind]uint64{}}
+	for _, kind := range Kinds() {
+		w, err := s.Watch(p, kind, 0)
+		if err != nil {
+			t.Fatalf("watch %s: %v", kind, err)
+		}
+		m.feeds = append(m.feeds, w)
 	}
-	for _, ev := range s.log {
+	return m
+}
+
+// sync takes in what the store did since the last call. One write is one
+// event, so calling it after every write keeps the slice in RV order.
+func (m *logModel) sync() {
+	for _, w := range m.feeds {
+		for ev, ok := w.Events.TryRecv(); ok; ev, ok = w.Events.TryRecv() {
+			m.log = append(m.log, ev)
+			if len(m.log) > logWindow {
+				m.truncated[m.log[0].Object.Kind()] = m.log[0].RV
+				m.log = m.log[1:]
+			}
+		}
+	}
+}
+
+// pull is the linear-scan reference PullEvents answers are compared against.
+func (m *logModel) pull(kind Kind, fromRV uint64, max int) (evs []Event, next uint64) {
+	if fromRV < m.truncated[kind] {
+		return m.s.relist(m.s.keyspace(kind)), m.s.rv
+	}
+	for _, ev := range m.log {
 		if ev.RV > fromRV && ev.Object.Kind() == kind {
 			evs = append(evs, ev)
 		}
 	}
-	if len(evs) > max {
+	if max > 0 && len(evs) > max {
 		evs = evs[:max]
 		return evs, evs[len(evs)-1].RV
 	}
-	return evs, s.rv
+	return evs, m.s.rv
+}
+
+// checkPull compares one non-blocking PullEvents with the model: same events
+// — the very same shared objects — and the same next position.
+func (m *logModel) checkPull(t *testing.T, p *sim.Proc, kind Kind, from uint64, max int) {
+	t.Helper()
+	want, wantNext := m.pull(kind, from, max)
+	got, gotNext, err := m.s.PullEvents(p, kind, from, max, 0)
+	if err != nil {
+		t.Fatalf("pull: %v", err)
+	}
+	if gotNext != wantNext || len(got) != len(want) {
+		t.Fatalf("%s from %d max %d (store at %d, %d logged, kind truncated at %d): got %d events next %d, want %d next %d",
+			kind, from, max, m.s.rv, m.s.logged, m.truncated[kind], len(got), gotNext, len(want), wantNext)
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("%s from %d max %d: event %d is %+v, want %+v", kind, from, max, j, got[j], want[j])
+		}
+	}
 }
 
 // TestPullEventsMatchesLinearScan drives a randomized write history over
@@ -357,6 +414,7 @@ func TestPullEventsMatchesLinearScan(t *testing.T) {
 	kinds := []Kind{KindSession, KindStagedModel, KindGPUServer}
 	for _, writes := range []int{300, logWindow + 700} {
 		run(t, func(p *sim.Proc, s *Store) {
+			m := newLogModel(t, p, s)
 			rng := p.Rand()
 			for i := 0; i < writes; i++ {
 				kind := kinds[rng.Intn(len(kinds))]
@@ -372,10 +430,13 @@ func TestPullEventsMatchesLinearScan(t *testing.T) {
 				default:
 					_, _ = s.UpdateStatus(p, cur)
 				}
+				m.sync()
 			}
-			positions := []uint64{0, s.truncatedAtRV, s.rv - 1, s.rv}
-			if s.truncatedAtRV > 0 {
-				positions = append(positions, s.truncatedAtRV-1)
+			positions := []uint64{0, s.rv - 1, s.rv}
+			for _, kind := range kinds {
+				if tr := m.truncated[kind]; tr > 0 {
+					positions = append(positions, tr-1, tr)
+				}
 			}
 			for i := 0; i < 40; i++ {
 				positions = append(positions, uint64(rng.Int63n(int64(s.rv)+1)))
@@ -383,23 +444,7 @@ func TestPullEventsMatchesLinearScan(t *testing.T) {
 			for _, kind := range kinds {
 				for _, from := range positions {
 					for _, max := range []int{1, 7, 256} {
-						want, wantNext := linearPull(s, kind, from, max)
-						got, gotNext, err := s.PullEvents(p, kind, from, max, 0)
-						if err != nil {
-							t.Fatalf("pull: %v", err)
-						}
-						if gotNext != wantNext || len(got) != len(want) {
-							t.Fatalf("%s from %d max %d (log from %d, %d writes): got %d events next %d, want %d next %d",
-								kind, from, max, s.truncatedAtRV, writes, len(got), gotNext, len(want), wantNext)
-						}
-						for j := range got {
-							g, w := got[j], want[j]
-							if g.Type != w.Type || g.RV != w.RV ||
-								(g.Object == nil) != (w.Object == nil) ||
-								(g.Object != nil && g.Object.Meta().Name != w.Object.Meta().Name) {
-								t.Fatalf("%s from %d max %d: event %d is %+v, want %+v", kind, from, max, j, g, w)
-							}
-						}
+						m.checkPull(t, p, kind, from, max)
 					}
 				}
 			}
@@ -408,19 +453,17 @@ func TestPullEventsMatchesLinearScan(t *testing.T) {
 }
 
 // TestPullEventsBlockedAcrossForeignWrites parks a long-poll on one kind
-// while another kind is written. Every wake-up resumes scanning where the
-// last one stopped, so the poll returns exactly the one event of its kind —
-// even when the log rolls over its original position meanwhile, because it
-// has seen everything that was dropped. Only writes that roll the log over
-// between two wake-ups cost it continuity, and then it says so.
+// while another kind is written. The foreign writes do not wake it, and the
+// poll returns exactly the one event of its kind — even when the log rolls
+// over its position meanwhile, in a hundred steps or in one: every event
+// dropped was another kind's, so it lost nothing and is handed no Gap.
 func TestPullEventsBlockedAcrossForeignWrites(t *testing.T) {
 	for _, tc := range []struct {
 		foreign, perWake int
-		wantGap          bool
 	}{
 		{foreign: 50, perWake: 1},
 		{foreign: logWindow + 50, perWake: 100},
-		{foreign: logWindow + 50, perWake: logWindow + 50, wantGap: true},
+		{foreign: logWindow + 50, perWake: logWindow + 50},
 	} {
 		e := sim.NewEngine(3)
 		s := New(e, nil)
@@ -439,13 +482,13 @@ func TestPullEventsBlockedAcrossForeignWrites(t *testing.T) {
 			if err != nil || nextRV != s.RV() {
 				t.Fatalf("pull: err=%v nextRV=%d, store at %d", err, nextRV, s.RV())
 			}
-			switch {
-			case tc.wantGap:
-				if len(evs) != 1 || evs[0].Type != Gap {
-					t.Errorf("%+v: got %+v, want the Gap marker over an empty kind", tc, evs)
-				}
-			case len(evs) != 1 || evs[0].Type != Added || evs[0].Object.Meta().Name != "late":
+			if len(evs) != 1 || evs[0].Type != Added || evs[0].Object.Meta().Name != "late" {
 				t.Errorf("%+v: got %+v, want Added late", tc, evs)
+			}
+			// The kind that did lose events says so to a consumer left behind.
+			evs, _, err = s.PullEvents(p, KindStagedModel, 0, 16, 0)
+			if rolled := tc.foreign > logWindow; err != nil || (len(evs) > 0 && evs[0].Type == Gap) != rolled {
+				t.Errorf("%+v: StagedModel pull from 0: err=%v first event %+v, want a Gap marker: %v", tc, err, evs[0], rolled)
 			}
 		})
 	}
