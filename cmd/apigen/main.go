@@ -58,27 +58,33 @@ type Call struct {
 // DecShared, when set, is an allocation-free decode whose result aliases
 // the decoder's buffer/scratch (valid until the decoder resets); the server
 // dispatch path prefers it, since the dispatch decoder outlives the backend
-// call. At most one field per shared kind may appear in a message — the
-// scratch is per-decoder, so a second use would clobber the first
-// (validate enforces this). Size, when set, estimates the value's encoded
-// length: Dispatch grows the reply encoder by it before encoding a response
-// that carries such a field, so a large reply is one allocation.
+// call. Scratch names the per-decoder scratch slice such a decode fills: at
+// most one field per scratch may appear in a message, or the second decode
+// would clobber the first (validate enforces this); a shared kind without
+// one aliases the buffer alone. Size, when set, estimates the value's encoded
+// length; Dispatch grows the reply encoder by the response's estimate (eight
+// bytes for a field without one) before encoding it, so a reply into a fresh
+// encoder is one allocation and one into a warm encoder none.
 var kinds = map[string]struct {
 	GoType    string
 	Enc       string // method on wire.Encoder; %s is the value
 	Dec       string // expression on wire.Decoder
 	DecShared string // alloc-free variant aliasing the decoder, if any
+	Scratch   string // decoder scratch DecShared fills, if any
 	Size      string // encoded-length estimate; %s is the value
 }{
-	"bool":    {GoType: "bool", Enc: "e.Bool(%s)", Dec: "d.Bool()"},
-	"byte":    {GoType: "byte", Enc: "e.U8(%s)", Dec: "d.U8()"},
-	"int":     {GoType: "int", Enc: "e.Int(%s)", Dec: "d.Int()"},
-	"i64":     {GoType: "int64", Enc: "e.I64(%s)", Dec: "d.I64()"},
-	"u64":     {GoType: "uint64", Enc: "e.U64(%s)", Dec: "d.U64()"},
-	"u64s":    {GoType: "[]uint64", Enc: "e.U64s(%s)", Dec: "d.U64s()"},
-	"dur":     {GoType: "time.Duration", Enc: "e.Dur(%s)", Dec: "d.Dur()"},
-	"str":     {GoType: "string", Enc: "e.Str(%s)", Dec: "d.Str()"},
-	"strs":    {GoType: "[]string", Enc: "e.Strs(%s)", Dec: "d.Strs()", DecShared: "d.StrsShared()"},
+	"bool": {GoType: "bool", Enc: "e.Bool(%s)", Dec: "d.Bool()"},
+	"byte": {GoType: "byte", Enc: "e.U8(%s)", Dec: "d.U8()"},
+	"int":  {GoType: "int", Enc: "e.Int(%s)", Dec: "d.Int()"},
+	"i64":  {GoType: "int64", Enc: "e.I64(%s)", Dec: "d.I64()"},
+	"u64":  {GoType: "uint64", Enc: "e.U64(%s)", Dec: "d.U64()"},
+	"u64s": {GoType: "[]uint64", Enc: "e.U64s(%s)", Dec: "d.U64s()"},
+	"dur":  {GoType: "time.Duration", Enc: "e.Dur(%s)", Dec: "d.Dur()"},
+	"str":  {GoType: "string", Enc: "e.Str(%s)", Dec: "d.Str()"},
+	// label is a str the backend only looks up (a cuDNN primitive's name):
+	// dispatch hands it over as a view of the request buffer.
+	"label":   {GoType: "string", Enc: "e.Str(%s)", Dec: "d.Str()", DecShared: "d.StrShared()"},
+	"strs":    {GoType: "[]string", Enc: "e.Strs(%s)", Dec: "d.Strs()", DecShared: "d.StrsShared()", Scratch: "strs"},
 	"vec3":    {GoType: "[3]int", Enc: "e.Vec3(%s)", Dec: "d.Vec3()"},
 	"hostbuf": {GoType: "gpu.HostBuffer", Enc: "e.HostBuf(%s)", Dec: "d.HostBuf()"},
 	// bulk is a trailing raw byte slice eligible for the protocol-v2 vectored
@@ -86,14 +92,14 @@ var kinds = map[string]struct {
 	// alongside the metadata (one writev, no coalescing copy); on v1 it is
 	// inlined as an ordinary length-prefixed field (capped at wire's 1 MiB
 	// slice bound). validate() enforces its placement rules.
-	"bulk":    {GoType: "[]byte", Enc: "e.BytesField(%s)", Dec: "d.BytesField()", DecShared: "d.BytesShared()"},
-	"prop":    {GoType: "cuda.DeviceProp", Enc: "e.Prop(%s)", Dec: "d.Prop()"},
+	"bulk":    {GoType: "[]byte", Enc: "e.BytesField(%s)", Dec: "d.BytesField()", DecShared: "d.BytesShared()", Size: "4 + len(%s)"},
+	"prop":    {GoType: "cuda.DeviceProp", Enc: "e.Prop(%s)", Dec: "d.Prop()", Size: "44 + len(%s.Name)"},
 	"attrs":   {GoType: "cuda.PtrAttributes", Enc: "e.Attrs(%s)", Dec: "d.Attrs()"},
-	"launch":  {GoType: "cuda.LaunchParams", Enc: "e.Launch(%s)", Dec: "d.Launch()", DecShared: "d.LaunchShared()"},
+	"launch":  {GoType: "cuda.LaunchParams", Enc: "e.Launch(%s)", Dec: "d.Launch()", DecShared: "d.LaunchShared()", Scratch: "ptrs"},
 	"devptr":  {GoType: "cuda.DevPtr", Enc: "e.U64(uint64(%s))", Dec: "cuda.DevPtr(d.U64())"},
-	"devptrs": {GoType: "[]cuda.DevPtr", Enc: "e.DevPtrs(%s)", Dec: "d.DevPtrs()"},
+	"devptrs": {GoType: "[]cuda.DevPtr", Enc: "e.DevPtrs(%s)", Dec: "d.DevPtrs()", DecShared: "d.DevPtrsShared()", Scratch: "ptrs"},
 	"fnptr":   {GoType: "cuda.FnPtr", Enc: "e.U64(uint64(%s))", Dec: "cuda.FnPtr(d.U64())"},
-	"fnptrs":  {GoType: "[]cuda.FnPtr", Enc: "e.FnPtrs(%s)", Dec: "d.FnPtrs()"},
+	"fnptrs":  {GoType: "[]cuda.FnPtr", Enc: "e.FnPtrs(%s)", Dec: "d.FnPtrs()", Size: "4 + 8*len(%s)"},
 	"stream":  {GoType: "cuda.StreamHandle", Enc: "e.U64(uint64(%s))", Dec: "cuda.StreamHandle(d.U64())"},
 	"event":   {GoType: "cuda.EventHandle", Enc: "e.U64(uint64(%s))", Dec: "cuda.EventHandle(d.U64())"},
 	"dnn":     {GoType: "cudalibs.DNNHandle", Enc: "e.U64(uint64(%s))", Dec: "cudalibs.DNNHandle(d.U64())"},
@@ -108,7 +114,7 @@ var kinds = map[string]struct {
 
 // sizeHint renders the estimated encoded length of a response — the status
 // word, eight bytes for every field without an estimate of its own, and the
-// estimates — or "" when no field has one.
+// estimates.
 func sizeHint(fields []Field) string {
 	fixed, sized := 4, ""
 	for _, f := range fields {
@@ -117,9 +123,6 @@ func sizeHint(fields []Field) string {
 		} else {
 			fixed += 8
 		}
-	}
-	if sized == "" {
-		return ""
 	}
 	return fmt.Sprint(fixed) + sized
 }
@@ -244,7 +247,7 @@ var spec = []Call{
 	{Name: "DnnDestroy", Doc: "mirrors cudnnDestroy", Req: []Field{{"H", "dnn"}}, Class: "batchable", Async: true},
 	{Name: "DnnSetStream", Doc: "mirrors cudnnSetStream", Req: []Field{{"H", "dnn"}, {"Stream", "stream"}}, Class: "batchable", Async: true, Establishes: true},
 	{Name: "DnnGetConvolutionWorkspaceSize", Doc: "mirrors cudnnGetConvolutionForwardWorkspaceSize", Req: []Field{{"D", "desc"}}, Resp: []Field{{"Size", "i64"}}, Class: "remote"},
-	{Name: "DnnForward", Doc: "runs a cuDNN compute primitive (convolution, batch-norm, ...) of the given nominal duration", Req: []Field{{"H", "dnn"}, {"Op", "str"}, {"Dur", "dur"}, {"Bufs", "devptrs"}, {"Descs", "u64s"}}, Class: "remote"},
+	{Name: "DnnForward", Doc: "runs a cuDNN compute primitive (convolution, batch-norm, ...) of the given nominal duration", Req: []Field{{"H", "dnn"}, {"Op", "label"}, {"Dur", "dur"}, {"Bufs", "devptrs"}, {"Descs", "u64s"}}, Class: "remote"},
 
 	// --- cuBLAS ---
 	{Name: "BlasCreate", Doc: "mirrors cublasCreate; pooled like cuDNN handles", Resp: []Field{{"H", "blas"}}, Class: "remote", Establishes: true},
@@ -407,17 +410,18 @@ func validate(calls []Call) error {
 		if c.Class == "batchable" && len(c.Resp) > 0 {
 			return fmt.Errorf("call %s: batchable but has response fields", c.Name)
 		}
-		// Shared decoding reuses per-decoder scratch, so a second field of
-		// the same shared kind in one message would clobber the first.
-		perKind := map[string]int{}
+		// Shared decoding reuses per-decoder scratch, so a second field
+		// filling the same scratch in one message would clobber the first.
+		perScratch := map[string]string{}
 		for _, f := range c.Req {
-			if kinds[f.Kind].DecShared == "" {
+			sc := kinds[f.Kind].Scratch
+			if sc == "" {
 				continue
 			}
-			perKind[f.Kind]++
-			if perKind[f.Kind] > 1 {
-				return fmt.Errorf("call %s: two %q request fields cannot share one decoder's scratch", c.Name, f.Kind)
+			if first, taken := perScratch[sc]; taken {
+				return fmt.Errorf("call %s: request fields %s and %s cannot share the decoder's %q scratch", c.Name, first, f.Name, sc)
 			}
+			perScratch[sc] = f.Name
 		}
 		// Bulk fields ride the v2 vectored lane: exactly one per call, on one
 		// side only, trailing (the wire bulk region follows the metadata), and
@@ -545,13 +549,6 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 	}
 
 	// Dispatch.
-	p("// errResp encodes an error-only response.")
-	p("func errResp(err error) []byte {")
-	p("\tvar e wire.Encoder")
-	p("\te.I32(int32(cuda.Code(err)))")
-	p("\treturn e.Bytes()")
-	p("}")
-	p("")
 	if s.Lanes {
 		p("// Dispatch decodes one call from payload and executes it against the")
 		p("// backend, returning the encoded response and the logical payload bytes")
@@ -562,35 +559,60 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 		p("\treturn resp, respData")
 		p("}")
 		p("")
-		p("// DispatchBulk is Dispatch for transports with the protocol-v2 vectored")
-		p("// bulk lane. reqBulk is the request frame's bulk region (nil when the")
-		p("// call inlined its bytes, which is how the decode variant is chosen).")
-		p("// The backend receives it as a borrowed argument and copies what it")
-		p("// retains, unless the transport gave the buffer away and the backend")
-		p("// learns so out of band (OwnedBulkParams in buftable.go). wantBulk")
-		p("// reports whether the reply frame may carry a bulk region: when a")
-		p("// bulk-response call asked for a vectored reply, respBulk returns the")
-		p("// bytes and the encoded response holds only status + metadata. respBulk")
+		p("// DispatchBulk is DispatchTo into a fresh encoder, for a caller that")
+		p("// keeps the response: the one allocation per call is the response.")
+		p("func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte, wantBulk bool) (resp []byte, respData int64, respBulk []byte) {")
+		p("\tvar enc wire.Encoder")
+		p("\trespData, respBulk = DispatchTo(p, b, &enc, payload, reqBulk, wantBulk)")
+		p("\treturn enc.Bytes(), respData, respBulk")
+		p("}")
+		p("")
+		p("// DispatchTo is the dispatch body: it decodes one call from payload,")
+		p("// executes it against the backend and appends the encoded response —")
+		p("// the status word, then the result fields of a call that succeeded — to")
+		p("// enc, allocating nothing when enc has the room. It returns the logical")
+		p("// payload bytes that flow back with the response. The request's")
+		p("// reference fields are decoded shared (SharedDecodeParams in")
+		p("// buftable.go): what the backend receives aliases payload and the")
+		p("// decoder, and is dead once DispatchTo returns, when the caller may")
+		p("// recycle payload.")
+		p("//")
+		p("// reqBulk is the request frame's vectored bulk region (protocol v2; nil")
+		p("// when the call inlined its bytes, which is how the decode variant is")
+		p("// chosen). The backend receives it as a borrowed argument and copies")
+		p("// what it retains, unless the transport gave the buffer away and the")
+		p("// backend learns so out of band (OwnedBulkParams in buftable.go).")
+		p("// wantBulk reports whether the reply frame may carry a bulk region:")
+		p("// when a bulk-response call asked for a vectored reply, respBulk")
+		p("// returns the bytes and enc receives only status + metadata. respBulk")
 		p("// may be a view of the backend's storage, lent to the reply (LentBulk in")
 		p("// buftable.go): it stays as it is until the reply frame is written.")
-		p("func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte, wantBulk bool) (resp []byte, respData int64, respBulk []byte) {")
+		p("func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte, wantBulk bool) (respData int64, respBulk []byte) {")
 	} else {
 		p("// Dispatch decodes one call from payload and executes it against the")
-		p("// backend, returning the encoded response.")
+		p("// backend, returning the encoded response in a fresh buffer.")
 		p("func Dispatch(p *sim.Proc, b API, payload []byte) []byte {")
+		p("\tvar enc wire.Encoder")
+		p("\tDispatchTo(p, b, &enc, payload)")
+		p("\treturn enc.Bytes()")
+		p("}")
+		p("")
+		p("// DispatchTo is the dispatch body: it decodes one call from payload,")
+		p("// executes it against the backend and appends the encoded response —")
+		p("// the status word, then the result fields of a call that succeeded — to")
+		p("// enc. Nothing of payload is referenced once it returns.")
+		p("func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload []byte) {")
 	}
 	p("\tdec := wire.GetDecoder(payload)")
 	p("\tdefer wire.PutDecoder(dec)")
-	p("\tid := dec.U16()")
-	p("\tif dec.Err() != nil {")
-	p("\t\t%s", s.ret("errResp("+s.BadReq+")"))
-	p("\t}")
-	p("\tswitch id {")
+	p("\tswitch id := dec.U16(); id {")
 	for _, c := range calls {
 		emitDispatchCase(p, s, c)
 	}
 	p("\t}")
-	p("\t%s", s.ret("errResp("+s.BadReq+")"))
+	p("\t// An unknown call, or a request that does not decode.")
+	p("\tenc.I32(int32(cuda.Code(%s)))", s.BadReq)
+	p("\t%s", s.ret())
 	p("}")
 
 	src, err := format.Source(b.Bytes())
@@ -602,13 +624,13 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 	return src, nil
 }
 
-// ret renders Dispatch's return of an encoded response: a surface with the
-// lanes also returns the response's logical payload bytes and bulk region.
-func (s surface) ret(resp string) string {
+// ret renders DispatchTo's plain return: a surface with the lanes returns
+// the response's logical payload bytes and bulk region, here none.
+func (s surface) ret() string {
 	if s.Lanes {
-		return "return " + resp + ", 0, nil"
+		return "return 0, nil"
 	}
-	return "return " + resp
+	return "return"
 }
 
 // emitClasses writes the call-class table of the surface with lanes.
@@ -733,7 +755,7 @@ func genBufTable(calls []Call) ([]byte, error) {
 	p("type SharedParam struct {")
 	p("\tField string // request field name")
 	p("\tArg   int    // 0-based position after the Proc parameter")
-	p("\tKind  string // spec kind: strs, launch, bulk")
+	p("\tKind  string // spec kind: label, strs, launch, devptrs, bulk")
 	p("}")
 	p("")
 	p("// SharedDecodeParams maps call name to the request fields that reach the")
@@ -800,18 +822,49 @@ func genBufTable(calls []Call) ([]byte, error) {
 	p("\tRelease: \"Release\",")
 	p("}")
 	p("")
+	p("// PooledPayload describes the other part of a reply that is not the")
+	p("// transport's to keep: with Flag set, the Field of remoting's Type is a")
+	p("// buffer of the wire payload pool, and the Release method that ends a")
+	p("// lend also returns it. The rule is LentBulk's: read before the release,")
+	p("// keep no reference after. A guest-side transport may hold the response")
+	p("// itself — that is how a reply stays valid until its caller's next call —")
+	p("// but never the slice apart from it.")
+	p("var PooledPayload = struct {")
+	p("\tType    string // remoting type carrying the payload")
+	p("\tField   string // its field holding the pooled buffer")
+	p("\tFlag    string // its field saying the buffer is the pool's")
+	p("\tRelease string // its method returning the buffer")
+	p("}{")
+	p("\tType:    \"Response\",")
+	p("\tField:   \"Payload\",")
+	p("\tFlag:    \"Pooled\",")
+	p("\tRelease: \"Release\",")
+	p("}")
+	p("")
 	p("// PoolAcquire maps wire pool acquire functions to the release that must")
 	p("// eventually be called on their result. Between the two, the value is")
-	p("// owned by exactly one goroutine and must not outlive the release.")
+	p("// owned by exactly one goroutine and must not outlive the release. A")
+	p("// payload buffer (GetBuf) is also released by handing it to a function")
+	p("// in GivenArgCalls.")
 	p("var PoolAcquire = map[string]string{")
 	p("\t\"GetEncoder\": \"PutEncoder\",")
 	p("\t\"GetDecoder\": \"PutDecoder\",")
+	p("\t\"GetBuf\":     \"PutBuf\",")
 	p("}")
 	p("")
 	p("// PoolRelease is the inverse of PoolAcquire.")
 	p("var PoolRelease = map[string]string{")
 	p("\t\"PutEncoder\": \"GetEncoder\",")
 	p("\t\"PutDecoder\": \"GetDecoder\",")
+	p("\t\"PutBuf\":     \"GetBuf\",")
+	p("}")
+	p("")
+	p("// GivenArgCalls maps transport functions to the 0-based positions of the")
+	p("// byte-slice arguments they take for good: the message's consumer returns")
+	p("// the slice to the payload pool, so after the call the caller neither")
+	p("// reads it nor returns it itself — whether or not the call succeeded.")
+	p("var GivenArgCalls = map[string][]int{")
+	p("\t\"Submit\": {1}, // req")
 	p("}")
 	p("")
 	p("// BorrowedResultCalls names the transport entry points whose returned")
@@ -837,10 +890,12 @@ func genBufTable(calls []Call) ([]byte, error) {
 	p("// per-request DecodeShared) whose results alias the decoder's buffer or")
 	p("// scratch and die at PutDecoder / Reset.")
 	p("var SharedDecodeMethods = map[string]bool{")
-	p("\t\"StrsShared\":   true,")
-	p("\t\"LaunchShared\": true,")
-	p("\t\"BytesShared\":  true,")
-	p("\t\"DecodeShared\": true,")
+	p("\t\"StrShared\":     true,")
+	p("\t\"StrsShared\":    true,")
+	p("\t\"LaunchShared\":  true,")
+	p("\t\"DevPtrsShared\": true,")
+	p("\t\"BytesShared\":   true,")
+	p("\t\"DecodeShared\":  true,")
 	p("}")
 
 	src, err := format.Source(b.Bytes())
@@ -1108,13 +1163,7 @@ func emitClientInlineBody(p func(string, ...any), c Call, oneWay bool) {
 	if c.ReqData != "" {
 		reqData = lower(c.ReqData)
 	}
-	if oneWay {
-		p("\t// One-way lane: the buffer rides with an asynchronous consumer, so")
-		p("\t// it must be fresh, never pooled.")
-		p("\tenc := new(wire.Encoder)")
-	} else {
-		p("\tenc := wire.GetEncoder()")
-	}
+	p("\tenc := wire.GetEncoder()")
 	var args []string
 	for _, f := range c.Req {
 		args = append(args, lower(f.Name))
@@ -1126,7 +1175,12 @@ func emitClientInlineBody(p func(string, ...any), c Call, oneWay bool) {
 	p("\tAppend%sCall(enc%s)", c.Name, callArgs)
 	if oneWay {
 		p("\tif a, ok := c.T.(remoting.AsyncCaller); ok {")
-		p("\t\treturn a.Submit(p, enc.Bytes(), int64(%s))", reqData)
+		p("\t\t// One-way lane: the message outlives this call, so it travels in a")
+		p("\t\t// buffer of the payload pool, which Submit takes and the message's")
+		p("\t\t// consumer returns.")
+		p("\t\treq := append(wire.GetBuf(enc.Len()), enc.Bytes()...)")
+		p("\t\twire.PutEncoder(enc)")
+		p("\t\treturn a.Submit(p, req, int64(%s))", reqData)
 		p("\t}")
 		p("\t// Transport without an async lane: degrade to a round trip.")
 	}
@@ -1187,7 +1241,7 @@ func emitDispatchCase(p func(string, ...any), s surface, c Call) {
 		p("\t\treq.Decode(dec)")
 	}
 	p("\t\tif dec.Err() != nil {")
-	p("\t\t\t%s", s.ret("errResp("+s.BadReq+")"))
+	p("\t\t\tbreak")
 	p("\t\t}")
 	var args []string
 	for _, f := range c.Req {
@@ -1206,43 +1260,37 @@ func emitDispatchCase(p func(string, ...any), s surface, c Call) {
 	} else {
 		p("\t\terr := b.%s(p%s)", c.Name, callArgs)
 	}
-	p("\t\tvar enc wire.Encoder")
-	if hint := sizeHint(c.Resp); hint != "" {
-		p("\t\tif err == nil {")
-		p("\t\t\tenc.Grow(%s)", hint)
-		p("\t\t}")
+	if len(c.Resp) == 0 {
+		p("\t\tenc.I32(int32(cuda.Code(err)))")
+		p("\t\t%s", s.ret())
+		return
 	}
-	p("\t\tenc.I32(int32(cuda.Code(err)))")
+	p("\t\tif err != nil {")
+	p("\t\t\tenc.I32(int32(cuda.Code(err)))")
+	p("\t\t\t%s", s.ret())
+	p("\t\t}")
+	var lits, metaLits []string
+	for _, f := range c.Resp {
+		lit := fmt.Sprintf("%s: %s", f.Name, lower(f.Name))
+		lits = append(lits, lit)
+		if f.Kind != "bulk" {
+			metaLits = append(metaLits, lit)
+		}
+	}
 	if respB != nil {
-		var metaLits []string
-		for _, f := range c.Resp {
-			if f.Kind == "bulk" {
-				continue
-			}
-			metaLits = append(metaLits, fmt.Sprintf("%s: %s", f.Name, lower(f.Name)))
-		}
-		p("\t\tif err == nil && vecResp && wantBulk {")
-		p("\t\t\t(&%sResp{%s}).EncodeMeta(&enc)", c.Name, strings.Join(metaLits, ", "))
-		p("\t\t\treturn enc.Bytes(), 0, %s", lower(respB.Name))
+		p("\t\tif vecResp && wantBulk {")
+		p("\t\t\tenc.I32(0)")
+		p("\t\t\t(&%sResp{%s}).EncodeMeta(enc)", c.Name, strings.Join(metaLits, ", "))
+		p("\t\t\treturn 0, %s", lower(respB.Name))
 		p("\t\t}")
 	}
-	if len(c.Resp) > 0 {
-		var lits []string
-		for _, f := range c.Resp {
-			lits = append(lits, fmt.Sprintf("%s: %s", f.Name, lower(f.Name)))
-		}
-		p("\t\tif err == nil {")
-		p("\t\t\t(&%sResp{%s}).Encode(&enc)", c.Name, strings.Join(lits, ", "))
-		p("\t\t}")
-	}
+	p("\t\tenc.Grow(%s)", sizeHint(c.Resp))
+	p("\t\tenc.I32(0)")
+	p("\t\t(&%sResp{%s}).Encode(enc)", c.Name, strings.Join(lits, ", "))
 	if c.RspData != "" {
-		p("\t\tvar respBytes int64")
-		p("\t\tif err == nil {")
-		p("\t\t\trespBytes = int64(req.%s)", c.RspData)
-		p("\t\t}")
-		p("\t\treturn enc.Bytes(), respBytes, nil")
+		p("\t\treturn int64(req.%s), nil", c.RspData)
 	} else {
-		p("\t\t%s", s.ret("enc.Bytes()"))
+		p("\t\t%s", s.ret())
 	}
 }
 

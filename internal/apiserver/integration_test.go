@@ -20,6 +20,7 @@ import (
 type rig struct {
 	devs []*gpu.Device
 	srv  *Server
+	conn remoting.AsyncCaller
 	lib  *guest.Lib
 }
 
@@ -36,7 +37,7 @@ func newRig(e *sim.Engine, p *sim.Proc, n int, cfg Config, opt guest.Opt) *rig {
 	srv := NewServer(e, rt, cfg)
 	p.SpawnDaemon("apiserver", srv.Run)
 	conn := remoting.Dial(e, &remoting.Listener{Incoming: srv.Inbox}, remoting.NetProfile{RTT: 50 * time.Microsecond})
-	return &rig{devs: devs, srv: srv, lib: guest.New(conn, opt)}
+	return &rig{devs: devs, srv: srv, conn: conn, lib: guest.New(conn, opt)}
 }
 
 func fastCfg() Config {

@@ -20,6 +20,7 @@
 package apiserver
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -108,6 +109,13 @@ type Server struct {
 	// lease holds the bulk buffer the transport gave away with the request
 	// being handled, until MemWrite claims it or the request is done.
 	lease remoting.BulkLease
+
+	// reply is where handle encodes the response to the message it was
+	// given: a call's, an entry's inside a batch or a one-way submission —
+	// read for its status word and overwritten by the next — a fence's. The
+	// request loop copies what is owed to a guest into a buffer of the
+	// payload pool, which travels with the Response.
+	reply wire.Encoder
 
 	// pinned is the GPU-resident cached model this server holds while idle
 	// (or before the owning function adopts it via ModelAttach). Its VMM
@@ -249,14 +257,19 @@ func (s *Server) Run(p *sim.Proc) {
 			continue
 		}
 		s.lease = remoting.LeaseBulk(&req)
-		resp, data, bulk := s.handle(p, req)
+		replies, data, bulk := s.handle(p, req)
 		s.lease.Recycle()
-		if resp == nil || req.ReplyTo == nil {
+		if req.PayloadOwned {
+			// Handled: nothing decoded from the payload is referenced now.
+			wire.PutBuf(req.Payload)
+		}
+		if !replies || req.ReplyTo == nil {
 			continue // one-way submission: no acknowledgement
 		}
 		// Proto echoes the request so a TCP bridge frames the reply in the
 		// version the guest negotiated.
-		r := remoting.Response{Payload: resp, RespData: data, Bulk: bulk, Proto: req.Proto}
+		payload := append(wire.GetBuf(s.reply.Len()), s.reply.Bytes()...)
+		r := remoting.Response{Payload: payload, Pooled: true, RespData: data, Bulk: bulk, Proto: req.Proto}
 		if bulk != nil && s.sess != nil {
 			// A vectored reply's bulk is MemRead's view of the session's
 			// bytes: lent until the transport is done with the frame.
@@ -342,37 +355,61 @@ func (s *Server) handleCtrl(p *sim.Proc, req remoting.Request) {
 }
 
 // handle executes one wire message (a single call, a batch, an async
-// one-way submission, a fence, or a protocol hello). A nil response means
-// "send no reply". The third return is the reply's bulk region, non-nil
-// only for vectored bulk-response calls on a protocol-v2 connection.
-func (s *Server) handle(p *sim.Proc, req remoting.Request) ([]byte, int64, []byte) {
+// one-way submission, a fence, or a protocol hello) and leaves the encoded
+// response in s.reply; replies is false for a message that gets none. bulk is
+// the reply's bulk region, non-nil only for vectored bulk-response calls on a
+// protocol-v2 connection.
+func (s *Server) handle(p *sim.Proc, req remoting.Request) (replies bool, data int64, bulk []byte) {
 	payload := req.Payload
-	d := wire.NewDecoder(payload)
-	switch id := d.U16(); id {
+	s.reply.Reset()
+	switch id := callID(payload); id {
 	case remoting.CallBatch:
-		return s.handleBatch(p, d), 0, nil
+		s.handleBatch(p, payload[2:])
+		return true, 0, nil
 	case remoting.CallAsync:
 		s.handleAsync(p, payload[2:])
-		return nil, 0, nil
+		return false, 0, nil
 	case remoting.CallFence:
 		s.stats.FencesHandled++
-		var e wire.Encoder
-		e.I32(s.asyncErr)
+		s.reply.I32(s.asyncErr)
 		s.asyncErr = 0
-		return e.Bytes(), 0, nil
+		return true, 0, nil
 	case remoting.CallProtoHello:
 		// Version negotiation, answered out of band of the call table —
 		// not an API call, so it stays out of callCounts. A malformed
 		// hello falls through to Dispatch's unknown-call error, which is
 		// exactly what a pre-hello (v1) server would answer.
 		if reply, _, ok := remoting.HandleHello(payload, remoting.MaxProtoVersion); ok {
-			return reply, 0, nil
+			s.reply.Raw(reply)
+			return true, 0, nil
 		}
 	default:
 		s.callCounts[id]++
 	}
 	s.stats.CallsHandled++
-	return gen.DispatchBulk(p, s, payload, req.Bulk, req.Proto >= remoting.ProtoV2)
+	data, bulk = gen.DispatchTo(p, s, &s.reply, payload, req.Bulk, req.Proto >= remoting.ProtoV2)
+	return true, data, bulk
+}
+
+// callID reads the call ID that opens a message; 0, the reserved ID, for a
+// message too short to have one.
+func callID(msg []byte) uint16 {
+	if len(msg) < 2 {
+		return 0
+	}
+	return binary.LittleEndian.Uint16(msg)
+}
+
+// replyStatus reads the status word that opens the response in s.reply.
+func (s *Server) replyStatus() int32 {
+	return int32(binary.LittleEndian.Uint32(s.reply.Bytes()))
+}
+
+// latch records the first error of the pipelined lane.
+func (s *Server) latch(code int32) {
+	if s.asyncErr == 0 {
+		s.asyncErr = code
+	}
 }
 
 // handleAsync executes a one-way submission: the wrapped message runs like
@@ -380,26 +417,15 @@ func (s *Server) handle(p *sim.Proc, req remoting.Request) ([]byte, int64, []byt
 // until the next fence.
 func (s *Server) handleAsync(p *sim.Proc, inner []byte) {
 	s.stats.AsyncHandled++
-	id := wire.NewDecoder(inner).U16()
-	if id == remoting.CallAsync || id == remoting.CallFence || id == remoting.CallBatch {
-		if s.asyncErr == 0 {
-			s.asyncErr = int32(cuda.Code(cuda.ErrInvalidValue))
-		}
-		return // malformed: reserved IDs do not nest inside a submission
-	}
 	// Only table-deferrable calls may run one-way: anything result-bearing
 	// would silently drop its result here, so reject it instead of executing.
-	if !gen.CallIsDeferrable(id) {
-		if s.asyncErr == 0 {
-			s.asyncErr = int32(cuda.Code(cuda.ErrInvalidValue))
-		}
+	// That covers the reserved IDs too, which do not nest inside a submission.
+	if !gen.CallIsDeferrable(callID(inner)) {
+		s.latch(int32(cuda.Code(cuda.ErrInvalidValue)))
 		return
 	}
-	resp, _, _ := s.handle(p, remoting.Request{Payload: inner})
-	rd := wire.NewDecoder(resp)
-	if code := rd.I32(); code != 0 && s.asyncErr == 0 && rd.Err() == nil {
-		s.asyncErr = code
-	}
+	s.handle(p, remoting.Request{Payload: inner})
+	s.latch(s.replyStatus())
 }
 
 // CallCounts reports how often each API has been executed, keyed by name —
@@ -414,32 +440,34 @@ func (s *Server) CallCounts() map[string]int {
 
 // handleBatch executes the entries of a batch message in order, replying
 // with the first error encountered (subsequent entries still execute, like
-// asynchronous CUDA work after a sticky error).
-func (s *Server) handleBatch(p *sim.Proc, d *wire.Decoder) []byte {
+// asynchronous CUDA work after a sticky error). body is the message after its
+// call ID; the entries are dispatched as views of it.
+func (s *Server) handleBatch(p *sim.Proc, body []byte) {
+	var d wire.Decoder
+	d.Reset(body)
 	n := int(d.U32())
 	s.stats.BatchesHandled++
-	firstErr := 0
+	firstErr := int32(0)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		entry := d.BytesField()
+		entry := d.BytesShared()
 		if d.Err() != nil {
 			break
 		}
 		s.stats.CallsHandled++
 		if len(entry) >= 2 {
-			s.callCounts[uint16(entry[0])|uint16(entry[1])<<8]++
+			s.callCounts[callID(entry)]++
 		}
-		resp, _ := gen.Dispatch(p, s, entry)
-		rd := wire.NewDecoder(resp)
-		if code := int(rd.I32()); code != 0 && firstErr == 0 {
+		s.reply.Reset()
+		gen.DispatchTo(p, s, &s.reply, entry, nil, false)
+		if code := s.replyStatus(); firstErr == 0 {
 			firstErr = code
 		}
 	}
 	if d.Err() != nil && firstErr == 0 {
-		firstErr = cuda.Code(cuda.ErrInvalidValue)
+		firstErr = int32(cuda.Code(cuda.ErrInvalidValue))
 	}
-	var e wire.Encoder
-	e.I32(int32(firstErr))
-	return e.Bytes()
+	s.reply.Reset()
+	s.reply.I32(firstErr)
 }
 
 // open is every API method's prologue: the session being served and the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dgsf/internal/faults"
+	"dgsf/internal/remoting/wire/wiretest"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 )
@@ -246,6 +247,34 @@ func TestOracleCatchesWriteThroughSharedObject(t *testing.T) {
 		if len(frozen) != 2 || !strings.Contains(frozen[0], `Session "s1" handed out ADDED at RV 1`) ||
 			!strings.Contains(frozen[1], `Session "s1" handed out MODIFIED at RV 2`) {
 			t.Errorf("write-through not reported per event: %v", frozen)
+		}
+	}
+}
+
+// TestSchedulesUnderPoolChecks runs fifty schedules of seed 1 twice: as they
+// always run, and with the wire payload pool in checking mode — every payload
+// returned to it poisoned, none reused. Server crashes, severed and corrupted
+// connections and recoveries are what these schedules are made of, so a fault
+// path that still reads a message after its consumer returned it, or returns
+// one twice, shows here as a different result or a failed check.
+func TestSchedulesUnderPoolChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a hundred schedule runs")
+	}
+	const seed, n = 1, 50
+	plain := make([]Result, n)
+	for trial := range plain {
+		plain[trial] = RunSchedule(seed, Generate(seed, trial))
+	}
+	wiretest.CheckPool(t)
+	for trial, want := range plain {
+		s := Generate(seed, trial)
+		got := RunSchedule(seed, s)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("trial %d (%s) under pool checks:\n%+v\nwithout:\n%+v", trial, s, got, want)
+		}
+		if len(got.Violations) != 0 {
+			t.Errorf("trial %d (%s): %d violation(s), first: %+v", trial, s, len(got.Violations), got.Violations[0])
 		}
 	}
 }

@@ -20,8 +20,50 @@ type Stream struct {
 	closed  bool
 }
 
+// streamOp is one queued device operation, as data: a kernel (ev nil) or an
+// event record. A launch is enqueued by value and the worker runs it, so a
+// kernel in flight costs a queue slot and no allocation.
 type streamOp struct {
-	run func(p *sim.Proc)
+	// A kernel: dev executes it for its nominal duration, then every
+	// allocation it mutates is stamped with its name. The launch resolved the
+	// pointers, so the op holds the allocations — inline up to
+	// inlineMutates, the usual one or two, beyond that in more.
+	dev    *gpu.Device
+	dur    time.Duration
+	name   string
+	n      int
+	allocs [inlineMutates]*gpu.PhysAlloc
+	more   []*gpu.PhysAlloc
+
+	// An event record: ev completes when the stream reaches it.
+	ev *Event
+}
+
+const inlineMutates = 4
+
+func (op *streamOp) addAlloc(a *gpu.PhysAlloc) {
+	if op.n < inlineMutates {
+		op.allocs[op.n] = a
+	} else {
+		op.more = append(op.more, a)
+	}
+	op.n++
+}
+
+func (op *streamOp) run(p *sim.Proc) {
+	if ev := op.ev; ev != nil {
+		ev.at = p.Now()
+		ev.done = true
+		ev.cond.Broadcast()
+		return
+	}
+	op.dev.ExecKernel(p, op.dur)
+	for _, a := range op.allocs[:min(op.n, inlineMutates)] {
+		gpu.MutateKernel(a, op.name)
+	}
+	for _, a := range op.more {
+		gpu.MutateKernel(a, op.name)
+	}
 }
 
 func newStream(p *sim.Proc, ctx *Context, h StreamHandle) *Stream {
@@ -176,22 +218,15 @@ func (c *Context) LaunchKernel(p *sim.Proc, lp LaunchParams) error {
 	if err != nil {
 		return err
 	}
-	allocs := make([]*gpu.PhysAlloc, 0, len(lp.Mutates))
+	op := streamOp{dev: c.dev, dur: lp.Duration, name: name}
 	for _, ptr := range lp.Mutates {
 		a, err := c.resolve(ptr)
 		if err != nil {
 			return err
 		}
-		allocs = append(allocs, a)
+		op.addAlloc(a)
 	}
-	dev := c.dev
-	dur := lp.Duration
-	s.enqueue(streamOp{run: func(p *sim.Proc) {
-		dev.ExecKernel(p, dur)
-		for _, a := range allocs {
-			gpu.MutateKernel(a, name)
-		}
-	}})
+	s.enqueue(op)
 	return nil
 }
 
@@ -248,11 +283,7 @@ func (c *Context) EventRecord(p *sim.Proc, h EventHandle, stream StreamHandle) e
 	}
 	ev.recorded = true
 	ev.done = false
-	s.enqueue(streamOp{run: func(p *sim.Proc) {
-		ev.at = p.Now()
-		ev.done = true
-		ev.cond.Broadcast()
-	}})
+	s.enqueue(streamOp{ev: ev})
 	return nil
 }
 

@@ -92,6 +92,9 @@ type Libs struct {
 	nextID  uint64
 	handles map[uint64]*handle
 	descs   map[Descriptor]DescriptorKind
+	// dnnKernels maps a cuDNN primitive's name to its kernel's, built once
+	// per primitive and owned here: op may be a view of a request buffer.
+	dnnKernels map[string]string
 }
 
 type handle struct {
@@ -103,9 +106,10 @@ type handle struct {
 // New returns empty library state with the given cost model.
 func New(costs Costs) *Libs {
 	return &Libs{
-		costs:   costs,
-		handles: make(map[uint64]*handle),
-		descs:   make(map[Descriptor]DescriptorKind),
+		costs:      costs,
+		handles:    make(map[uint64]*handle),
+		descs:      make(map[Descriptor]DescriptorKind),
+		dnnKernels: make(map[string]string),
 	}
 }
 
@@ -184,7 +188,7 @@ func (l *Libs) Launch(p *sim.Proc, k Kind, h uint64, op string, dur time.Duratio
 	}
 	name := "cublas::gemm"
 	if k == DNN {
-		name = "cudnn::" + op
+		name = l.dnnKernel(op)
 	}
 	fn, err := s.ctx.RegisterFunction(p, name)
 	if err != nil {
@@ -194,6 +198,17 @@ func (l *Libs) Launch(p *sim.Proc, k Kind, h uint64, op string, dur time.Duratio
 		return err
 	}
 	return s.ctx.StreamSynchronize(p, 0)
+}
+
+// dnnKernel returns the kernel name of cuDNN primitive op.
+func (l *Libs) dnnKernel(op string) string {
+	const prefix = "cudnn::"
+	name, ok := l.dnnKernels[op]
+	if !ok {
+		name = prefix + op
+		l.dnnKernels[name[len(prefix):]] = name // the key is name's own bytes, not op's
+	}
+	return name
 }
 
 // CreateDescriptor mirrors cudnnCreate*Descriptor: a host-side allocation.

@@ -6,6 +6,7 @@ import (
 
 	"dgsf/internal/cuda"
 	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 )
 
@@ -19,8 +20,14 @@ import (
 type fixedReply struct{ reply [32]byte }
 
 func (c *fixedReply) Roundtrip(*sim.Proc, []byte, int64) ([]byte, error) { return c.reply[:], nil }
-func (c *fixedReply) Submit(*sim.Proc, []byte, int64) error              { return nil }
 func (c *fixedReply) Close()                                             {}
+
+// Submit consumes the message, as a transport's far end does: the request is
+// Submit's, and its consumer returns it to the payload pool.
+func (c *fixedReply) Submit(_ *sim.Proc, req []byte, _ int64) error {
+	wire.PutBuf(req)
+	return nil
+}
 
 func benchGuest(b *testing.B, root func(p *sim.Proc)) {
 	b.ReportAllocs()

@@ -16,6 +16,7 @@ import (
 	"dgsf/internal/remoting"
 	"dgsf/internal/remoting/gen"
 	"dgsf/internal/remoting/wire"
+	"dgsf/internal/remoting/wire/wiretest"
 	"dgsf/internal/sim"
 )
 
@@ -223,11 +224,13 @@ func (c *recConn) sync(p *sim.Proc, req []byte, reqData int64, d time.Duration) 
 
 func (c *recConn) Submit(p *sim.Proc, req []byte, reqData int64) error {
 	c.r.tr.note("msg gen=%d lane=async data=%d broken=%v %x", c.gen, reqData, c.broken, req)
+	inner := append([]byte(nil), req[2:]...) // a wire copies; strip the CallAsync wrapper
+	wire.PutBuf(req)                         // Submit takes its request: the library must be done with it
 	if c.broken {
 		return remoting.ErrConnClosed
 	}
 	p.Sleep(5 * time.Microsecond)
-	resp, _ := gen.Dispatch(p, c.b, append([]byte(nil), req[2:]...)) // strip the CallAsync wrapper
+	resp, _ := gen.Dispatch(p, c.b, inner)
 	if code := wire.NewDecoder(resp).I32(); code != 0 && c.latched == 0 {
 		c.latched = code
 	}
@@ -426,6 +429,13 @@ func goldenScript(p *sim.Proc, lib *Lib, tr *transcript, fault func()) {
 	lib.FlushBatch(p)
 	ret("Bye", lib.Bye(p))
 	tr.note("stats %+v", lib.Stats())
+}
+
+// TestGuestTranscriptGoldenUnderPoolChecks: the same transcripts when every
+// payload the transport has consumed is poisoned at once.
+func TestGuestTranscriptGoldenUnderPoolChecks(t *testing.T) {
+	wiretest.CheckPool(t)
+	TestGuestTranscriptGolden(t)
 }
 
 func TestGuestTranscriptGolden(t *testing.T) {

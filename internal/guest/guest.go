@@ -105,7 +105,8 @@ type Lib struct {
 	localCost  time.Duration // CPU cost of a locally-answered call
 
 	// The pending batch (OptBatching): calls deferred since the last flush,
-	// encoded when it ships. scratch holds one encoded call at a time.
+	// encoded when it ships. scratch holds one encoded call at a time: a
+	// batch entry, or a one-way submission about to be copied out.
 	pending []op
 	scratch wire.Encoder
 

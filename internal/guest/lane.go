@@ -312,21 +312,23 @@ func (l *Lib) submitAsync(p *sim.Proc, o *op) error {
 	return nil
 }
 
-// send puts one call on the pipelined lane. The encoder buffer is freshly
-// allocated — never pooled — because the transport may hold it until
-// delivery.
+// send puts one call on the pipelined lane. The message outlives the call, so
+// it leaves in a buffer of the payload pool: Submit takes it, and whoever
+// consumes the message returns it.
 func (l *Lib) send(p *sim.Proc, o *op) error {
-	var e wire.Encoder
-	e.U16(remoting.CallAsync)
-	l.encodeOp(&e, o)
 	// Only table-deferrable calls may ride the one-way lane; a result-bearing
 	// call submitted here would lose its result. laneOf and the asyncsafe
 	// analyzer keep the static paths honest — this guard catches a
-	// dynamically built submission that slips past them.
-	if id := wire.NewDecoder(e.Bytes()[2:]).U16(); !gen.CallIsDeferrable(id) {
-		panic(fmt.Sprintf("guest: %s (call %d) submitted async but not in gen.DeferrableCalls", gen.CallName(id), id))
+	// dynamically built submission that slips past them, before a buffer is
+	// taken for it.
+	if !gen.CallIsDeferrable(o.id) {
+		panic(fmt.Sprintf("guest: %s (call %d) submitted async but not in gen.DeferrableCalls", gen.CallName(o.id), o.id))
 	}
-	return l.async.Submit(p, e.Bytes(), o.reqData)
+	l.scratch.Reset()
+	l.scratch.U16(remoting.CallAsync)
+	l.encodeOp(&l.scratch, o)
+	msg := append(wire.GetBuf(l.scratch.Len()), l.scratch.Bytes()...)
+	return l.async.Submit(p, msg, o.reqData)
 }
 
 // fence drains the pipelined lane: a CallFence round trip whose FIFO

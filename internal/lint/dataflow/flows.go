@@ -87,6 +87,12 @@ func (w *flowWalker) assign(n *ast.AssignStmt) {
 	info := w.t.fn.pkg.Info
 	for i, lhs := range n.Lhs {
 		w.write(n, lhs)
+		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && w.carries(ix.Index) {
+			if _, isMap := info.TypeOf(ix.X).Underlying().(*types.Map); isMap {
+				// A map keeps the key it is first given.
+				w.emit(Flow{Site: w.site(n), Kind: FlowIndexStore, Expr: ix.Index, Dest: ix})
+			}
+		}
 		var rhs ast.Expr
 		if len(n.Rhs) == len(n.Lhs) {
 			rhs = n.Rhs[i]

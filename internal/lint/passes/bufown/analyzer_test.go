@@ -31,6 +31,20 @@ func TestDefaultTablesAreGenerated(t *testing.T) {
 	if bufown.Lent.Type != gen.LentBulk.Type || bufown.Lent.Field != gen.LentBulk.Field || bufown.Lent.Release != gen.LentBulk.Release {
 		t.Errorf("analyzer's lent-bulk contract %+v diverges from gen.LentBulk", bufown.Lent)
 	}
+	if bufown.Pooled != gen.PooledPayload {
+		t.Errorf("analyzer's pooled-payload contract %+v diverges from gen.PooledPayload", bufown.Pooled)
+	}
+	if gen.PoolAcquire["GetBuf"] != "PutBuf" || gen.PoolRelease["PutBuf"] != "GetBuf" {
+		t.Error("gen's pool tables do not pair GetBuf with PutBuf")
+	}
+	for name, pos := range gen.GivenArgCalls {
+		if len(bufown.GivenArgs[name]) != len(pos) {
+			t.Errorf("gen.GivenArgCalls has %s but the analyzer table does not", name)
+		}
+	}
+	if len(gen.GivenArgCalls["Submit"]) != 1 || gen.GivenArgCalls["Submit"][0] != 1 {
+		t.Error("gen.GivenArgCalls does not give Submit's request away")
+	}
 	if gen.LentBulk.Results["MemRead"] != "Data" {
 		t.Error("gen.LentBulk does not list MemRead's result as lent")
 	}

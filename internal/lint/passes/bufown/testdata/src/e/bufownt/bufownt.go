@@ -1,7 +1,7 @@
 // Package bufownt exercises the bufown analyzer: pooled codec lifecycle
 // (double release, use after release, escape past a local release),
-// borrowed transport results, borrowed byte arguments, and the lent bulk
-// region of a reply.
+// borrowed transport results, borrowed byte arguments, the request slice
+// Submit takes, and the lent bulk region and pooled payload of a reply.
 package bufownt
 
 import (
@@ -121,19 +121,98 @@ func sendLentBulkOn(ch chan []byte, r remoting.Response) {
 // A transport that writes the frame after ending the lend.
 func writeAfterRelease(h *holder, r remoting.Response) error {
 	r.Release()
-	return WriteFrame(h, 2, r.Payload, r.Bulk, 0) // want "Response.Bulk read after its Release at line"
+	return WriteFrame(h, 2, r.Payload, r.Bulk, 0) // want "Response.Bulk read after its Release at line" // want "Response.Payload read after its Release at line"
+}
+
+// A transport that keeps the reply's payload apart from the response.
+func keepPooledPayload(h *holder, r remoting.Response) {
+	h.buf = r.Payload // want "Response.Payload may be a buffer of the payload pool that Release returns and must not be retained (store to field)"
+}
+
+// A sender that reads, or returns, the message it has submitted.
+func readAfterSubmit(p *sim.Proc, c *remoting.Caller, e *wire.Encoder) (byte, error) {
+	msg := append(wire.GetBuf(8), e.Bytes()...)
+	err := c.Submit(p, msg, 0)
+	return msg[0], err // want "use of pooled value from GetBuf after its Submit at line"
+}
+
+func putAfterSubmit(p *sim.Proc, c *remoting.Caller) error {
+	msg := wire.GetBuf(8)
+	err := c.Submit(p, msg, 0)
+	wire.PutBuf(msg) // want "PutBuf called again on the same pooled value from GetBuf"
+	return err
+}
+
+func submitPooledEncoderBytes(p *sim.Proc, c *remoting.Caller) error {
+	e := wire.GetEncoder()
+	e.U64(1)
+	err := c.Submit(p, e.Bytes(), 0)
+	wire.PutEncoder(e) // want "PutEncoder called again on the same pooled value from GetEncoder"
+	return err
+}
+
+func reuseSubmittedSlice(p *sim.Proc, c *remoting.Caller, msg []byte) error {
+	if err := c.Submit(p, msg, 0); err != nil {
+		return err
+	}
+	return c.Submit(p, msg, 0) // want "call argument of msg after Submit took it at line"
 }
 
 // --- negatives ---
 
-// The writer's order: frame out (or dropped), then the release; the payload
-// is the response's own and outlives it.
-func writeThenRelease(h *holder, r remoting.Response, failed bool) []byte {
+// The writer's order: frame out (or dropped), then the release.
+func writeThenRelease(h *holder, r remoting.Response, failed bool) {
 	if !failed {
 		_ = WriteFrame(h, 2, r.Payload, r.Bulk, 0)
 	}
 	r.Release()
+}
+
+// The guest transport's order: hold the response itself, hand its payload to
+// the caller, release the held one when the connection is next used.
+type conn struct{ held remoting.Response }
+
+func (c *conn) hold(r remoting.Response) {
+	c.held.Release()
+	c.held = r
+}
+
+func (c *conn) receive(r remoting.Response) []byte {
+	c.hold(r)
 	return r.Payload
+}
+
+// The one-way lane's order: copy the encoded message out of the pooled
+// encoder into a payload buffer, put the encoder back, submit the buffer.
+func encodeCopySubmit(p *sim.Proc, c *remoting.Caller) error {
+	e := wire.GetEncoder()
+	e.U64(1)
+	msg := append(wire.GetBuf(8), e.Bytes()...)
+	wire.PutEncoder(e)
+	return c.Submit(p, msg, 0)
+}
+
+// A consumer returns the payload once the request is handled.
+func handleThenPut(payload []byte, owned bool) uint64 {
+	d := wire.GetDecoder(payload)
+	v := d.U64()
+	wire.PutDecoder(d)
+	if owned {
+		wire.PutBuf(payload)
+	}
+	return v
+}
+
+// A retry encodes a new message for each attempt.
+func submitPerAttempt(p *sim.Proc, c *remoting.Caller, n int) error {
+	var err error
+	for i := 0; i < n; i++ {
+		msg := wire.GetBuf(8)
+		if err = c.Submit(p, msg, 0); err == nil {
+			break
+		}
+	}
+	return err
 }
 
 // The simulated transport's order: copy into the caller's buffer, release.

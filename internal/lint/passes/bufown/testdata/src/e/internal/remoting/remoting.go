@@ -23,15 +23,20 @@ func (c *Caller) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) ([]byte
 	return nil, nil, nil
 }
 
+// Submit fires req one-way and takes it for good.
+func (c *Caller) Submit(p *sim.Proc, req []byte, reqData int64) error { return nil }
+
 // Response mirrors the reply a server hands the transport: Bulk may be a
-// view of session storage, lent until Release.
+// view of session storage, lent until Release, and Payload a buffer of the
+// payload pool that Release returns.
 type Response struct {
 	Payload []byte
+	Pooled  bool
 	Bulk    []byte
 	Lend    interface{ Release() }
 }
 
-// Release ends the lend of r.Bulk.
+// Release ends the lend of r.Bulk and returns a pooled r.Payload.
 func (r Response) Release() {
 	if r.Lend != nil {
 		r.Lend.Release()

@@ -21,6 +21,12 @@ func GetDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 // PutDecoder returns a decoder to the pool.
 func PutDecoder(d *Decoder) {}
 
+// GetBuf leases an empty payload buffer with room for n bytes.
+func GetBuf(n int) []byte { return make([]byte, 0, n) }
+
+// PutBuf returns a payload buffer to the pool.
+func PutBuf(b []byte) {}
+
 // U64 appends a value.
 func (e *Encoder) U64(v uint64) {}
 

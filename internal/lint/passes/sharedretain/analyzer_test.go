@@ -21,12 +21,12 @@ func TestGuestSideParamsAreTheApplications(t *testing.T) {
 // TestDefaultTablesAreGenerated pins the analyzer to apigen's generated
 // shared-decode contract tables, not a hand-maintained copy.
 func TestDefaultTablesAreGenerated(t *testing.T) {
-	for _, m := range []string{"StrsShared", "LaunchShared", "BytesShared", "DecodeShared"} {
+	for _, m := range []string{"StrShared", "StrsShared", "LaunchShared", "DevPtrsShared", "BytesShared", "DecodeShared"} {
 		if !sharedretain.SharedMethods[m] {
 			t.Errorf("SharedMethods is missing %s", m)
 		}
 	}
-	for _, call := range []string{"RegisterKernels", "LaunchKernel", "MemWrite"} {
+	for _, call := range []string{"RegisterKernels", "LaunchKernel", "DnnForward", "BlasGemm", "MemWrite"} {
 		if len(sharedretain.SharedParams[call]) == 0 {
 			t.Errorf("SharedParams is missing %s", call)
 		}

@@ -23,6 +23,13 @@ func (d *Decoder) Strs() []string { return append([]string(nil), d.scratch...) }
 // decoder's scratch.
 func (d *Decoder) StrsShared() []string { return d.scratch }
 
+// StrShared reads a string without copying: the result aliases the
+// decoder's buffer.
+func (d *Decoder) StrShared() string { return "" }
+
+// DevPtrsShared reads a pointer slice into decoder scratch.
+func (d *Decoder) DevPtrsShared() []cuda.DevPtr { return d.devs }
+
 // BytesShared reads a byte slice without copying: the result aliases the
 // decoder's buffer.
 func (d *Decoder) BytesShared() []byte { return d.buf }

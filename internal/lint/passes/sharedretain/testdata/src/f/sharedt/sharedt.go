@@ -80,6 +80,37 @@ func (s *srv) LaunchKernel(p *sim.Proc, lp cuda.LaunchParams) error {
 	return nil
 }
 
+type libs struct {
+	kernels map[string]string
+	last    string
+	devs    []cuda.DevPtr
+}
+
+// A primitive's name arrives as a view of the request buffer: it may be
+// looked up, and kept only as a copy; its buffers are decoder scratch.
+func (l *libs) DnnForward(p *sim.Proc, h uint64, op string, dur int64, bufs []cuda.DevPtr, descs []uint64) error {
+	if _, ok := l.kernels[op]; !ok {
+		l.kernels[op] = "cudnn::" + op // want "parameter op of DnnForward (shared-decoded request field Op) aliases the decoder's scratch"
+	}
+	l.last = op   // want "parameter op of DnnForward (shared-decoded request field Op) aliases the decoder's scratch"
+	l.devs = bufs // want "parameter bufs of DnnForward (shared-decoded request field Bufs) aliases the decoder's scratch"
+	return nil
+}
+
+func (l *libs) BlasGemm(p *sim.Proc, h uint64, dur int64, bufs []cuda.DevPtr) error {
+	l.devs = append(l.devs[:0], bufs...) // elements are plain integers: a copy
+	return nil
+}
+
+func storeOpView(l *libs, d *wire.Decoder) {
+	l.last = d.StrShared()     // want "result of StrShared aliases the decoder's scratch (dead once the decoder is released or reused) and must not be retained (store to field)"
+	l.devs = d.DevPtrsShared() // want "result of DevPtrsShared aliases the decoder's scratch (dead once the decoder is released or reused) and must not be retained (store to field)"
+}
+
+func cloneOpView(l *libs, d *wire.Decoder) {
+	l.last = strings.Clone(d.StrShared())
+}
+
 type srv2 struct {
 	names []string
 }

@@ -249,10 +249,6 @@ func TestSimConnEndsALendItNeverReceives(t *testing.T) {
 // TestTakeFrameBufNeverAllocatesForALength: the pooled read path may only use
 // a buffer the pool already has, whatever length the header claimed.
 func TestTakeFrameBufNeverAllocatesForALength(t *testing.T) {
-	if wire.RaceEnabled {
-		t.Skip("the race detector drops pool items at random")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the pools are per-P
 	const n = (4 << 20) + 9
 	for takeFrameBuf(n) != nil { // drain what other tests left in the class
 	}
@@ -287,7 +283,6 @@ func TestTakeFrameBufNeverAllocatesForALength(t *testing.T) {
 // is read into a slice of its own length. In the large classes the slack of
 // what it draws is the ratio between two classes.
 func TestBulkBuffersStayInTheLargeClasses(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the pools are per-P
 	for _, n := range []int{1, 4, frameHeaderLenV1 - 1, frameHeaderLenV2 - 1, 600, maxPooledFrame} {
 		RecycleBulk(make([]byte, n))
 		if got := takeFrameBuf(n); got != nil {
@@ -313,12 +308,32 @@ func TestBulkBuffersStayInTheLargeClasses(t *testing.T) {
 	for _, size := range largeClassSizes {
 		RecycleBulk(make([]byte, size)) // the largest buffer of the class
 		got := takeFrameBuf(n)
-		if got == nil && !wire.RaceEnabled { // the race detector drops pool items at random
+		if got == nil {
 			t.Fatalf("a %d-byte region did not draw the %d-byte buffer of its class", n, size)
 		}
 		if cap(got) > 4*n+frameHeaderLenV2+64 {
 			t.Fatalf("a %d-byte region drew a buffer of %d", n, cap(got))
 		}
 		n = size + 1
+	}
+}
+
+// TestLargeClassesKeepABoundedNumber: the large lists are never emptied by
+// the collector, so what each may pin is bounded: largeClassKeep bytes, one
+// buffer in the largest class.
+func TestLargeClassesKeepABoundedNumber(t *testing.T) {
+	for i, size := range largeClassSizes {
+		for takeFrameBuf(size) != nil { // drain what other tests left in the class
+		}
+		want := max(1, largeClassKeep/size)
+		for j := 0; j < want+1; j++ {
+			RecycleBulk(make([]byte, size))
+		}
+		l := &largeFramePools[i]
+		if got := len(l.free); got != want {
+			t.Fatalf("class %d keeps %d buffers, want %d", size, got, want)
+		}
+		for l.get() != nil { // leave nothing pinned behind
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"dgsf/internal/metrics"
+	"dgsf/internal/remoting/wire"
 )
 
 // Wire protocol versions. Version 1 is the original framing (length + data
@@ -314,10 +315,12 @@ func ReadFrame(r io.Reader, ver int, metaBuf, bulkDst []byte) (meta, bulk []byte
 	return readFrame(r, ver, metaBuf, bulkDst, false)
 }
 
-// readFrame is ReadFrame with a choice of where a bulk region that does not
-// fit bulkDst lands: pooled draws the buffer from the large frame pools, for
-// a reader that gives its bulk buffers away and gets them back through
-// RecycleBulk. The pool is only ever asked for a buffer it already has, so
+// readFrame is ReadFrame with a choice of where regions that do not fit the
+// caller's buffers land. pooled is for a reader that gives its buffers away
+// with the request and gets them back from its consumer: metadata of up to
+// maxPooledFrame is read into a buffer of the wire payload pool (returned
+// with wire.PutBuf), a bulk region into one from the large frame pools
+// (RecycleBulk). That pool is only ever asked for a buffer it already has, so
 // on a miss — as for every caller of ReadFrame — the region grows as its
 // bytes arrive.
 func readFrame(r io.Reader, ver int, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []byte, data int64, err error) {
@@ -332,6 +335,9 @@ func readFrame(r io.Reader, ver int, metaBuf, bulkDst []byte, pooled bool) (meta
 	metaLen, bulkLen, data, err := parseHeader(hdr, ver)
 	if err != nil {
 		return nil, nil, 0, err
+	}
+	if pooled && cap(metaBuf) < metaLen && metaLen <= maxPooledFrame {
+		metaBuf = wire.GetBuf(metaLen)
 	}
 	if meta, err = readPayload(r, metaBuf, metaLen); err != nil {
 		return nil, nil, 0, err
@@ -414,11 +420,49 @@ var largeClassSizes = [...]int{
 	(16 << 20) + frameHeaderLenV2 + 64,
 }
 
-var largeFramePools [len(largeClassSizes)]sync.Pool
+// largeFrameList holds the free buffers of one large class. It is a bounded
+// list under a lock, like the wire payload pool's classes and for the same
+// reasons: a bulk buffer is handed from one goroutine to another — the
+// server's process recycles what a bridge's reader drew — which a sync.Pool's
+// per-P caches serve by chance, and the collector empties a sync.Pool, so how
+// many megabyte buffers a run allocated afresh differed from run to run.
+// What a list keeps the collector never frees: largeClassKeep bytes per
+// class, one buffer in the largest.
+type largeFrameList struct {
+	mu   sync.Mutex
+	free []*[]byte
+}
 
-// largeClass returns the pool and the capacity of the smallest class that
+const largeClassKeep = 8 << 20
+
+var largeFramePools [len(largeClassSizes)]largeFrameList
+
+func (l *largeFrameList) get() *[]byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	last := len(l.free) - 1
+	if last < 0 {
+		return nil
+	}
+	bp := l.free[last]
+	l.free[last] = nil
+	l.free = l.free[:last]
+	return bp
+}
+
+// put files bp under the list of class size, or leaves it to the collector
+// when the list is full.
+func (l *largeFrameList) put(bp *[]byte, size int) {
+	l.mu.Lock()
+	if len(l.free) < max(1, largeClassKeep/size) {
+		l.free = append(l.free, bp)
+	}
+	l.mu.Unlock()
+}
+
+// largeClass returns the list and the capacity of the smallest class that
 // holds n bytes; nil beyond the largest.
-func largeClass(n int) (*sync.Pool, int) {
+func largeClass(n int) (*largeFrameList, int) {
 	for i, size := range largeClassSizes {
 		if n <= size {
 			return &largeFramePools[i], size
@@ -428,15 +472,15 @@ func largeClass(n int) (*sync.Pool, int) {
 }
 
 // getFrameBuf returns a pooled buffer with at least n bytes of capacity:
-// the small frame pool up to maxPooledFrame, a size-classed large pool up to
+// the small frame pool up to maxPooledFrame, a size-classed large list up to
 // 16 MiB, a fresh allocation beyond (bounded by maxFrameLen).
 func getFrameBuf(n int) *[]byte {
 	if n <= maxPooledFrame {
 		return framePool.Get().(*[]byte)
 	}
 	if pool, size := largeClass(n); pool != nil {
-		if v := pool.Get(); v != nil {
-			return v.(*[]byte)
+		if bp := pool.get(); bp != nil {
+			return bp
 		}
 		n = size
 	}
@@ -459,7 +503,7 @@ func takeFrameBuf(n int) []byte {
 	if pool == nil {
 		return nil
 	}
-	bp, _ := pool.Get().(*[]byte)
+	bp := pool.get()
 	if bp == nil || cap(*bp) < n {
 		// A buffer from the low end of its class is dropped, not put back: the
 		// next take would only find it again, and the one grown in its place
@@ -476,8 +520,8 @@ func putFrameBuf(bp *[]byte, buf []byte) {
 	*bp = buf[:0]
 	if cap(buf) <= maxPooledFrame {
 		framePool.Put(bp)
-	} else if pool, _ := largeClass(cap(buf)); pool != nil {
-		pool.Put(bp)
+	} else if pool, size := largeClass(cap(buf)); pool != nil {
+		pool.put(bp, size)
 	}
 	// Beyond the largest class: drop it, a 64 MiB buffer must not be pinned.
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 )
 
@@ -189,7 +190,8 @@ func (c *tcpCaller) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) ([]b
 
 // Submit queues one one-way framed message without waiting for any
 // acknowledgement. Ordering with later Roundtrips is FIFO through the
-// writer goroutine; the window bounds queued-but-unwritten frames.
+// writer goroutine; the window bounds queued-but-unwritten frames. The frame
+// holds a copy of req, so this is where req is consumed.
 func (c *tcpCaller) Submit(p *sim.Proc, req []byte, reqData int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -197,6 +199,7 @@ func (c *tcpCaller) Submit(p *sim.Proc, req []byte, reqData int64) error {
 		return fmt.Errorf("%w: %v", ErrConnClosed, c.writeErr)
 	}
 	f, err := newFrame(c.ver, req, nil, reqData)
+	wire.PutBuf(req)
 	if err != nil {
 		return err
 	}
@@ -258,10 +261,11 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 		ver := ProtoV1
 		first := true
 		for {
-			// A bulk region lands in a buffer from the large frame pools —
-			// up to maxPooledFrame, in a fresh one of its length — that
-			// travels with the request as the handler's property; what the
-			// handler does not keep comes back to the pools (RecycleBulk).
+			// The payload lands in a buffer of the wire payload pool and a
+			// bulk region in one from the large frame pools — up to
+			// maxPooledFrame, in a fresh one of its length. Both travel with
+			// the request as the handler's property; what the handler does
+			// not keep comes back to the pools (wire.PutBuf, RecycleBulk).
 			payload, bulk, data, err := readFrame(conn, ver, nil, nil, true)
 			if err != nil {
 				return
@@ -269,6 +273,7 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 			if first {
 				first = false
 				if reply, v, ok := HandleHello(payload, maxVer); ok {
+					wire.PutBuf(payload)
 					if !replies.TrySend(Response{Payload: reply, Proto: ProtoV1}) {
 						return
 					}
@@ -279,7 +284,8 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 			}
 			// The hosted API server may have crashed (closed its inbox);
 			// drop the bridge rather than panic.
-			if !inbox.TrySend(Request{Payload: payload, ReqData: data, Bulk: bulk, BulkOwned: bulk != nil, Proto: ver, ReplyTo: replies}) {
+			if !inbox.TrySend(Request{Payload: payload, PayloadOwned: true, ReqData: data, Bulk: bulk, BulkOwned: bulk != nil, Proto: ver, ReplyTo: replies}) {
+				wire.PutBuf(payload)
 				RecycleBulk(bulk)
 				return
 			}

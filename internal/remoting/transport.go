@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 )
 
@@ -77,10 +78,12 @@ func (n NetProfile) transferTime(rng interface{ Float64() float64 }, bytes int64
 // the request (e.g. the bytes of a host-to-device memcpy) — it is charged
 // against bandwidth in addition to the encoded message itself.
 //
-// The returned resp is owned by the transport and valid only until the next
-// call on the same Caller: transports may reuse the reply buffer across
-// round trips. Callers must decode (copying what they keep) before issuing
-// another call — the generated Client does.
+// The returned resp is owned by the transport and valid only until its
+// caller's next call on the same Caller or — where simulated processes share
+// a connection — until that caller next parks: transports reuse the reply
+// buffer across round trips, or return it to the payload pool it came from.
+// Callers must decode (copying what they keep) before issuing another call or
+// blocking — the generated Client does.
 type Caller interface {
 	Roundtrip(p *sim.Proc, req []byte, reqData int64) (resp []byte, err error)
 	Close()
@@ -131,6 +134,13 @@ type Faultable interface {
 // Roundtrip, so a subsequent Roundtrip — in particular a CallFence — acts as
 // a fence that drains the lane. Both built-in transports implement it; test
 // doubles that only implement Caller degrade the guest to synchronous calls.
+//
+// Submit takes req for good, whether or not it succeeds: the message outlives
+// the call, so the sender encodes it into a buffer it will not touch again —
+// one from the payload pool (wire.GetBuf) — and whoever consumes the message
+// returns that buffer there: the API server once it has handled the request,
+// the TCP caller once the bytes are in a frame. A consumer that never does (a
+// message dropped on a dead wire, a test double) costs a buffer, not safety.
 type AsyncCaller interface {
 	Caller
 	Submit(p *sim.Proc, req []byte, reqData int64) error
@@ -161,10 +171,17 @@ type VecCaller interface {
 // boundaries.
 type Request struct {
 	Payload []byte
-	ReqData int64
-	ReplyTo *sim.Queue[Response]
-	Profile NetProfile // so the server charges response transfer symmetrically
-	Ctrl    any        // non-nil for monitor control messages
+	// PayloadOwned reports that Payload is the handler's to dispose of: a
+	// one-way submission's buffer (AsyncCaller.Submit), or one a bridge read
+	// off a socket. Once the request is handled — nothing the handler decoded
+	// from it in shared mode is referenced any longer — the handler returns
+	// it with wire.PutBuf. When false, Payload is borrowed from a sender that
+	// is blocked on the reply.
+	PayloadOwned bool
+	ReqData      int64
+	ReplyTo      *sim.Queue[Response]
+	Profile      NetProfile // so the server charges response transfer symmetrically
+	Ctrl         any        // non-nil for monitor control messages
 
 	// Bulk is the request's vectored bulk region (protocol v2): the raw
 	// bytes of a trailing bulk argument, delivered outside the encoded
@@ -190,7 +207,11 @@ type Request struct {
 // Response carries an encoded reply plus the logical payload bytes flowing
 // back to the guest (e.g. a device-to-host memcpy result).
 type Response struct {
-	Payload  []byte
+	Payload []byte
+	// Pooled reports that Payload is a buffer of the wire payload pool that
+	// travels with the response: Release returns it. Whoever holds the
+	// response reads Payload before that and keeps no reference to it after.
+	Pooled   bool
 	RespData int64
 
 	// Bulk is the reply's vectored bulk region (protocol v2). With Lend set
@@ -213,11 +234,17 @@ type Response struct {
 // buffer, so a transport that never releases costs memory, not safety.
 type Lend interface{ Release() }
 
-// Release ends the lend of r.Bulk, if there is one. Whoever takes a Response
-// off a reply queue, or fails to put it on one, calls it exactly once.
+// Release ends the response: the lend of r.Bulk, if there is one, and a
+// pooled Payload goes back to its pool. Whoever takes a Response off a reply
+// queue, or fails to put it on one, calls it exactly once — a server's
+// transport after the reply frame is written or dropped, a guest's when the
+// reply's caller can no longer be reading it.
 func (r Response) Release() {
 	if r.Lend != nil {
 		r.Lend.Release()
+	}
+	if r.Pooled {
+		wire.PutBuf(r.Payload)
 	}
 }
 
@@ -284,6 +311,12 @@ type simConn struct {
 	// at a time allocates its reply queue once. It is empty and open — a
 	// queue that was failed, or whose reply was never taken, is not kept.
 	idleReply *sim.Queue[Response]
+	// held is the last reply handed to a caller, its lend already over: the
+	// caller is decoding held.Payload, so a pooled one goes back only when
+	// the connection is next used, closed or broken. One slot serves a shared
+	// connection too: a process that runs here finds every other caller
+	// parked, past the decode of whatever it was handed.
+	held Response
 
 	// Protocol version state. maxVer is what this side is willing to speak;
 	// ver is what the hello negotiated (v1 until it runs). The hello fires
@@ -475,6 +508,7 @@ func (c *simConn) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp,
 // (deadline <= 0 means none) and an optional destination for the reply's bulk.
 // The first exchange of a connection runs the hello ahead of itself.
 func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, deadline time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
+	c.hold(Response{})
 	if err := c.negotiate(p); err != nil {
 		return nil, nil, err
 	}
@@ -531,8 +565,19 @@ func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, dead
 		}
 		copy(respBulk, r.Bulk)
 	}
-	r.Release()
+	if r.Lend != nil {
+		r.Lend.Release()
+		r.Lend = nil
+	}
+	c.hold(r)
 	return r.Payload, respBulk, nil
+}
+
+// hold releases the reply the connection was holding for its last caller and
+// holds r in its place.
+func (c *simConn) hold(r Response) {
+	c.held.Release()
+	c.held = r
 }
 
 // Submit fires one one-way message down the pipelined lane: the caller pays
@@ -546,7 +591,7 @@ func (c *simConn) Submit(p *sim.Proc, req []byte, reqData int64) error {
 		return err
 	}
 	c.ensurePipe(p)
-	if !c.send(p, Request{Payload: req, ReqData: reqData, Profile: c.profile}) {
+	if !c.send(p, Request{Payload: req, PayloadOwned: true, ReqData: reqData, Profile: c.profile}) {
 		return ErrConnClosed
 	}
 	return nil
@@ -597,6 +642,7 @@ func (c *simConn) failInflight() {
 func (c *simConn) Close() {
 	if !c.closed {
 		c.closed = true
+		c.hold(Response{})
 		c.failInflight()
 		if c.pipe != nil {
 			c.pipe.Close()
@@ -613,6 +659,7 @@ func (c *simConn) Break() {
 		return
 	}
 	c.broken = true
+	c.hold(Response{})
 	c.failInflight()
 	if c.pipe != nil {
 		c.pipe.Close()

@@ -42,8 +42,10 @@ const maxPooledScratch = 1024
 // Encoder and Decoder pools for the steady-state remoting data path. The
 // contract is strict ownership: a pooled Encoder's Bytes() must not be
 // referenced after PutEncoder, and a pooled Decoder must not be used after
-// PutDecoder. Callers that hand buffers to asynchronous consumers (e.g. an
-// in-flight one-way submission) must use fresh buffers instead.
+// PutDecoder. A message that outlives its encoder — a one-way submission in
+// flight, a reply on its way to the guest — is copied into a buffer of the
+// payload pool (pool.go), which travels with it and is returned by whoever
+// consumes it.
 var (
 	encPool = sync.Pool{New: func() any { return new(Encoder) }}
 	decPool = sync.Pool{New: func() any { return new(Decoder) }}
@@ -230,11 +232,13 @@ func (e *Encoder) FnPtrs(v []cuda.FnPtr) {
 
 // Decoder reads binary values from a buffer with a sticky error.
 //
-// The Shared decode variants (StrsShared, LaunchShared) return values that
-// alias the decoder's buffer and scratch storage: they cost no allocations
-// on the steady-state path but are valid only until the next Reset (or
-// PutDecoder), and at most one live result per variant per decoder. Callers
-// that retain a shared value must clone it first.
+// The Shared decode variants (StrShared, StrsShared, LaunchShared,
+// DevPtrsShared, BytesShared) return values that alias the decoder's buffer
+// and scratch storage: they cost no allocations on the steady-state path but
+// are valid only until the next Reset (or PutDecoder) and no longer than the
+// buffer itself, and at most one live result per scratch (strs; ptrs, which
+// LaunchShared and DevPtrsShared share) per decoder. Callers that retain a
+// shared value must clone it first.
 type Decoder struct {
 	buf []byte
 	off int
@@ -372,6 +376,14 @@ func (d *Decoder) Str() string {
 		return ""
 	}
 	return string(b)
+}
+
+// StrShared reads a length-prefixed string without copying: the result
+// aliases the decoder's buffer and dies with it. For a name the callee only
+// looks up; one it keeps must be cloned.
+func (d *Decoder) StrShared() string {
+	n := d.sliceLen()
+	return viewString(d.take(n))
 }
 
 // BytesField reads a length-prefixed byte slice.
@@ -532,20 +544,27 @@ func (d *Decoder) LaunchShared() cuda.LaunchParams {
 		Stream:   cuda.StreamHandle(d.U64()),
 		Duration: d.Dur(),
 	}
+	lp.Mutates = d.DevPtrsShared()
+	return lp
+}
+
+// DevPtrsShared reads a []cuda.DevPtr into the decoder-owned scratch
+// LaunchShared uses, under the same contract: valid until the next Reset,
+// not to be retained, and a message carries one or the other.
+func (d *Decoder) DevPtrsShared() []cuda.DevPtr {
 	n := d.sliceLen()
 	if d.err != nil {
-		return lp
+		return nil
 	}
 	d.ptrs = d.ptrs[:0]
 	for i := 0; i < n; i++ {
 		v := cuda.DevPtr(d.U64())
 		if d.err != nil {
-			return lp
+			return nil
 		}
 		d.ptrs = append(d.ptrs, v)
 	}
-	lp.Mutates = d.ptrs
-	return lp
+	return d.ptrs
 }
 
 // DevPtrs reads a []cuda.DevPtr.

@@ -328,6 +328,10 @@ func (s *Spec) RunBody(p *sim.Proc, api gen.API, phases *Phases) error {
 		}
 		work = w
 	}
+	// What every kernel of the body writes: one slice for all of them. An
+	// API borrows Mutates at most until the launch is confirmed and never
+	// writes it.
+	mutates := []cuda.DevPtr{work}
 	inBuf, err := api.Malloc(p, maxI64(s.BatchInBytes, 1*MB))
 	if err != nil {
 		return err
@@ -367,11 +371,11 @@ func (s *Spec) RunBody(p *sim.Proc, api gen.API, phases *Phases) error {
 		}
 		for i := 0; i < s.LoadOps; i++ {
 			if dnn.ok {
-				if err := api.DnnForward(p, dnn.h, "build", s.LoadOpTime, []cuda.DevPtr{work}, nil); err != nil {
+				if err := api.DnnForward(p, dnn.h, "build", s.LoadOpTime, mutates, nil); err != nil {
 					return err
 				}
 			} else {
-				if err := api.LaunchKernel(p, cuda.LaunchParams{Fn: fns[1], Duration: s.LoadOpTime, Mutates: []cuda.DevPtr{work}}); err != nil {
+				if err := api.LaunchKernel(p, cuda.LaunchParams{Fn: fns[1], Duration: s.LoadOpTime, Mutates: mutates}); err != nil {
 					return err
 				}
 			}
@@ -421,7 +425,7 @@ func (s *Spec) RunBody(p *sim.Proc, api gen.API, phases *Phases) error {
 				Grid:     [3]int{256, 1, 1},
 				Block:    [3]int{256, 1, 1},
 				Duration: s.LaunchTime,
-				Mutates:  []cuda.DevPtr{work},
+				Mutates:  mutates,
 			}); err != nil {
 				return err
 			}
@@ -429,11 +433,11 @@ func (s *Spec) RunBody(p *sim.Proc, api gen.API, phases *Phases) error {
 		for f := 0; f < s.Forwards; f++ {
 			switch {
 			case dnn.ok && (f%4 != 3 || !blas.ok):
-				if err := api.DnnForward(p, dnn.h, "op", s.ForwardTime, []cuda.DevPtr{work}, nil); err != nil {
+				if err := api.DnnForward(p, dnn.h, "op", s.ForwardTime, mutates, nil); err != nil {
 					return err
 				}
 			case blas.ok:
-				if err := api.BlasGemm(p, blas.h, s.ForwardTime, []cuda.DevPtr{work}); err != nil {
+				if err := api.BlasGemm(p, blas.h, s.ForwardTime, mutates); err != nil {
 					return err
 				}
 			}
