@@ -128,6 +128,7 @@ func TestBulkBoundsAreEnforced(t *testing.T) {
 					{"read freed pointer", memCall{ptr: gone, n: 16}, cuda.ErrInvalidAddressSpace},
 					{"write freed pointer", memCall{write: true, ptr: gone, n: 16}, cuda.ErrInvalidAddressSpace},
 					{"read stray pointer", memCall{ptr: 0x1234, n: 16}, cuda.ErrInvalidAddressSpace},
+					{"write stray pointer", memCall{write: true, ptr: 0x1234, n: 96}, cuda.ErrInvalidAddressSpace},
 					{"write whole allocation", memCall{write: true, ptr: ptr, n: alloc}, nil},
 					{"write interior to the end", memCall{write: true, ptr: ptr + 4000, n: 96}, nil},
 				}
@@ -144,7 +145,7 @@ func TestBulkBoundsAreEnforced(t *testing.T) {
 				// interior; what was never uploaded reads as zeros.
 				want := pattern(alloc, alloc)
 				copy(want[4000:], pattern(96, 96))
-				for _, r := range []struct{ off, n int64 }{{0, alloc}, {4000, 96}, {100, 1000}, {alloc - 1, 1}, {8, 0}} {
+				for _, r := range []struct{ off, n int64 }{{0, alloc}, {4000, 96}, {3990, 106}, {100, 1000}, {alloc - 1, 1}, {8, 0}} {
 					got, err := do(memCall{ptr: ptr + cuda.DevPtr(r.off), n: r.n})
 					if err != nil || !bytes.Equal(got, want[r.off:r.off+r.n]) {
 						t.Errorf("MemRead(base+%d, %d): err %v, intact %v", r.off, r.n, err, bytes.Equal(got, want[r.off:r.off+r.n]))

@@ -9,7 +9,6 @@ import (
 	"dgsf/internal/cudalibs"
 	"dgsf/internal/gpu"
 	"dgsf/internal/guest"
-	"dgsf/internal/native"
 	"dgsf/internal/remoting"
 	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
@@ -205,7 +204,7 @@ func TestRemotingTransparency(t *testing.T) {
 			cfg.CopyLat, cfg.KernelLat = 0, 0
 			dev := gpu.New(e, cfg)
 			rt := cuda.NewRuntime(e, []*gpu.Device{dev}, cuda.Costs{})
-			results["native"] = script(p, native.New(rt, cudalibs.Costs{}))
+			results["native"] = script(p, NewNative(rt, cudalibs.Costs{}))
 		})
 	}
 	for _, tc := range []struct {

@@ -483,21 +483,28 @@ func (s *Server) open(p *sim.Proc) (*session, *cuda.Context, error) {
 // --- session control ---
 
 // Hello opens a function session. Without the pooling optimization, the
-// CUDA runtime initializes here — on the function's critical path, exactly
-// the cost DGSF's pre-initialization removes.
+// server selects its home GPU and the CUDA runtime initializes here — on the
+// function's critical path, exactly the cost DGSF's pre-initialization
+// removes.
 func (s *Server) Hello(p *sim.Proc, fnID string, memLimit int64) error {
+	return s.begin(p, fnID, memLimit, !s.prewarm)
+}
+
+// begin opens a session: with selectHome set, the runtime is pointed at the
+// home GPU first (a cudaSetDevice), then initialized unless it already is.
+func (s *Server) begin(p *sim.Proc, fnID string, memLimit int64, selectHome bool) error {
 	if s.sess != nil {
 		return cuda.ErrInitializationError
 	}
 	s.asyncErr = 0 // a fresh session starts with a clean pipeline
 
-	if !s.prewarm {
+	if selectHome {
 		if err := s.rt.SetDevice(p, s.cfg.HomeDev); err != nil {
 			return err
 		}
-		if err := s.rt.Init(p); err != nil {
-			return err
-		}
+	}
+	if err := s.rt.Init(p); err != nil {
+		return err
 	}
 	// A different function is moving in: stage the previous tenant's cached
 	// model out to the host tier so the session's declared memory limit has

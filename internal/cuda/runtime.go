@@ -210,6 +210,9 @@ func (r *Runtime) MemGetInfo(p *sim.Proc) (free, total int64, err error) {
 // Devices exposes the underlying simulated devices (for monitors and tests).
 func (r *Runtime) Devices() []*gpu.Device { return r.devs }
 
+// Engine returns the simulation the runtime's devices live in.
+func (r *Runtime) Engine() *sim.Engine { return r.e }
+
 func (r *Runtime) apiCost(p *sim.Proc) {
 	if r.costs.APITime > 0 {
 		p.Sleep(r.costs.APITime)

@@ -20,7 +20,6 @@ import (
 	"dgsf/internal/gpu"
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/guest"
-	"dgsf/internal/native"
 	"dgsf/internal/remoting"
 	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
@@ -68,7 +67,7 @@ func Session(p *sim.Proc, srv *apiserver.Server, net remoting.NetProfile, opt gu
 func Native(p *sim.Proc, name string, mem int64, body func(api gen.API) error) (hello time.Duration) {
 	e := p.Engine()
 	rt := cuda.NewRuntime(e, []*gpu.Device{gpu.New(e, gpu.V100Config(0))}, cuda.DefaultCosts())
-	api := native.New(rt, cudalibs.DefaultCosts())
+	api := apiserver.NewNative(rt, cudalibs.DefaultCosts())
 	hello = open(p, api, name, mem)
 	must(name, body(api))
 	return hello

@@ -9,10 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"dgsf/internal/apiserver"
 	"dgsf/internal/cuda"
-	"dgsf/internal/cudalibs"
 	"dgsf/internal/gpu"
-	"dgsf/internal/native"
 	"dgsf/internal/remoting"
 	"dgsf/internal/remoting/gen"
 	"dgsf/internal/remoting/wire"
@@ -27,7 +26,9 @@ import (
 // puts on a connection (lane, deadline in force, reqData, payload bytes),
 // every value it hands back to the application, the virtual clock after each
 // call, the final Stats — and the transcript's FNV-1a hash is compared with a
-// constant captured at 5137046, before the one-call-path rewrite. Do not
+// constant captured at 5137046, before the one-call-path rewrite, and
+// re-captured at d60561e when the backend became an unpooled API server (only
+// handle values, device answers and the frames carrying them moved). Do not
 // re-capture the constants to make a refactor pass: a moved hash means a
 // frame, a result, an instant or a counter moved.
 //
@@ -39,14 +40,14 @@ import (
 // offers no vectored lane: bulk transfers are TestRecoverableDeadlineKeepsBulkLane's.
 
 var transcriptGolden = map[string]uint64{
-	"none":      0x1af01ed83c355be3,
-	"none+rec":  0x99e22a4a108c1b78,
-	"local":     0x7fc0e529f983144c,
-	"local+rec": 0x840e951a3d0ce71,
-	"all":       0xfd7edda607efa49a,
-	"all+rec":   0x969cfeb2919a7a86,
-	"async":     0x5cfd7bdfda142d5,
-	"async+rec": 0xdc8ce5711280d6cb,
+	"none":      0xc29f3a11b65f3ee5,
+	"none+rec":  0xa1ab05059e197ef2,
+	"local":     0x98173192b81daec2,
+	"local+rec": 0xa35f3c3d155ad898,
+	"all":       0x527e057e35e9271c,
+	"all+rec":   0xdda18a4d12916095,
+	"async":     0x36327bbd42fc2659,
+	"async+rec": 0xdff1c4cf419e118c,
 }
 
 type transcript struct {
@@ -63,14 +64,31 @@ func (t *transcript) sum() uint64 {
 	return h.Sum64()
 }
 
-// scriptBackend is a native backend whose data-plane calls succeed, so the
-// recoverable library's attach-or-Malloc replay has both outcomes to take.
+// scriptBackend is an unpooled API server whose data-plane calls succeed, so
+// the recoverable library's attach-or-Malloc replay has both outcomes to take.
 // gen numbers the backend: 0 is the session's first, each redial mints the
 // next.
 type scriptBackend struct {
-	*native.Backend
+	*apiserver.Server
 	gen     int
 	exports map[uint64]int64
+}
+
+// Hello opens the session, then skews every later backend's handle spaces,
+// so a recovered session that forgot to translate a handle shows in the
+// payload bytes.
+func (b *scriptBackend) Hello(p *sim.Proc, fnID string, memLimit int64) error {
+	if err := b.Server.Hello(p, fnID, memLimit); err != nil {
+		return err
+	}
+	for i := 0; i < b.gen; i++ {
+		_, _ = b.Malloc(p, 12288)
+		_, _ = b.StreamCreate(p)
+		_, _ = b.EventCreate(p)
+		_, _ = b.DnnCreate(p)
+		_, _ = b.MallocHost(p, 64)
+	}
+	return nil
 }
 
 func (b *scriptBackend) ModelAttach(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
@@ -145,17 +163,7 @@ func (r *recRig) dial(p *sim.Proc) *recConn {
 	cfg.CopyLat, cfg.KernelLat = 0, 0
 	rt := cuda.NewRuntime(r.e, []*gpu.Device{gpu.New(r.e, cfg)}, cuda.Costs{})
 	c := &recConn{r: r, gen: len(r.conns)}
-	b := &scriptBackend{Backend: native.New(rt, cudalibs.Costs{}), gen: c.gen, exports: map[uint64]int64{}}
-	c.b = b
-	// Skew every later backend's handle spaces, so a recovered session that
-	// forgot to translate a handle shows in the payload bytes.
-	for i := 0; i < c.gen; i++ {
-		_, _ = b.Malloc(p, 12288)
-		_, _ = b.StreamCreate(p)
-		_, _ = b.EventCreate(p)
-		_, _ = b.DnnCreate(p)
-		_, _ = b.MallocHost(p, 64)
-	}
+	c.b = &scriptBackend{Server: apiserver.NewServer(r.e, rt, apiserver.Config{}), gen: c.gen, exports: map[uint64]int64{}}
 	r.conns = append(r.conns, c)
 	r.tr.note("dial gen=%d @%d", c.gen, p.Now())
 	return c
@@ -195,8 +203,8 @@ func (c *recConn) sync(p *sim.Proc, req []byte, reqData int64, d time.Duration) 
 	}
 	p.Sleep(60 * time.Microsecond)
 	defer p.Sleep(40 * time.Microsecond)
-	// A wire copies: the backend may keep views of the request (the native
-	// one keeps kernel names), and the guest reuses its encoder.
+	// A wire copies: the backend may keep views of the request, and the guest
+	// reuses its encoder.
 	req = append([]byte(nil), req...)
 	dec := wire.NewDecoder(req)
 	switch dec.U16() {

@@ -1,8 +1,7 @@
 // Package membytes keeps the bytes a function uploads with MemWrite so that
 // MemRead can return them. The simulated GPU models an allocation's size and
 // fingerprint, not its contents, so a backend holds the contents host-side.
-// Both backends — the API server's session and the native baseline — use the
-// one Store.
+// Each API-server session has one Store, the native baseline's included.
 //
 // A Store holds one backing slice per device allocation, keyed by the
 // allocation's base address. The slice covers the allocation's bytes

@@ -6,27 +6,31 @@ import (
 	"testing"
 	"time"
 
+	"dgsf/internal/apiserver"
 	"dgsf/internal/cuda"
 	"dgsf/internal/cudalibs"
 	"dgsf/internal/gpu"
+	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
 )
 
-// newBackend builds a native backend over one V100 inside a fresh engine.
-func newBackend(e *sim.Engine) *Backend {
-	dev := gpu.New(e, gpu.V100Config(0))
-	rt := cuda.NewRuntime(e, []*gpu.Device{dev}, cuda.DefaultCosts())
-	return New(rt, cudalibs.DefaultCosts())
+// newBackend builds the native arm over one V100 inside p's engine and opens
+// its session.
+func newBackend(t *testing.T, p *sim.Proc) *apiserver.Native {
+	e := p.Engine()
+	rt := cuda.NewRuntime(e, []*gpu.Device{gpu.New(e, gpu.V100Config(0))}, cuda.DefaultCosts())
+	b := New(rt, cudalibs.DefaultCosts())
+	if err := b.Hello(p, "fn", 16<<30); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestLazyInitChargedOnFirstCall(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		b := newBackend(e)
 		start := p.Now()
-		if _, err := b.GetDeviceCount(p); err != nil {
-			t.Fatal(err)
-		}
+		b := newBackend(t, p)
 		first := p.Now() - start
 		// Native runtime initialization (~3.2 s in Table II) is paid here.
 		if first < time.Second {
@@ -42,10 +46,61 @@ func TestLazyInitChargedOnFirstCall(t *testing.T) {
 	})
 }
 
+// TestDeviceQueriesCostAPITime: the device queries the API server
+// virtualizes (§V-B) are answered by the runtime on the native arm, at
+// APITime each, where an unpooled API server answers them for free.
+func TestDeviceQueriesCostAPITime(t *testing.T) {
+	const apiTime = 7 * time.Microsecond
+	queries := []struct {
+		name string
+		call func(*sim.Proc, gen.API, cuda.DevPtr) error
+	}{
+		{"GetDeviceCount", func(p *sim.Proc, api gen.API, _ cuda.DevPtr) error { _, err := api.GetDeviceCount(p); return err }},
+		{"SetDevice", func(p *sim.Proc, api gen.API, _ cuda.DevPtr) error { return api.SetDevice(p, 0) }},
+		{"GetDevice", func(p *sim.Proc, api gen.API, _ cuda.DevPtr) error { _, err := api.GetDevice(p); return err }},
+		{"MemGetInfo", func(p *sim.Proc, api gen.API, _ cuda.DevPtr) error { _, _, err := api.MemGetInfo(p); return err }},
+		{"PointerGetAttributes", func(p *sim.Proc, api gen.API, ptr cuda.DevPtr) error {
+			_, err := api.PointerGetAttributes(p, ptr)
+			return err
+		}},
+	}
+	arms := []struct {
+		name string
+		new  func(*cuda.Runtime) gen.API
+		want time.Duration
+	}{
+		{"native", func(rt *cuda.Runtime) gen.API { return New(rt, cudalibs.Costs{}) }, apiTime},
+		{"apiserver", func(rt *cuda.Runtime) gen.API { return apiserver.NewServer(rt.Engine(), rt, apiserver.Config{}) }, 0},
+	}
+	for _, q := range queries {
+		for _, arm := range arms {
+			e := sim.NewEngine(1)
+			e.Run("root", func(p *sim.Proc) {
+				rt := cuda.NewRuntime(e, []*gpu.Device{gpu.New(e, gpu.V100Config(0))}, cuda.Costs{APITime: apiTime})
+				api := arm.new(rt)
+				if err := api.Hello(p, "fn", 1<<30); err != nil {
+					t.Fatal(err)
+				}
+				ptr, err := api.Malloc(p, 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := p.Now()
+				if err := q.call(p, api, ptr); err != nil {
+					t.Fatalf("%s on %s: %v", q.name, arm.name, err)
+				}
+				if got := p.Now() - start; got != arm.want {
+					t.Errorf("%s on %s took %v, want %v", q.name, arm.name, got, arm.want)
+				}
+			})
+		}
+	}
+}
+
 func TestMallocMemcpyFreeRoundtrip(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		b := newBackend(e)
+		b := newBackend(t, p)
 		ptr, err := b.Malloc(p, 64<<20)
 		if err != nil {
 			t.Fatal(err)
@@ -83,7 +138,7 @@ func TestMallocMemcpyFreeRoundtrip(t *testing.T) {
 func TestHostAllocLifecycle(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		b := newBackend(e)
+		b := newBackend(t, p)
 		h, err := b.MallocHost(p, 4096)
 		if err != nil {
 			t.Fatal(err)
@@ -102,11 +157,8 @@ func TestModelCallsDegenerate(t *testing.T) {
 	// always misses and ModelPersist behaves exactly like Free.
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		b := newBackend(e)
-		ptr, tier, sz, err := func() (cuda.DevPtr, int, int64, error) {
-			ptr, sz, tier, err := b.ModelAttach(p)
-			return ptr, tier, sz, err
-		}()
+		b := newBackend(t, p)
+		ptr, sz, tier, err := b.ModelAttach(p)
 		if err != nil || ptr != 0 || sz != 0 || tier != 0 {
 			t.Fatalf("ModelAttach = (%v, %d, %d, %v), want a plain miss", ptr, sz, tier, err)
 		}
@@ -126,7 +178,7 @@ func TestModelCallsDegenerate(t *testing.T) {
 func TestKernelAndLibraryPath(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		b := newBackend(e)
+		b := newBackend(t, p)
 		fns, err := b.RegisterKernels(p, []string{"k::a", "k::b"})
 		if err != nil || len(fns) != 2 {
 			t.Fatalf("RegisterKernels = %v, %v", fns, err)
@@ -164,13 +216,13 @@ func TestKernelAndLibraryPath(t *testing.T) {
 	})
 }
 
-// TestBulkBoundsAndLifetime: the native backend keeps uploaded bytes in the
-// same store as the API server, under the same rules — ranges stay inside the
+// TestBulkBoundsAndLifetime: the native arm keeps uploaded bytes in the same
+// store as the API server, under the same rules — ranges stay inside the
 // allocation that contains the pointer, and Free drops the bytes.
 func TestBulkBoundsAndLifetime(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		b := newBackend(e)
+		b := newBackend(t, p)
 		ptr, err := b.Malloc(p, 4096)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +264,7 @@ func TestBulkBoundsAndLifetime(t *testing.T) {
 		if err := b.Free(p, ptr); err != nil {
 			t.Fatal(err)
 		}
-		if n, _, held := b.mem.Held(); n != 0 || held != 0 {
+		if n, _, held := b.Held(); n != 0 || held != 0 {
 			t.Fatalf("store holds %d bytes in %d allocations after Free", held, n)
 		}
 		if _, err := b.MemRead(p, ptr, 16); !errors.Is(err, cuda.ErrInvalidAddressSpace) {

@@ -276,9 +276,9 @@ func TestTakeFrameBufNeverAllocatesForALength(t *testing.T) {
 	}
 }
 
-// TestBulkBuffersStayInTheLargeClasses: the small pool is the framing code's
-// own — readFrame slices its header out of whatever it finds there — so a
-// recycled buffer of a few bytes must never land in it, and a reader that
+// TestBulkBuffersStayInTheLargeClasses: the wire payload pool serves the
+// framing code — readFrame slices its header out of what GetBuf returns — so
+// a recycled buffer of a few bytes must never land in it, and a reader that
 // gives its buffers away draws none from it: a region of up to maxPooledFrame
 // is read into a slice of its own length. In the large classes the slack of
 // what it draws is the ratio between two classes.
@@ -290,8 +290,8 @@ func TestBulkBuffersStayInTheLargeClasses(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		if bp := framePool.Get().(*[]byte); cap(*bp) < frameHeaderLenV2 {
-			t.Fatalf("a %d-byte buffer in the small pool", cap(*bp))
+		if buf := wire.GetBuf(frameHeaderLenV2); cap(buf) < frameHeaderLenV2 {
+			t.Fatalf("a %d-byte buffer in the payload pool's header class", cap(buf))
 		}
 	}
 	var stream bytes.Buffer

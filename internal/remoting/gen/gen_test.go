@@ -167,6 +167,9 @@ func TestClientDispatchLoopback(t *testing.T) {
 		lb := &loopback{b: native.New(rt, cudalibs.Costs{})}
 		c := &gen.Client{T: lb}
 
+		if err := c.Hello(p, "fn", 1<<30); err != nil {
+			t.Fatal(err)
+		}
 		if n, err := c.GetDeviceCount(p); err != nil || n != 1 {
 			t.Fatalf("GetDeviceCount = (%d, %v)", n, err)
 		}
@@ -230,6 +233,11 @@ func TestDispatchGarbageNeverPanics(t *testing.T) {
 				if len(payload) > 4096 {
 					payload = payload[:4096]
 				}
+				// In a session, so garbage reaches the handlers.
+				if !backend.Busy() && backend.Hello(p, "fn", 1<<30) != nil {
+					ok = false
+					return
+				}
 				resp, _ := gen.Dispatch(p, backend, payload)
 				if len(resp) < 4 {
 					ok = false // every response carries at least a status
@@ -256,6 +264,12 @@ func TestDispatchAllCallsEmptyBody(t *testing.T) {
 		rt := cuda.NewRuntime(e, []*gpu.Device{dev}, cuda.Costs{})
 		backend := native.New(rt, cudalibs.Costs{})
 		for id := uint16(1); id <= gen.NumCalls; id++ {
+			// In a session, so every call reaches its handler.
+			if !backend.Busy() {
+				if err := backend.Hello(p, "fn", 1<<30); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var enc wire.Encoder
 			enc.U16(id)
 			resp, _ := gen.Dispatch(p, backend, enc.Bytes())

@@ -224,7 +224,7 @@ func parseHeader(hdr []byte, ver int) (metaLen, bulkLen int, data int64, err err
 // everything else goes through WriteFrame.
 type frame struct {
 	ver  int
-	bp   *[]byte
+	buf  []byte
 	bulk []byte
 }
 
@@ -238,13 +238,12 @@ func newFrame(ver int, meta, bulk []byte, data int64) (frame, error) {
 	if coalesce {
 		n += len(bulk)
 	}
-	bp := getFrameBuf(n)
-	*bp = append(appendHeader((*bp)[:0], ver, len(meta), len(bulk), data), meta...)
+	buf := append(appendHeader(getFrameBuf(n), ver, len(meta), len(bulk), data), meta...)
 	if coalesce {
-		*bp = append(*bp, bulk...)
+		buf = append(buf, bulk...)
 		bulk = nil
 	}
-	return frame{ver: ver, bp: bp, bulk: bulk}, nil
+	return frame{ver: ver, buf: buf, bulk: bulk}, nil
 }
 
 // writeTo writes the frame with one Write — one writev when a bulk vector
@@ -252,19 +251,19 @@ func newFrame(ver int, meta, bulk []byte, data int64) (frame, error) {
 func (f frame) writeTo(w io.Writer) error {
 	var err error
 	if len(f.bulk) > 0 {
-		err = writeVec(w, *f.bp, f.bulk)
+		err = writeVec(w, f.buf, f.bulk)
 	} else {
-		_, err = w.Write(*f.bp)
+		_, err = w.Write(f.buf)
 	}
 	if err == nil {
-		wireTx(f.ver, int64(len(*f.bp)+len(f.bulk)))
+		wireTx(f.ver, int64(len(f.buf)+len(f.bulk)))
 	}
 	f.release()
 	return err
 }
 
 // release returns the frame's buffer to its pool.
-func (f frame) release() { putFrameBuf(f.bp, *f.bp) }
+func (f frame) release() { putFrameBuf(f.buf) }
 
 // frameVec is the pooled scratch for a two-vector writev. bufs keeps the
 // full-capacity slice header so the backing array survives WriteTo (which
@@ -326,9 +325,8 @@ func ReadFrame(r io.Reader, ver int, metaBuf, bulkDst []byte) (meta, bulk []byte
 func readFrame(r io.Reader, ver int, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []byte, data int64, err error) {
 	// The header goes through a pooled buffer: a stack array would escape
 	// through the io.Reader interface.
-	bp := framePool.Get().(*[]byte)
-	defer framePool.Put(bp)
-	hdr := (*bp)[:headerLen(ver)]
+	hdr := wire.GetBuf(headerLen(ver))[:headerLen(ver)]
+	defer wire.PutBuf(hdr)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, nil, 0, wrapReadErr(err)
 	}
@@ -403,11 +401,10 @@ func wrapReadErr(err error) error {
 }
 
 // --- size-classed frame pools ---
-
-// framePool recycles frame buffers up to maxPooledFrame so steady-state
-// framing does not allocate. Buffers are owned by the writer until the write
-// returns.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+//
+// Frame buffers of up to maxPooledFrame come from the wire payload pool
+// (wire.GetBuf), larger ones from the large classes below; either is owned by
+// the writer until the write returns.
 
 // largeClassSizes are the capacity classes for frame buffers above
 // maxPooledFrame: without them every >64 KiB v1 frame allocated afresh (the
@@ -430,32 +427,32 @@ var largeClassSizes = [...]int{
 // class, one buffer in the largest.
 type largeFrameList struct {
 	mu   sync.Mutex
-	free []*[]byte
+	free [][]byte
 }
 
 const largeClassKeep = 8 << 20
 
 var largeFramePools [len(largeClassSizes)]largeFrameList
 
-func (l *largeFrameList) get() *[]byte {
+func (l *largeFrameList) get() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	last := len(l.free) - 1
 	if last < 0 {
 		return nil
 	}
-	bp := l.free[last]
+	buf := l.free[last]
 	l.free[last] = nil
 	l.free = l.free[:last]
-	return bp
+	return buf
 }
 
-// put files bp under the list of class size, or leaves it to the collector
+// put files buf under the list of class size, or leaves it to the collector
 // when the list is full.
-func (l *largeFrameList) put(bp *[]byte, size int) {
+func (l *largeFrameList) put(buf []byte, size int) {
 	l.mu.Lock()
 	if len(l.free) < max(1, largeClassKeep/size) {
-		l.free = append(l.free, bp)
+		l.free = append(l.free, buf[:0])
 	}
 	l.mu.Unlock()
 }
@@ -471,21 +468,20 @@ func largeClass(n int) (*largeFrameList, int) {
 	return nil, 0
 }
 
-// getFrameBuf returns a pooled buffer with at least n bytes of capacity:
-// the small frame pool up to maxPooledFrame, a size-classed large list up to
-// 16 MiB, a fresh allocation beyond (bounded by maxFrameLen).
-func getFrameBuf(n int) *[]byte {
+// getFrameBuf returns an empty pooled buffer with at least n bytes of
+// capacity: the wire payload pool up to maxPooledFrame, a size-classed large
+// list up to 16 MiB, a fresh allocation beyond (bounded by maxFrameLen).
+func getFrameBuf(n int) []byte {
 	if n <= maxPooledFrame {
-		return framePool.Get().(*[]byte)
+		return wire.GetBuf(n)
 	}
 	if pool, size := largeClass(n); pool != nil {
-		if bp := pool.get(); bp != nil {
-			return bp
+		if buf := pool.get(); buf != nil {
+			return buf
 		}
 		n = size
 	}
-	b := make([]byte, 0, n)
-	return &b
+	return make([]byte, 0, n)
 }
 
 // takeFrameBuf is getFrameBuf for a reader that has only been told a length
@@ -503,25 +499,22 @@ func takeFrameBuf(n int) []byte {
 	if pool == nil {
 		return nil
 	}
-	bp := pool.get()
-	if bp == nil || cap(*bp) < n {
+	buf := pool.get()
+	if cap(buf) < n {
 		// A buffer from the low end of its class is dropped, not put back: the
 		// next take would only find it again, and the one grown in its place
 		// serves every length of the class.
 		return nil
 	}
-	return (*bp)[:0]
+	return buf
 }
 
-// putFrameBuf returns a frame buffer to the pool matching its capacity. buf
-// is the (possibly grown) slice built on *bp; the grown backing array is
-// what gets pooled.
-func putFrameBuf(bp *[]byte, buf []byte) {
-	*bp = buf[:0]
+// putFrameBuf returns a frame buffer to the pool matching its capacity.
+func putFrameBuf(buf []byte) {
 	if cap(buf) <= maxPooledFrame {
-		framePool.Put(bp)
+		wire.PutBuf(buf)
 	} else if pool, size := largeClass(cap(buf)); pool != nil {
-		pool.put(bp, size)
+		pool.put(buf, size)
 	}
 	// Beyond the largest class: drop it, a 64 MiB buffer must not be pinned.
 }
@@ -530,12 +523,11 @@ func putFrameBuf(bp *[]byte, buf []byte) {
 // owned bulk region (Request.BulkOwned), or storage one displaced — to the
 // large frame pools, where a bridge's reader draws its next one. The caller
 // must hold the only reference. A buffer of up to maxPooledFrame is left to
-// the collector: the small pool is the framing code's own, and every buffer
-// in it has room for a frame header.
+// the collector: a region that small was read into a slice of its own
+// length, not drawn from a pool.
 func RecycleBulk(buf []byte) {
 	if cap(buf) > maxPooledFrame {
-		bp := new([]byte) // the pools hold pointers; allocated on this path only
-		putFrameBuf(bp, buf)
+		putFrameBuf(buf)
 	}
 }
 
