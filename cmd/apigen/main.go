@@ -87,10 +87,10 @@ var kinds = map[string]struct {
 	"strs":    {GoType: "[]string", Enc: "e.Strs(%s)", Dec: "d.Strs()", DecShared: "d.StrsShared()", Scratch: "strs"},
 	"vec3":    {GoType: "[3]int", Enc: "e.Vec3(%s)", Dec: "d.Vec3()"},
 	"hostbuf": {GoType: "gpu.HostBuffer", Enc: "e.HostBuf(%s)", Dec: "d.HostBuf()"},
-	// bulk is a trailing raw byte slice eligible for the protocol-v2 vectored
-	// zero-copy lane: on a v2 connection the generated stub passes it borrowed
-	// alongside the metadata (one writev, no coalescing copy); on v1 it is
-	// inlined as an ordinary length-prefixed field (capped at wire's 1 MiB
+	// bulk is a trailing raw byte slice eligible for the vectored zero-copy
+	// lane: over a VecCaller the generated stub passes it borrowed alongside
+	// the metadata (one writev, no coalescing copy); over any other Caller it
+	// is inlined as an ordinary length-prefixed field (capped at wire's 1 MiB
 	// slice bound). validate() enforces its placement rules.
 	"bulk":    {GoType: "[]byte", Enc: "e.BytesField(%s)", Dec: "d.BytesField()", DecShared: "d.BytesShared()", Size: "4 + len(%s)"},
 	"prop":    {GoType: "cuda.DeviceProp", Enc: "e.Prop(%s)", Dec: "d.Prop()", Size: "44 + len(%s.Name)"},
@@ -265,9 +265,9 @@ var spec = []Call{
 	{Name: "PeerCopy", Doc: "pulls an export from another GPU server over the bandwidth-modeled data-plane fabric into a fresh session allocation, consuming the export; degrades to MemImport semantics when the export turns out to be local", Req: []Field{{"Export", "u64"}}, Resp: []Field{{"Ptr", "devptr"}, {"Size", "i64"}}, Class: "remote", Establishes: true},
 	{Name: "ModelBroadcast", Doc: "one-to-many model fan-out: the first caller per GPU server pays a single host-staged read and becomes the broadcast source, later callers clone it device-to-device; Src reports the path (0 miss, 1 host seed, 2 device clone) and Ptr/Size are zero on a miss", Resp: []Field{{"Ptr", "devptr"}, {"Size", "i64"}, {"Src", "int"}}, Class: "remote", Establishes: true},
 
-	// --- vectored bulk transfers (wire protocol v2) ---
-	{Name: "MemWrite", Doc: "writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — on a protocol-v2 connection the bytes travel borrowed as the frame's bulk region (single writev, zero copies), on v1 they are inlined (capped at 1 MiB); data stays the caller's, the range must lie inside the allocation that contains dst", Req: []Field{{"Dst", "devptr"}, {"Data", "bulk"}}, Class: "remote", Establishes: true},
-	{Name: "MemRead", Doc: "reads device memory back to the caller: the vectored twin of MemcpyD2H — on a protocol-v2 connection the bytes return as a bulk region scatter-read into a caller-owned buffer, on v1 they are inlined (capped at 1 MiB); bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src", Req: []Field{{"Src", "devptr"}, {"Size", "i64"}}, Resp: []Field{{"Data", "bulk"}}, Class: "remote"},
+	// --- vectored bulk transfers ---
+	{Name: "MemWrite", Doc: "writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — on a connection with the bulk lane the bytes travel borrowed as the frame's bulk region (single writev, zero copies), elsewhere they are inlined (capped at 1 MiB); data stays the caller's, the range must lie inside the allocation that contains dst", Req: []Field{{"Dst", "devptr"}, {"Data", "bulk"}}, Class: "remote", Establishes: true},
+	{Name: "MemRead", Doc: "reads device memory back to the caller: the vectored twin of MemcpyD2H — on a connection with the bulk lane the bytes return as a bulk region scatter-read into a caller-owned buffer, elsewhere they are inlined (capped at 1 MiB); bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src", Req: []Field{{"Src", "devptr"}, {"Size", "i64"}}, Resp: []Field{{"Data", "bulk"}}, Class: "remote"},
 }
 
 // descriptorSpecies expands into Create/Set/Destroy triples, mirroring the
@@ -423,7 +423,7 @@ func validate(calls []Call) error {
 			}
 			perScratch[sc] = f.Name
 		}
-		// Bulk fields ride the v2 vectored lane: exactly one per call, on one
+		// Bulk fields ride the vectored lane: exactly one per call, on one
 		// side only, trailing (the wire bulk region follows the metadata), and
 		// restricted to synchronous remote calls: the guest's slice is borrowed
 		// into the transport's write until the reply arrives, and a one-way
@@ -555,15 +555,15 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 		p("// that flow back with it (for bandwidth accounting). Calls whose bulk")
 		p("// bytes arrived out-of-band need DispatchBulk.")
 		p("func Dispatch(p *sim.Proc, b API, payload []byte) (resp []byte, respData int64) {")
-		p("\tresp, respData, _ = DispatchBulk(p, b, payload, nil, false)")
+		p("\tresp, respData, _ = DispatchBulk(p, b, payload, nil)")
 		p("\treturn resp, respData")
 		p("}")
 		p("")
 		p("// DispatchBulk is DispatchTo into a fresh encoder, for a caller that")
 		p("// keeps the response: the one allocation per call is the response.")
-		p("func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte, wantBulk bool) (resp []byte, respData int64, respBulk []byte) {")
+		p("func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte) (resp []byte, respData int64, respBulk []byte) {")
 		p("\tvar enc wire.Encoder")
-		p("\trespData, respBulk = DispatchTo(p, b, &enc, payload, reqBulk, wantBulk)")
+		p("\trespData, respBulk = DispatchTo(p, b, &enc, payload, reqBulk)")
 		p("\treturn enc.Bytes(), respData, respBulk")
 		p("}")
 		p("")
@@ -577,17 +577,16 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 		p("// decoder, and is dead once DispatchTo returns, when the caller may")
 		p("// recycle payload.")
 		p("//")
-		p("// reqBulk is the request frame's vectored bulk region (protocol v2; nil")
+		p("// reqBulk is the request frame's vectored bulk region (nil")
 		p("// when the call inlined its bytes, which is how the decode variant is")
 		p("// chosen). The backend receives it as a borrowed argument and copies")
 		p("// what it retains, unless the transport gave the buffer away and the")
 		p("// backend learns so out of band (OwnedBulkParams in buftable.go).")
-		p("// wantBulk reports whether the reply frame may carry a bulk region:")
-		p("// when a bulk-response call asked for a vectored reply, respBulk")
+		p("// When a bulk-response call asked for a vectored reply, respBulk")
 		p("// returns the bytes and enc receives only status + metadata. respBulk")
 		p("// may be a view of the backend's storage, lent to the reply (LentBulk in")
 		p("// buftable.go): it stays as it is until the reply frame is written.")
-		p("func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte, wantBulk bool) (respData int64, respBulk []byte) {")
+		p("func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) (respData int64, respBulk []byte) {")
 	} else {
 		p("// Dispatch decodes one call from payload and executes it against the")
 		p("// backend, returning the encoded response in a fresh buffer.")
@@ -883,7 +882,7 @@ func genBufTable(calls []Call) ([]byte, error) {
 	p("// must not retain them.")
 	p("var BorrowedArgCalls = map[string][]int{")
 	p("\t\"RoundtripVec\": {2},    // reqBulk")
-	p("\t\"WriteFrame\":   {2, 3}, // meta, bulk")
+	p("\t\"WriteFrame\":   {1, 2}, // meta, bulk")
 	p("}")
 	p("")
 	p("// SharedDecodeMethods names the wire.Decoder methods (and the generated")
@@ -1038,9 +1037,9 @@ func emitClientMethods(p func(string, ...any), s surface, c Call) {
 		p("\treturn c.%sInto(p%s, nil)", c.Name, callArgs)
 		p("}")
 		p("")
-		p("// %sInto is %s with a caller-owned destination buffer: on a", c.Name, c.Name)
-		p("// protocol-v2 connection the reply's bulk region is scatter-read into")
-		p("// dst when it fits, making a pre-sized read allocation-free. The")
+		p("// %sInto is %s with a caller-owned destination buffer: over a", c.Name, c.Name)
+		p("// VecCaller the reply's bulk region is scatter-read into dst when it")
+		p("// fits, making a pre-sized read allocation-free. The")
 		p("// returned %s may alias dst.", lower(respB.Name))
 		p("func (c *Client) %sInto(p *sim.Proc%s, dst []byte) %s {", c.Name, params(c), results(c))
 	} else {
@@ -1048,13 +1047,13 @@ func emitClientMethods(p func(string, ...any), s surface, c Call) {
 		p("func (c *Client) %s(p *sim.Proc%s) %s {", c.Name, params(c), results(c))
 	}
 
-	// Vectored fast path for bulk calls on v2-negotiated connections.
+	// Vectored fast path for bulk calls over a VecCaller.
 	if reqB != nil || respB != nil {
-		cond := "ok && vc.ProtoVersion() >= remoting.ProtoV2"
+		cond := "ok"
 		if reqB != nil {
-			cond = fmt.Sprintf("ok && len(%s) > 0 && vc.ProtoVersion() >= remoting.ProtoV2", lower(reqB.Name))
+			cond = fmt.Sprintf("ok && len(%s) > 0", lower(reqB.Name))
 		}
-		p("\tif vc, ok := c.T.(remoting.VecCaller); %s {", cond)
+		p("\tif _, ok := c.T.(remoting.VecCaller); %s {", cond)
 		p("\t\treturn c.%svec(p%s)", lower(c.Name), vecCallArgs(c, respB != nil))
 		p("\t}")
 	}
@@ -1087,7 +1086,7 @@ func emitClientVecMethod(p func(string, ...any), c Call, reqB, respB *Field) {
 	if respB != nil {
 		dstParam = ", dst []byte"
 	}
-	p("// %svec is the protocol-v2 vectored path of %s.", lower(c.Name), c.Name)
+	p("// %svec is the vectored path of %s.", lower(c.Name), c.Name)
 	p("func (c *Client) %svec(p *sim.Proc%s%s) %s {", lower(c.Name), params(c), dstParam, results(c))
 	p("\tvc := c.T.(remoting.VecCaller)")
 	p("\tenc := wire.GetEncoder()")
@@ -1156,7 +1155,7 @@ func emitClientVecMethod(p func(string, ...any), c Call, reqB, respB *Field) {
 }
 
 // emitClientInlineBody writes the classic request/response body shared by
-// plain calls and the v1 fallback of bulk calls. A oneWay call is submitted
+// plain calls and the inline fallback of bulk calls. A oneWay call is submitted
 // on the transport's async lane instead, when it has one.
 func emitClientInlineBody(p func(string, ...any), c Call, oneWay bool) {
 	reqData := "0"
@@ -1278,7 +1277,7 @@ func emitDispatchCase(p func(string, ...any), s surface, c Call) {
 		}
 	}
 	if respB != nil {
-		p("\t\tif vecResp && wantBulk {")
+		p("\t\tif vecResp {")
 		p("\t\t\tenc.I32(0)")
 		p("\t\t\t(&%sResp{%s}).EncodeMeta(enc)", c.Name, strings.Join(metaLits, ", "))
 		p("\t\t\treturn 0, %s", lower(respB.Name))
@@ -1296,7 +1295,7 @@ func emitDispatchCase(p func(string, ...any), s surface, c Call) {
 
 // emitMeta writes EncodeMeta/DecodeMeta for a message carrying a bulk
 // field: the same encoding as Encode/Decode minus the bulk field, whose
-// bytes travel as the frame's vectored bulk region on protocol v2.
+// bytes travel as the frame's vectored bulk region.
 func emitMeta(p func(string, ...any), typ, side, bulkName string, fields []Field) {
 	var metas []Field
 	for _, f := range fields {
@@ -1305,7 +1304,7 @@ func emitMeta(p func(string, ...any), typ, side, bulkName string, fields []Field
 		}
 	}
 	p("// EncodeMeta serializes the %s without the bulk field %s,", side, bulkName)
-	p("// whose bytes travel as the frame's vectored bulk region on protocol v2.")
+	p("// whose bytes travel as the frame's vectored bulk region.")
 	p("func (m *%s) EncodeMeta(e *wire.Encoder) {", typ)
 	for _, f := range metas {
 		p("\t"+kinds[f.Kind].Enc, "m."+f.Name)

@@ -141,7 +141,7 @@ func TestBatchedDnnForwardAllocatesNothing(t *testing.T) {
 		batch.BytesField(entry.Bytes())
 		batch.BytesField(entry.Bytes())
 		replies := sim.NewQueue[remoting.Response](e)
-		req := remoting.Request{Payload: batch.Bytes(), Proto: remoting.ProtoV2, ReplyTo: replies}
+		req := remoting.Request{Payload: batch.Bytes(), ReplyTo: replies}
 		call := func() {
 			r.srv.Inbox.Send(req)
 			resp, _ := replies.Recv(p)

@@ -71,7 +71,7 @@ func benchRequest(b *testing.B, cfg Config, bulkBytes int, build func(p *sim.Pro
 			b.SetBytes(int64(bulkBytes))
 		}
 		replies := sim.NewQueue[remoting.Response](e)
-		req := remoting.Request{Payload: enc.Bytes(), Bulk: bulk, Proto: remoting.ProtoV2, ReplyTo: replies}
+		req := remoting.Request{Payload: enc.Bytes(), Bulk: bulk, ReplyTo: replies}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			srv.Inbox.Send(req)

@@ -64,7 +64,7 @@ func (c memCall) viaDispatch(p *sim.Proc, _ *gen.Client, srv *Server) ([]byte, e
 		e.U64(uint64(c.ptr))
 		e.I64(c.n)
 	}
-	resp, _, respBulk := gen.DispatchBulk(p, srv, e.Bytes(), bulk, true)
+	resp, _, respBulk := gen.DispatchBulk(p, srv, e.Bytes(), bulk)
 	d := wire.NewDecoder(resp)
 	if code := int(d.I32()); code != 0 {
 		return nil, cuda.FromCode(code)
@@ -526,7 +526,7 @@ func TestOwnedBulkIsAdoptedBorrowedIsCopied(t *testing.T) {
 			var enc wire.Encoder
 			enc.U16(gen.CallMemWrite)
 			(&gen.MemWriteReq{Dst: ptr}).EncodeMeta(&enc)
-			srv.Inbox.Send(remoting.Request{Payload: enc.Bytes(), Bulk: bulk, BulkOwned: owned, Proto: remoting.ProtoV2, ReplyTo: replies})
+			srv.Inbox.Send(remoting.Request{Payload: enc.Bytes(), Bulk: bulk, BulkOwned: owned, ReplyTo: replies})
 			r, _ := replies.Recv(p)
 			if code := wire.NewDecoder(r.Payload).I32(); code != 0 {
 				t.Fatalf("MemWrite status %d", code)
@@ -557,7 +557,7 @@ func TestOwnedBulkIsAdoptedBorrowedIsCopied(t *testing.T) {
 		var enc wire.Encoder
 		enc.U16(gen.CallMemWrite)
 		(&gen.MemWriteReq{Dst: ptr + 8192}).EncodeMeta(&enc)
-		srv.Inbox.Send(remoting.Request{Payload: enc.Bytes(), Bulk: bulk, BulkOwned: true, Proto: remoting.ProtoV2, ReplyTo: replies})
+		srv.Inbox.Send(remoting.Request{Payload: enc.Bytes(), Bulk: bulk, BulkOwned: true, ReplyTo: replies})
 		replies.Recv(p)
 		if moved := srv.sess.mem.Copied() - before; moved != 4096 || !bytes.Equal(backing()[8192:8192+4096], pattern(9, 4096)) {
 			t.Fatalf("interior owned write: copied %d bytes, want 4096 and the bytes in place", moved)
@@ -588,8 +588,8 @@ func TestLentViewSurvivesTheNextWrite(t *testing.T) {
 		(&gen.MemWriteReq{Dst: ptr}).EncodeMeta(&wr)
 		for _, owned := range []bool{true, false} {
 			bulk := append([]byte(nil), fresh...)
-			srv.Inbox.Send(remoting.Request{Payload: rd.Bytes(), Proto: remoting.ProtoV2, ReplyTo: replies})
-			srv.Inbox.Send(remoting.Request{Payload: wr.Bytes(), Bulk: bulk, BulkOwned: owned, Proto: remoting.ProtoV2, ReplyTo: replies})
+			srv.Inbox.Send(remoting.Request{Payload: rd.Bytes(), ReplyTo: replies})
+			srv.Inbox.Send(remoting.Request{Payload: wr.Bytes(), Bulk: bulk, BulkOwned: owned, ReplyTo: replies})
 			read, _ := replies.Recv(p)
 			replies.Recv(p)
 			if read.Lend == nil {
@@ -610,7 +610,7 @@ func TestLentViewSurvivesTheNextWrite(t *testing.T) {
 		// ends the lend on the spot: the next write lands in place.
 		dead := sim.NewQueue[remoting.Response](e)
 		dead.Close()
-		srv.Inbox.Send(remoting.Request{Payload: rd.Bytes(), Proto: remoting.ProtoV2, ReplyTo: dead})
+		srv.Inbox.Send(remoting.Request{Payload: rd.Bytes(), ReplyTo: dead})
 		before := &srv.sess.mem.View(ptr, 0, n)[0]
 		mustNil(t, cl.MemWrite(p, ptr, fresh))
 		if after := &srv.sess.mem.View(ptr, 0, n)[0]; after != before {

@@ -83,7 +83,7 @@ func fuzzBulkMem(t *testing.T, write, session bool, off, n int64, vec, owned boo
 			(&gen.MemReadReq{Src: ptr, Size: n}).Encode(&enc)
 		}
 		srv.lease = remoting.LeaseBulk(&remoting.Request{Bulk: bulk, BulkOwned: owned})
-		resp, _, respBulk := gen.DispatchBulk(p, srv, enc.Bytes(), bulk, vec)
+		resp, _, respBulk := gen.DispatchBulk(p, srv, enc.Bytes(), bulk)
 		srv.lease = remoting.BulkLease{} // not recycled: the fuzzer's buffers stay out of the pools
 
 		d := wire.NewDecoder(resp)

@@ -266,10 +266,8 @@ func (s *Server) Run(p *sim.Proc) {
 		if !replies || req.ReplyTo == nil {
 			continue // one-way submission: no acknowledgement
 		}
-		// Proto echoes the request so a TCP bridge frames the reply in the
-		// version the guest negotiated.
 		payload := append(wire.GetBuf(s.reply.Len()), s.reply.Bytes()...)
-		r := remoting.Response{Payload: payload, Pooled: true, RespData: data, Bulk: bulk, Proto: req.Proto}
+		r := remoting.Response{Payload: payload, Pooled: true, RespData: data, Bulk: bulk}
 		if bulk != nil && s.sess != nil {
 			// A vectored reply's bulk is MemRead's view of the session's
 			// bytes: lent until the transport is done with the frame.
@@ -355,14 +353,14 @@ func (s *Server) handleCtrl(p *sim.Proc, req remoting.Request) {
 }
 
 // handle executes one wire message (a single call, a batch, an async
-// one-way submission, a fence, or a protocol hello) and leaves the encoded
-// response in s.reply; replies is false for a message that gets none. bulk is
-// the reply's bulk region, non-nil only for vectored bulk-response calls on a
-// protocol-v2 connection.
+// one-way submission or a fence) and leaves the encoded response in s.reply;
+// replies is false for a message that gets none. bulk is the reply's bulk
+// region, non-nil only for vectored bulk-response calls.
 func (s *Server) handle(p *sim.Proc, req remoting.Request) (replies bool, data int64, bulk []byte) {
 	payload := req.Payload
 	s.reply.Reset()
-	switch id := callID(payload); id {
+	id := callID(payload)
+	switch id {
 	case remoting.CallBatch:
 		s.handleBatch(p, payload[2:])
 		return true, 0, nil
@@ -374,20 +372,10 @@ func (s *Server) handle(p *sim.Proc, req remoting.Request) (replies bool, data i
 		s.reply.I32(s.asyncErr)
 		s.asyncErr = 0
 		return true, 0, nil
-	case remoting.CallProtoHello:
-		// Version negotiation, answered out of band of the call table —
-		// not an API call, so it stays out of callCounts. A malformed
-		// hello falls through to Dispatch's unknown-call error, which is
-		// exactly what a pre-hello (v1) server would answer.
-		if reply, _, ok := remoting.HandleHello(payload, remoting.MaxProtoVersion); ok {
-			s.reply.Raw(reply)
-			return true, 0, nil
-		}
-	default:
-		s.callCounts[id]++
 	}
+	s.callCounts[id]++
 	s.stats.CallsHandled++
-	data, bulk = gen.DispatchTo(p, s, &s.reply, payload, req.Bulk, req.Proto >= remoting.ProtoV2)
+	data, bulk = gen.DispatchTo(p, s, &s.reply, payload, req.Bulk)
 	return true, data, bulk
 }
 
@@ -458,7 +446,7 @@ func (s *Server) handleBatch(p *sim.Proc, body []byte) {
 			s.callCounts[callID(entry)]++
 		}
 		s.reply.Reset()
-		gen.DispatchTo(p, s, &s.reply, entry, nil, false)
+		gen.DispatchTo(p, s, &s.reply, entry, nil)
 		if code := s.replyStatus(); firstErr == 0 {
 			firstErr = code
 		}
@@ -906,8 +894,8 @@ func (sess *session) memRange(ptr cuda.DevPtr, n int64) (base cuda.DevPtr, off i
 // MemWrite is the vectored twin of MemcpyH2D: the payload bytes arrive with
 // the call, so the server both charges the PCIe upload and keeps them in the
 // session's byte store for read-back through MemRead. data is borrowed and
-// copied in — the simulated transport's guest-owned slice, a v1 inline
-// decode, a direct caller's argument — unless it is the bulk buffer the
+// copied in — the simulated transport's guest-owned slice, an inline decode,
+// a direct caller's argument — unless it is the bulk buffer the
 // transport gave away with this request, which becomes the allocation's
 // storage as it is; the storage it displaces goes back to the transport.
 func (s *Server) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {

@@ -1,8 +1,7 @@
 // Package chaos is a randomized fault-schedule search engine for the DGSF
 // cluster. Each trial draws a random — but seed-deterministic — fault
 // schedule from the full injection vocabulary (process kills, whole-machine
-// failures, connection drops/stalls/corruption, protocol downgrades,
-// controller kills, asymmetric network partitions, slow-GPU brownouts,
+// failures, connection drops/stalls/corruption, controller kills, asymmetric network partitions, slow-GPU brownouts,
 // store conflict storms, mid-handoff fabric faults), runs a workload under
 // it, and checks a set of cluster-wide invariants afterwards: session
 // conservation, data-plane export refcount balance, store ResourceVersion
@@ -133,7 +132,9 @@ func generateFleet(rng *rand.Rand) Schedule {
 	}
 	// Asymmetric partitions: a few machines unreachable from guests while
 	// their agents keep heartbeating store-ward. Windows stay well inside
-	// the retry budget (MaxAttempts × backoff + placement resync).
+	// the retry budget (MaxAttempts × backoff + placement resync), and a
+	// retried session leaves the machine its last attempt failed on, so it
+	// does not spend that budget on one cut machine.
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		var cut []int
 		for j, m := 0, 1+rng.Intn(5); j < m; j++ {
@@ -176,9 +177,6 @@ func generateFleet(rng *rand.Rand) Schedule {
 	}
 	if rng.Intn(2) == 1 {
 		s.Plan.CorruptRate = 0.05 + 0.10*rng.Float64()
-	}
-	if rng.Intn(2) == 1 {
-		s.Plan.DowngradeRate = 0.1 + 0.2*rng.Float64()
 	}
 	return s
 }
@@ -232,8 +230,9 @@ func generatePipeline(rng *rand.Rand) Schedule {
 	if s.CrossServer && rng.Intn(2) == 1 {
 		s.Plan.FabricFaultRate = 0.2 + 0.4*rng.Float64()
 	}
-	// Per-connection faults. Stalls exceed the 60s call deadline so the
-	// guest detects them instead of waiting them out.
+	// Per-connection faults. A stall lands on a connection's first call and
+	// exceeds the 60s call deadline, so the guest detects it instead of
+	// waiting it out.
 	if rng.Intn(2) == 1 {
 		s.Plan.DropRate = 0.05 + 0.20*rng.Float64()
 		s.Plan.DropAfter = at(50*time.Millisecond, 300*time.Millisecond)
@@ -244,9 +243,6 @@ func generatePipeline(rng *rand.Rand) Schedule {
 	}
 	if rng.Intn(2) == 1 {
 		s.Plan.CorruptRate = 0.05 + 0.10*rng.Float64()
-	}
-	if rng.Intn(2) == 1 {
-		s.Plan.DowngradeRate = 0.1 + 0.2*rng.Float64()
 	}
 	return s
 }

@@ -11,7 +11,7 @@ import (
 
 // The shrinker is a delta debugger over fault-plan elements: each scheduled
 // event, partition, brownout, storm, and controller kill is one element, and
-// each probabilistic rate group (drop, stall, corrupt, downgrade, fabric) is
+// each probabilistic rate group (drop, stall, corrupt, fabric) is
 // one on/off element. ddmin removes chunks of elements while the reduced
 // schedule still reproduces a violation, converging on a locally minimal
 // plan — usually one or two faults — that is serialized as a reproducer.
@@ -28,7 +28,6 @@ const (
 	elemDropRate
 	elemStallRate
 	elemCorruptRate
-	elemDowngradeRate
 	elemFabricRate
 )
 
@@ -65,9 +64,6 @@ func atomize(p faults.Plan) []element {
 	if p.CorruptRate > 0 {
 		out = append(out, element{elemCorruptRate, 0})
 	}
-	if p.DowngradeRate > 0 {
-		out = append(out, element{elemDowngradeRate, 0})
-	}
 	if p.FabricFaultRate > 0 {
 		out = append(out, element{elemFabricRate, 0})
 	}
@@ -96,8 +92,6 @@ func rebuild(p faults.Plan, keep []element) faults.Plan {
 			out.StallRate, out.StallFor = p.StallRate, p.StallFor
 		case elemCorruptRate:
 			out.CorruptRate = p.CorruptRate
-		case elemDowngradeRate:
-			out.DowngradeRate = p.DowngradeRate
 		case elemFabricRate:
 			out.FabricFaultRate = p.FabricFaultRate
 		}

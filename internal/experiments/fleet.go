@@ -100,7 +100,7 @@ func RunFleet(seed int64, nServers, nInvocations int) FleetResult {
 	res.CtrlRestarts = fleet.CtrlRestarts
 	res.FailedGS = fleet.Injector.Failed
 	// The wire-stat delta over the run reports the remoting_* counters
-	// (bytes on the wire, v1/v2 frame mix, hello outcomes) in the summary.
+	// (bytes and frames on the wire) in the summary.
 	remoting.PublishWireStats(reg, remoting.SnapshotWireStats().Sub(wireStart))
 	res.MetricsTable = reg.String()
 	return res

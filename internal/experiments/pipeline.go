@@ -70,8 +70,8 @@ func RunPipeline(seed int64) PipelineResult {
 	var res PipelineResult
 
 	// Part A: same-server handoff vs bounce. The wire-stat delta around the
-	// measured chain surfaces the remoting_* counters (bytes, frame versions,
-	// hello outcomes) in the summary next to the data-plane counters.
+	// measured chain surfaces the remoting_* counters (bytes, frames) in the
+	// summary next to the data-plane counters.
 	wireStart := remoting.SnapshotWireStats()
 	handoff, reg := runPipelineChain(seed, pipelineChainOpts{})
 	remoting.PublishWireStats(reg, remoting.SnapshotWireStats().Sub(wireStart))

@@ -57,23 +57,15 @@ type Plan struct {
 	DropRate  float64
 	DropAfter time.Duration
 
-	// StallRate is the probability a dialed connection's first send is
-	// delayed by StallFor — long enough, under a per-call deadline, to look
-	// like a dead server.
+	// StallRate is the probability a dialed connection's first send — its
+	// first call — is delayed by StallFor: long enough, under a per-call
+	// deadline, to look like a dead server.
 	StallRate float64
 	StallFor  time.Duration
 
 	// CorruptRate is the probability a dialed connection corrupts the
-	// framing of its first outbound message. On a v2-capable connection
-	// the first outbound message is the negotiation hello itself, so this
-	// also exercises the corrupted-hello path.
+	// framing of its first outbound message, its first call.
 	CorruptRate float64
-
-	// DowngradeRate is the probability a dialed connection is forced down
-	// to wire-protocol v1 before its hello runs — modeling the stale peer
-	// or version-stripping middlebox a rolling upgrade must interoperate
-	// with. Downgraded connections never use the vectored bulk lane.
-	DowngradeRate float64
 
 	// ControllerKills schedules fleet-controller crashes: at each At, the
 	// next store fuse bound via BindControllerFuse is armed so the
@@ -156,7 +148,6 @@ type Injector struct {
 	Dropped      int // connections scheduled to break
 	Stalled      int // connections stalled
 	Corrupted    int // connections set to corrupt a frame
-	Downgraded   int // connections forced to wire-protocol v1
 	CtrlKilled   int // fleet-controller crashes armed
 	Partitioned  int // partition windows applied
 	Severed      int // connections cut by partitions
@@ -356,10 +347,6 @@ func (in *Injector) WrapConn(p *sim.Proc, conn remoting.AsyncCaller) remoting.As
 			}
 			f.Break()
 		})
-	}
-	if in.plan.DowngradeRate > 0 && rng.Float64() < in.plan.DowngradeRate {
-		f.ForceVersion(remoting.ProtoV1)
-		in.Downgraded++
 	}
 	return conn
 }

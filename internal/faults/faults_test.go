@@ -128,44 +128,6 @@ func TestWrapConnAppliesPlannedFaults(t *testing.T) {
 	})
 }
 
-func TestWrapConnDowngradesProtocol(t *testing.T) {
-	e := sim.NewEngine(5)
-	e.Run("root", func(p *sim.Proc) {
-		l := remoting.NewListener(e)
-		p.SpawnDaemon("server", func(p *sim.Proc) {
-			for {
-				req, ok := l.Incoming.Recv(p)
-				if !ok {
-					return
-				}
-				if reply, _, hok := remoting.HandleHello(req.Payload, remoting.MaxProtoVersion); hok {
-					req.ReplyTo.TrySend(remoting.Response{Payload: reply, Proto: remoting.ProtoV1})
-					continue
-				}
-				req.ReplyTo.Send(remoting.Response{Payload: []byte("ok"), Proto: req.Proto})
-			}
-		})
-		inj := NewInjector(e, Plan{DowngradeRate: 1}, nil)
-		down := inj.WrapConn(p, remoting.Dial(e, l, remoting.NetProfile{}))
-		if inj.Downgraded != 1 {
-			t.Fatalf("Downgraded = %d, want 1", inj.Downgraded)
-		}
-		clean := remoting.Dial(e, l, remoting.NetProfile{})
-		if _, err := down.Roundtrip(p, []byte("ping"), 0); err != nil {
-			t.Fatalf("downgraded conn roundtrip: %v", err)
-		}
-		if _, err := clean.Roundtrip(p, []byte("ping"), 0); err != nil {
-			t.Fatalf("clean conn roundtrip: %v", err)
-		}
-		if v := down.(remoting.VecCaller).ProtoVersion(); v != remoting.ProtoV1 {
-			t.Fatalf("downgraded conn negotiated v%d, want v1", v)
-		}
-		if v := clean.(remoting.VecCaller).ProtoVersion(); v != remoting.ProtoV2 {
-			t.Fatalf("clean conn negotiated v%d, want v2", v)
-		}
-	})
-}
-
 func TestInjectionDeterministicAcrossRuns(t *testing.T) {
 	run := func() [3]int {
 		e := sim.NewEngine(7)

@@ -64,8 +64,8 @@ func newTappedServer(e *sim.Engine, p *sim.Proc) *tappedServer {
 
 // TestRecoverableDeadlineKeepsBulkLane: a per-call deadline bounds the
 // vectored lane, it does not replace it. A recoverable guest with CallDeadline
-// set on a protocol-v2 connection moves bulk bytes as the frame's bulk region
-// (so transfers above the 1 MiB inline cap work), and a bulk call the server
+// set moves bulk bytes as the frame's bulk region (so transfers above the
+// 1 MiB inline cap work), and a bulk call the server
 // never answers times out and is recovered like any other.
 func TestRecoverableDeadlineKeepsBulkLane(t *testing.T) {
 	const deadline = 100 * time.Millisecond

@@ -382,8 +382,8 @@ func (l *Lib) MemcpyD2H(p *sim.Proc, src cuda.DevPtr, size int64) (gpu.HostBuffe
 }
 
 // MemWrite uploads caller-provided bytes to device memory: the vectored twin
-// of MemcpyH2D. On a protocol-v2 connection the generated client passes data
-// borrowed through the writev bulk lane; on v1 it is inlined. Journaled like
+// of MemcpyH2D. Over a transport with the bulk lane the generated client
+// passes data borrowed through writev; otherwise it is inlined. Journaled like
 // MemcpyH2D so recovered sessions re-establish device contents — the journal
 // retains its own copy, because the caller keeps ownership of data.
 func (l *Lib) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
@@ -403,8 +403,9 @@ func (l *Lib) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) ([]byte, error) 
 	return l.MemReadInto(p, src, size, nil)
 }
 
-// MemReadInto is MemRead with a caller-owned destination buffer: on a
-// protocol-v2 connection a pre-sized dst makes the download allocation-free.
+// MemReadInto is MemRead with a caller-owned destination buffer: over a
+// transport with the bulk lane a pre-sized dst makes the download
+// allocation-free.
 // The returned slice may alias dst.
 func (l *Lib) MemReadInto(p *sim.Proc, src cuda.DevPtr, size int64, dst []byte) ([]byte, error) {
 	return call(l, p, func(p *sim.Proc) ([]byte, error) { return l.cl.MemReadInto(p, l.xp(src), size, dst) })

@@ -99,9 +99,9 @@ func retainBorrowedVec(p *sim.Proc, c *remoting.Caller, h *holder, req, bulk []b
 
 var retainedBulk []byte
 
-// WriteFrame mirrors the transport entry point: argument positions 2 and 3
+// WriteFrame mirrors the transport entry point: argument positions 1 and 2
 // are borrowed from the caller until return.
-func WriteFrame(w *holder, ver int, meta, bulk []byte, data int64) error {
+func WriteFrame(w *holder, meta, bulk []byte, data int64) error {
 	retainedBulk = bulk // want "borrowed from the caller only until WriteFrame returns"
 	return nil
 }
@@ -121,7 +121,7 @@ func sendLentBulkOn(ch chan []byte, r remoting.Response) {
 // A transport that writes the frame after ending the lend.
 func writeAfterRelease(h *holder, r remoting.Response) error {
 	r.Release()
-	return WriteFrame(h, 2, r.Payload, r.Bulk, 0) // want "Response.Bulk read after its Release at line" // want "Response.Payload read after its Release at line"
+	return WriteFrame(h, r.Payload, r.Bulk, 0) // want "Response.Bulk read after its Release at line" // want "Response.Payload read after its Release at line"
 }
 
 // A transport that keeps the reply's payload apart from the response.
@@ -163,7 +163,7 @@ func reuseSubmittedSlice(p *sim.Proc, c *remoting.Caller, msg []byte) error {
 // The writer's order: frame out (or dropped), then the release.
 func writeThenRelease(h *holder, r remoting.Response, failed bool) {
 	if !failed {
-		_ = WriteFrame(h, 2, r.Payload, r.Bulk, 0)
+		_ = WriteFrame(h, r.Payload, r.Bulk, 0)
 	}
 	r.Release()
 }
@@ -227,7 +227,7 @@ func copyThenRelease(dst []byte, r remoting.Response) []byte {
 // value of the same variable.
 func releasePerIteration(h *holder, in chan remoting.Response) {
 	for r := range in {
-		_ = WriteFrame(h, 2, r.Payload, r.Bulk, 0)
+		_ = WriteFrame(h, r.Payload, r.Bulk, 0)
 		r.Release()
 	}
 }

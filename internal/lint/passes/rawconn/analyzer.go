@@ -37,8 +37,7 @@ var dialFuncs = map[string]bool{
 }
 
 // frameFuncs are remoting's framing primitives, reserved to the transport
-// itself. A call site that framed its own bytes would also bypass the
-// version negotiation the transport runs on connection establishment.
+// itself.
 var frameFuncs = map[string]bool{"ReadFrame": true, "WriteFrame": true}
 
 func run(pass *lint.Pass) error {

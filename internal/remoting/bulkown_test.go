@@ -14,23 +14,13 @@ import (
 	"dgsf/internal/sim"
 )
 
-// rawV2Conn dials addr and negotiates v2 by hand, returning the bare socket:
-// the peer the bridge tests need is one that stops reading when it likes.
-func rawV2Conn(t *testing.T, addr string) net.Conn {
+// rawConn dials addr and returns the bare socket: the peer the bridge tests
+// need is one that stops reading when it likes.
+func rawConn(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, ProtoV1, helloRequest(ProtoV2), nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	resp, _, _, err := ReadFrame(conn, ProtoV1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := parseHelloReply(resp); !ok || v != ProtoV2 {
-		t.Fatalf("hello reply = %v", resp)
 	}
 	return conn
 }
@@ -48,7 +38,6 @@ func bridge(t *testing.T, handle func(p *sim.Proc, req Request) Response) (e *si
 				return
 			}
 			r := handle(p, req)
-			r.Proto = req.Proto
 			if !req.ReplyTo.TrySend(r) {
 				r.Release()
 			}
@@ -166,13 +155,13 @@ func TestBridgeEndsALendWrittenOrDropped(t *testing.T) {
 	}
 
 	t.Run("written", func(t *testing.T) {
-		conn := rawV2Conn(t, addr)
+		conn := rawConn(t, addr)
 		defer conn.Close()
 		<-bridged
-		if err := WriteFrame(conn, ProtoV2, []byte("read"), nil, 0); err != nil {
+		if err := WriteFrame(conn, []byte("read"), nil, 0); err != nil {
 			t.Fatal(err)
 		}
-		_, bulk, _, err := ReadFrame(conn, ProtoV2, nil, nil)
+		_, bulk, _, err := ReadFrame(conn, nil, nil)
 		if err != nil || !bytes.Equal(bulk, stored) {
 			t.Fatalf("reply: err %v, intact %v", err, bytes.Equal(bulk, stored))
 		}
@@ -180,12 +169,12 @@ func TestBridgeEndsALendWrittenOrDropped(t *testing.T) {
 	})
 
 	t.Run("dropped", func(t *testing.T) {
-		conn := rawV2Conn(t, addr)
+		conn := rawConn(t, addr)
 		done := <-bridged
 		// A second reply queues up behind a guest that reads half of the
 		// first and goes away.
 		for i := 0; i < 2; i++ {
-			if err := WriteFrame(conn, ProtoV2, []byte("read"), nil, 0); err != nil {
+			if err := WriteFrame(conn, []byte("read"), nil, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,7 +216,7 @@ func TestSimConnEndsALendItNeverReceives(t *testing.T) {
 				r.Release()
 			}
 		})
-		c := DialVersion(e, l, NetProfile{}, ProtoV1).(*simConn)
+		c := Dial(e, l, NetProfile{}).(*simConn)
 		if _, err := c.RoundtripTimeout(p, []byte("read"), 0, time.Second); !errors.Is(err, ErrCallTimeout) {
 			t.Fatalf("round trip = %v, want ErrCallTimeout", err)
 		}
@@ -236,7 +225,7 @@ func TestSimConnEndsALendItNeverReceives(t *testing.T) {
 			t.Fatalf("the reply that came after the timeout was released %d times, want 1", got)
 		}
 
-		c = DialVersion(e, l, NetProfile{}, ProtoV1).(*simConn)
+		c = Dial(e, l, NetProfile{}).(*simConn)
 		queued := &countedLend{first: make(chan struct{})}
 		c.callQueue().Send(Response{Bulk: []byte("bulk"), Lend: queued})
 		c.Break()
@@ -283,23 +272,23 @@ func TestTakeFrameBufNeverAllocatesForALength(t *testing.T) {
 // is read into a slice of its own length. In the large classes the slack of
 // what it draws is the ratio between two classes.
 func TestBulkBuffersStayInTheLargeClasses(t *testing.T) {
-	for _, n := range []int{1, 4, frameHeaderLenV1 - 1, frameHeaderLenV2 - 1, 600, maxPooledFrame} {
+	for _, n := range []int{1, 4, frameHeaderLen - 1, 600, maxPooledFrame} {
 		RecycleBulk(make([]byte, n))
 		if got := takeFrameBuf(n); got != nil {
 			t.Fatalf("a %d-byte region drew a pooled buffer of %d", n, cap(got))
 		}
 	}
 	for i := 0; i < 64; i++ {
-		if buf := wire.GetBuf(frameHeaderLenV2); cap(buf) < frameHeaderLenV2 {
+		if buf := wire.GetBuf(frameHeaderLen); cap(buf) < frameHeaderLen {
 			t.Fatalf("a %d-byte buffer in the payload pool's header class", cap(buf))
 		}
 	}
 	var stream bytes.Buffer
 	for i := 0; i < 64; i++ {
-		if err := WriteFrame(&stream, ProtoV2, []byte("m"), nil, 0); err != nil {
+		if err := WriteFrame(&stream, []byte("m"), nil, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := ReadFrame(&stream, ProtoV2, nil, nil); err != nil {
+		if _, _, _, err := ReadFrame(&stream, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +300,7 @@ func TestBulkBuffersStayInTheLargeClasses(t *testing.T) {
 		if got == nil {
 			t.Fatalf("a %d-byte region did not draw the %d-byte buffer of its class", n, size)
 		}
-		if cap(got) > 4*n+frameHeaderLenV2+64 {
+		if cap(got) > 4*n+frameHeaderLen+64 {
 			t.Fatalf("a %d-byte region drew a buffer of %d", n, cap(got))
 		}
 		n = size + 1

@@ -21,8 +21,8 @@ func (f *fixedResp) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, e
 }
 func (f *fixedResp) Close() {}
 
-// fixedVecResp is fixedResp on a negotiated v2 connection: it additionally
-// satisfies remoting.VecCaller, modeling the transport's ownership handoff
+// fixedVecResp is fixedResp with the bulk lane: it additionally satisfies
+// remoting.VecCaller, modeling the transport's ownership handoff
 // (request bulk borrowed, reply bulk scatter-copied into respDst) with zero
 // transport cost, so the benchmarks isolate the stub's own overhead.
 type fixedVecResp struct {
@@ -119,7 +119,7 @@ func BenchmarkClientMemImport(b *testing.B) {
 	}
 }
 
-// BenchmarkClientMemWrite_1MiB is the v1 inline path of the host-to-device
+// BenchmarkClientMemWrite_1MiB is the inline path of the host-to-device
 // write: the bulk is copied into the encoded payload. The baseline the
 // vectored lane is gated against.
 func BenchmarkClientMemWrite_1MiB(b *testing.B) {
@@ -150,7 +150,7 @@ func BenchmarkClientMemWriteVec_1MiB(b *testing.B) {
 	}
 }
 
-// BenchmarkClientMemRead_1MiB is the v1 inline path of the device-to-host
+// BenchmarkClientMemRead_1MiB is the inline path of the device-to-host
 // read: the bulk rides inline and is decoded (copied) out of the reply.
 func BenchmarkClientMemRead_1MiB(b *testing.B) {
 	payload := make([]byte, 1<<20)

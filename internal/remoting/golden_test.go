@@ -30,43 +30,29 @@ func TestGoldenWireBytes(t *testing.T) {
 		}
 		return b
 	}
-	helloReply, _, ok := HandleHello(helloRequest(MaxProtoVersion), MaxProtoVersion)
-	if !ok {
-		t.Fatal("HandleHello refused a well-formed hello")
-	}
 	cases := []struct {
 		name       string
-		ver        int
 		meta, bulk []byte
 		data       int64
 		writes     int // Write calls the frame must take
 		head       string
 		sum        string
 	}{
-		{"v1", ProtoV1, meta, nil, 0x0102030405060708, 1,
-			"090000000807060504030201646773662d6d657461",
-			"bfaa5fd1f25810d038378a507fc8382048767e87d0b07d3f950327a1c652c1ef"},
-		{"v2_no_bulk", ProtoV2, meta, nil, -2, 1,
+		{"v2_no_bulk", meta, nil, -2, 1,
 			"d60200000900000000000000feffffffffffffff646773662d6d657461",
 			"df64ac3a52f46ca29c3229cefbc766c734ebe007296e652b1d2d1a59a739f837"},
-		{"v2_bulk_1KiB_coalesced", ProtoV2, meta, pattern(1 << 10), 77, 1,
+		{"v2_bulk_1KiB_coalesced", meta, pattern(1 << 10), 77, 1,
 			"d602010009000000000400004d00000000000000646773662d6d657461030a11181f262d343b424950575e656c737a81",
 			"0216860ed0ba25322bfa4a7e0714db9ba4cfad60d7704114791d7993f55af810"},
-		{"v2_bulk_64KiB_vectored", ProtoV2, meta, pattern(64 << 10), 1 << 40, 2,
+		{"v2_bulk_64KiB_vectored", meta, pattern(64 << 10), 1 << 40, 2,
 			"d602010009000000000001000000000000010000646773662d6d657461030a11181f262d343b424950575e656c737a81",
 			"7883c6c33bc670baf3f05f597eb4fe9ad5dd9433e8db6f2695c09bf3b8c3c6ed"},
-		{"hello_request", ProtoV1, helloRequest(MaxProtoVersion), nil, 0, 1,
-			"040000000000000000000000fcffd602",
-			"7da108f06a6487faef7bace60cfefd3ed64897120ef3aad7fff102979385781e"},
-		{"hello_reply", ProtoV1, helloReply, nil, 0, 1,
-			"06000000000000000000000000000000d602",
-			"73c5ee8e6d6fa22ab67d0c378bd67fafa35e57c0988d7176c5d2cf7ae3fff7e1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var rec writeRecorder
 			var onWire []byte
-			if err := WriteFrame(&rec, tc.ver, tc.meta, tc.bulk, tc.data); err != nil {
+			if err := WriteFrame(&rec, tc.meta, tc.bulk, tc.data); err != nil {
 				t.Fatal(err)
 			}
 			if len(rec.writes) != tc.writes {
@@ -91,7 +77,7 @@ func TestGoldenWireBytes(t *testing.T) {
 				t.Fatalf("frame of %d bytes hashes to %x, want %s", len(onWire), got, tc.sum)
 			}
 
-			gotMeta, gotBulk, data, err := ReadFrame(bytes.NewReader(onWire), tc.ver, nil, nil)
+			gotMeta, gotBulk, data, err := ReadFrame(bytes.NewReader(onWire), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,18 +86,5 @@ func TestGoldenWireBytes(t *testing.T) {
 					len(gotMeta), len(gotBulk), data, len(tc.meta), len(tc.bulk), tc.data)
 			}
 		})
-	}
-}
-
-// TestBulkNeedsV2 pins the one combination the codec refuses: a v1 frame has
-// no bulk region, so asking for one is a caller bug reported as an error, not
-// silently dropped bytes.
-func TestBulkNeedsV2(t *testing.T) {
-	var w bytes.Buffer
-	if err := WriteFrame(&w, ProtoV1, []byte("m"), []byte("bulk"), 0); err == nil {
-		t.Fatal("v1 frame with a bulk region accepted")
-	}
-	if w.Len() != 0 {
-		t.Fatalf("refused frame still wrote %d bytes", w.Len())
 	}
 }

@@ -13,139 +13,30 @@ import (
 	"dgsf/internal/remoting/wire"
 )
 
-// Wire protocol versions. Version 1 is the original framing (length + data
-// header, payload coalesced); version 2 adds a magic/version byte to the
-// header and a separately-framed bulk region written as one vectored writev,
-// so large payloads travel with zero user-space copies.
-//
-// A connection starts at v1. A v2-capable dialer sends one hello round trip
-// (a valid v1 frame carrying CallProtoHello) before anything else; a
-// v2-capable peer answers with the highest mutually supported version and
-// both sides switch, while a v1 peer rejects the unknown call ID and the
-// dialer falls back to v1 — which is what lets a mixed-version fleet roll
-// upgrades without a flag day.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
+// ProtoV2 is the wire protocol every connection speaks from its first byte:
+// a 20-byte header carrying a magic/version byte pair, then the metadata and
+// a separately-framed bulk region written as one vectored writev, so large
+// payloads travel with zero user-space copies.
+const ProtoV2 = 2
 
-	// MaxProtoVersion is the highest protocol version this build speaks.
-	MaxProtoVersion = ProtoV2
-)
-
-// FrameMagic is the first byte of every v2 frame header. v1 frames start
-// with a little-endian payload length bounded by maxFrameLen (64 MiB), whose
-// fourth byte is always 0x00 — so 0xD6 in byte 0 alone does not disambiguate,
-// but the version byte that follows does, and the magic gives corruption a
-// high chance of being caught at the frame boundary.
+// FrameMagic is the first byte of every frame header; with the version byte
+// that follows it gives corruption a high chance of being caught at the
+// frame boundary.
 const FrameMagic byte = 0xD6
-
-// CallProtoHello is the reserved call ID of the version-negotiation hello.
-// It rides a normal v1 frame as the first round trip of a v2-capable
-// connection; v1 servers answer it like any unknown call (an error status),
-// which is the downgrade signal.
-const CallProtoHello uint16 = 0xFFFC
-
-// helloLen / helloReplyLen are the fixed hello message sizes.
-const (
-	helloLen      = 4 // u16 CallProtoHello | magic | max version
-	helloReplyLen = 6 // i32 status | magic | negotiated version
-)
-
-// helloRequest encodes the negotiation hello: a payload that, framed as v1,
-// is the first thing a v2-capable dialer sends.
-func helloRequest(maxVer int) []byte {
-	b := make([]byte, helloLen)
-	binary.LittleEndian.PutUint16(b[0:2], CallProtoHello)
-	b[2] = FrameMagic
-	b[3] = byte(maxVer)
-	return b
-}
-
-// HandleHello answers a negotiation hello on behalf of a server that speaks
-// up to serverMax. It returns ok=false when payload is not a well-formed
-// hello or the server is v1-only — the caller then treats the payload as an
-// ordinary (unknown) call, which yields the error status a v2 dialer reads
-// as "fall back to v1".
-func HandleHello(payload []byte, serverMax int) (reply []byte, version int, ok bool) {
-	if serverMax < ProtoV2 {
-		return nil, 0, false
-	}
-	if len(payload) != helloLen ||
-		binary.LittleEndian.Uint16(payload[0:2]) != CallProtoHello ||
-		payload[2] != FrameMagic {
-		return nil, 0, false
-	}
-	version = int(payload[3])
-	if version > serverMax {
-		version = serverMax
-	}
-	if version < ProtoV1 {
-		return nil, 0, false
-	}
-	reply = make([]byte, helloReplyLen)
-	// status 0 (little-endian int32) then magic + version.
-	reply[4] = FrameMagic
-	reply[5] = byte(version)
-	return reply, version, true
-}
-
-// parseHelloReply decodes the peer's answer to a hello. ok=false means the
-// peer either refused the call (a v1 server's error status) or answered
-// something unintelligible; in both cases the safe move is v1.
-func parseHelloReply(resp []byte) (version int, ok bool) {
-	if len(resp) < 4 || binary.LittleEndian.Uint32(resp[0:4]) != 0 {
-		return 0, false
-	}
-	if len(resp) != helloReplyLen || resp[4] != FrameMagic {
-		return 0, false
-	}
-	version = int(resp[5])
-	if version < ProtoV1 || version > MaxProtoVersion {
-		return 0, false
-	}
-	return version, true
-}
-
-// negotiate runs the dialer's side of the version negotiation over
-// roundtrip, one request/reply exchange on a connection still speaking v1,
-// and returns the version the connection speaks from then on. A ceiling
-// below v2 suppresses the hello entirely, exactly like an old build; a peer
-// that refuses the hello (a v1 server's unknown-call error status) or
-// answers something unintelligible settles the connection on v1.
-func negotiate(maxVer int, roundtrip func(hello []byte) ([]byte, error)) (int, error) {
-	if maxVer < ProtoV2 {
-		return ProtoV1, nil
-	}
-	resp, err := roundtrip(helloRequest(maxVer))
-	if err != nil {
-		return 0, err
-	}
-	ver := ProtoV1
-	if v, ok := parseHelloReply(resp); ok && v <= maxVer {
-		ver = v
-	}
-	wireHello(ver)
-	return ver, nil
-}
 
 // --- the frame codec ---
 //
-// Frame layouts (little-endian). The header is the only thing that differs
-// between protocol versions:
+// Frame layout (little-endian, 20-byte header):
 //
-//	v1 (12 bytes)                      v2 (20 bytes)
-//	uint32  payload length             byte    magic (FrameMagic)
-//	int64   logical data bytes         byte    version (ProtoV2)
-//	                                   uint16  flags (flagBulk)
-//	                                   uint32  metadata length
-//	                                   uint32  bulk length
-//	                                   int64   logical data bytes
+//	byte    magic (FrameMagic)
+//	byte    version (ProtoV2)
+//	uint16  flags (flagBulk)
+//	uint32  metadata length
+//	uint32  bulk length
+//	int64   logical data bytes
 //
-// followed by the metadata payload and, on v2 only, the bulk region.
-const (
-	frameHeaderLenV1 = 12
-	frameHeaderLenV2 = 20
-)
+// followed by the metadata payload and the bulk region.
+const frameHeaderLen = 20
 
 // flagBulk marks a frame carrying a bulk region after the metadata.
 const flagBulk uint16 = 1 << 0
@@ -162,41 +53,23 @@ const maxPooledFrame = 64 << 10
 // scatter bookkeeping of a second vector.
 const vecCoalesceMax = 4 << 10
 
-func headerLen(ver int) int {
-	if ver >= ProtoV2 {
-		return frameHeaderLenV2
+// appendHeader encodes a frame header onto buf.
+func appendHeader(buf []byte, metaLen, bulkLen int, data int64) []byte {
+	var flags uint16
+	if bulkLen > 0 {
+		flags |= flagBulk
 	}
-	return frameHeaderLenV1
-}
-
-// appendHeader encodes the frame header of protocol version ver onto buf.
-func appendHeader(buf []byte, ver, metaLen, bulkLen int, data int64) []byte {
-	if ver >= ProtoV2 {
-		var flags uint16
-		if bulkLen > 0 {
-			flags |= flagBulk
-		}
-		buf = append(buf, FrameMagic, byte(ProtoV2))
-		buf = binary.LittleEndian.AppendUint16(buf, flags)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(metaLen))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(bulkLen))
-	} else {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(metaLen))
-	}
+	buf = append(buf, FrameMagic, byte(ProtoV2))
+	buf = binary.LittleEndian.AppendUint16(buf, flags)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(metaLen))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(bulkLen))
 	return binary.LittleEndian.AppendUint64(buf, uint64(data))
 }
 
-// parseHeader decodes and validates a headerLen(ver)-byte frame header.
+// parseHeader decodes and validates a frameHeaderLen-byte frame header.
 // Every rejection wraps ErrFrameCorrupt: a stream that fails here cannot be
 // resynchronized.
-func parseHeader(hdr []byte, ver int) (metaLen, bulkLen int, data int64, err error) {
-	if ver < ProtoV2 {
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n > maxFrameLen {
-			return 0, 0, 0, fmt.Errorf("%w: frame of %d bytes exceeds %d-byte limit", ErrFrameCorrupt, n, maxFrameLen)
-		}
-		return int(n), 0, int64(binary.LittleEndian.Uint64(hdr[4:12])), nil
-	}
+func parseHeader(hdr []byte) (metaLen, bulkLen int, data int64, err error) {
 	if hdr[0] != FrameMagic {
 		return 0, 0, 0, fmt.Errorf("%w: bad frame magic 0x%02x", ErrFrameCorrupt, hdr[0])
 	}
@@ -223,27 +96,23 @@ func parseHeader(hdr []byte, ver int) (metaLen, bulkLen int, data int64, err err
 // on the calling goroutine and writes them on its writer goroutine;
 // everything else goes through WriteFrame.
 type frame struct {
-	ver  int
 	buf  []byte
 	bulk []byte
 }
 
-// newFrame encodes one message for protocol version ver.
-func newFrame(ver int, meta, bulk []byte, data int64) (frame, error) {
-	if len(bulk) > 0 && ver < ProtoV2 {
-		return frame{}, fmt.Errorf("remoting: a bulk region requires protocol v2 (connection speaks v%d)", ver)
-	}
-	n := headerLen(ver) + len(meta)
+// newFrame encodes one message.
+func newFrame(meta, bulk []byte, data int64) frame {
+	n := frameHeaderLen + len(meta)
 	coalesce := len(bulk) <= vecCoalesceMax && n+len(bulk) <= maxPooledFrame
 	if coalesce {
 		n += len(bulk)
 	}
-	buf := append(appendHeader(getFrameBuf(n), ver, len(meta), len(bulk), data), meta...)
+	buf := append(appendHeader(getFrameBuf(n), len(meta), len(bulk), data), meta...)
 	if coalesce {
 		buf = append(buf, bulk...)
 		bulk = nil
 	}
-	return frame{ver: ver, buf: buf, bulk: bulk}, nil
+	return frame{buf: buf, bulk: bulk}
 }
 
 // writeTo writes the frame with one Write — one writev when a bulk vector
@@ -256,7 +125,7 @@ func (f frame) writeTo(w io.Writer) error {
 		_, err = w.Write(f.buf)
 	}
 	if err == nil {
-		wireTx(f.ver, int64(len(f.buf)+len(f.bulk)))
+		wireTx(int64(len(f.buf) + len(f.bulk)))
 	}
 	f.release()
 	return err
@@ -289,20 +158,15 @@ func writeVec(w io.Writer, hdr, bulk []byte) error {
 	return err
 }
 
-// WriteFrame writes one frame of protocol version ver: metadata, an optional
-// bulk region (v2 only) and the logical data byte count that accompanies the
-// call. bulk is borrowed, never retained: it belongs to the caller again as
-// soon as WriteFrame returns. Buffers of every size are pooled, so framing
-// does not allocate.
-func WriteFrame(w io.Writer, ver int, meta, bulk []byte, data int64) error {
-	f, err := newFrame(ver, meta, bulk, data)
-	if err != nil {
-		return err
-	}
-	return f.writeTo(w)
+// WriteFrame writes one frame: metadata, an optional bulk region and the
+// logical data byte count that accompanies the call. bulk is borrowed, never
+// retained: it belongs to the caller again as soon as WriteFrame returns.
+// Buffers of every size are pooled, so framing does not allocate.
+func WriteFrame(w io.Writer, meta, bulk []byte, data int64) error {
+	return newFrame(meta, bulk, data).writeTo(w)
 }
 
-// ReadFrame reads one frame of protocol version ver. meta is read into
+// ReadFrame reads one frame. meta is read into
 // metaBuf and bulk scatter-read into bulkDst when they fit — the result then
 // aliases the buffer, the caller owns both, and nothing is allocated; a
 // region that does not fit (or a nil buffer) gets a fresh slice the caller
@@ -310,8 +174,8 @@ func WriteFrame(w io.Writer, ver int, meta, bulk []byte, data int64) error {
 // owns the stream. bulk is nil when the frame carries no bulk region. Errors
 // are typed connection faults (ErrConnClosed, ErrCallTimeout,
 // ErrFrameCorrupt).
-func ReadFrame(r io.Reader, ver int, metaBuf, bulkDst []byte) (meta, bulk []byte, data int64, err error) {
-	return readFrame(r, ver, metaBuf, bulkDst, false)
+func ReadFrame(r io.Reader, metaBuf, bulkDst []byte) (meta, bulk []byte, data int64, err error) {
+	return readFrame(r, metaBuf, bulkDst, false)
 }
 
 // readFrame is ReadFrame with a choice of where regions that do not fit the
@@ -322,15 +186,15 @@ func ReadFrame(r io.Reader, ver int, metaBuf, bulkDst []byte) (meta, bulk []byte
 // (RecycleBulk). That pool is only ever asked for a buffer it already has, so
 // on a miss — as for every caller of ReadFrame — the region grows as its
 // bytes arrive.
-func readFrame(r io.Reader, ver int, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []byte, data int64, err error) {
+func readFrame(r io.Reader, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []byte, data int64, err error) {
 	// The header goes through a pooled buffer: a stack array would escape
 	// through the io.Reader interface.
-	hdr := wire.GetBuf(headerLen(ver))[:headerLen(ver)]
+	hdr := wire.GetBuf(frameHeaderLen)[:frameHeaderLen]
 	defer wire.PutBuf(hdr)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, nil, 0, wrapReadErr(err)
 	}
-	metaLen, bulkLen, data, err := parseHeader(hdr, ver)
+	metaLen, bulkLen, data, err := parseHeader(hdr)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -407,14 +271,13 @@ func wrapReadErr(err error) error {
 // the writer until the write returns.
 
 // largeClassSizes are the capacity classes for frame buffers above
-// maxPooledFrame: without them every >64 KiB v1 frame allocated afresh (the
-// pool-miss bug this fixes). Each class carries headroom for the frame
+// maxPooledFrame: without them every >64 KiB frame would allocate afresh. Each class carries headroom for the frame
 // header so a power-of-two payload does not spill into the next class.
 var largeClassSizes = [...]int{
-	(256 << 10) + frameHeaderLenV2 + 64,
-	(1 << 20) + frameHeaderLenV2 + 64,
-	(4 << 20) + frameHeaderLenV2 + 64,
-	(16 << 20) + frameHeaderLenV2 + 64,
+	(256 << 10) + frameHeaderLen + 64,
+	(1 << 20) + frameHeaderLen + 64,
+	(4 << 20) + frameHeaderLen + 64,
+	(16 << 20) + frameHeaderLen + 64,
 }
 
 // largeFrameList holds the free buffers of one large class. It is a bounded
@@ -539,10 +402,8 @@ func RecycleBulk(buf []byte) {
 type WireStats struct {
 	BytesTx  int64 // wire bytes written (headers + metadata + bulk + modeled payload)
 	BytesRx  int64 // wire bytes read
-	FramesV1 int64 // frames sent under protocol v1
-	FramesV2 int64 // frames sent under protocol v2
-	HellosV2 int64 // negotiations that landed on v2
-	HellosV1 int64 // negotiations that fell back to v1 (v1 peer)
+	FramesV1 int64 // always 0; kept until bench/ stops reading it (ROADMAP item 3)
+	FramesV2 int64 // frames sent
 }
 
 // Sub returns the element-wise difference s - o, for delta reporting across
@@ -551,38 +412,21 @@ func (s WireStats) Sub(o WireStats) WireStats {
 	return WireStats{
 		BytesTx:  s.BytesTx - o.BytesTx,
 		BytesRx:  s.BytesRx - o.BytesRx,
-		FramesV1: s.FramesV1 - o.FramesV1,
 		FramesV2: s.FramesV2 - o.FramesV2,
-		HellosV2: s.HellosV2 - o.HellosV2,
-		HellosV1: s.HellosV1 - o.HellosV1,
 	}
 }
 
 var wireStats struct {
-	bytesTx, bytesRx   atomic.Int64
-	framesV1, framesV2 atomic.Int64
-	hellosV2, hellosV1 atomic.Int64
+	bytesTx, bytesRx, frames atomic.Int64
 }
 
-func wireTx(ver int, n int64) {
+func wireTx(n int64) {
 	wireStats.bytesTx.Add(n)
-	if ver >= ProtoV2 {
-		wireStats.framesV2.Add(1)
-	} else {
-		wireStats.framesV1.Add(1)
-	}
+	wireStats.frames.Add(1)
 }
 
 func wireRx(n int64) {
 	wireStats.bytesRx.Add(n)
-}
-
-func wireHello(ver int) {
-	if ver >= ProtoV2 {
-		wireStats.hellosV2.Add(1)
-	} else {
-		wireStats.hellosV1.Add(1)
-	}
 }
 
 // SnapshotWireStats returns the process-wide wire counters. Experiments
@@ -591,10 +435,7 @@ func SnapshotWireStats() WireStats {
 	return WireStats{
 		BytesTx:  wireStats.bytesTx.Load(),
 		BytesRx:  wireStats.bytesRx.Load(),
-		FramesV1: wireStats.framesV1.Load(),
-		FramesV2: wireStats.framesV2.Load(),
-		HellosV2: wireStats.hellosV2.Load(),
-		HellosV1: wireStats.hellosV1.Load(),
+		FramesV2: wireStats.frames.Load(),
 	}
 }
 
@@ -613,8 +454,5 @@ func PublishWireStats(reg *metrics.Registry, w WireStats) {
 	}
 	set("remoting_bytes_tx", w.BytesTx)
 	set("remoting_bytes_rx", w.BytesRx)
-	set("remoting_frames_v1", w.FramesV1)
-	set("remoting_frames_v2", w.FramesV2)
-	set("remoting_hellos_v2", w.HellosV2)
-	set("remoting_hellos_v1", w.HellosV1)
+	set("remoting_frames", w.FramesV2)
 }

@@ -16,9 +16,8 @@ import (
 // guest↔API-server remoting across processes; experiments use the simulated
 // transport.
 //
-// Frames are built and parsed by the codec in protocol.go; connections
-// negotiate the protocol version with a hello round trip at dial time, see
-// DialTCPVersion / ServeConnVersion.
+// Frames are built and parsed by the codec in protocol.go; a connection
+// speaks it from its first byte.
 
 // setNoDelay disables Nagle's algorithm explicitly on TCP connections: the
 // remoting protocol is latency-bound request/response traffic, and every
@@ -44,7 +43,6 @@ const tcpWindow = 64
 type tcpCaller struct {
 	mu     sync.Mutex // serializes synchronous round trips
 	conn   net.Conn
-	ver    int // negotiated protocol version, fixed at dial time
 	sendCh chan frame
 
 	// callDeadline bounds every round trip that does not bring its own
@@ -61,40 +59,15 @@ type tcpCaller struct {
 	writeDone chan struct{}
 }
 
-// DialTCP connects a guest library to a TCP API server endpoint, negotiating
-// the highest mutually supported protocol version before the first call.
+// DialTCP connects a guest library to a TCP API server endpoint.
 func DialTCP(addr string) (AsyncCaller, error) {
-	return DialTCPVersion(addr, MaxProtoVersion)
-}
-
-// DialTCPVersion is DialTCP with an explicit protocol ceiling. maxVer
-// ProtoV1 skips the hello entirely and behaves exactly like an old build;
-// otherwise one hello round trip runs on the raw connection before the
-// writer goroutine starts, so by the time the caller sees the connection the
-// version is settled.
-func DialTCPVersion(addr string, maxVer int) (AsyncCaller, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	setNoDelay(conn)
-	ver, err := negotiate(maxVer, func(hello []byte) ([]byte, error) {
-		if err := WriteFrame(conn, ProtoV1, hello, nil, 0); err != nil {
-			return nil, err
-		}
-		resp, _, _, err := ReadFrame(conn, ProtoV1, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("protocol hello: %w", err)
-		}
-		return resp, nil
-	})
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
 	c := &tcpCaller{
 		conn:      conn,
-		ver:       ver,
 		sendCh:    make(chan frame, tcpWindow),
 		writeDone: make(chan struct{}),
 	}
@@ -103,7 +76,7 @@ func DialTCPVersion(addr string, maxVer int) (AsyncCaller, error) {
 }
 
 // ProtoVersion implements VecCaller.
-func (c *tcpCaller) ProtoVersion() int { return c.ver }
+func (c *tcpCaller) ProtoVersion() int { return ProtoV2 }
 
 // writer drains the send queue onto the socket. On a write error it records
 // the error, tears the connection down and keeps draining so senders never
@@ -133,11 +106,7 @@ func (c *tcpCaller) writer() {
 func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, err := newFrame(c.ver, req, reqBulk, reqData)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.sendCh <- f // blocks while the in-flight window is full
+	c.sendCh <- newFrame(req, reqBulk, reqData) // blocks while the in-flight window is full
 	if d <= 0 {
 		d = c.callDeadline
 	}
@@ -146,7 +115,7 @@ func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration
 		_ = c.conn.SetReadDeadline(time.Now().Add(d))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	resp, respBulk, _, err = ReadFrame(c.conn, c.ver, c.readBuf, respDst)
+	resp, respBulk, _, err = ReadFrame(c.conn, c.readBuf, respDst)
 	// Keep a grown buffer for the next reply, but never pin a huge one.
 	if cap(resp) > cap(c.readBuf) && cap(resp) <= maxPooledFrame {
 		c.readBuf = resp[:0]
@@ -198,11 +167,8 @@ func (c *tcpCaller) Submit(p *sim.Proc, req []byte, reqData int64) error {
 	if c.writeErr != nil {
 		return fmt.Errorf("%w: %v", ErrConnClosed, c.writeErr)
 	}
-	f, err := newFrame(c.ver, req, nil, reqData)
+	f := newFrame(req, nil, reqData)
 	wire.PutBuf(req)
-	if err != nil {
-		return err
-	}
 	c.sendCh <- f
 	return nil
 }
@@ -220,16 +186,8 @@ func (c *tcpCaller) Close() {
 // on an open-mode engine: a reader goroutine turns frames into Requests, and
 // a simulated writer process streams Responses back to the socket. It
 // returns immediately with a channel that closes when the connection drops;
-// the bridge lives until then. The bridge answers protocol hellos itself
-// (speaking up to MaxProtoVersion) and reframes per the negotiated version.
+// the bridge lives until then.
 func ServeConn(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request]) <-chan struct{} {
-	return ServeConnVersion(e, conn, inbox, MaxProtoVersion)
-}
-
-// ServeConnVersion is ServeConn with an explicit protocol ceiling: maxVer
-// ProtoV1 makes the bridge behave exactly like an old build (a dialer's hello
-// is forwarded as an unknown call and rejected, which downgrades the client).
-func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], maxVer int) <-chan struct{} {
 	setNoDelay(conn)
 	done := make(chan struct{})
 	replies := sim.NewQueue[Response](e)
@@ -241,13 +199,11 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 				_ = conn.Close()
 				return
 			}
-			// Frame per the version stamped on the response: the hello reply
-			// is pinned to v1 (both sides still speak v1 at that instant). A
-			// lent bulk region goes out as the frame's second vector. After a
-			// failed write the replies still queued are dropped one by one:
+			// A lent bulk region goes out as the frame's second vector. After
+			// a failed write the replies still queued are dropped one by one:
 			// written or dropped, a lend ends here.
 			if !failed {
-				if err := WriteFrame(conn, r.Proto, r.Payload, r.Bulk, r.RespData); err != nil {
+				if err := WriteFrame(conn, r.Payload, r.Bulk, r.RespData); err != nil {
 					_ = conn.Close()
 					failed = true
 				}
@@ -258,33 +214,19 @@ func ServeConnVersion(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request], m
 	go func() {
 		defer close(done)
 		defer replies.Close()
-		ver := ProtoV1
-		first := true
 		for {
 			// The payload lands in a buffer of the wire payload pool and a
 			// bulk region in one from the large frame pools — up to
 			// maxPooledFrame, in a fresh one of its length. Both travel with
 			// the request as the handler's property; what the handler does
 			// not keep comes back to the pools (wire.PutBuf, RecycleBulk).
-			payload, bulk, data, err := readFrame(conn, ver, nil, nil, true)
+			payload, bulk, data, err := readFrame(conn, nil, nil, true)
 			if err != nil {
 				return
 			}
-			if first {
-				first = false
-				if reply, v, ok := HandleHello(payload, maxVer); ok {
-					wire.PutBuf(payload)
-					if !replies.TrySend(Response{Payload: reply, Proto: ProtoV1}) {
-						return
-					}
-					ver = v
-					wireHello(ver)
-					continue
-				}
-			}
 			// The hosted API server may have crashed (closed its inbox);
 			// drop the bridge rather than panic.
-			if !inbox.TrySend(Request{Payload: payload, PayloadOwned: true, ReqData: data, Bulk: bulk, BulkOwned: bulk != nil, Proto: ver, ReplyTo: replies}) {
+			if !inbox.TrySend(Request{Payload: payload, PayloadOwned: true, ReqData: data, Bulk: bulk, BulkOwned: bulk != nil, ReplyTo: replies}) {
 				wire.PutBuf(payload)
 				RecycleBulk(bulk)
 				return

@@ -38,9 +38,6 @@ const CallAsync uint16 = 0xFFFE
 // (0 if none), which the fence clears.
 const CallFence uint16 = 0xFFFD
 
-// (CallProtoHello, 0xFFFC, is reserved in protocol.go for the wire-protocol
-// version negotiation hello.)
-
 // NetProfile models the network between a function's execution environment
 // and the GPU server.
 type NetProfile struct {
@@ -100,8 +97,7 @@ type DeadlineCaller interface {
 	// RoundtripTimeout is Roundtrip bounded by d for this one call.
 	RoundtripTimeout(p *sim.Proc, req []byte, reqData int64, d time.Duration) (resp []byte, err error)
 	// SetCallDeadline bounds every later Roundtrip and RoundtripVec on the
-	// connection by d (0 lifts the bound). The negotiation hello a lazily
-	// negotiating transport sends ahead of its first call is not covered.
+	// connection by d (0 lifts the bound).
 	SetCallDeadline(d time.Duration)
 }
 
@@ -121,11 +117,6 @@ type Faultable interface {
 	// ErrFrameCorrupt, and the connection breaks (a corrupt stream cannot
 	// be resynchronized).
 	CorruptNext()
-	// ForceVersion caps the connection's protocol at v (normally ProtoV1,
-	// suppressing the hello entirely), modeling a peer stuck on an old build
-	// during a rolling upgrade. It must be called before the first round
-	// trip.
-	ForceVersion(v int)
 }
 
 // AsyncCaller is a Caller with a pipelined submission lane. Submit fires a
@@ -146,10 +137,9 @@ type AsyncCaller interface {
 	Submit(p *sim.Proc, req []byte, reqData int64) error
 }
 
-// VecCaller is a Caller with the protocol-v2 vectored bulk lane. Generated
-// stubs for calls carrying a trailing bulk []byte use it when the connection
-// negotiated v2; on v1 connections (or transports without it) they fall back
-// to inlining the bulk into the encoded payload.
+// VecCaller is a Caller with the vectored bulk lane. Generated stubs for
+// calls carrying a trailing bulk []byte use it; on a transport without it
+// they inline the bulk into the encoded payload.
 //
 // Ownership: reqBulk is borrowed by the transport only for the duration of
 // the call — it is sent without copying and belongs to the caller again when
@@ -158,10 +148,8 @@ type AsyncCaller interface {
 // returned. resp follows the usual Caller reply contract.
 type VecCaller interface {
 	Caller
-	// ProtoVersion reports the protocol version negotiated so far: ProtoV1
-	// until a hello completes (the simulated transport negotiates lazily on
-	// the first call, so a fresh connection reports v1 until then).
-	ProtoVersion() int
+	ProtoVersion() int // always ProtoV2; bench/ forwards it until ROADMAP item 3
+
 	RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp, respBulk []byte, err error)
 }
 
@@ -183,10 +171,10 @@ type Request struct {
 	Profile      NetProfile // so the server charges response transfer symmetrically
 	Ctrl         any        // non-nil for monitor control messages
 
-	// Bulk is the request's vectored bulk region (protocol v2): the raw
-	// bytes of a trailing bulk argument, delivered outside the encoded
-	// payload. nil when the call carries no bulk (or inlined it on a v1
-	// connection). BulkOwned says whose it is.
+	// Bulk is the request's vectored bulk region: the raw bytes of a
+	// trailing bulk argument, delivered outside the encoded payload. nil
+	// when the call carries no bulk (or inlined it). BulkOwned says whose it
+	// is.
 	Bulk []byte
 	// BulkOwned reports that Bulk is the handler's property: the transport
 	// read it off the socket into a buffer of its own and gave that away
@@ -198,10 +186,6 @@ type Request struct {
 	// duration of the call (the simulated transport passes the guest's own
 	// slice through) and a handler copies what it retains.
 	BulkOwned bool
-	// Proto is the protocol version of the connection that delivered the
-	// request (0 is treated as v1). Servers echo it into the Response so
-	// reply framing matches what the guest reads.
-	Proto int
 }
 
 // Response carries an encoded reply plus the logical payload bytes flowing
@@ -214,7 +198,7 @@ type Response struct {
 	Pooled   bool
 	RespData int64
 
-	// Bulk is the reply's vectored bulk region (protocol v2). With Lend set
+	// Bulk is the reply's vectored bulk region. With Lend set
 	// it is a read-only view of storage the producer keeps — a session's
 	// bytes, returned by MemRead without a copy — lent to the transport
 	// until it calls Release: once, after the reply frame is written or
@@ -223,10 +207,6 @@ type Response struct {
 	Bulk []byte
 	// Lend ends the lend of Bulk; nil when Bulk is not lent.
 	Lend Lend
-	// Proto selects the reply framing: servers copy Request.Proto. The
-	// negotiation hello reply is the one response pinned to v1 — both sides
-	// still speak v1 at that instant.
-	Proto int
 }
 
 // Lend is the producer's handle on a lent Response.Bulk. While a lend is
@@ -302,7 +282,7 @@ type simConn struct {
 	// trips, in call order. Each call carries its own queue as ReplyTo,
 	// so replies are matched to their callers even when several simulated
 	// processes share the connection (a store watch pump's long-poll
-	// overlapping CRUD, a lazily sent hello overlapping a first call).
+	// overlapping CRUD).
 	// Break/Close fail every outstanding call by closing them all — a
 	// slice, not a map, so the wake order stays deterministic.
 	inflight []*sim.Queue[Response]
@@ -317,14 +297,6 @@ type simConn struct {
 	// connection too: a process that runs here finds every other caller
 	// parked, past the decode of whatever it was handed.
 	held Response
-
-	// Protocol version state. maxVer is what this side is willing to speak;
-	// ver is what the hello negotiated (v1 until it runs). The hello fires
-	// lazily on the first call — the one-RTT negotiation cost lands on
-	// connection establishment, not on the steady state.
-	maxVer    int
-	ver       int
-	helloDone bool
 
 	// callDeadline bounds every round trip that does not bring its own
 	// (SetCallDeadline); 0 means none.
@@ -352,48 +324,13 @@ type pipeItem struct {
 }
 
 // Dial connects a guest to an API server's listener with the given network
-// profile, negotiating the highest mutually supported protocol version on
-// the first call.
+// profile.
 func Dial(e *sim.Engine, l *Listener, profile NetProfile) AsyncCaller {
-	return DialVersion(e, l, profile, MaxProtoVersion)
-}
-
-// DialVersion is Dial with an explicit protocol ceiling, for mixed-version
-// interop tests and rolling-upgrade modeling (maxVer ProtoV1 suppresses the
-// hello entirely, behaving exactly like an old build).
-func DialVersion(e *sim.Engine, l *Listener, profile NetProfile, maxVer int) AsyncCaller {
-	return &simConn{e: e, l: l, profile: profile, maxVer: maxVer, ver: ProtoV1}
-}
-
-// ForceVersion implements Faultable: cap the connection at v before use.
-func (c *simConn) ForceVersion(v int) {
-	if v < c.maxVer {
-		c.maxVer = v
-	}
+	return &simConn{e: e, l: l, profile: profile}
 }
 
 // ProtoVersion implements VecCaller.
-func (c *simConn) ProtoVersion() int { return c.ver }
-
-// negotiate runs the one-RTT hello on the first call of the connection. An
-// injected frame corruption (CorruptNext) lands on the hello itself — exactly
-// the corrupted-negotiation case — and surfaces as a typed ErrFrameCorrupt
-// with the connection broken, like any corrupt stream.
-func (c *simConn) negotiate(p *sim.Proc) error {
-	if c.helloDone {
-		return nil
-	}
-	c.helloDone = true // the hello itself must not renegotiate
-	ver, err := negotiate(c.maxVer, func(hello []byte) ([]byte, error) {
-		resp, _, err := c.exchange(p, hello, nil, 0, -1, nil)
-		return resp, err
-	})
-	if err != nil {
-		return err
-	}
-	c.ver = ver
-	return nil
-}
+func (c *simConn) ProtoVersion() int { return ProtoV2 }
 
 // ensurePipe lazily starts the delivery daemon that models the wire between
 // sender and listener: items are handed over in FIFO order, each at its own
@@ -431,8 +368,7 @@ func (c *simConn) ensurePipe(p *sim.Proc) {
 // reports whether the message reached a live listener; a false return means
 // the peer is gone and the connection is now broken.
 func (c *simConn) send(p *sim.Proc, req Request) bool {
-	req.Proto = c.ver
-	wireTx(c.ver, int64(len(req.Payload))+int64(len(req.Bulk))+req.ReqData)
+	wireTx(int64(len(req.Payload)) + int64(len(req.Bulk)) + req.ReqData)
 	transfer := c.profile.transferTime(p.Rand(), int64(len(req.Payload))+int64(len(req.Bulk))+req.ReqData)
 	if c.stall > 0 {
 		transfer += c.stall
@@ -506,12 +442,8 @@ func (c *simConn) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp,
 // exchange is the one send–wait–receive sequence of the simulated transport:
 // a request with an optional bulk region, an optional reply deadline
 // (deadline <= 0 means none) and an optional destination for the reply's bulk.
-// The first exchange of a connection runs the hello ahead of itself.
 func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, deadline time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	c.hold(Response{})
-	if err := c.negotiate(p); err != nil {
-		return nil, nil, err
-	}
 	start := p.Now()
 	if err := c.checkSend(p, int64(len(req))+int64(len(reqBulk))+reqData); err != nil {
 		return nil, nil, err
@@ -584,9 +516,6 @@ func (c *simConn) hold(r Response) {
 // only its transfer occupancy, not the round trip, so compute and network
 // latency overlap. Ordering with later Roundtrips is FIFO.
 func (c *simConn) Submit(p *sim.Proc, req []byte, reqData int64) error {
-	if err := c.negotiate(p); err != nil {
-		return err
-	}
 	if err := c.checkSend(p, int64(len(req))+reqData); err != nil {
 		return err
 	}

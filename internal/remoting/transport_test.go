@@ -27,10 +27,8 @@ func TestSimRoundtripLatency(t *testing.T) {
 				req.ReplyTo.Send(Response{Payload: req.Payload})
 			}
 		})
-		// Dial v1 explicitly: the test asserts the exact steady-state cost of
-		// one round trip, and a v2-capable dial prepends a one-RTT hello
-		// (covered by TestSimNegotiationCostsOneRTT).
-		conn := DialVersion(e, l, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1)
+		// The first call of a connection costs exactly one round trip.
+		conn := Dial(e, l, NetProfile{RTT: 100 * time.Microsecond})
 		start := p.Now()
 		resp, err := conn.Roundtrip(p, []byte("ping"), 0)
 		if err != nil {
@@ -60,9 +58,8 @@ func TestSimRoundtripChargesBandwidth(t *testing.T) {
 				req.ReplyTo.Send(Response{Payload: []byte("ok")})
 			}
 		})
-		// 1 MB/s, no jitter: 1 MB of request payload = 1 s. v1 dial keeps the
-		// hello's 6 transferred bytes out of the exact-time assertion.
-		conn := DialVersion(e, l, NetProfile{Bps: 1e6}, ProtoV1)
+		// 1 MB/s, no jitter: 1 MB of request payload = 1 s.
+		conn := Dial(e, l, NetProfile{Bps: 1e6})
 		start := p.Now()
 		if _, err := conn.Roundtrip(p, []byte("x"), 1e6-1-2); err != nil {
 			t.Fatal(err)
@@ -135,10 +132,10 @@ func TestServerClosePendingRoundtripFails(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello dgsf")
-	if err := WriteFrame(&buf, ProtoV1, payload, nil, 12345); err != nil {
+	if err := WriteFrame(&buf, payload, nil, 12345); err != nil {
 		t.Fatal(err)
 	}
-	got, _, data, err := ReadFrame(&buf, ProtoV1, nil, nil)
+	got, _, data, err := ReadFrame(&buf, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +146,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
-	if _, _, _, err := ReadFrame(&buf, ProtoV1, nil, nil); err == nil {
+	buf.Write([]byte{FrameMagic, ProtoV2, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	if _, _, _, err := ReadFrame(&buf, nil, nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -167,7 +164,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 			if !ok {
 				return
 			}
-			req.ReplyTo.Send(Response{Payload: append([]byte("re:"), req.Payload...), RespData: req.ReqData, Proto: req.Proto})
+			req.ReplyTo.Send(Response{Payload: append([]byte("re:"), req.Payload...), RespData: req.ReqData})
 		}
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -223,7 +220,7 @@ func TestSimSubmitOverlapsRTT(t *testing.T) {
 				req.ReplyTo.Send(Response{Payload: []byte("ok")})
 			}
 		})
-		conn := DialVersion(e, l, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1)
+		conn := Dial(e, l, NetProfile{RTT: 100 * time.Microsecond})
 		start := p.Now()
 		for i := 0; i < 10; i++ {
 			if err := conn.Submit(p, []byte("one-way"), 0); err != nil {
@@ -311,7 +308,7 @@ func TestTCPSubmitPreservesOrder(t *testing.T) {
 				oneWay++
 				continue // no reply: the async contract
 			}
-			req.ReplyTo.Send(Response{Payload: []byte{byte(oneWay)}, Proto: req.Proto})
+			req.ReplyTo.Send(Response{Payload: []byte{byte(oneWay)}})
 		}
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -353,7 +350,7 @@ func TestWriteFrameZeroAllocs(t *testing.T) {
 	}
 	payload := make([]byte, 256)
 	if avg := testing.AllocsPerRun(200, func() {
-		if err := WriteFrame(io.Discard, ProtoV1, payload, nil, 0); err != nil {
+		if err := WriteFrame(io.Discard, payload, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -367,7 +364,7 @@ func TestFrameRoundTripBoundedAllocs(t *testing.T) {
 	}
 	payload := make([]byte, 256)
 	var framed bytes.Buffer
-	if err := WriteFrame(&framed, ProtoV1, payload, nil, 7); err != nil {
+	if err := WriteFrame(&framed, payload, nil, 7); err != nil {
 		t.Fatal(err)
 	}
 	raw := framed.Bytes()
@@ -376,7 +373,7 @@ func TestFrameRoundTripBoundedAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		buf.Reset()
 		buf.Write(raw)
-		if _, _, _, err := ReadFrame(&buf, ProtoV1, nil, nil); err != nil {
+		if _, _, _, err := ReadFrame(&buf, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
@@ -396,11 +393,11 @@ func TestReadFrameReuse(t *testing.T) {
 	}
 
 	// Fits: payload aliases the supplied buffer.
-	if err := WriteFrame(&framed, ProtoV1, small, nil, 1); err != nil {
+	if err := WriteFrame(&framed, small, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 0, 512)
-	got, _, data, err := ReadFrame(&framed, ProtoV1, buf, nil)
+	got, _, data, err := ReadFrame(&framed, buf, nil)
 	if err != nil || data != 1 || !bytes.Equal(got, small) {
 		t.Fatalf("reuse read = (%q, %d, %v)", got, data, err)
 	}
@@ -410,17 +407,17 @@ func TestReadFrameReuse(t *testing.T) {
 
 	// Does not fit: a grown buffer comes back, contents intact.
 	framed.Reset()
-	if err := WriteFrame(&framed, ProtoV1, big, nil, 2); err != nil {
+	if err := WriteFrame(&framed, big, nil, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, data, err = ReadFrame(&framed, ProtoV1, make([]byte, 0, 16), nil)
+	got, _, data, err = ReadFrame(&framed, make([]byte, 0, 16), nil)
 	if err != nil || data != 2 || !bytes.Equal(got, big) {
 		t.Fatalf("grown reuse read failed: len=%d data=%d err=%v", len(got), data, err)
 	}
 
 	if !wire.RaceEnabled {
 		framed.Reset()
-		if err := WriteFrame(&framed, ProtoV1, big, nil, 7); err != nil {
+		if err := WriteFrame(&framed, big, nil, 7); err != nil {
 			t.Fatal(err)
 		}
 		raw := framed.Bytes()
@@ -428,7 +425,7 @@ func TestReadFrameReuse(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, func() {
 			stream.Reset()
 			stream.Write(raw)
-			if _, _, _, err := ReadFrame(&stream, ProtoV1, buf, nil); err != nil {
+			if _, _, _, err := ReadFrame(&stream, buf, nil); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {
@@ -486,10 +483,7 @@ func TestFenceAfterConnFaultSurfacesTypedError(t *testing.T) {
 						req.ReplyTo.Send(Response{Payload: []byte("ok")})
 					}
 				})
-				// v1 dial: with negotiation enabled the hello itself would
-				// absorb the injected fault (legitimately, but this test pins
-				// the classification surfaced through the async-lane fence).
-				conn := DialVersion(e, l, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1)
+				conn := Dial(e, l, NetProfile{RTT: 100 * time.Microsecond})
 				for i := 0; i < 10; i++ {
 					if err := conn.Submit(p, []byte("one-way"), 0); err != nil {
 						t.Fatal(err)
@@ -541,7 +535,7 @@ func TestRoundtripTimeoutHappyPathUnaffected(t *testing.T) {
 				req.ReplyTo.Send(Response{Payload: req.Payload})
 			}
 		})
-		conn := DialVersion(e, l, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1).(DeadlineCaller)
+		conn := Dial(e, l, NetProfile{RTT: 100 * time.Microsecond}).(DeadlineCaller)
 		start := p.Now()
 		resp, err := conn.RoundtripTimeout(p, []byte("ping"), 0, time.Second)
 		if err != nil || !bytes.Equal(resp, []byte("ping")) {
@@ -598,7 +592,7 @@ func TestSimReplyQueueReuse(t *testing.T) {
 		l := NewListener(e)
 		var seen []*sim.Queue[Response]
 		echoServer(p, l, time.Millisecond, &seen)
-		conn := DialVersion(e, l, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1)
+		conn := Dial(e, l, NetProfile{RTT: 100 * time.Microsecond})
 		for i := 0; i < 3; i++ {
 			if resp, err := conn.Roundtrip(p, []byte{byte(i)}, 0); err != nil || resp[0] != byte(i) {
 				t.Fatalf("call %d = %v, %v", i, resp, err)
@@ -617,7 +611,7 @@ func TestSimReplyQueueReuse(t *testing.T) {
 				req.ReplyTo.Send(Response{Payload: req.Payload})
 			}
 		})
-		quiet := DialVersion(e, inline, NetProfile{RTT: 100 * time.Microsecond}, ProtoV1)
+		quiet := Dial(e, inline, NetProfile{RTT: 100 * time.Microsecond})
 		msg := []byte("ping")
 		if allocs := testing.AllocsPerRun(100, func() { quiet.Roundtrip(p, msg, 0) }); allocs != 0 {
 			t.Errorf("steady-state simulated round trip: %v allocs, want 0", allocs)
@@ -669,7 +663,7 @@ func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
 				req.ReplyTo.Send(Response{Payload: req.Payload})
 			}
 		})
-		conn := DialVersion(e, l, NetProfile{}, ProtoV1).(*simConn)
+		conn := Dial(e, l, NetProfile{}).(*simConn)
 		if _, err := conn.RoundtripTimeout(p, []byte("one"), 0, time.Millisecond); err != nil {
 			t.Fatalf("first call: %v", err)
 		}
@@ -689,7 +683,7 @@ func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
 		if _, err := conn.Roundtrip(p, []byte("three"), 0); !errors.Is(err, ErrConnClosed) {
 			t.Fatalf("call after timeout = %v, want ErrConnClosed", err)
 		}
-		redial := DialVersion(e, l, NetProfile{}, ProtoV1).(*simConn)
+		redial := Dial(e, l, NetProfile{}).(*simConn)
 		resp, err := redial.Roundtrip(p, []byte("four"), 0)
 		if err != nil || string(resp) != "four" {
 			t.Fatalf("call on the redialed conn = %q, %v", resp, err)
@@ -702,8 +696,7 @@ func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
 
 // TestSetCallDeadlineBoundsEveryLane: a connection's own deadline applies to
 // the calls that cannot bring one — Roundtrip and the vectored RoundtripVec —
-// on both transports, and not to the negotiation hello that a lazily
-// negotiating connection sends ahead of its first call.
+// on both transports, from the first message a connection sends.
 func TestSetCallDeadlineBoundsEveryLane(t *testing.T) {
 	const deadline = 5 * time.Millisecond
 	t.Run("sim", func(t *testing.T) {
@@ -711,16 +704,8 @@ func TestSetCallDeadlineBoundsEveryLane(t *testing.T) {
 		e.Run("root", func(p *sim.Proc) {
 			l := NewListener(e)
 			p.SpawnDaemon("server", func(p *sim.Proc) {
-				for {
-					req, ok := l.Incoming.Recv(p)
-					if !ok {
-						return
-					}
-					// Answer hellos — slowly — and nothing else.
-					if reply, _, ok := HandleHello(req.Payload, MaxProtoVersion); ok {
-						p.Sleep(4 * deadline)
-						req.ReplyTo.Send(Response{Payload: reply, Proto: ProtoV1})
-					}
+				// Answer nothing.
+				for _, ok := l.Incoming.Recv(p); ok; _, ok = l.Incoming.Recv(p) {
 				}
 			})
 			for _, vectored := range []bool{false, true} {
@@ -736,11 +721,8 @@ func TestSetCallDeadlineBoundsEveryLane(t *testing.T) {
 				if !errors.Is(err, ErrCallTimeout) {
 					t.Fatalf("vectored=%v: silent server = %v, want ErrCallTimeout", vectored, err)
 				}
-				if took := p.Now() - start; took != 4*deadline+deadline {
-					t.Fatalf("vectored=%v: timed out after %v, want the %v hello plus one %v deadline", vectored, took, 4*deadline, deadline)
-				}
-				if conn.ProtoVersion() != ProtoV2 {
-					t.Fatalf("vectored=%v: slow hello did not negotiate v2", vectored)
+				if took := p.Now() - start; took != deadline {
+					t.Fatalf("vectored=%v: timed out after %v, want the %v deadline", vectored, took, deadline)
 				}
 			}
 		})

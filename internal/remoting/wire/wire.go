@@ -400,8 +400,8 @@ func (d *Decoder) BytesField() []byte {
 
 // BytesShared reads a length-prefixed byte slice without copying: the result
 // aliases the decoder's buffer and is valid only until the decoder resets.
-// The server dispatch path uses it for bulk payloads carried inline on
-// protocol-v1 connections; backends must copy what they retain.
+// The server dispatch path uses it for bulk payloads carried inline (a
+// caller without the bulk lane); backends must copy what they retain.
 func (d *Decoder) BytesShared() []byte {
 	n := d.sliceLen()
 	return d.take(n)

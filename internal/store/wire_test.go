@@ -194,15 +194,11 @@ func TestPullSkipsUndecodableEvent(t *testing.T) {
 				if !ok {
 					return
 				}
-				reply, _, hello := remoting.HandleHello(req.Payload, remoting.MaxProtoVersion)
-				switch {
-				case hello:
-				case wire.NewDecoder(req.Payload).U16() == CallPullEvents:
+				reply := list.Bytes()
+				if wire.NewDecoder(req.Payload).U16() == CallPullEvents {
 					reply = pull.Bytes()
-				default:
-					reply = list.Bytes()
 				}
-				req.ReplyTo.TrySend(remoting.Response{Payload: reply, Proto: req.Proto})
+				req.ReplyTo.TrySend(remoting.Response{Payload: reply})
 			}
 		})
 		r := NewRemote(e, remoting.Dial(e, l, remoting.NetProfile{}))
