@@ -106,7 +106,7 @@ var kinds = map[string]struct {
 	"blas":    {GoType: "cudalibs.BLASHandle", Enc: "e.U64(uint64(%s))", Dec: "cudalibs.BLASHandle(d.U64())"},
 	"desc":    {GoType: "cudalibs.Descriptor", Enc: "e.U64(uint64(%s))", Dec: "cudalibs.Descriptor(d.U64())"},
 	// The store surface's kinds; their types and codecs live in package store.
-	"kind":   {GoType: "Kind", Enc: "e.Str(string(%s))", Dec: "Kind(d.Str())"},
+	"kind":   {GoType: "Kind", Enc: "e.Str(string(%s))", Dec: "kindOf(d.BytesShared())"},
 	"obj":    {GoType: "Resource", Enc: "encodeResource(e, %s)", Dec: "decodeResource(d)", Size: "resourceSizeHint(%s)"},
 	"objs":   {GoType: "[]Resource", Enc: "encodeResources(e, %s)", Dec: "decodeResources(d)", Size: "resourcesSizeHint(%s)"},
 	"events": {GoType: "[]Event", Enc: "encodeEvents(e, %s)", Dec: "decodeEvents(d)", Size: "eventsSizeHint(%s)"},
@@ -159,6 +159,9 @@ type surface struct {
 	// and DispatchBulk, with Async calls left to the guest library's lanes.
 	// A surface without them submits its Async calls one-way from the Client.
 	Lanes bool
+	// Intern gives the Client a wire.Interner that its reply decoders share,
+	// for a surface whose replies repeat the same short names.
+	Intern bool
 }
 
 var cudaSurface = surface{
@@ -542,6 +545,9 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 	p("%s", s.ClientDoc)
 	p("type Client struct {")
 	p("\tT remoting.Caller")
+	if s.Intern {
+		p("\tnames wire.Interner // its replies' strings: the same few names, over and over")
+	}
 	p("}")
 	p("")
 	for _, c := range calls {
@@ -588,14 +594,6 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 		p("// buftable.go): it stays as it is until the reply frame is written.")
 		p("func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) (respData int64, respBulk []byte) {")
 	} else {
-		p("// Dispatch decodes one call from payload and executes it against the")
-		p("// backend, returning the encoded response in a fresh buffer.")
-		p("func Dispatch(p *sim.Proc, b API, payload []byte) []byte {")
-		p("\tvar enc wire.Encoder")
-		p("\tDispatchTo(p, b, &enc, payload)")
-		p("\treturn enc.Bytes()")
-		p("}")
-		p("")
 		p("// DispatchTo is the dispatch body: it decodes one call from payload,")
 		p("// executes it against the backend and appends the encoded response —")
 		p("// the status word, then the result fields of a call that succeeded — to")
@@ -1058,7 +1056,7 @@ func emitClientMethods(p func(string, ...any), s surface, c Call) {
 		p("\t}")
 	}
 
-	emitClientInlineBody(p, c, !s.Lanes && c.Async)
+	emitClientInlineBody(p, c, !s.Lanes && c.Async, s.Intern)
 	p("}")
 	p("")
 
@@ -1156,8 +1154,9 @@ func emitClientVecMethod(p func(string, ...any), c Call, reqB, respB *Field) {
 
 // emitClientInlineBody writes the classic request/response body shared by
 // plain calls and the inline fallback of bulk calls. A oneWay call is submitted
-// on the transport's async lane instead, when it has one.
-func emitClientInlineBody(p func(string, ...any), c Call, oneWay bool) {
+// on the transport's async lane instead, when it has one. With intern, a reply
+// with results decodes its strings through the Client's Interner.
+func emitClientInlineBody(p func(string, ...any), c Call, oneWay, intern bool) {
 	reqData := "0"
 	if c.ReqData != "" {
 		reqData = lower(c.ReqData)
@@ -1198,6 +1197,9 @@ func emitClientInlineBody(p func(string, ...any), c Call, oneWay bool) {
 	p("\t\treturn")
 	p("\t}")
 	if len(c.Resp) > 0 {
+		if intern {
+			p("\tdec.SetInterner(&c.names)")
+		}
 		p("\tvar resp %sResp", c.Name)
 		p("\tresp.Decode(dec)")
 		p("\tif err = dec.Err(); err != nil {")

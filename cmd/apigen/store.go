@@ -9,7 +9,7 @@ package main
 
 var storeSurface = surface{
 	Header: `// The store's wire protocol: call IDs, request/response message types, the
-// Client a remote handle is built on, and the Dispatch function that serves
+// Client a remote handle is built on, and the DispatchTo function that serves
 // a Store. Regenerate with:
 //
 //	go run ./cmd/apigen
@@ -26,11 +26,12 @@ import (
 )
 `,
 	APIDoc: `// API is the remoted store surface, implemented by the in-process Store
-// (which Dispatch calls directly) and by Client.`,
+// (which DispatchTo calls directly) and by Client.`,
 	ClientDoc: `// Client implements API by remoting every call over a transport.
 // One-way calls use the async submission lane when the transport
 // supports it and degrade to synchronous round trips otherwise.`,
 	BadReq: "ErrBadRequest",
+	Intern: true,
 }
 
 // storeSpec is the remoted store surface, named as the Store's own methods:

@@ -257,8 +257,9 @@ func TestOracleCatchesWriteThroughSharedObject(t *testing.T) {
 				}
 			})
 			stored, _ := st.Create(p, &store.Session{ObjectMeta: store.ObjectMeta{Name: "s1"}})
-			stored.(*store.Session).Status.Phase = store.PhasePlaced
-			if _, err := st.UpdateStatus(p, stored); err != nil {
+			up := stored.DeepCopy().(*store.Session)
+			up.Status.Phase = store.PhasePlaced
+			if _, err := st.UpdateStatus(p, up); err != nil {
 				t.Fatal(err)
 			}
 			p.Sleep(time.Millisecond)

@@ -34,15 +34,17 @@ type executor struct {
 	inflight    *sim.WaitGroup
 	history     map[string]time.Duration // learned exec time per function (EWMA)
 	objects     *objstore.Store          // model objects, for cache-aware downloads
+	modelNames  map[string]string        // function name → its model object's name
 }
 
 func newExecutor(e *sim.Engine, env Env) executor {
 	return executor{
-		e:        e,
-		env:      env,
-		inflight: sim.NewWaitGroup(e),
-		history:  make(map[string]time.Duration),
-		objects:  objstore.New(),
+		e:          e,
+		env:        env,
+		inflight:   sim.NewWaitGroup(e),
+		history:    make(map[string]time.Duration),
+		objects:    objstore.New(),
+		modelNames: make(map[string]string),
 	}
 }
 
@@ -75,7 +77,11 @@ func (x *executor) recordExec(name string, d time.Duration) {
 // modelObject registers (idempotently — Put derives deterministic content
 // from name and size) the function's model blob and returns its name.
 func (x *executor) modelObject(fn *Function) string {
-	name := fn.Name + "/model"
+	name, ok := x.modelNames[fn.Name]
+	if !ok {
+		name = fn.Name + "/model"
+		x.modelNames[fn.Name] = name
+	}
 	x.objects.Put(name, fn.ModelDLBytes)
 	return name
 }

@@ -302,8 +302,9 @@ func RecordTensorHandle(p *sim.Proc, st store.Interface, name string, spec store
 		if err != nil {
 			return err
 		}
-		cur.(*store.TensorHandle).Spec = spec
-		if _, err := st.Update(p, cur); !store.IsConflict(err) {
+		up := cur.DeepCopy().(*store.TensorHandle)
+		up.Spec = spec
+		if _, err := st.Update(p, up); !store.IsConflict(err) {
 			if err != nil {
 				return err
 			}

@@ -263,14 +263,14 @@ func TestConflictStormRejectsWritesForTheWindow(t *testing.T) {
 			t.Fatalf("create before the storm: %v", err)
 		}
 		p.Sleep(30 * time.Millisecond) // into the window
-		if _, err := st.Update(p, obj); !errors.Is(err, store.ErrConflict) {
+		if _, err := st.Update(p, obj.DeepCopy()); !errors.Is(err, store.ErrConflict) {
 			t.Fatalf("update during the storm = %v, want ErrConflict", err)
 		}
 		if inj.Stormed == 0 {
 			t.Fatal("Stormed counter never moved")
 		}
 		p.Sleep(50 * time.Millisecond) // past the window
-		if _, err := st.Update(p, obj); err != nil {
+		if _, err := st.Update(p, obj.DeepCopy()); err != nil {
 			t.Fatalf("update after the storm: %v", err)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"dgsf/internal/modelcache"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 )
@@ -35,6 +36,10 @@ type Agent struct {
 	// diffs the host tier against it without listing the fleet's models.
 	published map[string]*store.StagedModel
 	stopped   bool
+
+	// entries and resident are syncStaged's scratch, kept across ticks.
+	entries  []modelcache.Entry
+	resident map[string]bool
 }
 
 // AgentConfig parameterizes an Agent.
@@ -52,7 +57,7 @@ func NewAgent(gs *GPUServer, st store.Interface, name string, cfg AgentConfig) *
 	if cfg.SyncPeriod <= 0 {
 		cfg.SyncPeriod = 100 * time.Millisecond
 	}
-	return &Agent{gs: gs, st: st, name: name, cfg: cfg}
+	return &Agent{gs: gs, st: st, name: name, cfg: cfg, resident: make(map[string]bool)}
 }
 
 // Stop ends the agent's sync loop at the next tick.
@@ -158,15 +163,15 @@ func (a *Agent) publishStatus(p *sim.Proc) error {
 			}
 			return err
 		}
-		obj := cur.(*store.APIServer) // Get's result is ours to edit
 		ready := !srv.Crashed() && !a.gs.dead[srv.ID()] && !a.gs.failed
 		fnID := ""
 		if lease, ok := a.gs.leased[srv.ID()]; ok {
 			fnID = lease.FnID
 		}
-		if obj.Status.Ready == ready && obj.Status.FnID == fnID {
+		if st := cur.(*store.APIServer).Status; st.Ready == ready && st.FnID == fnID {
 			continue
 		}
+		obj := cur.DeepCopy().(*store.APIServer)
 		obj.Status.Ready = ready
 		obj.Status.FnID = fnID
 		// Async lane: a dropped conflict self-heals on the next tick.
@@ -258,10 +263,10 @@ func (a *Agent) syncStaged(p *sim.Proc) error {
 	if c == nil {
 		return nil
 	}
-	entries := c.Host().Entries()
-	resident := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		resident[e.Key.Name] = true
+	a.entries = c.Host().AppendEntries(a.entries[:0])
+	clear(a.resident)
+	for _, e := range a.entries {
+		a.resident[e.Key.Name] = true
 		seq := c.Host().Seq(e.Key)
 		sm, ok := a.published[e.Key.Name]
 		if !ok {
@@ -292,7 +297,7 @@ func (a *Agent) syncStaged(p *sim.Proc) error {
 	}
 	departed := make([]string, 0, len(a.published))
 	for object := range a.published {
-		if !resident[object] {
+		if !a.resident[object] {
 			departed = append(departed, object)
 		}
 	}

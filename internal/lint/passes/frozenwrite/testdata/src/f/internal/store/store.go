@@ -1,6 +1,8 @@
 // Package store mirrors the resource-store types the analyzer keys on.
 package store
 
+import "f/internal/sim"
+
 // Kind names a resource keyspace.
 type Kind string
 
@@ -60,4 +62,34 @@ type Event struct {
 	Type   byte
 	RV     uint64
 	Object Resource
+}
+
+// Interface is the store API: reads and writes on it hand out frozen objects,
+// and its writes take ownership of their argument.
+type Interface interface {
+	Get(p *sim.Proc, kind Kind, name string) (Resource, error)
+	List(p *sim.Proc, kind Kind) ([]Resource, uint64, error)
+	Create(p *sim.Proc, r Resource) (Resource, error)
+	Update(p *sim.Proc, r Resource) (Resource, error)
+	UpdateStatus(p *sim.Proc, r Resource) (Resource, error)
+	UpdateStatusAsync(p *sim.Proc, r Resource) error
+}
+
+// Store is the in-process implementation.
+type Store struct {
+	objs map[string]Resource
+}
+
+func (s *Store) Get(p *sim.Proc, kind Kind, name string) (Resource, error) { return s.objs[name], nil }
+func (s *Store) List(p *sim.Proc, kind Kind) ([]Resource, uint64, error) {
+	return []Resource{s.objs["a"]}, 1, nil
+}
+func (s *Store) Create(p *sim.Proc, r Resource) (Resource, error)       { return s.put(r), nil }
+func (s *Store) Update(p *sim.Proc, r Resource) (Resource, error)       { return s.put(r), nil }
+func (s *Store) UpdateStatus(p *sim.Proc, r Resource) (Resource, error) { return s.put(r), nil }
+func (s *Store) UpdateStatusAsync(p *sim.Proc, r Resource) error        { s.put(r); return nil }
+
+func (s *Store) put(r Resource) Resource {
+	s.objs[r.Meta().Name] = r
+	return r
 }

@@ -157,17 +157,18 @@ func (l *LRU) oldest(keep Key) *Entry {
 	return victim
 }
 
-// Entries returns the resident entries oldest-first (ascending recency).
-// The order is deterministic: sequence numbers are unique. The fleet agent
-// uses this to mirror the host tier into the cluster store as StagedModel
-// objects.
-func (l *LRU) Entries() []Entry {
-	out := make([]Entry, 0, len(l.entries))
+// AppendEntries appends the resident entries to dst oldest-first (ascending
+// recency) and returns the extended slice. The order is deterministic:
+// sequence numbers are unique. The fleet agent uses this to mirror the host
+// tier into the cluster store as StagedModel objects, into one slice it
+// reuses across ticks.
+func (l *LRU) AppendEntries(dst []Entry) []Entry {
+	n := len(dst)
 	for _, e := range l.entries {
-		out = append(out, *e)
+		dst = append(dst, *e)
 	}
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.seq, b.seq) })
-	return out
+	slices.SortFunc(dst[n:], func(a, b Entry) int { return cmp.Compare(a.seq, b.seq) })
+	return dst
 }
 
 // Seq returns an entry's recency sequence number (0 if absent); older

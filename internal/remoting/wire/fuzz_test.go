@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +30,16 @@ func FuzzDecoder(f *testing.F) {
 
 	f.Add([]byte{})
 
+	// Interner seed: "gs-15" and "gs-60" share a slot, and a name longer than
+	// the interner keeps, each repeated.
+	var e4 Encoder
+	long := strings.Repeat("n", internMaxLen+1)
+	for _, s := range []string{"gs-15", "gs-60", "gs-15", long, "gs-60", long} {
+		e4.Str(s)
+	}
+	e4.Strs([]string{"gs-60", "gs-15"})
+	f.Add(e4.Bytes())
+
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// Each composite decode runs on its own decoder so one path's
 		// failure cannot mask another's.
@@ -35,6 +47,7 @@ func FuzzDecoder(f *testing.F) {
 		checkStrs(t, in)
 		checkStr(t, in)
 		checkBytesField(t, in)
+		checkInterned(t, in)
 
 		d := NewDecoder(in)
 		_ = d.Vec3()
@@ -102,5 +115,27 @@ func checkBytesField(t *testing.T, in []byte) {
 	b := d.BytesField()
 	if d.Err() == nil && len(b) > len(in) {
 		t.Fatalf("BytesField produced %d bytes from %d input bytes", len(b), len(in))
+	}
+}
+
+// checkInterned decodes in as a run of strings, then as a string slice, with
+// and without an Interner: the results must be equal, errors included.
+func checkInterned(t *testing.T, in []byte) {
+	var names Interner
+	plain, interned := NewDecoder(in), NewDecoder(in)
+	interned.SetInterner(&names)
+	for plain.Err() == nil && plain.Remaining() > 0 {
+		if a, b := plain.Str(), interned.Str(); a != b {
+			t.Fatalf("Str: %q plain, %q interned", a, b)
+		}
+	}
+	if plain.Err() != interned.Err() || plain.Remaining() != interned.Remaining() {
+		t.Fatalf("Str: plain ends at %d (%v), interned at %d (%v)", plain.Remaining(), plain.Err(), interned.Remaining(), interned.Err())
+	}
+	plain, interned = NewDecoder(in), NewDecoder(in)
+	interned.SetInterner(&names)
+	a, b := plain.Strs(), interned.Strs()
+	if !slices.Equal(a, b) || plain.Err() != interned.Err() {
+		t.Fatalf("Strs: %q (%v) plain, %q (%v) interned", a, plain.Err(), b, interned.Err())
 	}
 }

@@ -78,6 +78,7 @@ func GetDecoder(buf []byte) *Decoder {
 // remain valid; anything produced by the Shared variants dies here.
 func PutDecoder(d *Decoder) {
 	d.Reset(nil)
+	d.names = nil
 	if cap(d.strs) > maxPooledScratch {
 		d.strs = nil
 	}
@@ -247,6 +248,10 @@ type Decoder struct {
 	// Scratch reused by the Shared decode variants.
 	strs []string
 	ptrs []cuda.DevPtr
+
+	// names, when set, is consulted by Str; Reset keeps it, PutDecoder
+	// drops it.
+	names *Interner
 }
 
 // NewDecoder returns a decoder over buf.
@@ -266,6 +271,13 @@ func (d *Decoder) Reset(buf []byte) {
 	d.strs = d.strs[:0]
 	d.ptrs = d.ptrs[:0]
 }
+
+// SetInterner makes Str return cached strings from in (nil: none). The
+// decoder keeps it across Reset; PutDecoder clears it.
+func (d *Decoder) SetInterner(in *Interner) { d.names = in }
+
+// Interner returns the decoder's interner, or nil.
+func (d *Decoder) Interner() *Interner { return d.names }
 
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -368,12 +380,16 @@ func (d *Decoder) sliceCap(n, elemSize int) int {
 	return n
 }
 
-// Str reads a length-prefixed string.
+// Str reads a length-prefixed string, through the decoder's Interner when
+// it has one.
 func (d *Decoder) Str() string {
 	n := d.sliceLen()
 	b := d.take(n)
 	if b == nil {
 		return ""
+	}
+	if d.names != nil {
+		return d.names.Intern(b)
 	}
 	return string(b)
 }

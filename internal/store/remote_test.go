@@ -1,10 +1,12 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 )
 
@@ -213,4 +215,44 @@ func TestRemoteWatchPumpExitsOnConnFault(t *testing.T) {
 			t.Fatal("got event after connection break")
 		}
 	})
+}
+
+// cannedCaller answers every round trip with one fixed reply.
+type cannedCaller struct{ resp []byte }
+
+func (c *cannedCaller) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, error) {
+	return c.resp, nil
+}
+func (c *cannedCaller) Close() {}
+
+// TestRemoteGetInternsNames: once the Client has seen a reply's names, a Get
+// that repeats them decodes every string from its Interner, and the object
+// itself is the one allocation.
+func TestRemoteGetInternsNames(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("race detector drops sync.Pool items; alloc counts are meaningless")
+	}
+	sess := &Session{
+		ObjectMeta: ObjectMeta{Name: "fn-17", UID: 3, ResourceVersion: 9, Generation: 1},
+		Spec:       SessionSpec{FnID: "fn", MemBytes: 1 << 30, ModelObject: "fn/model", InputTensor: "t-1"},
+		Status:     SessionStatus{Phase: PhasePlaced, Server: "gs-3", Attempts: 1, Reason: "retry"},
+	}
+	var e wire.Encoder
+	e.I32(0)
+	(&GetResp{Obj: sess}).Encode(&e)
+	c := &Client{T: &cannedCaller{resp: e.Bytes()}}
+	var got Resource
+	get := func() {
+		var err error
+		if got, err = c.Get(nil, KindSession, "fn-17"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get()
+	if n := testing.AllocsPerRun(200, get); n != 1 {
+		t.Errorf("a repeated-name Get: %v allocs, want 1 (the object)", n)
+	}
+	if !reflect.DeepEqual(got, Resource(sess)) {
+		t.Errorf("Get decoded %+v, want %+v", got, sess)
+	}
 }

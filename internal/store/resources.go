@@ -473,6 +473,7 @@ func readResource(d *wire.Decoder) (Resource, error) {
 	*r.Meta() = m
 	sd := wire.GetDecoder(spec)
 	defer wire.PutDecoder(sd)
+	sd.SetInterner(d.Interner())
 	r.DecodeSpec(sd)
 	if err := sd.Err(); err != nil {
 		return nil, fmt.Errorf("%w: bad spec encoding: %w", ErrBadRequest, err)

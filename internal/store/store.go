@@ -23,10 +23,10 @@
 //     replace it on Gap (the controller cache re-lists the kind); a stateless
 //     level-triggered consumer may ignore the marker.
 //   - A stored object is frozen: a write replaces it, nothing ever changes
-//     it. The store therefore hands that one object to the replay log, to
-//     every watcher and to every pull (Event.Object is shared and read-only),
-//     and copies only what callers edit: the argument of a write, and the
-//     results of Get, List, Create, Update and UpdateStatus.
+//     it. A write takes ownership of its argument, which becomes the stored
+//     object; the store hands that one object to the replay log, to every
+//     watcher, to every pull and back to whoever calls Get, List or a write.
+//     Nothing is copied: a caller that wants to edit DeepCopies first.
 //
 // The store is deterministic under internal/sim: iteration is over sorted
 // keys, watch delivery follows registration order, and no wall-clock or
@@ -63,6 +63,8 @@ var (
 	// ErrHalted reports an operation through a halted store handle — the
 	// fault framework's way of crashing a controller mid-reconcile.
 	ErrHalted = errors.New("store: handle halted")
+	// errRewrite refuses a write whose argument is the stored object itself.
+	errRewrite = fmt.Errorf("%w: the argument is the stored object; DeepCopy it to write", ErrBadRequest)
 )
 
 // The generated stubs carry errors as cuda.Code status values; registering
@@ -163,9 +165,9 @@ type Event struct {
 
 // Interface is the store API shared by the in-process Store and the remote
 // handle (remote.go), so controllers are indifferent to where the store
-// lives. All writes copy their argument. What Get, List, Create, Update and
-// UpdateStatus return is the caller's private copy, free to edit and write
-// back; the objects on a Watch's events are shared and read-only (see Event).
+// lives. A write takes ownership of its argument (on an error it stays the
+// caller's, untouched). What Get, List and the writes return is frozen, like
+// a Watch's event objects (see Event): read it, keep it, DeepCopy to edit.
 type Interface interface {
 	Get(p *sim.Proc, kind Kind, name string) (Resource, error)
 	List(p *sim.Proc, kind Kind) ([]Resource, uint64, error)
@@ -262,7 +264,7 @@ func New(e *sim.Engine, reg *metrics.Registry) *Store {
 // keyspace returns the kind's keyspace or nil for an unknown kind.
 func (s *Store) keyspace(kind Kind) *keyspace { return s.kinds[kind] }
 
-// Get returns a private copy of the named object.
+// Get returns the named object as stored.
 func (s *Store) Get(p *sim.Proc, kind Kind, name string) (Resource, error) {
 	ks := s.keyspace(kind)
 	if ks == nil {
@@ -272,7 +274,7 @@ func (s *Store) Get(p *sim.Proc, kind Kind, name string) (Resource, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, kind, name)
 	}
-	return obj.DeepCopy(), nil
+	return obj, nil
 }
 
 // sortedNames returns the keyspace's object names in name order.
@@ -285,8 +287,8 @@ func (ks *keyspace) sortedNames() []string {
 	return names
 }
 
-// List returns private copies of every object of the kind in name order,
-// plus the store's current resource version (the point to watch from).
+// List returns every object of the kind as stored, in name order, plus the
+// store's current resource version (the point to watch from).
 func (s *Store) List(p *sim.Proc, kind Kind) ([]Resource, uint64, error) {
 	ks := s.keyspace(kind)
 	if ks == nil {
@@ -295,14 +297,13 @@ func (s *Store) List(p *sim.Proc, kind Kind) ([]Resource, uint64, error) {
 	names := ks.sortedNames()
 	out := make([]Resource, 0, len(names))
 	for _, name := range names {
-		out = append(out, ks.objs[name].DeepCopy())
+		out = append(out, ks.objs[name])
 	}
 	return out, s.rv, nil
 }
 
-// Create inserts a new object. The stored copy gets a fresh UID,
-// Generation 1 and the next resource version; the returned copy reflects
-// them.
+// Create inserts r, which becomes the stored object with a fresh UID,
+// Generation 1 and the next resource version, and returns it.
 func (s *Store) Create(p *sim.Proc, r Resource) (Resource, error) {
 	ks := s.keyspace(r.Kind())
 	if ks == nil {
@@ -312,35 +313,36 @@ func (s *Store) Create(p *sim.Proc, r Resource) (Resource, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: empty name", ErrBadRequest)
 	}
-	if _, ok := ks.objs[name]; ok {
+	if cur, ok := ks.objs[name]; cur == r {
+		return nil, errRewrite
+	} else if ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrExists, r.Kind(), name)
 	}
-	obj := r.DeepCopy()
-	m := obj.Meta()
+	m := r.Meta()
 	s.uid++
 	s.rv++
 	m.UID = s.uid
 	m.ResourceVersion = s.rv
 	m.Generation = 1
 	m.CreatedAt = p.Now()
-	ks.objs[name] = obj
+	ks.objs[name] = r
 	s.objects.Add(1)
 	s.writes.Inc()
-	s.notify(ks, Event{Type: Added, RV: s.rv, Object: obj})
-	return obj.DeepCopy(), nil
+	s.notify(ks, Event{Type: Added, RV: s.rv, Object: r})
+	return r, nil
 }
 
 // Update replaces an object's spec and status, requiring the presented
 // ResourceVersion to match. Generation increments only if the Spec changed.
 // Name and UID are immutable.
 func (s *Store) Update(p *sim.Proc, r Resource) (Resource, error) {
-	return copyOut(s.update(p, r, true))
+	return s.update(p, r, true)
 }
 
 // UpdateStatus replaces only the Status section, requiring the presented
 // ResourceVersion to match. Generation never changes.
 func (s *Store) UpdateStatus(p *sim.Proc, r Resource) (Resource, error) {
-	return copyOut(s.update(p, r, false))
+	return s.update(p, r, false)
 }
 
 // UpdateStatusAsync applies a status write without reporting conflicts: a
@@ -354,17 +356,8 @@ func (s *Store) UpdateStatusAsync(p *sim.Proc, r Resource) error {
 	return nil
 }
 
-// copyOut turns what update stored into the private copy a write returns.
-func copyOut(stored Resource, err error) (Resource, error) {
-	if err != nil {
-		return nil, err
-	}
-	return stored.DeepCopy(), nil
-}
-
-// update applies one compare-and-swap write and returns the object it
-// stored, which is frozen from here on: copyOut before handing it to anyone
-// who may edit it.
+// update applies one compare-and-swap write: r, checked and given the
+// server-owned metadata, becomes the stored object and is returned.
 func (s *Store) update(p *sim.Proc, r Resource, withSpec bool) (Resource, error) {
 	ks := s.keyspace(r.Kind())
 	if ks == nil {
@@ -374,6 +367,9 @@ func (s *Store) update(p *sim.Proc, r Resource, withSpec bool) (Resource, error)
 	cur, ok := ks.objs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, r.Kind(), name)
+	}
+	if cur == r {
+		return nil, errRewrite
 	}
 	cm := cur.Meta()
 	rm := r.Meta()
@@ -393,24 +389,23 @@ func (s *Store) update(p *sim.Proc, r Resource, withSpec bool) (Resource, error)
 	if rm.UID != 0 && rm.UID != cm.UID {
 		return nil, fmt.Errorf("%w: %s/%s uid is immutable", ErrBadRequest, r.Kind(), name)
 	}
-	obj := r.DeepCopy()
-	m := obj.Meta()
+	m := r.Meta()
 	*m = *cm // metadata is server-owned: keep UID, CreatedAt, Generation
 	if withSpec {
-		if !specEqual(cur, obj) {
+		if !specEqual(cur, r) {
 			m.Generation = cm.Generation + 1
 		}
 	} else {
 		// Status-only write: the spec presented by the caller may be stale;
 		// keep the stored one.
-		copySpec(cur, obj)
+		copySpec(cur, r)
 	}
 	s.rv++
 	m.ResourceVersion = s.rv
-	ks.objs[name] = obj
+	ks.objs[name] = r
 	s.writes.Inc()
-	s.notify(ks, Event{Type: Modified, RV: s.rv, Object: obj})
-	return obj, nil
+	s.notify(ks, Event{Type: Modified, RV: s.rv, Object: r})
+	return r, nil
 }
 
 // Delete removes an object. rv 0 skips the version check (unconditional
@@ -657,20 +652,21 @@ func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait 
 }
 
 // ModifyStatus is the read-modify-write of one object's status: Get it, let
-// edit change the private copy Get returned, UpdateStatus that, and start
-// over from the Get when another writer got in first. edit returns false to
-// decline the write. The first error that is not a conflict is returned. T
-// is kind's resource type.
+// edit change a DeepCopy of it, UpdateStatus that, and start over from the
+// Get when another writer got in first. edit returns false to decline the
+// write. The first error that is not a conflict is returned. T is kind's
+// resource type.
 func ModifyStatus[T Resource](p *sim.Proc, st Interface, kind Kind, name string, edit func(T) bool) error {
 	for {
 		cur, err := st.Get(p, kind, name)
 		if err != nil {
 			return err
 		}
-		if !edit(cur.(T)) {
+		mine := cur.DeepCopy()
+		if !edit(mine.(T)) {
 			return nil
 		}
-		if _, err := st.UpdateStatus(p, cur); !IsConflict(err) {
+		if _, err := st.UpdateStatus(p, mine); !IsConflict(err) {
 			return err
 		}
 	}

@@ -29,16 +29,32 @@ func TestCreateGetSemantics(t *testing.T) {
 		if m.UID == 0 || m.ResourceVersion == 0 || m.Generation != 1 {
 			t.Fatalf("bad stored meta: %+v", m)
 		}
-		// The returned copy is private: mutating it must not affect the store.
-		stored.(*GPUServer).Spec.GPUs = 99
+		// The write kept its argument, and Get hands out that one object.
 		got, err := s.Get(p, KindGPUServer, "gs-0")
 		if err != nil {
 			t.Fatalf("get: %v", err)
 		}
-		if got.(*GPUServer).Spec.GPUs != 2 {
-			t.Fatalf("store state leaked through returned copy")
+		if stored != Resource(in) || got != stored {
+			t.Fatal("Create or Get handed out something other than the stored object")
 		}
-		if _, err := s.Create(p, in); !IsExists(err) {
+		// An edit of a DeepCopy is the caller's alone.
+		mine := got.DeepCopy().(*GPUServer)
+		mine.Spec.GPUs = 99
+		if again, _ := s.Get(p, KindGPUServer, "gs-0"); again.(*GPUServer).Spec.GPUs != 2 {
+			t.Fatal("an edit of a DeepCopy reached the store")
+		}
+		// Writing back the stored object itself is refused, and changes nothing.
+		rv := s.RV()
+		if _, err := s.UpdateStatus(p, got); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("re-write of the stored object: got %v, want ErrBadRequest", err)
+		}
+		if _, err := s.Create(p, in); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("re-create of the stored object: got %v, want ErrBadRequest", err)
+		}
+		if s.RV() != rv || got.Meta().ResourceVersion != rv {
+			t.Fatal("a refused write moved the store or the stored object")
+		}
+		if _, err := s.Create(p, mine); !IsExists(err) {
 			t.Fatalf("duplicate create: got %v, want ErrExists", err)
 		}
 		if _, err := s.Get(p, KindGPUServer, "missing"); !IsNotFound(err) {
@@ -428,7 +444,7 @@ func TestPullEventsMatchesLinearScan(t *testing.T) {
 				case rng.Intn(4) == 0:
 					_ = s.Delete(p, kind, name, 0)
 				default:
-					_, _ = s.UpdateStatus(p, cur)
+					_, _ = s.UpdateStatus(p, cur.DeepCopy())
 				}
 				m.sync()
 			}
