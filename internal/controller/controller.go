@@ -184,18 +184,19 @@ func (c *Controller) Run(p *sim.Proc) {
 	}
 
 	if c.resync > 0 {
-		p.SpawnDaemon(c.name+"-resync", func(p *sim.Proc) {
-			for {
-				p.Sleep(c.resync)
-				if c.stopped {
-					return
-				}
-				c.resyncs.Inc()
-				for _, kind := range c.kinds {
-					c.enqueueAll(kind)
-				}
+		e := p.Engine()
+		var resync func()
+		resync = func() {
+			if c.stopped {
+				return
 			}
-		})
+			c.resyncs.Inc()
+			for _, kind := range c.kinds {
+				c.enqueueAll(kind)
+			}
+			e.At(e.Now()+c.resync, resync)
+		}
+		e.At(p.Now()+c.resync, resync)
 	}
 
 	for {

@@ -109,7 +109,7 @@ func TestFleetBootOrderAndFlood(t *testing.T) {
 		if !booting || event != "spawn" {
 			return
 		}
-		for _, prefix := range []string{"monitor-tick", "agent-", "store-serve", "fault-", "placement-supervisor", "reclaim", "fleet-session-router"} {
+		for _, prefix := range []string{"monitor", "agent-", "store-serve", "placement-supervisor", "reclaim", "fleet-session-router"} {
 			if strings.HasPrefix(proc, prefix) {
 				spawned = append(spawned, proc)
 			}
@@ -136,8 +136,8 @@ func TestFleetBootOrderAndFlood(t *testing.T) {
 		}
 	})
 	want := []string{
-		"monitor-tick", "agent-gpu-000", "monitor-tick", "agent-gpu-001",
-		"store-serve", "fault-ctrl-killer", "placement-supervisor", "reclaim", "fleet-session-router",
+		"monitor", "agent-gpu-000", "monitor", "agent-gpu-001",
+		"store-serve", "placement-supervisor", "reclaim", "fleet-session-router",
 	}
 	if !reflect.DeepEqual(spawned, want) {
 		t.Errorf("boot spawned\n  %v\nwant\n  %v", spawned, want)

@@ -199,39 +199,26 @@ func (in *Injector) BindFabric(fab *dataplane.Fabric) {
 	})
 }
 
-// Arm schedules the plan's events on a daemon: the engine does not wait for
-// outstanding faults at the end of a run.
+// Arm schedules the plan's faults as engine callbacks, each at its virtual
+// instant: they do not keep the simulation alive, so faults still
+// outstanding at the end of a run never fire.
 func (in *Injector) Arm(p *sim.Proc) {
-	if events := in.plan.Events; len(events) > 0 {
-		p.SpawnDaemon("fault-injector", func(p *sim.Proc) {
-			for _, ev := range events {
-				if d := ev.At - p.Now(); d > 0 {
-					p.Sleep(d)
-				}
-				in.apply(ev)
-			}
-		})
-	}
-	if kills := in.plan.ControllerKills; len(kills) > 0 {
-		p.SpawnDaemon("fault-ctrl-killer", func(p *sim.Proc) {
-			for i, k := range kills {
-				if d := k.At - p.Now(); d > 0 {
-					p.Sleep(d)
-				}
-				if i >= len(in.fuses) {
-					return // no replica left to kill
-				}
-				in.fuses[i].Arm(k.AfterWrites)
-				in.CtrlKilled++
-			}
-		})
-	}
-	for i, part := range in.plan.Partitions {
-		part := part
-		p.SpawnDaemon(fmt.Sprintf("fault-partition-%d", i), func(p *sim.Proc) {
-			if d := part.At - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
+	events := in.plan.Events
+	in.inOrder(len(events), func(i int) time.Duration { return events[i].At }, func(i int) bool {
+		in.apply(events[i])
+		return true
+	})
+	kills := in.plan.ControllerKills
+	in.inOrder(len(kills), func(i int) time.Duration { return kills[i].At }, func(i int) bool {
+		if i >= len(in.fuses) {
+			return false // no replica left to kill
+		}
+		in.fuses[i].Arm(kills[i].AfterWrites)
+		in.CtrlKilled++
+		return true
+	})
+	for _, part := range in.plan.Partitions {
+		in.window(part.At, part.Dur, func() {
 			in.Partitioned++
 			for _, s := range part.Servers {
 				if s < 0 || s >= len(in.partitioned) {
@@ -246,7 +233,7 @@ func (in *Injector) Arm(p *sim.Proc) {
 				}
 				in.conns[s] = nil
 			}
-			p.Sleep(part.Dur)
+		}, func() {
 			for _, s := range part.Servers {
 				if s >= 0 && s < len(in.partitioned) {
 					in.partitioned[s]--
@@ -254,35 +241,27 @@ func (in *Injector) Arm(p *sim.Proc) {
 			}
 		})
 	}
-	for i, bo := range in.plan.Brownouts {
-		bo := bo
+	for _, bo := range in.plan.Brownouts {
 		if bo.Server < 0 || bo.Server >= len(in.servers) || bo.Factor <= 1 {
 			continue
 		}
-		p.SpawnDaemon(fmt.Sprintf("fault-brownout-%d", i), func(p *sim.Proc) {
-			if d := bo.At - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
-			gs := in.servers[bo.Server]
-			for _, dev := range gs.Devices() {
+		devs := in.servers[bo.Server].Devices()
+		in.window(bo.At, bo.Dur, func() {
+			for _, dev := range devs {
 				dev.SetSlowdown(bo.Factor)
 			}
 			in.Browned++
-			p.Sleep(bo.Dur)
-			for _, dev := range gs.Devices() {
+		}, func() {
+			for _, dev := range devs {
 				dev.SetSlowdown(1)
 			}
 		})
 	}
-	for i, storm := range in.plan.ConflictStorms {
-		storm := storm
+	for _, storm := range in.plan.ConflictStorms {
 		if in.st == nil || storm.Rate <= 0 {
 			continue
 		}
-		p.SpawnDaemon(fmt.Sprintf("fault-storm-%d", i), func(p *sim.Proc) {
-			if d := storm.At - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
+		in.window(storm.At, storm.Dur, func() {
 			in.st.SetWriteFault(func(p *sim.Proc) error {
 				if p.Rand().Float64() < storm.Rate {
 					in.Stormed++
@@ -290,10 +269,37 @@ func (in *Injector) Arm(p *sim.Proc) {
 				}
 				return nil
 			})
-			p.Sleep(storm.Dur)
-			in.st.SetWriteFault(nil)
-		})
+		}, func() { in.st.SetWriteFault(nil) })
 	}
+}
+
+// inOrder runs fire(0), ..., fire(n-1) in turn, each at its instant at(i) or,
+// if that has passed, right after the one before, until fire reports false.
+func (in *Injector) inOrder(n int, at func(i int) time.Duration, fire func(i int) bool) {
+	i := 0
+	var next func()
+	next = func() {
+		for ; i < n; i++ {
+			if t := at(i); t > in.e.Now() {
+				in.e.At(t, next)
+				return
+			}
+			if !fire(i) {
+				return
+			}
+		}
+	}
+	if n > 0 {
+		in.e.At(at(0), next)
+	}
+}
+
+// window starts a fault at instant at and ends it dur later.
+func (in *Injector) window(at, dur time.Duration, start, end func()) {
+	in.e.At(at, func() {
+		start()
+		in.e.At(in.e.Now()+dur, end)
+	})
 }
 
 // apply fires one scheduled event.
@@ -340,13 +346,7 @@ func (in *Injector) WrapConn(p *sim.Proc, conn remoting.AsyncCaller) remoting.As
 	}
 	if in.plan.DropRate > 0 && rng.Float64() < in.plan.DropRate {
 		in.Dropped++
-		after := in.plan.DropAfter
-		p.SpawnDaemon("fault-conn-drop", func(p *sim.Proc) {
-			if after > 0 {
-				p.Sleep(after)
-			}
-			f.Break()
-		})
+		in.e.At(p.Now()+in.plan.DropAfter, f.Break)
 	}
 	return conn
 }

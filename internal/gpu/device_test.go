@@ -315,7 +315,7 @@ func TestSamplerMeasuresUtilization(t *testing.T) {
 	e.Run("root", func(p *sim.Proc) {
 		d := newTestDevice(e)
 		s = NewSampler(d, 100*time.Millisecond)
-		p.SpawnDaemon("sampler", s.Run)
+		s.Start(e)
 		// Busy for 1s, idle for 1s.
 		d.ExecKernel(p, time.Second)
 		p.Sleep(time.Second)

@@ -32,26 +32,24 @@ func NewSampler(dev *Device, period time.Duration) *Sampler {
 	return &Sampler{Dev: dev, Period: period}
 }
 
-// Run polls until Stop is called. Spawn it as a daemon process.
-func (s *Sampler) Run(p *sim.Proc) {
+// Start polls every Period from now on, until Stop is called. Like a
+// daemon's, the polling does not keep a simulation alive.
+func (s *Sampler) Start(e *sim.Engine) {
 	s.lastBusy = s.Dev.ComputeBusy()
-	for !s.stop {
-		p.Sleep(s.Period)
+	var sample func()
+	sample = func() {
 		busy := s.Dev.ComputeBusy()
-		util := float64(busy-s.lastBusy) / float64(s.Period) * 100
-		if util > 100 {
-			util = 100
-		}
+		util := min(100, float64(busy-s.lastBusy)/float64(s.Period)*100)
 		s.lastBusy = busy
-		s.samples = append(s.samples, Sample{
-			At:        p.Now(),
-			Util:      util,
-			UsedBytes: s.Dev.UsedBytes(),
-		})
+		s.samples = append(s.samples, Sample{At: e.Now(), Util: util, UsedBytes: s.Dev.UsedBytes()})
+		if !s.stop {
+			e.At(e.Now()+s.Period, sample)
+		}
 	}
+	e.At(e.Now()+s.Period, sample)
 }
 
-// Stop ends the sampling loop after the in-flight period completes.
+// Stop ends the sampling after the in-flight period completes.
 func (s *Sampler) Stop() { s.stop = true }
 
 // Samples returns all recorded samples.

@@ -322,17 +322,17 @@ func (gs *GPUServer) Start(p *sim.Proc) {
 		gs.baseline[i] = d.UsedBytes()
 		s := gpu.NewSampler(d, samplePeriod)
 		gs.samplers = append(gs.samplers, s)
-		p.SpawnDaemon(fmt.Sprintf("sampler-%d", i), s.Run)
+		s.Start(gs.e)
 	}
 	// Monitor phase: the manager "idles until shut down, passing all
 	// responsibilities to the monitor".
 	p.SpawnDaemon("monitor", gs.monitor)
-	p.SpawnDaemon("monitor-tick", func(p *sim.Proc) {
-		for {
-			p.Sleep(monitorPeriod)
-			gs.requests.Send(monitorMsg{tick: true})
-		}
-	})
+	var tick func()
+	tick = func() {
+		gs.requests.Send(monitorMsg{tick: true})
+		gs.e.At(gs.e.Now()+monitorPeriod, tick)
+	}
+	gs.e.At(p.Now()+monitorPeriod, tick)
 	if gs.cfg.HeartbeatPeriod > 0 {
 		for i := range gs.servers {
 			sid := i

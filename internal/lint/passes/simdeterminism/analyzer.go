@@ -84,7 +84,9 @@ func checkSelector(pass *lint.Pass, sel *ast.SelectorExpr) {
 
 // checkRange flags `for k := range m` over a map when the loop body makes a
 // call involving a *sim.Proc or other internal/sim value — map order is
-// random per run, so such a loop emits simulated events in random order — or
+// random per run, so such a loop emits simulated events, or arms Engine.At
+// callbacks whose arming order breaks ties between equal instants, in random
+// order — or
 // draws from a *rand.Rand: even an explicitly-seeded generator becomes
 // nondeterministic when its draw order follows map order. The chaos schedule
 // generator is the canonical client of the second rule: a fault plan must be

@@ -12,3 +12,9 @@ func (p *Proc) Now() int64 { return 0 }
 
 // Name returns the proc name.
 func (p *Proc) Name() string { return p.name }
+
+// Engine mimics the simulation engine.
+type Engine struct{}
+
+// At mimics arming a callback at a virtual instant.
+func (e *Engine) At(at int64, fn func()) {}

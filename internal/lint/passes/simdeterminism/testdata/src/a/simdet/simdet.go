@@ -26,6 +26,14 @@ func bad(p *sim.Proc, m map[int]string) {
 	_ = sum
 }
 
+// Callbacks due at one instant fire in the order they were armed, so arming
+// them in map order schedules the simulation in map order.
+func armsInMapOrder(e *sim.Engine, m map[int64]func()) {
+	for at, fn := range m { // want "map iteration order is randomized"
+		e.At(at, fn)
+	}
+}
+
 func good(p *sim.Proc, m map[int]string) {
 	r := rand.New(rand.NewSource(1)) // explicitly-seeded constructors are the sanctioned pattern
 	_ = r.Intn(4)

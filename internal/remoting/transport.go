@@ -308,19 +308,21 @@ type simConn struct {
 	stall   time.Duration // extra one-shot delay on the next send
 	corrupt bool          // next message fails framing validation
 
-	// pipe, once the async lane has been used, carries every outbound
-	// message (one-way and round-trip alike) so FIFO ordering holds across
-	// the two kinds. It is created lazily on the first Submit: purely
-	// synchronous connections keep the original direct path.
-	pipe *sim.Queue[pipeItem]
+	// Messages land at the listener in the order they were sent, lastLand
+	// being when the newest one does. A round trip's caller sleeps until its
+	// message lands and hands it over; a one-way submission waits in
+	// submitted for an engine callback, land (deliverSubmitted, bound on the
+	// first Submit), that hands over the oldest.
+	lastLand  time.Duration
+	submitted *sim.Queue[oneWay]
+	land      func()
 }
 
-// pipeItem is one in-flight message on the simulated wire: it leaves the
-// sender immediately (the sender only charges its own transfer occupancy)
-// and arrives at the listener at deliverAt, half an RTT later.
-type pipeItem struct {
-	deliverAt time.Duration
-	req       Request
+// oneWay is a submission on the wire: all its Request holds but the fields
+// every submission shares.
+type oneWay struct {
+	payload []byte
+	reqData int64
 }
 
 // Dial connects a guest to an API server's listener with the given network
@@ -332,81 +334,40 @@ func Dial(e *sim.Engine, l *Listener, profile NetProfile) AsyncCaller {
 // ProtoVersion implements VecCaller.
 func (c *simConn) ProtoVersion() int { return ProtoV2 }
 
-// ensurePipe lazily starts the delivery daemon that models the wire between
-// sender and listener: items are handed over in FIFO order, each at its own
-// deliverAt timestamp.
-func (c *simConn) ensurePipe(p *sim.Proc) {
-	if c.pipe != nil {
-		return
-	}
-	pipe := sim.NewQueue[pipeItem](c.e)
-	c.pipe = pipe
-	incoming := c.l.Incoming
-	p.SpawnDaemon("net-pipe", func(p *sim.Proc) {
-		for {
-			it, ok := pipe.Recv(p)
-			if !ok {
-				return
-			}
-			if d := it.deliverAt - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
-			// The listener may have crashed (closed its inbox) while the
-			// message was in flight; the wire drops it silently, as real
-			// networks do. The sender learns through reply loss.
-			if !incoming.TrySend(it.req) {
-				return
-			}
-		}
-	})
-}
-
-// send charges the sender-side occupancy (transfer time of message plus
-// bulk plus logical payload) and puts the request on the wire, to arrive
-// half an RTT later. With no pipe running it degenerates to the original
-// synchronous path, whose sleep ends at the identical virtual instant. It
-// reports whether the message reached a live listener; a false return means
-// the peer is gone and the connection is now broken.
-func (c *simConn) send(p *sim.Proc, req Request) bool {
-	wireTx(int64(len(req.Payload)) + int64(len(req.Bulk)) + req.ReqData)
-	transfer := c.profile.transferTime(p.Rand(), int64(len(req.Payload))+int64(len(req.Bulk))+req.ReqData)
-	if c.stall > 0 {
-		transfer += c.stall
-		c.stall = 0
-	}
-	if c.pipe == nil {
-		if d := c.profile.RTT/2 + transfer; d > 0 {
-			p.Sleep(d)
-		}
-		if !c.l.Incoming.TrySend(req) {
-			c.Break()
-			return false
-		}
-		return true
-	}
-	if transfer > 0 {
-		p.Sleep(transfer)
-	}
-	c.pipe.Send(pipeItem{deliverAt: p.Now() + c.profile.RTT/2, req: req})
-	return true
-}
-
-// checkSend folds the pre-send fault checks shared by Roundtrip and Submit:
-// closed/broken connections fail immediately, and an armed corruption charges
-// its transfer time before surfacing the framing error.
-func (c *simConn) checkSend(p *sim.Proc, n int64) error {
+// send puts an outbound message of n bytes (message plus bulk plus logical
+// payload) on the wire. It returns the message's transfer time, injected
+// stall included, which is the sender's own occupancy, and the instant the
+// message lands at the listener: half an RTT after the transfer, never ahead
+// of a message sent before it. A closed or broken connection fails at once;
+// an armed corruption charges the transfer, then fails the framing.
+func (c *simConn) send(p *sim.Proc, n int64) (transfer, landAt time.Duration, err error) {
 	if c.closed || c.broken {
-		return ErrConnClosed
+		return 0, 0, ErrConnClosed
 	}
+	transfer = c.profile.transferTime(p.Rand(), n)
 	if c.corrupt {
 		c.corrupt = false
-		if d := c.profile.transferTime(p.Rand(), n); d > 0 {
-			p.Sleep(d)
+		if transfer > 0 {
+			p.Sleep(transfer)
 		}
 		c.Break()
-		return fmt.Errorf("%w: injected frame corruption", ErrFrameCorrupt)
+		return 0, 0, fmt.Errorf("%w: injected frame corruption", ErrFrameCorrupt)
 	}
-	return nil
+	wireTx(n)
+	transfer += c.stall
+	c.stall = 0
+	c.lastLand = max(p.Now()+transfer+c.profile.RTT/2, c.lastLand)
+	return transfer, c.lastLand, nil
+}
+
+// deliverSubmitted hands the oldest one-way submission, which lands now, to
+// the listener, whatever befell the connection since it left. A listener
+// that has closed (a crashed server) breaks the connection.
+func (c *simConn) deliverSubmitted() {
+	m, _ := c.submitted.TryRecv()
+	if !c.l.Incoming.TrySend(Request{Payload: m.payload, PayloadOwned: true, ReqData: m.reqData, Profile: c.profile}) {
+		c.Break()
+	}
 }
 
 // Roundtrip sends one encoded call and blocks until the reply arrives,
@@ -445,12 +406,19 @@ func (c *simConn) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp,
 func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, deadline time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	c.hold(Response{})
 	start := p.Now()
-	if err := c.checkSend(p, int64(len(req))+int64(len(reqBulk))+reqData); err != nil {
+	_, landAt, err := c.send(p, int64(len(req))+int64(len(reqBulk))+reqData)
+	if err != nil {
 		return nil, nil, err
 	}
 	replyQ := c.callQueue()
 	defer c.callDone(replyQ)
-	if !c.send(p, Request{Payload: req, Bulk: reqBulk, ReqData: reqData, ReplyTo: replyQ, Profile: c.profile}) {
+	if landAt > p.Now() {
+		p.Sleep(landAt - p.Now())
+	}
+	// The request lands as a submission does: whatever befell the connection
+	// meanwhile, and breaking it if the listener has closed.
+	if !c.l.Incoming.TrySend(Request{Payload: req, Bulk: reqBulk, ReqData: reqData, ReplyTo: replyQ, Profile: c.profile}) {
+		c.Break()
 		return nil, nil, ErrConnClosed
 	}
 	var r Response
@@ -461,12 +429,8 @@ func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, dead
 		// The deadline covers the whole call, the way a socket timeout
 		// does: send-side time (including an injected stall) eats into the
 		// reply budget, and a send that alone overruns it is a timeout.
-		remaining := deadline - (p.Now() - start)
-		if remaining < 0 {
-			remaining = 0
-		}
 		var timedOut bool
-		r, ok, timedOut = replyQ.RecvTimeout(p, remaining)
+		r, ok, timedOut = replyQ.RecvTimeout(p, max(0, deadline-(p.Now()-start)))
 		if timedOut {
 			c.Break()
 			return nil, nil, fmt.Errorf("%w: no reply within %v", ErrCallTimeout, deadline)
@@ -475,7 +439,7 @@ func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, dead
 	if !ok {
 		// The peer closed our reply queue: the connection is unusable in
 		// both directions, so latch the death — later one-way submissions
-		// must fail fast too, not vanish into a dead pipe.
+		// must fail fast too, not vanish into a dead wire.
 		c.Break()
 		return nil, nil, ErrConnClosed
 	}
@@ -516,12 +480,18 @@ func (c *simConn) hold(r Response) {
 // only its transfer occupancy, not the round trip, so compute and network
 // latency overlap. Ordering with later Roundtrips is FIFO.
 func (c *simConn) Submit(p *sim.Proc, req []byte, reqData int64) error {
-	if err := c.checkSend(p, int64(len(req))+reqData); err != nil {
+	transfer, landAt, err := c.send(p, int64(len(req))+reqData)
+	if err != nil {
 		return err
 	}
-	c.ensurePipe(p)
-	if !c.send(p, Request{Payload: req, PayloadOwned: true, ReqData: reqData, Profile: c.profile}) {
-		return ErrConnClosed
+	if c.submitted == nil {
+		c.submitted = sim.NewQueue[oneWay](c.e)
+		c.land = c.deliverSubmitted
+	}
+	c.submitted.Send(oneWay{req, reqData})
+	c.e.At(landAt, c.land)
+	if transfer > 0 {
+		p.Sleep(transfer)
 	}
 	return nil
 }
@@ -573,9 +543,6 @@ func (c *simConn) Close() {
 		c.closed = true
 		c.hold(Response{})
 		c.failInflight()
-		if c.pipe != nil {
-			c.pipe.Close()
-		}
 	}
 }
 
@@ -590,10 +557,6 @@ func (c *simConn) Break() {
 	c.broken = true
 	c.hold(Response{})
 	c.failInflight()
-	if c.pipe != nil {
-		c.pipe.Close()
-		c.pipe = nil
-	}
 }
 
 // StallFor implements Faultable: the next outbound message is delayed d.

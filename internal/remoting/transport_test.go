@@ -640,6 +640,99 @@ func TestSimReplyQueueReuse(t *testing.T) {
 	})
 }
 
+// TestMessageToClosedListenerBreaksAtDelivery: a server that crashes while a
+// call's request is on the wire fails the call when the request lands, on a
+// connection that has used the pipelined lane as on one that has not.
+func TestMessageToClosedListenerBreaksAtDelivery(t *testing.T) {
+	profile := NetProfile{RTT: 100 * time.Microsecond, Bps: 1e9}
+	msg := make([]byte, 100_000)
+	const landing = 100*time.Microsecond + 50*time.Microsecond // transfer + RTT/2
+	for _, submitted := range []bool{false, true} {
+		e := sim.NewEngine(1)
+		e.Run("root", func(p *sim.Proc) {
+			l := NewListener(e)
+			p.SpawnDaemon("server", func(p *sim.Proc) {
+				for {
+					req, ok := l.Incoming.Recv(p)
+					if !ok {
+						return
+					}
+					if req.ReplyTo != nil {
+						req.ReplyTo.Send(Response{})
+					}
+				}
+			})
+			conn := Dial(e, l, profile).(DeadlineCaller)
+			if submitted {
+				if err := conn.(AsyncCaller).Submit(p, []byte("one-way"), 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Roundtrip(p, []byte("fence"), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			t0 := p.Now()
+			p.Spawn("crash", func(p *sim.Proc) {
+				p.Sleep(landing - time.Microsecond)
+				l.Incoming.Close()
+			})
+			_, err := conn.RoundtripTimeout(p, msg, 0, time.Second)
+			if !errors.Is(err, ErrConnClosed) || p.Now()-t0 != landing {
+				t.Errorf("submitted=%v: call to a listener that closed in flight = %v after %v, want ErrConnClosed after %v", submitted, err, p.Now()-t0, landing)
+			}
+		})
+	}
+}
+
+// TestSimWarmSubmitAllocatesNothing: once the pipelined lane has been used,
+// one-way submissions and their fence cost no allocation in the transport
+// (TestSimReplyQueueReuse holds a lone round trip to the same), and the lane
+// spawns no process.
+func TestSimWarmSubmitAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine(1)
+	var spawned []string
+	e.SetTrace(func(_ time.Duration, proc, event string) {
+		if event == "spawn" {
+			spawned = append(spawned, proc)
+		}
+	})
+	e.Run("root", func(p *sim.Proc) {
+		l := NewListener(e)
+		p.SpawnDaemon("server", func(p *sim.Proc) {
+			for {
+				req, ok := l.Incoming.Recv(p)
+				if !ok {
+					return
+				}
+				if req.ReplyTo == nil {
+					wire.PutBuf(req.Payload)
+					continue
+				}
+				req.ReplyTo.Send(Response{Payload: req.Payload})
+			}
+		})
+		conn := Dial(e, l, OpenFaaSNet())
+		msg := []byte("call")
+		submitFence := func() {
+			for i := 0; i < 4; i++ {
+				req := wire.GetBuf(len(msg))
+				req = append(req, msg...)
+				conn.Submit(p, req, 0)
+			}
+			conn.Roundtrip(p, msg, 0)
+		}
+		for i := 0; i < 10; i++ {
+			submitFence()
+		}
+		if allocs := testing.AllocsPerRun(100, submitFence); allocs != 0 {
+			t.Errorf("warm submissions and fence: %v allocs, want 0", allocs)
+		}
+	})
+	if len(spawned) != 2 {
+		t.Errorf("spawned %v, want only the root and the server", spawned)
+	}
+}
+
 // TestSimLateReplyNeverMatchesLaterCall: a call that times out on a reused
 // reply queue closes and drops it, so the reply that arrives afterwards is
 // refused and no later call — there can be none on the broken connection,

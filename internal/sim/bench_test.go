@@ -47,6 +47,24 @@ func BenchmarkSleepInPlace(b *testing.B) {
 	})
 }
 
+// BenchmarkAtTick is one firing of a callback that re-arms itself: a timer
+// pop, the callback run without the lock and a timer push, with no process
+// woken.
+func BenchmarkAtTick(b *testing.B) {
+	benchSim(b, func(p *Proc, e *Engine) {
+		n := 0
+		var tick func()
+		tick = func() {
+			if n++; n < b.N {
+				e.At(e.Now()+time.Microsecond, tick)
+			}
+		}
+		b.ResetTimer()
+		e.At(p.Now()+time.Microsecond, tick)
+		p.Sleep(time.Duration(b.N+1) * time.Microsecond)
+	})
+}
+
 // BenchmarkQueuePingPong is one round trip between two processes over two
 // queues: two blocking receives, two hand-offs.
 func BenchmarkQueuePingPong(b *testing.B) {

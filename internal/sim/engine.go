@@ -44,11 +44,14 @@ type Engine struct {
 	mu sync.Mutex
 
 	now    time.Duration // current virtual time
-	timers timerHeap     // processes with a deadline armed, earliest (at, seq) first
+	timers timerHeap     // armed deadlines of processes and At callbacks, earliest (at, seq) first
 	seq    uint64        // deadlines armed so far: the tie-break between equal instants
 
 	running *Proc       // the process currently executing, or nil
 	runq    ring[*Proc] // processes ready to execute, FIFO
+	// callback stands for every At callback, in the timer heap and, while
+	// one runs, in running: the engine is busy, and no process may block.
+	callback Proc
 
 	nlive   int           // live non-daemon processes, plus Holds
 	started bool          // Run was called
@@ -88,7 +91,7 @@ func NewOpenEngine(seed int64) *Engine {
 func (e *Engine) SetTrace(fn func(now time.Duration, proc, event string)) { e.trace = fn }
 
 // SetTimeLimit makes Run fail (panic, like a deadlock) if virtual time
-// passes limit. Periodic daemons can mask a stuck simulation from deadlock
+// passes limit. Periodic callbacks can mask a stuck simulation from deadlock
 // detection by keeping timers pending forever; a time limit converts that
 // livelock into a diagnosable failure. Zero disables the limit.
 func (e *Engine) SetTimeLimit(limit time.Duration) {
@@ -127,11 +130,9 @@ type Proc struct {
 // by the process as it blocks and by whoever wakes it; once woken, the process
 // reads the outcome flags unlocked, ordered after the writes by its wake.
 type wait struct {
-	kind waitKind      // the primitive parked in; waitNone while ready or running
-	in   *ring[*Proc]  // waiter set to leave if the deadline fires first, or nil
-	at   time.Duration // the deadline, while one is armed
-	seq  uint64        // arming order, the tie-break between equal deadlines
-	idx  int           // position in the timer heap; -1 while no deadline is armed
+	kind waitKind     // the primitive parked in; waitNone while ready or running
+	in   *ring[*Proc] // waiter set to leave if the deadline fires first, or nil
+	idx  int          // position of the deadline in the timer heap; -1 while none is armed
 
 	timedOut bool // woken by the deadline
 	handed   bool // Queue: woken by a Send, whose item waits in the queue's handoff ring
@@ -257,7 +258,7 @@ func (e *Engine) Release() {
 // endLiveLocked takes away one of the things keeping the simulation alive —
 // a non-daemon process or a Hold. After the last one the simulation is over:
 // daemons stop where they are — a ready one takes no further step, and armed
-// deadlines never fire, or periodic daemons (samplers, monitor ticks) would
+// deadlines never fire, or periodic callbacks (samplers, monitor ticks) would
 // advance virtual time forever.
 func (e *Engine) endLiveLocked() {
 	e.nlive--
@@ -360,8 +361,20 @@ func (p *Proc) Sleep(d time.Duration) {
 // first), and at is inside the time limit, which only the dispatcher reports.
 func (e *Engine) sleeperRunsNextLocked(at time.Duration) bool {
 	return !e.stopped && e.runq.len() == 0 &&
-		(len(e.timers) == 0 || e.timers[0].w.at > at) &&
+		(len(e.timers) == 0 || e.timers[0].at > at) &&
 		!e.pastLimitLocked(at)
+}
+
+// At runs fn at virtual instant at (now, if that has passed) in deadline
+// order, once no process is ready, as the one thing running but without the
+// engine lock: fn may Send, Close, Broadcast, Add, read Now and call At, but
+// a blocking call panics. Nothing fires once the simulation is over. Arming
+// allocates nothing once the heap has grown: bind fn once, not per call.
+func (e *Engine) At(at time.Duration, fn func()) {
+	e.mu.Lock()
+	e.seq++
+	e.timers.push(timer{at: max(at, e.now), seq: e.seq, p: &e.callback, fn: fn})
+	e.mu.Unlock()
 }
 
 // Yield moves the process to the back of the ready queue, letting other
@@ -480,10 +493,16 @@ func (p *Proc) park() {
 }
 
 // checkRunningLocked guards against sim primitives being called from
-// goroutines that are not the currently scheduled process.
+// goroutines that are not the currently scheduled process, or from an At
+// callback. It releases the lock before it panics.
 func (e *Engine) checkRunningLocked(p *Proc, op string) {
 	if e.running != p {
-		panic(fmt.Sprintf("sim: %s called by %q which is not the running process", op, p.name))
+		msg := fmt.Sprintf("sim: %s called by %q which is not the running process", op, p.name)
+		if e.running == &e.callback {
+			msg = "sim: " + op + " called from an At callback, which must not block"
+		}
+		e.mu.Unlock()
+		panic(msg)
 	}
 }
 
@@ -501,8 +520,7 @@ func (e *Engine) blockLocked(p *Proc, kind waitKind, in *ring[*Proc], d time.Dur
 	p.w = wait{kind: kind, in: in, idx: -1}
 	if d >= 0 {
 		e.seq++
-		p.w.at, p.w.seq = e.deadlineLocked(d), e.seq
-		e.timers.push(p)
+		e.timers.push(timer{at: e.deadlineLocked(d), seq: e.seq, p: p})
 	}
 	if in != nil {
 		in.push(p)
@@ -553,13 +571,10 @@ func (e *Engine) maybeDispatchLocked() {
 }
 
 // dispatchLocked picks the next process to run, advancing the virtual clock
-// through armed deadlines as needed. Called with e.running == nil.
+// through armed deadlines, and running the At callbacks among them, as
+// needed. Called with e.running == nil.
 func (e *Engine) dispatchLocked() {
-	if e.stopped {
-		e.killNextLocked()
-		return
-	}
-	for {
+	for !e.stopped {
 		if p, ok := e.runq.pop(); ok {
 			e.running = p
 			e.traceLocked(p, "run")
@@ -567,22 +582,30 @@ func (e *Engine) dispatchLocked() {
 			return
 		}
 		if len(e.timers) > 0 {
-			p := e.timers.remove(0)
-			if p.w.at < e.now {
+			t := e.timers.remove(0)
+			if t.at < e.now {
 				panic("sim: timer in the past")
 			}
-			e.now = p.w.at
+			e.now = t.at
 			if e.pastLimitLocked(e.now) {
 				e.deadlock = "sim: virtual time limit exceeded at " + e.now.String() + "\n" + e.deadlockDumpLocked()
 				e.finishLocked()
 				return
 			}
-			// The deadline fired first: p leaves the waiters and wakes timed out.
-			if p.w.in != nil {
-				removeProc(p.w.in, p)
+			if p := t.p; p == &e.callback {
+				e.running = p
+				e.mu.Unlock()
+				t.fn()
+				e.mu.Lock()
+				e.running = nil
+			} else {
+				// The deadline fired first: p leaves the waiters and wakes timed out.
+				if p.w.in != nil {
+					removeProc(p.w.in, p)
+				}
+				p.w.timedOut = true
+				e.readyLocked(p)
 			}
-			p.w.timedOut = true
-			e.readyLocked(p)
 			continue
 		}
 		if e.open || e.done == nil {
@@ -595,6 +618,7 @@ func (e *Engine) dispatchLocked() {
 		e.finishLocked()
 		return
 	}
+	e.killNextLocked()
 }
 
 func (e *Engine) deadlockDumpLocked() string {
@@ -621,23 +645,32 @@ func (e *Engine) traceLocked(p *Proc, event string) {
 
 // --- timers ---
 
-// timerHeap is a binary min-heap of the processes that have a deadline
-// armed, ordered by (w.at, w.seq); seq is unique, so the order is total and
-// equal deadlines fire in the order they were armed. Each process records
-// its position in w.idx, which lets a wake-up remove its deadline directly.
-type timerHeap []*Proc
+// timer is one armed deadline: a blocked process's, or (p == &e.callback)
+// an At callback's.
+type timer struct {
+	at  time.Duration
+	seq uint64
+	p   *Proc
+	fn  func()
+}
+
+// timerHeap is a binary min-heap of armed deadlines, ordered by (at, seq);
+// seq is unique, so the order is total and equal deadlines fire in the order
+// they were armed. Each entry records its position in its process's w.idx,
+// which lets a wake-up remove its deadline directly.
+type timerHeap []timer
 
 func (h timerHeap) less(i, j int) bool {
-	if h[i].w.at != h[j].w.at {
-		return h[i].w.at < h[j].w.at
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
-	return h[i].w.seq < h[j].w.seq
+	return h[i].seq < h[j].seq
 }
 
 func (h timerHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].w.idx = i
-	h[j].w.idx = j
+	h[i].p.w.idx = i
+	h[j].p.w.idx = j
 }
 
 func (h timerHeap) up(i int) {
@@ -667,25 +700,25 @@ func (h timerHeap) down(i int) bool {
 	return i > start
 }
 
-func (h *timerHeap) push(p *Proc) {
-	p.w.idx = len(*h)
-	*h = append(*h, p)
-	h.up(p.w.idx)
+func (h *timerHeap) push(t timer) {
+	t.p.w.idx = len(*h)
+	*h = append(*h, t)
+	h.up(t.p.w.idx)
 }
 
 // remove takes h[i] out of the heap; remove(0) pops the earliest deadline.
-func (h *timerHeap) remove(i int) *Proc {
+func (h *timerHeap) remove(i int) timer {
 	old := *h
 	last := len(old) - 1
-	p := old[i]
+	t := old[i]
 	if i != last {
 		old.swap(i, last)
 		if rest := old[:last]; !rest.down(i) {
 			rest.up(i)
 		}
 	}
-	old[last] = nil
+	old[last] = timer{}
 	*h = old[:last]
-	p.w.idx = -1
-	return p
+	t.p.w.idx = -1
+	return t
 }

@@ -28,6 +28,14 @@ func TestHotPathAllocs(t *testing.T) {
 		{"SleepInPlace", func(p *Proc, e *Engine) (func(), func()) {
 			return func() { p.Sleep(time.Microsecond) }, nil
 		}},
+		{"AtTick", func(p *Proc, e *Engine) (func(), func()) {
+			// A callback re-arming itself in lock step: every sleep parks
+			// behind it, and it fires once per sleep.
+			var tick func()
+			tick = func() { e.At(e.Now()+time.Microsecond, tick) }
+			e.At(p.Now()+time.Microsecond, tick)
+			return func() { p.Sleep(time.Microsecond) }, nil
+		}},
 		{"Yield", func(p *Proc, e *Engine) (func(), func()) {
 			stopped := false
 			p.Spawn("peer", func(p *Proc) {
