@@ -216,12 +216,15 @@ func (c *Controller) Run(p *sim.Proc) {
 		default:
 			c.failures[key]++
 			c.requeues.Inc()
-			d := backoff(c.failures[key])
-			p.Spawn(c.name+"-requeue", func(p *sim.Proc) {
-				p.Sleep(d)
+			// The pending retry holds the simulation open, as a process
+			// sleeping out the backoff would.
+			e := p.Engine()
+			e.Hold()
+			e.At(p.Now()+backoff(c.failures[key]), func() {
 				if !c.stopped {
 					c.queue.Add(key)
 				}
+				e.Release()
 			})
 		}
 	}

@@ -14,7 +14,7 @@ import (
 func newSession(name string) *store.Session {
 	s := &store.Session{}
 	s.ObjectMeta.Name = name
-	s.Spec.FnID = "fn"
+	s.Spec.MemBytes = 1 << 30
 	return s
 }
 

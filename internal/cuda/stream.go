@@ -25,12 +25,13 @@ type Stream struct {
 // kernel in flight costs a queue slot and no allocation.
 type streamOp struct {
 	// A kernel: dev executes it for its nominal duration, then every
-	// allocation it mutates is stamped with its name. The launch resolved the
-	// pointers, so the op holds the allocations — inline up to
-	// inlineMutates, the usual one or two, beyond that in more.
+	// allocation it mutates is stamped with its name's hash. The launch
+	// hashed the name and resolved the pointers, so the op holds the
+	// allocations — inline up to inlineMutates, the usual one or two, beyond
+	// that in more.
 	dev    *gpu.Device
 	dur    time.Duration
-	name   string
+	kernel uint64 // gpu.KernelHash of the kernel's name
 	n      int
 	allocs [inlineMutates]*gpu.PhysAlloc
 	more   []*gpu.PhysAlloc
@@ -59,10 +60,10 @@ func (op *streamOp) run(p *sim.Proc) {
 	}
 	op.dev.ExecKernel(p, op.dur)
 	for _, a := range op.allocs[:min(op.n, inlineMutates)] {
-		gpu.MutateKernel(a, op.name)
+		gpu.MutateKernel(a, op.kernel)
 	}
 	for _, a := range op.more {
-		gpu.MutateKernel(a, op.name)
+		gpu.MutateKernel(a, op.kernel)
 	}
 }
 
@@ -218,7 +219,7 @@ func (c *Context) LaunchKernel(p *sim.Proc, lp LaunchParams) error {
 	if err != nil {
 		return err
 	}
-	op := streamOp{dev: c.dev, dur: lp.Duration, name: name}
+	op := streamOp{dev: c.dev, dur: lp.Duration, kernel: gpu.KernelHash(name)}
 	for _, ptr := range lp.Mutates {
 		a, err := c.resolve(ptr)
 		if err != nil {

@@ -104,7 +104,7 @@ func TestPeerTransferTakesModeledTime(t *testing.T) {
 		f := NewFabric(cfg, nil)
 		src := testAlloc(t, e, 1<<30)
 		dst := testAlloc(t, e, 1<<30)
-		gpu.MutateKernel(src, "produce")
+		gpu.MutateKernel(src, gpu.KernelHash("produce"))
 
 		start := p.Now()
 		f.PeerTransfer(p, dst, src)

@@ -91,7 +91,7 @@ func BootFleet(p *sim.Proc, st *store.Store, cfg faas.FleetConfig, servers int, 
 	p.Spawn("placement-supervisor", func(p *sim.Proc) {
 		f.CtrlRestarts = faas.RunSupervised(p, 10*time.Millisecond, 5, func() *controller.Controller {
 			// Each replica gets a fresh remote handle behind a fuse the
-			// plan's controller kills can blow between two writes.
+			// plan's controller kills can blow at a bind.
 			fuse := store.NewFuse(store.NewRemote(e, remoting.Dial(e, l, remoting.NetProfile{RTT: 100 * time.Microsecond})))
 			f.Injector.BindControllerFuse(fuse)
 			f.placement = faas.NewPlacementController(fuse, faas.PlacementConfig{

@@ -19,7 +19,7 @@ import (
 // (apigen-generated stubs over the simulated transport, sync CRUD plus the
 // one-way status lane), machines fail mid-run, staged models overflow their
 // budget and are reclaimed store-ward, and the placement controller itself
-// is killed mid-reconcile (its store handle's fuse blows between two writes)
+// is killed mid-reconcile (its store handle's fuse blows at a session bind)
 // and restarted by a supervisor. Acceptance: every invocation completes and
 // every session object converges to Done — zero lost sessions — for every
 // seed.

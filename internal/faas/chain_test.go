@@ -11,7 +11,6 @@ import (
 	"dgsf/internal/metrics"
 	"dgsf/internal/remoting/gen"
 	"dgsf/internal/sim"
-	"dgsf/internal/store"
 )
 
 // testGSPlane is testGS with a data plane attached.
@@ -254,118 +253,4 @@ func TestInvokeOnHonorsPreferenceWhenHealthy(t *testing.T) {
 			t.Fatalf("invocation ran on server %d, want a healthy non-preferred server", inv.Server)
 		}
 	})
-}
-
-// TestFleetTensorAffinity checks the control-plane half of the data plane:
-// a session naming an InputTensor is bound to the server holding the export,
-// and the handle is marked Consumed once the session completes.
-func TestFleetTensorAffinity(t *testing.T) {
-	e := sim.NewEngine(1)
-	e.SetTimeLimit(10 * time.Minute)
-	st := store.New(e, nil)
-	e.Run("root", func(p *sim.Proc) {
-		rig := startFleet(t, e, p, st, st, 3)
-		p.Spawn("placement", rig.ctrl.Run)
-
-		holder := nameFor(1) // not the zero-load tie-break favourite
-		err := RecordTensorHandle(p, st, "detect-out-1", store.TensorHandleSpec{
-			Producer: "detect",
-			Server:   holder,
-			Export:   7,
-			Bytes:    48 << 20,
-			Tag:      "boxes",
-		})
-		if err != nil {
-			t.Fatalf("RecordTensorHandle: %v", err)
-		}
-
-		inv := rig.b.SubmitChained(p, sleepFn("identify", 1<<30, 10e6, 50*time.Millisecond), "detect-out-1")
-		rig.b.Drain(p)
-		rig.ctrl.Stop()
-		if inv.Err != nil {
-			t.Fatalf("chained invocation failed: %v", inv.Err)
-		}
-
-		rs, _, err := st.List(p, store.KindSession)
-		if err != nil {
-			t.Fatalf("List: %v", err)
-		}
-		if len(rs) != 1 {
-			t.Fatalf("%d sessions, want 1", len(rs))
-		}
-		sess := rs[0].(*store.Session)
-		if sess.Status.Server != holder {
-			t.Errorf("session placed on %q, want tensor holder %q", sess.Status.Server, holder)
-		}
-		r, err := st.Get(p, store.KindTensorHandle, "detect-out-1")
-		if err != nil {
-			t.Fatalf("Get handle: %v", err)
-		}
-		th := r.(*store.TensorHandle)
-		if th.Status.Phase != store.TensorConsumed || th.Status.ConsumedBy != sess.Meta().Name {
-			t.Errorf("handle status = %+v, want Consumed by %s", th.Status, sess.Meta().Name)
-		}
-	})
-}
-
-// TestFleetTensorAffinityFallsThrough checks that a dead or consumed handle
-// never wedges placement: the session routes by load instead.
-func TestFleetTensorAffinityFallsThrough(t *testing.T) {
-	e := sim.NewEngine(1)
-	e.SetTimeLimit(10 * time.Minute)
-	st := store.New(e, nil)
-	e.Run("root", func(p *sim.Proc) {
-		rig := startFleet(t, e, p, st, st, 2)
-		p.Spawn("placement", rig.ctrl.Run)
-
-		// A handle already marked Lost (its machine died).
-		if err := RecordTensorHandle(p, st, "stale", store.TensorHandleSpec{
-			Producer: "detect", Server: nameFor(1), Export: 9, Bytes: 1 << 20,
-		}); err != nil {
-			t.Fatalf("RecordTensorHandle: %v", err)
-		}
-		markTensorPhase(t, p, st, "stale", store.TensorLost)
-
-		// And a handle naming a machine that does not exist at all.
-		if err := RecordTensorHandle(p, st, "orphan", store.TensorHandleSpec{
-			Producer: "detect", Server: "gpu-z", Export: 10, Bytes: 1 << 20,
-		}); err != nil {
-			t.Fatalf("RecordTensorHandle: %v", err)
-		}
-
-		for _, handle := range []string{"stale", "orphan", "missing-entirely"} {
-			inv := rig.b.SubmitChained(p, sleepFn("identify", 1<<30, 10e6, 20*time.Millisecond), handle)
-			rig.b.Drain(p)
-			if inv.Err != nil {
-				t.Fatalf("handle %q: invocation failed: %v", handle, inv.Err)
-			}
-		}
-		rig.ctrl.Stop()
-
-		// The Lost handle must stay Lost — completion only consumes Live ones.
-		r, err := st.Get(p, store.KindTensorHandle, "stale")
-		if err != nil {
-			t.Fatalf("Get: %v", err)
-		}
-		if phase := r.(*store.TensorHandle).Status.Phase; phase != store.TensorLost {
-			t.Errorf("stale handle phase = %q, want Lost", phase)
-		}
-	})
-}
-
-func markTensorPhase(t *testing.T, p *sim.Proc, st store.Interface, name, phase string) {
-	t.Helper()
-	for {
-		cur, err := st.Get(p, store.KindTensorHandle, name)
-		if err != nil {
-			t.Fatalf("Get %s: %v", name, err)
-		}
-		up := cur.DeepCopy().(*store.TensorHandle)
-		up.Status.Phase = phase
-		if _, err := st.UpdateStatus(p, up); err == nil {
-			return
-		} else if !store.IsConflict(err) {
-			t.Fatalf("UpdateStatus %s: %v", name, err)
-		}
-	}
 }

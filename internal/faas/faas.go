@@ -97,9 +97,6 @@ type Invocation struct {
 	// zero value means "no preference". Chained invocations use it to land
 	// a consumer on (or off) its producer's GPU server.
 	pref int
-	// inputTensor names the TensorHandle resource holding this invocation's
-	// input (fleet path); the placement controller binds the session near it.
-	inputTensor string
 }
 
 // E2E returns the invocation's end-to-end latency (launch to completion).

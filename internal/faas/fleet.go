@@ -39,7 +39,7 @@ type FleetConfig struct {
 // sessions to healthy GPU servers using only stored state; the executor
 // observes its session turning Placed and then drives the data plane —
 // download, lease, guest calls — against the chosen machine. Machine health
-// and occupancy arrive via the GPU servers' agents, never by calling into
+// and capacity arrive via the GPU servers' agents, never by calling into
 // the monitor.
 type FleetBackend struct {
 	executor
@@ -117,17 +117,7 @@ func (b *FleetBackend) Run(p *sim.Proc) error {
 // placement controller — possibly in another failure domain — picks the
 // machine; the executor runs the data plane once placed.
 func (b *FleetBackend) Submit(p *sim.Proc, fn *Function) *Invocation {
-	return b.SubmitChained(p, fn, "")
-}
-
-// SubmitChained submits a session that consumes the named TensorHandle: the
-// placement controller binds it to the server holding the tensor (when that
-// server is healthy and fits), turning the handoff into a same-server
-// zero-copy import. After the session completes, the handle is marked
-// Consumed so later placements stop chasing it.
-func (b *FleetBackend) SubmitChained(p *sim.Proc, fn *Function, inputTensor string) *Invocation {
 	inv := b.newInvocation(p, fn)
-	inv.inputTensor = inputTensor
 	name := fmt.Sprintf("%s-%d", fn.Name, inv.Seq)
 	b.waiters[name] = sim.NewQueue[*store.Session](b.e)
 	b.inflight.Add(1)
@@ -147,12 +137,7 @@ func (b *FleetBackend) executeSession(p *sim.Proc, inv *Invocation, name string)
 	fn := inv.Fn
 	sess := &store.Session{}
 	sess.ObjectMeta.Name = name
-	sess.Spec.FnID = fn.Name
 	sess.Spec.MemBytes = fn.GPUMem
-	sess.Spec.InputTensor = inv.inputTensor
-	if fn.ModelDLBytes > 0 {
-		sess.Spec.ModelObject = b.modelObject(fn)
-	}
 	if _, err := b.st.Create(p, sess); err != nil {
 		inv.Err = err
 		inv.Done = p.Now()
@@ -192,9 +177,6 @@ func (b *FleetBackend) executeSession(p *sim.Proc, inv *Invocation, name string)
 				continue
 			}
 			b.finishSession(p, name)
-			if inv.inputTensor != "" {
-				b.consumeTensorHandle(p, inv.inputTensor, name)
-			}
 			inv.Done = p.Now()
 			b.sessionsDone.Inc()
 			b.recordExec(fn.Name, inv.Done-inv.Granted)
@@ -251,7 +233,6 @@ func (b *FleetBackend) endAttempt(p *sim.Proc, name, reason string) {
 func (b *FleetBackend) finishSession(p *sim.Proc, name string) {
 	_ = store.ModifyStatus(p, b.st, store.KindSession, name, func(up *store.Session) bool {
 		up.Status.Phase = store.PhaseDone
-		up.Status.DoneAt = p.Now()
 		return true
 	})
 }
@@ -264,56 +245,6 @@ func (b *FleetBackend) finalizeFailed(p *sim.Proc, name string) {
 			return false
 		}
 		up.Status.Phase = store.PhaseFailed
-		return true
-	})
-}
-
-// consumeTensorHandle marks the session's input handle Consumed, so later
-// Pending sessions stop binding to a server for data that is already gone.
-// Best-effort: a vanished handle (reclaimed, or its server failed and the
-// record was marked Lost) is not an error — the session itself completed.
-func (b *FleetBackend) consumeTensorHandle(p *sim.Proc, handle, by string) {
-	_ = store.ModifyStatus(p, b.st, store.KindTensorHandle, handle, func(th *store.TensorHandle) bool {
-		if th.Status.Phase != "" && th.Status.Phase != store.TensorLive {
-			return false
-		}
-		th.Status.Phase = store.TensorConsumed
-		th.Status.ConsumedBy = by
-		return true
-	})
-}
-
-// RecordTensorHandle publishes the control-plane record of a data-plane
-// export: which GPU server holds the tensor, its fabric export ID and size,
-// and the producer that made it. A consumer submitted with
-// SubmitChained(name) is then bound next to it. Idempotent per name: a
-// repeat publish (producer retry) refreshes the spec and revives the phase.
-func RecordTensorHandle(p *sim.Proc, st store.Interface, name string, spec store.TensorHandleSpec) error {
-	th := &store.TensorHandle{}
-	th.ObjectMeta.Name = name
-	th.Spec = spec
-	th.Status.Phase = store.TensorLive
-	_, err := st.Create(p, th)
-	if err == nil || !store.IsExists(err) {
-		return err
-	}
-	for {
-		cur, err := st.Get(p, store.KindTensorHandle, name)
-		if err != nil {
-			return err
-		}
-		up := cur.DeepCopy().(*store.TensorHandle)
-		up.Spec = spec
-		if _, err := st.Update(p, up); !store.IsConflict(err) {
-			if err != nil {
-				return err
-			}
-			break
-		}
-	}
-	return store.ModifyStatus(p, st, store.KindTensorHandle, name, func(th *store.TensorHandle) bool {
-		th.Status.Phase = store.TensorLive
-		th.Status.ConsumedBy = ""
 		return true
 	})
 }
@@ -345,7 +276,7 @@ func NewPlacementController(st store.Interface, cfg PlacementConfig) *controller
 		Name:     "placement",
 		Store:    st,
 		Kinds:    []store.Kind{store.KindSession},
-		Observe:  []store.Kind{store.KindGPUServer, store.KindTensorHandle},
+		Observe:  []store.Kind{store.KindGPUServer},
 		OnChange: load.track,
 		Resync:   cfg.Resync,
 		Registry: cfg.Registry,
@@ -355,8 +286,7 @@ func NewPlacementController(st store.Interface, cfg PlacementConfig) *controller
 }
 
 // serverLoad counts, per GPU server, the sessions bound to it and not yet
-// terminal — the authoritative load, so a lost reservation hint cannot skew
-// routing. It is kept current as the cache changes (every session event, and
+// terminal. It is kept current as the cache changes (every session event, and
 // the controller's own binds as they are folded back), so placing a session
 // never iterates the Session keyspace.
 type serverLoad map[string]int
@@ -401,36 +331,21 @@ func reconcilePlacement(p *sim.Proc, c *controller.Cache, load serverLoad, key c
 		return fmt.Errorf("no healthy GPU server fits session %s (%d bytes)", key.Name, sess.Spec.MemBytes)
 	}
 
-	// Write 1: bind the session. This is the commit point — the executor
-	// acts on it regardless of what happens to this controller next.
+	// The bind is the commit point: the executor acts on it regardless of
+	// what happens to this controller next.
 	up := sess.DeepCopy().(*store.Session)
 	up.Status.Phase = store.PhasePlaced
 	up.Status.Server = target.Meta().Name
 	up.Status.Attempts++
 	up.Status.PlacedAt = p.Now()
 	up.Status.Reason = ""
-	if _, err := c.UpdateStatus(p, up); err != nil {
-		return err
-	}
-
-	// Write 2: reservation bookkeeping on the machine. A crash between the
-	// two writes, or a view the agent's heartbeat has overtaken, loses only
-	// this hint.
-	gup := target.DeepCopy().(*store.GPUServer)
-	gup.Status.ReservedSessions++
-	gup.Status.ReservedMem += sess.Spec.MemBytes
-	if _, err := c.UpdateStatus(p, gup); err != nil && !store.IsConflict(err) {
-		return err
-	}
-	return nil
+	_, err := c.UpdateStatus(p, up)
+	return err
 }
 
-// pickServer chooses the machine for a session using only cached state. A
-// session consuming a data-plane tensor (Spec.InputTensor) is bound to the
-// server holding it whenever that server is healthy and fits — landing the
-// consumer next to its input turns the handoff into a same-server zero-copy
-// import instead of a fabric peer copy. Otherwise the least-loaded healthy
-// machine that fits the memory demand wins, first in name order among equals.
+// pickServer chooses the machine for a session using only cached state: the
+// least-loaded healthy machine that fits the memory demand wins, first in
+// name order among equals.
 //
 // A retried session does not go back to the machine its last attempt failed
 // on while any other machine fits. A machine cut off from its guests fails
@@ -440,13 +355,6 @@ func pickServer(c *controller.Cache, load serverLoad, sess *store.Session) *stor
 	failed := ""
 	if sess.Status.Phase == store.PhasePending {
 		failed = sess.Status.Server
-	}
-	if sess.Spec.InputTensor != "" {
-		if gs := tensorAffinityServer(c, sess); gs != nil && gs.Meta().Name != failed {
-			return gs
-		}
-		// Tensor gone, consumed, or its server unusable: fall through to the
-		// normal scan — the consumer will bounce or peer-copy instead.
 	}
 	var best, fallback *store.GPUServer
 	bestLoad := 0
@@ -469,24 +377,9 @@ func pickServer(c *controller.Cache, load serverLoad, sess *store.Session) *stor
 	return best
 }
 
-// tensorAffinityServer resolves the session's InputTensor to the GPU server
-// holding the live export, if that server can take the session. Returns nil
-// when the handle or server is unusable.
-func tensorAffinityServer(c *controller.Cache, sess *store.Session) *store.GPUServer {
-	th, _ := c.Get(store.KindTensorHandle, sess.Spec.InputTensor).(*store.TensorHandle)
-	if th == nil || (th.Status.Phase != "" && th.Status.Phase != store.TensorLive) {
-		return nil
-	}
-	gs, _ := c.Get(store.KindGPUServer, th.Spec.Server).(*store.GPUServer)
-	if gs == nil || !canHost(gs, sess) {
-		return nil
-	}
-	return gs
-}
-
 // canHost reports whether a server is schedulable and fits the session.
 func canHost(gs *store.GPUServer, sess *store.Session) bool {
-	return gs.Status.Healthy && !gs.Spec.Unschedulable && gs.Status.Capacity != 0 &&
+	return gs.Status.Healthy && gs.Status.Capacity != 0 &&
 		sess.Spec.MemBytes <= gs.Spec.MemBytesPerGPU
 }
 

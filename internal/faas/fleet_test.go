@@ -141,8 +141,7 @@ func TestFleetRoutesAroundDeadServer(t *testing.T) {
 }
 
 // TestFleetControllerCrashConvergence is the fault-plan test: the placement
-// controller is killed between its session-status write and the machine
-// reservation status update (a store fuse blows mid-reconcile), a
+// controller is killed at a session bind (a store fuse blows mid-reconcile), a
 // replacement takes over — its cache rebuilt from its own initial list, the
 // dead replica's dying with it — and every session still completes — zero
 // lost — across seeds 1, 2, 3, 7.
@@ -170,8 +169,7 @@ func TestFleetControllerCrashConvergence(t *testing.T) {
 				}
 
 				// First controller replica runs through a fuse armed to blow
-				// after 3 writes: the cut lands between a session bind (write
-				// N) and its reservation update (write N+1) mid-reconcile.
+				// after 3 writes: the fourth session bind fails mid-reconcile.
 				fuse := store.NewFuse(st)
 				replica := 0
 				var active *controller.Controller

@@ -70,7 +70,8 @@ type Plan struct {
 	// ControllerKills schedules fleet-controller crashes: at each At, the
 	// next store fuse bound via BindControllerFuse is armed so the
 	// controller's store handle dies AfterWrites writes later — killing the
-	// reconciler mid-flight between two of its writes. The controller's
+	// reconciler at a write (for the placement controller, a bind). The
+	// controller's
 	// supervisor is expected to restart a replacement that converges.
 	ControllerKills []ControllerKill
 
@@ -125,8 +126,7 @@ type ConflictStorm struct {
 type ControllerKill struct {
 	At time.Duration
 	// AfterWrites is the write budget the fuse gets when armed: 0 blows on
-	// the very next write; 1 lets exactly one write land first — the cut
-	// between a session bind and its status bookkeeping.
+	// the very next write; N lets exactly N writes land first.
 	AfterWrites int
 }
 

@@ -232,15 +232,22 @@ func (d *Device) ExecKernel(p *sim.Proc, nominal time.Duration) {
 	d.compute.Exec(p, d.stretch(nominal))
 }
 
-// MutateKernel applies kernel kernelName to the allocation's contents,
-// updating the fingerprint deterministically. Used by synthetic workloads to
-// model kernels that read and write device buffers.
-func MutateKernel(a *PhysAlloc, kernelName string) {
+// KernelHash is the fingerprint of a kernel's name that MutateKernel stamps
+// into the allocations the kernel writes.
+func KernelHash(name string) uint64 {
 	h := uint64(0)
-	for _, c := range kernelName {
+	for _, c := range name {
 		h = Mix(h, uint64(c))
 	}
-	a.fp = Mix(a.fp, h)
+	return h
+}
+
+// MutateKernel applies the kernel whose name hashes to kernel (KernelHash)
+// to the allocation's contents, updating the fingerprint deterministically.
+// Used by synthetic workloads to model kernels that read and write device
+// buffers.
+func MutateKernel(a *PhysAlloc, kernel uint64) {
+	a.fp = Mix(a.fp, kernel)
 }
 
 // ActiveKernels returns the number of kernels currently executing.

@@ -282,16 +282,36 @@ func TestMemsetAndMutateDeterministic(t *testing.T) {
 		b, _ := d.AllocPhys(4096)
 		d.Memset(p, a, 0, 4096)
 		d.Memset(p, b, 0, 4096)
-		MutateKernel(a, "saxpy")
-		MutateKernel(b, "saxpy")
+		MutateKernel(a, KernelHash("saxpy"))
+		MutateKernel(b, KernelHash("saxpy"))
 		if a.Fingerprint() != b.Fingerprint() {
 			t.Fatal("identical op sequences produced different fingerprints")
 		}
-		MutateKernel(a, "gemm")
+		MutateKernel(a, KernelHash("gemm"))
 		if a.Fingerprint() == b.Fingerprint() {
 			t.Fatal("different kernels produced identical fingerprints")
 		}
 	})
+}
+
+// TestKernelHashMatchesPerAllocationHash: hashing a kernel's name once and
+// stamping the hash gives every allocation the fingerprint that hashing the
+// name rune by rune at each allocation gave it.
+func TestKernelHashMatchesPerAllocationHash(t *testing.T) {
+	for _, name := range []string{"saxpy", "gemm_kernel_128x64", "", "ядро", "核函数", "a\u00e9\U0001F600"} {
+		h := uint64(0)
+		for _, c := range name {
+			h = Mix(h, uint64(c))
+		}
+		if got := KernelHash(name); got != h {
+			t.Errorf("KernelHash(%q) = %x, want %x", name, got, h)
+		}
+		a := &PhysAlloc{fp: 12345}
+		MutateKernel(a, KernelHash(name))
+		if want := Mix(12345, h); a.fp != want {
+			t.Errorf("MutateKernel with %q's hash: fingerprint %x, want %x", name, a.fp, want)
+		}
+	}
 }
 
 func TestD2HRoundTripObservesWrites(t *testing.T) {
@@ -301,7 +321,7 @@ func TestD2HRoundTripObservesWrites(t *testing.T) {
 		a, _ := d.AllocPhys(1 << 20)
 		d.CopyH2D(p, a, HostBuffer{FP: 77, Size: 1 << 20}, 1<<20)
 		h1 := d.CopyD2H(p, a, 1<<20)
-		MutateKernel(a, "inc")
+		MutateKernel(a, KernelHash("inc"))
 		h2 := d.CopyD2H(p, a, 1<<20)
 		if h1.FP == h2.FP {
 			t.Fatal("kernel mutation not visible through D2H copy")

@@ -1,7 +1,6 @@
 package gpuserver
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -16,20 +15,18 @@ import (
 // monitor's internals directly — all cross-component state flows through
 // watched, versioned objects.
 //
-// Outbound, each sync tick publishes the GPUServer status (health, capacity,
-// occupancy, staged bytes, heartbeat time), the per-API-server readiness,
-// and a StagedModel object per host-tier cache entry. Inbound, the agent
-// watches StagedModel deletions — the reclaim controller's eviction verdicts
-// — and evicts the corresponding host-tier entries.
+// Outbound, each sync tick publishes the GPUServer status (health and
+// capacity) when it changed, and a StagedModel object per host-tier cache
+// entry. Inbound, the agent watches StagedModel deletions — the reclaim
+// controller's eviction verdicts — and evicts the corresponding host-tier
+// entries.
 type Agent struct {
 	gs   *GPUServer
 	st   store.Interface
 	name string
 	cfg  AgentConfig
 
-	// apiNames are the APIServer object names, in a.gs.servers order.
-	apiNames []string
-	watch    *store.Watch
+	watch *store.Watch
 	// published is the agent's view of its own StagedModel objects in the
 	// store, by host-tier key name: seeded by the one List at start-up, then
 	// kept by the watch stream and the agent's own writes, so a sync tick
@@ -96,31 +93,16 @@ func (a *Agent) Run(p *sim.Proc) {
 	}
 }
 
-// register creates (or adopts, after an agent restart) the GPUServer object
-// and one APIServer object per hosted server.
+// register creates (or adopts, after an agent restart) the GPUServer object.
 func (a *Agent) register(p *sim.Proc) error {
 	obj := &store.GPUServer{}
 	obj.ObjectMeta.Name = a.name
-	obj.Spec.GPUs = a.gs.cfg.GPUs
-	obj.Spec.ServersPerGPU = a.gs.cfg.ServersPerGPU
 	if len(a.gs.devs) > 0 {
 		obj.Spec.MemBytesPerGPU = a.gs.devs[0].Cfg.MemBytes
 	}
 	obj.Spec.StageBudget = a.stageBudget()
 	if _, err := a.st.Create(p, obj); err != nil && !store.IsExists(err) {
 		return err
-	}
-	a.apiNames = a.apiNames[:0]
-	for _, srv := range a.gs.servers {
-		as := &store.APIServer{}
-		as.ObjectMeta.Name = fmt.Sprintf("%s/%d", a.name, srv.ID())
-		a.apiNames = append(a.apiNames, as.ObjectMeta.Name)
-		as.Spec.Server = a.name
-		as.Spec.GPU = srv.HomeDev()
-		as.Spec.Slot = srv.ID()
-		if _, err := a.st.Create(p, as); err != nil && !store.IsExists(err) {
-			return err
-		}
 	}
 	return nil
 }
@@ -136,50 +118,19 @@ func (a *Agent) stageBudget() int64 {
 	return 0
 }
 
-// publishStatus read-modify-writes the GPUServer status with the machine's
-// current occupancy, preserving the fields other writers own (the placement
-// controller's reservation hints). Conflicts retry against fresh state.
+// publishStatus writes the machine's health and capacity into the GPUServer
+// status when either differs from the stored one. Conflicts retry against
+// fresh state.
 func (a *Agent) publishStatus(p *sim.Proc) error {
-	err := store.ModifyStatus(p, a.st, store.KindGPUServer, a.name, func(obj *store.GPUServer) bool {
-		active, queued := a.gs.Load()
-		obj.Status.Healthy = a.gs.Healthy()
-		obj.Status.Capacity = a.gs.Capacity()
-		obj.Status.Active = active
-		obj.Status.Queued = queued
-		obj.Status.HeartbeatAt = p.Now()
-		if c := a.gs.Cache(); c != nil {
-			obj.Status.StagedBytes = c.Host().Used()
+	return store.ModifyStatus(p, a.st, store.KindGPUServer, a.name, func(obj *store.GPUServer) bool {
+		healthy, capacity := a.gs.Healthy(), a.gs.Capacity()
+		if obj.Status.Healthy == healthy && obj.Status.Capacity == capacity {
+			return false
 		}
+		obj.Status.Healthy = healthy
+		obj.Status.Capacity = capacity
 		return true
 	})
-	if err != nil {
-		return err
-	}
-	for i, srv := range a.gs.servers {
-		cur, err := a.st.Get(p, store.KindAPIServer, a.apiNames[i])
-		if err != nil {
-			if store.IsNotFound(err) {
-				continue
-			}
-			return err
-		}
-		ready := !srv.Crashed() && !a.gs.dead[srv.ID()] && !a.gs.failed
-		fnID := ""
-		if lease, ok := a.gs.leased[srv.ID()]; ok {
-			fnID = lease.FnID
-		}
-		if st := cur.(*store.APIServer).Status; st.Ready == ready && st.FnID == fnID {
-			continue
-		}
-		obj := cur.DeepCopy().(*store.APIServer)
-		obj.Status.Ready = ready
-		obj.Status.FnID = fnID
-		// Async lane: a dropped conflict self-heals on the next tick.
-		if err := a.st.UpdateStatusAsync(p, obj); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // relistStaged replaces the published view with the store's current

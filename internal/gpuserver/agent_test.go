@@ -107,3 +107,57 @@ func TestAgentMirrorsStagedModelsFromItsOwnView(t *testing.T) {
 		t.Errorf("agent issued %d Lists, want 1 (start-up)", handle.lists)
 	}
 }
+
+// statusCounter counts GPUServer status writes on an agent's store handle.
+type statusCounter struct {
+	store.Interface
+	writes int
+}
+
+func (s *statusCounter) UpdateStatus(p *sim.Proc, r store.Resource) (store.Resource, error) {
+	if r.Kind() == store.KindGPUServer {
+		s.writes++
+	}
+	return s.Interface.UpdateStatus(p, r)
+}
+
+// TestAgentPublishesOnlyOnChange: a sync tick writes the GPUServer status
+// only when health or capacity moved. Twenty quiet periods after the first
+// publish cost no write; a machine failure costs one.
+func TestAgentPublishesOnlyOnChange(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.SetTimeLimit(time.Minute)
+	st := store.New(e, nil)
+	handle := &statusCounter{Interface: st}
+	const tick = 10 * time.Millisecond
+	e.Run("root", func(p *sim.Proc) {
+		gs := New(e, fastConfig(2, 2, BestFit))
+		gs.Start(p)
+		a := NewAgent(gs, handle, "gpu-a", AgentConfig{SyncPeriod: tick})
+		p.SpawnDaemon("agent", a.Run)
+
+		p.Sleep(20*tick + tick/2)
+		if handle.writes != 1 {
+			t.Errorf("%d status writes over 20 quiet sync periods, want 1 (the capacity)", handle.writes)
+		}
+		r, err := st.Get(p, store.KindGPUServer, "gpu-a")
+		if err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if got := r.(*store.GPUServer).Status; !got.Healthy || got.Capacity != 4 {
+			t.Errorf("published status %+v, want healthy with capacity 4", got)
+		}
+
+		gs.Fail()
+		p.Sleep(20 * tick)
+		if handle.writes != 2 {
+			t.Errorf("%d status writes after a failure, want 2", handle.writes)
+		}
+		r, _ = st.Get(p, store.KindGPUServer, "gpu-a")
+		if r.(*store.GPUServer).Status.Healthy {
+			t.Error("the failed machine is still published healthy")
+		}
+		a.Stop()
+		p.Sleep(tick)
+	})
+}

@@ -402,7 +402,7 @@ func RecycleBulk(buf []byte) {
 type WireStats struct {
 	BytesTx  int64 // wire bytes written (headers + metadata + bulk + modeled payload)
 	BytesRx  int64 // wire bytes read
-	FramesV1 int64 // always 0; kept until bench/ stops reading it (ROADMAP item 3)
+	FramesV1 int64 // always 0; kept until bench/ stops reading it (ROADMAP item 1a)
 	FramesV2 int64 // frames sent
 }
 

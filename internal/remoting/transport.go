@@ -148,7 +148,7 @@ type AsyncCaller interface {
 // returned. resp follows the usual Caller reply contract.
 type VecCaller interface {
 	Caller
-	ProtoVersion() int // always ProtoV2; bench/ forwards it until ROADMAP item 3
+	ProtoVersion() int // always ProtoV2; bench/ forwards it until ROADMAP item 1a
 
 	RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp, respBulk []byte, err error)
 }

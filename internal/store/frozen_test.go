@@ -33,7 +33,7 @@ func TestWriteAllocs(t *testing.T) {
 	for _, watchers := range []int{0, 10, 100} {
 		run(t, func(p *sim.Proc, s *Store) {
 			fillLog(p, s)
-			cur, err := s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "s"}, Spec: SessionSpec{FnID: "f"}})
+			cur, err := s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "s"}, Spec: SessionSpec{MemBytes: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestWriteAllocs(t *testing.T) {
 		}
 		modify := func() {
 			err := ModifyStatus(p, s, KindGPUServer, "gs", func(g *GPUServer) bool {
-				g.Status.Active++
+				g.Status.Capacity++
 				return true
 			})
 			if err != nil {

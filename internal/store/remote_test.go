@@ -30,8 +30,8 @@ func TestRemoteCRUDOverWire(t *testing.T) {
 	runRemote(t, 1, func(p *sim.Proc, r *Remote, conn remoting.AsyncCaller, s *Store) {
 		gs := &GPUServer{}
 		gs.ObjectMeta.Name = "gpu-0"
-		gs.Spec.GPUs = 4
-		gs.Spec.ServersPerGPU = 2
+		gs.Spec.MemBytesPerGPU = 4
+		gs.Spec.StageBudget = 2
 		created, err := r.Create(p, gs)
 		if err != nil {
 			t.Fatalf("Create: %v", err)
@@ -46,7 +46,7 @@ func TestRemoteCRUDOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get: %v", err)
 		}
-		if got.(*GPUServer).Spec.GPUs != 4 {
+		if got.(*GPUServer).Spec.MemBytesPerGPU != 4 {
 			t.Fatalf("spec lost over the wire: %+v", got)
 		}
 		if _, err := r.Get(p, KindGPUServer, "nope"); !IsNotFound(err) {
@@ -56,7 +56,7 @@ func TestRemoteCRUDOverWire(t *testing.T) {
 		// Spec update bumps generation; a stale RV conflicts with the typed
 		// sentinel surviving encode/decode.
 		upd := got.DeepCopy().(*GPUServer)
-		upd.Spec.GPUs = 8
+		upd.Spec.MemBytesPerGPU = 8
 		upd2, err := r.Update(p, upd)
 		if err != nil {
 			t.Fatalf("Update: %v", err)
@@ -65,7 +65,7 @@ func TestRemoteCRUDOverWire(t *testing.T) {
 			t.Fatalf("generation = %d, want 2", upd2.Meta().Generation)
 		}
 		stale := got.DeepCopy().(*GPUServer) // still carries the old RV
-		stale.Spec.GPUs = 16
+		stale.Spec.MemBytesPerGPU = 16
 		if _, err := r.Update(p, stale); !IsConflict(err) {
 			t.Fatalf("want ErrConflict through the wire, got %v", err)
 		}
@@ -73,12 +73,12 @@ func TestRemoteCRUDOverWire(t *testing.T) {
 		// Status update keeps the stored spec.
 		st := upd2.DeepCopy().(*GPUServer)
 		st.Status.Healthy = true
-		st.Spec.GPUs = 999 // must be ignored
+		st.Spec.MemBytesPerGPU = 999 // must be ignored
 		st2, err := r.UpdateStatus(p, st)
 		if err != nil {
 			t.Fatalf("UpdateStatus: %v", err)
 		}
-		if st2.(*GPUServer).Spec.GPUs != 8 || !st2.(*GPUServer).Status.Healthy {
+		if st2.(*GPUServer).Spec.MemBytesPerGPU != 8 || !st2.(*GPUServer).Status.Healthy {
 			t.Fatalf("UpdateStatus mangled the object: %+v", st2)
 		}
 
@@ -103,7 +103,7 @@ func TestRemoteAsyncStatusLaneFIFO(t *testing.T) {
 	runRemote(t, 2, func(p *sim.Proc, r *Remote, conn remoting.AsyncCaller, s *Store) {
 		sess := &Session{}
 		sess.ObjectMeta.Name = "s1"
-		sess.Spec.FnID = "fn"
+		sess.Spec.MemBytes = 1 << 30
 		created, err := r.Create(p, sess)
 		if err != nil {
 			t.Fatalf("Create: %v", err)
@@ -234,7 +234,7 @@ func TestRemoteGetInternsNames(t *testing.T) {
 	}
 	sess := &Session{
 		ObjectMeta: ObjectMeta{Name: "fn-17", UID: 3, ResourceVersion: 9, Generation: 1},
-		Spec:       SessionSpec{FnID: "fn", MemBytes: 1 << 30, ModelObject: "fn/model", InputTensor: "t-1"},
+		Spec:       SessionSpec{MemBytes: 1 << 30},
 		Status:     SessionStatus{Phase: PhasePlaced, Server: "gs-3", Attempts: 1, Reason: "retry"},
 	}
 	var e wire.Encoder

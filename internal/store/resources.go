@@ -21,31 +21,18 @@ const (
 )
 
 // GPUServerSpec is the desired state of one GPU server: its hardware shape
-// and scheduling intent.
+// and staging policy.
 type GPUServerSpec struct {
-	GPUs           int
-	ServersPerGPU  int
 	MemBytesPerGPU int64
 	// StageBudget bounds the host-tier staged-model bytes the fleet reclaim
 	// controller allows before deleting StagedModels (0: unlimited).
 	StageBudget int64
-	// Unschedulable excludes the server from placement (drain).
-	Unschedulable bool
 }
 
 // GPUServerStatus is the observed state its node agent publishes.
 type GPUServerStatus struct {
-	Healthy     bool
-	Capacity    int // live API servers
-	Active      int // leased API servers
-	Queued      int // functions waiting in the monitor's queue
-	StagedBytes int64
-	HeartbeatAt time.Duration // virtual time of the last agent publish
-	// Reserved* are the placement controller's bookkeeping of sessions
-	// bound to this server but not yet released. Recomputed at resync, so
-	// a controller crash between writes only skews them temporarily.
-	ReservedSessions int
-	ReservedMem      int64
+	Healthy  bool
+	Capacity int // live API servers
 }
 
 // GPUServer is the control-plane record of one GPU server.
@@ -66,114 +53,31 @@ func (g *GPUServer) DeepCopy() Resource { c := *g; return &c }
 
 // EncodeSpec implements Resource.
 func (g *GPUServer) EncodeSpec(e *wire.Encoder) {
-	e.Int(g.Spec.GPUs)
-	e.Int(g.Spec.ServersPerGPU)
 	e.I64(g.Spec.MemBytesPerGPU)
 	e.I64(g.Spec.StageBudget)
-	e.Bool(g.Spec.Unschedulable)
 }
 
 // DecodeSpec implements Resource.
 func (g *GPUServer) DecodeSpec(d *wire.Decoder) {
-	g.Spec.GPUs = d.Int()
-	g.Spec.ServersPerGPU = d.Int()
 	g.Spec.MemBytesPerGPU = d.I64()
 	g.Spec.StageBudget = d.I64()
-	g.Spec.Unschedulable = d.Bool()
 }
 
 // EncodeStatus implements Resource.
 func (g *GPUServer) EncodeStatus(e *wire.Encoder) {
 	e.Bool(g.Status.Healthy)
 	e.Int(g.Status.Capacity)
-	e.Int(g.Status.Active)
-	e.Int(g.Status.Queued)
-	e.I64(g.Status.StagedBytes)
-	e.Dur(g.Status.HeartbeatAt)
-	e.Int(g.Status.ReservedSessions)
-	e.I64(g.Status.ReservedMem)
 }
 
 // DecodeStatus implements Resource.
 func (g *GPUServer) DecodeStatus(d *wire.Decoder) {
 	g.Status.Healthy = d.Bool()
 	g.Status.Capacity = d.Int()
-	g.Status.Active = d.Int()
-	g.Status.Queued = d.Int()
-	g.Status.StagedBytes = d.I64()
-	g.Status.HeartbeatAt = d.Dur()
-	g.Status.ReservedSessions = d.Int()
-	g.Status.ReservedMem = d.I64()
-}
-
-// APIServerSpec identifies one hosted API server slot on a GPU server.
-type APIServerSpec struct {
-	Server string // owning GPUServer resource name
-	GPU    int
-	Slot   int
-}
-
-// APIServerStatus is the slot's observed state.
-type APIServerStatus struct {
-	Ready bool
-	FnID  string // leased function, if any
-}
-
-// APIServer is the control-plane record of one hosted API server.
-type APIServer struct {
-	ObjectMeta
-	Spec   APIServerSpec
-	Status APIServerStatus
-}
-
-// Kind implements Resource.
-func (a *APIServer) Kind() Kind { return KindAPIServer }
-
-// Meta implements Resource.
-func (a *APIServer) Meta() *ObjectMeta { return &a.ObjectMeta }
-
-// DeepCopy implements Resource.
-func (a *APIServer) DeepCopy() Resource { c := *a; return &c }
-
-// EncodeSpec implements Resource.
-func (a *APIServer) EncodeSpec(e *wire.Encoder) {
-	e.Str(a.Spec.Server)
-	e.Int(a.Spec.GPU)
-	e.Int(a.Spec.Slot)
-}
-
-// DecodeSpec implements Resource.
-func (a *APIServer) DecodeSpec(d *wire.Decoder) {
-	a.Spec.Server = d.Str()
-	a.Spec.GPU = d.Int()
-	a.Spec.Slot = d.Int()
-}
-
-// EncodeStatus implements Resource.
-func (a *APIServer) EncodeStatus(e *wire.Encoder) {
-	e.Bool(a.Status.Ready)
-	e.Str(a.Status.FnID)
-}
-
-// DecodeStatus implements Resource.
-func (a *APIServer) DecodeStatus(d *wire.Decoder) {
-	a.Status.Ready = d.Bool()
-	a.Status.FnID = d.Str()
 }
 
 // SessionSpec is one requested function invocation.
 type SessionSpec struct {
-	FnID     string
 	MemBytes int64
-	// ModelObject is the host-cache object name whose residency makes a
-	// server a locality match ("" if the function has no model).
-	ModelObject string
-	// InputTensor names a TensorHandle resource this session consumes ("" if
-	// none). The placement controller binds the session to the server
-	// holding the tensor when it is healthy and fits, so chained
-	// invocations land next to their inputs and the data plane's
-	// same-server zero-copy import applies.
-	InputTensor string
 }
 
 // SessionStatus tracks the invocation through the control plane.
@@ -183,7 +87,6 @@ type SessionStatus struct {
 	Attempts int
 	Reason   string // last failure reason, for diagnostics
 	PlacedAt time.Duration
-	DoneAt   time.Duration
 }
 
 // Session is the control-plane record of one function invocation.
@@ -203,20 +106,10 @@ func (s *Session) Meta() *ObjectMeta { return &s.ObjectMeta }
 func (s *Session) DeepCopy() Resource { c := *s; return &c }
 
 // EncodeSpec implements Resource.
-func (s *Session) EncodeSpec(e *wire.Encoder) {
-	e.Str(s.Spec.FnID)
-	e.I64(s.Spec.MemBytes)
-	e.Str(s.Spec.ModelObject)
-	e.Str(s.Spec.InputTensor)
-}
+func (s *Session) EncodeSpec(e *wire.Encoder) { e.I64(s.Spec.MemBytes) }
 
 // DecodeSpec implements Resource.
-func (s *Session) DecodeSpec(d *wire.Decoder) {
-	s.Spec.FnID = d.Str()
-	s.Spec.MemBytes = d.I64()
-	s.Spec.ModelObject = d.Str()
-	s.Spec.InputTensor = d.Str()
-}
+func (s *Session) DecodeSpec(d *wire.Decoder) { s.Spec.MemBytes = d.I64() }
 
 // EncodeStatus implements Resource.
 func (s *Session) EncodeStatus(e *wire.Encoder) {
@@ -225,7 +118,6 @@ func (s *Session) EncodeStatus(e *wire.Encoder) {
 	e.Int(s.Status.Attempts)
 	e.Str(s.Status.Reason)
 	e.Dur(s.Status.PlacedAt)
-	e.Dur(s.Status.DoneAt)
 }
 
 // DecodeStatus implements Resource.
@@ -235,7 +127,6 @@ func (s *Session) DecodeStatus(d *wire.Decoder) {
 	s.Status.Attempts = d.Int()
 	s.Status.Reason = d.Str()
 	s.Status.PlacedAt = d.Dur()
-	s.Status.DoneAt = d.Dur()
 }
 
 // Terminal reports whether the session reached a final phase.
@@ -296,91 +187,16 @@ func (m *StagedModel) EncodeStatus(e *wire.Encoder) { e.U64(m.Status.Seq) }
 // DecodeStatus implements Resource.
 func (m *StagedModel) DecodeStatus(d *wire.Decoder) { m.Status.Seq = d.U64() }
 
-// TensorHandle phases.
-const (
-	TensorLive     = "Live"     // exported, awaiting consumers
-	TensorConsumed = "Consumed" // a consumer took the data
-	TensorLost     = "Lost"     // the holding GPU server failed
-)
-
-// TensorHandleSpec is the control-plane record of one data-plane export: a
-// device-resident intermediate tensor a producer published for its consumer.
-type TensorHandleSpec struct {
-	Producer string // producing function ID
-	Server   string // GPUServer resource name holding the tensor
-	Export   uint64 // fabric export ID (dataplane)
-	Bytes    int64
-	Tag      string // producer-chosen label (e.g. "detect/boxes")
-}
-
-// TensorHandleStatus tracks the handle's lifecycle.
-type TensorHandleStatus struct {
-	Phase      string
-	ConsumedBy string // session name that took the data, once consumed
-}
-
-// TensorHandle is the control-plane record of one exported tensor. Its whole
-// purpose is placement: a Pending session naming it as InputTensor is bound
-// to Spec.Server so the handoff is a same-server zero-copy import.
-type TensorHandle struct {
-	ObjectMeta
-	Spec   TensorHandleSpec
-	Status TensorHandleStatus
-}
-
-// Kind implements Resource.
-func (t *TensorHandle) Kind() Kind { return KindTensorHandle }
-
-// Meta implements Resource.
-func (t *TensorHandle) Meta() *ObjectMeta { return &t.ObjectMeta }
-
-// DeepCopy implements Resource.
-func (t *TensorHandle) DeepCopy() Resource { c := *t; return &c }
-
-// EncodeSpec implements Resource.
-func (t *TensorHandle) EncodeSpec(e *wire.Encoder) {
-	e.Str(t.Spec.Producer)
-	e.Str(t.Spec.Server)
-	e.U64(t.Spec.Export)
-	e.I64(t.Spec.Bytes)
-	e.Str(t.Spec.Tag)
-}
-
-// DecodeSpec implements Resource.
-func (t *TensorHandle) DecodeSpec(d *wire.Decoder) {
-	t.Spec.Producer = d.Str()
-	t.Spec.Server = d.Str()
-	t.Spec.Export = d.U64()
-	t.Spec.Bytes = d.I64()
-	t.Spec.Tag = d.Str()
-}
-
-// EncodeStatus implements Resource.
-func (t *TensorHandle) EncodeStatus(e *wire.Encoder) {
-	e.Str(t.Status.Phase)
-	e.Str(t.Status.ConsumedBy)
-}
-
-// DecodeStatus implements Resource.
-func (t *TensorHandle) DecodeStatus(d *wire.Decoder) {
-	t.Status.Phase = phaseOf(d.BytesShared())
-	t.Status.ConsumedBy = d.Str()
-}
-
 // NewOfKind returns a zero resource of the named kind, for decoding wire
 // objects back into typed form.
 func NewOfKind(kind Kind) (Resource, error) {
 	switch kind {
 	case KindGPUServer:
 		return &GPUServer{}, nil
-	case KindAPIServer:
-		return &APIServer{}, nil
 	case KindSession:
 		return &Session{}, nil
 	case KindStagedModel:
 		return &StagedModel{}, nil
-	case KindTensorHandle:
-		return &TensorHandle{}, nil
 	}
 	return nil, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
 }
@@ -417,20 +233,16 @@ func kindOf(name []byte) Kind {
 	switch Kind(name) {
 	case KindGPUServer:
 		return KindGPUServer
-	case KindAPIServer:
-		return KindAPIServer
 	case KindSession:
 		return KindSession
 	case KindStagedModel:
 		return KindStagedModel
-	case KindTensorHandle:
-		return KindTensorHandle
 	}
 	return Kind(name)
 }
 
-// phaseOf does the same for a Session's or TensorHandle's phase, a status
-// field every event of those kinds carries.
+// phaseOf does the same for a Session's phase, a status field every Session
+// event carries.
 func phaseOf(name []byte) string {
 	switch string(name) {
 	case PhasePending:
@@ -443,12 +255,6 @@ func phaseOf(name []byte) string {
 		return PhaseDone
 	case PhaseFailed:
 		return PhaseFailed
-	case TensorLive:
-		return TensorLive
-	case TensorConsumed:
-		return TensorConsumed
-	case TensorLost:
-		return TensorLost
 	}
 	return string(name)
 }

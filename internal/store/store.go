@@ -83,16 +83,14 @@ type Kind string
 
 // The control plane's resource kinds.
 const (
-	KindGPUServer    Kind = "GPUServer"
-	KindAPIServer    Kind = "APIServer"
-	KindSession      Kind = "Session"
-	KindStagedModel  Kind = "StagedModel"
-	KindTensorHandle Kind = "TensorHandle"
+	KindGPUServer   Kind = "GPUServer"
+	KindSession     Kind = "Session"
+	KindStagedModel Kind = "StagedModel"
 )
 
 // Kinds lists every keyspace in deterministic order.
 func Kinds() []Kind {
-	return []Kind{KindAPIServer, KindGPUServer, KindSession, KindStagedModel, KindTensorHandle}
+	return []Kind{KindGPUServer, KindSession, KindStagedModel}
 }
 
 // ObjectMeta is the common metadata of every stored resource.
@@ -450,14 +448,10 @@ func specEqual(a, b Resource) bool {
 	switch a := a.(type) {
 	case *GPUServer:
 		return a.Spec == b.(*GPUServer).Spec
-	case *APIServer:
-		return a.Spec == b.(*APIServer).Spec
 	case *Session:
 		return a.Spec == b.(*Session).Spec
 	case *StagedModel:
 		return a.Spec == b.(*StagedModel).Spec
-	case *TensorHandle:
-		return a.Spec == b.(*TensorHandle).Spec
 	}
 	panic(fmt.Sprintf("store: specEqual: kind %q has no typed Spec comparison", a.Kind()))
 }
@@ -467,14 +461,10 @@ func copySpec(src, dst Resource) {
 	switch dst := dst.(type) {
 	case *GPUServer:
 		dst.Spec = src.(*GPUServer).Spec
-	case *APIServer:
-		dst.Spec = src.(*APIServer).Spec
 	case *Session:
 		dst.Spec = src.(*Session).Spec
 	case *StagedModel:
 		dst.Spec = src.(*StagedModel).Spec
-	case *TensorHandle:
-		dst.Spec = src.(*TensorHandle).Spec
 	default:
 		panic(fmt.Sprintf("store: copySpec: kind %q has no typed Spec copy", dst.Kind()))
 	}

@@ -20,7 +20,7 @@ func run(t *testing.T, fn func(p *sim.Proc, s *Store)) {
 
 func TestCreateGetSemantics(t *testing.T) {
 	run(t, func(p *sim.Proc, s *Store) {
-		in := &GPUServer{ObjectMeta: ObjectMeta{Name: "gs-0"}, Spec: GPUServerSpec{GPUs: 2}}
+		in := &GPUServer{ObjectMeta: ObjectMeta{Name: "gs-0"}, Spec: GPUServerSpec{MemBytesPerGPU: 2}}
 		stored, err := s.Create(p, in)
 		if err != nil {
 			t.Fatalf("create: %v", err)
@@ -39,8 +39,8 @@ func TestCreateGetSemantics(t *testing.T) {
 		}
 		// An edit of a DeepCopy is the caller's alone.
 		mine := got.DeepCopy().(*GPUServer)
-		mine.Spec.GPUs = 99
-		if again, _ := s.Get(p, KindGPUServer, "gs-0"); again.(*GPUServer).Spec.GPUs != 2 {
+		mine.Spec.MemBytesPerGPU = 99
+		if again, _ := s.Get(p, KindGPUServer, "gs-0"); again.(*GPUServer).Spec.MemBytesPerGPU != 2 {
 			t.Fatal("an edit of a DeepCopy reached the store")
 		}
 		// Writing back the stored object itself is refused, and changes nothing.
@@ -68,7 +68,7 @@ func TestCreateGetSemantics(t *testing.T) {
 
 func TestUpdateOptimisticConcurrency(t *testing.T) {
 	run(t, func(p *sim.Proc, s *Store) {
-		stored, err := s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "s1"}, Spec: SessionSpec{FnID: "f"}})
+		stored, err := s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "s1"}, Spec: SessionSpec{MemBytes: 1}})
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
@@ -91,9 +91,9 @@ func TestUpdateOptimisticConcurrency(t *testing.T) {
 
 func TestGenerationBumpsOnSpecChangeOnly(t *testing.T) {
 	run(t, func(p *sim.Proc, s *Store) {
-		stored, _ := s.Create(p, &GPUServer{ObjectMeta: ObjectMeta{Name: "gs"}, Spec: GPUServerSpec{GPUs: 1}})
+		stored, _ := s.Create(p, &GPUServer{ObjectMeta: ObjectMeta{Name: "gs"}, Spec: GPUServerSpec{MemBytesPerGPU: 1}})
 		cur := stored.DeepCopy().(*GPUServer)
-		cur.Status.Active = 3
+		cur.Status.Capacity = 3
 		updated, err := s.UpdateStatus(p, cur)
 		if err != nil {
 			t.Fatalf("status update: %v", err)
@@ -105,7 +105,7 @@ func TestGenerationBumpsOnSpecChangeOnly(t *testing.T) {
 			t.Fatal("status update did not bump RV")
 		}
 		cur = updated.DeepCopy().(*GPUServer)
-		cur.Spec.Unschedulable = true
+		cur.Spec.StageBudget = 1
 		updated, err = s.Update(p, cur)
 		if err != nil {
 			t.Fatalf("spec update: %v", err)
@@ -127,18 +127,18 @@ func TestGenerationBumpsOnSpecChangeOnly(t *testing.T) {
 
 func TestUpdateStatusKeepsStoredSpec(t *testing.T) {
 	run(t, func(p *sim.Proc, s *Store) {
-		stored, _ := s.Create(p, &GPUServer{ObjectMeta: ObjectMeta{Name: "gs"}, Spec: GPUServerSpec{GPUs: 4}})
+		stored, _ := s.Create(p, &GPUServer{ObjectMeta: ObjectMeta{Name: "gs"}, Spec: GPUServerSpec{MemBytesPerGPU: 4}})
 		cur := stored.DeepCopy().(*GPUServer)
-		cur.Spec.GPUs = 1 // stale/garbled spec on a status write must be ignored
-		cur.Status.Active = 1
+		cur.Spec.MemBytesPerGPU = 1 // stale/garbled spec on a status write must be ignored
+		cur.Status.Capacity = 1
 		if _, err := s.UpdateStatus(p, cur); err != nil {
 			t.Fatalf("update status: %v", err)
 		}
 		got, _ := s.Get(p, KindGPUServer, "gs")
-		if got.(*GPUServer).Spec.GPUs != 4 {
+		if got.(*GPUServer).Spec.MemBytesPerGPU != 4 {
 			t.Fatalf("UpdateStatus overwrote spec: %+v", got.(*GPUServer).Spec)
 		}
-		if got.(*GPUServer).Status.Active != 1 {
+		if got.(*GPUServer).Status.Capacity != 1 {
 			t.Fatalf("UpdateStatus lost status: %+v", got.(*GPUServer).Status)
 		}
 	})
@@ -300,16 +300,16 @@ func TestUpdateStatusAsyncDropsConflicts(t *testing.T) {
 		stored, _ := s.Create(p, &GPUServer{ObjectMeta: ObjectMeta{Name: "gs"}})
 		stale := stored.DeepCopy().(*GPUServer)
 		cur := stored.DeepCopy().(*GPUServer)
-		cur.Status.Active = 1
+		cur.Status.Capacity = 1
 		if _, err := s.UpdateStatus(p, cur); err != nil {
 			t.Fatalf("update: %v", err)
 		}
-		stale.Status.Active = 42
+		stale.Status.Capacity = 42
 		if err := s.UpdateStatusAsync(p, stale); err != nil {
 			t.Fatalf("async conflict should be dropped, got %v", err)
 		}
 		got, _ := s.Get(p, KindGPUServer, "gs")
-		if got.(*GPUServer).Status.Active != 1 {
+		if got.(*GPUServer).Status.Capacity != 1 {
 			t.Fatalf("stale async write landed: %+v", got.(*GPUServer).Status)
 		}
 		// Non-conflict errors still surface.
