@@ -1,6 +1,8 @@
 package apiserver
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -206,6 +208,115 @@ func runLifecycle(t *testing.T, hops []int, end string, wantNow time.Duration) {
 			}
 		}
 	})
+}
+
+// TestSessionTablesStartEmpty opens a session on a server whose previous
+// session ended by Bye, or by the release a crash runs, after it allocated
+// device and host memory, registered a kernel and created a stream, a cuDNN
+// and a cuBLAS handle. The end keeps that session's tables for the next
+// begin: every handle of the first session must fail in the second exactly as
+// it does on a server that never hosted one, and the second's own handles and
+// Stats must be a fresh server's.
+func TestSessionTablesStartEmpty(t *testing.T) {
+	type handles struct {
+		ptr    cuda.DevPtr
+		host   uint64
+		fn     cuda.FnPtr
+		stream cuda.StreamHandle
+		dnn    cudalibs.DNNHandle
+		blas   cudalibs.BLASHandle
+	}
+	// fill gives the open session one resource of each kind.
+	fill := func(t *testing.T, p *sim.Proc, srv *Server) (h handles) {
+		var fns []cuda.FnPtr
+		var errs [8]error
+		h.ptr, errs[0] = srv.Malloc(p, 64<<20)
+		h.host, errs[1] = srv.MallocHost(p, 1<<20)
+		fns, errs[2] = srv.RegisterKernels(p, []string{"touch"})
+		h.stream, errs[3] = srv.StreamCreate(p)
+		h.dnn, errs[4] = srv.DnnCreate(p)
+		h.blas, errs[5] = srv.BlasCreate(p)
+		errs[6] = srv.DnnForward(p, h.dnn, "conv", time.Millisecond, nil, nil)
+		errs[7] = srv.BlasGemm(p, h.blas, time.Millisecond, nil)
+		if err := errors.Join(errs[:]...); err != nil {
+			t.Fatalf("filling the session: %v", err)
+		}
+		h.fn = fns[0]
+		return h
+	}
+	// second opens a session, uses the first session's handles in it and
+	// fills it: what each call returned, then the session's own virtual
+	// handles and the server's Stats. (The device pointer is the context's
+	// address space, which a crash leaves where it was, not the session's.)
+	second := func(t *testing.T, p *sim.Proc, srv *Server, old handles) (out []string) {
+		if err := srv.Hello(p, "b", 1<<30); err != nil {
+			t.Fatal(err)
+		}
+		_, attrErr := srv.PointerGetAttributes(p, old.ptr)
+		for _, c := range []struct {
+			call string
+			err  error
+		}{
+			{"PointerGetAttributes", attrErr},
+			{"Free", srv.Free(p, old.ptr)},
+			{"FreeHost", srv.FreeHost(p, old.host)},
+			{"LaunchKernel", srv.LaunchKernel(p, cuda.LaunchParams{Fn: old.fn, Duration: time.Millisecond})},
+			{"StreamSynchronize", srv.StreamSynchronize(p, old.stream)},
+			{"DnnForward", srv.DnnForward(p, old.dnn, "conv", time.Millisecond, nil, nil)},
+			{"BlasGemm", srv.BlasGemm(p, old.blas, time.Millisecond, nil)},
+			{"StreamDestroy", srv.StreamDestroy(p, old.stream)},
+			{"DnnDestroy", srv.DnnDestroy(p, old.dnn)},
+			{"BlasDestroy", srv.BlasDestroy(p, old.blas)},
+		} {
+			if c.err == nil {
+				t.Errorf("%s with a handle of the ended session succeeded", c.call)
+			}
+			out = append(out, fmt.Sprintf("%s: %v", c.call, c.err))
+		}
+		own := fill(t, p, srv)
+		own.ptr = 0
+		return append(out, fmt.Sprintf("own handles %#v", own), fmt.Sprintf("stats %+v", srv.Stats()))
+	}
+	// run serves the second session on a new server, after a first one if
+	// end names how it ends.
+	run := func(t *testing.T, end string, old handles) (out []string, first handles) {
+		e := sim.NewEngine(1)
+		e.Run("root", func(p *sim.Proc) {
+			srv := newFastServer(e, Config{PoolHandles: true}, func(string, func(*sim.Proc)) {})
+			if err := srv.Prewarm(p); err != nil {
+				t.Fatal(err)
+			}
+			if end != "" {
+				if err := srv.Hello(p, "a", 1<<30); err != nil {
+					t.Fatal(err)
+				}
+				first = fill(t, p, srv)
+				var err error
+				if end == "Bye" {
+					err = srv.Bye(p)
+				} else {
+					err = srv.release(p, true)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				old = first
+			}
+			out = second(t, p, srv, old)
+		})
+		return out, first
+	}
+	for _, end := range []string{"Bye", "Crash"} {
+		t.Run(end, func(t *testing.T) {
+			reused, first := run(t, end, handles{})
+			fresh, _ := run(t, "", first)
+			for i := range fresh {
+				if reused[i] != fresh[i] {
+					t.Errorf("after %s:\n  %s\non a fresh server:\n  %s", end, reused[i], fresh[i])
+				}
+			}
+		})
+	}
 }
 
 // TestPooledHandlesFollowTheServer is why taking a handle from the pool needs

@@ -97,6 +97,7 @@ type Server struct {
 	idle [2][]uint64
 
 	sess       *session
+	spare      tables // the last session's, emptied, for the next begin
 	stats      Stats
 	callCounts map[uint16]int
 	crashed    bool // fault injection killed the server process
@@ -138,18 +139,9 @@ type session struct {
 	memLimit int64
 	used     int64
 
-	allocs map[cuda.DevPtr]int64 // base va -> size
-
-	kernelNames []string
-	virtFn      map[cuda.FnPtr]string
-	nextVirt    uint64
-
-	// res is the session's resource table: every virtual handle it was
-	// handed, of every kind (resources.go).
-	res map[uint64]resource
-
-	hostAllocs map[uint64]int64
-	nextHost   uint64
+	tables
+	nextVirt uint64
+	nextHost uint64
 
 	// mem holds the bytes uploaded with MemWrite, per allocation, so MemRead
 	// can return real contents. Free, MemExport and the end of the session
@@ -158,14 +150,42 @@ type session struct {
 
 	persistPtr cuda.DevPtr // allocation to offer to the model cache at Bye
 
-	// Data-plane state. imported maps a session va to the fabric export
-	// whose physical memory it shares zero-copy: such pointers are released
-	// by detaching the mapping, never by freeing the shared backing.
 	// bcastPtr/bcastKey root the model-broadcast source this session seeds,
 	// deregistered when the pointer is freed or the session ends.
-	imported map[cuda.DevPtr]uint64
 	bcastPtr cuda.DevPtr
 	bcastKey string
+}
+
+// tables are a session's lookups. The session's end empties them and the
+// server keeps them for the next session, which starts on them instead of
+// making its own.
+type tables struct {
+	allocs map[cuda.DevPtr]int64 // base va -> size
+
+	kernelNames []string
+	virtFn      map[cuda.FnPtr]string
+
+	// res is the session's resource table: every virtual handle it was
+	// handed, of every kind (resources.go).
+	res map[uint64]resource
+
+	hostAllocs map[uint64]int64
+
+	// imported maps a session va to the fabric export whose physical memory
+	// it shares zero-copy: such pointers are released by detaching the
+	// mapping, never by freeing the shared backing.
+	imported map[cuda.DevPtr]uint64
+}
+
+// reset empties t, keeping what it has grown.
+func (t *tables) reset() {
+	clear(t.allocs)
+	clear(t.kernelNames)
+	t.kernelNames = t.kernelNames[:0]
+	clear(t.virtFn)
+	clear(t.res)
+	clear(t.hostAllocs)
+	clear(t.imported)
 }
 
 var _ gen.API = (*Server)(nil)
@@ -500,15 +520,18 @@ func (s *Server) begin(p *sim.Proc, fnID string, memLimit int64, selectHome bool
 	if s.pinned != nil && s.pinned.fnID != fnID {
 		s.evictPinned(p)
 	}
-	s.sess = &session{
-		fnID:       fnID,
-		memLimit:   memLimit,
-		allocs:     make(map[cuda.DevPtr]int64),
-		virtFn:     make(map[cuda.FnPtr]string),
-		res:        make(map[uint64]resource),
-		hostAllocs: make(map[uint64]int64),
-		imported:   make(map[cuda.DevPtr]uint64),
+	t := s.spare
+	s.spare = tables{}
+	if t.allocs == nil {
+		t = tables{
+			allocs:     make(map[cuda.DevPtr]int64),
+			virtFn:     make(map[cuda.FnPtr]string),
+			res:        make(map[uint64]resource),
+			hostAllocs: make(map[uint64]int64),
+			imported:   make(map[cuda.DevPtr]uint64),
+		}
 	}
+	s.sess = &session{fnID: fnID, memLimit: memLimit, tables: t}
 	return nil
 }
 
@@ -575,6 +598,8 @@ func (s *Server) release(p *sim.Proc, crash bool) error {
 		for _, virt := range sess.ordered() {
 			s.destroy(p, sess.res[virt], !crash)
 		}
+		sess.reset()
+		s.spare, sess.tables = sess.tables, tables{}
 	}
 	if crash {
 		if pin := s.pinned; pin != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -118,10 +119,10 @@ func (b *FleetBackend) Run(p *sim.Proc) error {
 // machine; the executor runs the data plane once placed.
 func (b *FleetBackend) Submit(p *sim.Proc, fn *Function) *Invocation {
 	inv := b.newInvocation(p, fn)
-	name := fmt.Sprintf("%s-%d", fn.Name, inv.Seq)
+	name := fn.Name + "-" + strconv.Itoa(inv.Seq)
 	b.waiters[name] = sim.NewQueue[*store.Session](b.e)
 	b.inflight.Add(1)
-	p.Spawn(fmt.Sprintf("fleet-%s", name), func(p *sim.Proc) {
+	p.Spawn("fleet-"+name, func(p *sim.Proc) {
 		defer b.inflight.Done()
 		defer delete(b.waiters, name)
 		b.executeSession(p, inv, name)

@@ -246,7 +246,7 @@ func (a *Agent) syncStaged(p *sim.Proc) error {
 			}
 		}
 	}
-	departed := make([]string, 0, len(a.published))
+	var departed []string
 	for object := range a.published {
 		if !a.resident[object] {
 			departed = append(departed, object)

@@ -16,6 +16,7 @@ package gpuserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dgsf/internal/apiserver"
@@ -212,7 +213,7 @@ type GPUServer struct {
 
 	// Monitor state.
 	requests *sim.Queue[monitorMsg]
-	waiting  []*acquireReq
+	waiting  []*acquireReq  // emptied in place: it keeps its capacity
 	leased   map[int]*Lease // server ID -> active lease
 	baseline []int64        // device bytes in use after pre-warm
 	dead     map[int]bool   // server ID -> declared dead (out of rotation)
@@ -492,7 +493,8 @@ func (gs *GPUServer) monitor(p *sim.Proc) {
 			for _, req := range gs.waiting {
 				req.reply.TrySend(acquireResult{err: fmt.Errorf("%w: GPU server failed", ErrCapacity)})
 			}
-			gs.waiting = nil
+			clear(gs.waiting)
+			gs.waiting = gs.waiting[:0]
 		case msg.tick:
 			gs.shedExpired(p)
 			if gs.cfg.EnableMigration {
@@ -538,6 +540,7 @@ func (gs *GPUServer) shedExpired(p *sim.Proc) {
 		}
 		kept = append(kept, req)
 	}
+	clear(gs.waiting[len(kept):])
 	gs.waiting = kept
 }
 
@@ -559,7 +562,7 @@ func (gs *GPUServer) drainQueue(p *sim.Proc) {
 				srv = gs.reclaimAndPlace(p, req)
 			}
 			if srv != nil {
-				gs.waiting = gs.waiting[1:]
+				gs.waiting = slices.Delete(gs.waiting, 0, 1)
 			}
 		}
 		if srv == nil {
@@ -624,7 +627,7 @@ func (gs *GPUServer) placeAnySJF() (*apiserver.Server, *acquireReq) {
 	for _, idx := range order {
 		req := gs.waiting[idx]
 		if srv := gs.place(req.fnID, req.mem); srv != nil {
-			gs.waiting = append(gs.waiting[:idx], gs.waiting[idx+1:]...)
+			gs.waiting = slices.Delete(gs.waiting, idx, idx+1)
 			return srv, req
 		}
 	}

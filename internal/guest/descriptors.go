@@ -28,6 +28,9 @@ func (l *Lib) createDescriptor(p *sim.Proc, remote func(*gen.Client, *sim.Proc) 
 		l.local(p)
 		l.nextDesc++
 		d := cudalibs.Descriptor(localDescBit | l.nextDesc)
+		if l.localDescs == nil {
+			l.localDescs = make(map[cudalibs.Descriptor]bool)
+		}
 		l.localDescs[d] = true
 		return d, nil
 	}

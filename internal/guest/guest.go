@@ -94,7 +94,8 @@ type Lib struct {
 
 	stats Stats
 
-	// Guest-side state backing localized APIs.
+	// Guest-side state backing localized APIs; the maps are made on their
+	// first write, as most functions never write some of them.
 	lastError  int
 	ptrSizes   map[cuda.DevPtr]int64
 	hostAllocs map[uint64]int64
@@ -135,12 +136,9 @@ var _ gen.API = (*Lib)(nil)
 // New returns a guest library speaking to the API server over t.
 func New(t remoting.Caller, opt Opt) *Lib {
 	l := &Lib{
-		cl:         &gen.Client{},
-		opt:        opt,
-		ptrSizes:   make(map[cuda.DevPtr]int64),
-		hostAllocs: make(map[uint64]int64),
-		localDescs: make(map[cudalibs.Descriptor]bool),
-		localCost:  300 * time.Nanosecond,
+		cl:        &gen.Client{},
+		opt:       opt,
+		localCost: 300 * time.Nanosecond,
 	}
 	l.adoptTransport(t)
 	return l
@@ -344,6 +342,9 @@ func (l *Lib) Malloc(p *sim.Proc, size int64) (cuda.DevPtr, error) {
 // the server has confirmed the release (dropPtrEntries): calls deferred
 // before a Free are encoded, and journaled uploads replayed, after it.
 func (l *Lib) track(ptr cuda.DevPtr, size int64) {
+	if l.ptrSizes == nil {
+		l.ptrSizes = make(map[cuda.DevPtr]int64)
+	}
 	l.ptrSizes[ptr] = size
 	if l.rec != nil {
 		l.extents[ptr] = size
@@ -424,6 +425,9 @@ func (l *Lib) MallocHost(p *sim.Proc, size int64) (uint64, error) {
 		l.local(p)
 		l.nextHost++
 		ptr := 0x6000_0000_0000 + l.nextHost<<12
+		if l.hostAllocs == nil {
+			l.hostAllocs = make(map[uint64]int64)
+		}
 		l.hostAllocs[ptr] = size
 		return ptr, nil
 	}

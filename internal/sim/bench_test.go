@@ -95,6 +95,20 @@ func BenchmarkSpawnExit(b *testing.B) {
 	})
 }
 
+// BenchmarkSpawnRandExit is BenchmarkSpawnExit with one draw from the
+// child's random source: the source an exited child leaves is re-seeded for
+// the next, so the draw adds a seeding and no allocation.
+func BenchmarkSpawnRandExit(b *testing.B) {
+	benchSim(b, func(p *Proc, e *Engine) {
+		child := func(p *Proc) { p.Rand().Int63() }
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Spawn("child", child)
+			p.Yield()
+		}
+	})
+}
+
 // BenchmarkTimerChurn_64procs is one wake-up with 64 processes sleeping
 // staggered periods: the timer heap holds 64 entries and the run queue is
 // rarely a single process — the shape of the paper_mix workload.

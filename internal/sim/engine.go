@@ -64,6 +64,7 @@ type Engine struct {
 	liveHead, liveTail *Proc
 
 	seed      int64
+	rands     []*rand.Rand // sources of exited processes, lent to the next first Rand
 	nextPID   int
 	trace     func(now time.Duration, proc, event string)
 	deadlock  string        // non-empty if the simulation deadlocked; Run panics with it
@@ -118,7 +119,7 @@ type Proc struct {
 	wake   chan struct{} // buffered(1); one send per park
 	killed bool
 	doneCh chan struct{} // closed on exit, if requested via Inject
-	rng    *rand.Rand    // lazily created by Rand
+	rng    *rand.Rand    // set by the first Rand: lent by the engine or new
 
 	prev, next *Proc // neighbours in the engine's live list
 	w          wait
@@ -174,15 +175,41 @@ func (p *Proc) Now() time.Duration {
 // how concurrent activity elsewhere in the simulation interleaves with it.
 // Processes spawned under the same name share a seed and therefore observe
 // identical streams.
+//
+// The source is valid only while the process runs: when it exits, the
+// engine keeps the source and lends it to the next process whose first Rand
+// finds none of its own, re-seeded from that process's name. Re-seeding
+// resets the whole state, so the stream is the one a fresh source would
+// give; a caller that kept the source past the exit would draw from another
+// process's stream.
 func (p *Proc) Rand() *rand.Rand {
 	if p.rng == nil {
-		seed := uint64(p.e.seed) ^ 0xcbf29ce484222325
-		for _, c := range p.name {
-			seed = (seed ^ uint64(c)) * 0x100000001b3
+		seed := procSeed(p.e.seed, p.name)
+		e := p.e
+		e.mu.Lock()
+		if n := len(e.rands); n > 0 {
+			p.rng = e.rands[n-1]
+			e.rands[n-1] = nil
+			e.rands = e.rands[:n-1]
 		}
-		p.rng = rand.New(rand.NewSource(int64(seed)))
+		e.mu.Unlock()
+		if p.rng != nil {
+			p.rng.Seed(seed)
+		} else {
+			p.rng = rand.New(rand.NewSource(seed))
+		}
 	}
 	return p.rng
+}
+
+// procSeed is the seed of the stream of a process named name: an FNV-1a
+// hash of the name over the engine seed.
+func procSeed(engineSeed int64, name string) int64 {
+	seed := uint64(engineSeed) ^ 0xcbf29ce484222325
+	for _, c := range name {
+		seed = (seed ^ uint64(c)) * 0x100000001b3
+	}
+	return int64(seed)
 }
 
 // Run spawns a root process executing root and blocks until that process and
@@ -458,6 +485,10 @@ func (e *Engine) procExit(p *Proc) {
 	}
 	e.mu.Lock()
 	e.traceLocked(p, "exit")
+	if p.rng != nil {
+		e.rands = append(e.rands, p.rng)
+		p.rng = nil
+	}
 	if p.doneCh != nil {
 		close(p.doneCh)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -321,6 +322,53 @@ func TestRandStreamsIsolatedPerProc(t *testing.T) {
 	for i := range quiet {
 		if quiet[i] != noisy[i] {
 			t.Fatalf("draw %d shifted by unrelated activity: %v vs %v", i, quiet[i], noisy[i])
+		}
+	}
+}
+
+// TestLentRandMatchesFreshStream hands a worker the source of a lender that
+// exited partway through its own stream, with a partial Read pending. The
+// worker must draw exactly what it draws on an engine where nothing was lent,
+// and what a fresh source seeded from its name gives.
+func TestLentRandMatchesFreshStream(t *testing.T) {
+	draws := func(r *rand.Rand) []int64 {
+		buf := make([]byte, 3)
+		r.Read(buf) // leaves part of a 7-byte draw buffered
+		out := []int64{int64(buf[0]) | int64(buf[1])<<8 | int64(buf[2])<<16}
+		for i := 0; i < 4; i++ {
+			out = append(out, r.Int63())
+		}
+		out = append(out, int64(r.Float64()*1e9), r.Int63n(1000))
+		return out
+	}
+	run := func(lend bool) (got []int64, lent bool) {
+		e := NewEngine(5)
+		e.Run("root", func(p *Proc) {
+			var lender *rand.Rand
+			if lend {
+				p.Spawn("lender", func(p *Proc) {
+					lender = p.Rand()
+					draws(lender)
+					lender.Int63()
+				})
+				p.Sleep(time.Millisecond) // the lender has exited
+			}
+			p.Spawn("worker", func(p *Proc) {
+				lent = lender != nil && p.Rand() == lender
+				got = draws(p.Rand())
+			})
+		})
+		return got, lent
+	}
+	fresh, _ := run(false)
+	got, lent := run(true)
+	if !lent {
+		t.Fatal("the worker's first Rand did not take the exited lender's source")
+	}
+	want := draws(rand.New(rand.NewSource(procSeed(5, "worker"))))
+	for i := range want {
+		if got[i] != fresh[i] || got[i] != want[i] {
+			t.Fatalf("draw %d: lent source %d, fresh engine %d, fresh source %d", i, got[i], fresh[i], want[i])
 		}
 	}
 }

@@ -10,11 +10,13 @@ import (
 // TestHotPathAllocs measures the scheduler's steady state from inside a
 // running simulation: once the rings and the timer heap have grown to the
 // working set, blocking and waking allocate nothing. Each case returns the
-// operation to measure after setting up whoever it interacts with.
+// operation to measure after setting up whoever it interacts with; want is
+// what it may allocate, zero unless it creates something.
 func TestHotPathAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
 		setup func(p *Proc, e *Engine) (op func(), stop func())
+		want  float64
 	}{
 		{"Sleep", func(p *Proc, e *Engine) (func(), func()) {
 			// A second sleeper in lock step: every sleep parks.
@@ -24,10 +26,10 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			})
 			return func() { p.Sleep(time.Microsecond) }, nil
-		}},
+		}, 0},
 		{"SleepInPlace", func(p *Proc, e *Engine) (func(), func()) {
 			return func() { p.Sleep(time.Microsecond) }, nil
-		}},
+		}, 0},
 		{"AtTick", func(p *Proc, e *Engine) (func(), func()) {
 			// A callback re-arming itself in lock step: every sleep parks
 			// behind it, and it fires once per sleep.
@@ -35,7 +37,7 @@ func TestHotPathAllocs(t *testing.T) {
 			tick = func() { e.At(e.Now()+time.Microsecond, tick) }
 			e.At(p.Now()+time.Microsecond, tick)
 			return func() { p.Sleep(time.Microsecond) }, nil
-		}},
+		}, 0},
 		{"Yield", func(p *Proc, e *Engine) (func(), func()) {
 			stopped := false
 			p.Spawn("peer", func(p *Proc) {
@@ -44,14 +46,14 @@ func TestHotPathAllocs(t *testing.T) {
 				}
 			})
 			return func() { p.Yield() }, func() { stopped = true }
-		}},
+		}, 0},
 		{"QueuePingPong", func(p *Proc, e *Engine) (func(), func()) {
 			ping, pong := echo(p, e)
 			return func() {
 				ping.Send(1)
 				pong.Recv(p)
 			}, nil
-		}},
+		}, 0},
 		{"RecvTimeoutSatisfied", func(p *Proc, e *Engine) (func(), func()) {
 			ping, pong := echo(p, e)
 			return func() {
@@ -60,7 +62,7 @@ func TestHotPathAllocs(t *testing.T) {
 					t.Error("echo missed a one-hour deadline")
 				}
 			}, nil
-		}},
+		}, 0},
 		{"CondWaitTimeoutSignal", func(p *Proc, e *Engine) (func(), func()) {
 			c := NewCond(e)
 			p.SpawnDaemon("waiter", func(p *Proc) {
@@ -74,7 +76,35 @@ func TestHotPathAllocs(t *testing.T) {
 				c.Signal()
 				p.Yield()
 			}, nil
-		}},
+		}, 0},
+		{"SpawnDrawExit", func(p *Proc, e *Engine) (func(), func()) {
+			// A process that draws and exits lends its source to the next:
+			// only the spawn allocates — the Proc, its wake channel and its
+			// goroutine's closure, as in BenchmarkSpawnExit.
+			child := func(p *Proc) { p.Rand().Int63() }
+			return func() {
+				p.Spawn("child", child)
+				p.Yield()
+			}, nil
+		}, 3},
+		{"FreshQueueRoundTrip", func(p *Proc, e *Engine) (func(), func()) {
+			// A receiver parked on a new queue, handed one item: the rings'
+			// first slots are inline, so only the Queue is allocated.
+			next := NewQueue[*Queue[int]](e)
+			p.SpawnDaemon("receiver", func(p *Proc) {
+				for {
+					q, _ := next.Recv(p)
+					q.Recv(p)
+				}
+			})
+			return func() {
+				q := NewQueue[int](e)
+				next.Send(q)
+				p.Yield() // the receiver parks on q
+				q.Send(1)
+				p.Yield() // and takes the item
+			}, nil
+		}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,8 +114,8 @@ func TestHotPathAllocs(t *testing.T) {
 				for i := 0; i < 100; i++ {
 					op()
 				}
-				if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
-					t.Errorf("%v allocs/op, want 0", allocs)
+				if allocs := testing.AllocsPerRun(200, op); allocs != tc.want {
+					t.Errorf("%v allocs/op, want %v", allocs, tc.want)
 				}
 				if stop != nil {
 					stop()
@@ -295,5 +325,8 @@ func TestRingOrderAcrossGrowthAndRemoval(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("drained ring: slot %d = %d, want 0", i, v)
 		}
+	}
+	if r.first[0] != 0 {
+		t.Fatalf("grown ring: inline slot still holds %d, want 0", r.first[0])
 	}
 }
