@@ -2,6 +2,7 @@ package faas
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +10,8 @@ import (
 	"dgsf/internal/gpuserver"
 	"dgsf/internal/metrics"
 	"dgsf/internal/modelcache"
+	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
 )
@@ -360,6 +363,60 @@ func TestControlPlaneReadsFlatInN(t *testing.T) {
 	t.Logf("placement store reads per invocation: %.2f at N=12, %.2f at N=48", small, large)
 	if diff, max := math.Abs(large-small), math.Max(large, small); diff > 0.1*max {
 		t.Errorf("store reads per invocation are not flat in N: %.2f at N=12, %.2f at N=48", small, large)
+	}
+}
+
+// fleetAllocsCeiling is TestFleetAllocsPerInvocation's bound: 38.2 when it
+// was set (65.4 while quiet agent ticks copied their status, pulls made
+// fresh event slices and each API server connection its own reply queue),
+// plus less than the one allocation per invocation the smallest of those
+// regressions adds back.
+const fleetAllocsCeiling = 39
+
+// TestFleetAllocsPerInvocation is a ceiling on the host allocations of one
+// fleet invocation once the fleet is warm, with the placement controller
+// behind a served store as in production: the store pulls, the agents' sync
+// ticks, the guest library and the connections to the API servers and the
+// store all run. Its count repeats at a fixed seed; a layer that starts to
+// allocate per invocation again — a status copy per quiet tick, an event
+// slice per pull, a reply queue per connection — lifts it past the ceiling.
+func TestFleetAllocsPerInvocation(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("race detector drops sync.Pool items; alloc counts are meaningless")
+	}
+	const warm, n = 40, 200
+	e := sim.NewEngine(3)
+	e.SetTimeLimit(time.Hour)
+	st := store.New(e, nil)
+	var perInvocation float64
+	e.Run("root", func(p *sim.Proc) {
+		l := remoting.NewListener(e)
+		p.SpawnDaemon("store-serve", func(p *sim.Proc) { store.Serve(p, st, l) })
+		remote := store.NewRemote(e, remoting.Dial(e, l, remoting.NetProfile{RTT: 100 * time.Microsecond}))
+		rig := startFleet(t, e, p, st, remote, 4)
+		p.Spawn("placement", rig.ctrl.Run)
+		fn := sleepFn("f", 1<<30, 10e6, 50*time.Millisecond)
+		submit := func(k int) {
+			for i := 0; i < k; i++ {
+				rig.b.Submit(p, fn)
+				p.Sleep(25 * time.Millisecond)
+			}
+			rig.b.Drain(p)
+		}
+		submit(warm)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		submit(n)
+		runtime.ReadMemStats(&after)
+		perInvocation = float64(after.Mallocs-before.Mallocs) / n
+		rig.ctrl.Stop()
+		if done := rig.reg.Get("fleet_sessions_done"); done != warm+n {
+			t.Errorf("%d sessions done, want %d", done, warm+n)
+		}
+	})
+	t.Logf("%.2f allocations per fleet invocation", perInvocation)
+	if perInvocation > fleetAllocsCeiling {
+		t.Errorf("%.2f allocations per fleet invocation, ceiling %v", perInvocation, fleetAllocsCeiling)
 	}
 }
 

@@ -80,17 +80,24 @@ func (a *Agent) Run(p *sim.Proc) {
 	a.watch = w
 	defer w.Stop()
 	for !a.stopped {
-		if err := a.applyEvents(p); err != nil {
-			return
-		}
-		if err := a.publishStatus(p); err != nil {
-			return
-		}
-		if err := a.syncStaged(p); err != nil {
+		if err := a.tick(p); err != nil {
 			return
 		}
 		p.Sleep(a.cfg.SyncPeriod)
 	}
+}
+
+// tick is one sync period's work: evictions in, status and staged models
+// out. A tick that finds nothing changed writes nothing and allocates
+// nothing.
+func (a *Agent) tick(p *sim.Proc) error {
+	if err := a.applyEvents(p); err != nil {
+		return err
+	}
+	if err := a.publishStatus(p); err != nil {
+		return err
+	}
+	return a.syncStaged(p)
 }
 
 // register creates (or adopts, after an agent restart) the GPUServer object.
@@ -119,18 +126,26 @@ func (a *Agent) stageBudget() int64 {
 }
 
 // publishStatus writes the machine's health and capacity into the GPUServer
-// status when either differs from the stored one. Conflicts retry against
-// fresh state.
+// status when either differs from the stored one. It compares against the
+// frozen object the Get returns and copies it only for a write, as nearly
+// every tick finds nothing changed. Conflicts retry against fresh state.
 func (a *Agent) publishStatus(p *sim.Proc) error {
-	return store.ModifyStatus(p, a.st, store.KindGPUServer, a.name, func(obj *store.GPUServer) bool {
-		healthy, capacity := a.gs.Healthy(), a.gs.Capacity()
-		if obj.Status.Healthy == healthy && obj.Status.Capacity == capacity {
-			return false
+	for {
+		cur, err := a.st.Get(p, store.KindGPUServer, a.name)
+		if err != nil {
+			return err
 		}
-		obj.Status.Healthy = healthy
-		obj.Status.Capacity = capacity
-		return true
-	})
+		healthy, capacity := a.gs.Healthy(), a.gs.Capacity()
+		if pub := cur.(*store.GPUServer).Status; pub.Healthy == healthy && pub.Capacity == capacity {
+			return nil
+		}
+		up := cur.DeepCopy().(*store.GPUServer)
+		up.Status.Healthy = healthy
+		up.Status.Capacity = capacity
+		if _, err := a.st.UpdateStatus(p, up); !store.IsConflict(err) {
+			return err
+		}
+	}
 }
 
 // relistStaged replaces the published view with the store's current

@@ -161,3 +161,48 @@ func TestAgentPublishesOnlyOnChange(t *testing.T) {
 		p.Sleep(tick)
 	})
 }
+
+// TestQuietTickAllocatesNothing: a sync tick on a machine whose health,
+// capacity and host tier have not moved since the last one compares against
+// the frozen stored objects and leaves it there — no status write, no
+// allocation, not even the copy a write would have edited.
+func TestQuietTickAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.SetTimeLimit(time.Minute)
+	st := store.New(e, nil)
+	handle := &statusCounter{Interface: st}
+	e.Run("root", func(p *sim.Proc) {
+		cfg := fastConfig(2, 2, BestFit)
+		cfg.Cache = modelcache.Config{Enable: true, HostBudget: 1 << 30, DeviceBudget: -1}
+		gs := New(e, cfg)
+		gs.Start(p)
+		gs.Cache().Host().Put(modelcache.Key{Name: "m0"}, 100)
+		a := NewAgent(gs, handle, "gpu-a", AgentConfig{})
+		if err := a.register(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.relistStaged(p); err != nil {
+			t.Fatal(err)
+		}
+		w, err := st.Watch(p, store.KindStagedModel, st.RV())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Stop()
+		a.watch = w
+		tick := func() {
+			if err := a.tick(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tick() // publishes the capacity and stages m0
+		tick() // takes in m0's Added event
+		writes, rv := handle.writes, st.RV()
+		if got := testing.AllocsPerRun(100, tick); got != 0 {
+			t.Errorf("a quiet tick: %v allocs, want 0", got)
+		}
+		if handle.writes != writes || st.RV() != rv {
+			t.Errorf("quiet ticks wrote: %d status writes, RV %d -> %d", handle.writes-writes, rv, st.RV())
+		}
+	})
+}

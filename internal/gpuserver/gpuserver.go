@@ -169,12 +169,11 @@ type Lease struct {
 	QueueDelay time.Duration // time spent waiting for an API server
 	grantedAt  time.Duration
 	released   bool // set by Release or by the monitor revoking a dead server
+	listener   *remoting.Listener
 }
 
 // Listener returns the remoting endpoint of the leased API server.
-func (l *Lease) Listener() *remoting.Listener {
-	return &remoting.Listener{Incoming: l.Server.Inbox}
-}
+func (l *Lease) Listener() *remoting.Listener { return l.listener }
 
 // acquireReq is a pending GPU request in the monitor's queue.
 type acquireReq struct {
@@ -207,9 +206,12 @@ type GPUServer struct {
 	e    *sim.Engine
 	devs []*gpu.Device
 
-	servers  []*apiserver.Server
-	samplers []*gpu.Sampler
-	cache    *modelcache.Manager // nil when the model cache is disabled
+	servers []*apiserver.Server
+	// listeners[i] is servers[i]'s remoting endpoint, one for all its leases:
+	// the reply queues a lease's connections leave behind serve the next.
+	listeners []*remoting.Listener
+	samplers  []*gpu.Sampler
+	cache     *modelcache.Manager // nil when the model cache is disabled
 
 	// Monitor state.
 	requests *sim.Queue[monitorMsg]
@@ -302,6 +304,7 @@ func (gs *GPUServer) Start(p *sim.Proc) {
 				Plane:       gs.cfg.Plane,
 			})
 			gs.servers = append(gs.servers, srv)
+			gs.listeners = append(gs.listeners, &remoting.Listener{Incoming: srv.Inbox})
 			id++
 			if gs.cfg.PoolHandles {
 				wg.Add(1)
@@ -574,6 +577,7 @@ func (gs *GPUServer) drainQueue(p *sim.Proc) {
 			Mem:        req.mem,
 			QueueDelay: p.Now() - req.arrived,
 			grantedAt:  p.Now(),
+			listener:   gs.listeners[srv.ID()],
 		}
 		gs.leased[srv.ID()] = lease
 		gs.placements = append(gs.placements, PlacementRecord{

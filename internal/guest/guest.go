@@ -77,6 +77,10 @@ func (s Stats) Roundtrips() int { return s.Remoted + s.Batches + s.Fences }
 // Forwarded returns the number of API calls that reached the API server.
 func (s Stats) Forwarded() int { return s.Remoted + s.Batched + s.Async }
 
+// scratchSize is the working size of a Lib's scratch encoder: a one-way
+// kernel launch that mutates up to six allocations fits.
+const scratchSize = 128
+
 // localDescBit marks guest-allocated descriptor handles so they can never
 // collide with server-side handles.
 const localDescBit = 1 << 62
@@ -106,8 +110,8 @@ type Lib struct {
 	localCost  time.Duration // CPU cost of a locally-answered call
 
 	// The pending batch (OptBatching): calls deferred since the last flush,
-	// encoded when it ships. scratch holds one encoded call at a time: a
-	// batch entry, or a one-way submission about to be copied out.
+	// encoded when it ships. scratch holds one one-way submission at a time,
+	// encoded before it is copied out; it starts at scratchSize.
 	pending []op
 	scratch wire.Encoder
 

@@ -265,14 +265,14 @@ func (l *Lib) FlushBatch(p *sim.Proc) {
 }
 
 // encodeBatch appends the CallBatch message of the pending ops: a count, then
-// each call as a length-prefixed field.
+// each call as a length-prefixed field, encoded in place.
 func (l *Lib) encodeBatch(e *wire.Encoder) {
 	e.U16(remoting.CallBatch)
 	e.U32(uint32(len(l.pending)))
 	for i := range l.pending {
-		l.scratch.Reset()
-		l.encodeOp(&l.scratch, &l.pending[i])
-		e.BytesField(l.scratch.Bytes())
+		at := e.OpenField()
+		l.encodeOp(e, &l.pending[i])
+		e.CloseField(at)
 	}
 }
 
@@ -325,6 +325,7 @@ func (l *Lib) send(p *sim.Proc, o *op) error {
 		panic(fmt.Sprintf("guest: %s (call %d) submitted async but not in gen.DeferrableCalls", gen.CallName(o.id), o.id))
 	}
 	l.scratch.Reset()
+	l.scratch.Grow(scratchSize)
 	l.scratch.U16(remoting.CallAsync)
 	l.encodeOp(&l.scratch, o)
 	msg := append(wire.GetBuf(l.scratch.Len()), l.scratch.Bytes()...)

@@ -264,6 +264,13 @@ func (l *BulkLease) Recycle() {
 // Listener is the server-side endpoint of the simulated transport.
 type Listener struct {
 	Incoming *sim.Queue[Request]
+
+	// idleReplies are the reply queues of round trips that ran to completion
+	// on any connection to the listener, kept for the next ones: a fresh
+	// connection's first call takes one instead of allocating its own. Each
+	// is empty and open — a queue that was failed, or whose reply was never
+	// taken, is not kept.
+	idleReplies []*sim.Queue[Response]
 }
 
 // NewListener returns a listener bound to engine e.
@@ -282,15 +289,12 @@ type simConn struct {
 	// trips, in call order. Each call carries its own queue as ReplyTo,
 	// so replies are matched to their callers even when several simulated
 	// processes share the connection (a store watch pump's long-poll
-	// overlapping CRUD).
+	// overlapping CRUD). The queues come from the listener's idle ones.
 	// Break/Close fail every outstanding call by closing them all — a
-	// slice, not a map, so the wake order stays deterministic.
+	// slice, not a map, so the wake order stays deterministic. It starts on
+	// inline, the room a connection used by one process at a time needs.
 	inflight []*sim.Queue[Response]
-	// idleReply is the reply queue of the last round trip that ran to
-	// completion, kept for the next one: a connection used by one process
-	// at a time allocates its reply queue once. It is empty and open — a
-	// queue that was failed, or whose reply was never taken, is not kept.
-	idleReply *sim.Queue[Response]
+	inline   [1]*sim.Queue[Response]
 	// held is the last reply handed to a caller, its lend already over: the
 	// caller is decoding held.Payload, so a pooled one goes back only when
 	// the connection is next used, closed or broken. One slot serves a shared
@@ -328,7 +332,9 @@ type oneWay struct {
 // Dial connects a guest to an API server's listener with the given network
 // profile.
 func Dial(e *sim.Engine, l *Listener, profile NetProfile) AsyncCaller {
-	return &simConn{e: e, l: l, profile: profile}
+	c := &simConn{e: e, l: l, profile: profile}
+	c.inflight = c.inline[:0]
+	return c
 }
 
 // ProtoVersion implements VecCaller.
@@ -496,12 +502,15 @@ func (c *simConn) Submit(p *sim.Proc, req []byte, reqData int64) error {
 	return nil
 }
 
-// callQueue opens the per-call reply queue of one round trip: the idle one
-// if no other round trip holds it, a fresh one otherwise.
+// callQueue opens the per-call reply queue of one round trip: one of the
+// listener's idle queues if it has any, a fresh one otherwise.
 func (c *simConn) callQueue() *sim.Queue[Response] {
-	q := c.idleReply
-	c.idleReply = nil
-	if q == nil {
+	var q *sim.Queue[Response]
+	if n := len(c.l.idleReplies); n > 0 {
+		q = c.l.idleReplies[n-1]
+		c.l.idleReplies[n-1] = nil
+		c.l.idleReplies = c.l.idleReplies[:n-1]
+	} else {
 		q = sim.NewQueue[Response](c.e)
 	}
 	c.inflight = append(c.inflight, q)
@@ -511,13 +520,14 @@ func (c *simConn) callQueue() *sim.Queue[Response] {
 // callDone retires a round trip's reply queue. A queue still in flight was
 // not closed by failInflight, and its one reply has been received (a wait
 // that ends any other way breaks the connection first), so it is empty and
-// can serve the next call; a failed queue is dropped, so a reply that arrives
-// after a timeout lands in a queue no later call will ever read.
+// goes back to the listener for the next call on any connection; a failed
+// queue is dropped, so a reply that arrives after a timeout lands in a queue
+// no later call will ever read.
 func (c *simConn) callDone(q *sim.Queue[Response]) {
 	for i, cand := range c.inflight {
 		if cand == q {
 			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-			c.idleReply = q
+			c.l.idleReplies = append(c.l.idleReplies, q)
 			return
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -736,7 +737,8 @@ func TestSimWarmSubmitAllocatesNothing(t *testing.T) {
 // TestSimLateReplyNeverMatchesLaterCall: a call that times out on a reused
 // reply queue closes and drops it, so the reply that arrives afterwards is
 // refused and no later call — there can be none on the broken connection,
-// but a redial is a fresh conn with a fresh queue — can ever read it.
+// and a redial never gets the failed queue back from the listener — can
+// ever read it.
 func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
@@ -760,15 +762,15 @@ func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
 		if _, err := conn.RoundtripTimeout(p, []byte("one"), 0, time.Millisecond); err != nil {
 			t.Fatalf("first call: %v", err)
 		}
-		reused := conn.idleReply
-		if reused == nil {
-			t.Fatal("a completed call left no idle reply queue")
+		if len(l.idleReplies) != 1 {
+			t.Fatalf("a completed call left %d idle reply queues, want 1", len(l.idleReplies))
 		}
+		reused := l.idleReplies[0]
 		if _, err := conn.RoundtripTimeout(p, []byte("two"), 0, time.Millisecond); !errors.Is(err, ErrCallTimeout) {
 			t.Fatalf("second call = %v, want ErrCallTimeout", err)
 		}
-		if conn.idleReply != nil || !reused.Closed() {
-			t.Fatalf("timed-out reply queue kept for reuse (idle=%p closed=%v)", conn.idleReply, reused.Closed())
+		if len(l.idleReplies) != 0 || !reused.Closed() {
+			t.Fatalf("timed-out reply queue kept for reuse (idle=%d closed=%v)", len(l.idleReplies), reused.Closed())
 		}
 		if delivered, _ := late.Recv(p); delivered {
 			t.Fatal("late reply was accepted by a reply queue")
@@ -781,8 +783,93 @@ func TestSimLateReplyNeverMatchesLaterCall(t *testing.T) {
 		if err != nil || string(resp) != "four" {
 			t.Fatalf("call on the redialed conn = %q, %v", resp, err)
 		}
-		if redial.idleReply == reused {
+		if slices.Contains(l.idleReplies, reused) {
 			t.Fatal("redialed conn reuses the failed conn's reply queue")
+		}
+	})
+}
+
+// TestTimedOutReplyQueueNeverReused: the listener's idle reply queues are
+// shared by all its connections, so a queue whose call timed out must never
+// rejoin them — or the late reply would reach whichever caller on another
+// connection took the queue next. Conn a's call times out on a queue the
+// listener lent it; conn b then calls before and after the late reply is
+// sent, and each time reads its own answer.
+func TestTimedOutReplyQueueNeverReused(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		l := NewListener(e)
+		late := sim.NewQueue[bool](e)
+		p.SpawnDaemon("server", func(p *sim.Proc) {
+			for {
+				req, ok := l.Incoming.Recv(p)
+				if !ok {
+					return
+				}
+				if string(req.Payload) != "slow" {
+					req.ReplyTo.Send(Response{Payload: req.Payload})
+					continue
+				}
+				replyTo := req.ReplyTo
+				p.Spawn("late-reply", func(p *sim.Proc) {
+					p.Sleep(time.Second)
+					late.Send(replyTo.TrySend(Response{Payload: []byte("late")}))
+				})
+			}
+		})
+		a := Dial(e, l, NetProfile{}).(*simConn)
+		b := Dial(e, l, NetProfile{})
+		if _, err := a.Roundtrip(p, []byte("warm"), 0); err != nil {
+			t.Fatalf("warm-up call: %v", err)
+		}
+		lent := l.idleReplies[len(l.idleReplies)-1]
+		if _, err := a.RoundtripTimeout(p, []byte("slow"), 0, time.Millisecond); !errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("slow call = %v, want ErrCallTimeout", err)
+		}
+		if !lent.Closed() || slices.Contains(l.idleReplies, lent) {
+			t.Fatal("the timed-out call's reply queue went back to the listener")
+		}
+		call := func(msg string) {
+			if resp, err := b.Roundtrip(p, []byte(msg), 0); err != nil || string(resp) != msg {
+				t.Fatalf("conn b's call %q = %q, %v", msg, resp, err)
+			}
+		}
+		call("before")
+		if delivered, _ := late.Recv(p); delivered {
+			t.Fatal("the late reply was accepted by a reply queue")
+		}
+		call("after")
+	})
+}
+
+// TestFreshConnReusesListenerReplyQueue: on a listener whose connections
+// have completed round trips before, a fresh connection's first call takes
+// an idle reply queue — the connection itself is its one allocation.
+func TestFreshConnReusesListenerReplyQueue(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		l := NewListener(e)
+		p.SpawnDaemon("server", func(p *sim.Proc) {
+			for {
+				req, ok := l.Incoming.Recv(p)
+				if !ok {
+					return
+				}
+				req.ReplyTo.Send(Response{Payload: req.Payload})
+			}
+		})
+		msg := []byte("hello")
+		fresh := func() {
+			if _, err := Dial(e, l, OpenFaaSNet()).Roundtrip(p, msg, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh()
+		if allocs := testing.AllocsPerRun(100, fresh); allocs != 1 {
+			t.Errorf("dial and first round trip on a warm listener: %v allocs, want 1 (the conn)", allocs)
+		}
+		if len(l.idleReplies) != 1 {
+			t.Errorf("%d idle reply queues after one call at a time, want 1", len(l.idleReplies))
 		}
 	})
 }

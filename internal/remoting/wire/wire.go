@@ -156,6 +156,20 @@ func (e *Encoder) BytesField(v []byte) {
 	e.buf = append(e.buf, v...)
 }
 
+// OpenField starts a length-prefixed byte field whose contents the caller
+// appends next, in place; CloseField, given what OpenField returned, fills
+// in their length. The pair encodes what BytesField would, without the
+// contents first being encoded somewhere else.
+func (e *Encoder) OpenField() int {
+	e.U32(0)
+	return len(e.buf)
+}
+
+// CloseField ends the field OpenField started at at.
+func (e *Encoder) CloseField(at int) {
+	binary.LittleEndian.PutUint32(e.buf[at-4:], uint32(len(e.buf)-at))
+}
+
 // Strs appends a length-prefixed string slice.
 func (e *Encoder) Strs(v []string) {
 	e.U32(uint32(len(v)))

@@ -144,3 +144,34 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpenFieldMatchesBytesField: a field written in place behind
+// OpenField/CloseField is byte for byte the BytesField of the same contents,
+// empty and nested ones included.
+func TestOpenFieldMatchesBytesField(t *testing.T) {
+	var inner, want, got Encoder
+	inner.U16(7)
+	inner.Str("launch")
+	want.U8(1)
+	want.BytesField(inner.Bytes())
+	want.BytesField(nil)
+	var nested Encoder
+	nested.BytesField(inner.Bytes())
+	want.BytesField(nested.Bytes())
+
+	got.U8(1)
+	at := got.OpenField()
+	got.U16(7)
+	got.Str("launch")
+	got.CloseField(at)
+	got.CloseField(got.OpenField())
+	outer := got.OpenField()
+	at = got.OpenField()
+	got.U16(7)
+	got.Str("launch")
+	got.CloseField(at)
+	got.CloseField(outer)
+	if string(got.Bytes()) != string(want.Bytes()) {
+		t.Fatalf("in-place fields encode %x, want %x", got.Bytes(), want.Bytes())
+	}
+}

@@ -256,3 +256,43 @@ func TestRemoteGetInternsNames(t *testing.T) {
 		t.Errorf("Get decoded %+v, want %+v", got, sess)
 	}
 }
+
+// TestServedPullAllocatesOnlyObjects: a watch pull through Serve and the
+// Remote pump replays into the pull worker's buffer and decodes into the
+// pump's, so once both have their size, n status writes and the pull that
+// carries them to the watcher cost the n copies the writers edit and the n
+// objects the pump decodes, nothing more.
+func TestServedPullAllocatesOnlyObjects(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("race detector drops sync.Pool items; alloc counts are meaningless")
+	}
+	const n = 16
+	runRemote(t, 1, func(p *sim.Proc, r *Remote, _ remoting.AsyncCaller, s *Store) {
+		cur, err := s.Create(p, &Session{ObjectMeta: ObjectMeta{Name: "s"}, Status: SessionStatus{Phase: PhaseRunning, Server: "gs-0"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := r.Watch(p, KindSession, s.RV())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Stop()
+		round := func() {
+			for i := 0; i < n; i++ {
+				if cur, err = s.UpdateStatus(p, cur.DeepCopy()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				ev, ok := w.Events.Recv(p)
+				if !ok || ev.RV > cur.Meta().ResourceVersion {
+					t.Fatalf("event %d: %+v, %v", i, ev, ok)
+				}
+			}
+		}
+		round()
+		if got := testing.AllocsPerRun(50, round); got != 2*n {
+			t.Errorf("%d writes and the served pull that carries them: %v allocs, want %d (the copies and the decoded objects)", n, got, 2*n)
+		}
+	})
+}

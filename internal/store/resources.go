@@ -371,14 +371,21 @@ func encodeEvents(e *wire.Encoder, evs []Event) {
 // decodeEvents reads a length-prefixed event slice. An event whose object
 // does not decode (a kind this build does not know) is skipped rather than
 // failing the pull: the stream stays alive and resync heals what was missed.
-func decodeEvents(d *wire.Decoder) []Event {
+func decodeEvents(d *wire.Decoder) []Event { return decodeEventsInto(d, nil) }
+
+// decodeEventsInto is decodeEvents appending to buf, an empty slice whose
+// storage the caller lends. A message that does not decode leaves it empty.
+func decodeEventsInto(d *wire.Decoder, buf []Event) []Event {
 	n := int(d.U32())
-	out := make([]Event, 0, min(n, d.Remaining()/(1+8+minResourceLen)))
+	out := buf
+	if hint := min(n, d.Remaining()/(1+8+minResourceLen)); cap(out) < hint {
+		out = make([]Event, 0, hint)
+	}
 	for i := 0; i < n; i++ {
 		ev := Event{Type: EventType(d.U8()), RV: d.U64()}
 		r, err := readResource(d)
 		if d.Err() != nil {
-			return nil
+			return buf
 		}
 		if ev.Type != Gap { // a Gap carries no object
 			if err != nil {

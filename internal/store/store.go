@@ -540,7 +540,7 @@ func (s *Store) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
 	if fromRV < ks.truncatedAtRV {
 		backlog = s.relist(ks)
 	} else {
-		backlog, _ = s.replay(ks, fromRV, 0)
+		backlog, _ = s.replay(ks, fromRV, 0, nil)
 	}
 	for _, ev := range backlog {
 		s.watchSends.Inc()
@@ -552,17 +552,18 @@ func (s *Store) Watch(p *sim.Proc, kind Kind, fromRV uint64) (*Watch, error) {
 }
 
 // replay returns the kind's logged events after fromRV as they were logged,
-// at most max of them when max > 0; more reports that the log holds further
-// matching events beyond those returned. The log is ascending in RV, so the
-// start is found by binary search over its logical indexes. Only valid while
+// at most max of them when max > 0, in out, an empty slice whose storage the
+// caller lends; more reports that the log holds further matching events
+// beyond those returned. The log is ascending in RV, so the start is found
+// by binary search over its logical indexes. Only valid while
 // fromRV >= ks.truncatedAtRV.
-func (s *Store) replay(ks *keyspace, fromRV uint64, max int) (out []Event, more bool) {
+func (s *Store) replay(ks *keyspace, fromRV uint64, max int, out []Event) (_ []Event, more bool) {
 	oldest := s.logOldest()
 	i := oldest + uint64(sort.Search(int(s.logged-oldest), func(i int) bool {
 		return s.logAt(oldest+uint64(i)).ev.RV > fromRV
 	}))
-	// Count first: the range may be mostly other kinds' events, and out is
-	// allocated once at the size it ends up with.
+	// Count first: the range may be mostly other kinds' events, and out
+	// grows at most once, to the size it ends up with.
 	n := 0
 	for j := i; j < s.logged; j++ {
 		if s.logAt(j).ks != ks {
@@ -575,9 +576,11 @@ func (s *Store) replay(ks *keyspace, fromRV uint64, max int) (out []Event, more 
 		n++
 	}
 	if n == 0 {
-		return nil, false
+		return out, false
 	}
-	out = make([]Event, 0, n)
+	if cap(out) < n {
+		out = make([]Event, 0, n)
+	}
 	for ; len(out) < n; i++ {
 		if e := s.logAt(i); e.ks == ks {
 			out = append(out, e.ev)
@@ -603,8 +606,15 @@ func (s *Store) relist(ks *keyspace) []Event {
 // PullEvents is the long-poll form of Watch used by the remote protocol:
 // it returns up to max events after fromRV, blocking up to wait for the
 // first one, plus the store's current RV as the next poll position. The
-// events are shared like a Watch's.
+// events are shared like a Watch's; the slice is the caller's.
 func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait time.Duration) ([]Event, uint64, error) {
+	return s.pullEvents(p, kind, fromRV, max, wait, nil)
+}
+
+// pullEvents is PullEvents replaying into buf, an empty slice whose storage
+// the caller lends; it comes back empty when no event does. A relist still
+// goes out in a slice of its own.
+func (s *Store) pullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait time.Duration, buf []Event) ([]Event, uint64, error) {
 	ks := s.keyspace(kind)
 	if ks == nil {
 		return nil, 0, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, kind)
@@ -619,7 +629,7 @@ func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait 
 			// its tail, the consumer's next position being past all of it.
 			return s.relist(ks), s.rv, nil
 		}
-		evs, more := s.replay(ks, fromRV, max)
+		evs, more := s.replay(ks, fromRV, max, buf)
 		if more {
 			// A trimmed replay resumes cleanly from the last delivered RV.
 			return evs, evs[len(evs)-1].RV, nil
@@ -633,10 +643,10 @@ func (s *Store) PullEvents(p *sim.Proc, kind Kind, fromRV uint64, max int, wait 
 		fromRV = s.rv
 		remaining := deadline - p.Now()
 		if wait <= 0 || remaining <= 0 {
-			return nil, s.rv, nil
+			return buf, s.rv, nil
 		}
 		if ks.pulls.WaitTimeout(p, remaining) {
-			return nil, s.rv, nil
+			return buf, s.rv, nil
 		}
 	}
 }
