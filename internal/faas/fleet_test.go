@@ -7,10 +7,13 @@ import (
 	"time"
 
 	"dgsf/internal/controller"
+	"dgsf/internal/cuda"
 	"dgsf/internal/gpuserver"
+	"dgsf/internal/guest"
 	"dgsf/internal/metrics"
 	"dgsf/internal/modelcache"
 	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/gen"
 	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 	"dgsf/internal/store"
@@ -417,6 +420,86 @@ func TestFleetAllocsPerInvocation(t *testing.T) {
 	t.Logf("%.2f allocations per fleet invocation", perInvocation)
 	if perInvocation > fleetAllocsCeiling {
 		t.Errorf("%.2f allocations per fleet invocation, ceiling %v", perInvocation, fleetAllocsCeiling)
+	}
+}
+
+// mixBytesCeiling is TestMixBytesPerInvocation's bound, in host bytes per
+// invocation: ≈ 14 KB when it was set, ≈ 457 KB while each library regrew
+// its batch's ops and encoder from nothing.
+const mixBytesCeiling = 32 << 10
+
+// batchedFn returns a function shaped like the paper's inference loops:
+// rounds of launches that the batching tier defers, each round ended by a
+// synchronizing call that flushes them as one batch.
+func batchedFn(name string, rounds, launches int) *Function {
+	return &Function{
+		Name:          name,
+		GPUMem:        1 << 30,
+		DownloadBytes: 10e6,
+		Run: func(p *sim.Proc, api gen.API) error {
+			fns, err := api.RegisterKernels(p, []string{"layer"})
+			if err != nil {
+				return err
+			}
+			buf, err := api.Malloc(p, 1<<20)
+			if err != nil {
+				return err
+			}
+			lp := cuda.LaunchParams{Fn: fns[0], Grid: [3]int{64, 1, 1}, Block: [3]int{256, 1, 1}, Duration: 20 * time.Microsecond, Mutates: []cuda.DevPtr{buf}}
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < launches; i++ {
+					if err := api.LaunchKernel(p, lp); err != nil {
+						return err
+					}
+				}
+				if err := api.DeviceSynchronize(p); err != nil {
+					return err
+				}
+			}
+			return api.Free(p, buf)
+		},
+	}
+}
+
+// TestMixBytesPerInvocation is a ceiling on the host bytes one invocation
+// allocates in a warm Table III-style mix: a faas.Backend on shared GPUs at
+// OptAll, whose functions batch hundreds of launches per round. A library
+// that regrows its batch storage from nothing — the ops slice, the encoder
+// of a batch past the wire pool's largest class — lifts it past the ceiling.
+func TestMixBytesPerInvocation(t *testing.T) {
+	if wire.RaceEnabled {
+		t.Skip("race detector drops sync.Pool items; alloc counts are meaningless")
+	}
+	const warm, n = 8, 24
+	fns := []*Function{batchedFn("a", 4, 512), batchedFn("b", 8, 300), batchedFn("c", 2, 800)}
+	var perInvocation float64
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		env := fastEnv()
+		env.GuestOpt = guest.OptAll
+		b := NewBackend(e, testGS(e, p, 2, 2), env)
+		submit := func(k int) {
+			for i := 0; i < k; i++ {
+				b.Submit(p, fns[i%len(fns)])
+				p.Sleep(20 * time.Millisecond)
+			}
+			b.Drain(p)
+		}
+		submit(warm)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		submit(n)
+		runtime.ReadMemStats(&after)
+		perInvocation = float64(after.TotalAlloc-before.TotalAlloc) / n
+		for _, inv := range b.Invocations() {
+			if inv.Err != nil {
+				t.Errorf("invocation %d: %v", inv.Seq, inv.Err)
+			}
+		}
+	})
+	t.Logf("%.0f host bytes per invocation", perInvocation)
+	if perInvocation > mixBytesCeiling {
+		t.Errorf("%.0f host bytes per invocation, ceiling %d", perInvocation, mixBytesCeiling)
 	}
 }
 

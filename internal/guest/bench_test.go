@@ -51,6 +51,20 @@ func BenchmarkLaunchKernel_OptAll(b *testing.B) {
 	})
 }
 
+// BenchmarkBatch512_FreshLib is one function's batch at the batching tier: a
+// fresh library defers 512 launches and flushes them as one round trip. What
+// it allocates beyond the library itself is batch storage regrown per
+// library.
+func BenchmarkBatch512_FreshLib(b *testing.B) {
+	benchGuest(b, func(p *sim.Proc) {
+		conn := &fixedReply{}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			deferLaunches(p, New(conn, OptAll), 512, benchLaunch)
+		}
+	})
+}
+
 // BenchmarkLaunchKernel_Async is the pipelined tier's launch: a one-way
 // submission, with a synchronizing call (fence + round trip) per 64.
 func BenchmarkLaunchKernel_Async(b *testing.B) {

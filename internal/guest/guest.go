@@ -110,9 +110,11 @@ type Lib struct {
 	localCost  time.Duration // CPU cost of a locally-answered call
 
 	// The pending batch (OptBatching): calls deferred since the last flush,
-	// encoded when it ships. scratch holds one one-way submission at a time,
-	// encoded before it is copied out; it starts at scratchSize.
-	pending []op
+	// encoded when it ships, in storage taken from the free list at the
+	// first deferred call and given back by the flush; nil while nothing is
+	// pending. scratch holds one one-way submission at a time, encoded
+	// before it is copied out; it starts at scratchSize.
+	batch   *batch
 	scratch wire.Encoder
 
 	// Crash recovery (NewRecoverable only; nil rec disables everything).

@@ -2,6 +2,8 @@ package guest
 
 import (
 	"fmt"
+	"sync"
+	"unsafe"
 
 	"dgsf/internal/cuda"
 	"dgsf/internal/cudalibs"
@@ -145,7 +147,10 @@ func (l *Lib) submit(p *sim.Proc, o *op) error {
 	case laneBatch:
 		l.stats.Total++
 		l.stats.Batched++
-		l.pending = append(l.pending, *o)
+		if l.batch == nil {
+			l.batch = takeBatch()
+		}
+		l.batch.ops = append(l.batch.ops, *o)
 		return nil
 	}
 	err := l.sync(p, func(p *sim.Proc) error {
@@ -208,9 +213,8 @@ func (l *Lib) attempt(p *sim.Proc, budget int, do func(p *sim.Proc) error) error
 	return err
 }
 
-// roundtripStatus sends the message app encodes and returns the status code
-// that opens every reply: a call's CUDA status, a batch's first failure, a
-// fence's latched asynchronous error.
+// roundtripStatus sends the message app encodes, in a pooled encoder, and
+// returns the status code that opens its reply.
 func (l *Lib) roundtripStatus(p *sim.Proc, reqData int64, app func(e *wire.Encoder)) (int, error) {
 	enc := wire.GetEncoder()
 	app(enc)
@@ -220,9 +224,15 @@ func (l *Lib) roundtripStatus(p *sim.Proc, reqData int64, app func(e *wire.Encod
 		return 0, err
 	}
 	wire.PutEncoder(enc)
+	return replyStatus(resp)
+}
+
+// replyStatus decodes the status code that opens every reply: a call's CUDA
+// status, a batch's first failure, a fence's latched asynchronous error.
+func replyStatus(resp []byte) (int, error) {
 	d := wire.GetDecoder(resp)
 	code := int(d.I32())
-	err = d.Err()
+	err := d.Err()
 	wire.PutDecoder(d)
 	return code, err
 }
@@ -236,42 +246,112 @@ func (l *Lib) faultCode() int {
 	return -1
 }
 
+// batch is a pending batch's storage: the deferred ops, and the encoder
+// their CallBatch message is built in. It outlives the library that filled
+// it — the flush gives it back to the free list — so a fresh library's batch
+// fills a slice and an encoder that earlier batches have already grown.
+type batch struct {
+	ops []op
+	enc wire.Encoder
+}
+
+// size is the memory b keeps while it waits in the free list.
+func (b *batch) size() int { return cap(b.ops)*int(unsafe.Sizeof(op{})) + cap(b.enc.Bytes()) }
+
+// What the free list of batches keeps. A batch is taken only while a
+// function has calls deferred, so live functions bound how many are out at
+// once; a batch of 512 launches keeps ≈ 150 KB.
+const (
+	maxFreeBatches    = 16
+	maxFreeBatchBytes = 4 << 20
+)
+
+// batches is the free list of batch storage. Like the wire payload pool it is
+// a plain list under a lock, not a sync.Pool: the collector does not empty
+// it, so a run's allocation count repeats from run to run.
+var batches struct {
+	mu    sync.Mutex
+	free  [maxFreeBatches]*batch
+	n     int
+	bytes int
+}
+
+// takeBatch returns empty batch storage, from the free list when it has any.
+func takeBatch() *batch {
+	batches.mu.Lock()
+	defer batches.mu.Unlock()
+	if batches.n == 0 {
+		return new(batch)
+	}
+	batches.n--
+	b := batches.free[batches.n]
+	batches.free[batches.n] = nil
+	batches.bytes -= b.size()
+	return b
+}
+
+// putBatch gives b back once its flush is over. Its ops are cleared first, so
+// that the application's borrowed Mutates slices are not kept reachable.
+// Storage the list has no room for is left to the collector.
+func putBatch(b *batch) {
+	clear(b.ops)
+	b.ops = b.ops[:0]
+	n := b.size()
+	batches.mu.Lock()
+	defer batches.mu.Unlock()
+	if batches.n < maxFreeBatches && batches.bytes+n <= maxFreeBatchBytes {
+		batches.free[batches.n] = b
+		batches.n++
+		batches.bytes += n
+	}
+}
+
 // FlushBatch ships the pending batch, if any, as one round trip; after a
 // recovery the whole batch is encoded again and retried (batched calls are
 // the idempotent kind). Errors from batched calls surface through
 // GetLastError, like asynchronous CUDA errors.
 func (l *Lib) FlushBatch(p *sim.Proc) {
-	if len(l.pending) == 0 {
+	b := l.batch
+	if b == nil {
 		return
 	}
 	l.stats.Batches++
 	var code int
-	err := l.attempt(p, maxCallRecoveries, func(p *sim.Proc) (err error) {
-		code, err = l.roundtripStatus(p, 0, l.encodeBatch)
-		return
+	err := l.attempt(p, maxCallRecoveries, func(p *sim.Proc) error {
+		b.enc.Reset()
+		l.encodeBatch(&b.enc, b.ops)
+		resp, err := l.cl.T.Roundtrip(p, b.enc.Bytes(), 0)
+		if err != nil {
+			// The transport may still hold the request: its bytes stay
+			// with it, and a retry encodes into fresh ones.
+			b.enc = wire.Encoder{}
+			return err
+		}
+		code, err = replyStatus(resp)
+		return err
 	})
 	if err != nil {
 		l.lastError = l.faultCode()
 	} else {
-		for i := range l.pending {
-			l.confirmed(&l.pending[i])
+		for i := range b.ops {
+			l.confirmed(&b.ops[i])
 		}
 		if code != 0 {
 			l.lastError = code
 		}
 	}
-	clear(l.pending) // drop the borrowed Mutates slices
-	l.pending = l.pending[:0]
+	l.batch = nil
+	putBatch(b)
 }
 
-// encodeBatch appends the CallBatch message of the pending ops: a count, then
-// each call as a length-prefixed field, encoded in place.
-func (l *Lib) encodeBatch(e *wire.Encoder) {
+// encodeBatch appends the CallBatch message of ops: a count, then each call
+// as a length-prefixed field, encoded in place.
+func (l *Lib) encodeBatch(e *wire.Encoder, ops []op) {
 	e.U16(remoting.CallBatch)
-	e.U32(uint32(len(l.pending)))
-	for i := range l.pending {
+	e.U32(uint32(len(ops)))
+	for i := range ops {
 		at := e.OpenField()
-		l.encodeOp(e, &l.pending[i])
+		l.encodeOp(e, &ops[i])
 		e.CloseField(at)
 	}
 }
