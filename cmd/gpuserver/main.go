@@ -47,7 +47,6 @@ func main() {
 				ID:          id,
 				HomeDev:     g,
 				PoolHandles: !*noPrewarm,
-				CUDACosts:   cuda.DefaultCosts(),
 				LibCosts:    cudalibs.DefaultCosts(),
 			})
 			servers = append(servers, srv)

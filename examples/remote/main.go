@@ -26,7 +26,6 @@ func main() {
 	rt := cuda.NewRuntime(serverEngine, devs, cuda.DefaultCosts())
 	srv := apiserver.NewServer(serverEngine, rt, apiserver.Config{
 		PoolHandles: true,
-		CUDACosts:   cuda.DefaultCosts(),
 		LibCosts:    cudalibs.DefaultCosts(),
 	})
 	<-serverEngine.Inject("prewarm", func(p *sim.Proc) {

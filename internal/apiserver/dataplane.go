@@ -57,7 +57,7 @@ func (s *Server) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (uint64, in
 	if sess.persistPtr == ptr {
 		sess.persistPtr = 0
 	}
-	x := pl.Export(sess.fnID, strings.Clone(tag), a)
+	x := pl.Export(strings.Clone(tag), a)
 	return x.ID(), size, nil
 }
 
@@ -196,7 +196,6 @@ func (s *Server) ModelBroadcast(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 			}
 			gpu.CopyD2D(p, dst, src)
 			pl.NoteBroadcastClone()
-			c.NoteBroadcast(false)
 			return ptr, size, dataplane.SrcClone, nil
 		}
 		// Another session is staging the model right now: wait for its seed
@@ -227,7 +226,6 @@ func (s *Server) ModelBroadcast(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 	}
 	pl.SetBroadcastSource(key.Name, a)
 	sess.bcastPtr, sess.bcastKey = ptr, key.Name
-	c.NoteBroadcast(true)
 	return ptr, bytes, dataplane.SrcHostSeed, nil
 }
 

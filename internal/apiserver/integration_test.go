@@ -26,13 +26,18 @@ type rig struct {
 // newRig builds a GPU-server-side runtime over n fast devices, starts an API
 // server daemon and connects a guest at the given optimization tier.
 func newRig(e *sim.Engine, p *sim.Proc, n int, cfg Config, opt guest.Opt) *rig {
+	return newCostRig(e, p, n, cfg, cuda.Costs{}, opt)
+}
+
+// newCostRig is newRig with the runtime's CUDA costs.
+func newCostRig(e *sim.Engine, p *sim.Proc, n int, cfg Config, costs cuda.Costs, opt guest.Opt) *rig {
 	devs := make([]*gpu.Device, n)
 	for i := range devs {
 		c := gpu.V100Config(i)
 		c.CopyLat, c.KernelLat = 0, 0
 		devs[i] = gpu.New(e, c)
 	}
-	rt := cuda.NewRuntime(e, devs, cfg.CUDACosts)
+	rt := cuda.NewRuntime(e, devs, costs)
 	srv := NewServer(e, rt, cfg)
 	p.SpawnDaemon("apiserver", srv.Run)
 	conn := remoting.Dial(e, &remoting.Listener{Incoming: srv.Inbox}, remoting.NetProfile{RTT: 50 * time.Microsecond})
@@ -117,8 +122,8 @@ func TestPrewarmRemovesInitFromCriticalPath(t *testing.T) {
 	run := func(pool bool) (hello, dnn time.Duration) {
 		e := sim.NewEngine(1)
 		e.Run("root", func(p *sim.Proc) {
-			cfg := Config{PoolHandles: pool, CUDACosts: costs, LibCosts: libCosts}
-			r := newRig(e, p, 1, cfg, guest.OptAll)
+			cfg := Config{PoolHandles: pool, LibCosts: libCosts}
+			r := newCostRig(e, p, 1, cfg, costs, guest.OptAll)
 			// Let the server finish pre-warming before the function arrives.
 			p.Sleep(10 * time.Second)
 			start := p.Now()
@@ -393,8 +398,8 @@ func TestPooledHandlesSurviveSessions(t *testing.T) {
 	costs.InitJitter = 0
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		cfg := Config{PoolHandles: true, CUDACosts: costs, LibCosts: cudalibs.DefaultCosts()}
-		r := newRig(e, p, 1, cfg, guest.OptAll)
+		cfg := Config{PoolHandles: true, LibCosts: cudalibs.DefaultCosts()}
+		r := newCostRig(e, p, 1, cfg, costs, guest.OptAll)
 		p.Sleep(10 * time.Second) // prewarm
 		for i := 0; i < 3; i++ {
 			if err := r.lib.Hello(p, "fn", 1<<30); err != nil {

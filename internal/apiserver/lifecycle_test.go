@@ -99,7 +99,7 @@ func runLifecycle(t *testing.T, hops []int, end string, wantNow time.Duration) {
 		for i := range devs {
 			devs[i] = gpu.New(e, gpu.V100Config(i))
 		}
-		srv := NewServer(e, cuda.NewRuntime(e, devs, costs), Config{PoolHandles: true, CUDACosts: costs, LibCosts: cudalibs.DefaultCosts()})
+		srv := NewServer(e, cuda.NewRuntime(e, devs, costs), Config{PoolHandles: true, LibCosts: cudalibs.DefaultCosts()})
 		var exited time.Duration
 		p.SpawnDaemon("apiserver", func(p *sim.Proc) {
 			srv.Run(p)
@@ -328,7 +328,7 @@ func TestPooledHandlesFollowTheServer(t *testing.T) {
 	costs.InitJitter = 0
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
-		r := newRig(e, p, 2, Config{PoolHandles: true, CUDACosts: costs, LibCosts: cudalibs.DefaultCosts()}, guest.OptNone)
+		r := newCostRig(e, p, 2, Config{PoolHandles: true, LibCosts: cudalibs.DefaultCosts()}, costs, guest.OptNone)
 		p.Sleep(10 * time.Second) // prewarm
 		home := r.devs[0].UsedBytes()
 		if err := r.lib.Hello(p, "fn", 1<<30); err != nil {

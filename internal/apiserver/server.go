@@ -47,6 +47,8 @@ type Config struct {
 	// server starts, not when a function first needs them.
 	PoolHandles bool
 
+	// CUDACosts is unread: the costs reach the server through its
+	// cuda.Runtime. It stays until bench/ stops setting it.
 	CUDACosts cuda.Costs
 	LibCosts  cudalibs.Costs
 

@@ -25,10 +25,8 @@ type Result struct {
 	Violations []Violation
 
 	Invocations int // submissions or chains completed
-	Failed      int // invocations that ended with an error
 	Recoveries  int // guest recovery episodes
 	Fallbacks   int // chains that fell back to the host bounce (pipeline)
-	GPUChains   int // chains that completed GPU-side (pipeline)
 	Hang        bool
 }
 

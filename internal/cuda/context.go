@@ -62,7 +62,7 @@ func newContext(p *sim.Proc, rt *Runtime, dev *gpu.Device) (*Context, error) {
 		}
 		ctx.ctxMem = m
 	}
-	ctx.defStream = newStream(p, ctx, 0)
+	ctx.defStream = newStream(p, rt.e)
 	return ctx, nil
 }
 

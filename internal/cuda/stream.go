@@ -12,8 +12,6 @@ import (
 // asynchronously with respect to the issuing CPU thread. Each stream is
 // serviced by a daemon process that executes ops on the context's device.
 type Stream struct {
-	ctx     *Context
-	handle  StreamHandle
 	q       *sim.Queue[streamOp]
 	pending int
 	idle    *sim.Cond
@@ -67,13 +65,10 @@ func (op *streamOp) run(p *sim.Proc) {
 	}
 }
 
-func newStream(p *sim.Proc, ctx *Context, h StreamHandle) *Stream {
-	e := ctx.rt.e
+func newStream(p *sim.Proc, e *sim.Engine) *Stream {
 	s := &Stream{
-		ctx:    ctx,
-		handle: h,
-		q:      sim.NewQueue[streamOp](e),
-		idle:   sim.NewCond(e),
+		q:    sim.NewQueue[streamOp](e),
+		idle: sim.NewCond(e),
 	}
 	p.SpawnDaemon("cuda-stream", s.worker)
 	return s
@@ -121,7 +116,7 @@ func (c *Context) StreamCreate(p *sim.Proc) (StreamHandle, error) {
 		return 0, err
 	}
 	h := StreamHandle(c.handle())
-	c.streams[h] = newStream(p, c, h)
+	c.streams[h] = newStream(p, c.rt.e)
 	return h, nil
 }
 
@@ -235,8 +230,6 @@ func (c *Context) LaunchKernel(p *sim.Proc, lp LaunchParams) error {
 
 // Event is a CUDA event.
 type Event struct {
-	handle   EventHandle
-	ctx      *Context
 	recorded bool // Record was issued
 	done     bool // the recording op has executed
 	at       time.Duration
@@ -250,7 +243,7 @@ func (c *Context) EventCreate(p *sim.Proc) (EventHandle, error) {
 		return 0, err
 	}
 	h := EventHandle(c.handle())
-	c.events[h] = &Event{handle: h, ctx: c, cond: sim.NewCond(c.rt.e)}
+	c.events[h] = &Event{cond: sim.NewCond(c.rt.e)}
 	return h, nil
 }
 

@@ -31,7 +31,7 @@ func BenchmarkExportImportDrop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		x := pl.Export("fn", "t", a)
+		x := pl.Export("t", a)
 		f.BeginImport(x)
 		if !f.EndImport(x) {
 			b.Fatal("export must drop on last EndImport")
@@ -49,7 +49,7 @@ func BenchmarkFabricLookup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ids[i] = pl.Export("fn", "t", a).ID()
+		ids[i] = pl.Export("t", a).ID()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -333,7 +333,6 @@ func (pl *Plane) Failed() bool { return pl.failed }
 type Export struct {
 	id   uint64
 	pl   *Plane
-	fn   string
 	tag  string
 	phys *gpu.PhysAlloc
 
@@ -363,9 +362,9 @@ func (x *Export) LocalTo(pl *Plane) bool { return x.pl == pl }
 func (x *Export) SourceFailed() bool { return x.pl.failed }
 
 // Export publishes a detached allocation under a fresh fabric-wide ID.
-func (pl *Plane) Export(fnID, tag string, phys *gpu.PhysAlloc) *Export {
+func (pl *Plane) Export(tag string, phys *gpu.PhysAlloc) *Export {
 	pl.f.nextID++
-	x := &Export{id: pl.f.nextID, pl: pl, fn: fnID, tag: tag, phys: phys}
+	x := &Export{id: pl.f.nextID, pl: pl, tag: tag, phys: phys}
 	pl.f.exports[x.id] = x
 	pl.f.reg.Counter(CtrExports).Inc()
 	return x

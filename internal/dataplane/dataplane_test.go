@@ -27,7 +27,7 @@ func TestExportImportLifecycle(t *testing.T) {
 		pl := f.NewPlane("gpu-0")
 		a := testAlloc(t, e, 64<<20)
 
-		x := pl.Export("fn", "boxes", a)
+		x := pl.Export("boxes", a)
 		if x.ID() == 0 {
 			t.Fatal("export ID must be nonzero")
 		}
@@ -66,7 +66,7 @@ func TestConsumeFreesWithoutMappings(t *testing.T) {
 		a := testAlloc(t, e, 1<<20)
 		dev := a.Device()
 
-		x := pl.Export("fn", "t", a)
+		x := pl.Export("t", a)
 		f.Consume(x)
 		if _, ok := f.Lookup(x.ID()); ok {
 			t.Fatal("consumed export with no mappings must drop immediately")
@@ -82,7 +82,7 @@ func TestPlaneFailMarksExportsUnreachable(t *testing.T) {
 	e.Run("test", func(p *sim.Proc) {
 		f := NewFabric(DefaultConfig(), nil)
 		pl := f.NewPlane("gpu-0")
-		x := pl.Export("fn", "t", testAlloc(t, e, 1<<20))
+		x := pl.Export("t", testAlloc(t, e, 1<<20))
 
 		pl.Fail()
 		if !pl.Failed() {
@@ -195,8 +195,8 @@ func TestPlaneFailIdempotent(t *testing.T) {
 		reg := metrics.NewRegistry()
 		f := NewFabric(DefaultConfig(), reg)
 		pl := f.NewPlane("gpu-0")
-		free := pl.Export("fn", "unmapped", testAlloc(t, e, 1<<20))
-		held := pl.Export("fn", "mapped", testAlloc(t, e, 1<<20))
+		free := pl.Export("unmapped", testAlloc(t, e, 1<<20))
+		held := pl.Export("mapped", testAlloc(t, e, 1<<20))
 		f.BeginImport(held)
 
 		pl.BeginSeed(p, "model")

@@ -38,7 +38,6 @@ func APIServer(p *sim.Proc, gpus int, pool bool) *apiserver.Server {
 	}
 	srv := apiserver.NewServer(e, cuda.NewRuntime(e, devs, cuda.DefaultCosts()), apiserver.Config{
 		PoolHandles: pool,
-		CUDACosts:   cuda.DefaultCosts(),
 		LibCosts:    cudalibs.DefaultCosts(),
 	})
 	if pool {

@@ -28,14 +28,12 @@ type FaultsResult struct {
 	Invocations int
 	Failed      int // invocations that ended with an error
 	Recovered   int // invocations that recovered at least once
-	Recoveries  int // total recovery episodes across invocations
 	Shed        int // invocations refused for (degraded) capacity reasons
 
 	// Injection counters, from the injector.
 	Killed    int // API server crashes
 	FailedGS  int // whole-GPU-server failures
 	Dropped   int // connections severed
-	Stalled   int // connections stalled past the call deadline
 	Corrupted int // connections with an injected corrupt frame
 
 	ProviderE2E time.Duration
@@ -166,14 +164,12 @@ func runFaultScenario(seed int64, sc faultScenario) FaultsResult {
 			if inv.Recoveries > 0 {
 				res.Recovered++
 			}
-			res.Recoveries += inv.Recoveries
 		}
 		res.ProviderE2E = backend.ProviderEndToEnd()
 		res.E2ESum = backend.E2ESum()
 		res.Killed = inj.Killed
 		res.FailedGS = inj.Failed
 		res.Dropped = inj.Dropped
-		res.Stalled = inj.Stalled
 		res.Corrupted = inj.Corrupted
 	})
 	return res
@@ -232,14 +228,12 @@ func runPipelineFaultScenario(seed int64, sc faultScenario) FaultsResult {
 			if recov > 0 {
 				res.Recovered++
 			}
-			res.Recoveries += recov
 			res.E2ESum += r.E2E()
 		}
 		res.ProviderE2E = p.Now() - start
 		res.Killed = inj.Killed
 		res.FailedGS = inj.Failed
 		res.Dropped = inj.Dropped
-		res.Stalled = inj.Stalled
 		res.Corrupted = inj.Corrupted
 	})
 	return res

@@ -37,7 +37,6 @@ type MixResult struct {
 	E2ESum      time.Duration // sum of every function's end-to-end time
 	PerFn       map[string]faas.FnSummary
 	MeanUtil    float64 // average GPU utilization across devices, %
-	Migrations  int
 }
 
 // MixConfig parameterizes a mixed-workload run.
@@ -76,7 +75,6 @@ func RunMix(seed int64, cfg MixConfig) MixResult {
 		res.ProviderE2E = backend.ProviderEndToEnd()
 		res.E2ESum = backend.E2ESum()
 		res.PerFn = backend.PerFunction()
-		res.Migrations = gs.Migrations()
 		res.MeanUtil = deploy.MeanUtil(gs, start, p.Now())
 	})
 	return res

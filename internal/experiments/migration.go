@@ -124,11 +124,10 @@ func runMicro(seed int64, bytes int64) (nativeE2E, dgsfE2E, migratedE2E, migDur 
 
 // Fig8Result is one configuration of the Figure 8 scenario.
 type Fig8Result struct {
-	Config      string
-	Total       time.Duration // time to finish all four functions
-	Migrations  int
-	UtilSeries  [][]gpu.Sample // per GPU, moving average window 5
-	PerWorkload map[string]time.Duration
+	Config     string
+	Total      time.Duration // time to finish all four functions
+	Migrations int
+	UtilSeries [][]gpu.Sample // per GPU, moving average window 5
 }
 
 // Figure8 reproduces the §VIII-E migration case study: two NLP and two
@@ -152,7 +151,7 @@ func Figure8(seed int64) []Fig8Result {
 	}
 	var out []Fig8Result
 	for _, c := range configs {
-		r := Fig8Result{Config: c.name, PerWorkload: map[string]time.Duration{}}
+		r := Fig8Result{Config: c.name}
 		e := sim.NewEngine(seed)
 		e.Run("fig8", func(p *sim.Proc) {
 			gs := deploy.GPUServer(p, func(g *gpuserver.Config) {
@@ -180,9 +179,6 @@ func Figure8(seed int64) []Fig8Result {
 			backend.Drain(p)
 			r.Total = p.Now() - start
 			r.Migrations = gs.Migrations()
-			for name, s := range backend.PerFunction() {
-				r.PerWorkload[name] = s.MeanE2E()
-			}
 			deploy.MustSucceed("fig8 "+c.name, backend.Invocations())
 			for _, s := range gs.Samplers() {
 				r.UtilSeries = append(r.UtilSeries, s.MovingAverage(5))

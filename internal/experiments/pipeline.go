@@ -46,8 +46,6 @@ type PipelineResult struct {
 	// Part A: same-server chain.
 	SameHandoff time.Duration
 	SameBounce  time.Duration
-	Exports     int64
-	Imports     int64
 	BypassHits  int64
 	Fallbacks   int64
 
@@ -77,8 +75,6 @@ func RunPipeline(seed int64) PipelineResult {
 	remoting.PublishWireStats(reg, remoting.SnapshotWireStats().Sub(wireStart))
 	bounce, _ := runPipelineChain(seed, pipelineChainOpts{forceBounce: true})
 	res.SameHandoff, res.SameBounce = handoff, bounce
-	res.Exports = reg.Get(dataplane.CtrExports)
-	res.Imports = reg.Get(dataplane.CtrImports)
 	res.BypassHits = reg.Get(dataplane.CtrBypassHits)
 	res.Fallbacks = reg.Get(dataplane.CtrFallbacks)
 	res.MetricsTable = reg.String()

@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"dgsf/internal/dataplane"
+)
 
 // TestPipelineAcceptance asserts the experiment's headline claims on seed 1
 // (CI runs the binary across seeds 1, 2, 3 and 7): GPU-side handoff strictly
@@ -8,8 +13,7 @@ import "testing"
 // every RTT, and an N-way fan-out costs exactly one host-staged model read.
 func TestPipelineAcceptance(t *testing.T) {
 	r := RunPipeline(1)
-	t.Logf("same-server: handoff %v bounce %v (exports %d imports %d bypass %d)",
-		r.SameHandoff, r.SameBounce, r.Exports, r.Imports, r.BypassHits)
+	t.Logf("same-server: handoff %v bounce %v (bypass %d)", r.SameHandoff, r.SameBounce, r.BypassHits)
 
 	if r.SameHandoff >= r.SameBounce {
 		t.Errorf("same-server handoff %v not below bounce %v", r.SameHandoff, r.SameBounce)
@@ -20,8 +24,10 @@ func TestPipelineAcceptance(t *testing.T) {
 	if r.Fallbacks != 0 {
 		t.Errorf("healthy run recorded %d fallbacks", r.Fallbacks)
 	}
-	if r.Exports == 0 || r.Imports == 0 {
-		t.Errorf("data plane unused: exports=%d imports=%d", r.Exports, r.Imports)
+	for _, ctr := range []string{dataplane.CtrExports, dataplane.CtrImports} {
+		if !strings.Contains(r.MetricsTable, ctr+" ") || strings.Contains(r.MetricsTable, ctr+" 0\n") {
+			t.Errorf("data plane unused: %s is zero in\n%s", ctr, r.MetricsTable)
+		}
 	}
 
 	if len(r.Cross) == 0 {
@@ -58,8 +64,8 @@ func TestPipelineFaultScenario(t *testing.T) {
 			continue
 		}
 		r := runFaultScenario(1, sc)
-		t.Logf("%s: invs=%d failed=%d gpu=%d fallback=%d recoveries=%d",
-			r.Scenario, r.Invocations, r.Failed, r.GPUChains, r.Fallbacks, r.Recoveries)
+		t.Logf("%s: invs=%d failed=%d gpu=%d fallback=%d recovered=%d",
+			r.Scenario, r.Invocations, r.Failed, r.GPUChains, r.Fallbacks, r.Recovered)
 		if r.Failed != 0 {
 			t.Errorf("%s: %d chains failed, want 0", r.Scenario, r.Failed)
 		}

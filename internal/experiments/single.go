@@ -31,7 +31,6 @@ const (
 
 // SingleResult is the outcome of one single-workload run.
 type SingleResult struct {
-	Workload  string
 	Mode      Mode
 	Phases    workloads.Phases
 	Total     time.Duration
@@ -43,7 +42,7 @@ type SingleResult struct {
 // and returns its phase breakdown. forceMigration, valid for DGSF modes,
 // injects one API-server migration mid-processing and records its duration.
 func RunSingle(seed int64, spec *workloads.Spec, mode Mode, forceMigration bool) SingleResult {
-	res := SingleResult{Workload: spec.Name, Mode: mode}
+	res := SingleResult{Mode: mode}
 	if mode == ModeCPU {
 		// Six-vCPU container, no GPU: the measured CPU runtime (§VIII-B).
 		res.Total = spec.CPUOnlyRuntime
@@ -222,7 +221,6 @@ func runTier(seed int64, spec *workloads.Spec, tier Tier) SingleResult {
 	}
 	// Custom combinations: pool on the server; guest tier per step.
 	var res SingleResult
-	res.Workload = spec.Name
 	res.Mode = Mode(tier)
 	env := faas.OpenFaaSEnv()
 	switch tier {

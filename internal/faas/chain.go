@@ -44,8 +44,7 @@ type ChainSpec struct {
 type ChainResult struct {
 	Producer *Invocation
 	Consumer *Invocation
-	Mode     dataplane.HandoffMode // mode of the attempt that finished
-	FellBack bool                  // GPU-side attempt failed; re-ran as bounce
+	FellBack bool // GPU-side attempt failed; re-ran as bounce
 	Start    time.Duration
 	Done     time.Duration
 	Err      error
@@ -63,7 +62,6 @@ func (b *Backend) InvokeChain(p *sim.Proc, spec ChainSpec) *ChainResult {
 	res := &ChainResult{Start: p.Now()}
 	if spec.Handoff != nil && !spec.ForceBounce {
 		if b.chainGPU(p, spec, res) {
-			res.Mode = dataplane.HandoffGPU
 			res.Done = p.Now()
 			return res
 		}
@@ -80,7 +78,6 @@ func (b *Backend) InvokeChain(p *sim.Proc, spec ChainSpec) *ChainResult {
 		}
 	}
 	b.chainBounce(p, spec, res)
-	res.Mode = dataplane.HandoffBounce
 	res.Done = p.Now()
 	return res
 }

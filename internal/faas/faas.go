@@ -31,7 +31,6 @@ var ErrNoCapacity = errors.New("faas: no GPU server can satisfy the function's G
 // downloads from the object store and what its network to the GPU server
 // looks like.
 type Env struct {
-	Name     string
 	Download objstore.Env        // path from S3 to the function container
 	Net      remoting.NetProfile // path from the container to the GPU server
 	GuestOpt guest.Opt
@@ -41,7 +40,6 @@ type Env struct {
 // instance co-located with the GPU server.
 func OpenFaaSEnv() Env {
 	return Env{
-		Name:     "openfaas",
 		Download: objstore.Env{Bps: 280e6, Latency: 30 * time.Millisecond, JitterFrac: 0.05},
 		Net:      remoting.OpenFaaSNet(),
 		GuestOpt: guest.OptAll,
@@ -52,7 +50,6 @@ func OpenFaaSEnv() Env {
 // variance (§VIII-B).
 func LambdaEnv() Env {
 	return Env{
-		Name:     "lambda",
 		Download: objstore.Env{Bps: 45e6, Latency: 60 * time.Millisecond, JitterFrac: 0.30},
 		Net:      remoting.LambdaNet(),
 		GuestOpt: guest.OptAll,

@@ -143,17 +143,10 @@ type Injector struct {
 	st          *store.Store
 
 	// Injection counters, for experiment reporting.
-	Killed       int // API server crashes injected
-	Failed       int // GPU server failures injected
-	Dropped      int // connections scheduled to break
-	Stalled      int // connections stalled
-	Corrupted    int // connections set to corrupt a frame
-	CtrlKilled   int // fleet-controller crashes armed
-	Partitioned  int // partition windows applied
-	Severed      int // connections cut by partitions
-	Browned      int // brownout windows applied
-	Stormed      int // store writes rejected by conflict storms
-	FabricFaults int // fabric transfers killed mid-flight
+	Killed    int // API server crashes injected
+	Failed    int // GPU server failures injected
+	Dropped   int // connections scheduled to break
+	Corrupted int // connections set to corrupt a frame
 }
 
 // BindControllerFuse registers a controller replica's store fuse as a kill
@@ -192,7 +185,6 @@ func (in *Injector) BindFabric(fab *dataplane.Fabric) {
 	}
 	fab.SetFaultHook(func(p *sim.Proc, size int64) error {
 		if p.Rand().Float64() < rate {
-			in.FabricFaults++
 			return fmt.Errorf("%w: injected mid-handoff fault (%d bytes)", remoting.ErrFabricFault, size)
 		}
 		return nil
@@ -214,12 +206,10 @@ func (in *Injector) Arm(p *sim.Proc) {
 			return false // no replica left to kill
 		}
 		in.fuses[i].Arm(kills[i].AfterWrites)
-		in.CtrlKilled++
 		return true
 	})
 	for _, part := range in.plan.Partitions {
 		in.window(part.At, part.Dur, func() {
-			in.Partitioned++
 			for _, s := range part.Servers {
 				if s < 0 || s >= len(in.partitioned) {
 					continue
@@ -229,7 +219,6 @@ func (in *Injector) Arm(p *sim.Proc) {
 				// link to the store is in another machine group and stays.
 				for _, f := range in.conns[s] {
 					f.Break()
-					in.Severed++
 				}
 				in.conns[s] = nil
 			}
@@ -250,7 +239,6 @@ func (in *Injector) Arm(p *sim.Proc) {
 			for _, dev := range devs {
 				dev.SetSlowdown(bo.Factor)
 			}
-			in.Browned++
 		}, func() {
 			for _, dev := range devs {
 				dev.SetSlowdown(1)
@@ -264,7 +252,6 @@ func (in *Injector) Arm(p *sim.Proc) {
 		in.window(storm.At, storm.Dur, func() {
 			in.st.SetWriteFault(func(p *sim.Proc) error {
 				if p.Rand().Float64() < storm.Rate {
-					in.Stormed++
 					return fmt.Errorf("%w: injected conflict storm", store.ErrConflict)
 				}
 				return nil
@@ -342,7 +329,6 @@ func (in *Injector) WrapConn(p *sim.Proc, conn remoting.AsyncCaller) remoting.As
 	}
 	if in.plan.StallRate > 0 && rng.Float64() < in.plan.StallRate {
 		f.StallFor(in.plan.StallFor)
-		in.Stalled++
 	}
 	if in.plan.DropRate > 0 && rng.Float64() < in.plan.DropRate {
 		in.Dropped++
@@ -367,7 +353,6 @@ func (in *Injector) WrapTargetConn(p *sim.Proc, gs *gpuserver.GPUServer, conn re
 	}
 	if in.partitioned[idx] > 0 {
 		f.Break()
-		in.Severed++
 		return conn
 	}
 	in.conns[idx] = append(in.conns[idx], f)

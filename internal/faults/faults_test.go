@@ -129,9 +129,9 @@ func TestWrapConnAppliesPlannedFaults(t *testing.T) {
 }
 
 func TestInjectionDeterministicAcrossRuns(t *testing.T) {
-	run := func() [3]int {
+	run := func() [2]int {
 		e := sim.NewEngine(7)
-		var counts [3]int
+		var counts [2]int
 		e.Run("root", func(p *sim.Proc) {
 			l := remoting.NewListener(e)
 			inj := NewInjector(e, Plan{
@@ -144,7 +144,7 @@ func TestInjectionDeterministicAcrossRuns(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				inj.WrapConn(p, remoting.Dial(e, l, remoting.NetProfile{}))
 			}
-			counts = [3]int{inj.Dropped, inj.Stalled, inj.Corrupted}
+			counts = [2]int{inj.Dropped, inj.Corrupted}
 		})
 		return counts
 	}
@@ -152,7 +152,7 @@ func TestInjectionDeterministicAcrossRuns(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed injected %v then %v", a, b)
 	}
-	if a == [3]int{} {
+	if a == [2]int{} {
 		t.Fatal("no faults injected at these rates")
 	}
 }
@@ -191,18 +191,12 @@ func TestPartitionSeversConnsAndBlocksDials(t *testing.T) {
 			t.Fatalf("pre-partition roundtrip: %v", err)
 		}
 		p.Sleep(60 * time.Millisecond) // into the window
-		if inj.Partitioned != 1 {
-			t.Fatalf("Partitioned = %d, want 1", inj.Partitioned)
-		}
 		if _, err := before.Roundtrip(p, []byte("ping"), 0); !errors.Is(err, remoting.ErrConnClosed) {
 			t.Fatalf("live conn must break at partition onset, got %v", err)
 		}
 		during := inj.WrapTargetConn(p, gs, dial())
 		if _, err := during.Roundtrip(p, []byte("ping"), 0); !errors.Is(err, remoting.ErrConnClosed) {
 			t.Fatalf("dial during the window must be born broken, got %v", err)
-		}
-		if inj.Severed != 2 {
-			t.Fatalf("Severed = %d, want 2 (one cut, one stillborn)", inj.Severed)
 		}
 		p.Sleep(100 * time.Millisecond) // past the window
 		after := inj.WrapTargetConn(p, gs, dial())
@@ -231,9 +225,6 @@ func TestBrownoutSlowsDevicesForTheWindow(t *testing.T) {
 		p.Sleep(30 * time.Millisecond) // into the window
 		if got := dev.Slowdown(); got != 4 {
 			t.Fatalf("slowdown inside the window = %v, want 4", got)
-		}
-		if inj.Browned != 1 {
-			t.Fatalf("Browned = %d, want 1", inj.Browned)
 		}
 		p.Sleep(50 * time.Millisecond) // past the window
 		if got := dev.Slowdown(); got != 1 {
@@ -265,9 +256,6 @@ func TestConflictStormRejectsWritesForTheWindow(t *testing.T) {
 		p.Sleep(30 * time.Millisecond) // into the window
 		if _, err := st.Update(p, obj.DeepCopy()); !errors.Is(err, store.ErrConflict) {
 			t.Fatalf("update during the storm = %v, want ErrConflict", err)
-		}
-		if inj.Stormed == 0 {
-			t.Fatal("Stormed counter never moved")
 		}
 		p.Sleep(50 * time.Millisecond) // past the window
 		if _, err := st.Update(p, obj.DeepCopy()); err != nil {
@@ -303,9 +291,6 @@ func TestFabricFaultAbortsPeerTransfer(t *testing.T) {
 		}
 		if !remoting.IsConnFault(err) {
 			t.Fatal("fabric faults must classify as recoverable conn faults")
-		}
-		if inj.FabricFaults != 1 {
-			t.Fatalf("FabricFaults = %d, want 1", inj.FabricFaults)
 		}
 		if p.Now() == start {
 			t.Fatal("a mid-flight fault must still burn transfer time")

@@ -64,7 +64,6 @@ func V100Config(id int) Config {
 type Device struct {
 	Cfg Config
 
-	e       *sim.Engine
 	compute *psResource
 	copyEng *psResource
 
@@ -78,7 +77,6 @@ type Device struct {
 func New(e *sim.Engine, cfg Config) *Device {
 	return &Device{
 		Cfg:     cfg,
-		e:       e,
 		compute: newPSResource(e),
 		copyEng: newPSResource(e),
 		allocs:  make(map[uint64]*PhysAlloc),

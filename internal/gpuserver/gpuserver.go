@@ -164,11 +164,9 @@ func DefaultConfig() Config {
 // Lease is a granted GPU assignment for one function execution.
 type Lease struct {
 	Server     *apiserver.Server
-	FnID       string
 	Mem        int64
 	QueueDelay time.Duration // time spent waiting for an API server
-	grantedAt  time.Duration
-	released   bool // set by Release or by the monitor revoking a dead server
+	released   bool          // set by Release or by the monitor revoking a dead server
 	listener   *remoting.Listener
 }
 
@@ -298,7 +296,6 @@ func (gs *GPUServer) Start(p *sim.Proc) {
 				ID:          id,
 				HomeDev:     g,
 				PoolHandles: gs.cfg.PoolHandles,
-				CUDACosts:   gs.cfg.CUDACosts,
 				LibCosts:    gs.cfg.LibCosts,
 				Cache:       gs.cache,
 				Plane:       gs.cfg.Plane,
@@ -573,10 +570,8 @@ func (gs *GPUServer) drainQueue(p *sim.Proc) {
 		}
 		lease := &Lease{
 			Server:     srv,
-			FnID:       req.fnID,
 			Mem:        req.mem,
 			QueueDelay: p.Now() - req.arrived,
-			grantedAt:  p.Now(),
 			listener:   gs.listeners[srv.ID()],
 		}
 		gs.leased[srv.ID()] = lease

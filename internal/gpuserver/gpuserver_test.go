@@ -96,8 +96,9 @@ func TestFCFSQueueing(t *testing.T) {
 			wg.Add(1)
 			p.Spawn(fmt.Sprintf("f%d", i), func(p *sim.Proc) {
 				p.Sleep(time.Duration(i) * time.Millisecond) // fix arrival order
-				lease, _ := gs.Acquire(p, fmt.Sprintf("f%d", i), 1<<30)
-				order = append(order, lease.FnID)
+				name := fmt.Sprintf("f%d", i)
+				lease, _ := gs.Acquire(p, name, 1<<30)
+				order = append(order, name)
 				p.Sleep(time.Second)
 				gs.Release(lease)
 				wg.Done()
@@ -250,12 +251,13 @@ func contendedPair(t *testing.T) (devs [2]int, migrations int) {
 			i := i
 			wg.Add(1)
 			p.Spawn("f", func(p *sim.Proc) {
-				lease, _ := gs.Acquire(p, fmt.Sprintf("f%d", i), 2<<30)
+				name := fmt.Sprintf("f%d", i)
+				lease, _ := gs.Acquire(p, name, 2<<30)
 				// Open a session so the server is genuinely busy, then give
 				// the monitor time to notice the imbalance.
 				conn := remoting.Dial(e, lease.Listener(), remoting.NetProfile{})
 				lib := guest.New(conn, guest.OptNone)
-				if err := lib.Hello(p, lease.FnID, 2<<30); err != nil {
+				if err := lib.Hello(p, name, 2<<30); err != nil {
 					t.Error(err)
 				}
 				if _, err := lib.Malloc(p, 1<<30); err != nil {

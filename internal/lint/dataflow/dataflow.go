@@ -104,10 +104,6 @@ type Site struct {
 type Flow struct {
 	Site
 	Kind FlowKind
-	// Expr is the carrying expression involved in the event.
-	Expr ast.Expr
-	// Dest is the store destination for the *Store kinds.
-	Dest ast.Expr
 	// Call and ArgIndex identify the call for FlowCallArg / FlowGoCapture /
 	// FlowDeferCapture events; ArgIndex is -1 for the method receiver.
 	Call     *ast.CallExpr
@@ -136,7 +132,6 @@ type Origin struct {
 
 // A Value is one tracked origin plus every flow event it reaches.
 type Value struct {
-	Origin Origin
 	// OriginSite locates the origin for loop reasoning and diagnostics.
 	OriginSite Site
 	// Flows are the events, ordered by position.
@@ -180,8 +175,6 @@ type Config struct {
 type Func struct {
 	// Decl is the *ast.FuncDecl or *ast.FuncLit.
 	Decl ast.Node
-	// Name is "f" or "T.m" for diagnostics ("func literal" for literals).
-	Name string
 	Body *ast.BlockStmt
 	// Params are the declared parameters (receiver excluded).
 	Params []*types.Var
@@ -217,7 +210,7 @@ func Analyze(files []*ast.File, info *types.Info, cfg Config) *Package {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn := &Func{Decl: fd, Name: funcName(fd), Body: fd.Body, pkg: p}
+			fn := &Func{Decl: fd, Body: fd.Body, pkg: p}
 			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
 				fn.Params = paramVars(obj)
 				p.declOf[obj] = fn
@@ -226,25 +219,6 @@ func Analyze(files []*ast.File, info *types.Info, cfg Config) *Package {
 		}
 	}
 	return p
-}
-
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if st, ok := t.(*ast.StarExpr); ok {
-		t = st.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	if ix, ok := t.(*ast.IndexExpr); ok { // generic receiver T[P]
-		if id, ok := ix.X.(*ast.Ident); ok {
-			return id.Name + "." + fd.Name.Name
-		}
-	}
-	return fd.Name.Name
 }
 
 func paramVars(obj *types.Func) []*types.Var {

@@ -50,7 +50,7 @@ func analyzeSrc(t *testing.T, src string) (*Package, *token.FileSet) {
 func findFunc(t *testing.T, pkg *Package, name string) *Func {
 	t.Helper()
 	for _, fn := range pkg.Funcs {
-		if fn.Name == name {
+		if fn.Decl.(*ast.FuncDecl).Name.Name == name {
 			return fn
 		}
 	}
@@ -73,7 +73,7 @@ func originCall(t *testing.T, pkg *Package, fn *Func, callee string) *ast.CallEx
 		return true
 	})
 	if out == nil {
-		t.Fatalf("no call to %s in %s", callee, fn.Name)
+		t.Fatalf("no call to %s in %s", callee, fn.Decl.(*ast.FuncDecl).Name.Name)
 	}
 	return out
 }

@@ -60,15 +60,15 @@ func (w *flowWalker) walk(root ast.Node) {
 			w.write(n, n.X)
 		case *ast.SendStmt:
 			if w.carries(n.Value) {
-				w.emit(Flow{Site: w.site(n), Kind: FlowChanSend, Expr: n.Value})
+				w.emit(Flow{Site: w.site(n), Kind: FlowChanSend})
 			}
 			if w.carries(n.Chan) {
-				w.emit(Flow{Site: w.site(n), Kind: FlowUse, Expr: n.Chan})
+				w.emit(Flow{Site: w.site(n), Kind: FlowUse})
 			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
 				if w.carries(r) {
-					w.emit(Flow{Site: w.site(n), Kind: FlowReturn, Expr: r})
+					w.emit(Flow{Site: w.site(n), Kind: FlowReturn})
 				}
 			}
 		case *ast.CallExpr:
@@ -90,7 +90,7 @@ func (w *flowWalker) assign(n *ast.AssignStmt) {
 		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && w.carries(ix.Index) {
 			if _, isMap := info.TypeOf(ix.X).Underlying().(*types.Map); isMap {
 				// A map keeps the key it is first given.
-				w.emit(Flow{Site: w.site(n), Kind: FlowIndexStore, Expr: ix.Index, Dest: ix})
+				w.emit(Flow{Site: w.site(n), Kind: FlowIndexStore})
 			}
 		}
 		var rhs ast.Expr
@@ -106,22 +106,22 @@ func (w *flowWalker) assign(n *ast.AssignStmt) {
 		case *ast.Ident:
 			if obj := info.ObjectOf(dst); obj != nil {
 				if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-					w.emit(Flow{Site: w.site(n), Kind: FlowGlobalStore, Expr: rhs, Dest: dst})
+					w.emit(Flow{Site: w.site(n), Kind: FlowGlobalStore})
 				}
 			}
 		case *ast.SelectorExpr:
 			if id, ok := dst.X.(*ast.Ident); ok {
 				if _, isPkg := info.ObjectOf(id).(*types.PkgName); isPkg {
-					w.emit(Flow{Site: w.site(n), Kind: FlowGlobalStore, Expr: rhs, Dest: dst})
+					w.emit(Flow{Site: w.site(n), Kind: FlowGlobalStore})
 					continue
 				}
 			}
-			w.emit(Flow{Site: w.site(n), Kind: FlowFieldStore, Expr: rhs, Dest: dst})
+			w.emit(Flow{Site: w.site(n), Kind: FlowFieldStore})
 		case *ast.IndexExpr:
-			w.emit(Flow{Site: w.site(n), Kind: FlowIndexStore, Expr: rhs, Dest: dst})
+			w.emit(Flow{Site: w.site(n), Kind: FlowIndexStore})
 		case *ast.StarExpr:
 			// Store through a pointer: the pointee may outlive the frame.
-			w.emit(Flow{Site: w.site(n), Kind: FlowFieldStore, Expr: rhs, Dest: dst})
+			w.emit(Flow{Site: w.site(n), Kind: FlowFieldStore})
 		}
 	}
 }
@@ -131,7 +131,7 @@ func (w *flowWalker) assign(n *ast.AssignStmt) {
 func (w *flowWalker) write(n ast.Node, dst ast.Expr) {
 	root, indirect := lvalueRoot(dst, w.t.fn.pkg.Info)
 	if indirect && w.carries(root) {
-		w.writes = append(w.writes, Flow{Site: w.site(n), Kind: FlowWrite, Expr: root, Dest: dst, Deferred: w.deferDepth > 0})
+		w.writes = append(w.writes, Flow{Site: w.site(n), Kind: FlowWrite, Deferred: w.deferDepth > 0})
 	}
 }
 
@@ -177,15 +177,15 @@ func (w *flowWalker) goStmt(n *ast.GoStmt) {
 	call := n.Call
 	for i, a := range call.Args {
 		if w.carries(a) {
-			w.emit(Flow{Site: w.site(n), Kind: FlowGoCapture, Expr: a, Call: call, ArgIndex: i, CalleeName: CalleeName(call)})
+			w.emit(Flow{Site: w.site(n), Kind: FlowGoCapture, Call: call, ArgIndex: i, CalleeName: CalleeName(call)})
 		}
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && w.carries(sel.X) {
-		w.emit(Flow{Site: w.site(n), Kind: FlowGoCapture, Expr: sel.X, Call: call, ArgIndex: -1, CalleeName: CalleeName(call)})
+		w.emit(Flow{Site: w.site(n), Kind: FlowGoCapture, Call: call, ArgIndex: -1, CalleeName: CalleeName(call)})
 	}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		for _, id := range w.freeTaintedIdents(lit) {
-			w.emit(Flow{Site: w.site(n), Kind: FlowGoCapture, Expr: id, Call: call, ArgIndex: -1})
+		for range w.freeTaintedIdents(lit) {
+			w.emit(Flow{Site: w.site(n), Kind: FlowGoCapture, Call: call, ArgIndex: -1})
 		}
 	}
 }
@@ -229,11 +229,11 @@ func (w *flowWalker) call(n *ast.CallExpr) {
 	name := CalleeName(n)
 	for i, a := range n.Args {
 		if w.carries(a) {
-			w.emit(Flow{Site: w.site(n), Kind: FlowCallArg, Expr: a, Call: n, ArgIndex: i, CalleeName: name})
+			w.emit(Flow{Site: w.site(n), Kind: FlowCallArg, Call: n, ArgIndex: i, CalleeName: name})
 		}
 	}
 	if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && w.carries(sel.X) {
-		w.emit(Flow{Site: w.site(n), Kind: FlowCallArg, Expr: sel.X, Call: n, ArgIndex: -1, CalleeName: name})
+		w.emit(Flow{Site: w.site(n), Kind: FlowCallArg, Call: n, ArgIndex: -1, CalleeName: name})
 	}
 }
 
@@ -272,5 +272,5 @@ func (w *flowWalker) identUse(id *ast.Ident) {
 			break
 		}
 	}
-	w.emit(Flow{Site: w.site(id), Kind: FlowUse, Expr: id})
+	w.emit(Flow{Site: w.site(id), Kind: FlowUse})
 }

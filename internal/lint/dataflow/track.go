@@ -72,7 +72,7 @@ func (fn *Func) track(origin Origin, useSummaries bool) *Value {
 			break
 		}
 	}
-	v := &Value{Origin: origin, OriginSite: t.originSite}
+	v := &Value{OriginSite: t.originSite}
 	fw := &flowWalker{t: t}
 	fw.walk(fn.Body)
 	v.Flows, v.Writes = fw.flows, fw.writes

@@ -18,31 +18,27 @@ func TestLoadTypechecks(t *testing.T) {
 	}
 	var found bool
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.ImportPath, "dgsf/internal/sim") {
-			t.Errorf("unexpected package %s", p.ImportPath)
+		if p.Pkg == nil || len(p.Files) == 0 {
+			t.Fatal("a loaded package has no type info or files")
+		}
+		path := p.Pkg.Path()
+		if !strings.HasPrefix(path, "dgsf/internal/sim") {
+			t.Errorf("unexpected package %s", path)
 		}
 		if len(p.TypeErrors) > 0 {
-			t.Fatalf("%s: type errors: %v", p.ImportPath, p.TypeErrors)
-		}
-		if p.Pkg == nil || len(p.Files) == 0 {
-			t.Fatalf("%s: missing type info or files", p.ImportPath)
+			t.Fatalf("%s: type errors: %v", path, p.TypeErrors)
 		}
 		// The test variant (merged _test.go files) should be selected when
 		// the package has internal tests.
-		if strings.Contains(p.ImportPath, " [") {
-			found = true
-			hasTestFile := false
+		if path == "dgsf/internal/sim" {
 			for _, f := range p.Files {
 				if strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go") {
-					hasTestFile = true
+					found = true
 				}
-			}
-			if !hasTestFile {
-				t.Errorf("%s: test variant has no _test.go files", p.ImportPath)
 			}
 		}
 		if len(p.Info.Uses) == 0 {
-			t.Errorf("%s: no use information recorded", p.ImportPath)
+			t.Errorf("%s: no use information recorded", path)
 		}
 	}
 	if !found {

@@ -18,12 +18,10 @@ import (
 
 // A Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	ImportPath string // as reported by go list (test variants keep their "[...]" marker)
-	Dir        string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 	// TypeErrors collects type-checker errors. Analysis still runs on a
 	// partially-checked package, but dgsfvet reports these and fails.
 	TypeErrors []error
@@ -184,7 +182,7 @@ func typecheckListed(fset *token.FileSet, lp *listPkg, exports map[string]string
 		return nil, fmt.Errorf("no export data for %q", path)
 	}
 
-	out := &Package{ImportPath: lp.ImportPath, Dir: lp.Dir, Fset: fset, Files: files}
+	out := &Package{Fset: fset, Files: files}
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "gc", lookup),
 		Error:    func(err error) { out.TypeErrors = append(out.TypeErrors, err) },

@@ -49,38 +49,26 @@ func TestLoadFromListVariantSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A target is named by its package path and the files it was checked
+	// from: the variant's path drops the "[...]" marker, and its file list
+	// includes the merged _test.go file.
 	var got []string
-	for _, p := range pkgs {
-		got = append(got, p.ImportPath)
-	}
-	want := []string{"m/a", "m/b [m/b.test]", "m/b_test [m/b.test]"}
-	if strings.Join(got, ";") != strings.Join(want, ";") {
-		t.Fatalf("targets = %v, want %v", got, want)
-	}
-
-	for _, p := range pkgs {
+	for i, p := range pkgs {
 		if len(p.TypeErrors) > 0 {
-			t.Errorf("%s: type errors: %v", p.ImportPath, p.TypeErrors)
+			t.Errorf("target %d: type errors: %v", i, p.TypeErrors)
 		}
 		if p.Pkg == nil {
-			t.Fatalf("%s: no type info", p.ImportPath)
+			t.Fatalf("target %d: no type info", i)
 		}
-	}
-
-	// The variant's type-checked package path drops the "[...]" marker, and
-	// its file list includes the merged _test.go file.
-	variant := pkgs[1]
-	if variant.Pkg.Path() != "m/b" {
-		t.Errorf("variant package path = %q, want m/b", variant.Pkg.Path())
-	}
-	hasTestFile := false
-	for _, f := range variant.Files {
-		if strings.HasSuffix(variant.Fset.Position(f.Pos()).Filename, "_test.go") {
-			hasTestFile = true
+		var files []string
+		for _, f := range p.Files {
+			files = append(files, filepath.Base(p.Fset.Position(f.Pos()).Filename))
 		}
+		got = append(got, p.Pkg.Path()+" "+strings.Join(files, ","))
 	}
-	if !hasTestFile {
-		t.Error("variant file list is missing its _test.go file")
+	want := []string{"m/a a.go", "m/b b.go,b_internal_test.go", "m/b_test bx_test.go"}
+	if strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("targets = %v, want %v", got, want)
 	}
 }
 
@@ -103,7 +91,7 @@ func TestLoadFromListNoVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 || pkgs[0].ImportPath != "m/a" {
+	if len(pkgs) != 1 || pkgs[0].Pkg.Path() != "m/a" {
 		t.Fatalf("targets = %+v, want the single plain package", pkgs)
 	}
 }

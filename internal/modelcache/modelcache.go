@@ -54,12 +54,9 @@ type Entry struct {
 
 // CacheStats counts host-tier cache activity.
 type CacheStats struct {
-	Hits         int
-	Misses       int
-	Inserts      int
-	Rejects      int // entries larger than the whole budget
-	Evictions    int
-	BytesEvicted int64
+	Hits      int
+	Misses    int
+	Evictions int
 }
 
 // LRU is a byte-budgeted least-recently-used cache. Recency is a logical
@@ -114,7 +111,6 @@ func (l *LRU) PeekName(name string) bool {
 // admitted; an entry larger than the whole budget is rejected.
 func (l *LRU) Put(k Key, bytes int64) (evicted []Entry, ok bool) {
 	if bytes > l.budget || bytes < 0 {
-		l.stats.Rejects++
 		return nil, false
 	}
 	if e, exists := l.entries[k]; exists {
@@ -126,7 +122,6 @@ func (l *LRU) Put(k Key, bytes int64) (evicted []Entry, ok bool) {
 		l.seq++
 		l.entries[k] = &Entry{Key: k, Bytes: bytes, seq: l.seq}
 		l.used += bytes
-		l.stats.Inserts++
 	}
 	for l.used > l.budget {
 		victim := l.oldest(k)
@@ -136,7 +131,6 @@ func (l *LRU) Put(k Key, bytes int64) (evicted []Entry, ok bool) {
 		l.used -= victim.Bytes
 		delete(l.entries, victim.Key)
 		l.stats.Evictions++
-		l.stats.BytesEvicted += victim.Bytes
 		evicted = append(evicted, *victim)
 	}
 	return evicted, true
@@ -259,16 +253,8 @@ type Stats struct {
 	Misses     int // attaches that found nothing
 
 	Pins            int // models retained on-device at Bye
-	PinRejects      int // retention attempts denied by the device budget
 	DeviceEvictions int // pins swapped out to the host tier
 	SwapOutBytes    int64
-
-	// Model-broadcast fan-out (internal/dataplane): how many ModelBroadcast
-	// calls seeded a fresh copy from the host tier versus cloned the live
-	// source device-to-device. Seeds are the only host-link traversals an
-	// N-way fan-out pays.
-	BroadcastSeeds  int
-	BroadcastClones int
 
 	Host CacheStats // host-tier counters
 }
@@ -333,7 +319,6 @@ func (m *Manager) Host() *LRU { return m.host }
 // device budget would be exceeded.
 func (m *Manager) Pin(serverID, gpu int, fnID string, bytes int64) bool {
 	if _, held := m.pins[serverID]; held || bytes <= 0 || m.perGPU[gpu]+bytes > m.deviceBudget {
-		m.stats.PinRejects++
 		return false
 	}
 	m.seq++
@@ -422,17 +407,6 @@ func (m *Manager) NoteAttach(tier int) {
 		m.stats.HostHits++
 	default:
 		m.stats.Misses++
-	}
-}
-
-// NoteBroadcast records a ModelBroadcast decision: seed is true for the
-// single host-staged read that creates a GPU server's broadcast source,
-// false for a device-to-device clone served from it.
-func (m *Manager) NoteBroadcast(seed bool) {
-	if seed {
-		m.stats.BroadcastSeeds++
-	} else {
-		m.stats.BroadcastClones++
 	}
 }
 

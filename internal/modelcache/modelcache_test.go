@@ -37,11 +37,8 @@ func TestLRURejectsOversizedEntry(t *testing.T) {
 	if _, ok := l.Put(Key{Name: "big"}, 101); ok {
 		t.Fatal("oversized entry admitted")
 	}
-	if !l.Peek(Key{Name: "a"}) {
-		t.Fatal("rejected insert evicted an existing entry")
-	}
-	if st := l.Stats(); st.Rejects != 1 {
-		t.Fatalf("rejects=%d, want 1", st.Rejects)
+	if !l.Peek(Key{Name: "a"}) || l.Peek(Key{Name: "big"}) || l.Used() != 60 {
+		t.Fatal("rejected insert changed the residents")
 	}
 }
 
@@ -60,14 +57,17 @@ func TestLRURefreshAdjustsBytes(t *testing.T) {
 
 func TestLRUCountersExact(t *testing.T) {
 	l := NewLRU(100)
-	l.Put(Key{Name: "a"}, 60)  // insert
-	l.Put(Key{Name: "b"}, 60)  // insert, evicts a
-	l.Get(Key{Name: "a"})      // miss
-	l.Get(Key{Name: "b"})      // hit
-	l.Get(Key{Name: "b"})      // hit
-	l.Put(Key{Name: "x"}, 200) // reject
+	l.Put(Key{Name: "a"}, 60)               // insert
+	evicted, _ := l.Put(Key{Name: "b"}, 60) // insert, evicts a
+	l.Get(Key{Name: "a"})                   // miss
+	l.Get(Key{Name: "b"})                   // hit
+	l.Get(Key{Name: "b"})                   // hit
+	l.Put(Key{Name: "x"}, 200)              // reject
+	if len(evicted) != 1 || evicted[0].Key.Name != "a" || evicted[0].Bytes != 60 {
+		t.Fatalf("evicted = %+v, want a's 60 bytes", evicted)
+	}
 	st := l.Stats()
-	want := CacheStats{Hits: 2, Misses: 1, Inserts: 2, Rejects: 1, Evictions: 1, BytesEvicted: 60}
+	want := CacheStats{Hits: 2, Misses: 1, Evictions: 1}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}
@@ -99,8 +99,8 @@ func TestManagerPinBudgetPerGPU(t *testing.T) {
 		t.Fatalf("after unpin: pinned = %d", m.PinnedBytes(1))
 	}
 	st := m.Stats()
-	if st.Pins != 2 || st.PinRejects != 2 {
-		t.Fatalf("pins=%d rejects=%d, want 2/2", st.Pins, st.PinRejects)
+	if st.Pins != 2 {
+		t.Fatalf("pins=%d, want 2", st.Pins)
 	}
 }
 
@@ -153,17 +153,21 @@ func runScripted(seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	l := NewLRU(1000)
 	var trace []int64
+	var bytesEvicted int64
 	for i := 0; i < 500; i++ {
 		k := Key{Name: string(rune('a' + rng.Intn(20)))}
 		if rng.Intn(2) == 0 {
-			l.Put(k, int64(rng.Intn(300)))
+			evicted, _ := l.Put(k, int64(rng.Intn(300)))
+			for _, v := range evicted {
+				bytesEvicted += v.Bytes
+			}
 		} else {
 			l.Get(k)
 		}
 		trace = append(trace, l.Used(), int64(l.Len()))
 	}
 	st := l.Stats()
-	return append(trace, int64(st.Hits), int64(st.Misses), int64(st.Evictions), st.BytesEvicted)
+	return append(trace, int64(st.Hits), int64(st.Misses), int64(st.Evictions), bytesEvicted)
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {

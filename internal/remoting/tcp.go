@@ -220,13 +220,13 @@ func ServeConn(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request]) <-chan s
 			// maxPooledFrame, in a fresh one of its length. Both travel with
 			// the request as the handler's property; what the handler does
 			// not keep comes back to the pools (wire.PutBuf, RecycleBulk).
-			payload, bulk, data, err := readFrame(conn, nil, nil, true)
+			payload, bulk, _, err := readFrame(conn, nil, nil, true)
 			if err != nil {
 				return
 			}
 			// The hosted API server may have crashed (closed its inbox);
 			// drop the bridge rather than panic.
-			if !inbox.TrySend(Request{Payload: payload, PayloadOwned: true, ReqData: data, Bulk: bulk, BulkOwned: bulk != nil, ReplyTo: replies}) {
+			if !inbox.TrySend(Request{Payload: payload, PayloadOwned: true, Bulk: bulk, BulkOwned: bulk != nil, ReplyTo: replies}) {
 				wire.PutBuf(payload)
 				RecycleBulk(bulk)
 				return

@@ -166,10 +166,8 @@ type Request struct {
 	// it with wire.PutBuf. When false, Payload is borrowed from a sender that
 	// is blocked on the reply.
 	PayloadOwned bool
-	ReqData      int64
 	ReplyTo      *sim.Queue[Response]
-	Profile      NetProfile // so the server charges response transfer symmetrically
-	Ctrl         any        // non-nil for monitor control messages
+	Ctrl         any // non-nil for monitor control messages
 
 	// Bulk is the request's vectored bulk region: the raw bytes of a
 	// trailing bulk argument, delivered outside the encoded payload. nil
@@ -314,19 +312,12 @@ type simConn struct {
 
 	// Messages land at the listener in the order they were sent, lastLand
 	// being when the newest one does. A round trip's caller sleeps until its
-	// message lands and hands it over; a one-way submission waits in
-	// submitted for an engine callback, land (deliverSubmitted, bound on the
-	// first Submit), that hands over the oldest.
+	// message lands and hands it over; a one-way submission's payload waits
+	// in submitted for an engine callback, land (deliverSubmitted, bound on
+	// the first Submit), that hands over the oldest.
 	lastLand  time.Duration
-	submitted *sim.Queue[oneWay]
+	submitted *sim.Queue[[]byte]
 	land      func()
-}
-
-// oneWay is a submission on the wire: all its Request holds but the fields
-// every submission shares.
-type oneWay struct {
-	payload []byte
-	reqData int64
 }
 
 // Dial connects a guest to an API server's listener with the given network
@@ -371,7 +362,7 @@ func (c *simConn) send(p *sim.Proc, n int64) (transfer, landAt time.Duration, er
 // that has closed (a crashed server) breaks the connection.
 func (c *simConn) deliverSubmitted() {
 	m, _ := c.submitted.TryRecv()
-	if !c.l.Incoming.TrySend(Request{Payload: m.payload, PayloadOwned: true, ReqData: m.reqData, Profile: c.profile}) {
+	if !c.l.Incoming.TrySend(Request{Payload: m, PayloadOwned: true}) {
 		c.Break()
 	}
 }
@@ -423,7 +414,7 @@ func (c *simConn) exchange(p *sim.Proc, req, reqBulk []byte, reqData int64, dead
 	}
 	// The request lands as a submission does: whatever befell the connection
 	// meanwhile, and breaking it if the listener has closed.
-	if !c.l.Incoming.TrySend(Request{Payload: req, Bulk: reqBulk, ReqData: reqData, ReplyTo: replyQ, Profile: c.profile}) {
+	if !c.l.Incoming.TrySend(Request{Payload: req, Bulk: reqBulk, ReplyTo: replyQ}) {
 		c.Break()
 		return nil, nil, ErrConnClosed
 	}
@@ -491,10 +482,10 @@ func (c *simConn) Submit(p *sim.Proc, req []byte, reqData int64) error {
 		return err
 	}
 	if c.submitted == nil {
-		c.submitted = sim.NewQueue[oneWay](c.e)
+		c.submitted = sim.NewQueue[[]byte](c.e)
 		c.land = c.deliverSubmitted
 	}
-	c.submitted.Send(oneWay{req, reqData})
+	c.submitted.Send(req)
 	c.e.At(landAt, c.land)
 	if transfer > 0 {
 		p.Sleep(transfer)

@@ -165,7 +165,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 			if !ok {
 				return
 			}
-			req.ReplyTo.Send(Response{Payload: append([]byte("re:"), req.Payload...), RespData: req.ReqData})
+			req.ReplyTo.Send(Response{Payload: append([]byte("re:"), req.Payload...)})
 		}
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -63,13 +63,14 @@ func runDetect(p *sim.Proc, api gen.API, h *dataplane.Handoff) error {
 	if err != nil {
 		return err
 	}
+	mutates := []cuda.DevPtr{work, out} // one slice for every launch, as in RunBody
 	for i := 0; i < 24; i++ {
 		if err := api.LaunchKernel(p, cuda.LaunchParams{
 			Fn:       fns[0],
 			Grid:     [3]int{128, 1, 1},
 			Block:    [3]int{256, 1, 1},
 			Duration: 800 * time.Microsecond,
-			Mutates:  []cuda.DevPtr{work, out},
+			Mutates:  mutates,
 		}); err != nil {
 			return err
 		}
@@ -147,13 +148,14 @@ func runIdentify(p *sim.Proc, api gen.API, h *dataplane.Handoff) error {
 	}
 	// The imported tensor may be a zero-copy view of shared pages: the
 	// identify kernels read it and mutate only their own working set.
+	mutates := []cuda.DevPtr{work}
 	for i := 0; i < 32; i++ {
 		if err := api.LaunchKernel(p, cuda.LaunchParams{
 			Fn:       fns[0],
 			Grid:     [3]int{128, 1, 1},
 			Block:    [3]int{256, 1, 1},
 			Duration: 600 * time.Microsecond,
-			Mutates:  []cuda.DevPtr{work},
+			Mutates:  mutates,
 		}); err != nil {
 			return err
 		}
@@ -218,13 +220,14 @@ func runEnsemble(p *sim.Proc, api gen.API, modelBytes int64) error {
 	if err != nil {
 		return err
 	}
+	mutates := []cuda.DevPtr{scratch}
 	for i := 0; i < 16; i++ {
 		if err := api.LaunchKernel(p, cuda.LaunchParams{
 			Fn:       fns[0],
 			Grid:     [3]int{64, 1, 1},
 			Block:    [3]int{256, 1, 1},
 			Duration: 700 * time.Microsecond,
-			Mutates:  []cuda.DevPtr{scratch},
+			Mutates:  mutates,
 		}); err != nil {
 			return err
 		}
