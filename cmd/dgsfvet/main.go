@@ -6,16 +6,10 @@
 // hygiene. See DESIGN.md "Invariants" for the full list and the
 // //lint:allow escape hatch.
 //
-// Standalone:
+// A //lint:allow that suppresses nothing is reported too, as staleallow.
 //
 //	go run ./cmd/dgsfvet ./...
-//	go run ./cmd/dgsfvet -json ./...      # one JSON record per diagnostic
-//	go run ./cmd/dgsfvet -stale=false ... # don't report dead //lint:allow
-//
-// As a vet tool (integrates with go vet's caching and package graph):
-//
-//	go build -o /tmp/dgsfvet ./cmd/dgsfvet
-//	go vet -vettool=/tmp/dgsfvet ./...
+//	go run ./cmd/dgsfvet -json ./... # one JSON record per diagnostic
 package main
 
 import (
@@ -40,18 +34,10 @@ type jsonRecord struct {
 
 func main() {
 	analyzers := passes.All()
-
-	// go vet protocol (-V=full / -flags / pkg.cfg): VetMain exits if it
-	// recognizes the invocation.
-	if lint.VetMain(os.Args[1:], analyzers) {
-		return
-	}
-
 	fs := flag.NewFlagSet("dgsfvet", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit one JSON record per diagnostic (file/line/col/analyzer/message)")
-	stale := fs.Bool("stale", true, "report //lint:allow directives that suppress nothing")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: dgsfvet [-json] [-stale=false] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: dgsfvet [-json] [packages]")
 		fmt.Fprintln(os.Stderr)
 		fs.PrintDefaults()
 		fmt.Fprintln(os.Stderr, "\nanalyzers:")
@@ -85,7 +71,7 @@ func main() {
 			exit = 1
 			continue
 		}
-		diags, err := lint.RunAnalyzersOpts(pkg.Fset, pkg.Files, pkg.Pkg, pkg.Info, analyzers, lint.Options{ReportStale: *stale})
+		diags, err := lint.RunAnalyzersOpts(pkg.Fset, pkg.Files, pkg.Pkg, pkg.Info, analyzers, lint.Options{ReportStale: true})
 		if err != nil {
 			fatal(err)
 		}

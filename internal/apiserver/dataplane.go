@@ -15,7 +15,7 @@ import (
 	"dgsf/internal/dataplane"
 	"dgsf/internal/gpu"
 	"dgsf/internal/modelcache"
-	"dgsf/internal/remoting"
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 )
 
@@ -53,7 +53,7 @@ func (s *Server) MemExport(p *sim.Proc, ptr cuda.DevPtr, tag string) (uint64, in
 	}
 	delete(sess.allocs, ptr)
 	sess.used -= size
-	remoting.RecycleBulk(sess.mem.Drop(ptr))
+	wire.PutBuf(sess.mem.Drop(ptr))
 	if sess.persistPtr == ptr {
 		sess.persistPtr = 0
 	}
@@ -237,7 +237,7 @@ func (s *Server) ModelBroadcast(p *sim.Proc) (cuda.DevPtr, int64, int, error) {
 // come through here, so no path can double-free fabric-owned memory and the
 // allocation's uploaded bytes go with it on each.
 func (s *Server) releaseSessionPtr(p *sim.Proc, ctx *cuda.Context, sess *session, ptr cuda.DevPtr) {
-	remoting.RecycleBulk(sess.mem.Drop(ptr))
+	wire.PutBuf(sess.mem.Drop(ptr))
 	if pl := s.cfg.Plane; pl != nil && ptr == sess.bcastPtr && sess.bcastPtr != 0 {
 		pl.DropBroadcastSource(sess.bcastKey)
 		sess.bcastPtr, sess.bcastKey = 0, ""

@@ -939,7 +939,7 @@ func (s *Server) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
 		return err
 	}
 	if owned := s.lease.Claim(data); owned != nil {
-		remoting.RecycleBulk(sess.mem.Adopt(base, off, owned))
+		wire.PutBuf(sess.mem.Adopt(base, off, owned))
 	} else {
 		sess.mem.CopyIn(base, off, data)
 	}

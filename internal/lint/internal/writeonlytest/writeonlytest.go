@@ -5,12 +5,13 @@ package writeonlytest
 import "fmt"
 
 type planted struct {
-	written  int   // reported: assigned, never read
-	testRead int   // reported: read only by a _test.go file
-	appended []int // reported: touched only by x.f = append(x.f, ...)
-	read     int   // read below
-	inner          // embedded: never reported
-	Tagged   int   `json:"tagged"` // json-tagged: read by reflection
+	written  int            // reported: assigned, never read
+	testRead int            // reported: read only by a _test.go file
+	appended []int          // reported: touched only by x.f = append(x.f, ...)
+	filled   map[string]int // reported: only filled, bumped, deleted from and cleared
+	read     int            // read below
+	inner                   // embedded: never reported
+	Tagged   int            `json:"tagged"` // json-tagged: read by reflection
 }
 
 type inner struct {
@@ -30,9 +31,14 @@ type printed struct {
 }
 
 func use(m map[key]int) int {
-	p := planted{written: 1, inner: inner{promoted: 2}, Tagged: 3}
+	p := planted{written: 1, inner: inner{promoted: 2}, Tagged: 3, filled: map[string]int{}}
 	p.testRead++
 	p.appended = append(p.appended, p.read)
+	p.filled["a"] = 1
+	p.filled["a"] += 2
+	p.filled["b"]++
+	delete(p.filled, "a")
+	clear(p.filled)
 	m[key{size: 4}] = p.promoted
 	if (compared{n: 5}) == (compared{}) {
 		return 0

@@ -28,6 +28,7 @@ const plantedPkg = "dgsf/internal/lint/internal/writeonlytest"
 
 var plantedWant = []string{
 	plantedPkg + ".planted.appended",
+	plantedPkg + ".planted.filled",
 	plantedPkg + ".planted.testRead",
 	plantedPkg + ".planted.written",
 }
@@ -74,7 +75,7 @@ func TestWriteOnlyStaleAllowReported(t *testing.T) {
 		plantedPkg + ".gone":            "no such type",
 	}
 	left, stale := applyAllow(writeOnlyFields(pkgs), allow)
-	if got := strings.Join(fieldNames(left), ","); got != plantedPkg+".planted.appended,"+plantedPkg+".planted.testRead" {
+	if got := strings.Join(fieldNames(left), ","); got != plantedPkg+".planted.appended,"+plantedPkg+".planted.filled,"+plantedPkg+".planted.testRead" {
 		t.Errorf("unallowed = %s", got)
 	}
 	want := []string{plantedPkg + ".gone", plantedPkg + ".planted.gone", plantedPkg + ".planted.read"}
@@ -155,8 +156,9 @@ func isGenerated(f *ast.File) bool {
 
 // writeOnlyFields returns the fields declared in pkgs' non-test,
 // non-generated files that non-test code writes and never reads, sorted by
-// name. A write is the whole left side of an assignment or ++/--, a
-// composite-literal element, or the x.f in x.f = append(x.f, ...); every
+// name. A write is the whole left side of an assignment or ++/-- (the x.f
+// of an x.f[k] there too), a composite-literal element, the x.f in
+// x.f = append(x.f, ...), or the first argument of delete or clear; every
 // other selection of the field is a read. Embedded fields, json-tagged
 // fields and the fields of struct types that non-test code compares, uses
 // as a map key or passes by value to an interface parameter (where fmt or
@@ -318,6 +320,13 @@ func accesses(p *Package, f *ast.File, written, read map[fieldKey]bool) {
 	}
 	writes := map[*ast.SelectorExpr]bool{}
 	mark := func(e ast.Expr) {
+		for {
+			ix, ok := ast.Unparen(e).(*ast.IndexExpr)
+			if !ok {
+				break
+			}
+			e = ix.X // filling x.f[k] writes x.f
+		}
 		if se, v := field(e); v != nil {
 			writes[se] = true
 		}
@@ -343,6 +352,10 @@ func accesses(p *Package, f *ast.File, written, read map[fieldKey]bool) {
 			}
 		case *ast.IncDecStmt:
 			mark(n.X)
+		case *ast.CallExpr:
+			if b, ok := p.Info.Uses[identOf(n.Fun)].(*types.Builtin); ok && len(n.Args) > 0 && (b.Name() == "delete" || b.Name() == "clear") {
+				mark(n.Args[0])
+			}
 		case *ast.CompositeLit:
 			st, ok := p.Info.TypeOf(n).Underlying().(*types.Struct)
 			if !ok {

@@ -16,8 +16,9 @@
 // the bytes it holds; an adopted one keeps the capacity it came with, so the
 // host memory behind a session is the sum of its allocations' sizes times
 // whatever slack the giver's buffers carry — none for the TCP bridge's
-// buffers of up to 64 KiB, under 4x for its pooled ones (remoting's size
-// classes are a factor of four apart). Held reports both sums. Bytes leave
+// buffers of up to 64 KiB, under 4x for its pooled ones (the wire pool files
+// a buffer under the class below its capacity and draws one from the class
+// at or above a length). Held reports both sums. Bytes leave
 // as read-only views of the backing. A view a
 // transport still has to write to a socket is a lend: between Lend and
 // Release no backing is overwritten in place or handed back for reuse — a

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,9 +67,6 @@ func bridge(t *testing.T, handle func(p *sim.Proc, req Request) Response) (e *si
 // buffer of its own. Each bulk region arrives as the handler's property, and
 // what the handler recycles is what the reader fills next.
 func TestBridgeGivesBulkAwayAndDrawsItBack(t *testing.T) {
-	// The pools are per-P: on one P the buffer one goroutine recycles is the
-	// one the next goroutine draws.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 300 << 10
 	var seen [][]byte // the handler's; the test reads it from a process of the same engine
 	e, addr, _ := bridge(t, func(p *sim.Proc, req Request) Response {
@@ -106,7 +102,7 @@ func TestBridgeGivesBulkAwayAndDrawsItBack(t *testing.T) {
 		}
 	}
 	<-e.Inject("check", func(*sim.Proc) {
-		if &seen[1][0] != &seen[0][0] && !wire.RaceEnabled { // the race detector drops pool items at random
+		if &seen[1][0] != &seen[0][0] {
 			t.Error("the reader did not draw the buffer the handler recycled")
 		}
 		if &seen[2][0] == &seen[1][0] || &seen[3][0] == &seen[1][0] {
@@ -235,47 +231,69 @@ func TestSimConnEndsALendItNeverReceives(t *testing.T) {
 	})
 }
 
-// TestTakeFrameBufNeverAllocatesForALength: the pooled read path may only use
-// a buffer the pool already has, whatever length the header claimed.
-func TestTakeFrameBufNeverAllocatesForALength(t *testing.T) {
+// pooledRead writes one frame carrying a bulk region of n bytes and reads it
+// back the way the bridge does, giving the metadata back to the pool.
+func pooledRead(t *testing.T, n int) []byte {
+	t.Helper()
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, []byte("m"), bytes.Repeat([]byte{0x5A}, n), 0); err != nil {
+		t.Fatal(err)
+	}
+	meta, bulk, _, err := readFrame(&stream, nil, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire.PutBuf(meta)
+	if len(bulk) != n || bulk[0] != 0x5A || bulk[n-1] != 0x5A {
+		t.Fatalf("read a %d-byte region back as %d bytes", n, len(bulk))
+	}
+	return bulk
+}
+
+// TestTakeBufNeverAllocatesForALength: the pooled read path may only use a
+// buffer the pool already has, whatever length the header claimed.
+func TestTakeBufNeverAllocatesForALength(t *testing.T) {
 	const n = (4 << 20) + 9
-	for takeFrameBuf(n) != nil { // drain what other tests left in the class
+	for wire.TakeBuf(n) != nil { // drain what other tests left in the class
 	}
 	if avg := testing.AllocsPerRun(50, func() {
-		if takeFrameBuf(n) != nil {
+		if wire.TakeBuf(n) != nil {
 			t.Fatal("an empty pool produced a buffer")
 		}
 	}); avg != 0 {
 		t.Fatalf("a pool miss allocates %.1f times", avg)
 	}
-	buf := make([]byte, n)
-	RecycleBulk(buf)
-	if got := takeFrameBuf(n); cap(got) < n || &got[:1][0] != &buf[0] {
-		t.Fatal("a recycled buffer did not come back")
-	}
-	// A buffer from the low end of the class is no use to this read, and is
-	// not left for the next one to trip over.
-	RecycleBulk(make([]byte, 2<<20))
-	if got := takeFrameBuf(n); got != nil {
-		t.Fatalf("got a %d-byte buffer for a %d-byte read", cap(got), n)
-	}
-	RecycleBulk(buf)
-	if got := takeFrameBuf(n); cap(got) < n {
-		t.Fatal("the undersized buffer is still in the way of a fitting one")
+}
+
+// TestGrownRegionServesTheNextRead: a region grown on a pool miss ends at its
+// class's capacity, so once recycled it serves the next read of the same
+// length, a power of two or not.
+func TestGrownRegionServesTheNextRead(t *testing.T) {
+	for _, n := range []int{wire.MaxSmallBuf + 1, 300 << 10, 1 << 20, (4 << 20) + 9} {
+		for wire.TakeBuf(n) != nil { // drain: the first read misses
+		}
+		first := pooledRead(t, n)
+		if cap(first) != wire.ClassCap(n) {
+			t.Fatalf("a %d-byte region grew to %d, want its class's %d", n, cap(first), wire.ClassCap(n))
+		}
+		lease := LeaseBulk(&Request{Bulk: first, BulkOwned: true})
+		lease.Recycle()
+		if again := pooledRead(t, n); &again[0] != &first[0] {
+			t.Fatalf("the next %d-byte read did not draw the recycled region", n)
+		}
 	}
 }
 
-// TestBulkBuffersStayInTheLargeClasses: the wire payload pool serves the
-// framing code — readFrame slices its header out of what GetBuf returns — so
-// a recycled buffer of a few bytes must never land in it, and a reader that
-// gives its buffers away draws none from it: a region of up to maxPooledFrame
-// is read into a slice of its own length. In the large classes the slack of
-// what it draws is the ratio between two classes.
-func TestBulkBuffersStayInTheLargeClasses(t *testing.T) {
-	for _, n := range []int{1, 4, frameHeaderLen - 1, 600, maxPooledFrame} {
-		RecycleBulk(make([]byte, n))
-		if got := takeFrameBuf(n); got != nil {
-			t.Fatalf("a %d-byte region drew a pooled buffer of %d", n, cap(got))
+// TestSmallRegionsReadToTheirLength: a region of up to wire.MaxSmallBuf is
+// read into a slice of exactly its length, whatever the pool holds, and the
+// small buffers a handler recycles never reach a class they cannot serve:
+// readFrame slices its header out of what GetBuf returns.
+func TestSmallRegionsReadToTheirLength(t *testing.T) {
+	for _, n := range []int{1, 4, frameHeaderLen - 1, 600, wire.MaxSmallBuf} {
+		wire.PutBuf(make([]byte, n))
+		wire.PutBuf(make([]byte, 0, 2*n))
+		if got := pooledRead(t, n); cap(got) != n {
+			t.Fatalf("a %d-byte region was read into a buffer of %d", n, cap(got))
 		}
 	}
 	for i := 0; i < 64; i++ {
@@ -292,37 +310,52 @@ func TestBulkBuffersStayInTheLargeClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
 
-	n := maxPooledFrame + 1 // the shortest region of the class
-	for _, size := range largeClassSizes {
-		RecycleBulk(make([]byte, size)) // the largest buffer of the class
-		got := takeFrameBuf(n)
-		if got == nil {
-			t.Fatalf("a %d-byte region did not draw the %d-byte buffer of its class", n, size)
+// TestLargeClassesKeepABoundedNumber: the pool's classes are never emptied by
+// the collector, so what each may pin is bounded: 2 MiB of class capacity
+// above wire.MaxSmallBuf, and one buffer in a class larger than that.
+func TestLargeClassesKeepABoundedNumber(t *testing.T) {
+	for _, c := range []struct{ size, keep int }{
+		{128 << 10, 16}, {256 << 10, 8}, {1 << 20, 2}, {4 << 20, 1}, {16 << 20, 1},
+	} {
+		for wire.TakeBuf(c.size) != nil { // drain what other tests left in the class
 		}
-		if cap(got) > 4*n+frameHeaderLen+64 {
-			t.Fatalf("a %d-byte region drew a buffer of %d", n, cap(got))
+		for j := 0; j < c.keep+1; j++ {
+			lease := LeaseBulk(&Request{Bulk: make([]byte, c.size), BulkOwned: true})
+			lease.Recycle()
 		}
-		n = size + 1
+		got := 0
+		for wire.TakeBuf(c.size) != nil { // leave nothing pinned behind
+			got++
+		}
+		if got != c.keep {
+			t.Fatalf("the %d-byte class keeps %d buffers, want %d", c.size, got, c.keep)
+		}
 	}
 }
 
-// TestLargeClassesKeepABoundedNumber: the large lists are never emptied by
-// the collector, so what each may pin is bounded: largeClassKeep bytes, one
-// buffer in the largest class.
-func TestLargeClassesKeepABoundedNumber(t *testing.T) {
-	for i, size := range largeClassSizes {
-		for takeFrameBuf(size) != nil { // drain what other tests left in the class
+// TestBulkBuffersUnderPoolChecks: the pool oracle covers the bulk lane. A
+// region above wire.MaxSmallBuf a handler gives back is poisoned and never
+// handed out again, and a second give-back is counted.
+func TestBulkBuffersUnderPoolChecks(t *testing.T) {
+	wire.CheckPool(true)
+	defer wire.CheckPool(false)
+	const n = 1 << 20
+	bulk := pooledRead(t, n)
+	lease := LeaseBulk(&Request{Bulk: bulk, BulkOwned: true})
+	lease.Recycle()
+	for i, c := range bulk[:cap(bulk)] {
+		if c != 0xDB {
+			t.Fatalf("byte %d of a recycled region reads %#x, want the poison", i, c)
 		}
-		want := max(1, largeClassKeep/size)
-		for j := 0; j < want+1; j++ {
-			RecycleBulk(make([]byte, size))
-		}
-		l := &largeFramePools[i]
-		if got := len(l.free); got != want {
-			t.Fatalf("class %d keeps %d buffers, want %d", size, got, want)
-		}
-		for l.get() != nil { // leave nothing pinned behind
-		}
+	}
+	if again := pooledRead(t, n); &again[0] == &bulk[0] {
+		t.Fatal("a recycled region was handed out again in checking mode")
+	}
+	lease = LeaseBulk(&Request{Bulk: bulk, BulkOwned: true})
+	lease.Recycle()
+	if doubles := wire.CheckPool(false); doubles != 1 {
+		t.Fatalf("CheckPool counted %d double returns, want 1", doubles)
 	}
 }

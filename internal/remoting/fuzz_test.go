@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"dgsf/internal/remoting/wire"
 )
 
 // FuzzReadFrame drives the frame reader with arbitrary byte streams, seeded
@@ -99,7 +101,7 @@ func checkReadFrame(t *testing.T, in []byte) {
 func FuzzFrameRoundtrip(f *testing.F) {
 	f.Add([]byte("payload"), int64(7))
 	f.Add([]byte{}, int64(0))
-	f.Add(bytes.Repeat([]byte{0x5A}, maxPooledFrame+17), int64(-1)) // beyond the pooled size class
+	f.Add(bytes.Repeat([]byte{0x5A}, wire.MaxSmallBuf+17), int64(-1)) // beyond the pooled size class
 	f.Fuzz(func(t *testing.T, payload []byte, data int64) {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, payload, nil, data); err != nil {

@@ -45,9 +45,6 @@ const flagBulk uint16 = 1 << 0
 // cause a giant allocation).
 const maxFrameLen = 64 << 20
 
-// maxPooledFrame caps the frame buffers retained by the small pool.
-const maxPooledFrame = 64 << 10
-
 // vecCoalesceMax is the bulk size up to which a frame is one contiguous
 // write: for small payloads copying the bulk behind the header beats the
 // scatter bookkeeping of a second vector.
@@ -103,11 +100,11 @@ type frame struct {
 // newFrame encodes one message.
 func newFrame(meta, bulk []byte, data int64) frame {
 	n := frameHeaderLen + len(meta)
-	coalesce := len(bulk) <= vecCoalesceMax && n+len(bulk) <= maxPooledFrame
+	coalesce := len(bulk) <= vecCoalesceMax && n+len(bulk) <= wire.MaxSmallBuf
 	if coalesce {
 		n += len(bulk)
 	}
-	buf := append(appendHeader(getFrameBuf(n), len(meta), len(bulk), data), meta...)
+	buf := append(appendHeader(wire.GetBuf(n), len(meta), len(bulk), data), meta...)
 	if coalesce {
 		buf = append(buf, bulk...)
 		bulk = nil
@@ -131,8 +128,8 @@ func (f frame) writeTo(w io.Writer) error {
 	return err
 }
 
-// release returns the frame's buffer to its pool.
-func (f frame) release() { putFrameBuf(f.buf) }
+// release returns the frame's buffer to the payload pool.
+func (f frame) release() { wire.PutBuf(f.buf) }
 
 // frameVec is the pooled scratch for a two-vector writev. bufs keeps the
 // full-capacity slice header so the backing array survives WriteTo (which
@@ -180,12 +177,12 @@ func ReadFrame(r io.Reader, metaBuf, bulkDst []byte) (meta, bulk []byte, data in
 
 // readFrame is ReadFrame with a choice of where regions that do not fit the
 // caller's buffers land. pooled is for a reader that gives its buffers away
-// with the request and gets them back from its consumer: metadata of up to
-// maxPooledFrame is read into a buffer of the wire payload pool (returned
-// with wire.PutBuf), a bulk region into one from the large frame pools
-// (RecycleBulk). That pool is only ever asked for a buffer it already has, so
-// on a miss — as for every caller of ReadFrame — the region grows as its
-// bytes arrive.
+// with the request and gets them back from its consumer (wire.PutBuf):
+// metadata is read into a buffer of the payload pool, and so is a bulk
+// region above wire.MaxSmallBuf — a smaller one into a slice of exactly its
+// length. Above wire.MaxSmallBuf the pool is only ever asked for a buffer it
+// already has, so on a miss — as for every caller of ReadFrame — the region
+// grows as its bytes arrive, for a pooled reader to its class's capacity.
 func readFrame(r io.Reader, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []byte, data int64, err error) {
 	// The header goes through a pooled buffer: a stack array would escape
 	// through the io.Reader interface.
@@ -198,17 +195,21 @@ func readFrame(r io.Reader, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if pooled && cap(metaBuf) < metaLen && metaLen <= maxPooledFrame {
-		metaBuf = wire.GetBuf(metaLen)
+	if pooled && cap(metaBuf) < metaLen {
+		if metaLen <= wire.MaxSmallBuf {
+			metaBuf = wire.GetBuf(metaLen)
+		} else {
+			metaBuf = wire.TakeBuf(metaLen)
+		}
 	}
-	if meta, err = readPayload(r, metaBuf, metaLen); err != nil {
+	if meta, err = readPayload(r, metaBuf, metaLen, pooled); err != nil {
 		return nil, nil, 0, err
 	}
 	if bulkLen > 0 {
-		if pooled && cap(bulkDst) < bulkLen {
-			bulkDst = takeFrameBuf(bulkLen)
+		if pooled && cap(bulkDst) < bulkLen && bulkLen > wire.MaxSmallBuf {
+			bulkDst = wire.TakeBuf(bulkLen)
 		}
-		if bulk, err = readPayload(r, bulkDst, bulkLen); err != nil {
+		if bulk, err = readPayload(r, bulkDst, bulkLen, pooled); err != nil {
 			return nil, nil, 0, err
 		}
 	}
@@ -217,12 +218,14 @@ func readFrame(r io.Reader, metaBuf, bulkDst []byte, pooled bool) (meta, bulk []
 }
 
 // readPayload reads n payload bytes, into buf when it fits. Frames up to
-// maxPooledFrame (the steady state) allocate at most once; larger claims
+// wire.MaxSmallBuf (the steady state) allocate at most once; larger claims
 // grow the buffer geometrically as bytes actually arrive, so a corrupted
 // length prefix just under maxFrameLen on a truncated stream cannot force
-// a 64 MiB up-front allocation.
-func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if n > cap(buf) && n <= maxPooledFrame {
+// a 64 MiB up-front allocation. The last step grows to n, or for a pooled
+// reader to n's class capacity (wire.ClassCap) — never past twice what
+// arrived — so the buffer, given back, serves the next read of n.
+func readPayload(r io.Reader, buf []byte, n int, pooled bool) ([]byte, error) {
+	if n > cap(buf) && n <= wire.MaxSmallBuf {
 		buf = make([]byte, n)
 	}
 	if n <= cap(buf) {
@@ -232,18 +235,18 @@ func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
 		}
 		return out, nil
 	}
-	buf = make([]byte, 0, maxPooledFrame)
+	end := n
+	if pooled {
+		end = wire.ClassCap(n)
+	}
+	buf = make([]byte, 0, wire.MaxSmallBuf)
 	for len(buf) < n {
 		if len(buf) == cap(buf) {
-			newCap := cap(buf) * 2
-			if newCap > n {
-				newCap = n
-			}
-			grown := make([]byte, len(buf), newCap)
+			grown := make([]byte, len(buf), min(cap(buf)*2, end))
 			copy(grown, buf)
 			buf = grown
 		}
-		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
 		buf = buf[:len(buf)+m]
 		if err != nil {
 			return nil, wrapReadErr(err)
@@ -262,136 +265,6 @@ func wrapReadErr(err error) error {
 		return fmt.Errorf("%w: %v", ErrCallTimeout, err)
 	}
 	return fmt.Errorf("%w: %v", ErrConnClosed, err)
-}
-
-// --- size-classed frame pools ---
-//
-// Frame buffers of up to maxPooledFrame come from the wire payload pool
-// (wire.GetBuf), larger ones from the large classes below; either is owned by
-// the writer until the write returns.
-
-// largeClassSizes are the capacity classes for frame buffers above
-// maxPooledFrame: without them every >64 KiB frame would allocate afresh. Each class carries headroom for the frame
-// header so a power-of-two payload does not spill into the next class.
-var largeClassSizes = [...]int{
-	(256 << 10) + frameHeaderLen + 64,
-	(1 << 20) + frameHeaderLen + 64,
-	(4 << 20) + frameHeaderLen + 64,
-	(16 << 20) + frameHeaderLen + 64,
-}
-
-// largeFrameList holds the free buffers of one large class. It is a bounded
-// list under a lock, like the wire payload pool's classes and for the same
-// reasons: a bulk buffer is handed from one goroutine to another — the
-// server's process recycles what a bridge's reader drew — which a sync.Pool's
-// per-P caches serve by chance, and the collector empties a sync.Pool, so how
-// many megabyte buffers a run allocated afresh differed from run to run.
-// What a list keeps the collector never frees: largeClassKeep bytes per
-// class, one buffer in the largest.
-type largeFrameList struct {
-	mu   sync.Mutex
-	free [][]byte
-}
-
-const largeClassKeep = 8 << 20
-
-var largeFramePools [len(largeClassSizes)]largeFrameList
-
-func (l *largeFrameList) get() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	last := len(l.free) - 1
-	if last < 0 {
-		return nil
-	}
-	buf := l.free[last]
-	l.free[last] = nil
-	l.free = l.free[:last]
-	return buf
-}
-
-// put files buf under the list of class size, or leaves it to the collector
-// when the list is full.
-func (l *largeFrameList) put(buf []byte, size int) {
-	l.mu.Lock()
-	if len(l.free) < max(1, largeClassKeep/size) {
-		l.free = append(l.free, buf[:0])
-	}
-	l.mu.Unlock()
-}
-
-// largeClass returns the list and the capacity of the smallest class that
-// holds n bytes; nil beyond the largest.
-func largeClass(n int) (*largeFrameList, int) {
-	for i, size := range largeClassSizes {
-		if n <= size {
-			return &largeFramePools[i], size
-		}
-	}
-	return nil, 0
-}
-
-// getFrameBuf returns an empty pooled buffer with at least n bytes of
-// capacity: the wire payload pool up to maxPooledFrame, a size-classed large
-// list up to 16 MiB, a fresh allocation beyond (bounded by maxFrameLen).
-func getFrameBuf(n int) []byte {
-	if n <= maxPooledFrame {
-		return wire.GetBuf(n)
-	}
-	if pool, size := largeClass(n); pool != nil {
-		if buf := pool.get(); buf != nil {
-			return buf
-		}
-		n = size
-	}
-	return make([]byte, 0, n)
-}
-
-// takeFrameBuf is getFrameBuf for a reader that has only been told a length
-// and will give the buffer away: it returns a buffer of n's large class with
-// room for n bytes, or nil, and never allocates on the strength of n. A
-// region of up to maxPooledFrame gets nil — read into a fresh slice of
-// exactly its length, it is left to the collector — so what the reader gives
-// away has a capacity of its length below that and under four times its
-// length (plus a header's headroom) above: the ratio between two classes.
-func takeFrameBuf(n int) []byte {
-	if n <= maxPooledFrame {
-		return nil
-	}
-	pool, _ := largeClass(n)
-	if pool == nil {
-		return nil
-	}
-	buf := pool.get()
-	if cap(buf) < n {
-		// A buffer from the low end of its class is dropped, not put back: the
-		// next take would only find it again, and the one grown in its place
-		// serves every length of the class.
-		return nil
-	}
-	return buf
-}
-
-// putFrameBuf returns a frame buffer to the pool matching its capacity.
-func putFrameBuf(buf []byte) {
-	if cap(buf) <= maxPooledFrame {
-		wire.PutBuf(buf)
-	} else if pool, size := largeClass(cap(buf)); pool != nil {
-		pool.put(buf, size)
-	}
-	// Beyond the largest class: drop it, a 64 MiB buffer must not be pinned.
-}
-
-// RecycleBulk returns a bulk buffer its owner is done with — a request's
-// owned bulk region (Request.BulkOwned), or storage one displaced — to the
-// large frame pools, where a bridge's reader draws its next one. The caller
-// must hold the only reference. A buffer of up to maxPooledFrame is left to
-// the collector: a region that small was read into a slice of its own
-// length, not drawn from a pool.
-func RecycleBulk(buf []byte) {
-	if cap(buf) > maxPooledFrame {
-		putFrameBuf(buf)
-	}
 }
 
 // --- wire statistics ---

@@ -117,7 +117,7 @@ func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration
 	}
 	resp, respBulk, _, err = ReadFrame(c.conn, c.readBuf, respDst)
 	// Keep a grown buffer for the next reply, but never pin a huge one.
-	if cap(resp) > cap(c.readBuf) && cap(resp) <= maxPooledFrame {
+	if cap(resp) > cap(c.readBuf) && cap(resp) <= wire.MaxSmallBuf {
 		c.readBuf = resp[:0]
 	}
 	if err != nil {
@@ -215,11 +215,11 @@ func ServeConn(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request]) <-chan s
 		defer close(done)
 		defer replies.Close()
 		for {
-			// The payload lands in a buffer of the wire payload pool and a
-			// bulk region in one from the large frame pools — up to
-			// maxPooledFrame, in a fresh one of its length. Both travel with
-			// the request as the handler's property; what the handler does
-			// not keep comes back to the pools (wire.PutBuf, RecycleBulk).
+			// The payload lands in a buffer of the wire payload pool, and so
+			// does a bulk region — up to wire.MaxSmallBuf, in a fresh one of
+			// its length. Both travel with the request as the handler's
+			// property; what the handler does not keep comes back to the
+			// pool (wire.PutBuf).
 			payload, bulk, _, err := readFrame(conn, nil, nil, true)
 			if err != nil {
 				return
@@ -228,7 +228,7 @@ func ServeConn(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request]) <-chan s
 			// drop the bridge rather than panic.
 			if !inbox.TrySend(Request{Payload: payload, PayloadOwned: true, Bulk: bulk, BulkOwned: bulk != nil, ReplyTo: replies}) {
 				wire.PutBuf(payload)
-				RecycleBulk(bulk)
+				wire.PutBuf(bulk)
 				return
 			}
 		}

@@ -179,7 +179,7 @@ type Request struct {
 	// with the request (the TCP bridge does). The handler may keep it —
 	// install it as storage, copying nothing — and gives every buffer it
 	// does not keep, Bulk itself or one Bulk displaced, back through
-	// RecycleBulk once the request is handled; LeaseBulk does the
+	// wire.PutBuf once the request is handled; LeaseBulk does the
 	// bookkeeping. When false, Bulk is borrowed from the sender for the
 	// duration of the call (the simulated transport passes the guest's own
 	// slice through) and a handler copies what it retains.
@@ -229,7 +229,7 @@ func (r Response) Release() {
 // BulkLease is a handler's hold on the bulk buffer a transport gave it with
 // a request (Request.BulkOwned). The handler opens it before dispatching,
 // lets the call that can use the buffer Claim it, and Recycles afterwards —
-// which returns an unclaimed buffer to the transport's pool.
+// which returns an unclaimed buffer to the payload pool.
 type BulkLease struct{ buf []byte }
 
 // LeaseBulk opens the lease on req's bulk region; it is empty when the
@@ -243,7 +243,7 @@ func LeaseBulk(req *Request) BulkLease {
 
 // Claim tells a call handler whether data — the bulk argument the dispatcher
 // passed it — is the leased buffer. If so the lease ends and the buffer comes
-// back as the handler's own, to keep or to RecycleBulk; if not, data is
+// back as the handler's own, to keep or to wire.PutBuf; if not, data is
 // borrowed and Claim returns nil.
 func (l *BulkLease) Claim(data []byte) []byte {
 	if len(data) == 0 || len(l.buf) == 0 || &data[0] != &l.buf[0] {
@@ -253,9 +253,10 @@ func (l *BulkLease) Claim(data []byte) []byte {
 	return data
 }
 
-// Recycle ends the lease, returning a buffer nobody claimed to the pool.
+// Recycle ends the lease, returning a buffer nobody claimed to the payload
+// pool.
 func (l *BulkLease) Recycle() {
-	RecycleBulk(l.buf)
+	wire.PutBuf(l.buf)
 	l.buf = nil
 }
 

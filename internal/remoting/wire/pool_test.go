@@ -9,11 +9,12 @@ import (
 func TestBufClasses(t *testing.T) {
 	for _, c := range []struct{ n, wantCap int }{
 		{-1, 8}, {0, 8}, {4, 8}, {8, 8}, {9, 16}, {88, 128}, {128, 128}, {129, 256},
-		{maxPooledBuf - 1, maxPooledBuf}, {maxPooledBuf, maxPooledBuf}, {maxPooledBuf + 1, maxPooledBuf + 1},
+		{MaxSmallBuf - 1, MaxSmallBuf}, {MaxSmallBuf, MaxSmallBuf}, {MaxSmallBuf + 1, 2 * MaxSmallBuf},
+		{maxBuf - 1, maxBuf}, {maxBuf, maxBuf}, {maxBuf + 1, maxBuf + 1},
 	} {
 		b := GetBuf(c.n)
-		if len(b) != 0 || cap(b) != c.wantCap {
-			t.Errorf("GetBuf(%d): len %d cap %d, want 0 and %d", c.n, len(b), cap(b), c.wantCap)
+		if len(b) != 0 || cap(b) != c.wantCap || ClassCap(c.n) != max(c.wantCap, c.n) {
+			t.Errorf("GetBuf(%d): len %d cap %d, ClassCap %d; want 0 and %d", c.n, len(b), cap(b), ClassCap(c.n), c.wantCap)
 		}
 		PutBuf(b)
 	}
@@ -25,8 +26,44 @@ func TestBufClasses(t *testing.T) {
 		t.Errorf("a 100-byte buffer did not come back as the 64-byte class's (cap %d)", cap(got))
 	}
 	PutBuf(make([]byte, 0, 7))
-	PutBuf(make([]byte, 0, maxPooledBuf+1))
+	PutBuf(make([]byte, 0, maxBuf+1))
 	PutBuf(nil)
+	if got := TakeBuf(maxBuf + 1); got != nil {
+		t.Errorf("TakeBuf beyond the largest class returned a buffer of %d", cap(got))
+	}
+	for TakeBuf(maxBuf) != nil { // leave nothing pinned behind
+	}
+}
+
+// TestPoolKeepsBoundedBytes: a class keeps at most maxFreeBufs buffers and
+// its byte budget of class capacity, and at least one buffer, so the whole
+// pool pins at most the 41 464 KiB the package comment states.
+func TestPoolKeepsBoundedBytes(t *testing.T) {
+	total := 0
+	for shift := minBufShift; shift <= maxBufShift; shift++ {
+		size := 1 << shift
+		for TakeBuf(size) != nil { // drain what other tests left in the class
+		}
+		budget := maxFreeBytes
+		if size > MaxSmallBuf {
+			budget = maxFreeBulkBytes
+		}
+		want := max(1, min(maxFreeBufs, budget/size))
+		for i := 0; i <= want; i++ {
+			PutBuf(make([]byte, 0, size))
+		}
+		got := 0
+		for TakeBuf(size) != nil { // leave nothing pinned behind
+			got++
+		}
+		if got != want {
+			t.Errorf("the %d-byte class keeps %d buffers, want %d", size, got, want)
+		}
+		total += got * size
+	}
+	if total != 41464<<10 {
+		t.Errorf("the pool keeps %d KiB, want 41 464", total>>10)
+	}
 }
 
 // TestBufRoundTripAllocatesNothing: the steady state of a message — take a

@@ -31,9 +31,11 @@ var ErrOversized = errors.New("wire: oversized field")
 // length prefix from causing huge allocations.
 const maxSliceLen = 1 << 20
 
-// maxPooledBuf caps the encoder buffers retained by the pool so one giant
-// message (e.g. a model-sized batch) does not pin memory forever.
-const maxPooledBuf = 64 << 10
+// MaxSmallBuf is where the remoting path's large buffers begin. An encoder
+// whose buffer grew past it is not pooled, so one giant message (e.g. a
+// model-sized batch) does not pin memory forever; a frame region of up to
+// it is read in one allocation, a larger one as its bytes arrive.
+const MaxSmallBuf = 64 << 10
 
 // maxPooledScratch caps the shared-decode scratch slices (element counts,
 // not bytes) a pooled decoder retains.
@@ -60,7 +62,7 @@ func GetEncoder() *Encoder {
 
 // PutEncoder returns an encoder to the pool.
 func PutEncoder(e *Encoder) {
-	if cap(e.buf) > maxPooledBuf {
+	if cap(e.buf) > MaxSmallBuf {
 		return
 	}
 	encPool.Put(e)
