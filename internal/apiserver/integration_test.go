@@ -335,6 +335,60 @@ func TestMigrationPreservesAddressSpaceAndContents(t *testing.T) {
 	})
 }
 
+// TestMigrateOutOfMemoryMovesNothing fills the target GPU so that only the
+// first of two written allocations fits, with and without a target context
+// to create: Migrate must fail with every allocation still on the source,
+// readable there, and the target's memory as it was.
+func TestMigrateOutOfMemoryMovesNothing(t *testing.T) {
+	for _, ctxBytes := range []int64{0, 64 << 20} {
+		e := sim.NewEngine(1)
+		e.Run("root", func(p *sim.Proc) {
+			r := newCostRig(e, p, 2, fastCfg(), cuda.Costs{CtxBytes: ctxBytes}, guest.OptNone)
+			lib := r.lib
+			must := func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			must(lib.Hello(p, "fn", 4<<30))
+			a, err := lib.Malloc(p, 256<<20)
+			must(err)
+			b, err := lib.Malloc(p, 64<<20)
+			must(err)
+			must(lib.MemcpyH2D(p, a, gpu.HostBuffer{FP: 7, Size: 256 << 20}, 256<<20))
+			must(lib.MemcpyH2D(p, b, gpu.HostBuffer{FP: 8, Size: 64 << 20}, 64<<20))
+			preA, err := lib.MemcpyD2H(p, a, 256<<20)
+			must(err)
+			preB, err := lib.MemcpyD2H(p, b, 64<<20)
+			must(err)
+
+			target := r.devs[1]
+			if _, err := target.AllocPhys(target.FreeBytes() - ctxBytes - (256+32)<<20); err != nil {
+				t.Fatal(err)
+			}
+			used := target.UsedBytes()
+
+			if _, err := r.srv.Migrate(p, 1); !errors.Is(err, cuda.ErrMemoryAllocation) {
+				t.Fatalf("ctx %d B: Migrate = %v, want ErrMemoryAllocation", ctxBytes, err)
+			}
+			if got := r.srv.CurrentDev(); got != 0 {
+				t.Fatalf("ctx %d B: CurrentDev after a failed migration = %d", ctxBytes, got)
+			}
+			if got := target.UsedBytes(); got != used {
+				t.Fatalf("ctx %d B: target holds %d bytes after a failed migration, %d before", ctxBytes, got, used)
+			}
+			postA, err := lib.MemcpyD2H(p, a, 256<<20)
+			must(err)
+			postB, err := lib.MemcpyD2H(p, b, 64<<20)
+			must(err)
+			if postA.FP != preA.FP || postB.FP != preB.FP {
+				t.Fatalf("ctx %d B: contents changed: a %x→%x, b %x→%x", ctxBytes, preA.FP, postA.FP, preB.FP, postB.FP)
+			}
+			must(lib.Bye(p))
+		})
+	}
+}
+
 func TestMigrationCostScalesWithMemory(t *testing.T) {
 	move := func(bytes int64) time.Duration {
 		e := sim.NewEngine(1)

@@ -11,7 +11,8 @@ import (
 // Migrate moves the API server's execution to another GPU (§V-D). It runs
 // at an API call boundary (the monitor injects it through the inbox) and:
 //
-//  1. waits for all pending device work to complete;
+//  1. waits for all pending device work to complete, then checks that the
+//     target has room for all of it, failing with nothing moved otherwise;
 //  2. obtains (creating if needed) a context on the target GPU;
 //  3. rebuilds the application's virtual address space on the target using
 //     the low-level VMM API — reserving the *same* virtual addresses with
@@ -46,6 +47,24 @@ func (s *Server) Migrate(p *sim.Proc, target int) (time.Duration, error) {
 		return 0, err
 	}
 
+	// The target must hold every mapped reservation, and a context if it
+	// has none, before anything moves: running out of memory half-way would
+	// strand the moved pointers on a device curDev does not name.
+	devs := s.rt.Devices()
+	if target < 0 || target >= len(devs) {
+		return 0, cuda.ErrInvalidDevice
+	}
+	reserved := oldCtx.Reservations()
+	need := s.rt.ContextBytes(target)
+	for _, r := range reserved {
+		if a, ok := oldCtx.PhysAlloc(r.Phys); ok {
+			need += a.Size()
+		}
+	}
+	if need > devs[target].FreeBytes() {
+		return 0, cuda.ErrMemoryAllocation
+	}
+
 	// 2. Target context (one per GPU, created on first use).
 	newCtx, err := s.rt.Context(p, target)
 	if err != nil {
@@ -54,7 +73,7 @@ func (s *Server) Migrate(p *sim.Proc, target int) (time.Duration, error) {
 	s.visited[target] = target != s.cfg.HomeDev
 
 	// 3. Move every mapped reservation, preserving virtual addresses.
-	for _, r := range oldCtx.Reservations() {
+	for _, r := range reserved {
 		va := cuda.DevPtr(r.Addr)
 		if err := newCtx.MemAddressReserveAt(p, va, r.Size); err != nil {
 			return 0, err

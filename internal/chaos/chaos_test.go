@@ -46,12 +46,15 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestRunScheduleDeterministic replays the same (seed, schedule) pair twice
 // and demands bit-identical results — the property every reproducer file
-// depends on.
+// depends on. The mix schedule is the faults experiment's no-fault baseline.
 func TestRunScheduleDeterministic(t *testing.T) {
-	for _, trial := range []int{0, 1} {
-		s := Generate(1, trial)
+	mix := Schedule{Workload: WorkloadMix, Servers: 1, Invocations: 16}
+	for _, s := range []Schedule{Generate(1, 0), Generate(1, 1), mix} {
 		a := RunSchedule(1, s)
 		b := RunSchedule(1, s)
+		if a.Invocations != s.Invocations {
+			t.Fatalf("%s: ran %d of %d invocations", s, a.Invocations, s.Invocations)
+		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s: RunSchedule is not deterministic:\n%+v\n%+v", s, a, b)
 		}

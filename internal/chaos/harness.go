@@ -16,48 +16,60 @@ import (
 	"dgsf/internal/workloads"
 )
 
-// RunSchedule executes one schedule and returns the oracle's verdict. A
-// deadlock or virtual-time-limit panic from the engine is captured as a
-// "hang" violation rather than crashing the campaign — a hang IS a finding.
-func RunSchedule(seed int64, s Schedule) (res Result) {
+// RunSchedule runs s as a campaign trial, under the root process
+// "chaos-<workload>".
+func RunSchedule(seed int64, s Schedule) Result {
+	return Run(seed, "chaos-"+s.Workload, s)
+}
+
+// Run executes one schedule under a root process named root and returns the
+// oracle's verdict. Process names seed random streams (DESIGN §7) and the
+// mix submitter and the chain loop draw from the root's, so the name is
+// part of the outcome: a caller that has always run a schedule under its own
+// name keeps it. A deadlock or virtual-time-limit panic from the engine is
+// captured as a "hang" violation rather than crashing the caller — a hang IS
+// a finding.
+func Run(seed int64, root string, s Schedule) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res.Hang = true
 			detail := fmt.Sprint(r)
 			if len(detail) > 12000 {
 				detail = detail[:12000] + " ..."
 			}
-			res.Violations = append(res.Violations, Violation{Check: "hang", Detail: detail})
+			res = Result{Hang: true, Violations: []Violation{{Check: "hang", Detail: detail}}}
 		}
 	}()
-	switch s.Workload {
-	case WorkloadFleet:
-		return runFleetSchedule(seed, s)
-	default:
-		return runPipelineSchedule(seed, s)
-	}
-}
-
-// runFleetSchedule drives the schedule's submissions through the full
-// control plane — watched store, remote placement controller under a
-// supervisor, reclaim controller, one agent per machine — with the fault
-// plan armed, then runs the store, session, and wire invariants.
-func runFleetSchedule(seed int64, s Schedule) Result {
-	var res Result
 	e := sim.NewEngine(seed)
 	e.SetTimeLimit(2 * time.Hour)
+	wireStart := remoting.SnapshotWireStats()
+	switch s.Workload {
+	case WorkloadFleet:
+		runFleet(e, root, s, &res)
+	case WorkloadMix:
+		runMix(e, root, s, &res)
+	default:
+		runPipeline(e, root, s, &res)
+	}
+	checkWireDelta(&res, remoting.SnapshotWireStats().Sub(wireStart))
+	return res
+}
+
+// runFleet drives the schedule's submissions through the full control plane
+// — watched store, remote placement controller under a supervisor, reclaim
+// controller, one agent per machine — with the fault plan armed, then runs
+// the store, session, and guest invariants.
+func runFleet(e *sim.Engine, root string, s Schedule, res *Result) {
 	reg := metrics.NewRegistry()
 	st := store.New(e, reg)
-	wireStart := remoting.SnapshotWireStats()
 
-	e.Run("chaos-fleet", func(p *sim.Proc) {
+	e.Run(root, func(p *sim.Proc) {
 		// Oracle watches first: opened at RV 0 before the cluster's first
 		// write, they see the complete history of both kinds.
-		sessObs, err := observe(p, st, store.KindSession, &res)
+		sessObs, err := observe(p, st, store.KindSession, res)
 		if err != nil {
 			panic(err)
 		}
-		gsObs, err := observe(p, st, store.KindGPUServer, &res)
+		gsObs, err := observe(p, st, store.KindGPUServer, res)
 		if err != nil {
 			panic(err)
 		}
@@ -70,22 +82,7 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 			RetryBackoff: 75 * time.Millisecond,
 		}, s.Servers, deploy.DetectFailures, s.Plan)
 		fleet.Flood(p, s.Invocations, 30*time.Millisecond)
-
-		// Invariant: session conservation. Every submission completes, every
-		// session object converges to Done, and the store's and the
-		// backend's accounting agree.
-		invs := fleet.Backend.Invocations()
-		res.Invocations = len(invs)
-		for _, inv := range invs {
-			if inv.Err != nil {
-				res.violate("session-conservation", "invocation %d (%s) failed: %v", inv.Seq, inv.Fn.Name, inv.Err)
-			}
-			res.Recoveries += inv.Recoveries
-			checkGuestAccounting(&res, "invocation", inv.Seq, inv)
-		}
-		if len(invs) != s.Invocations {
-			res.violate("session-conservation", "submitted %d invocations, backend tracked %d", s.Invocations, len(invs))
-		}
+		res.tally(fleet.Backend.Invocations(), s.Invocations)
 
 		// Snapshot current state and mark the end of the oracle streams
 		// back-to-back: nothing yields in between, so each fold, cut at its
@@ -100,10 +97,13 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 		}
 		sessObs.mark()
 		gsObs.mark()
-		checkStoreCounters(&res, st, reg)
+		checkStoreCounters(res, st, reg)
 		sessObs.settle(p, sessions)
 		gsObs.settle(p, gss)
 
+		// Invariant: session conservation, store side. Every session object
+		// converges to Done, and the store's and the backend's accounting
+		// agree.
 		if len(sessions) != s.Invocations {
 			res.violate("session-conservation", "store holds %d sessions for %d submissions", len(sessions), s.Invocations)
 		}
@@ -124,51 +124,44 @@ func runFleetSchedule(seed int64, s Schedule) Result {
 			res.violate("session-conservation", "fleet_sessions_failed=%d", c)
 		}
 	})
-	checkWireDelta(&res, remoting.SnapshotWireStats().Sub(wireStart))
-	return res
 }
 
-// runPipelineSchedule drives the schedule's detect→identify chains over the
-// GPU-side data plane with the fault plan armed, then runs the export,
-// device-memory, guest, and wire invariants.
-func runPipelineSchedule(seed int64, s Schedule) Result {
-	var res Result
-	e := sim.NewEngine(seed)
-	e.SetTimeLimit(2 * time.Hour)
+// runMix drives the SW mix through the paper-scale backend: the smaller
+// workloads in a seeded shuffle, with exponential gaps of 2 s mean, placed
+// by least load on machines of 2 GPUs, with the fault plan armed. Then it
+// runs the session, device-memory and guest invariants.
+func runMix(e *sim.Engine, root string, s Schedule, res *Result) {
+	e.Run(root, func(p *sim.Proc) {
+		m := bootMachines(p, s, faas.PickLeastLoaded, func(_ int, cfg *gpuserver.Config) {
+			cfg.GPUs = 2
+		})
+		// Whole rounds of the mix: a count that is not a multiple of its
+		// four workloads shows as a session-conservation violation.
+		sw := workloads.Smaller()
+		m.backend.SubmitSequence(p, deploy.Stream(p, sw, s.Invocations/len(sw)), faas.ExponentialArrivals(p, 2*time.Second))
+		m.backend.Drain(p)
+		res.tally(m.backend.Invocations(), s.Invocations)
+		res.ProviderE2E = m.backend.ProviderEndToEnd()
+		res.E2ESum = m.backend.E2ESum()
+		m.quiesce(res)
+	})
+}
+
+// runPipeline drives the schedule's detect→identify chains over the GPU-side
+// data plane with the fault plan armed, then runs the export, device-memory,
+// and guest invariants.
+func runPipeline(e *sim.Engine, root string, s Schedule, res *Result) {
 	reg := metrics.NewRegistry()
 	fab := dataplane.NewFabric(dataplane.DefaultConfig(), reg)
-	wireStart := remoting.SnapshotWireStats()
 
-	e.Run("chaos-pipeline", func(p *sim.Proc) {
+	e.Run(root, func(p *sim.Proc) {
 		planes := make([]*dataplane.Plane, s.Servers)
-		servers := deploy.GPUServers(p, s.Servers, func(i int, cfg *gpuserver.Config) {
+		m := bootMachines(p, s, faas.PickFixed, func(i int, cfg *gpuserver.Config) {
 			cfg.GPUs = 1
-			cfg.ServersPerGPU = 2
-			deploy.DetectFailures(cfg)
 			planes[i] = fab.NewPlane(fmt.Sprintf("gpu-%d", i))
 			cfg.Plane = planes[i]
 		})
-		// Device-memory baseline: the hosted API servers' own contexts and
-		// handle pools, created by Prewarm before Start returned and alive
-		// for the machine's lifetime. The pools are bounded at their
-		// prewarmed size, so a healthy machine at quiesce must be exactly
-		// back at this baseline.
-		baseline := make([][]int, len(servers))
-		for i, gs := range servers {
-			for _, dev := range gs.Devices() {
-				baseline[i] = append(baseline[i], dev.LiveAllocs())
-			}
-		}
-
-		inj := faults.NewInjector(e, s.Plan, servers)
-		inj.BindFabric(fab)
-		inj.Arm(p)
-
-		backend := faas.NewMultiBackend(e, servers, faas.PickFixed, faas.OpenFaaSEnv())
-		backend.DialHook = inj.WrapConn
-		backend.DialServerHook = inj.WrapTargetConn
-		// Attempts sized to outlast the generator's partition windows.
-		backend.Recovery = deploy.Recovery(10)
+		m.inj.BindFabric(fab)
 
 		h := &dataplane.Handoff{}
 		spec := faas.ChainSpec{
@@ -178,28 +171,39 @@ func runPipelineSchedule(seed int64, s Schedule) Result {
 			Fabric:      fab,
 			CrossServer: s.CrossServer,
 		}
+		start := p.Now()
 		for i := 0; i < s.Invocations; i++ {
 			ffBefore := reg.Counter(dataplane.CtrFabricFaults).Value()
-			r := backend.InvokeChain(p, spec)
+			r := m.backend.InvokeChain(p, spec)
 			res.Invocations++
-			if r.Err != nil {
+			res.E2ESum += r.E2E()
+			switch {
+			case r.Err != nil:
+				res.Failed++
 				res.violate("chain-conservation", "chain %d failed: %v", i, r.Err)
-			} else if r.FellBack {
+			case r.FellBack:
 				res.Fallbacks++
+			default:
+				res.GPUChains++
 			}
+			recov := 0
 			for _, inv := range []*faas.Invocation{r.Producer, r.Consumer} {
 				if inv != nil {
-					res.Recoveries += inv.Recoveries
+					recov += inv.Recoveries
 				}
 			}
-			checkGuestAccounting(&res, "chain-producer", i, r.Producer)
-			checkGuestAccounting(&res, "chain-consumer", i, r.Consumer)
+			res.Recoveries += recov
+			if recov > 0 {
+				res.Recovered++
+			}
+			checkGuestAccounting(res, "chain-producer", i, r.Producer)
+			checkGuestAccounting(res, "chain-consumer", i, r.Consumer)
 
 			if s.CanaryLeak && reg.Counter(dataplane.CtrFabricFaults).Value() > ffBefore {
 				// Seeded bug for the shrinker self-test: any chain whose
 				// handoff took a mid-flight fabric fault leaks one export, as
 				// a buggy retry path would leak its half-imported tensor.
-				for j, gs := range servers {
+				for j, gs := range m.servers {
 					if !gs.Healthy() {
 						continue
 					}
@@ -210,24 +214,72 @@ func runPipelineSchedule(seed int64, s Schedule) Result {
 				}
 			}
 		}
+		res.ProviderE2E = p.Now() - start
+		m.quiesce(res)
+	})
+	checkExportBalance(res, fab)
+}
 
-		// Invariant: device-memory conservation. With every chain complete
-		// and every session closed, a healthy machine must be back at its
-		// startup allocation baseline (failed machines keep their stranded
-		// memory by design).
-		for i, gs := range servers {
-			if !gs.Healthy() {
-				continue
-			}
-			for di, dev := range gs.Devices() {
-				if n := dev.LiveAllocs(); n > baseline[i][di] {
-					res.violate("device-leak", "server %d device %d holds %d live allocations at quiesce (startup baseline %d)",
-						i, di, n, baseline[i][di])
-				}
+// machines is what a mix or a pipeline schedule runs on: GPU servers with
+// two API servers per GPU and failure detection on, their device-memory
+// baseline, the schedule's fault plan armed over them, and a multi-server
+// backend of recoverable guests in front.
+type machines struct {
+	servers  []*gpuserver.GPUServer
+	baseline [][]int // live allocations per server and device, after boot
+	inj      *faults.Injector
+	backend  *faas.Backend
+}
+
+// bootMachines boots s.Servers machines, adjust seeing each one's index
+// last, and arms s.Plan over them.
+func bootMachines(p *sim.Proc, s Schedule, pick faas.ServerPick, adjust func(i int, cfg *gpuserver.Config)) *machines {
+	e := p.Engine()
+	m := &machines{}
+	m.servers = deploy.GPUServers(p, s.Servers, func(i int, cfg *gpuserver.Config) {
+		cfg.ServersPerGPU = 2
+		deploy.DetectFailures(cfg)
+		adjust(i, cfg)
+	})
+	// Device-memory baseline: the hosted API servers' own contexts and
+	// handle pools, created by Prewarm before Start returned and alive for
+	// the machine's lifetime. The pools are bounded at their prewarmed size,
+	// so a healthy machine at quiesce must be exactly back at this baseline.
+	m.baseline = make([][]int, len(m.servers))
+	for i, gs := range m.servers {
+		for _, dev := range gs.Devices() {
+			m.baseline[i] = append(m.baseline[i], dev.LiveAllocs())
+		}
+	}
+
+	m.inj = faults.NewInjector(e, s.Plan, m.servers)
+	m.inj.Arm(p)
+
+	m.backend = faas.NewMultiBackend(e, m.servers, pick, faas.OpenFaaSEnv())
+	m.backend.DialHook = m.inj.WrapConn
+	m.backend.DialServerHook = m.inj.WrapTargetConn
+	m.backend.Recovery = deploy.Recovery()
+	return m
+}
+
+// quiesce checks device-memory conservation and records what the injector
+// did. With every invocation complete and every session closed, a healthy
+// machine must be back at its boot baseline; a failed one keeps its stranded
+// memory by design.
+func (m *machines) quiesce(res *Result) {
+	for i, gs := range m.servers {
+		if !gs.Healthy() {
+			continue
+		}
+		for di, dev := range gs.Devices() {
+			if n := dev.LiveAllocs(); n > m.baseline[i][di] {
+				res.violate("device-leak", "server %d device %d holds %d live allocations at quiesce (startup baseline %d)",
+					i, di, n, m.baseline[i][di])
 			}
 		}
-	})
-	checkExportBalance(&res, fab)
-	checkWireDelta(&res, remoting.SnapshotWireStats().Sub(wireStart))
-	return res
+	}
+	res.Killed = m.inj.Killed
+	res.FailedGS = m.inj.Failed
+	res.Dropped = m.inj.Dropped
+	res.Corrupted = m.inj.Corrupted
 }

@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"time"
 
 	"dgsf/internal/dataplane"
 	"dgsf/internal/faas"
@@ -20,14 +22,27 @@ type Violation struct {
 }
 
 // Result is the outcome of running one schedule: the oracle's verdict plus
-// enough accounting for campaign summaries.
+// enough accounting for campaign summaries and the faults table.
 type Result struct {
 	Violations []Violation
 
 	Invocations int // submissions or chains completed
+	Failed      int // submissions or chains that ended with an error
+	Shed        int // submissions refused for capacity (faas.ErrNoCapacity)
+	Recovered   int // submissions or chains that recovered at least once
 	Recoveries  int // guest recovery episodes
 	Fallbacks   int // chains that fell back to the host bounce (pipeline)
+	GPUChains   int // chains that handed off on the GPU (pipeline)
 	Hang        bool
+
+	// What the injector did (mix and pipeline).
+	Killed    int // API server crashes
+	FailedGS  int // whole-GPU-server failures
+	Dropped   int // connections severed
+	Corrupted int // connections with an injected corrupt frame
+
+	ProviderE2E time.Duration // first submission to last completion
+	E2ESum      time.Duration // sum of the submissions' or chains' own E2E
 }
 
 // violate records one invariant breach.
@@ -199,6 +214,32 @@ func checkExportBalance(res *Result, fab *dataplane.Fabric) {
 	if live != 0 {
 		res.violate("export-leak", "%d exports still live at quiesce (exports=%d frees=%d stranded=%d)",
 			live, exports, frees, stranded)
+	}
+}
+
+// --- session oracle: every submission completes ---
+
+// tally counts a drained backend's invocations and checks them: each of the
+// want submissions must have completed, and each recovery ledger must
+// balance.
+func (r *Result) tally(invs []*faas.Invocation, want int) {
+	r.Invocations = len(invs)
+	for _, inv := range invs {
+		if inv.Err != nil {
+			r.Failed++
+			if errors.Is(inv.Err, faas.ErrNoCapacity) {
+				r.Shed++
+			}
+			r.violate("session-conservation", "invocation %d (%s) failed: %v", inv.Seq, inv.Fn.Name, inv.Err)
+		}
+		if inv.Recoveries > 0 {
+			r.Recovered++
+		}
+		r.Recoveries += inv.Recoveries
+		checkGuestAccounting(r, "invocation", inv.Seq, inv)
+	}
+	if len(invs) != want {
+		r.violate("session-conservation", "submitted %d invocations, backend tracked %d", want, len(invs))
 	}
 }
 

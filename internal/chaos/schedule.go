@@ -31,6 +31,10 @@ const (
 	// WorkloadPipeline drives chained detect→identify pipelines over the
 	// GPU-side data plane with recoverable guests.
 	WorkloadPipeline = "pipeline"
+	// WorkloadMix drives the SW mix through the paper-scale backend: GPU
+	// servers of 2 GPUs × 2 API servers, least-loaded placement,
+	// recoverable guests. Generate draws none; -exp faults runs five.
+	WorkloadMix = "mix"
 )
 
 // Schedule is one randomized trial: a workload, its scale, and the fault
@@ -39,7 +43,7 @@ const (
 type Schedule struct {
 	Workload    string `json:"workload"`
 	Servers     int    `json:"servers"`
-	Invocations int    `json:"invocations"` // submissions (fleet) or chains (pipeline)
+	Invocations int    `json:"invocations"` // submissions (fleet, mix) or chains (pipeline)
 
 	// CrossServer forces pipeline consumers onto a different GPU server
 	// than their producer, so the intermediate tensor rides the fabric

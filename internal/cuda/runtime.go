@@ -152,6 +152,15 @@ func (r *Runtime) Context(p *sim.Proc, dev int) (*Context, error) {
 	return ctx, nil
 }
 
+// ContextBytes returns the device memory Context(p, dev) would allocate for
+// a valid dev: none once dev has a context.
+func (r *Runtime) ContextBytes(dev int) int64 {
+	if r.ctxs[dev] != nil {
+		return 0
+	}
+	return r.costs.CtxBytes
+}
+
 // CurrentContext returns the context of the current device, creating it if
 // needed.
 func (r *Runtime) CurrentContext(p *sim.Proc) (*Context, error) {

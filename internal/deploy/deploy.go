@@ -147,14 +147,15 @@ func DetectFailures(cfg *gpuserver.Config) {
 	cfg.QueueDeadline = 5 * time.Minute
 }
 
-// Recovery is the recovery policy guests run under when faults are injected,
-// with the given redial budget per episode. The call deadline is far above
-// any legitimate synchronous call (fences included) and below the injected
-// stall lengths, so it fires only on dead or stalled servers; the fence lag
-// keeps the pipelined lane from running blind for long.
-func Recovery(attempts int) *guest.RecoveryConfig {
+// Recovery is the recovery policy guests run under when faults are injected.
+// Ten redials per episode outlast the chaos generator's partition windows.
+// The call deadline is far above any legitimate synchronous call (fences
+// included) and below the injected stall lengths, so it fires only on dead or
+// stalled servers; the fence lag keeps the pipelined lane from running blind
+// for long.
+func Recovery() *guest.RecoveryConfig {
 	return &guest.RecoveryConfig{
-		MaxAttempts:  attempts,
+		MaxAttempts:  10,
 		BackoffBase:  5 * time.Millisecond,
 		BackoffCap:   500 * time.Millisecond,
 		CallDeadline: 60 * time.Second,

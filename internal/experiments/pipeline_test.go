@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dgsf/internal/chaos"
 	"dgsf/internal/dataplane"
 )
 
@@ -57,15 +58,19 @@ func TestPipelineAcceptance(t *testing.T) {
 }
 
 // TestPipelineFaultScenario asserts the crash-mid-handoff scenario completes
-// every chain with at least one host-bounce fallback and zero failures.
+// every chain with at least one host-bounce fallback, zero failures and no
+// violation of the chaos oracles.
 func TestPipelineFaultScenario(t *testing.T) {
-	for _, sc := range faultsScenarios() {
-		if !sc.pipeline {
+	for _, sc := range faultsScenarios {
+		if sc.schedule.Workload != chaos.WorkloadPipeline {
 			continue
 		}
-		r := runFaultScenario(1, sc)
+		r := runScenario(1, sc.name, sc.schedule)
 		t.Logf("%s: invs=%d failed=%d gpu=%d fallback=%d recovered=%d",
 			r.Scenario, r.Invocations, r.Failed, r.GPUChains, r.Fallbacks, r.Recovered)
+		for _, v := range r.Violations {
+			t.Errorf("%s: violation [%s] %s", r.Scenario, v.Check, v.Detail)
+		}
 		if r.Failed != 0 {
 			t.Errorf("%s: %d chains failed, want 0", r.Scenario, r.Failed)
 		}

@@ -270,8 +270,10 @@ func wrapReadErr(err error) error {
 // --- wire statistics ---
 
 // WireStats is a snapshot of protocol-level counters, aggregated over every
-// transport in the process (TCP and simulated alike). Counters are atomics
-// because the TCP transport runs on real goroutines.
+// transport in the process: framed streams (the TCP transport, WriteFrame,
+// ReadFrame) count where a frame is written or read, the simulated transport
+// where a message is sent or received. Counters are atomics because the TCP
+// transport runs on real goroutines.
 type WireStats struct {
 	BytesTx  int64 // wire bytes written (headers + metadata + bulk + modeled payload)
 	BytesRx  int64 // wire bytes read

@@ -282,7 +282,7 @@ type simConn struct {
 	e       *sim.Engine
 	l       *Listener
 	profile NetProfile
-	closed  bool
+	closed  bool // closed or broken: every call fails with ErrConnClosed
 
 	// inflight tracks the per-call reply queues of outstanding round
 	// trips, in call order. Each call carries its own queue as ReplyTo,
@@ -307,7 +307,6 @@ type simConn struct {
 
 	// Fault-injection state (Faultable). All mutation happens from
 	// simulated processes, serialized by the engine.
-	broken  bool          // peer considered dead; calls fail typed
 	stall   time.Duration // extra one-shot delay on the next send
 	corrupt bool          // next message fails framing validation
 
@@ -339,7 +338,7 @@ func (c *simConn) ProtoVersion() int { return ProtoV2 }
 // of a message sent before it. A closed or broken connection fails at once;
 // an armed corruption charges the transfer, then fails the framing.
 func (c *simConn) send(p *sim.Proc, n int64) (transfer, landAt time.Duration, err error) {
-	if c.closed || c.broken {
+	if c.closed {
 		return 0, 0, ErrConnClosed
 	}
 	transfer = c.profile.transferTime(p.Rand(), n)
@@ -539,24 +538,17 @@ func (c *simConn) failInflight() {
 	c.inflight = nil
 }
 
-// Close tears the connection down; a blocked Roundtrip fails.
-func (c *simConn) Close() {
-	if !c.closed {
-		c.closed = true
-		c.hold(Response{})
-		c.failInflight()
-	}
-}
+// Close tears the connection down: a blocked Roundtrip fails, and so does
+// every later call, with ErrConnClosed.
+func (c *simConn) Close() { c.Break() }
 
-// Break implements Faultable: the peer is considered dead. Unlike Close,
-// the conn object stays distinguishable as "severed by fault" so tests can
-// assert the failure path, but the caller-visible behavior is identical —
-// everything fails with ErrConnClosed.
+// Break implements Faultable: the peer is considered dead, which to the
+// caller is the same as Close.
 func (c *simConn) Break() {
-	if c.broken {
+	if c.closed {
 		return
 	}
-	c.broken = true
+	c.closed = true
 	c.hold(Response{})
 	c.failInflight()
 }
