@@ -18,7 +18,7 @@ func benchSim(b *testing.B, root func(p *Proc, e *Engine)) {
 
 // BenchmarkSleepLoop is a sleep that parks: two processes sleep in lock
 // step, so each one's deadline is never the only pending timer and every
-// sleep is a timer push, a goroutine hand-off and a timer pop.
+// sleep is a timer push, a switch to the loop and back, and a timer pop.
 func BenchmarkSleepLoop(b *testing.B) {
 	benchSim(b, func(p *Proc, e *Engine) {
 		wg := NewWaitGroup(e)

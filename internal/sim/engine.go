@@ -3,25 +3,32 @@
 // Every DGSF component that the experiments measure — guest libraries, API
 // servers, the GPU server monitor, the serverless backend, and the simulated
 // GPUs themselves — runs as a simulated process (Proc) on a virtual clock.
-// The engine executes exactly one process at a time: when the running process
-// blocks (Sleep, Queue.Recv, Cond.Wait, ...) the engine
-// picks the next ready process, and when no process is ready it advances the
-// virtual clock to the earliest pending timer. Given a fixed seed, a
-// simulation is fully deterministic and independent of wall-clock speed.
+// The engine executes exactly one process at a time. Each process body runs
+// on a coroutine (a carrier), and one dispatch loop resumes them in turn:
+// when the running process blocks (Sleep, Queue.Recv, Cond.Wait, ...) it
+// yields to the loop, which resumes the next ready process, and when no
+// process is ready advances the virtual clock to the earliest pending timer.
+// A carrier outlives its process: once the body returns it waits on a free
+// list shared by every engine for the next process spawned anywhere. Given
+// a fixed seed, a simulation is fully deterministic and independent of
+// wall-clock speed.
 //
 // The engine supports two modes:
 //
-//   - Run mode (Engine.Run): the usual mode for experiments. The simulation
-//     ends when every non-daemon process has finished: daemons take no further
-//     step, and Run returns once their goroutines have exited. If all
-//     processes are blocked with no pending timers, the engine panics with a
-//     process dump (deadlock).
+//   - Run mode (Engine.Run): the usual mode for experiments. The loop runs
+//     on Run's caller. The simulation ends when every non-daemon process has
+//     finished: daemons take no further step, and Run returns once they have
+//     unwound. If all processes are blocked with no pending timers, Run
+//     panics with a process dump (deadlock); a panic in process code comes
+//     out of Run as a *ProcPanic.
 //
 //   - Open mode (NewOpenEngine + Engine.Inject): used when simulated
 //     components serve requests arriving from outside the simulation, e.g. a
-//     GPU server reachable over real TCP sockets. Idle is not a deadlock;
-//     external goroutines inject new processes at any time. Virtual durations
-//     are still accounted, but the engine runs as fast as possible.
+//     GPU server reachable over real TCP sockets. The loop runs on a hub
+//     goroutine of the engine's own, which parks while nothing is ready and
+//     ends at Stop. Idle is not a deadlock; external goroutines inject new
+//     processes and feed queues at any time, and that wakes the hub. Virtual
+//     durations are still accounted, but the engine runs as fast as possible.
 package sim
 
 import (
@@ -34,8 +41,8 @@ import (
 	"time"
 )
 
-// errKilled is panicked inside a process when the engine is stopped; the
-// process runner recovers it and exits the goroutine cleanly.
+// errKilled is panicked inside a process when the simulation is over; the
+// process's carrier recovers it, retires the process and goes idle.
 var errKilled = errors.New("sim: process killed")
 
 // Engine is a discrete-event simulation engine. Create one with NewEngine or
@@ -47,17 +54,21 @@ type Engine struct {
 	timers timerHeap     // armed deadlines of processes and At callbacks, earliest (at, seq) first
 	seq    uint64        // deadlines armed so far: the tie-break between equal instants
 
-	running *Proc       // the process currently executing, or nil
+	running *Proc       // the process the loop resumed last, or nil while it has none
 	runq    ring[*Proc] // processes ready to execute, FIFO
 	// callback stands for every At callback, in the timer heap and, while
 	// one runs, in running: the engine is busy, and no process may block.
 	callback Proc
 
-	nlive   int           // live non-daemon processes, plus Holds
-	started bool          // Run was called
-	done    chan struct{} // closed when the simulation is over (Run mode)
-	open    bool          // open mode: idle is not a deadlock
-	stopped bool          // the simulation is over: no process takes another step
+	nlive   int  // live non-daemon processes, plus Holds
+	started bool // Run was called
+	open    bool // open mode: idle is not a deadlock
+	stopped bool // the simulation is over: no process takes another step
+
+	// Open mode: the hub parks on kick while idle; whoever gives an idle
+	// hub work clears idle and sends, so kick never holds more than one.
+	idle bool
+	kick chan struct{}
 
 	// Every started, unexited process, linked through Proc.prev/next in pid
 	// order; only the end of the simulation and the deadlock dump walk it.
@@ -84,6 +95,8 @@ func NewEngine(seed int64) *Engine {
 func NewOpenEngine(seed int64) *Engine {
 	e := NewEngine(seed)
 	e.open = true
+	e.kick = make(chan struct{}, 1)
+	go e.hub()
 	return e
 }
 
@@ -116,8 +129,9 @@ type Proc struct {
 	id     int
 	name   string
 	daemon bool
-	wake   chan struct{} // buffered(1); one send per park
-	killed bool
+	killed bool          // the simulation is over: the next park unwinds
+	fn     func(*Proc)   // the body
+	c      *carrier      // runs the body; nil until the first dispatch
 	doneCh chan struct{} // closed on exit, if requested via Inject
 	rng    *rand.Rand    // set by the first Rand: lent by the engine or new
 
@@ -128,8 +142,9 @@ type Proc struct {
 // wait is the one thing a process is blocked on. A process blocks on at most
 // one primitive at a time, so the record is part of the Proc and every park
 // reuses it: blocking allocates nothing. It is written under the engine lock,
-// by the process as it blocks and by whoever wakes it; once woken, the process
-// reads the outcome flags unlocked, ordered after the writes by its wake.
+// by the process as it blocks and by whoever wakes it; once resumed, the
+// process reads the outcome flags unlocked, ordered after the writes by the
+// switch from the loop.
 type wait struct {
 	kind waitKind     // the primitive parked in; waitNone while ready or running
 	in   *ring[*Proc] // waiter set to leave if the deadline fires first, or nil
@@ -162,12 +177,10 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// Now returns the current virtual time.
-func (p *Proc) Now() time.Duration {
-	p.e.mu.Lock()
-	defer p.e.mu.Unlock()
-	return p.e.now
-}
+// Now returns the current virtual time. It reads the clock without the
+// engine lock: only the running process and the loop write it, under the
+// lock, and the switch between them orders those writes before this read.
+func (p *Proc) Now() time.Duration { return p.e.now }
 
 // Rand returns the process's deterministic random source. Each process
 // draws from its own stream, seeded from the engine seed and the process
@@ -212,27 +225,26 @@ func procSeed(engineSeed int64, name string) int64 {
 	return int64(seed)
 }
 
-// Run spawns a root process executing root and blocks until that process and
-// every non-daemon process transitively spawned from it have finished. That
-// instant ends the simulation: daemons are killed where they are parked, and
-// Run returns once every process goroutine has exited, so nothing the
-// simulation spawned is still running — or still mutating state the caller
-// is about to read. Run may be called at most once per engine.
+// Run spawns a root process executing root and runs the simulation on the
+// calling goroutine until that process and every non-daemon process
+// transitively spawned from it have finished. That instant ends the
+// simulation: daemons are killed where they are parked, and Run returns once
+// every process has unwound and exited, so nothing the simulation spawned is
+// still running — or still mutating state the caller is about to read.
+//
+// A panic in process code ends the simulation where it is: Run re-raises it
+// as a *ProcPanic. A runtime.Goexit in process code (a t.Fatal) ends Run's
+// caller as it would have ended the process. Run may be called at most once
+// per engine, and not on an open engine, whose hub runs the loop.
 func (e *Engine) Run(name string, root func(p *Proc)) {
 	e.mu.Lock()
-	if e.started {
+	if e.started || e.open {
 		e.mu.Unlock()
-		panic("sim: Run called twice")
+		panic("sim: Run called twice, or on an open engine")
 	}
 	e.started = true
-	e.done = make(chan struct{})
-	done := e.done
-	p := e.newProcLocked(name, false)
-	e.startLocked(p, root)
-	e.maybeDispatchLocked()
-	e.mu.Unlock()
-	<-done
-	e.mu.Lock()
+	e.startLocked(e.newProcLocked(name, false), root)
+	e.loopLocked()
 	dl := e.deadlock
 	e.mu.Unlock()
 	if dl != "" {
@@ -248,7 +260,6 @@ func (e *Engine) Inject(name string, fn func(p *Proc)) <-chan struct{} {
 	p := e.newProcLocked(name, false)
 	p.doneCh = make(chan struct{})
 	e.startLocked(p, fn)
-	e.maybeDispatchLocked()
 	return p.doneCh
 }
 
@@ -256,9 +267,7 @@ func (e *Engine) Inject(name string, fn func(p *Proc)) <-chan struct{} {
 func (e *Engine) InjectDaemon(name string, fn func(p *Proc)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p := e.newProcLocked(name, true)
-	e.startLocked(p, fn)
-	e.maybeDispatchLocked()
+	e.startLocked(e.newProcLocked(name, true), fn)
 }
 
 // Hold keeps the simulation from ending, as one more live non-daemon process
@@ -278,7 +287,6 @@ func (e *Engine) Hold() {
 func (e *Engine) Release() {
 	e.mu.Lock()
 	e.endLiveLocked()
-	e.maybeDispatchLocked()
 	e.mu.Unlock()
 }
 
@@ -295,44 +303,14 @@ func (e *Engine) endLiveLocked() {
 }
 
 // Stop ends the simulation from outside (the teardown of an open-mode
-// engine): every blocked and ready process is killed, and the currently
-// running one, if any, at its next blocking call. Stop does not wait for the
-// process goroutines to exit.
+// engine): the loop kills every blocked and ready process, and the
+// currently running one, if any, at its next blocking call; then an open
+// engine's hub goroutine ends. Stop does not wait for either.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stopped = true
-	e.maybeDispatchLocked()
-}
-
-// killNextLocked is dispatching once the simulation is over: the first live
-// process is woken with killed set, so its park() unwinds the goroutine, and
-// leaves the list as it exits. Processes so die one at a time, in pid order,
-// each after the previous one has exited: a process's deferred cleanup runs
-// as serialized as the simulation was, never racing another's. After the
-// last one the Run caller (if any) is released. Called with e.running == nil.
-func (e *Engine) killNextLocked() {
-	p := e.liveHead
-	if p == nil {
-		e.finishLocked()
-		return
-	}
-	e.running = p
-	e.killLocked(p)
-}
-
-// finishLocked releases the Run caller, once.
-func (e *Engine) finishLocked() {
-	if e.done != nil {
-		close(e.done)
-		e.done = nil
-	}
-}
-
-// killLocked makes p's next (or current) park() raise errKilled.
-func (e *Engine) killLocked(p *Proc) {
-	p.killed = true
-	p.wake <- struct{}{}
+	e.kickLocked()
 }
 
 // Spawn starts a new non-daemon process. Run-mode simulations do not finish
@@ -369,7 +347,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if at := e.deadlineLocked(d); e.sleeperRunsNextLocked(at) {
 		// Parking would pop this deadline first and dispatch p straight
 		// back: take its sequence number, advance the clock and trace what
-		// the dispatcher would have, without the goroutine hand-off.
+		// the loop would have, without the switch to the loop and back.
 		e.seq++
 		e.traceLocked(p, blockEvent[waitSleep])
 		e.now = at
@@ -385,7 +363,7 @@ func (p *Proc) Sleep(d time.Duration) {
 // sleeperRunsNextLocked reports whether the running process, were it to park
 // until at, would be the very next one dispatched: nobody is ready, no armed
 // deadline is at or before at (an equal one was armed earlier and fires
-// first), and at is inside the time limit, which only the dispatcher reports.
+// first), and at is inside the time limit, which only the loop reports.
 func (e *Engine) sleeperRunsNextLocked(at time.Duration) bool {
 	return !e.stopped && e.runq.len() == 0 &&
 		(len(e.timers) == 0 || e.timers[0].at > at) &&
@@ -401,6 +379,7 @@ func (e *Engine) At(at time.Duration, fn func()) {
 	e.mu.Lock()
 	e.seq++
 	e.timers.push(timer{at: max(at, e.now), seq: e.seq, p: &e.callback, fn: fn})
+	e.kickLocked()
 	e.mu.Unlock()
 }
 
@@ -412,10 +391,10 @@ func (p *Proc) Yield() {
 	e.checkRunningLocked(p, "Yield")
 	switch {
 	case e.stopped:
-		e.killLocked(p)
+		p.killed = true
 	case e.runq.len() == 0:
 		// Nobody else is ready: p would be dispatched straight back. The
-		// dispatcher is consulted (and traces the switch) only while a
+		// loop is consulted (and traces the switch) only while a
 		// deadline is armed somewhere.
 		if len(e.timers) > 0 {
 			e.traceLocked(p, "run")
@@ -424,8 +403,6 @@ func (p *Proc) Yield() {
 		return
 	default:
 		e.runq.push(p)
-		e.running = nil
-		e.dispatchLocked()
 	}
 	e.mu.Unlock()
 	p.park()
@@ -440,13 +417,12 @@ func (e *Engine) newProcLocked(name string, daemon bool) *Proc {
 		id:     e.nextPID,
 		name:   name,
 		daemon: daemon,
-		wake:   make(chan struct{}, 1),
 		w:      wait{idx: -1},
 	}
 }
 
-// startLocked queues p for its first dispatch and launches its goroutine.
-// On a stopped engine the process is stillborn: fn never runs.
+// startLocked queues p for its first dispatch, which gives it a carrier to
+// run fn on. On a stopped engine the process is stillborn: fn never runs.
 func (e *Engine) startLocked(p *Proc, fn func(*Proc)) {
 	if e.stopped {
 		if p.doneCh != nil {
@@ -465,25 +441,15 @@ func (e *Engine) startLocked(p *Proc, fn func(*Proc)) {
 		e.liveHead = p
 	}
 	e.liveTail = p
+	p.fn = fn
 	e.runq.push(p)
+	e.kickLocked()
 	e.traceLocked(p, "spawn")
-	go func() {
-		defer e.procExit(p) // before the first park: a process can be killed unstarted
-		p.park()
-		fn(p)
-	}()
 }
 
-// procExit runs when a process function returns or is killed.
-func (e *Engine) procExit(p *Proc) {
-	if r := recover(); r != nil {
-		if err, ok := r.(error); !ok || !errors.Is(err, errKilled) {
-			// Real panic from process code: let it crash with this
-			// goroutine's stack, which points at the offending code.
-			panic(r)
-		}
-	}
-	e.mu.Lock()
+// exitLocked retires p, whose body has returned or unwound, or which is
+// killed before it ever ran.
+func (e *Engine) exitLocked(p *Proc) {
 	e.traceLocked(p, "exit")
 	if p.rng != nil {
 		e.rands = append(e.rands, p.rng)
@@ -503,21 +469,17 @@ func (e *Engine) procExit(p *Proc) {
 		e.liveTail = p.prev
 	}
 	p.prev, p.next = nil, nil
-	if e.running == p {
-		e.running = nil
-	}
 	if !p.daemon {
 		e.endLiveLocked()
 	}
-	if e.running == nil {
-		e.dispatchLocked()
-	}
-	e.mu.Unlock()
 }
 
-// park blocks the goroutine until the scheduler wakes the process.
+// park yields to the loop until it resumes the process: made ready, or
+// killed. A process killed as it blocks unwinds without yielding.
 func (p *Proc) park() {
-	<-p.wake
+	if !p.killed {
+		p.c.yield(false)
+	}
 	if p.killed {
 		panic(errKilled)
 	}
@@ -537,15 +499,14 @@ func (e *Engine) checkRunningLocked(p *Proc, op string) {
 	}
 }
 
-// blockLocked parks the running process p in a primitive of the given kind
-// and schedules the next one: p joins the waiter set in (if any) and, with
-// d >= 0, arms a deadline d from now. The caller must subsequently release
-// the lock and park; p.w then tells how the wait ended.
+// blockLocked blocks the running process p in a primitive of the given
+// kind: p joins the waiter set in (if any) and, with d >= 0, arms a deadline
+// d from now. The caller must subsequently release the lock and park; p.w
+// then tells how the wait ended.
 func (e *Engine) blockLocked(p *Proc, kind waitKind, in *ring[*Proc], d time.Duration) {
 	if e.stopped {
-		// The simulation is over: the process wakes immediately and its
-		// park() call raises errKilled.
-		e.killLocked(p)
+		// The simulation is over: park() raises errKilled at once.
+		p.killed = true
 		return
 	}
 	p.w = wait{kind: kind, in: in, idx: -1}
@@ -557,8 +518,6 @@ func (e *Engine) blockLocked(p *Proc, kind waitKind, in *ring[*Proc], d time.Dur
 		in.push(p)
 	}
 	e.traceLocked(p, blockEvent[kind])
-	e.running = nil
-	e.dispatchLocked()
 }
 
 // wakeLocked makes the blocked process p ready ahead of its deadline, which
@@ -575,6 +534,7 @@ func (e *Engine) wakeLocked(p *Proc) {
 func (e *Engine) readyLocked(p *Proc) {
 	p.w.kind, p.w.in = waitNone, nil
 	e.runq.push(p)
+	e.kickLocked()
 }
 
 // deadlineLocked returns the instant d from now.
@@ -593,24 +553,76 @@ func (e *Engine) pastLimitLocked(t time.Duration) bool {
 	return e.timeLimit > 0 && t > e.timeLimit && !e.open
 }
 
-// maybeDispatchLocked starts the scheduler if no process is running, which
-// happens when an external goroutine (open mode) makes a process ready.
-func (e *Engine) maybeDispatchLocked() {
-	if e.running == nil {
-		e.dispatchLocked()
+// loopLocked is the dispatch loop: it resumes the process pickLocked names,
+// on the process's carrier, until it names none. The lock is held on entry
+// and exit and released while a process runs.
+func (e *Engine) loopLocked() {
+	for p := e.pickLocked(); p != nil; p = e.pickLocked() {
+		c := p.c
+		if c == nil {
+			c = takeCarrier()
+			c.p, p.c = p, c
+		}
+		e.mu.Unlock()
+		if exited, _ := c.next(); exited {
+			putCarrier(c)
+		}
+		e.mu.Lock()
 	}
 }
 
-// dispatchLocked picks the next process to run, advancing the virtual clock
-// through armed deadlines, and running the At callbacks among them, as
-// needed. Called with e.running == nil.
-func (e *Engine) dispatchLocked() {
+// hub runs an open-mode engine's loop: whenever the loop runs out of ready
+// processes and deadlines it parks on kick, and once Stop has killed every
+// process it ends. A runtime.Goexit in process code comes out of the loop
+// here; it ended that process, not the engine, so a new hub carries on.
+func (e *Engine) hub() {
+	over := false
+	defer func() {
+		if !over {
+			go e.hub()
+		}
+	}()
+	e.mu.Lock()
+	for {
+		e.loopLocked()
+		if e.stopped {
+			break
+		}
+		e.idle = true
+		e.mu.Unlock()
+		<-e.kick
+		e.mu.Lock()
+	}
+	e.mu.Unlock()
+	over = true
+}
+
+// kickLocked wakes an idle hub: called wherever work appears, which for an
+// idle hub means from outside the simulation. A no-op in Run mode.
+func (e *Engine) kickLocked() {
+	if e.idle {
+		e.idle = false
+		e.kick <- struct{}{}
+	}
+}
+
+// pickLocked names the next process for the loop to resume, advancing the
+// virtual clock through armed deadlines, and running the At callbacks among
+// them, as needed. nil means there is nothing to resume: the engine is idle
+// (open mode), deadlocked or past its time limit (Run mode, reported in
+// e.deadlock), or every process has exited.
+//
+// Once the simulation is over it names the first live process, killed, so
+// that its park() unwinds it, and it leaves the list as it exits. Processes
+// so die one at a time, in pid order, each after the previous one has
+// exited: a process's deferred cleanup runs as serialized as the simulation
+// was, never racing another's.
+func (e *Engine) pickLocked() *Proc {
 	for !e.stopped {
 		if p, ok := e.runq.pop(); ok {
 			e.running = p
 			e.traceLocked(p, "run")
-			p.wake <- struct{}{}
-			return
+			return p
 		}
 		if len(e.timers) > 0 {
 			t := e.timers.remove(0)
@@ -620,8 +632,7 @@ func (e *Engine) dispatchLocked() {
 			e.now = t.at
 			if e.pastLimitLocked(e.now) {
 				e.deadlock = "sim: virtual time limit exceeded at " + e.now.String() + "\n" + e.deadlockDumpLocked()
-				e.finishLocked()
-				return
+				return nil
 			}
 			if p := t.p; p == &e.callback {
 				e.running = p
@@ -639,17 +650,25 @@ func (e *Engine) dispatchLocked() {
 			}
 			continue
 		}
-		if e.open || e.done == nil {
-			return // idle until external activity (or already finished)
+		e.running = nil
+		if !e.open {
+			// Deadlock: every non-daemon process is blocked with nothing to
+			// wake it. Report to the Run caller, which panics with the dump;
+			// blocked processes are intentionally left parked.
+			e.deadlock = e.deadlockDumpLocked()
 		}
-		// Deadlock: every non-daemon process is blocked with nothing to wake
-		// it. Report to the Run caller, which panics with the dump; blocked
-		// process goroutines are intentionally left parked.
-		e.deadlock = e.deadlockDumpLocked()
-		e.finishLocked()
-		return
+		return nil // open mode: idle until external activity
 	}
-	e.killNextLocked()
+	for p := e.liveHead; p != nil; p = e.liveHead {
+		p.killed = true
+		if p.c != nil {
+			e.running = p
+			return p
+		}
+		e.exitLocked(p) // never ran: there is nothing to unwind
+	}
+	e.running = nil
+	return nil
 }
 
 func (e *Engine) deadlockDumpLocked() string {

@@ -152,9 +152,24 @@ func TestHoldKeepsRunAliveUntilRelease(t *testing.T) {
 // non-daemon's exit stops the engine, so a daemon made ready by that
 // process's final act takes no further step; the daemons are then killed one
 // at a time in pid order (their deferred cleanup needs no locking); and Run
-// returns only once their goroutines are gone, with no call to Stop.
+// returns only once they have unwound, with no call to Stop. What is left
+// running after Run is idle carriers, and a second identical Run reuses them.
 func TestRunOwnsItsProcesses(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before, idleBefore := runtime.NumGoroutine(), idleCarriers()
+	runOwned(t)
+	limit := before + idleCarriers() - idleBefore
+	after := settledGoroutines(limit)
+	if after > limit {
+		t.Fatalf("%d goroutines after Run, %d before plus %d new idle carriers: process goroutines leaked", after, before, limit-before)
+	}
+	runOwned(t)
+	if again := settledGoroutines(after); again > after {
+		t.Fatalf("%d goroutines after a second Run, %d after the first: its carriers were not reused", again, after)
+	}
+}
+
+func runOwned(t *testing.T) {
+	t.Helper()
 	e := NewEngine(1)
 	steps := 0
 	var unwound []string
@@ -195,14 +210,17 @@ func TestRunOwnsItsProcesses(t *testing.T) {
 	if got := e.Now(); got != 10*time.Millisecond {
 		t.Fatalf("Now = %v, want 10ms: a timer fired after the simulation ended", got)
 	}
-	// A goroutine is still counted for an instant after its last statement.
+}
+
+// settledGoroutines returns the goroutine count once it is at most want, or
+// after five seconds: a goroutine is still counted for an instant after its
+// last statement.
+func settledGoroutines(want int) int {
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines after Run, %d before: process goroutines leaked", n, before)
-	}
+	return runtime.NumGoroutine()
 }
 
 func TestDeadlockPanics(t *testing.T) {

@@ -77,16 +77,22 @@ func TestHotPathAllocs(t *testing.T) {
 				p.Yield()
 			}, nil
 		}, 0},
+		{"SpawnExit", func(p *Proc, e *Engine) (func(), func()) {
+			// The exited child's carrier runs the next: only its Proc is new.
+			return func() {
+				p.Spawn("child", func(*Proc) {})
+				p.Yield()
+			}, nil
+		}, 1},
 		{"SpawnDrawExit", func(p *Proc, e *Engine) (func(), func()) {
-			// A process that draws and exits lends its source to the next:
-			// only the spawn allocates — the Proc, its wake channel and its
-			// goroutine's closure, as in BenchmarkSpawnExit.
+			// A process that draws and exits lends its source to the next
+			// as well: still only the Proc is new.
 			child := func(p *Proc) { p.Rand().Int63() }
 			return func() {
 				p.Spawn("child", child)
 				p.Yield()
 			}, nil
-		}, 3},
+		}, 1},
 		{"FreshQueueRoundTrip", func(p *Proc, e *Engine) (func(), func()) {
 			// A receiver parked on a new queue, handed one item: the rings'
 			// first slots are inline, so only the Queue is allocated.

@@ -43,7 +43,6 @@ func (c *Cond) Broadcast() {
 	for p, ok := c.waiters.pop(); ok; p, ok = c.waiters.pop() {
 		e.wakeLocked(p)
 	}
-	e.maybeDispatchLocked()
 	e.mu.Unlock()
 }
 
@@ -54,7 +53,6 @@ func (c *Cond) Signal() {
 	if p, ok := c.waiters.pop(); ok {
 		e.wakeLocked(p)
 	}
-	e.maybeDispatchLocked()
 	e.mu.Unlock()
 }
 
@@ -101,7 +99,6 @@ func (q *Queue[T]) TrySend(v T) bool {
 	} else {
 		q.items.push(v)
 	}
-	e.maybeDispatchLocked()
 	return true
 }
 
@@ -125,7 +122,6 @@ func (q *Queue[T]) Close() {
 	for p, ok := q.waiters.pop(); ok; p, ok = q.waiters.pop() {
 		e.wakeLocked(p)
 	}
-	e.maybeDispatchLocked()
 }
 
 // Recv dequeues the next item, blocking until one is available. ok is false

@@ -301,13 +301,13 @@ func runOpenSoup(seed int64) (uint64, int) {
 	return th.h.Sum64(), th.n
 }
 
-// waitIdle returns once no process is running: everything injected so far
-// has parked or exited, so what the caller does next lands at a fixed point
-// of the schedule.
+// waitIdle returns once the hub is idle: everything injected so far has
+// parked or exited, so what the caller does next lands at a fixed point of
+// the schedule.
 func waitIdle(e *Engine) {
 	for {
 		e.mu.Lock()
-		idle := e.running == nil
+		idle := e.idle
 		e.mu.Unlock()
 		if idle {
 			return
