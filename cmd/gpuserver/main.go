@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"time"
 
 	"dgsf/internal/apiserver"
 	"dgsf/internal/cuda"
@@ -64,7 +65,11 @@ func main() {
 		}
 		e.InjectDaemon(fmt.Sprintf("apiserver-%d", srv.ID()), srv.Run)
 	}
-	log.Printf("gpuserver: %d GPUs, %d API servers pre-warmed (virtual boot time %v)", *gpus, len(servers), e.Now())
+	// The engine is read on its own loop, here and below: a process
+	// injected after the others sees the state they left.
+	var booted time.Duration
+	<-e.Inject("boot-clock", func(p *sim.Proc) { booted = p.Now() })
+	log.Printf("gpuserver: %d GPUs, %d API servers pre-warmed (virtual boot time %v)", *gpus, len(servers), booted)
 
 	// Free API server pool: one connection leases one server.
 	free := make(chan *apiserver.Server, len(servers))
@@ -89,10 +94,13 @@ func main() {
 			<-done
 			// If the guest vanished without Bye, reset the session so the
 			// server is reusable.
-			reset := sim.NewQueue[struct{}](e)
-			srv.Inbox.Send(remoting.Request{Ctrl: apiserver.ResetRequest{Done: reset}})
-			<-e.Inject("reset-wait", func(p *sim.Proc) { reset.Recv(p) })
-			st := srv.Stats()
+			var st apiserver.Stats
+			<-e.Inject("reset", func(p *sim.Proc) {
+				reset := sim.NewQueue[struct{}](e)
+				srv.Inbox.Send(remoting.Request{Ctrl: apiserver.ResetRequest{Done: reset}})
+				reset.Recv(p)
+				st = srv.Stats()
+			})
 			log.Printf("gpuserver: API server %d released (%d calls, %d kernels handled)", srv.ID(), st.CallsHandled, st.Kernels)
 			free <- srv
 		}()

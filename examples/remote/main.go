@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"time"
 
 	"dgsf/internal/apiserver"
 	"dgsf/internal/cuda"
@@ -34,6 +35,9 @@ func main() {
 		}
 	})
 	serverEngine.InjectDaemon("apiserver", srv.Run)
+	// Once its loop runs, the engine is read from a process of its own.
+	var booted time.Duration
+	<-serverEngine.Inject("boot-clock", func(p *sim.Proc) { booted = p.Now() })
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,7 +53,7 @@ func main() {
 		}
 	}()
 	fmt.Printf("GPU server listening on %s (API server pre-warmed in %v of virtual time)\n",
-		ln.Addr(), serverEngine.Now())
+		ln.Addr(), booted)
 
 	// --- function side: separate engine, dials over real TCP ---
 	caller, err := remoting.DialTCP(ln.Addr().String())
@@ -76,7 +80,9 @@ func main() {
 		fmt.Printf("ran %s remotely: %d calls interposed, %d round trips over the socket\n",
 			spec.Name, st.Total, st.Roundtrips())
 	})
-	stats := srv.Stats()
+	var stats apiserver.Stats
+	var busy time.Duration
+	<-serverEngine.Inject("stats", func(*sim.Proc) { stats, busy = srv.Stats(), devs[0].ComputeBusy() })
 	fmt.Printf("server side: handled %d calls, launched %d kernels, GPU busy %v of virtual time\n",
-		stats.CallsHandled, stats.Kernels, devs[0].ComputeBusy())
+		stats.CallsHandled, stats.Kernels, busy)
 }

@@ -204,6 +204,41 @@ func TestAtomizeRebuildRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPanicIsNotAHang: a panic in process code is a "panic" finding whose
+// reproducer keeps the process's name and stack; a deadlock is a "hang".
+func TestPanicIsNotAHang(t *testing.T) {
+	verdict := func(root func(p *sim.Proc)) (res Result) {
+		defer func() {
+			if r := recover(); r != nil {
+				res = engineFailure(r)
+			}
+		}()
+		sim.NewEngine(1).Run("chaos-test", root)
+		return Result{}
+	}
+	res := verdict(func(p *sim.Proc) {
+		p.Spawn("doomed", func(*sim.Proc) { explode() })
+	})
+	if v := res.Violations[0]; res.Hang || v.Check != "panic" ||
+		!strings.Contains(v.Detail, `"doomed"`) || !strings.Contains(v.Detail, "chaos.explode") {
+		t.Fatalf("a process panic: hang %v, %+v", res.Hang, v)
+	}
+	path, err := WriteRepro(t.TempDir(), Repro{Seed: 1, Schedule: canarySchedule(), Violations: res.Violations})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := ReadRepro(path); err != nil || !reflect.DeepEqual(r.Violations, res.Violations) {
+		t.Fatalf("the reproducer lost the panic: %v", err)
+	}
+	res = verdict(func(p *sim.Proc) { sim.NewQueue[int](p.Engine()).Recv(p) })
+	if v := res.Violations[0]; !res.Hang || v.Check != "hang" || !strings.Contains(v.Detail, "deadlock") {
+		t.Fatalf("a deadlock: hang %v, %+v", res.Hang, v)
+	}
+}
+
+//go:noinline
+func explode() { panic("boom") }
+
 func TestReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	r := Repro{

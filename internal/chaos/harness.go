@@ -26,17 +26,14 @@ func RunSchedule(seed int64, s Schedule) Result {
 // oracle's verdict. Process names seed random streams (DESIGN §7) and the
 // mix submitter and the chain loop draw from the root's, so the name is
 // part of the outcome: a caller that has always run a schedule under its own
-// name keeps it. A deadlock or virtual-time-limit panic from the engine is
-// captured as a "hang" violation rather than crashing the caller — a hang IS
-// a finding.
+// name keeps it. A panic out of the engine is captured as a violation rather
+// than crashing the caller: "panic" for one in process code, with the
+// process's name and stack, and "hang" for a deadlock or the virtual-time
+// limit — a hang IS a finding.
 func Run(seed int64, root string, s Schedule) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			detail := fmt.Sprint(r)
-			if len(detail) > 12000 {
-				detail = detail[:12000] + " ..."
-			}
-			res = Result{Hang: true, Violations: []Violation{{Check: "hang", Detail: detail}}}
+			res = engineFailure(r)
 		}
 	}()
 	e := sim.NewEngine(seed)
@@ -52,6 +49,20 @@ func Run(seed int64, root string, s Schedule) (res Result) {
 	}
 	checkWireDelta(&res, remoting.SnapshotWireStats().Sub(wireStart))
 	return res
+}
+
+// engineFailure is the verdict on a run the engine ended by panicking with r.
+// A *sim.ProcPanic prints the process's name, the value and its stack.
+func engineFailure(r any) Result {
+	v := Violation{Check: "hang", Detail: fmt.Sprint(r)}
+	_, panicked := r.(*sim.ProcPanic)
+	if panicked {
+		v.Check = "panic"
+	}
+	if len(v.Detail) > 12000 {
+		v.Detail = v.Detail[:12000] + " ..."
+	}
+	return Result{Hang: !panicked, Violations: []Violation{v}}
 }
 
 // runFleet drives the schedule's submissions through the full control plane

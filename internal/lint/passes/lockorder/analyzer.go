@@ -102,8 +102,8 @@ type edgeKey struct{ from, to string }
 
 func run(pass *lint.Pass) error {
 	// The sim package implements the primitives (queues, waitgroups,
-	// condition-style sleeps) under its one engine lock; holding it around
-	// scheduler work is the design, not a violation.
+	// condition-style sleeps) and the mailbox into its loop; its locking is
+	// the engine's own design, not a violation.
 	if lint.PkgPathHasSuffix(pass.Pkg.Path(), "internal/sim") {
 		return nil
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dgsf/internal/remoting/wire"
+	"dgsf/internal/remoting/wire/wiretest"
 	"dgsf/internal/sim"
 )
 
@@ -192,6 +193,78 @@ func TestBridgeEndsALendWrittenOrDropped(t *testing.T) {
 		if !bytes.Equal(stored, bytes.Repeat([]byte{0x5A}, n)) {
 			t.Fatal("the lent bytes changed")
 		}
+	})
+}
+
+// TestServeConnEndsAtAClosedInbox: frames that arrive after the hosted API
+// server closed its inbox end the bridge instead of panicking it, and every
+// buffer they were read into goes back to the pool exactly once.
+func TestServeConnEndsAtAClosedInbox(t *testing.T) {
+	t.Run("socket", func(t *testing.T) {
+		wiretest.CheckPool(t)
+		e := sim.NewOpenEngine(1)
+		defer e.Stop()
+		inbox := sim.NewQueue[Request](e)
+		e.Post(inbox.Close) // the server crashed before the guest's first call
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		bridged := make(chan (<-chan struct{}), 1)
+		go func() {
+			if c, err := ln.Accept(); err == nil {
+				bridged <- ServeConn(e, c, inbox)
+			}
+		}()
+		conn := rawConn(t, ln.Addr().String())
+		defer conn.Close()
+		done := <-bridged
+		for i := 0; i < 8; i++ {
+			if WriteFrame(conn, []byte("call"), bytes.Repeat([]byte{0x5A}, 4<<10), 0) != nil {
+				break // the bridge is gone and its socket with it
+			}
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the bridge outlived its closed inbox")
+		}
+		if _, _, _, err := ReadFrame(conn, nil, nil); err == nil {
+			t.Fatal("the guest got a reply from a closed inbox")
+		}
+	})
+	t.Run("drain", func(t *testing.T) {
+		wiretest.CheckPool(t)
+		sim.NewEngine(1).Run("loop", func(p *sim.Proc) {
+			e := p.Engine()
+			inbox, replies := sim.NewQueue[Request](e), sim.NewQueue[Response](e)
+			b := &connFeed{inbox: inbox, replies: replies}
+			var bufs [][]byte
+			read := func() Request {
+				payload, bulk := wire.GetBuf(8)[:8], wire.GetBuf(1 << 10)[:1<<10]
+				bufs = append(bufs, payload, bulk)
+				return Request{Payload: payload, PayloadOwned: true, Bulk: bulk, BulkOwned: true, ReplyTo: replies}
+			}
+			for i := 0; i < 2; i++ {
+				if post, live := b.queue(read()); post != (i == 0) || !live {
+					t.Fatalf("request %d: post %v live %v, want a post for the first only", i, post, live)
+				}
+			}
+			inbox.Close()
+			b.drain()
+			if !replies.Closed() {
+				t.Fatal("a dead bridge left its writer's queue open")
+			}
+			if post, live := b.queue(read()); post || live {
+				t.Fatalf("a dead bridge queued a request: post %v live %v", post, live)
+			}
+			for i, buf := range bufs[:4] {
+				if buf[0] != 0xDB {
+					t.Fatalf("buffer %d of a drained request was not returned to the pool", i)
+				}
+			}
+		})
 	})
 }
 

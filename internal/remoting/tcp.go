@@ -183,14 +183,17 @@ func (c *tcpCaller) Close() {
 }
 
 // ServeConn bridges one accepted TCP connection into an API server's inbox
-// on an open-mode engine: a reader goroutine turns frames into Requests, and
-// a simulated writer process streams Responses back to the socket. It
-// returns immediately with a channel that closes when the connection drops;
-// the bridge lives until then.
+// on an open-mode engine: a reader goroutine turns frames into Requests and
+// hands them to the engine's loop, and a simulated writer process streams
+// Responses back to the socket. It returns immediately with a channel that
+// closes when the connection drops or the inbox is found closed; the bridge
+// lives until then.
 func ServeConn(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request]) <-chan struct{} {
 	setNoDelay(conn)
 	done := make(chan struct{})
 	replies := sim.NewQueue[Response](e)
+	b := &connFeed{inbox: inbox, replies: replies}
+	b.drainFn = b.drain
 	e.InjectDaemon("tcp-writer", func(p *sim.Proc) {
 		failed := false
 		for {
@@ -213,7 +216,7 @@ func ServeConn(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request]) <-chan s
 	})
 	go func() {
 		defer close(done)
-		defer replies.Close()
+		defer e.Post(replies.Close)
 		for {
 			// The payload lands in a buffer of the wire payload pool, and so
 			// does a bulk region — up to wire.MaxSmallBuf, in a fresh one of
@@ -224,14 +227,64 @@ func ServeConn(e *sim.Engine, conn net.Conn, inbox *sim.Queue[Request]) <-chan s
 			if err != nil {
 				return
 			}
-			// The hosted API server may have crashed (closed its inbox);
-			// drop the bridge rather than panic.
-			if !inbox.TrySend(Request{Payload: payload, PayloadOwned: true, Bulk: bulk, BulkOwned: bulk != nil, ReplyTo: replies}) {
+			post, live := b.queue(Request{Payload: payload, PayloadOwned: true, Bulk: bulk, BulkOwned: bulk != nil, ReplyTo: replies})
+			if !live {
 				wire.PutBuf(payload)
 				wire.PutBuf(bulk)
 				return
 			}
+			if post {
+				e.Post(b.drainFn)
+			}
 		}
 	}()
 	return done
+}
+
+// connFeed carries the requests a connection's reader decodes over to the
+// engine's loop: the reader queues them, posting drain once per burst, and
+// drain sends them on the inbox as the loop.
+type connFeed struct {
+	inbox   *sim.Queue[Request]
+	replies *sim.Queue[Response]
+	drainFn func() // drain, bound once: a post allocates nothing
+
+	mu     sync.Mutex
+	queued []Request
+	posted bool // a drain is in the engine's mailbox
+	dead   bool // the inbox was found closed: the hosted API server crashed
+}
+
+// queue adds r for the next drain and reports whether the reader must post
+// one; live is false, and r not queued, once the bridge is dead.
+func (b *connFeed) queue(r Request) (post, live bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.dead {
+		return false, false
+	}
+	b.queued = append(b.queued, r)
+	post, b.posted = !b.posted, true
+	return post, true
+}
+
+// drain sends the queued requests on the inbox. A closed inbox kills the
+// bridge rather than panicking: closing replies makes the writer close the
+// socket, which ends the reader, and the requests go back to the pool, as do
+// any the reader decodes before it ends.
+func (b *connFeed) drain() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, r := range b.queued {
+		if !b.dead && !b.inbox.TrySend(r) {
+			b.dead = true
+			b.replies.Close()
+		}
+		if b.dead {
+			wire.PutBuf(r.Payload)
+			wire.PutBuf(r.Bulk)
+		}
+		b.queued[i] = Request{}
+	}
+	b.queued, b.posted = b.queued[:0], false
 }

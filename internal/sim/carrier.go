@@ -82,10 +82,7 @@ func (c *carrier) run(p *Proc) {
 				panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
 			}
 		}
-		e := p.e
-		e.mu.Lock()
-		e.exitLocked(p)
-		e.mu.Unlock()
+		p.e.exitLocked(p)
 	}()
 	p.fn(p)
 }

@@ -73,14 +73,15 @@ func TestStopEndsOpenHub(t *testing.T) {
 	}
 }
 
-// TestOpenAtFromOutsideFires: a callback armed from outside an idle open
+// TestOpenAtFromOutsideFires: a callback armed by a post into an idle open
 // engine is work for its hub, which fires it with nothing else to wake it.
 func TestOpenAtFromOutsideFires(t *testing.T) {
 	e := NewOpenEngine(1)
 	defer e.Stop()
+	<-e.Inject("first", func(*Proc) {})
 	waitIdle(e)
 	fired := make(chan time.Duration, 1)
-	e.At(time.Second, func() { fired <- e.Now() })
+	e.Post(func() { e.At(time.Second, func() { fired <- e.Now() }) })
 	select {
 	case at := <-fired:
 		if at != time.Second {

@@ -25,10 +25,16 @@
 //   - Open mode (NewOpenEngine + Engine.Inject): used when simulated
 //     components serve requests arriving from outside the simulation, e.g. a
 //     GPU server reachable over real TCP sockets. The loop runs on a hub
-//     goroutine of the engine's own, which parks while nothing is ready and
-//     ends at Stop. Idle is not a deadlock; external goroutines inject new
-//     processes and feed queues at any time, and that wakes the hub. Virtual
+//     goroutine of the engine's own, which starts at the first post, parks
+//     while nothing is ready and ends at Stop. Idle is not a deadlock. Virtual
 //     durations are still accounted, but the engine runs as fast as possible.
+//
+// The loop owns the engine: its state, and that of every Queue, Cond and
+// WaitGroup on it, is touched only by the loop and the process or callback
+// it runs, without a lock. Code outside the simulation gets in through one
+// mailbox: Post, and the posts Inject, InjectDaemon and Stop, are the only
+// calls it may make once the loop exists. An open engine is built (devices,
+// servers, queues) by one goroutine before its first post.
 package sim
 
 import (
@@ -38,6 +44,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,7 +55,16 @@ var errKilled = errors.New("sim: process killed")
 // Engine is a discrete-event simulation engine. Create one with NewEngine or
 // NewOpenEngine; the zero value is not usable.
 type Engine struct {
-	mu sync.Mutex
+	// The mailbox, the one part of the engine outside goroutines touch: mu
+	// guards mail, idle, kick and over. posted is set while mail holds
+	// something, so the loop looks at the mailbox without taking mu.
+	mu     sync.Mutex
+	mail   []letter
+	spare  []letter // the buffer mail had before the last drain (the loop's)
+	posted atomic.Bool
+	idle   bool          // open mode: the hub is parked on kick, or not started
+	kick   chan struct{} // wakes the hub; made with it, at the first post
+	over   bool          // the loop is gone for good: a post runs at once
 
 	now    time.Duration // current virtual time
 	timers timerHeap     // armed deadlines of processes and At callbacks, earliest (at, seq) first
@@ -64,11 +80,6 @@ type Engine struct {
 	started bool // Run was called
 	open    bool // open mode: idle is not a deadlock
 	stopped bool // the simulation is over: no process takes another step
-
-	// Open mode: the hub parks on kick while idle; whoever gives an idle
-	// hub work clears idle and sends, so kick never holds more than one.
-	idle bool
-	kick chan struct{}
 
 	// Every started, unexited process, linked through Proc.prev/next in pid
 	// order; only the end of the simulation and the deadlock dump walk it.
@@ -91,12 +102,10 @@ func NewEngine(seed int64) *Engine {
 
 // NewOpenEngine returns an engine in open mode: the engine idles instead of
 // declaring deadlock when no process is runnable, and external goroutines may
-// add work with Inject at any time.
+// add work with Inject at any time. Its hub starts at the first post.
 func NewOpenEngine(seed int64) *Engine {
 	e := NewEngine(seed)
-	e.open = true
-	e.kick = make(chan struct{}, 1)
-	go e.hub()
+	e.open, e.idle = true, true
 	return e
 }
 
@@ -108,18 +117,11 @@ func (e *Engine) SetTrace(fn func(now time.Duration, proc, event string)) { e.tr
 // passes limit. Periodic callbacks can mask a stuck simulation from deadlock
 // detection by keeping timers pending forever; a time limit converts that
 // livelock into a diagnosable failure. Zero disables the limit.
-func (e *Engine) SetTimeLimit(limit time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.timeLimit = limit
-}
+func (e *Engine) SetTimeLimit(limit time.Duration) { e.timeLimit = limit }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+// Now returns the current virtual time. Like every call but the posts, it is
+// for the loop's side: a process, an At callback or a posted fn.
+func (e *Engine) Now() time.Duration { return e.now }
 
 // Proc is a simulated process. A Proc is only valid inside the function it
 // was spawned with; all blocking methods must be called by the process
@@ -141,10 +143,8 @@ type Proc struct {
 
 // wait is the one thing a process is blocked on. A process blocks on at most
 // one primitive at a time, so the record is part of the Proc and every park
-// reuses it: blocking allocates nothing. It is written under the engine lock,
-// by the process as it blocks and by whoever wakes it; once resumed, the
-// process reads the outcome flags unlocked, ordered after the writes by the
-// switch from the loop.
+// reuses it: blocking allocates nothing. It is written by the process as it
+// blocks and by whoever wakes it, both on the loop's side.
 type wait struct {
 	kind waitKind     // the primitive parked in; waitNone while ready or running
 	in   *ring[*Proc] // waiter set to leave if the deadline fires first, or nil
@@ -177,9 +177,7 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// Now returns the current virtual time. It reads the clock without the
-// engine lock: only the running process and the loop write it, under the
-// lock, and the switch between them orders those writes before this read.
+// Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.e.now }
 
 // Rand returns the process's deterministic random source. Each process
@@ -198,14 +196,11 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 func (p *Proc) Rand() *rand.Rand {
 	if p.rng == nil {
 		seed := procSeed(p.e.seed, p.name)
-		e := p.e
-		e.mu.Lock()
-		if n := len(e.rands); n > 0 {
-			p.rng = e.rands[n-1]
-			e.rands[n-1] = nil
-			e.rands = e.rands[:n-1]
+		if e := p.e; len(e.rands) > 0 {
+			n := len(e.rands) - 1
+			p.rng, e.rands[n] = e.rands[n], nil
+			e.rands = e.rands[:n]
 		}
-		e.mu.Unlock()
 		if p.rng != nil {
 			p.rng.Seed(seed)
 		} else {
@@ -237,37 +232,105 @@ func procSeed(engineSeed int64, name string) int64 {
 // caller as it would have ended the process. Run may be called at most once
 // per engine, and not on an open engine, whose hub runs the loop.
 func (e *Engine) Run(name string, root func(p *Proc)) {
-	e.mu.Lock()
 	if e.started || e.open {
-		e.mu.Unlock()
 		panic("sim: Run called twice, or on an open engine")
 	}
 	e.started = true
-	e.startLocked(e.newProcLocked(name, false), root)
+	e.startLocked(e.newProc(name, false, root))
 	e.loopLocked()
-	dl := e.deadlock
-	e.mu.Unlock()
-	if dl != "" {
-		panic(dl)
+	e.closeMail()
+	if e.deadlock != "" {
+		panic(e.deadlock)
 	}
+}
+
+// Post runs fn on the loop, at its next pick, as the engine's owner: like an
+// At callback, fn may send, close, broadcast and arm At, but not block. It is
+// the way in from outside the simulation, safe from any goroutine; the fns of
+// one goroutine run in the order it posted them. On an open engine the first
+// post starts the hub and a post wakes an idle one. Once the loop is gone for
+// good (Run returned, or Stop ended the hub), fn runs at once on the caller,
+// under the mailbox lock, so fn must not post. Posting a pre-bound fn
+// allocates nothing once the mailbox has grown.
+func (e *Engine) Post(fn func()) { e.post(letter{fn: fn}) }
+
+// letter is one post: a fn to run, or a process to start, which spares
+// Inject a closure.
+type letter struct {
+	fn func()
+	p  *Proc
+}
+
+func (l letter) deliver() {
+	if l.p != nil {
+		l.p.e.startLocked(l.p)
+	} else {
+		l.fn()
+	}
+}
+
+// post puts l in the mailbox, waking or starting an idle hub.
+func (e *Engine) post(l letter) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.over {
+		l.deliver()
+		return
+	}
+	e.mail = append(e.mail, l)
+	e.posted.Store(true)
+	if e.idle {
+		e.idle = false
+		if e.kick == nil {
+			e.kick = make(chan struct{}, 1)
+			go e.hub()
+		} else {
+			e.kick <- struct{}{}
+		}
+	}
+}
+
+// drainMail delivers the letters posted so far, in post order, as the one
+// thing running, and hands the mailbox its previous buffer back.
+func (e *Engine) drainMail() {
+	e.mu.Lock()
+	mail := e.mail
+	e.mail, e.spare = e.spare, nil
+	e.posted.Store(false)
+	e.mu.Unlock()
+	running := e.running
+	e.running = &e.callback
+	for i, l := range mail {
+		mail[i] = letter{}
+		l.deliver()
+	}
+	e.running, e.spare = running, mail[:0]
+}
+
+// closeMail marks the loop gone for good: later posts run at once, and so
+// do the ones still in the mailbox.
+func (e *Engine) closeMail() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.over = true
+	for _, l := range e.mail {
+		l.deliver()
+	}
+	e.mail = nil
 }
 
 // Inject spawns a non-daemon process from outside the simulation (open mode)
 // and returns a channel that is closed when the process finishes.
 func (e *Engine) Inject(name string, fn func(p *Proc)) <-chan struct{} {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p := e.newProcLocked(name, false)
-	p.doneCh = make(chan struct{})
-	e.startLocked(p, fn)
-	return p.doneCh
+	p, done := e.newProc(name, false, fn), make(chan struct{})
+	p.doneCh = done
+	e.post(letter{p: p})
+	return done
 }
 
 // InjectDaemon spawns a daemon process from outside the simulation.
 func (e *Engine) InjectDaemon(name string, fn func(p *Proc)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.startLocked(e.newProcLocked(name, true), fn)
+	e.post(letter{p: e.newProc(name, true, fn)})
 }
 
 // Hold keeps the simulation from ending, as one more live non-daemon process
@@ -275,20 +338,12 @@ func (e *Engine) InjectDaemon(name string, fn func(p *Proc)) {
 // simulation must not end under: a server loop parks its workers as daemons
 // and holds the engine from handing one a request until the reply is out, so
 // the simulation ends when it would have with a process per request.
-func (e *Engine) Hold() {
-	e.mu.Lock()
-	e.nlive++
-	e.mu.Unlock()
-}
+func (e *Engine) Hold() { e.nlive++ }
 
 // Release ends one Hold. If nothing else keeps the simulation alive it is
 // over, as at the exit of the last non-daemon process: a calling process runs
 // on to its next blocking call, and no other takes a further step.
-func (e *Engine) Release() {
-	e.mu.Lock()
-	e.endLiveLocked()
-	e.mu.Unlock()
-}
+func (e *Engine) Release() { e.endLiveLocked() }
 
 // endLiveLocked takes away one of the things keeping the simulation alive —
 // a non-daemon process or a Hold. After the last one the simulation is over:
@@ -303,14 +358,16 @@ func (e *Engine) endLiveLocked() {
 }
 
 // Stop ends the simulation from outside (the teardown of an open-mode
-// engine): the loop kills every blocked and ready process, and the
-// currently running one, if any, at its next blocking call; then an open
-// engine's hub goroutine ends. Stop does not wait for either.
+// engine): at its next pick the loop kills every blocked and ready process;
+// then an open engine's hub goroutine ends. Stop does not wait for either.
+// Once the loop is gone it does nothing, and allocates nothing.
 func (e *Engine) Stop() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stopped = true
-	e.kickLocked()
+	over := e.over
+	e.mu.Unlock()
+	if !over {
+		e.Post(func() { e.stopped = true })
+	}
 }
 
 // Spawn starts a new non-daemon process. Run-mode simulations do not finish
@@ -326,11 +383,8 @@ func (p *Proc) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (p *Proc) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	e := p.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	np := e.newProcLocked(name, daemon)
-	e.startLocked(np, fn)
+	np := p.e.newProc(name, daemon, fn)
+	p.e.startLocked(np)
 	return np
 }
 
@@ -342,7 +396,6 @@ func (p *Proc) Sleep(d time.Duration) {
 		return
 	}
 	e := p.e
-	e.mu.Lock()
 	e.checkRunningLocked(p, "Sleep")
 	if at := e.deadlineLocked(d); e.sleeperRunsNextLocked(at) {
 		// Parking would pop this deadline first and dispatch p straight
@@ -352,78 +405,71 @@ func (p *Proc) Sleep(d time.Duration) {
 		e.traceLocked(p, blockEvent[waitSleep])
 		e.now = at
 		e.traceLocked(p, "run")
-		e.mu.Unlock()
 		return
 	}
 	e.blockLocked(p, waitSleep, nil, d)
-	e.mu.Unlock()
 	p.park()
 }
 
 // sleeperRunsNextLocked reports whether the running process, were it to park
-// until at, would be the very next one dispatched: nobody is ready, no armed
-// deadline is at or before at (an equal one was armed earlier and fires
-// first), and at is inside the time limit, which only the loop reports.
+// until at, would be the very next one dispatched: nothing is posted or
+// ready, no armed deadline is at or before at (an equal one was armed earlier
+// and fires first), and at is inside the time limit, which only the loop
+// reports.
 func (e *Engine) sleeperRunsNextLocked(at time.Duration) bool {
-	return !e.stopped && e.runq.len() == 0 &&
+	return !e.stopped && e.runq.len() == 0 && !e.posted.Load() &&
 		(len(e.timers) == 0 || e.timers[0].at > at) &&
 		!e.pastLimitLocked(at)
 }
 
 // At runs fn at virtual instant at (now, if that has passed) in deadline
-// order, once no process is ready, as the one thing running but without the
-// engine lock: fn may Send, Close, Broadcast, Add, read Now and call At, but
-// a blocking call panics. Nothing fires once the simulation is over. Arming
-// allocates nothing once the heap has grown: bind fn once, not per call.
+// order, once no process is ready, as the one thing running: fn may Send,
+// Close, Broadcast, Add, read Now and call At, but a blocking call panics.
+// Nothing fires once the simulation is over. Arming allocates nothing once
+// the heap has grown: bind fn once, not per call.
 func (e *Engine) At(at time.Duration, fn func()) {
-	e.mu.Lock()
 	e.seq++
 	e.timers.push(timer{at: max(at, e.now), seq: e.seq, p: &e.callback, fn: fn})
-	e.kickLocked()
-	e.mu.Unlock()
 }
 
 // Yield moves the process to the back of the ready queue, letting other
 // ready processes run at the same virtual time.
 func (p *Proc) Yield() {
 	e := p.e
-	e.mu.Lock()
 	e.checkRunningLocked(p, "Yield")
 	switch {
 	case e.stopped:
 		p.killed = true
-	case e.runq.len() == 0:
+	case e.runq.len() == 0 && !e.posted.Load():
 		// Nobody else is ready: p would be dispatched straight back. The
 		// loop is consulted (and traces the switch) only while a
 		// deadline is armed somewhere.
 		if len(e.timers) > 0 {
 			e.traceLocked(p, "run")
 		}
-		e.mu.Unlock()
 		return
 	default:
 		e.runq.push(p)
 	}
-	e.mu.Unlock()
 	p.park()
 }
 
 // --- internals ---
+//
+// A ...Locked method runs as the engine's owner: on the loop, or in the
+// process or callback the loop is running.
 
-func (e *Engine) newProcLocked(name string, daemon bool) *Proc {
-	e.nextPID++
-	return &Proc{
-		e:      e,
-		id:     e.nextPID,
-		name:   name,
-		daemon: daemon,
-		w:      wait{idx: -1},
-	}
+// newProc makes a process to run fn; startLocked numbers and starts it.
+func (e *Engine) newProc(name string, daemon bool, fn func(*Proc)) *Proc {
+	return &Proc{e: e, name: name, daemon: daemon, fn: fn, w: wait{idx: -1}}
 }
 
-// startLocked queues p for its first dispatch, which gives it a carrier to
-// run fn on. On a stopped engine the process is stillborn: fn never runs.
-func (e *Engine) startLocked(p *Proc, fn func(*Proc)) {
+// startLocked numbers p and queues it for its first dispatch, which gives it
+// a carrier to run its body on. On a stopped engine the process is
+// stillborn: the body never runs.
+func (e *Engine) startLocked(p *Proc) {
+	e.nextPID++
+	p.id = e.nextPID
 	if e.stopped {
 		if p.doneCh != nil {
 			close(p.doneCh)
@@ -441,9 +487,7 @@ func (e *Engine) startLocked(p *Proc, fn func(*Proc)) {
 		e.liveHead = p
 	}
 	e.liveTail = p
-	p.fn = fn
 	e.runq.push(p)
-	e.kickLocked()
 	e.traceLocked(p, "spawn")
 }
 
@@ -487,22 +531,21 @@ func (p *Proc) park() {
 
 // checkRunningLocked guards against sim primitives being called from
 // goroutines that are not the currently scheduled process, or from an At
-// callback. It releases the lock before it panics.
+// callback or a posted fn.
 func (e *Engine) checkRunningLocked(p *Proc, op string) {
 	if e.running != p {
 		msg := fmt.Sprintf("sim: %s called by %q which is not the running process", op, p.name)
 		if e.running == &e.callback {
-			msg = "sim: " + op + " called from an At callback, which must not block"
+			msg = "sim: " + op + " called from an At callback or a posted fn, which must not block"
 		}
-		e.mu.Unlock()
 		panic(msg)
 	}
 }
 
 // blockLocked blocks the running process p in a primitive of the given
 // kind: p joins the waiter set in (if any) and, with d >= 0, arms a deadline
-// d from now. The caller must subsequently release the lock and park; p.w
-// then tells how the wait ended.
+// d from now. The caller must subsequently park; p.w then tells how the wait
+// ended.
 func (e *Engine) blockLocked(p *Proc, kind waitKind, in *ring[*Proc], d time.Duration) {
 	if e.stopped {
 		// The simulation is over: park() raises errKilled at once.
@@ -534,7 +577,6 @@ func (e *Engine) wakeLocked(p *Proc) {
 func (e *Engine) readyLocked(p *Proc) {
 	p.w.kind, p.w.in = waitNone, nil
 	e.runq.push(p)
-	e.kickLocked()
 }
 
 // deadlineLocked returns the instant d from now.
@@ -554,8 +596,7 @@ func (e *Engine) pastLimitLocked(t time.Duration) bool {
 }
 
 // loopLocked is the dispatch loop: it resumes the process pickLocked names,
-// on the process's carrier, until it names none. The lock is held on entry
-// and exit and released while a process runs.
+// on the process's carrier, until it names none.
 func (e *Engine) loopLocked() {
 	for p := e.pickLocked(); p != nil; p = e.pickLocked() {
 		c := p.c
@@ -563,18 +604,16 @@ func (e *Engine) loopLocked() {
 			c = takeCarrier()
 			c.p, p.c = p, c
 		}
-		e.mu.Unlock()
 		if exited, _ := c.next(); exited {
 			putCarrier(c)
 		}
-		e.mu.Lock()
 	}
 }
 
 // hub runs an open-mode engine's loop: whenever the loop runs out of ready
-// processes and deadlines it parks on kick, and once Stop has killed every
-// process it ends. A runtime.Goexit in process code comes out of the loop
-// here; it ended that process, not the engine, so a new hub carries on.
+// processes, deadlines and mail it parks on kick, and once Stop has killed
+// every process it ends. A runtime.Goexit in process code comes out of the
+// loop here; it ended that process, not the engine, so a new hub carries on.
 func (e *Engine) hub() {
 	over := false
 	defer func() {
@@ -582,28 +621,20 @@ func (e *Engine) hub() {
 			go e.hub()
 		}
 	}()
-	e.mu.Lock()
-	for {
+	for !e.stopped {
 		e.loopLocked()
-		if e.stopped {
-			break
-		}
-		e.idle = true
-		e.mu.Unlock()
-		<-e.kick
 		e.mu.Lock()
+		// A post that came after the loop's last look finds the hub busy
+		// and sends no kick: look again instead of parking.
+		e.idle = !e.posted.Load() && !e.stopped
+		idle := e.idle
+		e.mu.Unlock()
+		if idle {
+			<-e.kick
+		}
 	}
-	e.mu.Unlock()
 	over = true
-}
-
-// kickLocked wakes an idle hub: called wherever work appears, which for an
-// idle hub means from outside the simulation. A no-op in Run mode.
-func (e *Engine) kickLocked() {
-	if e.idle {
-		e.idle = false
-		e.kick <- struct{}{}
-	}
+	e.closeMail()
 }
 
 // pickLocked names the next process for the loop to resume, advancing the
@@ -619,6 +650,10 @@ func (e *Engine) kickLocked() {
 // was, never racing another's.
 func (e *Engine) pickLocked() *Proc {
 	for !e.stopped {
+		if e.posted.Load() {
+			e.drainMail()
+			continue
+		}
 		if p, ok := e.runq.pop(); ok {
 			e.running = p
 			e.traceLocked(p, "run")
@@ -636,9 +671,7 @@ func (e *Engine) pickLocked() *Proc {
 			}
 			if p := t.p; p == &e.callback {
 				e.running = p
-				e.mu.Unlock()
 				t.fn()
-				e.mu.Lock()
 				e.running = nil
 			} else {
 				// The deadline fired first: p leaves the waiters and wakes timed out.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -255,10 +256,70 @@ func TestOpenModeIdlesInsteadOfDeadlocking(t *testing.T) {
 	})
 	// The consumer is now blocked with no timers; in Run mode this would be
 	// a deadlock. Feed it from outside.
-	q.Send(42)
+	e.Post(func() { q.Send(42) })
 	<-done
 	if v := <-got; v != 42 {
 		t.Fatalf("consumer got %d, want 42", v)
+	}
+}
+
+// TestPostFromManyGoroutines: goroutines post into an open engine while two
+// processes ping-pong through it. Every fn runs once, on the loop (it reads
+// the ping count the processes write, unsynchronized, which the race detector
+// checks), and one goroutine's fns run in the order it posted them.
+func TestPostFromManyGoroutines(t *testing.T) {
+	const posters, perPoster = 8, 200
+	e := NewOpenEngine(1)
+	defer e.Stop()
+	ping, pong := NewQueue[int](e), NewQueue[int](e)
+	pings, done := 0, false
+	e.InjectDaemon("pong", func(p *Proc) {
+		for {
+			v, _ := ping.Recv(p)
+			pong.Send(v)
+		}
+	})
+	pinger := e.Inject("ping", func(p *Proc) {
+		for !done {
+			ping.Send(pings)
+			pong.Recv(p)
+			pings++
+		}
+	})
+	ran := make([][]int, posters) // written only by the fns
+	onLoop := true
+	var wg sync.WaitGroup
+	for g := range posters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range perPoster {
+				e.Post(func() {
+					onLoop = onLoop && e.running == &e.callback && pings >= 0
+					ran[g] = append(ran[g], k)
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	// Posted after every fn above, so drained after them.
+	e.Post(func() { done = true })
+	<-pinger
+	if !onLoop {
+		t.Error("a posted fn ran while a process was running")
+	}
+	for g, ks := range ran {
+		if len(ks) != perPoster {
+			t.Fatalf("poster %d: %d fns ran, want %d", g, len(ks), perPoster)
+		}
+		for i, k := range ks {
+			if k != i {
+				t.Fatalf("poster %d: fn %d ran in place %d: %v", g, k, i, ks)
+			}
+		}
+	}
+	if pings == 0 {
+		t.Error("the processes never ran")
 	}
 }
 

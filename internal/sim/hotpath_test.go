@@ -93,6 +93,20 @@ func TestHotPathAllocs(t *testing.T) {
 				p.Yield()
 			}, nil
 		}, 1},
+		{"Post", func(p *Proc, e *Engine) (func(), func()) {
+			// A pre-bound fn through the mailbox: the yield parks, and the
+			// loop drains the fn before it resumes the poster.
+			posted, ran := 0, 0
+			fn := func() { ran++ }
+			return func() {
+				posted++
+				e.Post(fn)
+				p.Yield()
+				if ran != posted {
+					t.Errorf("%d fns ran after %d posts", ran, posted)
+				}
+			}, nil
+		}, 0},
 		{"FreshQueueRoundTrip", func(p *Proc, e *Engine) (func(), func()) {
 			// A receiver parked on a new queue, handed one item: the rings'
 			// first slots are inline, so only the Queue is allocated.
@@ -163,9 +177,7 @@ func TestSleepInPlaceMatchesParking(t *testing.T) {
 		program := func(p *Proc) {
 			for _, d := range durations {
 				if p.Name() == "a" {
-					e.mu.Lock()
 					inPlace = append(inPlace, e.sleeperRunsNextLocked(e.now+d))
-					e.mu.Unlock()
 				}
 				p.Sleep(d)
 				if p.Name() == "a" {
@@ -269,8 +281,6 @@ func TestPoppedSlotsAreCleared(t *testing.T) {
 			}
 		}
 
-		e.mu.Lock()
-		defer e.mu.Unlock()
 		if len(e.runq.buf) == 0 || e.runq.len() != 0 {
 			t.Fatalf("run queue: %d slots, %d ready; want a grown, empty ring", len(e.runq.buf), e.runq.len())
 		}

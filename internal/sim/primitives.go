@@ -3,8 +3,8 @@ package sim
 import "time"
 
 // Cond is a condition variable for simulated processes. Unlike sync.Cond it
-// carries no external mutex: the engine lock serializes all state changes,
-// and waiters re-check their predicate after waking, as usual.
+// carries no external mutex: one process runs at a time, and waiters re-check
+// their predicate after waking, as usual.
 type Cond struct {
 	e       *Engine
 	waiters ring[*Proc] // longest-waiting first
@@ -26,39 +26,28 @@ func (c *Cond) WaitTimeout(p *Proc, d time.Duration) (timedOut bool) {
 }
 
 func (c *Cond) wait(p *Proc, d time.Duration) bool {
-	e := c.e
-	e.mu.Lock()
-	e.checkRunningLocked(p, "Cond.Wait")
-	e.blockLocked(p, waitCond, &c.waiters, d)
-	e.mu.Unlock()
+	c.e.checkRunningLocked(p, "Cond.Wait")
+	c.e.blockLocked(p, waitCond, &c.waiters, d)
 	p.park()
 	return p.w.timedOut
 }
 
-// Broadcast wakes every waiter. Safe to call from simulated processes and,
-// in open mode, from external goroutines.
+// Broadcast wakes every waiter.
 func (c *Cond) Broadcast() {
-	e := c.e
-	e.mu.Lock()
 	for p, ok := c.waiters.pop(); ok; p, ok = c.waiters.pop() {
-		e.wakeLocked(p)
+		c.e.wakeLocked(p)
 	}
-	e.mu.Unlock()
 }
 
 // Signal wakes the longest-waiting waiter, if any.
 func (c *Cond) Signal() {
-	e := c.e
-	e.mu.Lock()
 	if p, ok := c.waiters.pop(); ok {
-		e.wakeLocked(p)
+		c.e.wakeLocked(p)
 	}
-	e.mu.Unlock()
 }
 
 // Queue is an unbounded FIFO channel between simulated processes. Send never
-// blocks and is safe to call from external goroutines (open mode); Recv
-// blocks the calling process until an item or Close arrives.
+// blocks; Recv blocks the calling process until an item or Close arrives.
 type Queue[T any] struct {
 	e       *Engine
 	items   ring[T]
@@ -86,16 +75,13 @@ func (q *Queue[T]) Send(v T) {
 // the queue is already closed. Fault-tolerant senders use it to race a
 // receiver that may crash (close its inbox) at any instant.
 func (q *Queue[T]) TrySend(v T) bool {
-	e := q.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if q.closed {
 		return false
 	}
 	if p, ok := q.waiters.pop(); ok {
 		q.handoff.push(v)
 		p.w.handed = true
-		e.wakeLocked(p)
+		q.e.wakeLocked(p)
 	} else {
 		q.items.push(v)
 	}
@@ -103,24 +89,17 @@ func (q *Queue[T]) TrySend(v T) bool {
 }
 
 // Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool {
-	q.e.mu.Lock()
-	defer q.e.mu.Unlock()
-	return q.closed
-}
+func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Close marks the queue closed. Blocked and future receivers observe ok=false
 // once the queue drains. Sending after Close panics.
 func (q *Queue[T]) Close() {
-	e := q.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if q.closed {
 		return
 	}
 	q.closed = true
 	for p, ok := q.waiters.pop(); ok; p, ok = q.waiters.pop() {
-		e.wakeLocked(p)
+		q.e.wakeLocked(p)
 	}
 }
 
@@ -137,58 +116,40 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut
 }
 
 // TryRecv dequeues the next item without blocking.
-func (q *Queue[T]) TryRecv() (v T, ok bool) {
-	q.e.mu.Lock()
-	defer q.e.mu.Unlock()
-	return q.items.pop()
-}
+func (q *Queue[T]) TryRecv() (v T, ok bool) { return q.items.pop() }
 
 func (q *Queue[T]) recv(p *Proc, d time.Duration) (v T, ok bool, timedOut bool) {
-	e := q.e
-	e.mu.Lock()
-	e.checkRunningLocked(p, "Queue.Recv")
+	q.e.checkRunningLocked(p, "Queue.Recv")
 	if v, ok = q.items.pop(); ok || q.closed || d == 0 {
-		e.mu.Unlock()
 		return v, ok, !ok && !q.closed // empty and open: d == 0 has timed out
 	}
-	e.blockLocked(p, waitQueue, &q.waiters, d)
-	e.mu.Unlock()
+	q.e.blockLocked(p, waitQueue, &q.waiters, d)
 	p.park()
 	if p.w.handed {
-		e.mu.Lock()
 		v, ok = q.handoff.pop()
-		e.mu.Unlock()
 	}
 	return v, ok, p.w.timedOut
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int {
-	q.e.mu.Lock()
-	defer q.e.mu.Unlock()
-	return q.items.len()
-}
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // WaitGroup waits for a collection of simulated activities to finish.
 type WaitGroup struct {
-	e    *Engine
 	n    int
 	cond *Cond
 }
 
 // NewWaitGroup returns an empty wait group bound to e.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{e: e, cond: NewCond(e)} }
+func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{cond: NewCond(e)} }
 
 // Add adds delta to the counter.
 func (wg *WaitGroup) Add(delta int) {
-	wg.e.mu.Lock()
 	wg.n += delta
-	n := wg.n
-	wg.e.mu.Unlock()
-	if n < 0 {
+	if wg.n < 0 {
 		panic("sim: negative WaitGroup counter")
 	}
-	if n == 0 {
+	if wg.n == 0 {
 		wg.cond.Broadcast()
 	}
 }
@@ -198,13 +159,7 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait blocks p until the counter reaches zero.
 func (wg *WaitGroup) Wait(p *Proc) {
-	for {
-		wg.e.mu.Lock()
-		n := wg.n
-		wg.e.mu.Unlock()
-		if n == 0 {
-			return
-		}
+	for wg.n != 0 {
 		wg.cond.Wait(p)
 	}
 }

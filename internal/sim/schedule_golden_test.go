@@ -289,7 +289,7 @@ func runOpenSoup(seed int64) (uint64, int) {
 		p.Sleep(time.Millisecond)
 	})
 	waitIdle(e)
-	inbox.Send(int(seed)) // wakes the parked receiver from outside the simulation
+	e.Post(func() { inbox.Send(int(seed)) }) // wakes the parked receiver from outside the simulation
 	<-fed
 	stuckQ := e.Inject("stuck-queue", func(p *Proc) { inbox.Recv(p) })
 	waitIdle(e)
