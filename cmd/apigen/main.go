@@ -50,7 +50,7 @@ type Call struct {
 	// Establishes marks a call that creates server-side session state
 	// (returns or consumes a handle, uploads guest-owned bytes, or binds
 	// handles together). A recoverable guest must register every such call
-	// in its replay journal; the journalcover analyzer enforces this.
+	// in its replay journal; its recovery tests replay each of them.
 	Establishes bool
 }
 
@@ -336,7 +336,6 @@ func results(c Call) string {
 func main() {
 	out := flag.String("out", "internal/remoting/gen/gen.go", "output file")
 	table := flag.String("table", "internal/remoting/gen/calltable.go", "call-classification table output file")
-	bufTable := flag.String("buftable", "internal/remoting/gen/buftable.go", "buffer-ownership contract table output file")
 	storeOut := flag.String("storeout", "internal/store/remote_gen.go", "store protocol stubs output file")
 	flag.Parse()
 	calls, storeCalls := buildSpec(), buildStoreSpec()
@@ -351,7 +350,6 @@ func main() {
 	}{
 		{*out, func() ([]byte, error) { return genAPI(cudaSurface, calls) }},
 		{*table, func() ([]byte, error) { return genTable(calls) }},
-		{*bufTable, func() ([]byte, error) { return genBufTable(calls) }},
 		{*storeOut, func() ([]byte, error) { return genAPI(storeSurface, storeCalls) }},
 	} {
 		src, err := g.gen()
@@ -380,7 +378,7 @@ func main() {
 		}
 		fmt.Printf("%d %s", classes[k], k)
 	}
-	fmt.Printf(") -> %s, %s, %s\n", *out, *table, *bufTable)
+	fmt.Printf(") -> %s, %s\n", *out, *table)
 	fmt.Printf("apigen: %d store calls -> %s\n", len(storeCalls), *storeOut)
 }
 
@@ -578,20 +576,19 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 		p("// the status word, then the result fields of a call that succeeded — to")
 		p("// enc, allocating nothing when enc has the room. It returns the logical")
 		p("// payload bytes that flow back with the response. The request's")
-		p("// reference fields are decoded shared (SharedDecodeParams in")
-		p("// buftable.go): what the backend receives aliases payload and the")
-		p("// decoder, and is dead once DispatchTo returns, when the caller may")
-		p("// recycle payload.")
+		p("// reference fields are decoded shared: what the backend receives")
+		p("// aliases payload and the decoder, and is dead once DispatchTo returns,")
+		p("// when the caller may recycle payload.")
 		p("//")
 		p("// reqBulk is the request frame's vectored bulk region (nil")
 		p("// when the call inlined its bytes, which is how the decode variant is")
 		p("// chosen). The backend receives it as a borrowed argument and copies")
 		p("// what it retains, unless the transport gave the buffer away and the")
-		p("// backend learns so out of band (OwnedBulkParams in buftable.go).")
+		p("// backend learns so out of band (remoting.BulkLease).")
 		p("// When a bulk-response call asked for a vectored reply, respBulk")
 		p("// returns the bytes and enc receives only status + metadata. respBulk")
-		p("// may be a view of the backend's storage, lent to the reply (LentBulk in")
-		p("// buftable.go): it stays as it is until the reply frame is written.")
+		p("// may be a view of the backend's storage, lent to the reply: it stays")
+		p("// as it is until the reply frame is written.")
 		p("func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) (respData int64, respBulk []byte) {")
 	} else {
 		p("// DispatchTo is the dispatch body: it decodes one call from payload,")
@@ -663,8 +660,7 @@ func emitClasses(p func(string, ...any), calls []Call) {
 // table. It is the single source of truth for which calls may ride the
 // one-way async lane (consumed by the guest submit guard, the API server's
 // CallAsync validator, and the asyncsafe analyzer) and which calls establish
-// server-side state that crash recovery must replay (consumed by the
-// journalcover analyzer).
+// server-side state that crash recovery must replay.
 func genTable(calls []Call) ([]byte, error) {
 	var b bytes.Buffer
 	p := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
@@ -679,17 +675,6 @@ func genTable(calls []Call) ([]byte, error) {
 	p("var DeferrableCalls = map[string]bool{")
 	for _, c := range calls {
 		if c.Async {
-			p("\t%q: true,", c.Name)
-		}
-	}
-	p("}")
-	p("")
-	p("// StateEstablishingCalls names the calls that create server-side session")
-	p("// state (handles, device allocations, uploaded bytes, handle bindings).")
-	p("// The guest recovery journal must register a replay entry for each.")
-	p("var StateEstablishingCalls = map[string]bool{")
-	for _, c := range calls {
-		if c.Establishes {
 			p("\t%q: true,", c.Name)
 		}
 	}
@@ -723,182 +708,6 @@ func genTable(calls []Call) ([]byte, error) {
 	if err != nil {
 		_ = os.WriteFile("calltable.go.bad", b.Bytes(), 0o644)
 		return nil, fmt.Errorf("format: %w (unformatted source in calltable.go.bad)", err)
-	}
-	return src, nil
-}
-
-// genBufTable emits the buffer-ownership contract table consumed by the
-// dgsfvet bufown and sharedretain analyzers: which request fields decode
-// through a scratch-aliasing Shared variant (and at what server-method
-// argument position), which bulk request parameter a transport may hand
-// over as owned and which bulk result is lent session storage, which wire
-// pool functions pair with which releases, and which transport entry points
-// hand out borrowed results or borrow their byte-slice arguments. Keeping it generated means a spec edit that
-// adds a shared-decodable field extends the analyzers automatically.
-func genBufTable(calls []Call) ([]byte, error) {
-	var b bytes.Buffer
-	p := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-
-	p("// Code generated by cmd/apigen. DO NOT EDIT.")
-	p("")
-	p("package gen")
-	p("")
-	p("// A SharedParam identifies one request field whose server-side decode")
-	p("// aliases the dispatch decoder's scratch: the backend method receives a")
-	p("// value that dies when the decoder resets, so it must not be retained")
-	p("// without a deep copy. Arg is the 0-based position among the method's")
-	p("// parameters after the *sim.Proc — positional, because implementations")
-	p("// are free to rename parameters.")
-	p("type SharedParam struct {")
-	p("\tField string // request field name")
-	p("\tArg   int    // 0-based position after the Proc parameter")
-	p("\tKind  string // spec kind: label, strs, launch, devptrs, bulk")
-	p("}")
-	p("")
-	p("// SharedDecodeParams maps call name to the request fields that reach the")
-	p("// backend through a Shared (decoder-aliasing) decode.")
-	p("var SharedDecodeParams = map[string][]SharedParam{")
-	for _, c := range calls {
-		var params []string
-		for i, f := range c.Req {
-			if kinds[f.Kind].DecShared == "" {
-				continue
-			}
-			params = append(params, fmt.Sprintf("{Field: %q, Arg: %d, Kind: %q}", f.Name, i, f.Kind))
-		}
-		if len(params) > 0 {
-			p("\t%q: {%s},", c.Name, strings.Join(params, ", "))
-		}
-	}
-	p("}")
-	p("")
-	p("// OwnedBulkParams maps call name to the bulk request parameter whose")
-	p("// buffer a transport may give away with the request (Request.BulkOwned).")
-	p("// The parameter itself stays borrowed — SharedDecodeParams lists it, and a")
-	p("// handler that stores it is wrong on every transport that only lends. What")
-	p("// a handler may keep is the result of OwnedBulkClaim applied to that")
-	p("// parameter, non-nil only when the transport did give the buffer away;")
-	p("// applied to anything else, the claim's result is as borrowed as its")
-	p("// argument.")
-	p("var OwnedBulkParams = map[string]SharedParam{")
-	for _, c := range calls {
-		for i, f := range c.Req {
-			if f.Kind == "bulk" {
-				p("\t%q: {Field: %q, Arg: %d, Kind: %q},", c.Name, f.Name, i, f.Kind)
-			}
-		}
-	}
-	p("}")
-	p("")
-	p("// OwnedBulkClaim names the remoting.BulkLease method that tells a handler")
-	p("// whether a bulk argument is its own to keep.")
-	p("const OwnedBulkClaim = \"Claim\"")
-	p("")
-	p("// LentBulk describes the one place bytes leave a backend while it still")
-	p("// owns them. The bulk result of each call in Results is a view of the")
-	p("// backend's storage, not a copy; it travels to the transport in the named")
-	p("// field of remoting's Type and stays lent until the transport calls Type's")
-	p("// Release method — once, after the reply frame is written or when the")
-	p("// reply is dropped. The transport reads the field before that and keeps no")
-	p("// reference to it after.")
-	p("var LentBulk = struct {")
-	p("\tResults map[string]string // call name -> lent bulk response field")
-	p("\tType    string            // remoting type carrying the view")
-	p("\tField   string            // its field holding the view")
-	p("\tRelease string            // its method ending the lend")
-	p("}{")
-	p("\tResults: map[string]string{")
-	for _, c := range calls {
-		if f := bulkField(c.Resp); f != nil {
-			p("\t\t%q: %q,", c.Name, f.Name)
-		}
-	}
-	p("\t},")
-	p("\tType:    \"Response\",")
-	p("\tField:   \"Bulk\",")
-	p("\tRelease: \"Release\",")
-	p("}")
-	p("")
-	p("// PooledPayload describes the other part of a reply that is not the")
-	p("// transport's to keep: with Flag set, the Field of remoting's Type is a")
-	p("// buffer of the wire payload pool, and the Release method that ends a")
-	p("// lend also returns it. The rule is LentBulk's: read before the release,")
-	p("// keep no reference after. A guest-side transport may hold the response")
-	p("// itself — that is how a reply stays valid until its caller's next call —")
-	p("// but never the slice apart from it.")
-	p("var PooledPayload = struct {")
-	p("\tType    string // remoting type carrying the payload")
-	p("\tField   string // its field holding the pooled buffer")
-	p("\tFlag    string // its field saying the buffer is the pool's")
-	p("\tRelease string // its method returning the buffer")
-	p("}{")
-	p("\tType:    \"Response\",")
-	p("\tField:   \"Payload\",")
-	p("\tFlag:    \"Pooled\",")
-	p("\tRelease: \"Release\",")
-	p("}")
-	p("")
-	p("// PoolAcquire maps wire pool acquire functions to the release that must")
-	p("// eventually be called on their result. Between the two, the value is")
-	p("// owned by exactly one goroutine and must not outlive the release. A")
-	p("// payload buffer (GetBuf) is also released by handing it to a function")
-	p("// in GivenArgCalls.")
-	p("var PoolAcquire = map[string]string{")
-	p("\t\"GetEncoder\": \"PutEncoder\",")
-	p("\t\"GetDecoder\": \"PutDecoder\",")
-	p("\t\"GetBuf\":     \"PutBuf\",")
-	p("}")
-	p("")
-	p("// PoolRelease is the inverse of PoolAcquire.")
-	p("var PoolRelease = map[string]string{")
-	p("\t\"PutEncoder\": \"GetEncoder\",")
-	p("\t\"PutDecoder\": \"GetDecoder\",")
-	p("\t\"PutBuf\":     \"GetBuf\",")
-	p("}")
-	p("")
-	p("// GivenArgCalls maps transport functions to the 0-based positions of the")
-	p("// byte-slice arguments they take for good: the message's consumer returns")
-	p("// the slice to the payload pool, so after the call the caller neither")
-	p("// reads it nor returns it itself — whether or not the call succeeded.")
-	p("var GivenArgCalls = map[string][]int{")
-	p("\t\"Submit\": {1}, // req")
-	p("}")
-	p("")
-	p("// BorrowedResultCalls names the transport entry points whose returned")
-	p("// byte slices are borrowed from the transport: valid only until the next")
-	p("// call on the same caller. Retaining one past that point (a field, a")
-	p("// channel, a goroutine) races the next reply. ReadFrame is absent by")
-	p("// design — its results are caller-owned.")
-	p("var BorrowedResultCalls = map[string]bool{")
-	p("\t\"Roundtrip\":        true,")
-	p("\t\"RoundtripTimeout\": true,")
-	p("\t\"RoundtripVec\":     true,")
-	p("}")
-	p("")
-	p("// BorrowedArgCalls maps transport functions to the 0-based positions of")
-	p("// byte-slice arguments they borrow only until they return; the callee")
-	p("// must not retain them.")
-	p("var BorrowedArgCalls = map[string][]int{")
-	p("\t\"RoundtripVec\": {2},    // reqBulk")
-	p("\t\"WriteFrame\":   {1, 2}, // meta, bulk")
-	p("}")
-	p("")
-	p("// SharedDecodeMethods names the wire.Decoder methods (and the generated")
-	p("// per-request DecodeShared) whose results alias the decoder's buffer or")
-	p("// scratch and die at PutDecoder / Reset.")
-	p("var SharedDecodeMethods = map[string]bool{")
-	p("\t\"StrShared\":     true,")
-	p("\t\"StrsShared\":    true,")
-	p("\t\"LaunchShared\":  true,")
-	p("\t\"DevPtrsShared\": true,")
-	p("\t\"BytesShared\":   true,")
-	p("\t\"DecodeShared\":  true,")
-	p("}")
-
-	src, err := format.Source(b.Bytes())
-	if err != nil {
-		_ = os.WriteFile("buftable.go.bad", b.Bytes(), 0o644)
-		return nil, fmt.Errorf("format: %w (unformatted source in buftable.go.bad)", err)
 	}
 	return src, nil
 }

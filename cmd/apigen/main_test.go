@@ -38,8 +38,6 @@ func TestGeneratedFilesInSync(t *testing.T) {
 	checkInSync(t, "../../internal/remoting/gen/gen.go", src, err)
 	src, err = genTable(calls)
 	checkInSync(t, "../../internal/remoting/gen/calltable.go", src, err)
-	src, err = genBufTable(calls)
-	checkInSync(t, "../../internal/remoting/gen/buftable.go", src, err)
 }
 
 // TestStoreGeneratedFileInSync does the same for the store surface.

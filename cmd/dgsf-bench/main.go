@@ -424,11 +424,11 @@ func faultsExp(seed int64) {
 			base = r
 		}
 	}
-	fmt.Printf("%-16s %4s %6s %5s %4s %17s %12s %5s %13s %5s\n",
-		"scenario", "invs", "failed", "recov", "shed", "kill/gs/drop/corr", "end-to-end", "", "e2e-sum", "")
+	fmt.Printf("%-16s %4s %5s %17s %12s %5s %13s %5s\n",
+		"scenario", "invs", "recov", "kill/gs/drop/corr", "end-to-end", "", "e2e-sum", "")
 	for _, r := range rows {
-		fmt.Printf("%-16s %4d %6d %5d %4d %8d/%d/%d/%d %12s %5s %13s %5s\n",
-			r.Scenario, r.Invocations, r.Failed, r.Recovered, r.Shed,
+		fmt.Printf("%-16s %4d %5d %8d/%d/%d/%d %12s %5s %13s %5s\n",
+			r.Scenario, r.Invocations, r.Recovered,
 			r.Killed, r.FailedGS, r.Dropped, r.Corrupted,
 			s(r.ProviderE2E), pct(r.ProviderE2E, base.ProviderE2E),
 			s(r.E2ESum), pct(r.E2ESum, base.E2ESum))

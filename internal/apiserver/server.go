@@ -70,8 +70,8 @@ type Stats struct {
 	AsyncHandled   int // one-way submissions executed without a reply
 	FencesHandled  int // pipeline fences answered
 	Kernels        int
-	Migrations     int
-	MigrationTime  time.Duration // cumulative
+	Migrations     int           // moves a MigrateRequest asked for that completed
+	MigrationTime  time.Duration // their cumulative duration
 	SessionMem     int64         // bytes allocated by the current function
 	Busy           bool          // a function session is active
 	CurrentDev     int
@@ -350,7 +350,12 @@ type PingRequest struct {
 func (s *Server) handleCtrl(p *sim.Proc, req remoting.Request) {
 	switch c := req.Ctrl.(type) {
 	case MigrateRequest:
-		d, _ := s.Migrate(p, c.TargetDev) // 0 on failure
+		from := s.curDev
+		d, err := s.Migrate(p, c.TargetDev) // 0 on failure
+		if err == nil && s.curDev != from {
+			s.stats.Migrations++
+			s.stats.MigrationTime += d
+		}
 		if c.Done != nil {
 			c.Done.Send(d)
 		}

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"time"
@@ -27,8 +26,6 @@ type Result struct {
 	Violations []Violation
 
 	Invocations int // submissions or chains completed
-	Failed      int // submissions or chains that ended with an error
-	Shed        int // submissions refused for capacity (faas.ErrNoCapacity)
 	Recovered   int // submissions or chains that recovered at least once
 	Recoveries  int // guest recovery episodes
 	Fallbacks   int // chains that fell back to the host bounce (pipeline)
@@ -226,10 +223,6 @@ func (r *Result) tally(invs []*faas.Invocation, want int) {
 	r.Invocations = len(invs)
 	for _, inv := range invs {
 		if inv.Err != nil {
-			r.Failed++
-			if errors.Is(inv.Err, faas.ErrNoCapacity) {
-				r.Shed++
-			}
 			r.violate("session-conservation", "invocation %d (%s) failed: %v", inv.Seq, inv.Fn.Name, inv.Err)
 		}
 		if inv.Recoveries > 0 {

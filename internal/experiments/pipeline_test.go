@@ -66,13 +66,11 @@ func TestPipelineFaultScenario(t *testing.T) {
 			continue
 		}
 		r := runScenario(1, sc.name, sc.schedule)
-		t.Logf("%s: invs=%d failed=%d gpu=%d fallback=%d recovered=%d",
-			r.Scenario, r.Invocations, r.Failed, r.GPUChains, r.Fallbacks, r.Recovered)
+		t.Logf("%s: invs=%d gpu=%d fallback=%d recovered=%d",
+			r.Scenario, r.Invocations, r.GPUChains, r.Fallbacks, r.Recovered)
+		// A failed chain is a chain-conservation violation.
 		for _, v := range r.Violations {
 			t.Errorf("%s: violation [%s] %s", r.Scenario, v.Check, v.Detail)
-		}
-		if r.Failed != 0 {
-			t.Errorf("%s: %d chains failed, want 0", r.Scenario, r.Failed)
 		}
 		if r.Fallbacks == 0 {
 			t.Errorf("%s: no fallback recorded; the injected crash missed the handoff window", r.Scenario)

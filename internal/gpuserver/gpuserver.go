@@ -220,7 +220,6 @@ type GPUServer struct {
 	failed   bool           // whole-machine failure injected
 
 	placements     []PlacementRecord
-	migrations     int
 	migCooldown    time.Duration
 	imbalanceTicks int
 }
@@ -275,8 +274,16 @@ func (gs *GPUServer) Samplers() []*gpu.Sampler { return gs.samplers }
 // Placements returns the grant log.
 func (gs *GPUServer) Placements() []PlacementRecord { return gs.placements }
 
-// Migrations returns how many API server migrations the monitor initiated.
-func (gs *GPUServer) Migrations() int { return gs.migrations }
+// Migrations returns how many of the monitor's migrations completed: the sum
+// of its API servers' counts. A Migrate the target refuses does not count,
+// nor does a server's move back home as its session ends.
+func (gs *GPUServer) Migrations() int {
+	n := 0
+	for _, srv := range gs.servers {
+		n += srv.Stats().Migrations
+	}
+	return n
+}
 
 // Cache returns the model cache, or nil when disabled.
 func (gs *GPUServer) Cache() *modelcache.Manager { return gs.cache }
@@ -809,7 +816,6 @@ func (gs *GPUServer) maybeMigrate(p *sim.Proc) {
 	if pick == nil {
 		return
 	}
-	gs.migrations++
 	gs.imbalanceTicks = 0
 	gs.migCooldown = p.Now() + 2*monitorPeriod
 	// TrySend: the picked server may have crashed since the last heartbeat.

@@ -343,6 +343,54 @@ func TestPlacementCountsMigratedSession(t *testing.T) {
 	})
 }
 
+// TestRefusedMigrationIsNotCounted: each session maps 3 GiB on a 1 GiB
+// lease, so the monitor's room check (lease memory) passes on GPU 1's 2 GiB
+// while Migrate's (every mapped reservation) refuses. Migrations counts the
+// moves that happened, not the requests.
+func TestRefusedMigrationIsNotCounted(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		cfg := fastConfig(2, 2, BestFit)
+		cfg.EnableMigration = true
+		gs := New(e, cfg)
+		gs.Start(p)
+		idle := gs.Devices()[1]
+		if _, err := idle.AllocPhys(idle.FreeBytes() - 2<<30); err != nil {
+			t.Fatal(err)
+		}
+		wg := sim.NewWaitGroup(e)
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			p.Spawn("f", func(p *sim.Proc) {
+				defer wg.Done()
+				name := fmt.Sprintf("f%d", i)
+				lease, err := gs.Acquire(p, name, 1<<30)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				lib := guest.New(remoting.Dial(e, lease.Listener(), remoting.NetProfile{}), guest.OptNone)
+				if err := lib.Hello(p, name, 4<<30); err != nil {
+					t.Error(err)
+				}
+				if _, err := lib.Malloc(p, 3<<30); err != nil {
+					t.Error(err)
+				}
+				p.Sleep(3 * time.Second)
+				if dev := lease.Server.CurrentDev(); dev != 0 {
+					t.Errorf("%s moved to GPU %d, which has no room for it", name, dev)
+				}
+				_ = lib.Bye(p)
+				gs.Release(lease)
+			})
+		}
+		wg.Wait(p)
+		if n := gs.Migrations(); n != 0 {
+			t.Errorf("Migrations() = %d after refused moves only, want 0", n)
+		}
+	})
+}
+
 func TestMigrationDisabledByDefault(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {

@@ -11,19 +11,14 @@ import (
 	"testing"
 )
 
-// testCfg marks Get as the acquire, Put as the release, and Enc.Bytes as an
-// alias-returning method, mirroring the wire pool shape the analyzers use.
+// testCfg marks Enc.Bytes (and obj.Bytes) as alias-returning methods.
 var testCfg = Config{
-	Release: func(call *ast.CallExpr, info *types.Info) []int {
-		if CalleeName(call) == "Put" {
-			return []int{0}
-		}
-		return nil
-	},
 	AliasResult: func(call *ast.CallExpr, info *types.Info) bool {
 		return CalleeName(call) == "Bytes"
 	},
 }
+
+var kindName = map[FlowKind]string{FlowReturn: "return", FlowCallArg: "call argument", FlowWrite: "write through"}
 
 func analyzeSrc(t *testing.T, src string) (*Package, *token.FileSet) {
 	t.Helper()
@@ -90,7 +85,7 @@ func flowSummary(fset *token.FileSet, flows []Flow, kinds ...FlowKind) []string 
 		if len(kinds) > 0 && !want[f.Kind] {
 			continue
 		}
-		s := fmt.Sprintf("%s@%d", f.Kind, fset.Position(f.Pos).Line)
+		s := fmt.Sprintf("%s@%d", kindName[f.Kind], fset.Position(f.Pos).Line)
 		if !seen[s] {
 			seen[s] = true
 			out = append(out, s)
@@ -108,154 +103,68 @@ func Get() *Enc        { return &Enc{} }
 func Put(e *Enc)       {}
 func (e *Enc) Bytes() []byte { return e.buf }
 
-type holder struct{ e *Enc }
-
-var global *Enc
-
-func escapeField(h *holder) {
-	e := Get()
-	h.e = e
-	Put(e)
-}
-
-func escapeGlobal() {
-	e := Get()
-	global = e
-}
-
-func escapeChan(ch chan *Enc) {
-	e := Get()
-	ch <- e
-}
-
-func escapeGo() {
-	e := Get()
-	go func() { _ = e }()
-}
-
-func aliasBytes(h *holder) []byte {
+func aliasBytes() []byte {
 	e := Get()
 	b := e.Bytes()
 	Put(e)
 	return b
 }
 
-func killed(h *holder) {
+func killed() *Enc {
 	e := Get()
-	Put(e)
 	e = nil
-	h.e = e
+	return e
 }
 
-func releaseWrapper(e *Enc) { Put(e) }
-
-func viaWrapper() {
-	e := Get()
-	releaseWrapper(e)
+func viaSummary() *Enc {
+	e := returnsParam(Get())
+	return e
 }
-
-func storesParam(h *holder, e *Enc) { h.e = e }
 
 func returnsParam(e *Enc) *Enc { return e }
+
+func passesParam(h, e *Enc) { Put(e) }
 `
 
 func TestTrackPoolValue(t *testing.T) {
 	pkg, fset := analyzeSrc(t, poolSrc)
 
-	track := func(fnName string) (*Value, *Func) {
-		fn := findFunc(t, pkg, fnName)
-		call := originCall(t, pkg, fn, "Get")
-		return fn.Track(Origin{Expr: call}), fn
-	}
-
 	cases := []struct {
-		fn    string
-		kinds []FlowKind
-		want  []string
+		fn   string
+		want []string
 	}{
-		{"escapeField", []FlowKind{FlowFieldStore}, []string{"store to field@15"}},
-		{"escapeGlobal", []FlowKind{FlowGlobalStore}, []string{"store to package-level variable@21"}},
-		{"escapeChan", []FlowKind{FlowChanSend}, []string{"channel send@26"}},
-		{"escapeGo", []FlowKind{FlowGoCapture}, []string{"goroutine capture@31"}},
-		// e.Bytes() aliases the pooled buffer; returning it is a flow.
-		{"aliasBytes", []FlowKind{FlowReturn}, []string{"return@38"}},
-		// e = nil kills the taint before the field store.
-		{"killed", []FlowKind{FlowFieldStore}, nil},
+		// e is Bytes' receiver and Put's argument; e.Bytes() aliases the
+		// buffer, so returning it is a flow.
+		{"aliasBytes", []string{"call argument@11", "call argument@12", "return@13"}},
+		// e = nil kills the taint before the return.
+		{"killed", nil},
+		// returnsParam's summary carries the taint through the call.
+		{"viaSummary", []string{"call argument@23", "return@24"}},
 	}
 	for _, tc := range cases {
-		v, _ := track(tc.fn)
-		got := flowSummary(fset, v.Flows, tc.kinds...)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+		fn := findFunc(t, pkg, tc.fn)
+		v := fn.Track(Origin{Expr: originCall(t, pkg, fn, "Get")})
+		if got := flowSummary(fset, v.Flows); fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.fn, got, tc.want)
 		}
 	}
 }
 
-func TestReleaseDetection(t *testing.T) {
-	pkg, _ := analyzeSrc(t, poolSrc)
-
-	fn := findFunc(t, pkg, "escapeField")
-	v := fn.Track(Origin{Expr: originCall(t, pkg, fn, "Get")})
-	var releases int
-	for _, f := range v.Flows {
-		if f.Kind == FlowCallArg && f.Call != nil {
-			for _, i := range pkg.ReleaseArgs(f.Call) {
-				if i == f.ArgIndex {
-					releases++
-				}
-			}
-		}
-	}
-	if releases != 1 {
-		t.Errorf("escapeField: want 1 direct release, got %d", releases)
-	}
-
-	// releaseWrapper forwards its parameter to Put; the one-level summary
-	// makes viaWrapper's call count as a release too.
-	fn = findFunc(t, pkg, "viaWrapper")
-	v = fn.Track(Origin{Expr: originCall(t, pkg, fn, "Get")})
-	releases = 0
-	for _, f := range v.Flows {
-		if f.Kind == FlowCallArg && f.Call != nil {
-			for _, i := range pkg.ReleaseArgs(f.Call) {
-				if i == f.ArgIndex {
-					releases++
-				}
-			}
-		}
-	}
-	if releases != 1 {
-		t.Errorf("viaWrapper: want 1 summary release, got %d", releases)
-	}
-}
-
 func TestSummaries(t *testing.T) {
 	pkg, _ := analyzeSrc(t, poolSrc)
-
-	sumOf := func(name string) *Summary {
-		fn := findFunc(t, pkg, name)
-		obj := pkg.Info.Defs[fn.Decl.(*ast.FuncDecl).Name].(*types.Func)
-		return pkg.Summary(obj)
-	}
-
-	if s := sumOf("storesParam"); s == nil || !s.Escapes[1] {
-		t.Errorf("storesParam: want Escapes[1], got %+v", s)
-	}
-	if s := sumOf("returnsParam"); s == nil || !s.ReturnsAlias[0] {
+	fn := findFunc(t, pkg, "returnsParam")
+	obj := pkg.Info.Defs[fn.Decl.(*ast.FuncDecl).Name].(*types.Func)
+	if s := pkg.Summary(obj); s == nil || !s.ReturnsAlias[0] {
 		t.Errorf("returnsParam: want ReturnsAlias[0], got %+v", s)
-	}
-	if s := sumOf("releaseWrapper"); s == nil || !s.Releases[0] {
-		t.Errorf("releaseWrapper: want Releases[0], got %+v", s)
 	}
 }
 
 func TestParamOrigin(t *testing.T) {
 	pkg, fset := analyzeSrc(t, poolSrc)
-	fn := findFunc(t, pkg, "storesParam")
+	fn := findFunc(t, pkg, "passesParam")
 	v := fn.Track(Origin{Param: fn.Params[1]})
-	got := flowSummary(fset, v.Flows, FlowFieldStore)
-	if len(got) != 1 {
-		t.Errorf("storesParam param origin: want 1 field store, got %v", got)
+	if got := flowSummary(fset, v.Flows); fmt.Sprint(got) != "[call argument@29]" {
+		t.Errorf("passesParam param origin: want one call argument, got %v", got)
 	}
 }
 
@@ -291,33 +200,14 @@ func exclusiveArms(fail bool) {
 		Put(e)
 	}
 }
-
-func putInLoop(n int) {
-	e := Get()
-	for i := 0; i < n; i++ {
-		Put(e)
-	}
-}
-
-func acquireInLoop(n int) {
-	for i := 0; i < n; i++ {
-		e := Get()
-		Put(e)
-	}
-}
 `
 
-// releaseFlows returns the CallArg flows that hit the release table.
-func releaseFlows(pkg *Package, v *Value) []Flow {
+// putFlows returns the flows that hand the value to Put.
+func putFlows(v *Value) []Flow {
 	var out []Flow
 	for _, f := range v.Flows {
-		if f.Kind != FlowCallArg || f.Call == nil {
-			continue
-		}
-		for _, i := range pkg.ReleaseArgs(f.Call) {
-			if i == f.ArgIndex {
-				out = append(out, f)
-			}
+		if f.Kind == FlowCallArg && f.CalleeName == "Put" {
+			out = append(out, f)
 		}
 	}
 	return out
@@ -329,7 +219,7 @@ func TestSequential(t *testing.T) {
 	rels := func(name string) (*Value, []Flow) {
 		fn := findFunc(t, pkg, name)
 		v := fn.Track(Origin{Expr: originCall(t, pkg, fn, "Get")})
-		return v, releaseFlows(pkg, v)
+		return v, putFlows(v)
 	}
 
 	// Put-then-return / else-Put: the two releases never both execute.
@@ -346,24 +236,6 @@ func TestSequential(t *testing.T) {
 	}
 }
 
-func TestLoopBetween(t *testing.T) {
-	pkg, _ := analyzeSrc(t, seqSrc)
-
-	fn := findFunc(t, pkg, "putInLoop")
-	v := fn.Track(Origin{Expr: originCall(t, pkg, fn, "Get")})
-	r := releaseFlows(pkg, v)
-	if len(r) != 1 || !LoopBetween(v.OriginSite, r[0].Site) {
-		t.Errorf("putInLoop: release should be in a loop past the origin")
-	}
-
-	fn = findFunc(t, pkg, "acquireInLoop")
-	v = fn.Track(Origin{Expr: originCall(t, pkg, fn, "Get")})
-	r = releaseFlows(pkg, v)
-	if len(r) != 1 || LoopBetween(v.OriginSite, r[0].Site) {
-		t.Errorf("acquireInLoop: acquire and release share the loop")
-	}
-}
-
 const sanitizeSrc = `package p
 
 type Dec struct{ scratch []string }
@@ -377,55 +249,42 @@ type launch struct {
 	Names   []string
 }
 
-type sink struct {
-	names []string
-	ptrs  []DevPtr
-	raw   []byte
-	s     string
-}
-
-func retainShared(d *Dec, s *sink) {
+func retainShared(d *Dec) []string {
 	names := d.StrsShared()
-	s.names = names
+	return names
 }
 
-func cloneElements(d *Dec, s *sink) {
+func cloneElements(d *Dec) []string {
 	names := d.StrsShared()
-	s.names = append([]string(nil), names...)
+	return append([]string(nil), names...)
 }
 
-func scalarCopy(l launch, s *sink) {
-	s.ptrs = append([]DevPtr(nil), l.Mutates...)
-}
+func scalarCopy(l launch) []DevPtr { return append([]DevPtr(nil), l.Mutates...) }
 
-func stringConv(b []byte, s *sink) {
-	s.s = string(b)
-}
+func stringConv(b []byte) string { return string(b) }
 
-func byteKeep(b []byte, s *sink) {
-	s.raw = b
-}
+func byteKeep(b []byte) []byte { return b }
 `
 
 func TestSanitizers(t *testing.T) {
 	pkg, fset := analyzeSrc(t, sanitizeSrc)
 
-	stores := func(name string, origin Origin) []string {
+	returns := func(name string, origin Origin) []string {
 		fn := findFunc(t, pkg, name)
-		return flowSummary(fset, fn.Track(origin).Flows, FlowFieldStore)
+		return flowSummary(fset, fn.Track(origin).Flows, FlowReturn)
 	}
 	sharedOrigin := func(name string) Origin {
 		fn := findFunc(t, pkg, name)
 		return Origin{Expr: originCall(t, pkg, fn, "StrsShared")}
 	}
 
-	if got := stores("retainShared", sharedOrigin("retainShared")); len(got) != 1 {
-		t.Errorf("retainShared: want 1 field store, got %v", got)
+	if got := returns("retainShared", sharedOrigin("retainShared")); len(got) != 1 {
+		t.Errorf("retainShared: want 1 return, got %v", got)
 	}
 	// append([]string(nil), names...) copies the headers but the strings
 	// still alias the decoder scratch — NOT a sanitizer.
-	if got := stores("cloneElements", sharedOrigin("cloneElements")); len(got) != 1 {
-		t.Errorf("cloneElements: want 1 field store (string copy is shallow), got %v", got)
+	if got := returns("cloneElements", sharedOrigin("cloneElements")); len(got) != 1 {
+		t.Errorf("cloneElements: want 1 return (string copy is shallow), got %v", got)
 	}
 
 	paramOrigin := func(name string, i int) Origin {
@@ -433,15 +292,15 @@ func TestSanitizers(t *testing.T) {
 		return Origin{Param: fn.Params[i]}
 	}
 	// append([]DevPtr(nil), ...) fully severs scalar elements.
-	if got := stores("scalarCopy", paramOrigin("scalarCopy", 0)); len(got) != 0 {
+	if got := returns("scalarCopy", paramOrigin("scalarCopy", 0)); len(got) != 0 {
 		t.Errorf("scalarCopy: scalar append should sanitize, got %v", got)
 	}
 	// string(b) copies the bytes.
-	if got := stores("stringConv", paramOrigin("stringConv", 0)); len(got) != 0 {
+	if got := returns("stringConv", paramOrigin("stringConv", 0)); len(got) != 0 {
 		t.Errorf("stringConv: conversion should sanitize, got %v", got)
 	}
-	if got := stores("byteKeep", paramOrigin("byteKeep", 0)); len(got) != 1 {
-		t.Errorf("byteKeep: want 1 field store, got %v", got)
+	if got := returns("byteKeep", paramOrigin("byteKeep", 0)); len(got) != 1 {
+		t.Errorf("byteKeep: want 1 return, got %v", got)
 	}
 }
 
@@ -466,38 +325,6 @@ func TestShallowSafe(t *testing.T) {
 	}
 	if ShallowSafe(types.Typ[types.String]) {
 		t.Error("string is not shallow-safe")
-	}
-}
-
-func TestDeferredFlows(t *testing.T) {
-	src := `package p
-
-type Enc struct{ buf []byte }
-
-func Get() *Enc  { return &Enc{} }
-func Put(e *Enc) {}
-
-func deferredPut() {
-	e := Get()
-	defer Put(e)
-	_ = e.buf
-}
-`
-	pkg, _ := analyzeSrc(t, src)
-	fn := findFunc(t, pkg, "deferredPut")
-	v := fn.Track(Origin{Expr: originCall(t, pkg, fn, "Get")})
-	r := releaseFlows(pkg, v)
-	if len(r) != 1 || !r[0].Deferred {
-		t.Fatalf("want one deferred release, got %+v", r)
-	}
-	var plainUse bool
-	for _, f := range v.Flows {
-		if f.Kind == FlowUse && !f.Deferred {
-			plainUse = true
-		}
-	}
-	if !plainUse {
-		t.Error("want a non-deferred use of e")
 	}
 }
 

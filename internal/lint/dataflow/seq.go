@@ -110,22 +110,3 @@ func terminates(s ast.Stmt) bool {
 	}
 	return false
 }
-
-// LoopBetween reports whether f sits inside a loop that does not also
-// enclose the origin: the loop re-executes f against a value produced
-// once, outside it (a release inside a loop for a single acquire).
-func LoopBetween(origin, f Site) bool {
-	originNodes := map[ast.Node]bool{}
-	for _, n := range origin.Stack {
-		originNodes[n] = true
-	}
-	for _, n := range f.Stack {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			if !originNodes[n] {
-				return true
-			}
-		}
-	}
-	return false
-}

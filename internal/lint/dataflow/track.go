@@ -45,8 +45,6 @@ type tracker struct {
 	defs map[types.Object][]*defRecord
 	// order holds every record in collection order for the fixpoint.
 	order []*defRecord
-
-	originSite Site
 }
 
 func (fn *Func) track(origin Origin, useSummaries bool) *Value {
@@ -72,18 +70,10 @@ func (fn *Func) track(origin Origin, useSummaries bool) *Value {
 			break
 		}
 	}
-	v := &Value{OriginSite: t.originSite}
 	fw := &flowWalker{t: t}
 	fw.walk(fn.Body)
-	v.Flows, v.Writes = fw.flows, fw.writes
+	v := &Value{Flows: fw.flows, Writes: fw.writes}
 	sort.SliceStable(v.Flows, func(i, j int) bool { return v.Flows[i].Pos < v.Flows[j].Pos })
-	if v.OriginSite.Pos == token.NoPos {
-		if origin.Expr != nil {
-			v.OriginSite.Pos = origin.Expr.Pos()
-		} else {
-			v.OriginSite.Pos = fn.Body.Pos()
-		}
-	}
 	return v
 }
 
@@ -91,16 +81,10 @@ func (fn *Func) track(origin Origin, useSummaries bool) *Value {
 // including bodies of function literals (closures share the taint space of
 // their enclosing function).
 func (t *tracker) collectDefs() {
-	var stack []ast.Node
 	ast.Inspect(t.fn.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			t.collectAssign(n, stack)
+			t.collectAssign(n)
 		case *ast.DeclStmt:
 			if gd, ok := n.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
 				for _, spec := range gd.Specs {
@@ -108,16 +92,16 @@ func (t *tracker) collectDefs() {
 					if !ok {
 						continue
 					}
-					t.collectValueSpec(vs, stack)
+					t.collectValueSpec(vs)
 				}
 			}
 		case *ast.RangeStmt:
-			t.collectRange(n, stack)
+			t.collectRange(n)
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok && builtinName(call, t.fn.pkg.Info) == "copy" && len(call.Args) == 2 {
 				if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
 					if obj := t.fn.pkg.Info.ObjectOf(id); obj != nil {
-						t.addDef(&defRecord{obj: obj, pos: n.End(), kind: copyDef, container: call.Args[1]}, stack, nil)
+						t.addDef(&defRecord{obj: obj, pos: n.End(), kind: copyDef, container: call.Args[1]})
 					}
 				}
 			}
@@ -126,7 +110,7 @@ func (t *tracker) collectDefs() {
 	})
 }
 
-func (t *tracker) collectAssign(n *ast.AssignStmt, stack []ast.Node) {
+func (t *tracker) collectAssign(n *ast.AssignStmt) {
 	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
 		// x, y := f() — or a two-value type assert, map read, channel recv.
 		for i, lhs := range n.Lhs {
@@ -138,7 +122,7 @@ func (t *tracker) collectAssign(n *ast.AssignStmt, stack []ast.Node) {
 			if obj == nil {
 				continue
 			}
-			t.addDef(&defRecord{obj: obj, pos: n.End(), kind: tupleDef, rhs: n.Rhs[0], resultIdx: i}, stack, n.Rhs[0])
+			t.addDef(&defRecord{obj: obj, pos: n.End(), kind: tupleDef, rhs: n.Rhs[0], resultIdx: i})
 		}
 		return
 	}
@@ -158,11 +142,11 @@ func (t *tracker) collectAssign(n *ast.AssignStmt, stack []ast.Node) {
 		if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
 			continue
 		}
-		t.addDef(&defRecord{obj: obj, pos: n.End(), kind: exprRHS, rhs: n.Rhs[i]}, stack, n.Rhs[i])
+		t.addDef(&defRecord{obj: obj, pos: n.End(), kind: exprRHS, rhs: n.Rhs[i]})
 	}
 }
 
-func (t *tracker) collectValueSpec(vs *ast.ValueSpec, stack []ast.Node) {
+func (t *tracker) collectValueSpec(vs *ast.ValueSpec) {
 	for i, name := range vs.Names {
 		if name.Name == "_" {
 			continue
@@ -173,16 +157,16 @@ func (t *tracker) collectValueSpec(vs *ast.ValueSpec, stack []ast.Node) {
 		}
 		switch {
 		case len(vs.Values) == 0:
-			t.addDef(&defRecord{obj: obj, pos: vs.End(), kind: zeroDef}, stack, nil)
+			t.addDef(&defRecord{obj: obj, pos: vs.End(), kind: zeroDef})
 		case len(vs.Values) == 1 && len(vs.Names) > 1:
-			t.addDef(&defRecord{obj: obj, pos: vs.End(), kind: tupleDef, rhs: vs.Values[0], resultIdx: i}, stack, vs.Values[0])
+			t.addDef(&defRecord{obj: obj, pos: vs.End(), kind: tupleDef, rhs: vs.Values[0], resultIdx: i})
 		case i < len(vs.Values):
-			t.addDef(&defRecord{obj: obj, pos: vs.End(), kind: exprRHS, rhs: vs.Values[i]}, stack, vs.Values[i])
+			t.addDef(&defRecord{obj: obj, pos: vs.End(), kind: exprRHS, rhs: vs.Values[i]})
 		}
 	}
 }
 
-func (t *tracker) collectRange(n *ast.RangeStmt, stack []ast.Node) {
+func (t *tracker) collectRange(n *ast.RangeStmt) {
 	bind := func(e ast.Expr) {
 		if e == nil {
 			return
@@ -195,41 +179,22 @@ func (t *tracker) collectRange(n *ast.RangeStmt, stack []ast.Node) {
 		if obj == nil {
 			return
 		}
-		t.addDef(&defRecord{obj: obj, pos: n.X.End(), kind: rangeDef, container: n.X}, stack, nil)
+		t.addDef(&defRecord{obj: obj, pos: n.X.End(), kind: rangeDef, container: n.X})
 	}
 	bind(n.Key)
 	bind(n.Value)
 }
 
-// addDef records d; if rhs is the origin expression, the origin site is the
-// assignment itself (needed for loop reasoning).
-func (t *tracker) addDef(d *defRecord, stack []ast.Node, rhs ast.Expr) {
+// addDef records d.
+func (t *tracker) addDef(d *defRecord) {
 	t.defs[d.obj] = append(t.defs[d.obj], d)
 	t.order = append(t.order, d)
-	if rhs != nil && containsNode(rhs, t.origin.Expr) && t.originSite.Pos == token.NoPos {
-		t.originSite = Site{Pos: d.pos, Stack: copyStack(stack)}
-	}
 }
 
 func copyStack(stack []ast.Node) []ast.Node {
 	out := make([]ast.Node, len(stack))
 	copy(out, stack)
 	return out
-}
-
-// containsNode reports whether needle is root or a descendant of root.
-func containsNode(root ast.Node, needle ast.Node) bool {
-	if needle == nil || root == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == needle {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // defTainted recomputes one record's taint flag from the current state.

@@ -24,10 +24,15 @@ type lib struct{}
 // ID selects.
 func (l *lib) encodeOp(e *enc, o *op) {
 	switch o.id {
-	case CallGood:
-		AppendGoodCall(e)
+	// The headline case, planted as a StreamCreate case in the guest's
+	// encodeOp: a result-bearing call gets a deferred form, and the handle
+	// its reply carries would be read as a bare status. No method routes the
+	// call to a lane yet, so no run reaches the case and no test fails; the
+	// runtime guard fires only on the async lane, once one does.
 	case CallBad:
 		AppendBadCall(e) // want "not result-free"
+	case CallGood:
+		AppendGoodCall(e)
 	case CallOther:
 		AppendGoodCall(e) // want "does not name CallGood"
 	case CallOther + 10:

@@ -14,6 +14,27 @@ var notSentinel = errors.New("other")
 
 func op() error { return ErrClosed }
 
+// ErrCallTimeout mimics the transport's reply-deadline sentinel.
+var ErrCallTimeout = errors.New("call deadline exceeded")
+
+// readReply wraps the timeout with the socket's detail, as the TCP transport
+// does.
+func readReply() error { return fmt.Errorf("%w: i/o timeout", ErrCallTimeout) }
+
+type conn struct{ closed bool }
+
+// The headline case, planted in the TCP caller's reply path: an identity
+// test of a wrapped sentinel never matches, so a timed-out connection stays
+// open and its late reply is read as the next call's. No tier-1 test
+// notices.
+func (c *conn) exchange() error {
+	err := readReply()
+	if err == ErrCallTimeout { // want "use errors.Is"
+		c.closed = true
+	}
+	return err
+}
+
 func bad() {
 	if op() == ErrClosed { // want "use errors.Is"
 		return

@@ -18,6 +18,16 @@ type agent struct {
 
 // --- positives ---
 
+// The headline case, planted in the fleet placement controller: the reason a
+// failed attempt left is cleared on the cache's view before the bind copies
+// it. The view is the store's object, so every watcher and a later replay
+// see the cleared reason, though no write carried it. Neither the store's
+// tests nor the chaos oracles saw it.
+func placeClearsReason(c *controller.Cache) {
+	sess := c.Get("Session", "s1").(*store.Session)
+	sess.Status.Reason = "" // want "the view controller.Cache.Get returned is shared"
+}
+
 func fieldThroughAssert(ev store.Event) {
 	sess := ev.Object.(*store.Session)
 	sess.Status.Phase = "Done" // want "the Object of a store.Event is shared with the store's log, caches and every other watcher, and frozen: this assignment writes through it"

@@ -27,6 +27,7 @@ type Resource interface {
 // severs all aliasing, and a write through it is a write all the same.
 type SessionStatus struct {
 	Phase    string
+	Reason   string
 	Attempts int
 }
 

@@ -10,6 +10,36 @@ type srv struct {
 	stop bool
 }
 
+type caller struct {
+	sendCh    chan []byte
+	writeDone chan struct{}
+	writeErr  error
+}
+
+func write(b []byte) error { return nil }
+
+// The headline case, planted in the TCP caller's writer: after a failed
+// write it keeps draining "so senders never block" but never returns once
+// the channel closes, so writeDone never closes and Close waits forever.
+// Only a failed socket write gets there, and no tier-1 test makes one.
+func (c *caller) start() {
+	go c.writer() // want "can never be shut down"
+}
+
+func (c *caller) writer() {
+	defer close(c.writeDone)
+	for b := range c.sendCh {
+		if err := write(b); err != nil {
+			c.writeErr = err
+			for {
+				if _, ok := <-c.sendCh; ok {
+					continue
+				}
+			}
+		}
+	}
+}
+
 func bad(s *srv) {
 	go func() { // want "can never be shut down"
 		for {

@@ -34,7 +34,6 @@ import (
 
 	"dgsf/internal/lint"
 	"dgsf/internal/lint/dataflow"
-	"dgsf/internal/remoting/gen"
 )
 
 // Analyzer is the lockorder pass.
@@ -46,10 +45,9 @@ var Analyzer = &lint.Analyzer{
 	Run: run,
 }
 
-// RoundtripCalls names the synchronous transport entry points: the same
-// generated set whose results are borrowed, because those are exactly the
-// calls that block on the network.
-var RoundtripCalls = gen.BorrowedResultCalls
+// RoundtripCalls names the synchronous transport entry points, the calls
+// that block on the network.
+var RoundtripCalls = map[string]bool{"Roundtrip": true, "RoundtripTimeout": true, "RoundtripVec": true}
 
 type mode int
 

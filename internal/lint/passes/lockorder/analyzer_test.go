@@ -11,8 +11,8 @@ func TestLockorder(t *testing.T) {
 	linttest.Run(t, "testdata", lockorder.Analyzer, "g/lockt")
 }
 
-// TestRoundtripTableIsGenerated pins the roundtrip sink set to apigen's
-// generated transport table.
+// TestRoundtripTableIsGenerated pins the roundtrip sink set to the
+// transport's synchronous entry points.
 func TestRoundtripTableIsGenerated(t *testing.T) {
 	for _, name := range []string{"Roundtrip", "RoundtripTimeout", "RoundtripVec"} {
 		if !lockorder.RoundtripCalls[name] {

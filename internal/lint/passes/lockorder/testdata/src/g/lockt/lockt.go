@@ -33,6 +33,41 @@ var gmu2 sync.Mutex
 
 // --- positives ---
 
+type bufClass struct{ mu sync.Mutex }
+
+type quarantineSet struct{ mu sync.Mutex }
+
+var (
+	classes  [4]bufClass
+	returned quarantineSet
+)
+
+func quarantine() {
+	returned.mu.Lock()
+	defer returned.mu.Unlock()
+}
+
+// The headline case, planted in the wire payload pool: in checking mode a
+// return quarantines the buffer under its class lock, and switching checking
+// mode empties every class under the quarantine lock. A test that switches
+// modes while a connection's reader still returns a buffer deadlocks, and
+// only then: no tier-1 run did.
+func putBuf(c *bufClass) {
+	c.mu.Lock()
+	quarantine() // want "lock order cycle bufClass.mu -> quarantineSet.mu -> bufClass.mu"
+	c.mu.Unlock()
+}
+
+func checkPool() {
+	returned.mu.Lock()
+	defer returned.mu.Unlock()
+	for i := range classes {
+		c := &classes[i]
+		c.mu.Lock() // want "lock order cycle quarantineSet.mu -> bufClass.mu -> quarantineSet.mu"
+		c.mu.Unlock()
+	}
+}
+
 func reentrant(a *A) {
 	a.mu.Lock()
 	a.mu.Lock() // want "A.mu is locked again while already held"

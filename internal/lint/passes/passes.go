@@ -4,14 +4,11 @@ package passes
 import (
 	"dgsf/internal/lint"
 	"dgsf/internal/lint/passes/asyncsafe"
-	"dgsf/internal/lint/passes/bufown"
 	"dgsf/internal/lint/passes/errsentinel"
 	"dgsf/internal/lint/passes/frozenwrite"
 	"dgsf/internal/lint/passes/goroutineleak"
-	"dgsf/internal/lint/passes/journalcover"
 	"dgsf/internal/lint/passes/lockorder"
 	"dgsf/internal/lint/passes/rawconn"
-	"dgsf/internal/lint/passes/sharedretain"
 	"dgsf/internal/lint/passes/simdeterminism"
 )
 
@@ -22,10 +19,7 @@ func All() []*lint.Analyzer {
 		errsentinel.Analyzer,
 		rawconn.Analyzer,
 		asyncsafe.Analyzer,
-		journalcover.Analyzer,
 		goroutineleak.Analyzer,
-		bufown.Analyzer,
-		sharedretain.Analyzer,
 		frozenwrite.Analyzer,
 		lockorder.Analyzer,
 	}

@@ -6,6 +6,16 @@ import (
 	"b/internal/remoting"
 )
 
+// The headline case, planted in cmd/gpuserver's accept loop: a server with
+// no free API server tells the client so in raw bytes and hangs up. The
+// client's frame reader takes "busy" for a header and reports a corrupt
+// frame, not a capacity error, and neither fault injection nor the byte
+// counters see the write. No tier-1 test runs the daemon.
+func refuse(c net.Conn) {
+	_, _ = c.Write([]byte("busy\n")) // want "direct Write on a net connection"
+	_ = c.Close()
+}
+
 func bad() {
 	c, _ := net.Dial("tcp", "example:1") // want "net.Dial outside internal/remoting"
 	buf := make([]byte, 4)

@@ -10,6 +10,22 @@ import (
 
 func emit(p *sim.Proc, k int) {}
 
+// The headline case, planted in the GPU-server agent's relist: the staged
+// models that vanished are collected in map order and evicted in that order,
+// so the store deletes, and every watcher's events, follow the map. No
+// tier-1 test, golden or chaos campaign tells the runs apart.
+func evictGone(p *sim.Proc, was, now map[string]bool) {
+	var gone []string
+	for object := range was {
+		if !now[object] {
+			gone = append(gone, object) // want "appends to gone, which the function never sorts"
+		}
+	}
+	for _, object := range gone {
+		emit(p, len(object))
+	}
+}
+
 func bad(p *sim.Proc, m map[int]string) {
 	_ = time.Now()                     // want "time.Now reads the real clock"
 	time.Sleep(1)                      // want "time.Sleep reads the real clock"

@@ -18,28 +18,6 @@ var DeferrableCalls = map[string]bool{
 	"BlasSetStream": true,
 }
 
-// StateEstablishingCalls names the calls that create server-side session
-// state (handles, device allocations, uploaded bytes, handle bindings).
-// The guest recovery journal must register a replay entry for each.
-var StateEstablishingCalls = map[string]bool{
-	"Hello":           true,
-	"RegisterKernels": true,
-	"Malloc":          true,
-	"MemcpyH2D":       true,
-	"MallocHost":      true,
-	"StreamCreate":    true,
-	"EventCreate":     true,
-	"DnnCreate":       true,
-	"DnnSetStream":    true,
-	"BlasCreate":      true,
-	"BlasSetStream":   true,
-	"ModelAttach":     true,
-	"MemImport":       true,
-	"PeerCopy":        true,
-	"ModelBroadcast":  true,
-	"MemWrite":        true,
-}
-
 var deferrableByID = [NumCalls + 2]bool{
 	CallMemset:        true,
 	CallMemcpyH2D:     true,

@@ -4718,20 +4718,19 @@ func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte) (resp []byte, res
 // the status word, then the result fields of a call that succeeded — to
 // enc, allocating nothing when enc has the room. It returns the logical
 // payload bytes that flow back with the response. The request's
-// reference fields are decoded shared (SharedDecodeParams in
-// buftable.go): what the backend receives aliases payload and the
-// decoder, and is dead once DispatchTo returns, when the caller may
-// recycle payload.
+// reference fields are decoded shared: what the backend receives
+// aliases payload and the decoder, and is dead once DispatchTo returns,
+// when the caller may recycle payload.
 //
 // reqBulk is the request frame's vectored bulk region (nil
 // when the call inlined its bytes, which is how the decode variant is
 // chosen). The backend receives it as a borrowed argument and copies
 // what it retains, unless the transport gave the buffer away and the
-// backend learns so out of band (OwnedBulkParams in buftable.go).
+// backend learns so out of band (remoting.BulkLease).
 // When a bulk-response call asked for a vectored reply, respBulk
 // returns the bytes and enc receives only status + metadata. respBulk
-// may be a view of the backend's storage, lent to the reply (LentBulk in
-// buftable.go): it stays as it is until the reply frame is written.
+// may be a view of the backend's storage, lent to the reply: it stays
+// as it is until the reply frame is written.
 func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) (respData int64, respBulk []byte) {
 	dec := wire.GetDecoder(payload)
 	defer wire.PutDecoder(dec)
