@@ -412,9 +412,11 @@ func TestBulkLendAndAdoptOverTCP(t *testing.T) {
 		c.Close()
 		<-bridge
 
-		reset := sim.NewQueue[struct{}](ts.e)
-		ts.srv.Inbox.Send(remoting.Request{Ctrl: ResetRequest{Done: reset}})
-		ts.onServer(func(p *sim.Proc) { reset.Recv(p) })
+		ts.onServer(func(p *sim.Proc) {
+			reset := sim.NewQueue[struct{}](ts.e)
+			ts.srv.Inbox.Send(remoting.Request{Ctrl: ResetRequest{Done: reset}})
+			reset.Recv(p)
+		})
 		ts.onServer(func(p *sim.Proc) {
 			if ts.srv.Busy() {
 				t.Error("session survived the reset")

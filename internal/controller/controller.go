@@ -123,14 +123,6 @@ func New(opts Options, rec Reconciler) *Controller {
 	}
 }
 
-// Enqueue adds a key to the work queue (deduplicated). Use it to seed work
-// that has no watch edge, e.g. from a data-plane event.
-func (c *Controller) Enqueue(key Key) {
-	if c.queue != nil {
-		c.queue.Add(key)
-	}
-}
-
 // Halted reports whether the controller stopped because its store handle
 // returned ErrHalted or a watch stream closed under it — the signal for a
 // supervisor to start a replacement on a fresh handle.

@@ -118,9 +118,6 @@ func (r *Runtime) Init(p *sim.Proc) error {
 	return nil
 }
 
-// Initialized reports whether Init has completed.
-func (r *Runtime) Initialized() bool { return r.initialized }
-
 // Context returns the context for device dev, creating it on first use.
 // Creating a context beyond the first charges ExtraCtxTime (the first is
 // charged as part of Init).

@@ -5,57 +5,6 @@ import (
 	"time"
 )
 
-func TestSchedulingAblationSJFTradesFairnessForLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mixed-load experiment")
-	}
-	rs := SchedulingAblation(1)
-	if len(rs) != 2 {
-		t.Fatalf("%d results", len(rs))
-	}
-	fcfs, sjf := rs[0], rs[1]
-	if fcfs.Policy != "fcfs" || sjf.Policy != "sjf" {
-		t.Fatalf("policies = %s, %s", fcfs.Policy, sjf.Policy)
-	}
-	// SJF improves mean queueing delay (throughput-oriented)...
-	if sjf.QueueMean >= fcfs.QueueMean {
-		t.Errorf("SJF mean queue (%v) not below FCFS (%v)", sjf.QueueMean, fcfs.QueueMean)
-	}
-	// ...at some loss of fairness: the worst-served function waits longer.
-	if sjf.QueueMax <= fcfs.QueueMax {
-		t.Errorf("SJF max queue (%v) not above FCFS (%v) — expected a fairness cost", sjf.QueueMax, fcfs.QueueMax)
-	}
-}
-
-func TestSharingSweepDiminishingReturns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mixed-load experiment")
-	}
-	rs := SharingSweep(1)
-	if len(rs) != 4 {
-		t.Fatalf("%d results", len(rs))
-	}
-	// Two servers per GPU clearly beat one (paper: -9% on the burst)...
-	gain12 := float64(rs[0].ProviderE2E-rs[1].ProviderE2E) / float64(rs[0].ProviderE2E)
-	if gain12 < 0.03 {
-		t.Errorf("2 servers/GPU gained only %.1f%% over 1", gain12*100)
-	}
-	// ...while going from 2 to 4 yields much less (§VIII-D: "no significant
-	// improvement because each workload uses most of the GPU's memory").
-	gain24 := float64(rs[1].ProviderE2E-rs[3].ProviderE2E) / float64(rs[1].ProviderE2E)
-	if gain24 > gain12 {
-		t.Errorf("4 servers/GPU gained %.1f%% over 2, more than 2 over 1 (%.1f%%) — diminishing returns expected",
-			gain24*100, gain12*100)
-	}
-	// Utilization is non-decreasing in the sharing degree.
-	for i := 1; i < len(rs); i++ {
-		if rs[i].MeanUtil < rs[i-1].MeanUtil-5 {
-			t.Errorf("utilization dropped from %.1f%% to %.1f%% at degree %d",
-				rs[i-1].MeanUtil, rs[i].MeanUtil, rs[i].ServersPerGPU)
-		}
-	}
-}
-
 // sweepByWorkload groups RTT sweep points per workload, preserving order.
 func sweepByWorkload(rs []RTTResult) map[string][]RTTResult {
 	out := make(map[string][]RTTResult)
@@ -63,33 +12,6 @@ func sweepByWorkload(rs []RTTResult) map[string][]RTTResult {
 		out[r.Workload] = append(out[r.Workload], r)
 	}
 	return out
-}
-
-func TestRTTSweepCrossover(t *testing.T) {
-	rs := RTTSweep(1)
-	byWl := sweepByWorkload(rs)
-	if len(byWl) != 2 {
-		t.Fatalf("%d workloads in sweep", len(byWl))
-	}
-	for wl, pts := range byWl {
-		if len(pts) != len(RTTSweepRTTs()) {
-			t.Fatalf("%s: %d points", wl, len(pts))
-		}
-		// Monotone: more latency, slower DGSF.
-		for i := 1; i < len(pts); i++ {
-			if pts[i].DGSF <= pts[i-1].DGSF {
-				t.Errorf("%s: DGSF time not increasing with RTT: %v then %v", wl, pts[i-1].DGSF, pts[i].DGSF)
-			}
-		}
-		// At in-rack RTT DGSF beats native; at millisecond RTTs it does not.
-		if pts[0].DGSF >= pts[0].Native {
-			t.Errorf("%s: at %v RTT, DGSF (%v) should beat native (%v)", wl, pts[0].RTT, pts[0].DGSF, pts[0].Native)
-		}
-		last := pts[len(pts)-1]
-		if last.DGSF <= last.Native {
-			t.Errorf("%s: at %v RTT, DGSF (%v) should lose to native (%v)", wl, last.RTT, last.DGSF, last.Native)
-		}
-	}
 }
 
 // TestRTTSweepAsyncBeatsBatching is the acceptance criterion of the
@@ -123,25 +45,4 @@ func TestRTTSweepDeterministic(t *testing.T) {
 			t.Errorf("point %d differs across identical seeds: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-}
-
-func TestScaleOutDoublesCapacity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mixed-load experiment")
-	}
-	rs := ScaleOut(1)
-	one, twoFixed, twoLL := rs[0], rs[1], rs[2]
-	// A second (used!) GPU server must relieve the stream substantially.
-	if twoLL.E2ESum >= one.E2ESum*8/10 {
-		t.Errorf("two servers least-loaded (sum %v) did not clearly beat one (%v)", twoLL.E2ESum, one.E2ESum)
-	}
-	// The fixed policy never touches the second server, so it gains nothing.
-	diff := twoFixed.E2ESum - one.E2ESum
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > one.E2ESum/20 {
-		t.Errorf("fixed policy with an unused second server differs from one server: %v vs %v", twoFixed.E2ESum, one.E2ESum)
-	}
-	_ = time.Second
 }

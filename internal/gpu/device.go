@@ -248,9 +248,6 @@ func MutateKernel(a *PhysAlloc, kernel uint64) {
 	a.fp = Mix(a.fp, kernel)
 }
 
-// ActiveKernels returns the number of kernels currently executing.
-func (d *Device) ActiveKernels() int { return d.compute.Active() }
-
 // ComputeBusy returns the cumulative virtual time during which at least one
 // kernel was executing (the quantity NVML's utilization counter integrates).
 func (d *Device) ComputeBusy() time.Duration { return d.compute.Busy() }

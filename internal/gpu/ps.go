@@ -69,9 +69,6 @@ func (r *psResource) leave(p *sim.Proc) {
 	r.changed.Broadcast()
 }
 
-// Active returns the number of jobs currently executing.
-func (r *psResource) Active() int { return r.active }
-
 // Busy returns cumulative time during which at least one job was executing.
 // While jobs are active the open interval is included.
 func (r *psResource) Busy() time.Duration {

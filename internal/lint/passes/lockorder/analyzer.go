@@ -1,8 +1,9 @@
 // Package lockorder builds a mutex acquisition-order graph and enforces the
 // locking discipline of the remoting path (DESIGN §4c). Mutexes are keyed
-// by receiver type and field ("tcpCaller.mu") or by package-level variable
-// name, so every instance of a type shares one node. Three families of
-// reports:
+// by receiver type and field ("tcpCaller.mu"), by package-level variable
+// name, or, in a package-level variable of anonymous struct type, by
+// package, variable and field path ("wire.returned.mu"), so every instance
+// of a type shares one node. Three families of reports:
 //
 //   - Cycles: lock A is acquired while B is held in one place and B while A
 //     is held in another — the classic AB/BA deadlock. Edges flow through
@@ -195,8 +196,9 @@ func walkBody(pass *lint.Pass, fe *funcEvents, body *ast.BlockStmt, out []*funcE
 }
 
 // lockEvent recognizes m.Lock()/RLock()/Unlock()/RUnlock() on a keyed
-// sync.Mutex or sync.RWMutex: a named struct field ("T.f") or a
-// package-level variable. Local and embedded mutexes are not keyed.
+// sync.Mutex or sync.RWMutex: a field of a named struct ("T.f"), a
+// package-level variable, or a field of one of anonymous struct type
+// ("pkg.v.f"). Local and embedded mutexes are not keyed.
 func lockEvent(pass *lint.Pass, call *ast.CallExpr) (lockEv, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) != 0 {
@@ -229,11 +231,11 @@ func lockEvent(pass *lint.Pass, call *ast.CallExpr) (lockEv, bool) {
 		if ptr, ok := base.(*types.Pointer); ok {
 			base = ptr.Elem()
 		}
-		named, ok := base.(*types.Named)
-		if !ok {
+		if named, ok := base.(*types.Named); ok {
+			ev.key = named.Obj().Name() + "." + fieldObj.Name()
+		} else if ev.key, ok = varFieldPath(pass, r); !ok {
 			return lockEv{}, false
 		}
-		ev.key = named.Obj().Name() + "." + fieldObj.Name()
 	case *ast.Ident:
 		obj := pass.Info.ObjectOf(r)
 		if obj == nil || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
@@ -244,6 +246,29 @@ func lockEvent(pass *lint.Pass, call *ast.CallExpr) (lockEv, bool) {
 		return lockEv{}, false
 	}
 	return ev, true
+}
+
+// varFieldPath spells a chain of field selections rooted at a package-level
+// variable as "pkg.v.f1.f2", or reports false.
+func varFieldPath(pass *lint.Pass, e ast.Expr) (string, bool) {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		if f, ok := pass.Info.Uses[e.Sel].(*types.Var); ok && f.IsField() {
+			base, ok := varFieldPath(pass, e.X)
+			return base + "." + f.Name(), ok
+		}
+		id = e.Sel // a qualified identifier, pkg.v
+	default:
+		return "", false
+	}
+	obj, ok := pass.Info.ObjectOf(id).(*types.Var)
+	if !ok || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		return "", false
+	}
+	return obj.Pkg().Name() + "." + obj.Name(), true
 }
 
 func isSyncMutex(t types.Type) bool {

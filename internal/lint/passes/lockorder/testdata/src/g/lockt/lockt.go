@@ -68,6 +68,32 @@ func checkPool() {
 	}
 }
 
+// A mutex in a package-level variable of anonymous struct type, like the
+// payload pool's quarantine set or the guest's batch free list, is keyed by
+// package, variable and field path, and so takes part in cycles.
+var freeList struct {
+	mu sync.Mutex
+	n  int
+}
+
+type G struct{ mu sync.Mutex }
+
+func refill(g *G) {
+	g.mu.Lock()
+	freeList.mu.Lock() // want "lock order cycle G.mu -> lockt.freeList.mu -> G.mu"
+	freeList.n++
+	freeList.mu.Unlock()
+	g.mu.Unlock()
+}
+
+func drain(g *G) {
+	freeList.mu.Lock()
+	g.mu.Lock() // want "lock order cycle lockt.freeList.mu -> G.mu -> lockt.freeList.mu"
+	freeList.n--
+	g.mu.Unlock()
+	freeList.mu.Unlock()
+}
+
 func reentrant(a *A) {
 	a.mu.Lock()
 	a.mu.Lock() // want "A.mu is locked again while already held"

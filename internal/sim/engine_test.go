@@ -266,7 +266,9 @@ func TestOpenModeIdlesInsteadOfDeadlocking(t *testing.T) {
 // TestPostFromManyGoroutines: goroutines post into an open engine while two
 // processes ping-pong through it. Every fn runs once, on the loop (it reads
 // the ping count the processes write, unsynchronized, which the race detector
-// checks), and one goroutine's fns run in the order it posted them.
+// checks), and one goroutine's fns run in the order it posted them. The
+// posters start after the first round trip, so the processes have run
+// however fast the loop drains the posts.
 func TestPostFromManyGoroutines(t *testing.T) {
 	const posters, perPoster = 8, 200
 	e := NewOpenEngine(1)
@@ -279,10 +281,14 @@ func TestPostFromManyGoroutines(t *testing.T) {
 			pong.Send(v)
 		}
 	})
+	pinged := make(chan struct{})
 	pinger := e.Inject("ping", func(p *Proc) {
 		for !done {
 			ping.Send(pings)
 			pong.Recv(p)
+			if pings == 0 {
+				close(pinged)
+			}
 			pings++
 		}
 	})
@@ -293,6 +299,7 @@ func TestPostFromManyGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-pinged
 			for k := range perPoster {
 				e.Post(func() {
 					onLoop = onLoop && e.running == &e.callback && pings >= 0
