@@ -9,18 +9,25 @@ import (
 )
 
 // Stream is a CUDA stream: an in-order queue of device operations executed
-// asynchronously with respect to the issuing CPU thread. Each stream is
-// serviced by a daemon process that executes ops on the context's device.
+// asynchronously with respect to the issuing CPU thread. A step process of
+// its own (sim.Proc) executes the ops on the context's device: the loop
+// calls it directly, so a kernel costs no coroutine switch.
 type Stream struct {
-	q       *sim.Queue[streamOp]
-	pending int
+	ops     sim.Ring[streamOp] // enqueued, not yet started
+	pending int                // enqueued, not yet finished
 	idle    *sim.Cond
 	closed  bool
+
+	worker  *sim.Proc
+	blocked bool       // worker is in Block, waiting for an op
+	cur     streamOp   // the op the worker took last; zero while it waits for one
+	kern    gpu.Kernel // cur's kernel as a step machine
+	busy    bool       // kern is running
 }
 
 // streamOp is one queued device operation, as data: a kernel (ev nil) or an
 // event record. A launch is enqueued by value and the worker runs it, so a
-// kernel in flight costs a queue slot and no allocation.
+// kernel in flight costs a ring slot and no allocation.
 type streamOp struct {
 	// A kernel: dev executes it for its nominal duration, then every
 	// allocation it mutates is stamped with its name's hash. The launch
@@ -49,14 +56,8 @@ func (op *streamOp) addAlloc(a *gpu.PhysAlloc) {
 	op.n++
 }
 
-func (op *streamOp) run(p *sim.Proc) {
-	if ev := op.ev; ev != nil {
-		ev.at = p.Now()
-		ev.done = true
-		ev.cond.Broadcast()
-		return
-	}
-	op.dev.ExecKernel(p, op.dur)
+// mutate stamps the finished kernel into the allocations it writes.
+func (op *streamOp) mutate() {
 	for _, a := range op.allocs[:min(op.n, inlineMutates)] {
 		gpu.MutateKernel(a, op.kernel)
 	}
@@ -66,31 +67,75 @@ func (op *streamOp) run(p *sim.Proc) {
 }
 
 func newStream(p *sim.Proc, e *sim.Engine) *Stream {
-	s := &Stream{
-		q:    sim.NewQueue[streamOp](e),
-		idle: sim.NewCond(e),
-	}
-	p.SpawnDaemon("cuda-stream", s.worker)
+	s := &Stream{idle: sim.NewCond(e)}
+	s.worker = p.SpawnStepDaemon("cuda-stream", s.step)
 	return s
 }
 
-func (s *Stream) worker(p *sim.Proc) {
+// step runs ops in order until one waits — the kernel's launch latency or
+// its share of the compute engine — or none is left: then the worker blocks
+// until an enqueue, or exits once the stream is closed.
+func (s *Stream) step(p *sim.Proc) bool {
+	if s.busy {
+		if s.kern.Wake(p) {
+			return true
+		}
+		s.finishKernel()
+	}
 	for {
-		op, ok := s.q.Recv(p)
-		if !ok {
-			return
+		var ok bool
+		if s.cur, ok = s.ops.Pop(); !ok {
+			if s.closed {
+				return false
+			}
+			s.blocked = true
+			p.Block()
+			return true
 		}
-		op.run(p)
-		s.pending--
-		if s.pending == 0 {
-			s.idle.Broadcast()
+		op := &s.cur
+		if ev := op.ev; ev != nil {
+			ev.at = p.Now()
+			ev.done = true
+			ev.cond.Broadcast()
+			s.finished()
+			continue
 		}
+		if s.kern.Start(p, op.dev, op.dur) {
+			s.busy = true
+			return true
+		}
+		s.finishKernel()
+	}
+}
+
+func (s *Stream) finishKernel() {
+	s.cur.mutate()
+	s.busy = false
+	s.finished()
+}
+
+func (s *Stream) finished() {
+	s.pending--
+	if s.pending == 0 {
+		s.idle.Broadcast()
+	}
+}
+
+// wakeWorker readies the worker if it is blocked waiting for an op.
+func (s *Stream) wakeWorker() {
+	if s.blocked {
+		s.blocked = false
+		s.worker.Ready()
 	}
 }
 
 func (s *Stream) enqueue(op streamOp) {
+	if s.closed {
+		panic("cuda: op enqueued on a closed stream")
+	}
 	s.pending++
-	s.q.Send(op)
+	s.ops.Push(op)
+	s.wakeWorker()
 }
 
 // awaitIdle blocks until every op enqueued so far has executed.
@@ -100,10 +145,11 @@ func (s *Stream) awaitIdle(p *sim.Proc) {
 	}
 }
 
+// close ends the stream once the ops enqueued so far have run.
 func (s *Stream) close() {
 	if !s.closed {
 		s.closed = true
-		s.q.Close()
+		s.wakeWorker()
 	}
 }
 

@@ -221,13 +221,45 @@ type HostBuffer struct {
 // processor sharing with every other kernel concurrently executing on the
 // device, blocking p until the kernel finishes.
 func (d *Device) ExecKernel(p *sim.Proc, nominal time.Duration) {
-	if d.Cfg.KernelLat > 0 {
-		p.Sleep(d.Cfg.KernelLat)
+	var k Kernel
+	for more := k.Start(p, d, nominal); more; more = k.Wake(p) {
+		p.Park()
 	}
-	if nominal <= 0 {
-		return
+}
+
+// Kernel is ExecKernel as a step machine, for a step process (a CUDA
+// stream's): Start reports whether the kernel is still running with a wait
+// armed, and each time that wait ends Wake does the same, until the kernel
+// has finished. The zero value is ready to Start.
+type Kernel struct {
+	d       *Device
+	nominal time.Duration
+	job     psJob
+	inJob   bool // past the launch latency, executing
+}
+
+// Start launches a kernel of nominal duration on d.
+func (k *Kernel) Start(p *sim.Proc, d *Device, nominal time.Duration) (more bool) {
+	*k = Kernel{d: d, nominal: nominal}
+	if lat := d.Cfg.KernelLat; lat > 0 && !p.ArmSleep(lat) {
+		return true
 	}
-	d.compute.Exec(p, d.stretch(nominal))
+	return k.execute(p)
+}
+
+// Wake carries on the kernel once the wait it armed has ended.
+func (k *Kernel) Wake(p *sim.Proc) (more bool) {
+	if !k.inJob {
+		return k.execute(p)
+	}
+	return k.job.wake(p)
+}
+
+// execute admits the kernel to the compute engine, its nominal duration
+// stretched by the brownout in force now that it starts.
+func (k *Kernel) execute(p *sim.Proc) bool {
+	k.inJob = true
+	return k.job.begin(p, k.d.compute, k.d.stretch(k.nominal))
 }
 
 // KernelHash is the fingerprint of a kernel's name that MutateKernel stamps

@@ -149,3 +149,33 @@ func BenchmarkCondTimeoutCancel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkStepDispatch is one dispatch of a step process: two step
+// processes ready each other and block, so the loop calls one step per
+// operation and never switches coroutines.
+func BenchmarkStepDispatch(b *testing.B) {
+	benchSim(b, func(p *Proc, e *Engine) {
+		var procs [2]*Proc
+		var blocked [2]bool
+		n := 0
+		wg := NewWaitGroup(e)
+		wg.Add(len(procs))
+		for i := range procs {
+			procs[i] = p.SpawnStepDaemon("stepper", func(p *Proc) bool {
+				if other := 1 - i; blocked[other] {
+					blocked[other] = false
+					procs[other].Ready()
+				}
+				if n++; n > b.N {
+					wg.Done()
+					return false
+				}
+				blocked[i] = true
+				p.Block()
+				return true
+			})
+		}
+		b.ResetTimer()
+		wg.Wait(p)
+	})
+}

@@ -21,6 +21,13 @@ type carrier struct {
 	yield func(bool) bool
 }
 
+// stepCarrier stands in for the carrier of every step process, which has
+// none: a step process that parks — calls a blocking primitive instead of
+// arming its wait and returning — panics here.
+var stepCarrier = &carrier{yield: func(bool) bool {
+	panic("sim: a step process parked: a step arms its wait and returns")
+}}
+
 // maxIdleCarriers caps the free list. It covers the peak number of live
 // processes of the benchmark workloads (fleet_flood 144, paper_mix 44); a
 // carrier that finds the list full is stopped, and its goroutine ends.

@@ -9,9 +9,11 @@
 // yields to the loop, which resumes the next ready process, and when no
 // process is ready advances the virtual clock to the earliest pending timer.
 // A carrier outlives its process: once the body returns it waits on a free
-// list shared by every engine for the next process spawned anywhere. Given
-// a fixed seed, a simulation is fully deterministic and independent of
-// wall-clock speed.
+// list shared by every engine for the next process spawned anywhere. A step
+// process (SpawnStepDaemon) has no carrier: its body is a step function the loop
+// calls each time it dispatches the process, which arms a wait and returns
+// instead of parking. Given a fixed seed, a simulation is fully
+// deterministic and independent of wall-clock speed.
 //
 // The engine supports two modes:
 //
@@ -42,6 +44,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,7 +74,7 @@ type Engine struct {
 	seq    uint64        // deadlines armed so far: the tie-break between equal instants
 
 	running *Proc       // the process the loop resumed last, or nil while it has none
-	runq    ring[*Proc] // processes ready to execute, FIFO
+	runq    Ring[*Proc] // processes ready to execute, FIFO
 	// callback stands for every At callback, in the timer heap and, while
 	// one runs, in running: the engine is busy, and no process may block.
 	callback Proc
@@ -126,16 +129,32 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Proc is a simulated process. A Proc is only valid inside the function it
 // was spawned with; all blocking methods must be called by the process
 // itself.
+//
+// A process is a coroutine process (Spawn) or a step process
+// (SpawnStepDaemon).
+// The two take the same slots: a place in the ready queue, in a Cond's or
+// Queue's waiters and, with a deadline, in the timer heap; the same
+// sequence numbers; the same trace events. They differ in how the loop
+// dispatches them. A coroutine process's body runs on a carrier and blocks
+// by parking: the loop resumes it where it parked. A step process's body is
+// a function the loop calls: it may do anything a coroutine process does
+// short of parking, and where one would park it arms the wait (ArmSleep,
+// Cond.Arm, Block) and returns true; the loop calls it again once the wait
+// has ended, and TimedOut tells how. Returning false ends the process. So a
+// process that blocks only at the top of its loop, turned into a step
+// process, runs on the same schedule, event for event.
 type Proc struct {
 	e      *Engine
 	id     int
 	name   string
 	daemon bool
-	killed bool          // the simulation is over: the next park unwinds
-	fn     func(*Proc)   // the body
-	c      *carrier      // runs the body; nil until the first dispatch
-	doneCh chan struct{} // closed on exit, if requested via Inject
-	rng    *rand.Rand    // set by the first Rand: lent by the engine or new
+	killed bool             // the simulation is over: the next park unwinds
+	fn     func(*Proc)      // the body of a coroutine process
+	step   func(*Proc) bool // the body of a step process; nil for a coroutine one
+	armed  bool             // a wait is armed that the process has not yet parked on or returned to
+	c      *carrier         // runs the body; nil until the first dispatch; stepCarrier for a step process
+	doneCh chan struct{}    // closed on exit, if requested via Inject
+	rng    *rand.Rand       // set by the first Rand: lent by the engine or new
 
 	prev, next *Proc // neighbours in the engine's live list
 	w          wait
@@ -144,11 +163,13 @@ type Proc struct {
 // wait is the one thing a process is blocked on. A process blocks on at most
 // one primitive at a time, so the record is part of the Proc and every park
 // reuses it: blocking allocates nothing. It is written by the process as it
-// blocks and by whoever wakes it, both on the loop's side.
+// blocks and by whoever wakes it, both on the loop's side. The small fields
+// come last, where they share a word, which keeps a Proc in the 128-byte
+// size class.
 type wait struct {
-	kind waitKind     // the primitive parked in; waitNone while ready or running
-	in   *ring[*Proc] // waiter set to leave if the deadline fires first, or nil
+	in   *Ring[*Proc] // waiter set to leave if the deadline fires first, or nil
 	idx  int          // position of the deadline in the timer heap; -1 while none is armed
+	kind waitKind     // the primitive parked in; waitNone while ready or running
 
 	timedOut bool // woken by the deadline
 	handed   bool // Queue: woken by a Send, whose item waits in the queue's handoff ring
@@ -388,12 +409,31 @@ func (p *Proc) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	return np
 }
 
+// SpawnStepDaemon starts a daemon step process whose body is step (see
+// Proc): the loop calls step at each dispatch, and step returns true once
+// it has armed a wait, false to exit.
+func (p *Proc) SpawnStepDaemon(name string, step func(*Proc) bool) *Proc {
+	np := p.e.newProc(name, true, nil)
+	np.step, np.c = step, stepCarrier
+	p.e.startLocked(np)
+	return np
+}
+
 // Sleep blocks the process for virtual duration d. Non-positive durations
 // yield to other ready processes without advancing time.
-func (p *Proc) Sleep(d time.Duration) {
+func (p *Proc) Sleep(d time.Duration) { p.sleep(d, true) }
+
+// ArmSleep arms Sleep(d) without parking and reports whether the sleep is
+// already over: when p would be the very next process dispatched, the
+// clock advances in place. Otherwise a step process returns from its step
+// and a coroutine process parks (Park).
+func (p *Proc) ArmSleep(d time.Duration) (over bool) { return p.sleep(d, false) }
+
+// sleep is Sleep, and with park false ArmSleep: one body, so that a Sleep
+// costs one call.
+func (p *Proc) sleep(d time.Duration, park bool) (over bool) {
 	if d <= 0 {
-		p.Yield()
-		return
+		return p.yield(park)
 	}
 	e := p.e
 	e.checkRunningLocked(p, "Sleep")
@@ -405,9 +445,47 @@ func (p *Proc) Sleep(d time.Duration) {
 		e.traceLocked(p, blockEvent[waitSleep])
 		e.now = at
 		e.traceLocked(p, "run")
-		return
+		return true
 	}
 	e.blockLocked(p, waitSleep, nil, d)
+	if park {
+		p.park()
+	}
+	return false
+}
+
+// Block arms a wait with no deadline that only Ready ends: a process that
+// serves a queue of its own blocks on it while the queue is empty. The
+// trace and a deadlock dump show it blocked on a queue.
+func (p *Proc) Block() {
+	p.e.checkRunningLocked(p, "Block")
+	p.e.blockLocked(p, waitQueue, nil, -1)
+}
+
+// Ready ends the wait p armed with Block, making p ready to run. Like a
+// Send, it may come from a process, an At callback or a posted fn. Once the
+// simulation is over it does nothing.
+func (p *Proc) Ready() {
+	if p.killed {
+		return
+	}
+	if p.w.kind != waitQueue || p.w.in != nil {
+		panic(fmt.Sprintf("sim: Ready of %q, which is not in Block", p.name))
+	}
+	p.e.wakeLocked(p)
+}
+
+// TimedOut reports whether the last wait p armed ended at its deadline
+// rather than by a wake-up.
+func (p *Proc) TimedOut() bool { return p.w.timedOut }
+
+// Park blocks a coroutine process on the wait it has armed (ArmSleep
+// reporting false, Cond.Arm, Block) until the wait ends. It is how code
+// written as steps runs in a coroutine process: arm, park, step again.
+func (p *Proc) Park() {
+	if !p.armed && !p.killed {
+		panic(fmt.Sprintf("sim: Park by %q with no wait armed", p.name))
+	}
 	p.park()
 }
 
@@ -417,7 +495,7 @@ func (p *Proc) Sleep(d time.Duration) {
 // and fires first), and at is inside the time limit, which only the loop
 // reports.
 func (e *Engine) sleeperRunsNextLocked(at time.Duration) bool {
-	return !e.stopped && e.runq.len() == 0 && !e.posted.Load() &&
+	return !e.stopped && e.runq.Len() == 0 && !e.posted.Load() &&
 		(len(e.timers) == 0 || e.timers[0].at > at) &&
 		!e.pastLimitLocked(at)
 }
@@ -434,24 +512,32 @@ func (e *Engine) At(at time.Duration, fn func()) {
 
 // Yield moves the process to the back of the ready queue, letting other
 // ready processes run at the same virtual time.
-func (p *Proc) Yield() {
+func (p *Proc) Yield() { p.yield(true) }
+
+// yield is Yield, and with park false the arming half of it, which reports
+// whether the yield is already over.
+func (p *Proc) yield(park bool) (over bool) {
 	e := p.e
 	e.checkRunningLocked(p, "Yield")
 	switch {
 	case e.stopped:
 		p.killed = true
-	case e.runq.len() == 0 && !e.posted.Load():
+	case e.runq.Len() == 0 && !e.posted.Load():
 		// Nobody else is ready: p would be dispatched straight back. The
 		// loop is consulted (and traces the switch) only while a
 		// deadline is armed somewhere.
 		if len(e.timers) > 0 {
 			e.traceLocked(p, "run")
 		}
-		return
+		return true
 	default:
-		e.runq.push(p)
+		e.runq.Push(p)
+		p.armed = true
 	}
-	p.park()
+	if park {
+		p.park()
+	}
+	return false
 }
 
 // --- internals ---
@@ -464,9 +550,9 @@ func (e *Engine) newProc(name string, daemon bool, fn func(*Proc)) *Proc {
 	return &Proc{e: e, name: name, daemon: daemon, fn: fn, w: wait{idx: -1}}
 }
 
-// startLocked numbers p and queues it for its first dispatch, which gives it
-// a carrier to run its body on. On a stopped engine the process is
-// stillborn: the body never runs.
+// startLocked numbers p and queues it for its first dispatch, which gives a
+// coroutine process a carrier to run its body on. On a stopped engine the
+// process is stillborn: the body never runs.
 func (e *Engine) startLocked(p *Proc) {
 	e.nextPID++
 	p.id = e.nextPID
@@ -487,7 +573,7 @@ func (e *Engine) startLocked(p *Proc) {
 		e.liveHead = p
 	}
 	e.liveTail = p
-	e.runq.push(p)
+	e.runq.Push(p)
 	e.traceLocked(p, "spawn")
 }
 
@@ -521,6 +607,7 @@ func (e *Engine) exitLocked(p *Proc) {
 // park yields to the loop until it resumes the process: made ready, or
 // killed. A process killed as it blocks unwinds without yielding.
 func (p *Proc) park() {
+	p.armed = false
 	if !p.killed {
 		p.c.yield(false)
 	}
@@ -544,21 +631,22 @@ func (e *Engine) checkRunningLocked(p *Proc, op string) {
 
 // blockLocked blocks the running process p in a primitive of the given
 // kind: p joins the waiter set in (if any) and, with d >= 0, arms a deadline
-// d from now. The caller must subsequently park; p.w then tells how the wait
-// ended.
-func (e *Engine) blockLocked(p *Proc, kind waitKind, in *ring[*Proc], d time.Duration) {
+// d from now. The caller then parks, or a step process returns from its
+// step; p.w tells how the wait ended.
+func (e *Engine) blockLocked(p *Proc, kind waitKind, in *Ring[*Proc], d time.Duration) {
 	if e.stopped {
 		// The simulation is over: park() raises errKilled at once.
 		p.killed = true
 		return
 	}
 	p.w = wait{kind: kind, in: in, idx: -1}
+	p.armed = true
 	if d >= 0 {
 		e.seq++
 		e.timers.push(timer{at: e.deadlineLocked(d), seq: e.seq, p: p})
 	}
 	if in != nil {
-		in.push(p)
+		in.Push(p)
 	}
 	e.traceLocked(p, blockEvent[kind])
 }
@@ -576,7 +664,7 @@ func (e *Engine) wakeLocked(p *Proc) {
 // readyLocked moves a blocked process to the ready queue.
 func (e *Engine) readyLocked(p *Proc) {
 	p.w.kind, p.w.in = waitNone, nil
-	e.runq.push(p)
+	e.runq.Push(p)
 }
 
 // deadlineLocked returns the instant d from now.
@@ -596,9 +684,13 @@ func (e *Engine) pastLimitLocked(t time.Duration) bool {
 }
 
 // loopLocked is the dispatch loop: it resumes the process pickLocked names,
-// on the process's carrier, until it names none.
+// on the process's carrier or by a call of its step, until it names none.
 func (e *Engine) loopLocked() {
 	for p := e.pickLocked(); p != nil; p = e.pickLocked() {
+		if p.step != nil {
+			e.stepLocked(p)
+			continue
+		}
 		c := p.c
 		if c == nil {
 			c = takeCarrier()
@@ -607,6 +699,37 @@ func (e *Engine) loopLocked() {
 		if exited, _ := c.next(); exited {
 			putCarrier(c)
 		}
+	}
+}
+
+// stepLocked dispatches the step process p: one call of its step, on the
+// loop's own goroutine. The process exits when the step returns false, or
+// when the simulation ended as it armed its wait. A panic in the step comes
+// out of the loop as a ProcPanic, as a coroutine body's does; a
+// runtime.Goexit retires p and goes on through the loop.
+func (e *Engine) stepLocked(p *Proc) {
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		if r := recover(); r != nil {
+			panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+		e.exitLocked(p)
+	}()
+	p.armed = false
+	more := p.step(p)
+	switch {
+	case p.killed:
+	case more && !p.armed:
+		panic("sim: step returned true with no wait armed")
+	case !more && p.armed:
+		panic("sim: step returned false with a wait armed")
+	}
+	returned = true
+	if !more || p.killed {
+		e.exitLocked(p)
 	}
 }
 
@@ -654,7 +777,7 @@ func (e *Engine) pickLocked() *Proc {
 			e.drainMail()
 			continue
 		}
-		if p, ok := e.runq.pop(); ok {
+		if p, ok := e.runq.Pop(); ok {
 			e.running = p
 			e.traceLocked(p, "run")
 			return p
@@ -694,11 +817,11 @@ func (e *Engine) pickLocked() *Proc {
 	}
 	for p := e.liveHead; p != nil; p = e.liveHead {
 		p.killed = true
-		if p.c != nil {
+		if p.c != nil && p.step == nil {
 			e.running = p
 			return p
 		}
-		e.exitLocked(p) // never ran: there is nothing to unwind
+		e.exitLocked(p) // a step process, or one that never ran: there is nothing to unwind
 	}
 	e.running = nil
 	return nil

@@ -77,6 +77,19 @@ func TestHotPathAllocs(t *testing.T) {
 				p.Yield()
 			}, nil
 		}, 0},
+		{"StepDispatch", func(p *Proc, e *Engine) (func(), func()) {
+			// A step process readied and dispatched: the loop calls its
+			// step, which blocks again, with no carrier in between.
+			w := p.SpawnStepDaemon("stepper", func(p *Proc) bool {
+				p.Block()
+				return true
+			})
+			p.Yield() // the stepper blocks
+			return func() {
+				w.Ready()
+				p.Yield()
+			}, nil
+		}, 0},
 		{"SpawnExit", func(p *Proc, e *Engine) (func(), func()) {
 			// The exited child's carrier runs the next: only its Proc is new.
 			return func() {
@@ -268,8 +281,8 @@ func TestPoppedSlotsAreCleared(t *testing.T) {
 			p.Spawn("receiver", func(p *Proc) { q.RecvTimeout(p, time.Duration(i)*time.Second) })
 		}
 		p.Yield() // receivers park; the one with d == 0 returns at once
-		if q.waiters.len() != 2 {
-			t.Fatalf("%d parked receivers, want 2", q.waiters.len())
+		if q.waiters.Len() != 2 {
+			t.Fatalf("%d parked receivers, want 2", q.waiters.Len())
 		}
 		p.Sleep(time.Second) // the 1s receiver times out and leaves the waiter set
 		q.Send(new(int))
@@ -281,8 +294,8 @@ func TestPoppedSlotsAreCleared(t *testing.T) {
 			}
 		}
 
-		if len(e.runq.buf) == 0 || e.runq.len() != 0 {
-			t.Fatalf("run queue: %d slots, %d ready; want a grown, empty ring", len(e.runq.buf), e.runq.len())
+		if len(e.runq.buf) == 0 || e.runq.Len() != 0 {
+			t.Fatalf("run queue: %d slots, %d ready; want a grown, empty ring", len(e.runq.buf), e.runq.Len())
 		}
 		for i, r := range e.runq.buf {
 			if r != nil {
@@ -298,12 +311,12 @@ func TestPoppedSlotsAreCleared(t *testing.T) {
 // TestRingOrderAcrossGrowthAndRemoval drives the ring through wrap-around,
 // doubling and mid-queue removal against a plain slice.
 func TestRingOrderAcrossGrowthAndRemoval(t *testing.T) {
-	var r ring[int]
+	var r Ring[int]
 	var want []int
 	check := func(step string) {
 		t.Helper()
-		if r.len() != len(want) {
-			t.Fatalf("%s: len %d, want %d", step, r.len(), len(want))
+		if r.Len() != len(want) {
+			t.Fatalf("%s: len %d, want %d", step, r.Len(), len(want))
 		}
 		for i, v := range want {
 			if got := *r.slot(i); got != v {
@@ -315,7 +328,7 @@ func TestRingOrderAcrossGrowthAndRemoval(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 1+round%5; i++ { // pushes outpace pops: the buffer wraps and doubles
 			next++
-			r.push(next)
+			r.Push(next)
 			want = append(want, next)
 		}
 		check("push")
@@ -325,16 +338,16 @@ func TestRingOrderAcrossGrowthAndRemoval(t *testing.T) {
 			want = append(want[:i], want[i+1:]...)
 			check("removeAt")
 		}
-		if v, ok := r.pop(); !ok || v != want[0] {
+		if v, ok := r.Pop(); !ok || v != want[0] {
 			t.Fatalf("pop = %d,%v, want %d", v, ok, want[0])
 		}
 		want = want[1:]
 		check("pop")
 	}
 	for range want {
-		r.pop()
+		r.Pop()
 	}
-	if _, ok := r.pop(); ok {
+	if _, ok := r.Pop(); ok {
 		t.Fatal("pop on an empty ring reported ok")
 	}
 	for i, v := range r.buf {

@@ -7,7 +7,7 @@ import "time"
 // their predicate after waking, as usual.
 type Cond struct {
 	e       *Engine
-	waiters ring[*Proc] // longest-waiting first
+	waiters Ring[*Proc] // longest-waiting first
 }
 
 // NewCond returns a condition variable bound to e.
@@ -25,6 +25,8 @@ func (c *Cond) WaitTimeout(p *Proc, d time.Duration) (timedOut bool) {
 	return c.wait(p, d)
 }
 
+// wait arms as Arm does, in its own frame, so that a Wait is one call with
+// the park inlined.
 func (c *Cond) wait(p *Proc, d time.Duration) bool {
 	c.e.checkRunningLocked(p, "Cond.Wait")
 	c.e.blockLocked(p, waitCond, &c.waiters, d)
@@ -32,16 +34,24 @@ func (c *Cond) wait(p *Proc, d time.Duration) bool {
 	return p.w.timedOut
 }
 
+// Arm arms a wait on c without parking: Signal or Broadcast ends it, or,
+// with d >= 0, a deadline d from now (TimedOut). A step process then
+// returns from its step; a coroutine process parks (Park).
+func (c *Cond) Arm(p *Proc, d time.Duration) {
+	c.e.checkRunningLocked(p, "Cond.Wait")
+	c.e.blockLocked(p, waitCond, &c.waiters, d)
+}
+
 // Broadcast wakes every waiter.
 func (c *Cond) Broadcast() {
-	for p, ok := c.waiters.pop(); ok; p, ok = c.waiters.pop() {
+	for p, ok := c.waiters.Pop(); ok; p, ok = c.waiters.Pop() {
 		c.e.wakeLocked(p)
 	}
 }
 
 // Signal wakes the longest-waiting waiter, if any.
 func (c *Cond) Signal() {
-	if p, ok := c.waiters.pop(); ok {
+	if p, ok := c.waiters.Pop(); ok {
 		c.e.wakeLocked(p)
 	}
 }
@@ -50,15 +60,15 @@ func (c *Cond) Signal() {
 // blocks; Recv blocks the calling process until an item or Close arrives.
 type Queue[T any] struct {
 	e       *Engine
-	items   ring[T]
-	waiters ring[*Proc] // blocked receivers, longest-waiting first; empty unless items is
+	items   Ring[T]
+	waiters Ring[*Proc] // blocked receivers, longest-waiting first; empty unless items is
 	closed  bool
 
 	// handoff holds the items of woken receivers that have not run yet: a
 	// Send that finds a waiter readies it and puts the item here, where no
 	// other receiver can take it. The ready queue is FIFO, so the receivers
 	// run, and each pop the head, in the order they were handed.
-	handoff ring[T]
+	handoff Ring[T]
 }
 
 // NewQueue returns an empty queue bound to e.
@@ -78,12 +88,12 @@ func (q *Queue[T]) TrySend(v T) bool {
 	if q.closed {
 		return false
 	}
-	if p, ok := q.waiters.pop(); ok {
-		q.handoff.push(v)
+	if p, ok := q.waiters.Pop(); ok {
+		q.handoff.Push(v)
 		p.w.handed = true
 		q.e.wakeLocked(p)
 	} else {
-		q.items.push(v)
+		q.items.Push(v)
 	}
 	return true
 }
@@ -98,7 +108,7 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for p, ok := q.waiters.pop(); ok; p, ok = q.waiters.pop() {
+	for p, ok := q.waiters.Pop(); ok; p, ok = q.waiters.Pop() {
 		q.e.wakeLocked(p)
 	}
 }
@@ -116,23 +126,23 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut
 }
 
 // TryRecv dequeues the next item without blocking.
-func (q *Queue[T]) TryRecv() (v T, ok bool) { return q.items.pop() }
+func (q *Queue[T]) TryRecv() (v T, ok bool) { return q.items.Pop() }
 
 func (q *Queue[T]) recv(p *Proc, d time.Duration) (v T, ok bool, timedOut bool) {
 	q.e.checkRunningLocked(p, "Queue.Recv")
-	if v, ok = q.items.pop(); ok || q.closed || d == 0 {
+	if v, ok = q.items.Pop(); ok || q.closed || d == 0 {
 		return v, ok, !ok && !q.closed // empty and open: d == 0 has timed out
 	}
 	q.e.blockLocked(p, waitQueue, &q.waiters, d)
 	p.park()
 	if p.w.handed {
-		v, ok = q.handoff.pop()
+		v, ok = q.handoff.Pop()
 	}
 	return v, ok, p.w.timedOut
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.len() }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // WaitGroup waits for a collection of simulated activities to finish.
 type WaitGroup struct {
