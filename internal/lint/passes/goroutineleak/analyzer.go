@@ -44,8 +44,8 @@ func run(pass *lint.Pass) error {
 		return nil
 	}
 
-	// Index this package's function declarations so `go f()` and
-	// `go c.writer()` resolve to a body we can inspect.
+	// Index this package's function declarations so `go f()` and a method
+	// value such as `go c.loop()` resolve to a body we can inspect.
 	decls := map[types.Object]*ast.FuncDecl{}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {

@@ -14,10 +14,8 @@
 //     held is tolerated.
 //   - Blocking while held: a remoting roundtrip or a channel send executed
 //     with a lock held pins the lock behind network latency or a slow
-//     receiver. Sends are exempt when every make of that channel visible in
-//     the package has a constant capacity > 0 (a bounded window, like the
-//     TCP writer's sendCh), and when the send sits in a select with a
-//     default arm.
+//     receiver. A buffered channel fills too, so only a send in a select
+//     with a default arm is exempt.
 //
 // Held ranges are lexical: Lock to the nearest matching Unlock on the same
 // fall-through path (dataflow.Sequential), or to the function's end for
@@ -28,7 +26,6 @@ package lockorder
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"sort"
 	"strings"
@@ -41,7 +38,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "lockorder",
 	Doc: "mutex acquisition cycles (AB/BA), re-entrant locking, and remoting " +
-		"roundtrips or unbuffered channel sends while a lock is held; edges " +
+		"roundtrips or blocking channel sends while a lock is held; edges " +
 		"propagate through one level of same-package calls",
 	Run: run,
 }
@@ -66,10 +63,9 @@ type lockEv struct {
 	site     dataflow.Site
 }
 
-// sendEv is one channel send; obj is the channel variable or field when
-// resolvable, nonBlocking marks a select arm with a default.
+// sendEv is one channel send; nonBlocking marks a select arm with a
+// default.
 type sendEv struct {
-	obj         types.Object
 	nonBlocking bool
 	site        dataflow.Site
 }
@@ -92,9 +88,9 @@ type funcEvents struct {
 
 // summary is what a callee does to locks, one level deep.
 type summary struct {
-	acquires  map[string]mode // worst (most exclusive) mode per key
-	roundtrip bool
-	unbufSend bool
+	acquires     map[string]mode // worst (most exclusive) mode per key
+	roundtrip    bool
+	blockingSend bool
 }
 
 type edgeKey struct{ from, to string }
@@ -106,7 +102,6 @@ func run(pass *lint.Pass) error {
 	if lint.PkgPathHasSuffix(pass.Pkg.Path(), "internal/sim") {
 		return nil
 	}
-	buffered := collectBuffered(pass)
 	var fns []*funcEvents
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -126,11 +121,11 @@ func run(pass *lint.Pass) error {
 		if !ok {
 			continue
 		}
-		sums[obj] = summarize(pass, fe, buffered)
+		sums[obj] = summarize(pass, fe)
 	}
 	edges := map[edgeKey]dataflow.Site{}
 	for _, fe := range fns {
-		checkFunc(pass, fe, sums, buffered, edges)
+		checkFunc(pass, fe, sums, edges)
 	}
 	reportCycles(pass, edges)
 	return nil
@@ -183,7 +178,6 @@ func walkBody(pass *lint.Pass, fe *funcEvents, body *ast.BlockStmt, out []*funcE
 		case *ast.SendStmt:
 			if deferDepth == 0 {
 				fe.sends = append(fe.sends, sendEv{
-					obj:         chanObj(pass, x.Chan),
 					nonBlocking: inSelectWithDefault(stack),
 					site:        dataflow.Site{Pos: x.Pos(), Stack: append([]ast.Node(nil), stack...)},
 				})
@@ -289,17 +283,6 @@ func isSyncMutex(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// chanObj resolves the sent-to channel to a variable or field object.
-func chanObj(pass *lint.Pass, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return pass.Info.ObjectOf(e)
-	case *ast.SelectorExpr:
-		return pass.Info.Uses[e.Sel]
-	}
-	return nil
-}
-
 func inSelectWithDefault(stack []ast.Node) bool {
 	for i := len(stack) - 1; i > 0; i-- {
 		if _, ok := stack[i].(*ast.CommClause); !ok {
@@ -322,90 +305,9 @@ func inSelectWithDefault(stack []ast.Node) bool {
 	return false
 }
 
-// collectBuffered finds channels provably bounded: every visible
-// make(chan T, n) assigned to the object has a constant n > 0.
-func collectBuffered(pass *lint.Pass) map[types.Object]bool {
-	makes := map[types.Object][]bool{}
-	record := func(lhs ast.Node, rhs ast.Expr) {
-		isMake, buffered := chanMake(pass, rhs)
-		if !isMake {
-			return
-		}
-		var obj types.Object
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			obj = pass.Info.ObjectOf(l)
-		case *ast.SelectorExpr:
-			obj = pass.Info.Uses[l.Sel]
-		}
-		if obj != nil {
-			makes[obj] = append(makes[obj], buffered)
-		}
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i := range n.Rhs {
-						record(n.Lhs[i], n.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i := range n.Values {
-						record(n.Names[i], n.Values[i])
-					}
-				}
-			case *ast.CompositeLit:
-				for _, el := range n.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							record(key, kv.Value)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	out := map[types.Object]bool{}
-	for obj, list := range makes {
-		ok := true
-		for _, b := range list {
-			ok = ok && b
-		}
-		out[obj] = ok
-	}
-	return out
-}
-
-// chanMake recognizes make(chan T[, n]) and whether n is a constant > 0.
-func chanMake(pass *lint.Pass, e ast.Expr) (isMake, buffered bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || dataflow.CalleeName(call) != "make" || len(call.Args) == 0 {
-		return false, false
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || pass.Info.ObjectOf(id) != types.Universe.Lookup("make") {
-		return false, false
-	}
-	if _, ok := pass.Info.TypeOf(call.Args[0]).Underlying().(*types.Chan); !ok {
-		return false, false
-	}
-	if len(call.Args) < 2 {
-		return true, false
-	}
-	tv := pass.Info.Types[call.Args[1]]
-	if tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return true, false
-	}
-	n, ok := constant.Int64Val(tv.Value)
-	return true, ok && n > 0
-}
-
 // --- per-function analysis ---
 
-func summarize(pass *lint.Pass, fe *funcEvents, buffered map[types.Object]bool) *summary {
+func summarize(pass *lint.Pass, fe *funcEvents) *summary {
 	s := &summary{acquires: map[string]mode{}}
 	for _, l := range fe.locks {
 		if !l.acquire || l.deferred {
@@ -421,8 +323,8 @@ func summarize(pass *lint.Pass, fe *funcEvents, buffered map[types.Object]bool) 
 		}
 	}
 	for _, snd := range fe.sends {
-		if !snd.nonBlocking && !(snd.obj != nil && buffered[snd.obj]) {
-			s.unbufSend = true
+		if !snd.nonBlocking {
+			s.blockingSend = true
 		}
 	}
 	return s
@@ -438,7 +340,7 @@ func isRoundtrip(pass *lint.Pass, call *ast.CallExpr) bool {
 
 func line(pass *lint.Pass, s dataflow.Site) int { return pass.Fset.Position(s.Pos).Line }
 
-func checkFunc(pass *lint.Pass, fe *funcEvents, sums map[*types.Func]*summary, buffered map[types.Object]bool, edges map[edgeKey]dataflow.Site) {
+func checkFunc(pass *lint.Pass, fe *funcEvents, sums map[*types.Func]*summary, edges map[edgeKey]dataflow.Site) {
 	var self *types.Func
 	if fe.decl != nil {
 		self, _ = pass.Info.Defs[fe.decl.Name].(*types.Func)
@@ -515,18 +417,15 @@ func checkFunc(pass *lint.Pass, fe *funcEvents, sums map[*types.Func]*summary, b
 			if sum.roundtrip {
 				pass.Reportf(c.site.Pos, "call to %s performs a remoting roundtrip while %s is held (acquired at line %d); release the lock first", callee.Name(), l.key, line(pass, l.site))
 			}
-			if sum.unbufSend {
-				pass.Reportf(c.site.Pos, "call to %s sends on a channel not provably buffered while %s is held (acquired at line %d); the lock is pinned until a receiver drains it", callee.Name(), l.key, line(pass, l.site))
+			if sum.blockingSend {
+				pass.Reportf(c.site.Pos, "call to %s sends on a channel while %s is held (acquired at line %d); the lock is pinned until a receiver drains it", callee.Name(), l.key, line(pass, l.site))
 			}
 		}
 		for _, snd := range fe.sends {
 			if !held(snd.site) || snd.nonBlocking {
 				continue
 			}
-			if snd.obj != nil && buffered[snd.obj] {
-				continue
-			}
-			pass.Reportf(snd.site.Pos, "channel send while %s is held (acquired at line %d) can block until a receiver is ready; use a constant-capacity buffered channel or release the lock first", l.key, line(pass, l.site))
+			pass.Reportf(snd.site.Pos, "channel send while %s is held (acquired at line %d) can block until a receiver is ready; release the lock first", l.key, line(pass, l.site))
 		}
 	}
 }

@@ -185,7 +185,15 @@ func notify(ch chan int) { ch <- 1 }
 func sendViaHelper(s *S, ch chan int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	notify(ch) // want "call to notify sends on a channel not provably buffered while S.mu is held"
+	notify(ch) // want "call to notify sends on a channel while S.mu is held"
+}
+
+// out has a constant capacity, but a full buffer blocks the send all the
+// same.
+func sendBufferedHeld(s *S) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.out <- 1 // want "channel send while S.mu is held"
 }
 
 // --- negatives ---
@@ -217,13 +225,6 @@ func sendAfterUnlock(ch chan int) {
 	gmu2.Lock()
 	gmu2.Unlock()
 	ch <- 1
-}
-
-// out is made with a constant capacity everywhere, so the send is bounded.
-func sendBufferedHeld(s *S) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.out <- 1
 }
 
 // A select with a default arm never blocks.

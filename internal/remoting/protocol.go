@@ -85,67 +85,21 @@ func parseHeader(hdr []byte) (metaLen, bulkLen int, data int64, err error) {
 	return int(m), int(b), int64(binary.LittleEndian.Uint64(hdr[12:20])), nil
 }
 
-// frame is one encoded message on its way to a writer: a pooled buffer
-// holding header + metadata (and a bulk small enough to coalesce), plus —
-// above vecCoalesceMax — the caller's bulk slice, borrowed as the second
-// vector of one writev so large payloads leave with no user-space copy. The
-// borrow ends when writeTo or release returns. The TCP caller builds frames
-// on the calling goroutine and writes them on its writer goroutine;
-// everything else goes through WriteFrame.
-type frame struct {
-	buf  []byte
-	bulk []byte
-}
-
-// newFrame encodes one message.
-func newFrame(meta, bulk []byte, data int64) frame {
-	n := frameHeaderLen + len(meta)
-	coalesce := len(bulk) <= vecCoalesceMax && n+len(bulk) <= wire.MaxSmallBuf
-	if coalesce {
-		n += len(bulk)
-	}
-	buf := append(appendHeader(wire.GetBuf(n), len(meta), len(bulk), data), meta...)
-	if coalesce {
-		buf = append(buf, bulk...)
-		bulk = nil
-	}
-	return frame{buf: buf, bulk: bulk}
-}
-
-// writeTo writes the frame with one Write — one writev when a bulk vector
-// rides along — so each frame is one syscall, then counts and releases it.
-func (f frame) writeTo(w io.Writer) error {
-	var err error
-	if len(f.bulk) > 0 {
-		err = writeVec(w, f.buf, f.bulk)
-	} else {
-		_, err = w.Write(f.buf)
-	}
-	if err == nil {
-		wireTx(int64(len(f.buf) + len(f.bulk)))
-	}
-	f.release()
-	return err
-}
-
-// release returns the frame's buffer to the payload pool.
-func (f frame) release() { wire.PutBuf(f.buf) }
-
-// frameVec is the pooled scratch for a two-vector writev. bufs keeps the
+// vecScratch is the pooled state of a two-vector writev. bufs keeps the
 // full-capacity slice header so the backing array survives WriteTo (which
 // consumes its argument by re-slicing); work is the consumable copy. Both
 // live in one heap object so taking their addresses allocates nothing.
-type frameVec struct {
+type vecScratch struct {
 	bufs net.Buffers
 	work net.Buffers
 }
 
-var vecPool = sync.Pool{New: func() any { return &frameVec{bufs: make(net.Buffers, 0, 2)} }}
+var vecPool = sync.Pool{New: func() any { return &vecScratch{bufs: make(net.Buffers, 0, 2)} }}
 
 // writeVec writes hdr then bulk as a single vectored write (writev on TCP
 // connections; sequential writes elsewhere) without copying either.
 func writeVec(w io.Writer, hdr, bulk []byte) error {
-	v := vecPool.Get().(*frameVec)
+	v := vecPool.Get().(*vecScratch)
 	v.bufs = append(v.bufs[:0], hdr, bulk)
 	v.work = v.bufs
 	_, err := v.work.WriteTo(w)
@@ -155,12 +109,30 @@ func writeVec(w io.Writer, hdr, bulk []byte) error {
 	return err
 }
 
-// WriteFrame writes one frame: metadata, an optional bulk region and the
-// logical data byte count that accompanies the call. bulk is borrowed, never
-// retained: it belongs to the caller again as soon as WriteFrame returns.
-// Buffers of every size are pooled, so framing does not allocate.
+// WriteFrame writes one frame — metadata, an optional bulk region and the
+// logical data byte count that accompanies the call — with one syscall: a
+// bulk above vecCoalesceMax goes out uncopied, as the second vector of a
+// writev. bulk is borrowed, never retained: it belongs to the caller again as
+// soon as WriteFrame returns. Buffers of every size are pooled, so framing
+// does not allocate.
 func WriteFrame(w io.Writer, meta, bulk []byte, data int64) error {
-	return newFrame(meta, bulk, data).writeTo(w)
+	var vec []byte // bulk, when it is too large to copy in behind meta
+	if len(bulk) > vecCoalesceMax || frameHeaderLen+len(meta)+len(bulk) > wire.MaxSmallBuf {
+		vec, bulk = bulk, nil
+	}
+	buf := appendHeader(wire.GetBuf(frameHeaderLen+len(meta)+len(bulk)), len(meta), len(vec)+len(bulk), data)
+	buf = append(append(buf, meta...), bulk...)
+	var err error
+	if len(vec) > 0 {
+		err = writeVec(w, buf, vec)
+	} else {
+		_, err = w.Write(buf)
+	}
+	if err == nil {
+		wireTx(int64(len(buf) + len(vec)))
+	}
+	wire.PutBuf(buf)
+	return err
 }
 
 // ReadFrame reads one frame. meta is read into

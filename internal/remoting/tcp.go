@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dgsf/internal/remoting/wire"
@@ -28,22 +29,17 @@ func setNoDelay(conn net.Conn) {
 	}
 }
 
-// tcpWindow bounds the frames queued to the writer goroutine but not yet
-// handed to the kernel: the transport-level in-flight window of the
-// pipelined lane.
-const tcpWindow = 64
-
 // tcpCaller implements AsyncCaller (and VecCaller) over a TCP connection.
-// Synchronous calls are strictly request/response; every outbound frame,
-// one-way or not, is built on the calling goroutine and handed to a writer
-// goroutine, which preserves FIFO order between the two kinds. A frame's
-// borrowed bulk vector is only ever attached to a synchronous call, whose
-// caller blocks until the reply — which cannot arrive before the writer has
-// finished with the slice.
+// Every frame, one-way or not, is written with WriteFrame on the calling
+// goroutine under mu, which is what keeps submissions and round trips in
+// FIFO order; a round trip then reads its reply, still under mu, so the next
+// frame read off the socket is always its own. A request's bulk slice is
+// borrowed only until WriteFrame returns.
 type tcpCaller struct {
-	mu     sync.Mutex // serializes synchronous round trips
-	conn   net.Conn
-	sendCh chan frame
+	mu       sync.Mutex // serializes every frame write and round trip
+	conn     net.Conn
+	closed   atomic.Bool // set by Close, which takes no lock
+	writeErr error       // the first failed write, wrapping ErrConnClosed (guarded by mu)
 
 	// callDeadline bounds every round trip that does not bring its own
 	// (SetCallDeadline, guarded by mu); 0 means none.
@@ -53,10 +49,6 @@ type tcpCaller struct {
 	// mu). Returned payloads alias it, per the Caller contract: a reply is
 	// valid only until the next call on the same caller.
 	readBuf []byte
-
-	closeOnce sync.Once
-	writeErr  error
-	writeDone chan struct{}
 }
 
 // DialTCP connects a guest library to a TCP API server endpoint.
@@ -66,37 +58,32 @@ func DialTCP(addr string) (AsyncCaller, error) {
 		return nil, err
 	}
 	setNoDelay(conn)
-	c := &tcpCaller{
-		conn:      conn,
-		sendCh:    make(chan frame, tcpWindow),
-		writeDone: make(chan struct{}),
-	}
-	go c.writer()
-	return c, nil
+	return &tcpCaller{conn: conn}, nil
 }
 
 // ProtoVersion implements VecCaller.
 func (c *tcpCaller) ProtoVersion() int { return ProtoV2 }
 
-// writer drains the send queue onto the socket. On a write error it records
-// the error, tears the connection down and keeps draining so senders never
-// block forever.
-func (c *tcpCaller) writer() {
-	defer close(c.writeDone)
-	for f := range c.sendCh {
-		if c.writeErr != nil {
-			f.release()
-			continue
-		}
-		if err := f.writeTo(c.conn); err != nil {
-			c.writeErr = err
-			_ = c.conn.Close()
-		}
+// write writes one frame, failing at once on a closed connection or after an
+// earlier write failed: the stream may hold part of that frame, so the
+// socket is closed and every later call fails with its error. c.mu is held.
+func (c *tcpCaller) write(meta, bulk []byte, data int64) error {
+	if c.writeErr != nil {
+		return c.writeErr
 	}
+	if c.closed.Load() {
+		return ErrConnClosed
+	}
+	if err := WriteFrame(c.conn, meta, bulk, data); err != nil {
+		c.writeErr = fmt.Errorf("%w: %v", ErrConnClosed, err)
+		_ = c.conn.Close()
+		return c.writeErr
+	}
+	return nil
 }
 
-// exchange sends one framed call — reqBulk, if any, borrowed into the
-// writer's writev — and reads the framed reply, its bulk region scatter-read
+// exchange writes one framed call — reqBulk, if any, borrowed into the
+// frame's writev — and reads the framed reply, its bulk region scatter-read
 // straight into respDst. The sim process identity is unused: real sockets
 // pace themselves in wall time. Because async submissions receive no reply,
 // the next frame read off the socket is always this call's response. d > 0
@@ -106,7 +93,9 @@ func (c *tcpCaller) writer() {
 func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration, respDst []byte) (resp, respBulk []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sendCh <- newFrame(req, reqBulk, reqData) // blocks while the in-flight window is full
+	if err := c.write(req, reqBulk, reqData); err != nil {
+		return nil, nil, err
+	}
 	if d <= 0 {
 		d = c.callDeadline
 	}
@@ -120,13 +109,9 @@ func (c *tcpCaller) exchange(req, reqBulk []byte, reqData int64, d time.Duration
 	if cap(resp) > cap(c.readBuf) && cap(resp) <= wire.MaxSmallBuf {
 		c.readBuf = resp[:0]
 	}
-	if err != nil {
-		if c.writeErr != nil {
-			err = fmt.Errorf("%w: %v", ErrConnClosed, c.writeErr)
-		}
-		if errors.Is(err, ErrCallTimeout) {
-			_ = c.conn.Close()
-		}
+	// errors.Is boxes its target, so it runs only on the failure path.
+	if err != nil && errors.Is(err, ErrCallTimeout) {
+		_ = c.conn.Close()
 	}
 	return resp, respBulk, err
 }
@@ -157,29 +142,23 @@ func (c *tcpCaller) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) ([]b
 	return c.exchange(req, reqBulk, 0, 0, respDst)
 }
 
-// Submit queues one one-way framed message without waiting for any
-// acknowledgement. Ordering with later Roundtrips is FIFO through the
-// writer goroutine; the window bounds queued-but-unwritten frames. The frame
-// holds a copy of req, so this is where req is consumed.
+// Submit writes one one-way framed message and returns without waiting for
+// any acknowledgement. Ordering with later Roundtrips is FIFO through c.mu.
+// req is consumed here, written or not.
 func (c *tcpCaller) Submit(p *sim.Proc, req []byte, reqData int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.writeErr != nil {
-		return fmt.Errorf("%w: %v", ErrConnClosed, c.writeErr)
-	}
-	f := newFrame(req, nil, reqData)
+	err := c.write(req, nil, reqData)
 	wire.PutBuf(req)
-	c.sendCh <- f
-	return nil
+	return err
 }
 
-// Close stops the writer and closes the underlying connection.
+// Close closes the connection without waiting for a call in progress: a
+// round trip blocked on its reply fails, and so does every later call, with
+// ErrConnClosed.
 func (c *tcpCaller) Close() {
-	c.closeOnce.Do(func() {
-		close(c.sendCh)
-		<-c.writeDone
-		_ = c.conn.Close()
-	})
+	c.closed.Store(true)
+	_ = c.conn.Close()
 }
 
 // ServeConn bridges one accepted TCP connection into an API server's inbox

@@ -130,8 +130,8 @@ type Faultable interface {
 // the call, so the sender encodes it into a buffer it will not touch again —
 // one from the payload pool (wire.GetBuf) — and whoever consumes the message
 // returns that buffer there: the API server once it has handled the request,
-// the TCP caller once the bytes are in a frame. A consumer that never does (a
-// message dropped on a dead wire, a test double) costs a buffer, not safety.
+// the TCP caller once it has written the frame, or failed to. A consumer that
+// never does (a dropped message, a test double) costs a buffer, not safety.
 type AsyncCaller interface {
 	Caller
 	Submit(p *sim.Proc, req []byte, reqData int64) error

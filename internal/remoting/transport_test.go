@@ -345,6 +345,79 @@ func TestTCPSubmitPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestTCPCallAfterCloseFails: once Close has returned, every lane of the TCP
+// caller fails with ErrConnClosed instead of touching the connection.
+func TestTCPCallAfterCloseFails(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	caller, err := DialTCP(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	caller.Close()
+	if err := caller.Submit(nil, append(wire.GetBuf(4), "1way"...), 0); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("Submit after Close = %v, want ErrConnClosed", err)
+	}
+	if _, err := caller.Roundtrip(nil, []byte("sync"), 0); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("Roundtrip after Close = %v, want ErrConnClosed", err)
+	}
+	if _, _, err := caller.(VecCaller).RoundtripVec(nil, []byte("vec"), []byte("bulk"), nil); !errors.Is(err, ErrConnClosed) {
+		t.Errorf("RoundtripVec after Close = %v, want ErrConnClosed", err)
+	}
+}
+
+// TestTCPWriteErrorIsNotARace: the peer resets the connection, the caller
+// submits until a write fails, and from then on every call fails with
+// ErrConnClosed. Run under -race it also checks that the failed write is
+// recorded where the calls read it.
+func TestTCPWriteErrorIsNotARace(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	caller, err := DialTCP(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer caller.Close()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = peer.(*net.TCPConn).SetLinger(0) // Close sends a reset
+	peer.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		err := caller.Submit(nil, append(wire.GetBuf(4), "1way"...), 0)
+		if err != nil {
+			if !errors.Is(err, ErrConnClosed) {
+				t.Fatalf("failed Submit = %v, want ErrConnClosed", err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no Submit failed within 10s of the peer's reset")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := caller.Submit(nil, append(wire.GetBuf(4), "1way"...), 0); !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("Submit after a failed write = %v, want ErrConnClosed", err)
+		}
+		if _, err := caller.Roundtrip(nil, []byte("sync"), 0); !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("Roundtrip after a failed write = %v, want ErrConnClosed", err)
+		}
+	}
+}
+
 func TestWriteFrameZeroAllocs(t *testing.T) {
 	if wire.RaceEnabled {
 		t.Skip("race detector drops sync.Pool items; alloc counts are meaningless")
