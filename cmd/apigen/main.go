@@ -87,12 +87,11 @@ var kinds = map[string]struct {
 	"strs":    {GoType: "[]string", Enc: "e.Strs(%s)", Dec: "d.Strs()", DecShared: "d.StrsShared()", Scratch: "strs"},
 	"vec3":    {GoType: "[3]int", Enc: "e.Vec3(%s)", Dec: "d.Vec3()"},
 	"hostbuf": {GoType: "gpu.HostBuffer", Enc: "e.HostBuf(%s)", Dec: "d.HostBuf()"},
-	// bulk is a trailing raw byte slice eligible for the vectored zero-copy
-	// lane: over a VecCaller the generated stub passes it borrowed alongside
-	// the metadata (one writev, no coalescing copy); over any other Caller it
-	// is inlined as an ordinary length-prefixed field (capped at wire's 1 MiB
-	// slice bound). validate() enforces its placement rules.
-	"bulk":    {GoType: "[]byte", Enc: "e.BytesField(%s)", Dec: "d.BytesField()", DecShared: "d.BytesShared()", Size: "4 + len(%s)"},
+	// bulk is a trailing raw byte slice that never enters the payload: it
+	// travels as the frame's bulk region, through the transport's
+	// RoundtripVec, so Encode and Decode skip it (see meta). validate()
+	// enforces its placement rules.
+	"bulk":    {GoType: "[]byte"},
 	"prop":    {GoType: "cuda.DeviceProp", Enc: "e.Prop(%s)", Dec: "d.Prop()", Size: "44 + len(%s.Name)"},
 	"attrs":   {GoType: "cuda.PtrAttributes", Enc: "e.Attrs(%s)", Dec: "d.Attrs()"},
 	"launch":  {GoType: "cuda.LaunchParams", Enc: "e.Launch(%s)", Dec: "d.Launch()", DecShared: "d.LaunchShared()", Scratch: "ptrs"},
@@ -117,7 +116,7 @@ var kinds = map[string]struct {
 // estimates.
 func sizeHint(fields []Field) string {
 	fixed, sized := 4, ""
-	for _, f := range fields {
+	for _, f := range meta(fields) {
 		if k := kinds[f.Kind]; k.Size != "" {
 			sized += " + " + fmt.Sprintf(k.Size, lower(f.Name))
 		} else {
@@ -146,6 +145,15 @@ func bulkField(fields []Field) *Field {
 		}
 	}
 	return nil
+}
+
+// meta returns the fields a message's payload carries: all but the bulk
+// field, which validate keeps last.
+func meta(fields []Field) []Field {
+	if bulkField(fields) != nil {
+		return fields[:len(fields)-1]
+	}
+	return fields
 }
 
 // surface describes one remoted API: where its stubs are emitted and the few
@@ -269,8 +277,8 @@ var spec = []Call{
 	{Name: "ModelBroadcast", Doc: "one-to-many model fan-out: the first caller per GPU server pays a single host-staged read and becomes the broadcast source, later callers clone it device-to-device; Src reports the path (0 miss, 1 host seed, 2 device clone) and Ptr/Size are zero on a miss", Resp: []Field{{"Ptr", "devptr"}, {"Size", "i64"}, {"Src", "int"}}, Class: "remote", Establishes: true},
 
 	// --- vectored bulk transfers ---
-	{Name: "MemWrite", Doc: "writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — on a connection with the bulk lane the bytes travel borrowed as the frame's bulk region (single writev, zero copies), elsewhere they are inlined (capped at 1 MiB); data stays the caller's, the range must lie inside the allocation that contains dst", Req: []Field{{"Dst", "devptr"}, {"Data", "bulk"}}, Class: "remote", Establishes: true},
-	{Name: "MemRead", Doc: "reads device memory back to the caller: the vectored twin of MemcpyD2H — on a connection with the bulk lane the bytes return as a bulk region scatter-read into a caller-owned buffer, elsewhere they are inlined (capped at 1 MiB); bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src", Req: []Field{{"Src", "devptr"}, {"Size", "i64"}}, Resp: []Field{{"Data", "bulk"}}, Class: "remote"},
+	{Name: "MemWrite", Doc: "writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — the bytes travel borrowed as the frame's bulk region (single writev, zero copies); data stays the caller's, the range must lie inside the allocation that contains dst", Req: []Field{{"Dst", "devptr"}, {"Data", "bulk"}}, Class: "remote", Establishes: true},
+	{Name: "MemRead", Doc: "reads device memory back to the caller: the vectored twin of MemcpyD2H — the bytes return as the reply's bulk region, scatter-read into a caller-owned buffer; bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src", Req: []Field{{"Src", "devptr"}, {"Size", "i64"}}, Resp: []Field{{"Data", "bulk"}}, Class: "remote"},
 }
 
 // descriptorSpecies expands into Create/Set/Destroy triples, mirroring the
@@ -313,10 +321,10 @@ func goType(kind string) string {
 	return k.GoType
 }
 
-// params renders an interface/method parameter list for the request fields.
-func params(c Call) string {
+// params renders a parameter list for fields.
+func params(fields []Field) string {
 	var b strings.Builder
-	for _, f := range c.Req {
+	for _, f := range fields {
 		fmt.Fprintf(&b, ", %s %s", lower(f.Name), goType(f.Kind))
 	}
 	return b.String()
@@ -533,7 +541,7 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 	p("type API interface {")
 	for _, c := range calls {
 		p("\t// %s %s.", c.Name, c.Doc)
-		p("\t%s(p *sim.Proc%s) %s", c.Name, params(c), results(c))
+		p("\t%s(p *sim.Proc%s) %s", c.Name, params(c.Req), results(c))
 		p("")
 	}
 	p("}")
@@ -556,8 +564,8 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 	if s.Lanes {
 		p("// Dispatch decodes one call from payload and executes it against the")
 		p("// backend, returning the encoded response and the logical payload bytes")
-		p("// that flow back with it (for bandwidth accounting). Calls whose bulk")
-		p("// bytes arrived out-of-band need DispatchBulk.")
+		p("// that flow back with it (for bandwidth accounting). Bulk calls need")
+		p("// DispatchBulk, which carries their bytes.")
 		p("func Dispatch(p *sim.Proc, b API, payload []byte) (resp []byte, respData int64) {")
 		p("\tresp, respData, _ = DispatchBulk(p, b, payload, nil)")
 		p("\treturn resp, respData")
@@ -580,14 +588,12 @@ func genAPI(s surface, calls []Call) ([]byte, error) {
 		p("// aliases payload and the decoder, and is dead once DispatchTo returns,")
 		p("// when the caller may recycle payload.")
 		p("//")
-		p("// reqBulk is the request frame's vectored bulk region (nil")
-		p("// when the call inlined its bytes, which is how the decode variant is")
-		p("// chosen). The backend receives it as a borrowed argument and copies")
-		p("// what it retains, unless the transport gave the buffer away and the")
-		p("// backend learns so out of band (remoting.BulkLease).")
-		p("// When a bulk-response call asked for a vectored reply, respBulk")
-		p("// returns the bytes and enc receives only status + metadata. respBulk")
-		p("// may be a view of the backend's storage, lent to the reply: it stays")
+		p("// reqBulk is the request frame's bulk region, the bytes of a bulk")
+		p("// request field. The backend receives it as a borrowed argument and")
+		p("// copies what it retains, unless the transport gave the buffer away and")
+		p("// the backend learns so out of band (remoting.BulkLease). respBulk is")
+		p("// the bytes of a bulk response field, for the reply frame's bulk region;")
+		p("// it may be a view of the backend's storage, lent to the reply: it stays")
 		p("// as it is until the reply frame is written.")
 		p("func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) (respData int64, respBulk []byte) {")
 	} else {
@@ -716,42 +722,69 @@ func genTable(calls []Call) ([]byte, error) {
 func emitCall(p func(string, ...any), s surface, c Call) {
 	p("// --- %s ---", c.Name)
 	p("")
+	emitMessage(p, c.Name, "Req", "request", c.Req)
+	emitMessage(p, c.Name, "Resp", "response", c.Resp)
 
-	// Request struct.
-	p("// %sReq is the request message of %s.", c.Name, c.Name)
-	p("type %sReq struct {", c.Name)
-	for _, f := range c.Req {
+	// Append helper.
+	if s.Lanes {
+		p("// Append%sCall appends an encoded %s call (ID + request) to e,", c.Name, c.Name)
+		p("// for direct sends and for batch assembly.")
+	} else {
+		p("// Append%sCall appends an encoded %s call (ID + request) to e.", c.Name, c.Name)
+	}
+	p("func Append%sCall(e *wire.Encoder%s) {", c.Name, params(meta(c.Req)))
+	p("\te.U16(Call%s)", c.Name)
+	p("\t(&%sReq{%s}).Encode(e)", c.Name, literal(meta(c.Req)))
+	p("}")
+	p("")
+
+	emitClientMethods(p, s, c)
+}
+
+// emitMessage writes one message struct with its Encode and Decode, which
+// skip a bulk field: its bytes travel as the frame's bulk region. A message
+// with a shared-decodable field (only requests have them) also gets
+// DecodeShared.
+func emitMessage(p func(string, ...any), call, suffix, side string, fields []Field) {
+	typ := call + suffix
+	p("// %s is the %s message of %s.", typ, side, call)
+	p("type %s struct {", typ)
+	for _, f := range fields {
 		p("\t%s %s", f.Name, goType(f.Kind))
 	}
 	p("}")
 	p("")
-	p("// Encode serializes the request.")
-	p("func (m *%sReq) Encode(e *wire.Encoder) {", c.Name)
-	for _, f := range c.Req {
+	if b := bulkField(fields); b != nil {
+		p("// Encode serializes the %s; %s is the frame's bulk region.", side, b.Name)
+	} else {
+		p("// Encode serializes the %s.", side)
+	}
+	p("func (m *%s) Encode(e *wire.Encoder) {", typ)
+	for _, f := range meta(fields) {
 		p("\t"+kinds[f.Kind].Enc, "m."+f.Name)
 	}
-	if len(c.Req) == 0 {
+	if len(meta(fields)) == 0 {
 		p("\t_ = e")
 	}
 	p("}")
 	p("")
-	p("// Decode deserializes the request.")
-	p("func (m *%sReq) Decode(d *wire.Decoder) {", c.Name)
-	for _, f := range c.Req {
+	p("// Decode deserializes the %s.", side)
+	p("func (m *%s) Decode(d *wire.Decoder) {", typ)
+	for _, f := range meta(fields) {
 		p("\tm.%s = %s", f.Name, kinds[f.Kind].Dec)
 	}
-	if len(c.Req) == 0 {
+	if len(meta(fields)) == 0 {
 		p("\t_ = d")
 	}
 	p("}")
 	p("")
-	if hasShared(c.Req) {
-		p("// DecodeShared deserializes the request without copying: decoded")
+	if hasShared(fields) {
+		p("// DecodeShared deserializes the %s without copying: decoded", side)
 		p("// slices alias d and are valid only until d resets. Dispatch uses it")
 		p("// (its decoder outlives the backend call); backends must clone any")
 		p("// shared field they retain.")
-		p("func (m *%sReq) DecodeShared(d *wire.Decoder) {", c.Name)
-		for _, f := range c.Req {
+		p("func (m *%s) DecodeShared(d *wire.Decoder) {", typ)
+		for _, f := range meta(fields) {
 			dec := kinds[f.Kind].Dec
 			if s := kinds[f.Kind].DecShared; s != "" {
 				dec = s
@@ -761,237 +794,93 @@ func emitCall(p func(string, ...any), s surface, c Call) {
 		p("}")
 		p("")
 	}
-	if b := bulkField(c.Req); b != nil {
-		emitMeta(p, c.Name+"Req", "request", b.Name, c.Req)
-	}
-
-	// Response struct.
-	p("// %sResp is the response message of %s.", c.Name, c.Name)
-	p("type %sResp struct {", c.Name)
-	for _, f := range c.Resp {
-		p("\t%s %s", f.Name, goType(f.Kind))
-	}
-	p("}")
-	p("")
-	p("// Encode serializes the response.")
-	p("func (m *%sResp) Encode(e *wire.Encoder) {", c.Name)
-	for _, f := range c.Resp {
-		p("\t"+kinds[f.Kind].Enc, "m."+f.Name)
-	}
-	if len(c.Resp) == 0 {
-		p("\t_ = e")
-	}
-	p("}")
-	p("")
-	p("// Decode deserializes the response.")
-	p("func (m *%sResp) Decode(d *wire.Decoder) {", c.Name)
-	for _, f := range c.Resp {
-		p("\tm.%s = %s", f.Name, kinds[f.Kind].Dec)
-	}
-	if len(c.Resp) == 0 {
-		p("\t_ = d")
-	}
-	p("}")
-	p("")
-	if b := bulkField(c.Resp); b != nil {
-		emitMeta(p, c.Name+"Resp", "response", b.Name, c.Resp)
-	}
-
-	// Append helper.
-	if s.Lanes {
-		p("// Append%sCall appends an encoded %s call (ID + request) to e,", c.Name, c.Name)
-		p("// for direct sends and for batch assembly.")
-	} else {
-		p("// Append%sCall appends an encoded %s call (ID + request) to e.", c.Name, c.Name)
-	}
-	p("func Append%sCall(e *wire.Encoder%s) {", c.Name, params(c))
-	var lits []string
-	for _, f := range c.Req {
-		lits = append(lits, fmt.Sprintf("%s: %s", f.Name, lower(f.Name)))
-	}
-	p("\te.U16(Call%s)", c.Name)
-	if bulkField(c.Resp) != nil {
-		p("\t// The vec-response flag: false here — Append encodes the inline")
-		p("\t// form, whose reply carries its bytes inside the payload.")
-		p("\te.Bool(false)")
-	}
-	p("\t(&%sReq{%s}).Encode(e)", c.Name, strings.Join(lits, ", "))
-	p("}")
-	p("")
-
-	emitClientMethods(p, s, c)
 }
 
-// emitClientMethods writes the Client method(s) for one call: the plain
-// API-conformant method, a vectored fast path when the call carries a bulk
-// field, and a *Into variant (caller-owned destination buffer) for calls
-// whose response carries the bulk.
+// emitClientMethods writes the Client method for one call and, for a call
+// whose response carries the bulk, a *Into variant with a caller-owned
+// destination buffer.
 func emitClientMethods(p func(string, ...any), s surface, c Call) {
-	reqB, respB := bulkField(c.Req), bulkField(c.Resp)
-
-	if respB != nil {
+	if respB := bulkField(c.Resp); respB != nil {
 		// Interface method delegates to the Into variant.
 		p("// %s %s.", c.Name, c.Doc)
-		var args []string
-		for _, f := range c.Req {
-			args = append(args, lower(f.Name))
-		}
-		callArgs := ""
-		if len(args) > 0 {
-			callArgs = ", " + strings.Join(args, ", ")
-		}
-		p("func (c *Client) %s(p *sim.Proc%s) %s {", c.Name, params(c), results(c))
-		p("\treturn c.%sInto(p%s, nil)", c.Name, callArgs)
+		p("func (c *Client) %s(p *sim.Proc%s) %s {", c.Name, params(c.Req), results(c))
+		p("\treturn c.%sInto(p%s, nil)", c.Name, args(c.Req))
 		p("}")
 		p("")
-		p("// %sInto is %s with a caller-owned destination buffer: over a", c.Name, c.Name)
-		p("// VecCaller the reply's bulk region is scatter-read into dst when it")
-		p("// fits, making a pre-sized read allocation-free. The")
-		p("// returned %s may alias dst.", lower(respB.Name))
-		p("func (c *Client) %sInto(p *sim.Proc%s, dst []byte) %s {", c.Name, params(c), results(c))
+		p("// %sInto is %s with a caller-owned destination buffer: the", c.Name, c.Name)
+		p("// reply's bulk region is scatter-read into dst when it fits, making a")
+		p("// pre-sized read allocation-free. The returned %s may alias dst.", lower(respB.Name))
+		p("func (c *Client) %sInto(p *sim.Proc%s, dst []byte) %s {", c.Name, params(c.Req), results(c))
 	} else {
 		p("// %s %s.", c.Name, c.Doc)
-		p("func (c *Client) %s(p *sim.Proc%s) %s {", c.Name, params(c), results(c))
+		p("func (c *Client) %s(p *sim.Proc%s) %s {", c.Name, params(c.Req), results(c))
 	}
-
-	// Vectored fast path for bulk calls over a VecCaller.
-	if reqB != nil || respB != nil {
-		cond := "ok"
-		if reqB != nil {
-			cond = fmt.Sprintf("ok && len(%s) > 0", lower(reqB.Name))
-		}
-		p("\tif _, ok := c.T.(remoting.VecCaller); %s {", cond)
-		p("\t\treturn c.%svec(p%s)", lower(c.Name), vecCallArgs(c, respB != nil))
-		p("\t}")
-	}
-
-	emitClientInlineBody(p, c, !s.Lanes && c.Async, s.Intern)
+	emitClientBody(p, c, !s.Lanes && c.Async, s.Intern)
 	p("}")
 	p("")
-
-	if reqB != nil || respB != nil {
-		emitClientVecMethod(p, c, reqB, respB)
-	}
 }
 
-// vecCallArgs renders the argument list forwarded to the private vec method.
-func vecCallArgs(c Call, withDst bool) string {
-	var b strings.Builder
-	for _, f := range c.Req {
-		fmt.Fprintf(&b, ", %s", lower(f.Name))
+// literal renders the elements of a message literal setting fields from the
+// variables of the same names.
+func literal(fields []Field) string {
+	var lits []string
+	for _, f := range fields {
+		lits = append(lits, fmt.Sprintf("%s: %s", f.Name, lower(f.Name)))
 	}
-	if withDst {
-		b.WriteString(", dst")
+	return strings.Join(lits, ", ")
+}
+
+// args renders an argument list passing fields' parameters on.
+func args(fields []Field) string {
+	var b strings.Builder
+	for _, f := range fields {
+		fmt.Fprintf(&b, ", %s", lower(f.Name))
 	}
 	return b.String()
 }
 
-// emitClientVecMethod writes the private vectored implementation of a bulk
-// call: metadata encoded normally, bulk borrowed through RoundtripVec.
-func emitClientVecMethod(p func(string, ...any), c Call, reqB, respB *Field) {
-	dstParam := ""
-	if respB != nil {
-		dstParam = ", dst []byte"
-	}
-	p("// %svec is the vectored path of %s.", lower(c.Name), c.Name)
-	p("func (c *Client) %svec(p *sim.Proc%s%s) %s {", lower(c.Name), params(c), dstParam, results(c))
-	p("\tvc := c.T.(remoting.VecCaller)")
-	p("\tenc := wire.GetEncoder()")
-	p("\tenc.U16(Call%s)", c.Name)
-	if respB != nil {
-		p("\t// Ask for a vectored reply: the response bytes come back as the")
-		p("\t// frame's bulk region instead of an inline field.")
-		p("\tenc.Bool(true)")
-	}
-	var metaLits []string
-	for _, f := range c.Req {
-		if f.Kind == "bulk" {
-			continue
-		}
-		metaLits = append(metaLits, fmt.Sprintf("%s: %s", f.Name, lower(f.Name)))
-	}
-	if reqB != nil {
-		p("\t(&%sReq{%s}).EncodeMeta(enc)", c.Name, strings.Join(metaLits, ", "))
-		p("\trespB, _, rerr := vc.RoundtripVec(p, enc.Bytes(), %s, nil)", lower(reqB.Name))
-	} else {
-		p("\t(&%sReq{%s}).Encode(enc)", c.Name, strings.Join(metaLits, ", "))
-		p("\trespB, respBulk, rerr := vc.RoundtripVec(p, enc.Bytes(), nil, dst)")
-	}
-	p("\tif rerr != nil {")
-	p("\t\t// The transport may still hold the request; drop the encoder.")
-	p("\t\terr = rerr")
-	p("\t\treturn")
-	p("\t}")
-	p("\t// A returned RoundtripVec has fully consumed the request payload.")
-	p("\twire.PutEncoder(enc)")
-	p("\tdec := wire.GetDecoder(respB)")
-	p("\tdefer wire.PutDecoder(dec)")
-	p("\tif statusCode := int(dec.I32()); statusCode != 0 {")
-	p("\t\terr = cuda.FromCode(statusCode)")
-	p("\t\treturn")
-	p("\t}")
-	nonBulkResp := 0
-	for _, f := range c.Resp {
-		if f.Kind != "bulk" {
-			nonBulkResp++
-		}
-	}
-	if nonBulkResp > 0 {
-		p("\tvar resp %sResp", c.Name)
-		p("\tresp.DecodeMeta(dec)")
-		p("\tif err = dec.Err(); err != nil {")
-		p("\t\treturn")
-		p("\t}")
-		for _, f := range c.Resp {
-			if f.Kind == "bulk" {
-				continue
-			}
-			p("\t%s = resp.%s", lower(f.Name), f.Name)
-		}
-	} else {
-		p("\tif err = dec.Err(); err != nil {")
-		p("\t\treturn")
-		p("\t}")
-	}
-	if respB != nil {
-		p("\t%s = respBulk", lower(respB.Name))
-	}
-	p("\treturn")
-	p("}")
-	p("")
-}
-
-// emitClientInlineBody writes the classic request/response body shared by
-// plain calls and the inline fallback of bulk calls. A oneWay call is submitted
-// on the transport's async lane instead, when it has one. With intern, a reply
-// with results decodes its strings through the Client's Interner.
-func emitClientInlineBody(p func(string, ...any), c Call, oneWay, intern bool) {
+// emitClientBody writes a Client method's body. A bulk call takes the
+// transport's bulk lane (RoundtripVec) and a oneWay call its one-way lane
+// (Submit); a transport without that lane fails the call before anything is
+// sent (remoting.Lane). Every other call is a plain round trip. With intern,
+// a reply with results decodes its strings through the Client's Interner.
+func emitClientBody(p func(string, ...any), c Call, oneWay, intern bool) {
+	reqB, respB := bulkField(c.Req), bulkField(c.Resp)
 	reqData := "0"
 	if c.ReqData != "" {
 		reqData = lower(c.ReqData)
 	}
-	p("\tenc := wire.GetEncoder()")
-	var args []string
-	for _, f := range c.Req {
-		args = append(args, lower(f.Name))
+	lane := ""
+	switch {
+	case reqB != nil || respB != nil:
+		lane = "vc, err := remoting.Lane[remoting.VecCaller](c.T)"
+	case oneWay:
+		lane = "a, err := remoting.Lane[remoting.AsyncCaller](c.T)"
 	}
-	callArgs := ""
-	if len(args) > 0 {
-		callArgs = ", " + strings.Join(args, ", ")
-	}
-	p("\tAppend%sCall(enc%s)", c.Name, callArgs)
-	if oneWay {
-		p("\tif a, ok := c.T.(remoting.AsyncCaller); ok {")
-		p("\t\t// One-way lane: the message outlives this call, so it travels in a")
-		p("\t\t// buffer of the payload pool, which Submit takes and the message's")
-		p("\t\t// consumer returns.")
-		p("\t\treq := append(wire.GetBuf(enc.Len()), enc.Bytes()...)")
-		p("\t\twire.PutEncoder(enc)")
-		p("\t\treturn a.Submit(p, req, int64(%s))", reqData)
+	if lane != "" {
+		p("\t%s", lane)
+		p("\tif err != nil {")
+		p("\t\treturn")
 		p("\t}")
-		p("\t// Transport without an async lane: degrade to a round trip.")
 	}
-	p("\trespB, rerr := c.T.Roundtrip(p, enc.Bytes(), int64(%s))", reqData)
+	p("\tenc := wire.GetEncoder()")
+	p("\tAppend%sCall(enc%s)", c.Name, args(meta(c.Req)))
+	switch {
+	case oneWay:
+		p("\t// One-way lane: the message outlives this call, so it travels in a")
+		p("\t// buffer of the payload pool, which Submit takes and the message's")
+		p("\t// consumer returns.")
+		p("\treq := append(wire.GetBuf(enc.Len()), enc.Bytes()...)")
+		p("\twire.PutEncoder(enc)")
+		p("\treturn a.Submit(p, req, int64(%s))", reqData)
+		return
+	case reqB != nil:
+		p("\trespB, _, rerr := vc.RoundtripVec(p, enc.Bytes(), %s, nil)", lower(reqB.Name))
+	case respB != nil:
+		p("\trespB, respBulk, rerr := vc.RoundtripVec(p, enc.Bytes(), nil, dst)")
+	default:
+		p("\trespB, rerr := c.T.Roundtrip(p, enc.Bytes(), int64(%s))", reqData)
+	}
 	p("\tif rerr != nil {")
 	p("\t\t// The transport may still hold the request; drop the encoder.")
 	p("\t\terr = rerr")
@@ -1005,7 +894,8 @@ func emitClientInlineBody(p func(string, ...any), c Call, oneWay, intern bool) {
 	p("\t\terr = cuda.FromCode(statusCode)")
 	p("\t\treturn")
 	p("\t}")
-	if len(c.Resp) > 0 {
+	switch resp := meta(c.Resp); {
+	case len(resp) > 0:
 		if intern {
 			p("\tdec.SetInterner(&c.names)")
 		}
@@ -1014,52 +904,43 @@ func emitClientInlineBody(p func(string, ...any), c Call, oneWay, intern bool) {
 		p("\tif err = dec.Err(); err != nil {")
 		p("\t\treturn")
 		p("\t}")
-		for _, f := range c.Resp {
+		for _, f := range resp {
 			p("\t%s = resp.%s", lower(f.Name), f.Name)
 		}
-	} else {
+	case respB != nil:
+		p("\tif err = dec.Err(); err != nil {")
+		p("\t\treturn")
+		p("\t}")
+	default:
 		p("\terr = dec.Err()")
+	}
+	if respB != nil {
+		p("\t%s = respBulk", lower(respB.Name))
 	}
 	p("\treturn")
 }
 
-// emitDispatchCase writes the server-side switch case for one call.
+// emitDispatchCase writes the server-side switch case for one call: a bulk
+// request field is the request frame's bulk region, a bulk response field
+// goes back as the reply's.
 func emitDispatchCase(p func(string, ...any), s surface, c Call) {
-	reqB := bulkField(c.Req)
-	respB := bulkField(c.Resp)
+	reqB, respB := bulkField(c.Req), bulkField(c.Resp)
 	p("\tcase Call%s:", c.Name)
-	if respB != nil {
-		p("\t\t// The vec-response flag travels on the wire right after the call")
-		p("\t\t// ID: true when the client ran the vectored path and wants the")
-		p("\t\t// bulk %s returned out-of-band, false for the inline encoding.", respB.Name)
-		p("\t\tvecResp := dec.Bool()")
-	}
 	p("\t\tvar req %sReq", c.Name)
-	switch {
-	case reqB != nil:
-		p("\t\tif reqBulk != nil {")
-		p("\t\t\t// Vectored request: the bulk %s arrived out-of-band; the", reqB.Name)
-		p("\t\t\t// payload holds only the metadata fields.")
-		p("\t\t\treq.DecodeMeta(dec)")
-		p("\t\t\treq.%s = reqBulk", reqB.Name)
-		p("\t\t} else {")
-		p("\t\t\treq.DecodeShared(dec)")
-		p("\t\t}")
-	case hasShared(c.Req):
+	if hasShared(c.Req) {
 		p("\t\treq.DecodeShared(dec)")
-	default:
+	} else {
 		p("\t\treq.Decode(dec)")
 	}
 	p("\t\tif dec.Err() != nil {")
 	p("\t\t\tbreak")
 	p("\t\t}")
-	var args []string
-	for _, f := range c.Req {
-		args = append(args, "req."+f.Name)
+	var callArgs string
+	for _, f := range meta(c.Req) {
+		callArgs += ", req." + f.Name
 	}
-	callArgs := ""
-	if len(args) > 0 {
-		callArgs = ", " + strings.Join(args, ", ")
+	if reqB != nil {
+		callArgs += ", reqBulk"
 	}
 	var outs []string
 	for _, f := range c.Resp {
@@ -1079,61 +960,15 @@ func emitDispatchCase(p func(string, ...any), s surface, c Call) {
 	p("\t\t\tenc.I32(int32(cuda.Code(err)))")
 	p("\t\t\t%s", s.ret())
 	p("\t\t}")
-	var lits, metaLits []string
-	for _, f := range c.Resp {
-		lit := fmt.Sprintf("%s: %s", f.Name, lower(f.Name))
-		lits = append(lits, lit)
-		if f.Kind != "bulk" {
-			metaLits = append(metaLits, lit)
-		}
-	}
-	if respB != nil {
-		p("\t\tif vecResp {")
-		p("\t\t\tenc.I32(0)")
-		p("\t\t\t(&%sResp{%s}).EncodeMeta(enc)", c.Name, strings.Join(metaLits, ", "))
-		p("\t\t\treturn 0, %s", lower(respB.Name))
-		p("\t\t}")
-	}
 	p("\t\tenc.Grow(%s)", sizeHint(c.Resp))
 	p("\t\tenc.I32(0)")
-	p("\t\t(&%sResp{%s}).Encode(enc)", c.Name, strings.Join(lits, ", "))
-	if c.RspData != "" {
+	p("\t\t(&%sResp{%s}).Encode(enc)", c.Name, literal(meta(c.Resp)))
+	switch {
+	case respB != nil:
+		p("\t\treturn 0, %s", lower(respB.Name))
+	case c.RspData != "":
 		p("\t\treturn int64(req.%s), nil", c.RspData)
-	} else {
+	default:
 		p("\t\t%s", s.ret())
 	}
-}
-
-// emitMeta writes EncodeMeta/DecodeMeta for a message carrying a bulk
-// field: the same encoding as Encode/Decode minus the bulk field, whose
-// bytes travel as the frame's vectored bulk region.
-func emitMeta(p func(string, ...any), typ, side, bulkName string, fields []Field) {
-	var metas []Field
-	for _, f := range fields {
-		if f.Kind != "bulk" {
-			metas = append(metas, f)
-		}
-	}
-	p("// EncodeMeta serializes the %s without the bulk field %s,", side, bulkName)
-	p("// whose bytes travel as the frame's vectored bulk region.")
-	p("func (m *%s) EncodeMeta(e *wire.Encoder) {", typ)
-	for _, f := range metas {
-		p("\t"+kinds[f.Kind].Enc, "m."+f.Name)
-	}
-	if len(metas) == 0 {
-		p("\t_ = e")
-	}
-	p("}")
-	p("")
-	p("// DecodeMeta deserializes the %s's metadata fields; the bulk", side)
-	p("// field %s is delivered out-of-band and must be attached by the caller.", bulkName)
-	p("func (m *%s) DecodeMeta(d *wire.Decoder) {", typ)
-	for _, f := range metas {
-		p("\tm.%s = %s", f.Name, kinds[f.Kind].Dec)
-	}
-	if len(metas) == 0 {
-		p("\t_ = d")
-	}
-	p("}")
-	p("")
 }

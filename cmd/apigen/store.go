@@ -28,8 +28,8 @@ import (
 	APIDoc: `// API is the remoted store surface, implemented by the in-process Store
 // (which DispatchTo calls directly) and by Client.`,
 	ClientDoc: `// Client implements API by remoting every call over a transport.
-// One-way calls use the async submission lane when the transport
-// supports it and degrade to synchronous round trips otherwise.`,
+// One-way calls need the transport's async submission lane: without it
+// they fail with remoting.ErrNoLane.`,
 	BadReq: "ErrBadRequest",
 	Intern: true,
 }

@@ -99,8 +99,7 @@ func BenchmarkDispatchSmall_MemGetInfo(b *testing.B) {
 // BenchmarkDispatchMemWrite_1MiB stores a borrowed 1 MiB bulk region.
 func BenchmarkDispatchMemWrite_1MiB(b *testing.B) {
 	benchDispatch(b, 1<<20, func(enc *wire.Encoder, ptr cuda.DevPtr) {
-		enc.U16(gen.CallMemWrite)
-		(&gen.MemWriteReq{Dst: ptr}).EncodeMeta(enc)
+		gen.AppendMemWriteCall(enc, ptr)
 	})
 }
 
@@ -108,9 +107,7 @@ func BenchmarkDispatchMemWrite_1MiB(b *testing.B) {
 func BenchmarkDispatchMemRead_1MiB(b *testing.B) {
 	b.SetBytes(1 << 20)
 	benchDispatch(b, 0, func(enc *wire.Encoder, ptr cuda.DevPtr) {
-		enc.U16(gen.CallMemRead)
-		enc.Bool(true)
-		(&gen.MemReadReq{Src: ptr, Size: 1 << 20}).Encode(enc)
+		gen.AppendMemReadCall(enc, ptr, 1<<20)
 	})
 }
 

@@ -50,19 +50,15 @@ func (c memCall) viaClient(p *sim.Proc, cl *gen.Client, _ *Server) ([]byte, erro
 }
 
 // viaDispatch hands the server a hand-built payload the way its request loop
-// does, vectored both ways, and decodes the status.
+// does, the bytes in the bulk regions, and decodes the status.
 func (c memCall) viaDispatch(p *sim.Proc, _ *gen.Client, srv *Server) ([]byte, error) {
 	var e wire.Encoder
 	var bulk []byte
 	if c.write {
-		e.U16(gen.CallMemWrite)
-		e.U64(uint64(c.ptr))
+		gen.AppendMemWriteCall(&e, c.ptr)
 		bulk = pattern(int(c.n), int(c.n))
 	} else {
-		e.U16(gen.CallMemRead)
-		e.Bool(true)
-		e.U64(uint64(c.ptr))
-		e.I64(c.n)
+		gen.AppendMemReadCall(&e, c.ptr, c.n)
 	}
 	resp, _, respBulk := gen.DispatchBulk(p, srv, e.Bytes(), bulk)
 	d := wire.NewDecoder(resp)
@@ -366,11 +362,8 @@ func TestBulkLendAndAdoptOverTCP(t *testing.T) {
 		mustNil(t, cl.MemWrite(nil, ptr, old))
 
 		var rd, wr wire.Encoder
-		rd.U16(gen.CallMemRead)
-		rd.Bool(true)
-		(&gen.MemReadReq{Src: ptr, Size: n}).Encode(&rd)
-		wr.U16(gen.CallMemWrite)
-		(&gen.MemWriteReq{Dst: ptr}).EncodeMeta(&wr)
+		gen.AppendMemReadCall(&rd, ptr, n)
+		gen.AppendMemWriteCall(&wr, ptr)
 		mustNil(t, c.Submit(nil, rd.Bytes(), 0))
 		_, first, err := c.(remoting.VecCaller).RoundtripVec(nil, wr.Bytes(), fresh, make([]byte, n))
 		mustNil(t, err)
@@ -405,9 +398,7 @@ func TestBulkLendAndAdoptOverTCP(t *testing.T) {
 		mustNil(t, err)
 		mustNil(t, cl.MemWrite(nil, ptr, pattern(7, n)))
 		var rd wire.Encoder
-		rd.U16(gen.CallMemRead)
-		rd.Bool(true)
-		(&gen.MemReadReq{Src: ptr, Size: n}).Encode(&rd)
+		gen.AppendMemReadCall(&rd, ptr, n)
 		mustNil(t, c.Submit(nil, rd.Bytes(), 0))
 		c.Close()
 		<-bridge
@@ -526,8 +517,7 @@ func TestOwnedBulkIsAdoptedBorrowedIsCopied(t *testing.T) {
 		replies := sim.NewQueue[remoting.Response](e)
 		write := func(bulk []byte, owned bool) {
 			var enc wire.Encoder
-			enc.U16(gen.CallMemWrite)
-			(&gen.MemWriteReq{Dst: ptr}).EncodeMeta(&enc)
+			gen.AppendMemWriteCall(&enc, ptr)
 			srv.Inbox.Send(remoting.Request{Payload: enc.Bytes(), Bulk: bulk, BulkOwned: owned, ReplyTo: replies})
 			r, _ := replies.Recv(p)
 			if code := wire.NewDecoder(r.Payload).I32(); code != 0 {
@@ -557,8 +547,7 @@ func TestOwnedBulkIsAdoptedBorrowedIsCopied(t *testing.T) {
 		bulk := pattern(9, 4096)
 		before := srv.sess.mem.Copied()
 		var enc wire.Encoder
-		enc.U16(gen.CallMemWrite)
-		(&gen.MemWriteReq{Dst: ptr + 8192}).EncodeMeta(&enc)
+		gen.AppendMemWriteCall(&enc, ptr+8192)
 		srv.Inbox.Send(remoting.Request{Payload: enc.Bytes(), Bulk: bulk, BulkOwned: true, ReplyTo: replies})
 		replies.Recv(p)
 		if moved := srv.sess.mem.Copied() - before; moved != 4096 || !bytes.Equal(backing()[8192:8192+4096], pattern(9, 4096)) {
@@ -583,11 +572,8 @@ func TestLentViewSurvivesTheNextWrite(t *testing.T) {
 
 		replies := sim.NewQueue[remoting.Response](e)
 		var rd, wr wire.Encoder
-		rd.U16(gen.CallMemRead)
-		rd.Bool(true)
-		(&gen.MemReadReq{Src: ptr, Size: n}).Encode(&rd)
-		wr.U16(gen.CallMemWrite)
-		(&gen.MemWriteReq{Dst: ptr}).EncodeMeta(&wr)
+		gen.AppendMemReadCall(&rd, ptr, n)
+		gen.AppendMemWriteCall(&wr, ptr)
 		for _, owned := range []bool{true, false} {
 			bulk := append([]byte(nil), fresh...)
 			srv.Inbox.Send(remoting.Request{Payload: rd.Bytes(), ReplyTo: replies})

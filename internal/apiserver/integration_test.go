@@ -492,24 +492,3 @@ func TestServerStatsTrackActivity(t *testing.T) {
 		}
 	})
 }
-
-func TestCallCountsByName(t *testing.T) {
-	e := sim.NewEngine(1)
-	e.Run("root", func(p *sim.Proc) {
-		r := newRig(e, p, 1, fastCfg(), guest.OptAll)
-		script(p, r.lib)
-		counts := r.srv.CallCounts()
-		if counts["Malloc"] != 2 {
-			t.Errorf("Malloc count = %d, want 2", counts["Malloc"])
-		}
-		if counts["LaunchKernel"] != 2 {
-			t.Errorf("LaunchKernel count = %d, want 2 (batched launches must be counted)", counts["LaunchKernel"])
-		}
-		if counts["Hello"] != 1 || counts["Bye"] != 1 {
-			t.Errorf("session calls = %d/%d", counts["Hello"], counts["Bye"])
-		}
-		if counts["?"] != 0 {
-			t.Errorf("unknown call IDs recorded: %d", counts["?"])
-		}
-	})
-}

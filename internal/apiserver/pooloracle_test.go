@@ -27,7 +27,7 @@ func TestUnderPoolChecks(t *testing.T) {
 	t.Run("RemotingTransparency", TestRemotingTransparency)
 	t.Run("FuzzDispatchBulkMemSeeds", func(t *testing.T) {
 		for _, s := range bulkMemSeeds {
-			fuzzBulkMem(t, s.write, s.session, s.off, s.n, s.vec, s.owned)
+			fuzzBulkMem(t, s.write, s.session, s.off, s.n, s.owned)
 		}
 	})
 }

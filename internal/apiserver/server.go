@@ -98,11 +98,10 @@ type Server struct {
 	// cudalibs.Kind, always bound to the context on curDev.
 	idle [2][]uint64
 
-	sess       *session
-	spare      tables // the last session's, emptied, for the next begin
-	stats      Stats
-	callCounts map[uint16]int
-	crashed    bool // fault injection killed the server process
+	sess    *session
+	spare   tables // the last session's, emptied, for the next begin
+	stats   Stats
+	crashed bool // fault injection killed the server process
 
 	// asyncErr latches the first error produced by a one-way (CallAsync)
 	// submission; the next CallFence reports and clears it — the sticky
@@ -195,13 +194,12 @@ var _ gen.API = (*Server)(nil)
 // NewServer creates an API server over the GPU server's devices.
 func NewServer(e *sim.Engine, rt *cuda.Runtime, cfg Config) *Server {
 	return &Server{
-		cfg:        cfg,
-		rt:         rt,
-		libs:       cudalibs.New(cfg.LibCosts),
-		Inbox:      sim.NewQueue[remoting.Request](e),
-		curDev:     cfg.HomeDev,
-		visited:    make([]bool, len(rt.Devices())),
-		callCounts: make(map[uint16]int),
+		cfg:     cfg,
+		rt:      rt,
+		libs:    cudalibs.New(cfg.LibCosts),
+		Inbox:   sim.NewQueue[remoting.Request](e),
+		curDev:  cfg.HomeDev,
+		visited: make([]bool, len(rt.Devices())),
 	}
 }
 
@@ -382,12 +380,11 @@ func (s *Server) handleCtrl(p *sim.Proc, req remoting.Request) {
 // handle executes one wire message (a single call, a batch, an async
 // one-way submission or a fence) and leaves the encoded response in s.reply;
 // replies is false for a message that gets none. bulk is the reply's bulk
-// region, non-nil only for vectored bulk-response calls.
+// region, non-nil only for a bulk-response call (MemRead).
 func (s *Server) handle(p *sim.Proc, req remoting.Request) (replies bool, data int64, bulk []byte) {
 	payload := req.Payload
 	s.reply.Reset()
-	id := callID(payload)
-	switch id {
+	switch callID(payload) {
 	case remoting.CallBatch:
 		s.handleBatch(p, payload[2:])
 		return true, 0, nil
@@ -400,7 +397,6 @@ func (s *Server) handle(p *sim.Proc, req remoting.Request) (replies bool, data i
 		s.asyncErr = 0
 		return true, 0, nil
 	}
-	s.callCounts[id]++
 	s.stats.CallsHandled++
 	data, bulk = gen.DispatchTo(p, s, &s.reply, payload, req.Bulk)
 	return true, data, bulk
@@ -443,16 +439,6 @@ func (s *Server) handleAsync(p *sim.Proc, inner []byte) {
 	s.latch(s.replyStatus())
 }
 
-// CallCounts reports how often each API has been executed, keyed by name —
-// the per-server statistics the monitor collects (Fig. 2, step 3).
-func (s *Server) CallCounts() map[string]int {
-	out := make(map[string]int, len(s.callCounts))
-	for id, n := range s.callCounts {
-		out[gen.CallName(id)] += n
-	}
-	return out
-}
-
 // handleBatch executes the entries of a batch message in order, replying
 // with the first error encountered (subsequent entries still execute, like
 // asynchronous CUDA work after a sticky error). body is the message after its
@@ -469,9 +455,6 @@ func (s *Server) handleBatch(p *sim.Proc, body []byte) {
 			break
 		}
 		s.stats.CallsHandled++
-		if len(entry) >= 2 {
-			s.callCounts[callID(entry)]++
-		}
 		s.reply.Reset()
 		gen.DispatchTo(p, s, &s.reply, entry, nil)
 		if code := s.replyStatus(); firstErr == 0 {
@@ -926,10 +909,10 @@ func (sess *session) memRange(ptr cuda.DevPtr, n int64) (base cuda.DevPtr, off i
 // MemWrite is the vectored twin of MemcpyH2D: the payload bytes arrive with
 // the call, so the server both charges the PCIe upload and keeps them in the
 // session's byte store for read-back through MemRead. data is borrowed and
-// copied in — the simulated transport's guest-owned slice, an inline decode,
-// a direct caller's argument — unless it is the bulk buffer the
-// transport gave away with this request, which becomes the allocation's
-// storage as it is; the storage it displaces goes back to the transport.
+// copied in — the simulated transport's guest-owned slice, a direct caller's
+// argument — unless it is the bulk buffer the transport gave away with this
+// request, which becomes the allocation's storage as it is; the storage it
+// displaces goes back to the transport.
 func (s *Server) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
 	sess, ctx, err := s.open(p)
 	if err != nil {

@@ -266,14 +266,6 @@ func (c *Context) PhysAlloc(h PhysHandle) (*gpu.PhysAlloc, bool) {
 	return a, ok
 }
 
-// AdoptPhys registers an existing physical allocation under a new handle.
-// The migration engine uses this after copying memory to a new device.
-func (c *Context) AdoptPhys(a *gpu.PhysAlloc) PhysHandle {
-	h := PhysHandle(c.handle())
-	c.phys[h] = a
-	return h
-}
-
 // DetachPhys unmaps ptr and removes its backing physical allocation from the
 // context without freeing device memory: ownership of the allocation passes
 // to the caller. This is the export half of the GPU-side data plane — the
@@ -319,7 +311,8 @@ func (c *Context) AdoptMapped(p *sim.Proc, a *gpu.PhysAlloc) (DevPtr, error) {
 	if err != nil {
 		return 0, err
 	}
-	h := c.AdoptPhys(a)
+	h := PhysHandle(c.handle())
+	c.phys[h] = a
 	if err := c.MemMap(p, ptr, h); err != nil {
 		delete(c.phys, h)
 		_ = c.MemAddressFree(p, ptr)

@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VIII) on the simulated substrate. Each exported function is
-// one experiment; cmd/dgsf-bench prints them in the paper's layout and
-// bench_test.go wraps them in testing.B benchmarks.
+// one experiment; cmd/dgsf-bench prints them in the paper's layout.
 package experiments
 
 import (

@@ -14,14 +14,15 @@ import (
 )
 
 // tappedServer is a real API server behind the simulated transport with a
-// tap on its inbox: the tap counts how MemWrite requests arrive (vectored or
-// inlined) and can swallow the next one, which is what a server that hangs
-// inside a bulk call looks like from the guest.
+// tap on its inbox: the tap counts the MemWrite requests that arrive with and
+// without a bulk region, and the MemRead requests, and can swallow the next
+// MemWrite, which is what a server that hangs inside a bulk call looks like
+// from the guest.
 type tappedServer struct {
 	lst      *remoting.Listener
 	vectored int // MemWrite requests that carried a bulk region
-	inlined  int // MemWrite requests with the bytes inside the payload
-	vecReads int // MemRead requests that asked for a vectored reply
+	bare     int // MemWrite requests without one
+	reads    int // MemRead requests
 	swallow  int // MemWrite requests still to drop without a reply
 }
 
@@ -38,22 +39,20 @@ func newTappedServer(e *sim.Engine, p *sim.Proc) *tappedServer {
 			if !ok {
 				return
 			}
-			if len(req.Payload) >= 3 {
+			if len(req.Payload) >= 2 {
 				switch uint16(req.Payload[0]) | uint16(req.Payload[1])<<8 {
 				case gen.CallMemWrite:
 					if req.Bulk != nil {
 						ts.vectored++
 					} else {
-						ts.inlined++
+						ts.bare++
 					}
 					if ts.swallow > 0 {
 						ts.swallow--
 						continue
 					}
 				case gen.CallMemRead:
-					if req.Payload[2] != 0 {
-						ts.vecReads++
-					}
+					ts.reads++
 				}
 			}
 			srv.Inbox.Send(req)
@@ -64,9 +63,9 @@ func newTappedServer(e *sim.Engine, p *sim.Proc) *tappedServer {
 
 // TestRecoverableDeadlineKeepsBulkLane: a per-call deadline bounds the
 // vectored lane, it does not replace it. A recoverable guest with CallDeadline
-// set moves bulk bytes as the frame's bulk region (so transfers above the
-// 1 MiB inline cap work), and a bulk call the server
-// never answers times out and is recovered like any other.
+// set moves bulk bytes as the frame's bulk region, 2 MiB of them per call, and
+// a bulk call the server never answers times out and is recovered like any
+// other.
 func TestRecoverableDeadlineKeepsBulkLane(t *testing.T) {
 	const deadline = 100 * time.Millisecond
 	e := sim.NewEngine(1)
@@ -97,8 +96,8 @@ func TestRecoverableDeadlineKeepsBulkLane(t *testing.T) {
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("2 MiB MemRead under a call deadline: err %v, intact %v", err, bytes.Equal(got, data))
 		}
-		if ts := servers[0]; ts.vectored != 1 || ts.inlined != 0 || ts.vecReads != 1 {
-			t.Fatalf("server saw %d vectored / %d inlined writes and %d vectored reads, want 1/0/1", ts.vectored, ts.inlined, ts.vecReads)
+		if ts := servers[0]; ts.vectored != 1 || ts.bare != 0 || ts.reads != 1 {
+			t.Fatalf("server saw %d writes with a bulk region, %d without and %d reads, want 1/0/1", ts.vectored, ts.bare, ts.reads)
 		}
 
 		// The server goes silent inside the next bulk call. Without a deadline
@@ -118,8 +117,8 @@ func TestRecoverableDeadlineKeepsBulkLane(t *testing.T) {
 		if st := lib.Stats(); st.Recoveries != 1 || len(servers) != 2 {
 			t.Fatalf("recoveries = %d over %d servers, want 1 over 2", st.Recoveries, len(servers))
 		}
-		if ts := servers[1]; ts.vectored != 2 || ts.inlined != 0 {
-			t.Fatalf("recovered server saw %d vectored / %d inlined writes, want 2/0 (replay + retry)", ts.vectored, ts.inlined)
+		if ts := servers[1]; ts.vectored != 2 || ts.bare != 0 {
+			t.Fatalf("recovered server saw %d writes with a bulk region and %d without, want 2/0 (replay + retry)", ts.vectored, ts.bare)
 		}
 		got, err = lib.MemRead(p, ptr, int64(len(data)))
 		if err != nil || !bytes.Equal(got, data) {

@@ -28,7 +28,9 @@ import (
 // call, the final Stats — and the transcript's FNV-1a hash is compared with a
 // constant captured at 5137046, before the one-call-path rewrite, and
 // re-captured at d60561e when the backend became an unpooled API server (only
-// handle values, device answers and the frames carrying them moved). Do not
+// handle values, device answers and the frames carrying them moved), and once
+// more when bulk calls lost their inline encoding (only the MemWrite and
+// MemRead message lines moved, to the bulk lane). Do not
 // re-capture the constants to make a refactor pass: a moved hash means a
 // frame, a result, an instant or a counter moved.
 //
@@ -36,18 +38,17 @@ import (
 // the tier, by a synchronous call, a one-way submission, a fence or a batch
 // flush), one refused redial and one replay that dies of a fabric fault, so
 // journal replay order, the unfenced-window resend, the batch retry, handle
-// re-mapping and the jittered backoff are all in the transcript. The loopback
-// offers no vectored lane: bulk transfers are TestRecoverableDeadlineKeepsBulkLane's.
+// re-mapping and the jittered backoff are all in the transcript.
 
 var transcriptGolden = map[string]uint64{
-	"none":      0xc29f3a11b65f3ee5,
-	"none+rec":  0xa1ab05059e197ef2,
-	"local":     0x98173192b81daec2,
-	"local+rec": 0xa35f3c3d155ad898,
-	"all":       0x527e057e35e9271c,
-	"all+rec":   0xdda18a4d12916095,
-	"async":     0x36327bbd42fc2659,
-	"async+rec": 0xdff1c4cf419e118c,
+	"none":      0xef0d9b9fbdd4c015,
+	"none+rec":  0x024ac93bfc459c2a,
+	"local":     0x4d13ce4204d9a45e,
+	"local+rec": 0xacd70eddf52fc900,
+	"all":       0x582c4a15d87025f4,
+	"all+rec":   0x0fc0455bfcbb6f49,
+	"async":     0xf0e137d6ef289f11,
+	"async+rec": 0x6937ef3ead295be0,
 }
 
 type transcript struct {
@@ -146,9 +147,9 @@ type recRig struct {
 }
 
 // recConn is one loopback connection. It offers the synchronous lane with a
-// deadline (per call, or set for the connection) and the one-way lane, and
-// dispatches into its own backend: a session recovered onto the next
-// connection finds none of its state and different real handles.
+// deadline (per call, or set for the connection), the bulk lane and the
+// one-way lane, and dispatches into its own backend: a session recovered onto
+// the next connection finds none of its state and different real handles.
 type recConn struct {
 	r        *recRig
 	gen      int
@@ -228,6 +229,24 @@ func (c *recConn) sync(p *sim.Proc, req []byte, reqData int64, d time.Duration) 
 	}
 	resp, _ := gen.Dispatch(p, c.b, req)
 	return resp, nil
+}
+
+func (c *recConn) ProtoVersion() int { return remoting.ProtoV2 }
+
+func (c *recConn) RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) ([]byte, []byte, error) {
+	c.r.tr.note("msg gen=%d lane=vec deadline=%d broken=%v %x bulk %x", c.gen, c.deadline, c.broken, req, reqBulk)
+	if c.broken {
+		return nil, nil, remoting.ErrConnClosed
+	}
+	p.Sleep(60 * time.Microsecond)
+	defer p.Sleep(40 * time.Microsecond)
+	// A wire copies both ways; the reply's bulk region lands in respDst when
+	// it fits.
+	resp, _, bulk := gen.DispatchBulk(p, c.b, append([]byte(nil), req...), append([]byte(nil), reqBulk...))
+	if bulk != nil {
+		bulk = append(respDst[:0], bulk...)
+	}
+	return resp, bulk, nil
 }
 
 func (c *recConn) Submit(p *sim.Proc, req []byte, reqData int64) error {

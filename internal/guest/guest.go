@@ -152,12 +152,13 @@ func New(t remoting.Caller, opt Opt) *Lib {
 
 // adoptTransport points the library at a (re)dialed transport. A recoverable
 // library's per-call deadline becomes the connection's: it then bounds every
-// round trip the connection makes, vectored ones included.
+// round trip the connection makes, vectored ones included. Such a library
+// needs a remoting.DeadlineCaller, as both built-in transports are.
 func (l *Lib) adoptTransport(t remoting.Caller) {
 	l.cl.T = t
 	l.async, _ = t.(remoting.AsyncCaller)
-	if dc, ok := t.(remoting.DeadlineCaller); ok && l.rec != nil && l.rec.CallDeadline > 0 {
-		dc.SetCallDeadline(l.rec.CallDeadline)
+	if l.rec != nil && l.rec.CallDeadline > 0 {
+		t.(remoting.DeadlineCaller).SetCallDeadline(l.rec.CallDeadline)
 	}
 }
 
@@ -389,10 +390,11 @@ func (l *Lib) MemcpyD2H(p *sim.Proc, src cuda.DevPtr, size int64) (gpu.HostBuffe
 }
 
 // MemWrite uploads caller-provided bytes to device memory: the vectored twin
-// of MemcpyH2D. Over a transport with the bulk lane the generated client
-// passes data borrowed through writev; otherwise it is inlined. Journaled like
-// MemcpyH2D so recovered sessions re-establish device contents — the journal
-// retains its own copy, because the caller keeps ownership of data.
+// of MemcpyH2D. The generated client passes data borrowed, as the frame's
+// bulk region, over a transport with the bulk lane, and fails the call over
+// one without it. Journaled like MemcpyH2D so recovered sessions re-establish
+// device contents — the journal retains its own copy, because the caller
+// keeps ownership of data.
 func (l *Lib) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) error {
 	err := l.sync(p, func(p *sim.Proc) error { return l.cl.MemWrite(p, l.xp(dst), data) })
 	if err == nil && l.rec != nil {

@@ -119,22 +119,6 @@ func BenchmarkClientMemImport(b *testing.B) {
 	}
 }
 
-// BenchmarkClientMemWrite_1MiB is the inline path of the host-to-device
-// write: the bulk is copied into the encoded payload. The baseline the
-// vectored lane is gated against.
-func BenchmarkClientMemWrite_1MiB(b *testing.B) {
-	c := &gen.Client{T: &fixedResp{resp: okResp(nil)}}
-	data := make([]byte, 1<<20)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.MemWrite(nil, 0x10_0000, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkClientMemWriteVec_1MiB is the protocol-v2 vectored path: the bulk
 // is borrowed by the transport, never copied by the stub.
 func BenchmarkClientMemWriteVec_1MiB(b *testing.B) {
@@ -146,25 +130,6 @@ func BenchmarkClientMemWriteVec_1MiB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := c.MemWrite(nil, 0x10_0000, data); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClientMemRead_1MiB is the inline path of the device-to-host
-// read: the bulk rides inline and is decoded (copied) out of the reply.
-func BenchmarkClientMemRead_1MiB(b *testing.B) {
-	payload := make([]byte, 1<<20)
-	c := &gen.Client{T: &fixedResp{resp: okResp(func(e *wire.Encoder) {
-		(&gen.MemReadResp{Data: payload}).Encode(e)
-	})}}
-	dst := make([]byte, len(payload))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := c.MemReadInto(nil, 0x10_0000, int64(len(payload)), dst)
-		if err != nil || len(data) != len(payload) {
-			b.Fatal("bad call")
 		}
 	}
 }

@@ -399,10 +399,10 @@ type API interface {
 	// ModelBroadcast one-to-many model fan-out: the first caller per GPU server pays a single host-staged read and becomes the broadcast source, later callers clone it device-to-device; Src reports the path (0 miss, 1 host seed, 2 device clone) and Ptr/Size are zero on a miss.
 	ModelBroadcast(p *sim.Proc) (ptr cuda.DevPtr, size int64, src int, err error)
 
-	// MemWrite writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — on a connection with the bulk lane the bytes travel borrowed as the frame's bulk region (single writev, zero copies), elsewhere they are inlined (capped at 1 MiB); data stays the caller's, the range must lie inside the allocation that contains dst.
+	// MemWrite writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — the bytes travel borrowed as the frame's bulk region (single writev, zero copies); data stays the caller's, the range must lie inside the allocation that contains dst.
 	MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) (err error)
 
-	// MemRead reads device memory back to the caller: the vectored twin of MemcpyD2H — on a connection with the bulk lane the bytes return as a bulk region scatter-read into a caller-owned buffer, elsewhere they are inlined (capped at 1 MiB); bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src.
+	// MemRead reads device memory back to the caller: the vectored twin of MemcpyD2H — the bytes return as the reply's bulk region, scatter-read into a caller-owned buffer; bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src.
 	MemRead(p *sim.Proc, src cuda.DevPtr, size int64) (data []byte, err error)
 
 	// DnnCreateTensorDescriptor mirrors cudnnCreateTensorDescriptor; pooled guest-side when optimized.
@@ -3541,36 +3541,13 @@ type MemWriteReq struct {
 	Data []byte
 }
 
-// Encode serializes the request.
+// Encode serializes the request; Data is the frame's bulk region.
 func (m *MemWriteReq) Encode(e *wire.Encoder) {
 	e.U64(uint64(m.Dst))
-	e.BytesField(m.Data)
 }
 
 // Decode deserializes the request.
 func (m *MemWriteReq) Decode(d *wire.Decoder) {
-	m.Dst = cuda.DevPtr(d.U64())
-	m.Data = d.BytesField()
-}
-
-// DecodeShared deserializes the request without copying: decoded
-// slices alias d and are valid only until d resets. Dispatch uses it
-// (its decoder outlives the backend call); backends must clone any
-// shared field they retain.
-func (m *MemWriteReq) DecodeShared(d *wire.Decoder) {
-	m.Dst = cuda.DevPtr(d.U64())
-	m.Data = d.BytesShared()
-}
-
-// EncodeMeta serializes the request without the bulk field Data,
-// whose bytes travel as the frame's vectored bulk region.
-func (m *MemWriteReq) EncodeMeta(e *wire.Encoder) {
-	e.U64(uint64(m.Dst))
-}
-
-// DecodeMeta deserializes the request's metadata fields; the bulk
-// field Data is delivered out-of-band and must be attached by the caller.
-func (m *MemWriteReq) DecodeMeta(d *wire.Decoder) {
 	m.Dst = cuda.DevPtr(d.U64())
 }
 
@@ -3590,19 +3567,20 @@ func (m *MemWriteResp) Decode(d *wire.Decoder) {
 
 // AppendMemWriteCall appends an encoded MemWrite call (ID + request) to e,
 // for direct sends and for batch assembly.
-func AppendMemWriteCall(e *wire.Encoder, dst cuda.DevPtr, data []byte) {
+func AppendMemWriteCall(e *wire.Encoder, dst cuda.DevPtr) {
 	e.U16(CallMemWrite)
-	(&MemWriteReq{Dst: dst, Data: data}).Encode(e)
+	(&MemWriteReq{Dst: dst}).Encode(e)
 }
 
-// MemWrite writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — on a connection with the bulk lane the bytes travel borrowed as the frame's bulk region (single writev, zero copies), elsewhere they are inlined (capped at 1 MiB); data stays the caller's, the range must lie inside the allocation that contains dst.
+// MemWrite writes caller-provided bytes into device memory: the vectored twin of MemcpyH2D — the bytes travel borrowed as the frame's bulk region (single writev, zero copies); data stays the caller's, the range must lie inside the allocation that contains dst.
 func (c *Client) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) (err error) {
-	if _, ok := c.T.(remoting.VecCaller); ok && len(data) > 0 {
-		return c.memWritevec(p, dst, data)
+	vc, err := remoting.Lane[remoting.VecCaller](c.T)
+	if err != nil {
+		return
 	}
 	enc := wire.GetEncoder()
-	AppendMemWriteCall(enc, dst, data)
-	respB, rerr := c.T.Roundtrip(p, enc.Bytes(), int64(0))
+	AppendMemWriteCall(enc, dst)
+	respB, _, rerr := vc.RoundtripVec(p, enc.Bytes(), data, nil)
 	if rerr != nil {
 		// The transport may still hold the request; drop the encoder.
 		err = rerr
@@ -3617,32 +3595,6 @@ func (c *Client) MemWrite(p *sim.Proc, dst cuda.DevPtr, data []byte) (err error)
 		return
 	}
 	err = dec.Err()
-	return
-}
-
-// memWritevec is the vectored path of MemWrite.
-func (c *Client) memWritevec(p *sim.Proc, dst cuda.DevPtr, data []byte) (err error) {
-	vc := c.T.(remoting.VecCaller)
-	enc := wire.GetEncoder()
-	enc.U16(CallMemWrite)
-	(&MemWriteReq{Dst: dst}).EncodeMeta(enc)
-	respB, _, rerr := vc.RoundtripVec(p, enc.Bytes(), data, nil)
-	if rerr != nil {
-		// The transport may still hold the request; drop the encoder.
-		err = rerr
-		return
-	}
-	// A returned RoundtripVec has fully consumed the request payload.
-	wire.PutEncoder(enc)
-	dec := wire.GetDecoder(respB)
-	defer wire.PutDecoder(dec)
-	if statusCode := int(dec.I32()); statusCode != 0 {
-		err = cuda.FromCode(statusCode)
-		return
-	}
-	if err = dec.Err(); err != nil {
-		return
-	}
 	return
 }
 
@@ -3671,25 +3623,13 @@ type MemReadResp struct {
 	Data []byte
 }
 
-// Encode serializes the response.
+// Encode serializes the response; Data is the frame's bulk region.
 func (m *MemReadResp) Encode(e *wire.Encoder) {
-	e.BytesField(m.Data)
+	_ = e
 }
 
 // Decode deserializes the response.
 func (m *MemReadResp) Decode(d *wire.Decoder) {
-	m.Data = d.BytesField()
-}
-
-// EncodeMeta serializes the response without the bulk field Data,
-// whose bytes travel as the frame's vectored bulk region.
-func (m *MemReadResp) EncodeMeta(e *wire.Encoder) {
-	_ = e
-}
-
-// DecodeMeta deserializes the response's metadata fields; the bulk
-// field Data is delivered out-of-band and must be attached by the caller.
-func (m *MemReadResp) DecodeMeta(d *wire.Decoder) {
 	_ = d
 }
 
@@ -3697,66 +3637,31 @@ func (m *MemReadResp) DecodeMeta(d *wire.Decoder) {
 // for direct sends and for batch assembly.
 func AppendMemReadCall(e *wire.Encoder, src cuda.DevPtr, size int64) {
 	e.U16(CallMemRead)
-	// The vec-response flag: false here — Append encodes the inline
-	// form, whose reply carries its bytes inside the payload.
-	e.Bool(false)
 	(&MemReadReq{Src: src, Size: size}).Encode(e)
 }
 
-// MemRead reads device memory back to the caller: the vectored twin of MemcpyD2H — on a connection with the bulk lane the bytes return as a bulk region scatter-read into a caller-owned buffer, elsewhere they are inlined (capped at 1 MiB); bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src.
+// MemRead reads device memory back to the caller: the vectored twin of MemcpyD2H — the bytes return as the reply's bulk region, scatter-read into a caller-owned buffer; bytes never uploaded read as zeros, the range must lie inside the allocation that contains src; a direct (non-remoted) caller's result is a view of the backend's storage, valid until the next call that writes or frees src.
 func (c *Client) MemRead(p *sim.Proc, src cuda.DevPtr, size int64) (data []byte, err error) {
 	return c.MemReadInto(p, src, size, nil)
 }
 
-// MemReadInto is MemRead with a caller-owned destination buffer: over a
-// VecCaller the reply's bulk region is scatter-read into dst when it
-// fits, making a pre-sized read allocation-free. The
-// returned data may alias dst.
+// MemReadInto is MemRead with a caller-owned destination buffer: the
+// reply's bulk region is scatter-read into dst when it fits, making a
+// pre-sized read allocation-free. The returned data may alias dst.
 func (c *Client) MemReadInto(p *sim.Proc, src cuda.DevPtr, size int64, dst []byte) (data []byte, err error) {
-	if _, ok := c.T.(remoting.VecCaller); ok {
-		return c.memReadvec(p, src, size, dst)
+	vc, err := remoting.Lane[remoting.VecCaller](c.T)
+	if err != nil {
+		return
 	}
 	enc := wire.GetEncoder()
 	AppendMemReadCall(enc, src, size)
-	respB, rerr := c.T.Roundtrip(p, enc.Bytes(), int64(0))
-	if rerr != nil {
-		// The transport may still hold the request; drop the encoder.
-		err = rerr
-		return
-	}
-	// A returned Roundtrip has fully consumed the request payload.
-	wire.PutEncoder(enc)
-	dec := wire.GetDecoder(respB)
-	defer wire.PutDecoder(dec)
-	if statusCode := int(dec.I32()); statusCode != 0 {
-		err = cuda.FromCode(statusCode)
-		return
-	}
-	var resp MemReadResp
-	resp.Decode(dec)
-	if err = dec.Err(); err != nil {
-		return
-	}
-	data = resp.Data
-	return
-}
-
-// memReadvec is the vectored path of MemRead.
-func (c *Client) memReadvec(p *sim.Proc, src cuda.DevPtr, size int64, dst []byte) (data []byte, err error) {
-	vc := c.T.(remoting.VecCaller)
-	enc := wire.GetEncoder()
-	enc.U16(CallMemRead)
-	// Ask for a vectored reply: the response bytes come back as the
-	// frame's bulk region instead of an inline field.
-	enc.Bool(true)
-	(&MemReadReq{Src: src, Size: size}).Encode(enc)
 	respB, respBulk, rerr := vc.RoundtripVec(p, enc.Bytes(), nil, dst)
 	if rerr != nil {
 		// The transport may still hold the request; drop the encoder.
 		err = rerr
 		return
 	}
-	// A returned RoundtripVec has fully consumed the request payload.
+	// A returned Roundtrip has fully consumed the request payload.
 	wire.PutEncoder(enc)
 	dec := wire.GetDecoder(respB)
 	defer wire.PutDecoder(dec)
@@ -4698,8 +4603,8 @@ func (c *Client) DnnDestroyPoolingDescriptor(p *sim.Proc, d cudalibs.Descriptor)
 
 // Dispatch decodes one call from payload and executes it against the
 // backend, returning the encoded response and the logical payload bytes
-// that flow back with it (for bandwidth accounting). Calls whose bulk
-// bytes arrived out-of-band need DispatchBulk.
+// that flow back with it (for bandwidth accounting). Bulk calls need
+// DispatchBulk, which carries their bytes.
 func Dispatch(p *sim.Proc, b API, payload []byte) (resp []byte, respData int64) {
 	resp, respData, _ = DispatchBulk(p, b, payload, nil)
 	return resp, respData
@@ -4722,14 +4627,12 @@ func DispatchBulk(p *sim.Proc, b API, payload, reqBulk []byte) (resp []byte, res
 // aliases payload and the decoder, and is dead once DispatchTo returns,
 // when the caller may recycle payload.
 //
-// reqBulk is the request frame's vectored bulk region (nil
-// when the call inlined its bytes, which is how the decode variant is
-// chosen). The backend receives it as a borrowed argument and copies
-// what it retains, unless the transport gave the buffer away and the
-// backend learns so out of band (remoting.BulkLease).
-// When a bulk-response call asked for a vectored reply, respBulk
-// returns the bytes and enc receives only status + metadata. respBulk
-// may be a view of the backend's storage, lent to the reply: it stays
+// reqBulk is the request frame's bulk region, the bytes of a bulk
+// request field. The backend receives it as a borrowed argument and
+// copies what it retains, unless the transport gave the buffer away and
+// the backend learns so out of band (remoting.BulkLease). respBulk is
+// the bytes of a bulk response field, for the reply frame's bulk region;
+// it may be a view of the backend's storage, lent to the reply: it stays
 // as it is until the reply frame is written.
 func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) (respData int64, respBulk []byte) {
 	dec := wire.GetDecoder(payload)
@@ -5298,25 +5201,14 @@ func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) 
 		return 0, nil
 	case CallMemWrite:
 		var req MemWriteReq
-		if reqBulk != nil {
-			// Vectored request: the bulk Data arrived out-of-band; the
-			// payload holds only the metadata fields.
-			req.DecodeMeta(dec)
-			req.Data = reqBulk
-		} else {
-			req.DecodeShared(dec)
-		}
+		req.Decode(dec)
 		if dec.Err() != nil {
 			break
 		}
-		err := b.MemWrite(p, req.Dst, req.Data)
+		err := b.MemWrite(p, req.Dst, reqBulk)
 		enc.I32(int32(cuda.Code(err)))
 		return 0, nil
 	case CallMemRead:
-		// The vec-response flag travels on the wire right after the call
-		// ID: true when the client ran the vectored path and wants the
-		// bulk Data returned out-of-band, false for the inline encoding.
-		vecResp := dec.Bool()
 		var req MemReadReq
 		req.Decode(dec)
 		if dec.Err() != nil {
@@ -5327,15 +5219,10 @@ func DispatchTo(p *sim.Proc, b API, enc *wire.Encoder, payload, reqBulk []byte) 
 			enc.I32(int32(cuda.Code(err)))
 			return 0, nil
 		}
-		if vecResp {
-			enc.I32(0)
-			(&MemReadResp{}).EncodeMeta(enc)
-			return 0, data
-		}
-		enc.Grow(4 + 4 + len(data))
+		enc.Grow(4)
 		enc.I32(0)
-		(&MemReadResp{Data: data}).Encode(enc)
-		return 0, nil
+		(&MemReadResp{}).Encode(enc)
+		return 0, data
 	case CallDnnCreateTensorDescriptor:
 		var req DnnCreateTensorDescriptorReq
 		req.Decode(dec)

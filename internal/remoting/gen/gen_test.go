@@ -157,6 +157,26 @@ func (l *loopback) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, er
 }
 func (l *loopback) Close() {}
 
+// TestBulkCallNeedsTheBulkLane: bulk calls have one encoding, their bytes in
+// the frame's bulk region, so over a transport without RoundtripVec they fail
+// with remoting.ErrNoLane and send nothing.
+func TestBulkCallNeedsTheBulkLane(t *testing.T) {
+	l := &loopback{}
+	c := &gen.Client{T: l}
+	if err := c.MemWrite(nil, 0x10_0000, []byte{1, 2, 3}); !errors.Is(err, remoting.ErrNoLane) {
+		t.Errorf("MemWrite = %v, want ErrNoLane", err)
+	}
+	if data, err := c.MemRead(nil, 0x10_0000, 3); data != nil || !errors.Is(err, remoting.ErrNoLane) {
+		t.Errorf("MemRead = %v, %v; want nil, ErrNoLane", data, err)
+	}
+	if data, err := c.MemReadInto(nil, 0x10_0000, 3, make([]byte, 3)); data != nil || !errors.Is(err, remoting.ErrNoLane) {
+		t.Errorf("MemReadInto = %v, %v; want nil, ErrNoLane", data, err)
+	}
+	if l.n != 0 {
+		t.Errorf("the transport was asked for %d round trips, want 0", l.n)
+	}
+}
+
 func TestClientDispatchLoopback(t *testing.T) {
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {

@@ -123,8 +123,9 @@ type Faultable interface {
 // one-way message (normally a CallAsync-wrapped call) without waiting for an
 // acknowledgement; the transport guarantees FIFO ordering between Submit and
 // Roundtrip, so a subsequent Roundtrip — in particular a CallFence — acts as
-// a fence that drains the lane. Both built-in transports implement it; test
-// doubles that only implement Caller degrade the guest to synchronous calls.
+// a fence that drains the lane. Both built-in transports implement it. The
+// generated one-way calls of the store need it (see Lane); the guest library
+// degrades OptAsync to synchronous calls on a transport without it.
 //
 // Submit takes req for good, whether or not it succeeds: the message outlives
 // the call, so the sender encodes it into a buffer it will not touch again —
@@ -137,9 +138,10 @@ type AsyncCaller interface {
 	Submit(p *sim.Proc, req []byte, reqData int64) error
 }
 
-// VecCaller is a Caller with the vectored bulk lane. Generated stubs for
-// calls carrying a trailing bulk []byte use it; on a transport without it
-// they inline the bulk into the encoded payload.
+// VecCaller is a Caller with the vectored bulk lane, the one way bulk calls
+// (MemWrite, MemRead) travel: their bytes are the frame's bulk region, never
+// part of the encoded payload. Both built-in transports implement it; over a
+// transport without it a bulk call fails (see Lane).
 //
 // Ownership: reqBulk is borrowed by the transport only for the duration of
 // the call — it is sent without copying and belongs to the caller again when
@@ -151,6 +153,22 @@ type VecCaller interface {
 	ProtoVersion() int // always ProtoV2; bench/ forwards it until ROADMAP item 1a
 
 	RoundtripVec(p *sim.Proc, req, reqBulk, respDst []byte) (resp, respBulk []byte, err error)
+}
+
+// ErrNoLane reports a call over a transport that lacks the lane the call
+// travels on: a bulk call without RoundtripVec, a one-way call without
+// Submit. Nothing was sent.
+var ErrNoLane = errors.New("remoting: transport lacks the call's lane")
+
+// Lane returns c as the lane L a generated call travels on, or ErrNoLane if
+// c lacks it: such a call fails before it encodes anything and never falls
+// back to another encoding.
+func Lane[L Caller](c Caller) (L, error) {
+	l, ok := c.(L)
+	if !ok {
+		return l, ErrNoLane
+	}
+	return l, nil
 }
 
 // Request is one in-flight call as seen by an API server. Control messages
@@ -171,8 +189,7 @@ type Request struct {
 
 	// Bulk is the request's vectored bulk region: the raw bytes of a
 	// trailing bulk argument, delivered outside the encoded payload. nil
-	// when the call carries no bulk (or inlined it). BulkOwned says whose it
-	// is.
+	// when the call carries no bulk. BulkOwned says whose it is.
 	Bulk []byte
 	// BulkOwned reports that Bulk is the handler's property: the transport
 	// read it off the socket into a buffer of its own and gave that away

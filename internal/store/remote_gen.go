@@ -81,8 +81,8 @@ type API interface {
 }
 
 // Client implements API by remoting every call over a transport.
-// One-way calls use the async submission lane when the transport
-// supports it and degrade to synchronous round trips otherwise.
+// One-way calls need the transport's async submission lane: without it
+// they fail with remoting.ErrNoLane.
 type Client struct {
 	T     remoting.Caller
 	names wire.Interner // its replies' strings: the same few names, over and over
@@ -464,33 +464,18 @@ func AppendUpdateStatusAsyncCall(e *wire.Encoder, obj Resource) {
 
 // UpdateStatusAsync is the fire-and-forget status write on the one-way lane; conflicts are dropped, resync heals.
 func (c *Client) UpdateStatusAsync(p *sim.Proc, obj Resource) (err error) {
+	a, err := remoting.Lane[remoting.AsyncCaller](c.T)
+	if err != nil {
+		return
+	}
 	enc := wire.GetEncoder()
 	AppendUpdateStatusAsyncCall(enc, obj)
-	if a, ok := c.T.(remoting.AsyncCaller); ok {
-		// One-way lane: the message outlives this call, so it travels in a
-		// buffer of the payload pool, which Submit takes and the message's
-		// consumer returns.
-		req := append(wire.GetBuf(enc.Len()), enc.Bytes()...)
-		wire.PutEncoder(enc)
-		return a.Submit(p, req, int64(0))
-	}
-	// Transport without an async lane: degrade to a round trip.
-	respB, rerr := c.T.Roundtrip(p, enc.Bytes(), int64(0))
-	if rerr != nil {
-		// The transport may still hold the request; drop the encoder.
-		err = rerr
-		return
-	}
-	// A returned Roundtrip has fully consumed the request payload.
+	// One-way lane: the message outlives this call, so it travels in a
+	// buffer of the payload pool, which Submit takes and the message's
+	// consumer returns.
+	req := append(wire.GetBuf(enc.Len()), enc.Bytes()...)
 	wire.PutEncoder(enc)
-	dec := wire.GetDecoder(respB)
-	defer wire.PutDecoder(dec)
-	if statusCode := int(dec.I32()); statusCode != 0 {
-		err = cuda.FromCode(statusCode)
-		return
-	}
-	err = dec.Err()
-	return
+	return a.Submit(p, req, int64(0))
 }
 
 // --- Delete ---

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -217,13 +218,35 @@ func TestRemoteWatchPumpExitsOnConnFault(t *testing.T) {
 	})
 }
 
-// cannedCaller answers every round trip with one fixed reply.
-type cannedCaller struct{ resp []byte }
+// cannedCaller answers every round trip with one fixed reply and counts them.
+// It has no one-way lane.
+type cannedCaller struct {
+	resp []byte
+	n    int
+}
 
 func (c *cannedCaller) Roundtrip(p *sim.Proc, req []byte, reqData int64) ([]byte, error) {
+	c.n++
 	return c.resp, nil
 }
 func (c *cannedCaller) Close() {}
+
+// TestOneWayCallNeedsTheOneWayLane: UpdateStatusAsync over a transport
+// without Submit fails with remoting.ErrNoLane and sends nothing; it does not
+// turn into a round trip.
+func TestOneWayCallNeedsTheOneWayLane(t *testing.T) {
+	var e wire.Encoder
+	e.I32(0)
+	cc := &cannedCaller{resp: e.Bytes()}
+	c := &Client{T: cc}
+	sess := &Session{ObjectMeta: ObjectMeta{Name: "fn-1"}}
+	if err := c.UpdateStatusAsync(nil, sess); !errors.Is(err, remoting.ErrNoLane) {
+		t.Errorf("UpdateStatusAsync = %v, want ErrNoLane", err)
+	}
+	if cc.n != 0 {
+		t.Errorf("the transport was asked for %d round trips, want 0", cc.n)
+	}
+}
 
 // TestRemoteGetInternsNames: once the Client has seen a reply's names, a Get
 // that repeats them decodes every string from its Interner, and the object
