@@ -123,38 +123,68 @@ func TestSyncCallAllocatesNothingTCP(t *testing.T) {
 	}
 }
 
-// TestBatchedDnnForwardAllocatesNothing: a cuDNN primitive as an entry of a
-// CallBatch — the entry a view of the batch, its name and buffers decoded
-// shared, the kernel name looked up, the entry's status read from the
-// server's scratch.
-func TestBatchedDnnForwardAllocatesNothing(t *testing.T) {
+// TestDnnForwardAllocatesNothing: a cuDNN primitive through the request
+// loop — its name and buffers decoded shared, the kernel name looked up, its
+// status written to the server's scratch. A batch may not carry it (it is
+// not batchable), so it travels as a call of its own.
+func TestDnnForwardAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	e := sim.NewEngine(1)
 	e.Run("root", func(p *sim.Proc) {
 		r := newAllocRig(t, e, p, guest.OptNone)
 		h, err := r.srv.DnnCreate(p)
 		mustNil(t, err)
-		var entry, batch wire.Encoder
-		gen.AppendDnnForwardCall(&entry, h, "conv", time.Microsecond, r.lp.Mutates, nil)
-		batch.U16(remoting.CallBatch)
-		batch.U32(2)
-		batch.BytesField(entry.Bytes())
-		batch.BytesField(entry.Bytes())
-		replies := sim.NewQueue[remoting.Response](e)
-		req := remoting.Request{Payload: batch.Bytes(), ReplyTo: replies}
-		call := func() {
-			r.srv.Inbox.Send(req)
-			resp, _ := replies.Recv(p)
-			if len(resp.Payload) != 4 || resp.Payload[0]|resp.Payload[1]|resp.Payload[2]|resp.Payload[3] != 0 {
-				t.Fatalf("batch status %v", resp.Payload)
-			}
-			resp.Release()
-		}
+		var msg wire.Encoder
+		gen.AppendDnnForwardCall(&msg, h, "conv", time.Microsecond, r.lp.Mutates, nil)
+		call := serverCall(t, e, p, r.srv, msg.Bytes())
 		for i := 0; i < 8; i++ {
 			call()
 		}
 		if avg := testing.AllocsPerRun(200, call); avg != 0 {
-			t.Errorf("a batch of two DnnForward allocates %.0f times, want 0", avg)
+			t.Errorf("a DnnForward allocates %.0f times, want 0", avg)
 		}
 	})
+}
+
+// TestBatchedLaunchAllocatesNothing: kernel launches as the entries of a
+// CallBatch — each entry a view of the batch, its buffers decoded shared,
+// its status read from the server's scratch.
+func TestBatchedLaunchAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		r := newAllocRig(t, e, p, guest.OptNone)
+		var entry, batch wire.Encoder
+		gen.AppendLaunchKernelCall(&entry, r.lp)
+		batch.U16(remoting.CallBatch)
+		batch.U32(2)
+		batch.BytesField(entry.Bytes())
+		batch.BytesField(entry.Bytes())
+		call := serverCall(t, e, p, r.srv, batch.Bytes())
+		for i := 0; i < 8; i++ {
+			call()
+		}
+		if avg := testing.AllocsPerRun(200, call); avg != 0 {
+			t.Errorf("a batch of two launches allocates %.0f times, want 0", avg)
+		}
+	})
+}
+
+// serverCall returns a function that sends msg through srv's request loop,
+// fails the test unless the reply is a bare zero status, and lets the
+// call's kernels run: kernels that piled up on the stream would grow its op
+// ring, a few allocations that testing.AllocsPerRun's per-run average
+// rounds down to zero.
+func serverCall(t *testing.T, e *sim.Engine, p *sim.Proc, srv *Server, msg []byte) func() {
+	replies := sim.NewQueue[remoting.Response](e)
+	req := remoting.Request{Payload: msg, ReplyTo: replies}
+	return func() {
+		srv.Inbox.Send(req)
+		resp, _ := replies.Recv(p)
+		if len(resp.Payload) != 4 || resp.Payload[0]|resp.Payload[1]|resp.Payload[2]|resp.Payload[3] != 0 {
+			t.Fatalf("status %v", resp.Payload)
+		}
+		resp.Release()
+		p.Sleep(10 * time.Microsecond)
+	}
 }

@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"dgsf/internal/guest"
 	"dgsf/internal/remoting"
 	"dgsf/internal/remoting/gen"
+	"dgsf/internal/remoting/wire"
 	"dgsf/internal/sim"
 )
 
@@ -443,6 +445,59 @@ func TestBatchedErrorSurfacesThroughGetLastError(t *testing.T) {
 		// And it resets, like cudaGetLastError.
 		if code, _ := lib.GetLastError(p); code != 0 {
 			t.Fatalf("second GetLastError = %d, want 0", code)
+		}
+	})
+}
+
+// TestBatchRefusesUnbatchableEntries: a batch entry whose call is not
+// batchable is not executed — a MemWrite, whose bytes only the bulk lane
+// carries, and a 64-byte MemRead, whose bytes the batch's one status cannot
+// carry back. The batch answers ErrInvalidValue through the server loop,
+// the buffer keeps its bytes, and the batchable entry after them still runs.
+func TestBatchRefusesUnbatchableEntries(t *testing.T) {
+	e := sim.NewEngine(1)
+	e.Run("root", func(p *sim.Proc) {
+		r := newRig(e, p, 1, fastCfg(), guest.OptNone)
+		mustNil(t, r.lib.Hello(p, "fn", 1<<30))
+		buf, err := r.srv.Malloc(p, 4096)
+		mustNil(t, err)
+		want := make([]byte, 64)
+		for i := range want {
+			want[i] = byte(i + 1)
+		}
+		mustNil(t, r.srv.MemWrite(p, buf, want))
+		ev, err := r.srv.EventCreate(p)
+		mustNil(t, err)
+
+		var write, read, record, batch wire.Encoder
+		gen.AppendMemWriteCall(&write, buf)
+		gen.AppendMemReadCall(&read, buf, 64)
+		gen.AppendEventRecordCall(&record, ev, 0)
+		batch.U16(remoting.CallBatch)
+		batch.U32(3)
+		for _, entry := range []*wire.Encoder{&write, &read, &record} {
+			batch.BytesField(entry.Bytes())
+		}
+		replies := sim.NewQueue[remoting.Response](e)
+		r.srv.Inbox.Send(remoting.Request{Payload: batch.Bytes(), ReplyTo: replies})
+		resp, ok := replies.Recv(p)
+		if !ok {
+			t.Fatal("no reply to the batch")
+		}
+		var d wire.Decoder
+		d.Reset(resp.Payload)
+		if code := d.I32(); code != int32(cuda.Code(cuda.ErrInvalidValue)) || len(resp.Payload) != 4 || len(resp.Bulk) != 0 {
+			t.Errorf("batch answered status %d with %d payload and %d bulk bytes, want ErrInvalidValue (%d) alone",
+				code, len(resp.Payload), len(resp.Bulk), cuda.Code(cuda.ErrInvalidValue))
+		}
+		resp.Release()
+		if err := r.srv.EventSynchronize(p, ev); err != nil {
+			t.Errorf("the batchable entry after the refused ones did not run: EventSynchronize = %v", err)
+		}
+		got, err := r.srv.MemRead(p, buf, 64)
+		mustNil(t, err)
+		if !bytes.Equal(got, want) {
+			t.Errorf("buffer holds %v after the batch, want %v", got, want)
 		}
 	})
 }

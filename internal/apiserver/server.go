@@ -454,10 +454,18 @@ func (s *Server) handleBatch(p *sim.Proc, body []byte) {
 		if d.Err() != nil {
 			break
 		}
-		s.stats.CallsHandled++
-		s.reply.Reset()
-		gen.DispatchTo(p, s, &s.reply, entry, nil)
-		if code := s.replyStatus(); firstErr == 0 {
+		code := int32(cuda.Code(cuda.ErrInvalidValue))
+		// Only table-batchable calls may ride a batch: the batch answers one
+		// status, so a result-bearing entry — a MemRead's bytes — would be
+		// dropped. It is refused unexecuted, as handleAsync refuses what is
+		// not deferrable.
+		if gen.CallClass(callID(entry)) == gen.ClassBatchable {
+			s.stats.CallsHandled++
+			s.reply.Reset()
+			gen.DispatchTo(p, s, &s.reply, entry, nil)
+			code = s.replyStatus()
+		}
+		if firstErr == 0 {
 			firstErr = code
 		}
 	}

@@ -31,7 +31,7 @@ type Context struct {
 	defStream  *Stream
 
 	fnByName map[string]FnPtr
-	fnByPtr  map[FnPtr]string
+	fnByPtr  map[FnPtr]uint64 // gpu.KernelHash of the name, hashed once at registration
 
 	destroyed bool
 }
@@ -53,7 +53,7 @@ func newContext(p *sim.Proc, rt *Runtime, dev *gpu.Device) (*Context, error) {
 		streams:  make(map[StreamHandle]*Stream),
 		events:   make(map[EventHandle]*Event),
 		fnByName: make(map[string]FnPtr),
-		fnByPtr:  make(map[FnPtr]string),
+		fnByPtr:  make(map[FnPtr]uint64),
 	}
 	if rt.costs.CtxBytes > 0 {
 		m, err := dev.AllocPhys(rt.costs.CtxBytes)
@@ -62,7 +62,7 @@ func newContext(p *sim.Proc, rt *Runtime, dev *gpu.Device) (*Context, error) {
 		}
 		ctx.ctxMem = m
 	}
-	ctx.defStream = newStream(p, rt.e)
+	ctx.defStream = newStream(p, rt.e, dev)
 	return ctx, nil
 }
 
@@ -512,18 +512,8 @@ func (c *Context) RegisterFunction(p *sim.Proc, name string) (FnPtr, error) {
 	// and registration order, never from the name alone.
 	f := FnPtr(0x4000_0000_0000 + uint64(c.dev.ID())<<32 + uint64(len(c.fnByName)+1))
 	c.fnByName[name] = f
-	c.fnByPtr[f] = name
+	c.fnByPtr[f] = gpu.KernelHash(name)
 	return f, nil
-}
-
-// FunctionName resolves a per-context function pointer back to the kernel
-// name, failing for pointers from other contexts.
-func (c *Context) FunctionName(f FnPtr) (string, error) {
-	name, ok := c.fnByPtr[f]
-	if !ok {
-		return "", ErrInvalidFunction
-	}
-	return name, nil
 }
 
 // FunctionPtr returns the pointer registered for name in this context.

@@ -13,8 +13,10 @@ import (
 // its own (sim.Proc) executes the ops on the context's device: the loop
 // calls it directly, so a kernel costs no coroutine switch.
 type Stream struct {
-	ops     sim.Ring[streamOp] // enqueued, not yet started
-	pending int                // enqueued, not yet finished
+	dev     *gpu.Device              // the context's device, which every op runs on
+	ops     sim.Ring[streamOp]       // enqueued, not yet started
+	more    sim.Ring[*gpu.PhysAlloc] // each queued kernel's second and later mutated allocations, in op order
+	pending int                      // enqueued, not yet finished
 	idle    *sim.Cond
 	closed  bool
 
@@ -27,47 +29,26 @@ type Stream struct {
 
 // streamOp is one queued device operation, as data: a kernel (ev nil) or an
 // event record. A launch is enqueued by value and the worker runs it, so a
-// kernel in flight costs a ring slot and no allocation.
+// kernel in flight costs a ring slot and no allocation. It is 40 bytes: the
+// device is the stream's, and a kernel's mutated allocations past the first
+// wait on the stream's more ring.
 type streamOp struct {
-	// A kernel: dev executes it for its nominal duration, then every
-	// allocation it mutates is stamped with its name's hash. The launch
-	// hashed the name and resolved the pointers, so the op holds the
-	// allocations — inline up to inlineMutates, the usual one or two, beyond
-	// that in more.
-	dev    *gpu.Device
+	// A kernel: the stream's device executes it for its nominal duration,
+	// then every allocation it mutates is stamped with its name's hash,
+	// which the context computed when the kernel was registered. The launch
+	// resolved the pointers: alloc is the first of n, the rest are the next
+	// n-1 entries of the stream's more ring.
 	dur    time.Duration
 	kernel uint64 // gpu.KernelHash of the kernel's name
-	n      int
-	allocs [inlineMutates]*gpu.PhysAlloc
-	more   []*gpu.PhysAlloc
+	alloc  *gpu.PhysAlloc
+	n      int32
 
 	// An event record: ev completes when the stream reaches it.
 	ev *Event
 }
 
-const inlineMutates = 4
-
-func (op *streamOp) addAlloc(a *gpu.PhysAlloc) {
-	if op.n < inlineMutates {
-		op.allocs[op.n] = a
-	} else {
-		op.more = append(op.more, a)
-	}
-	op.n++
-}
-
-// mutate stamps the finished kernel into the allocations it writes.
-func (op *streamOp) mutate() {
-	for _, a := range op.allocs[:min(op.n, inlineMutates)] {
-		gpu.MutateKernel(a, op.kernel)
-	}
-	for _, a := range op.more {
-		gpu.MutateKernel(a, op.kernel)
-	}
-}
-
-func newStream(p *sim.Proc, e *sim.Engine) *Stream {
-	s := &Stream{idle: sim.NewCond(e)}
+func newStream(p *sim.Proc, e *sim.Engine, dev *gpu.Device) *Stream {
+	s := &Stream{dev: dev, idle: sim.NewCond(e)}
 	s.worker = p.SpawnStepDaemon("cuda-stream", s.step)
 	return s
 }
@@ -100,7 +81,7 @@ func (s *Stream) step(p *sim.Proc) bool {
 			s.finished()
 			continue
 		}
-		if s.kern.Start(p, op.dev, op.dur) {
+		if s.kern.Start(p, s.dev, op.dur) {
 			s.busy = true
 			return true
 		}
@@ -108,8 +89,16 @@ func (s *Stream) step(p *sim.Proc) bool {
 	}
 }
 
+// finishKernel stamps the finished kernel into the allocations it writes.
 func (s *Stream) finishKernel() {
-	s.cur.mutate()
+	op := &s.cur
+	if op.n > 0 {
+		gpu.MutateKernel(op.alloc, op.kernel)
+		for range op.n - 1 {
+			a, _ := s.more.Pop()
+			gpu.MutateKernel(a, op.kernel)
+		}
+	}
 	s.busy = false
 	s.finished()
 }
@@ -162,7 +151,7 @@ func (c *Context) StreamCreate(p *sim.Proc) (StreamHandle, error) {
 		return 0, err
 	}
 	h := StreamHandle(c.handle())
-	c.streams[h] = newStream(p, c.rt.e)
+	c.streams[h] = newStream(p, c.rt.e, c.dev)
 	return h, nil
 }
 
@@ -252,21 +241,31 @@ func (c *Context) LaunchKernel(p *sim.Proc, lp LaunchParams) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	name, err := c.FunctionName(lp.Fn)
-	if err != nil {
-		return err
+	kernel, ok := c.fnByPtr[lp.Fn]
+	if !ok {
+		return ErrInvalidFunction
 	}
 	s, err := c.stream(lp.Stream)
 	if err != nil {
 		return err
 	}
-	op := streamOp{dev: c.dev, dur: lp.Duration, kernel: gpu.KernelHash(name)}
-	for _, ptr := range lp.Mutates {
+	op := streamOp{dur: lp.Duration, kernel: kernel, n: int32(len(lp.Mutates))}
+	// Every pointer resolves before anything is queued, so a launch that
+	// fails leaves the stream as it was; the second pass cannot fail.
+	for i, ptr := range lp.Mutates {
 		a, err := c.resolve(ptr)
 		if err != nil {
 			return err
 		}
-		op.addAlloc(a)
+		if i == 0 {
+			op.alloc = a
+		}
+	}
+	if len(lp.Mutates) > 1 {
+		for _, ptr := range lp.Mutates[1:] {
+			a, _ := c.resolve(ptr)
+			s.more.Push(a)
+		}
 	}
 	s.enqueue(op)
 	return nil

@@ -424,9 +424,10 @@ func TestFleetAllocsPerInvocation(t *testing.T) {
 }
 
 // mixBytesCeiling is TestMixBytesPerInvocation's bound, in host bytes per
-// invocation: ≈ 14 KB when it was set, ≈ 457 KB while each library regrew
-// its batch's ops and encoder from nothing.
-const mixBytesCeiling = 32 << 10
+// invocation: ≈ 7 KB with 40-byte stream ops, ≈ 14 KB while each op was 96
+// bytes and the default streams' rings regrew them, ≈ 457 KB while each
+// library regrew its batch's ops and encoder from nothing.
+const mixBytesCeiling = 10 << 10
 
 // batchedFn returns a function shaped like the paper's inference loops:
 // rounds of launches that the batching tier defers, each round ended by a

@@ -2,9 +2,11 @@ package remoting
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"slices"
 	"testing"
@@ -69,6 +71,88 @@ func TestSimRoundtripChargesBandwidth(t *testing.T) {
 	})
 	if elapsed != time.Second {
 		t.Fatalf("1MB at 1MB/s took %v, want 1s", elapsed)
+	}
+}
+
+// TestSimLandingOracle: over seeded random sequences of message sizes, one-way
+// submissions and round trips from three processes sharing one connection,
+// every b-byte message lands at the listener RTT/2 + b/bandwidth after its
+// transfer starts, unless an earlier message lands later: then it lands
+// with that one, never before it.
+func TestSimLandingOracle(t *testing.T) {
+	const bps = 1e6 // one byte per microsecond
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prof := NetProfile{RTT: time.Duration(rng.Intn(400)) * time.Microsecond, Bps: bps}
+		type msg struct {
+			start time.Duration // its transfer starts
+			bytes int64
+		}
+		var sent []msg
+		var landed []time.Duration
+		e := sim.NewEngine(seed)
+		e.Run("root", func(p *sim.Proc) {
+			l := NewListener(e)
+			p.SpawnDaemon("server", func(p *sim.Proc) {
+				for {
+					req, ok := l.Incoming.Recv(p)
+					if !ok {
+						return
+					}
+					if seq := int(binary.LittleEndian.Uint64(req.Payload)); seq != len(landed) {
+						t.Errorf("seed %d: message %d landed in place %d", seed, seq, len(landed))
+					}
+					landed = append(landed, p.Now())
+					if req.ReplyTo != nil {
+						req.ReplyTo.Send(Response{Payload: []byte("ok")})
+					}
+				}
+			})
+			conn := Dial(e, l, prof)
+			done := sim.NewQueue[struct{}](e)
+			for range 3 {
+				p.Spawn("sender", func(p *sim.Proc) {
+					for range 40 {
+						p.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
+						payload := binary.LittleEndian.AppendUint64(nil, uint64(len(sent)))
+						data := int64(rng.Intn(4000))
+						if rng.Intn(8) == 0 {
+							data = 0
+						}
+						sent = append(sent, msg{start: p.Now(), bytes: int64(len(payload)) + data})
+						var err error
+						if rng.Intn(2) == 0 {
+							err = conn.Submit(p, payload, data)
+						} else {
+							_, err = conn.Roundtrip(p, payload, data)
+						}
+						if err != nil {
+							t.Error(err)
+						}
+					}
+					done.Send(struct{}{})
+				})
+			}
+			for range 3 {
+				done.Recv(p)
+			}
+			p.Sleep(time.Second) // the last submissions land
+		})
+		if len(landed) != len(sent) {
+			t.Fatalf("seed %d: %d of %d messages landed", seed, len(landed), len(sent))
+		}
+		var prev time.Duration
+		for i, m := range sent {
+			alone := m.start + prof.RTT/2 + time.Duration(m.bytes)*time.Second/bps
+			want := max(alone, prev)
+			// The transport converts bytes to time in floating point: allow
+			// it a nanosecond of rounding, but no landing ahead of another.
+			if got := landed[i]; got < prev || got < want-time.Nanosecond || got > want+time.Nanosecond {
+				t.Fatalf("seed %d (RTT %v): message %d of %d B sent at %v landed at %v, want %v (the previous landed at %v)",
+					seed, prof.RTT, i, m.bytes, m.start, got, want, prev)
+			}
+			prev = landed[i]
+		}
 	}
 }
 
